@@ -7,7 +7,6 @@
 import numpy as np
 
 import bitrans as bt
-from bitrans.subproblem import build_side_operators
 
 op = bt.build_dirichlet_laplacian_1d(4, 1.0)
 gen = bt.square_root_generator(op)
@@ -28,10 +27,11 @@ print("  Richardson error estimate:", part.error_estimate)
 # impose boundary and interface data and check the round trip
 rng = np.random.default_rng(1)
 phi1, phi2, psi1, psi2 = rng.normal(size=(4, 4))
-ops = build_side_operators(gen, geom.c)
-q = op.eigenvectors
-pt = bt.phi_tilde_minus(ops, phi1, phi2, q @ part.fprime_left, q @ part.fprime_right)
-al = bt.alphas_minus(ops, psi1, psi2, pt)
+# the coefficient algebra is per mode, on eigenbasis coordinates
+ops = bt.side_symbols(gen, geom.c)
+pt = bt.phi_tilde_minus(ops, op.to_modal(phi1), op.to_modal(phi2),
+                        part.fprime_left, part.fprime_right)
+al = bt.alphas_minus(ops, op.to_modal(psi1), op.to_modal(psi2), pt)
 sol = bt.SubproblemSolution(side, geom, gen, al, part)
 
 print("\nround trip of the imposed data:")

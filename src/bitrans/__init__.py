@@ -52,13 +52,13 @@ from .section_operator import (
 )
 from .subproblem import (
     ParticularSolution,
-    SideOperators,
+    SideSymbols,
     SubproblemSolution,
     alphas_minus,
     alphas_plus,
-    build_side_operators,
     phi_tilde_minus,
     phi_tilde_plus,
+    side_symbols,
     solve_particular,
 )
 from .symbols import (
@@ -78,8 +78,6 @@ from .transmission import (
     SolveOptions,
     TransmissionOperators,
     TransmissionSolution,
-    assemble_P,
-    assemble_UV,
     assemble_sources,
     assemble_transmission_operators,
     leading_order_interface,
@@ -87,6 +85,15 @@ from .transmission import (
     solve_interface_block,
     solve_interface_calculus,
     solve_transmission,
+)
+from .verification import (
+    DenseOperators,
+    SideOperators,
+    assemble_dense_operators,
+    assemble_P,
+    assemble_UV,
+    build_side_operators,
+    spectral_mapping_gap,
 )
 
 __version__ = "0.1.0"

@@ -30,9 +30,9 @@ from .errors import (
 )
 from .oracle import compare, convergence_study, direct_solve
 from .problem import SIDES
-from .section_operator import apply_function
-from .symbols import SymbolContext, f_components, positivity_scan, u_delta, v_delta
-from .transmission import ROUTE_BOTH, SolveOptions, solve_transmission
+from .symbols import SymbolContext, positivity_scan
+from .transmission import ROUTE_BOTH, solve_transmission
+from .verification import spectral_mapping_gap
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -79,30 +79,6 @@ def _solution_csv_rows(solution):
     return rows
 
 
-def _spectral_mapping_gap(solution) -> float:
-    """Worst relative gap between assembled blocks and their scalar symbols."""
-    tops = solution.operators
-    op = solution.operator
-    ctx = tops.symbol_context
-    worst = 0.0
-    pairs = [
-        (tops.minus.U.matrix, lambda mu: u_delta(ctx.c, -mu)),
-        (tops.plus.U.matrix, lambda mu: u_delta(ctx.d, -mu)),
-        (tops.minus.V.matrix, lambda mu: v_delta(ctx.c, -mu)),
-        (tops.plus.V.matrix, lambda mu: v_delta(ctx.d, -mu)),
-    ]
-    for idx in range(3):
-        pairs.append((tops.__getattribute__(f"P{idx + 1}_minus").matrix / solution.problem.k_minus,
-                      lambda mu, i=idx: f_components(ctx.c, -mu)[i]))
-        pairs.append((tops.__getattribute__(f"P{idx + 1}_plus").matrix / solution.problem.k_plus,
-                      lambda mu, i=idx: f_components(ctx.d, -mu)[i]))
-    for assembled, symbol in pairs:
-        target = apply_function(op, symbol).matrix
-        scale = max(np.linalg.norm(target, 2), 1e-300)
-        worst = max(worst, float(np.linalg.norm(assembled - target, 2) / scale))
-    return worst
-
-
 def _verify_checks(config: RunConfig, operator, forcing, boundary, case):
     """Run the invariant suite and oracle comparison; return (checks, all_ok)."""
     options = replace(config.solver, route=ROUTE_BOTH)
@@ -117,7 +93,7 @@ def _verify_checks(config: RunConfig, operator, forcing, boundary, case):
 
     record("route_gap", solution.route_gap, 1e-10)
     record("det_gap", report.det_gap, IDENTITY_TOL)
-    record("spectral_mapping", _spectral_mapping_gap(solution), SPECTRAL_MAP_TOL)
+    record("spectral_mapping", spectral_mapping_gap(solution.reference), SPECTRAL_MAP_TOL)
     record("residual_budgets", 0.0 if report.passed else 1.0, 0.5)
 
     oracle = direct_solve(operator, config.geometry, config.k_minus, config.k_plus,

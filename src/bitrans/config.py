@@ -115,8 +115,8 @@ def load_config(path) -> RunConfig:
     diff = _as_map(_require(raw, "diffusivities", "config"), "diffusivities")
     k_minus = _as_float(_require(diff, "k_minus", "diffusivities"), "diffusivities.k_minus")
     k_plus = _as_float(_require(diff, "k_plus", "diffusivities"), "diffusivities.k_plus")
-    if k_minus <= 0 or k_plus <= 0:
-        raise ConfigError("diffusivities must be positive")
+    if not (0.0 < k_minus < np.inf and 0.0 < k_plus < np.inf):
+        raise ConfigError(f"diffusivities must be positive and finite, got {k_minus}, {k_plus}")
 
     forcing = _as_map(raw.get("forcing", {"kind": "zero"}), "forcing")
     fkind = forcing.get("kind", "zero")
@@ -130,7 +130,7 @@ def load_config(path) -> RunConfig:
         raise ConfigError("boundary.kind 'from-exact-case' requires forcing.kind 'manufactured'")
 
     solver = _as_map(raw.get("solver", {}), "solver")
-    route = solver.get("route", ROUTE_BLOCK)
+    route = solver.get("route", ROUTE_CALCULUS)
     if route not in (ROUTE_BLOCK, ROUTE_CALCULUS, ROUTE_BOTH):
         raise ConfigError(f"solver.route must be block|calculus|both, got {route!r}")
     n_x = _as_int(solver.get("n_x", 129), "solver.n_x")

@@ -178,12 +178,6 @@ class ModalForcing:
             return np.zeros((self.m, xs.size))
         return CubicSpline(grid, samples, axis=1)(xs)
 
-    @property
-    def is_zero(self) -> bool:
-        return (np.max(np.abs(self.samples_minus)) == 0.0
-                and np.max(np.abs(self.samples_plus)) == 0.0
-                and self.func_minus is None and self.func_plus is None)
-
     @classmethod
     def zero(cls, m: int, geometry: CylinderGeometry, n: int = 33) -> "ModalForcing":
         return cls(
@@ -293,9 +287,9 @@ class TransmissionProblem:
     boundary: BoundaryData
 
     def __post_init__(self):
-        if self.k_minus <= 0 or self.k_plus <= 0:
+        if not (0.0 < self.k_minus < np.inf and 0.0 < self.k_plus < np.inf):
             raise InvalidGeometryError(
-                f"diffusivities must be positive, got {self.k_minus}, {self.k_plus}"
+                f"diffusivities must be positive and finite, got {self.k_minus}, {self.k_plus}"
             )
         if self.boundary.m != self.operator.m or self.forcing.m != self.operator.m:
             raise DimensionMismatchError(

@@ -9,7 +9,9 @@ with E1 = e^{s1 M}, E2 = e^{s2 M}, s1 = x - left end, s2 = right end - x.
 The coefficients a1..a4 are affine in the interface values (psi1, psi2)
 and in the boundary-source quadruple phi~1..phi~4; F is the particular
 solution with homogeneous value and second-derivative conditions at both
-interval ends. Everything here is linear in the data.
+interval ends. Everything here is linear in the data. All operators are
+functions of M, so the coefficient algebra runs per mode on eigenbasis
+coordinates (``SideSymbols``); only field evaluation maps back.
 """
 
 from __future__ import annotations
@@ -19,11 +21,12 @@ from typing import Optional
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.linalg import lu_factor, lu_solve, solve_banded
+from scipy.linalg import solve_banded
 
-from .errors import AnomalyError, DimensionMismatchError, ResolutionError
+from .errors import DimensionMismatchError, ResolutionError
 from .problem import SIDE_MINUS, SIDE_PLUS, CylinderGeometry, ModalForcing, check_side
-from .section_operator import GeneratorM, OperatorMatrix, semigroup
+from .section_operator import GeneratorM
+from .symbols import f_components, u_delta, v_delta
 
 # 4th-order one-sided 5-point first-derivative stencils (left end / right end).
 _D1_LEFT = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
@@ -31,65 +34,50 @@ _ENDPOINT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
-class SideOperators:
-    """Operators a one-sided solve consumes for an interval of length delta.
+class SideSymbols:
+    """Per-mode symbols of the operators a one-sided solve consumes.
 
-    E = e^{delta M}, E2 = e^{2 delta M}, U = I - E2 + 2 delta M E and
-    V = I - E2 - 2 delta M E, with cached LU factorizations of U and V.
-    Both are provably invertible for the admissible operator class; a
-    numerically singular factorization is reported as an anomaly.
+    In the eigenbasis of M (eigenvalues g_j = -sqrt(-mu_j)) the interval
+    operators E = e^{delta M}, U = I - E^2 + 2 delta M E and
+    V = I - E^2 - 2 delta M E are diagonal, with entries
+    e_j = exp(delta g_j), u_j = u_delta(delta, -mu_j) and
+    v_j = v_delta(delta, -mu_j); ``f`` holds the interface-block symbols
+    f_{delta,1..3}(-mu_j). Every coefficient formula below is per-mode
+    arithmetic on these arrays, applied to eigenbasis coordinates.
     """
 
     generator: GeneratorM
     delta: float
-    E: np.ndarray
-    E2: np.ndarray
-    U: OperatorMatrix
-    V: OperatorMatrix
-    lu_u: tuple
-    lu_v: tuple
-    cond_u: float
-    cond_v: float
+    e: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
+    f: tuple
 
     @property
     def m(self) -> int:
         return self.generator.m
 
-    def u_inv(self, rhs: np.ndarray) -> np.ndarray:
-        return lu_solve(self.lu_u, rhs)
+    @property
+    def g(self) -> np.ndarray:
+        return self.generator.eigenvalues
 
-    def v_inv(self, rhs: np.ndarray) -> np.ndarray:
-        return lu_solve(self.lu_v, rhs)
+    @property
+    def cond_u(self) -> float:
+        """Exact 2-norm condition number of the symmetric positive U."""
+        return float(np.max(self.u) / np.min(self.u))
 
-    def m_apply(self, vec: np.ndarray) -> np.ndarray:
-        return self.generator.matrix @ vec
+    @property
+    def cond_v(self) -> float:
+        return float(np.max(self.v) / np.min(self.v))
 
 
-def build_side_operators(generator: GeneratorM, delta: float, side_tag: str = "") -> SideOperators:
-    """Assemble E, U, V (with inverses) for one interval from semigroups."""
-    e = semigroup(generator, delta).matrix
-    e2 = semigroup(generator, 2.0 * delta).matrix
-    me = generator.matrix @ e
-    eye = np.eye(generator.m)
-    u = eye - e2 + 2.0 * delta * me
-    v = eye - e2 - 2.0 * delta * me
-    try:
-        lu_u = lu_factor(u)
-        lu_v = lu_factor(v)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - structural guarantee
-        raise AnomalyError(f"singular U/V factorization on side {side_tag!r}: {exc}") from exc
-    cond_u = float(np.linalg.cond(u))
-    cond_v = float(np.linalg.cond(v))
-    if not (np.isfinite(cond_u) and np.isfinite(cond_v)):
-        raise AnomalyError(
-            f"U/V numerically singular on side {side_tag!r} "
-            "(contradicts their bounded invertibility)"
-        )
-    return SideOperators(
-        generator=generator, delta=delta, E=e, E2=e2,
-        U=OperatorMatrix(u, tag=f"U_{side_tag}"), V=OperatorMatrix(v, tag=f"V_{side_tag}"),
-        lu_u=lu_u, lu_v=lu_v, cond_u=cond_u, cond_v=cond_v,
-    )
+def side_symbols(generator: GeneratorM, delta: float) -> SideSymbols:
+    """Evaluate the one-sided symbols on the spectrum, O(m)."""
+    z = -generator.operator.eigenvalues
+    f1, f2, f3, _ = f_components(delta, z)  # rejects modes where u or v vanishes
+    return SideSymbols(generator=generator, delta=delta,
+                       e=np.exp(delta * generator.eigenvalues),
+                       u=u_delta(delta, z), v=v_delta(delta, z), f=(f1, f2, f3))
 
 
 def _one_sided_derivative(field: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
@@ -230,7 +218,9 @@ def solve_particular(
     mu < 0. Fields and traces are Richardson-extrapolated from the h and
     h/2 central-difference solutions; first-derivative traces use
     one-sided 4th-order stencils on the extrapolated fields and the
-    third-derivative traces use F''' = w' - mu F'.
+    third-derivative traces use F''' = w' - mu F'. A side whose forcing
+    samples are all zero on both grids gets the zero solution without
+    any solve.
 
     Parameters
     ----------
@@ -249,6 +239,8 @@ def solve_particular(
         raise DimensionMismatchError(
             f"forcing has {fhat_c.shape[0]} modes, operator has {mu.size}"
         )
+    if not (np.any(fhat_c) or np.any(fhat_f)):
+        return ParticularSolution.zero(side, geometry, mu.size, n_x)
     f_c, w_c = _solve_factorized(mu, grid_c, fhat_c)
     f_f, w_f = _solve_factorized(mu, grid_f, fhat_f)
     corr_f = (f_f[:, ::2] - f_c) / 3.0
@@ -283,63 +275,59 @@ def _check_vectors(m: int, *vectors: np.ndarray) -> list[np.ndarray]:
     return out
 
 
-def phi_tilde_minus(ops: SideOperators, phi1, phi2, fprime_a, fprime_gamma):
-    """Boundary-source quadruple of the minus interval."""
+def phi_tilde_minus(ops: SideSymbols, phi1, phi2, fprime_a, fprime_gamma):
+    """Boundary-source quadruple of the minus interval, in eigenbasis coordinates."""
     phi1, phi2, fpa, fpg = _check_vectors(ops.m, phi1, phi2, fprime_a, fprime_gamma)
-    c, e = ops.delta, ops.E
-    mphi1 = ops.m_apply(phi1)
-    pt1 = 0.5 * ops.u_inv(phi1 + e @ (phi1 + c * (mphi1 + phi2 - fpa - fpg)))
-    pt2 = (-0.5 * ops.u_inv(mphi1 - phi2 + fpa + fpg)
-           - 0.5 * ops.u_inv(e @ (mphi1 + phi2 - fpa - fpg)))
-    pt3 = 0.5 * ops.v_inv(phi1 - e @ (phi1 + c * (mphi1 + phi2 - fpa + fpg)))
-    pt4 = (-0.5 * ops.v_inv(mphi1 - phi2 + fpa - fpg)
-           + 0.5 * ops.v_inv(e @ (mphi1 + phi2 - fpa + fpg)))
+    c, e, u, v = ops.delta, ops.e, ops.u, ops.v
+    mphi1 = ops.g * phi1
+    pt1 = 0.5 * (phi1 + e * (phi1 + c * (mphi1 + phi2 - fpa - fpg))) / u
+    pt2 = -0.5 * ((mphi1 - phi2 + fpa + fpg) + e * (mphi1 + phi2 - fpa - fpg)) / u
+    pt3 = 0.5 * (phi1 - e * (phi1 + c * (mphi1 + phi2 - fpa + fpg))) / v
+    pt4 = -0.5 * ((mphi1 - phi2 + fpa - fpg) - e * (mphi1 + phi2 - fpa + fpg)) / v
     return pt1, pt2, pt3, pt4
 
 
-def phi_tilde_plus(ops: SideOperators, phi1, phi2, fprime_gamma, fprime_b):
+def phi_tilde_plus(ops: SideSymbols, phi1, phi2, fprime_gamma, fprime_b):
     """Boundary-source quadruple of the plus interval (mirrored signs)."""
     phi1, phi2, fpg, fpb = _check_vectors(ops.m, phi1, phi2, fprime_gamma, fprime_b)
-    d, e = ops.delta, ops.E
-    mphi1 = ops.m_apply(phi1)
-    pt1 = -0.5 * ops.u_inv(phi1 + e @ (phi1 + d * (mphi1 - phi2 + fpg + fpb)))
-    pt2 = (0.5 * ops.u_inv(mphi1 + phi2 - fpg - fpb)
-           + 0.5 * ops.u_inv(e @ (mphi1 - phi2 + fpg + fpb)))
-    pt3 = 0.5 * ops.v_inv(phi1 - e @ (phi1 + d * (mphi1 - phi2 - fpg + fpb)))
-    pt4 = (-0.5 * ops.v_inv(mphi1 + phi2 + fpg - fpb)
-           + 0.5 * ops.v_inv(e @ (mphi1 - phi2 - fpg + fpb)))
+    d, e, u, v = ops.delta, ops.e, ops.u, ops.v
+    mphi1 = ops.g * phi1
+    pt1 = -0.5 * (phi1 + e * (phi1 + d * (mphi1 - phi2 + fpg + fpb))) / u
+    pt2 = 0.5 * ((mphi1 + phi2 - fpg - fpb) + e * (mphi1 - phi2 + fpg + fpb)) / u
+    pt3 = 0.5 * (phi1 - e * (phi1 + d * (mphi1 - phi2 - fpg + fpb))) / v
+    pt4 = -0.5 * ((mphi1 + phi2 + fpg - fpb) - e * (mphi1 - phi2 - fpg + fpb)) / v
     return pt1, pt2, pt3, pt4
 
 
-def alphas_minus(ops: SideOperators, psi1, psi2, phi_tilde):
-    """Representation coefficients of the minus interval."""
+def alphas_minus(ops: SideSymbols, psi1, psi2, phi_tilde):
+    """Representation coefficients of the minus interval, in eigenbasis coordinates."""
     psi1, psi2 = _check_vectors(ops.m, psi1, psi2)
     pt1, pt2, pt3, pt4 = phi_tilde
-    c, e = ops.delta, ops.E
-    mpsi1 = ops.m_apply(psi1)
-    e_psi1 = e @ psi1
-    e_psi2 = e @ psi2
-    e_mpsi1 = e @ mpsi1
-    a1 = -0.5 * ops.u_inv(psi1 + e_psi1 + c * e_mpsi1 - c * e_psi2) + pt1
-    a2 = 0.5 * ops.u_inv(mpsi1 + e_mpsi1 + psi2 - e_psi2) + pt2
-    a3 = 0.5 * ops.v_inv(psi1 - e_psi1 - c * e_mpsi1 + c * e_psi2) + pt3
-    a4 = -0.5 * ops.v_inv(mpsi1 - e_mpsi1 + psi2 + e_psi2) + pt4
+    c, e, u, v = ops.delta, ops.e, ops.u, ops.v
+    mpsi1 = ops.g * psi1
+    e_psi1 = e * psi1
+    e_psi2 = e * psi2
+    e_mpsi1 = e * mpsi1
+    a1 = -0.5 * (psi1 + e_psi1 + c * e_mpsi1 - c * e_psi2) / u + pt1
+    a2 = 0.5 * (mpsi1 + e_mpsi1 + psi2 - e_psi2) / u + pt2
+    a3 = 0.5 * (psi1 - e_psi1 - c * e_mpsi1 + c * e_psi2) / v + pt3
+    a4 = -0.5 * (mpsi1 - e_mpsi1 + psi2 + e_psi2) / v + pt4
     return a1, a2, a3, a4
 
 
-def alphas_plus(ops: SideOperators, psi1, psi2, phi_tilde):
-    """Representation coefficients of the plus interval."""
+def alphas_plus(ops: SideSymbols, psi1, psi2, phi_tilde):
+    """Representation coefficients of the plus interval, in eigenbasis coordinates."""
     psi1, psi2 = _check_vectors(ops.m, psi1, psi2)
     pt1, pt2, pt3, pt4 = phi_tilde
-    d, e = ops.delta, ops.E
-    mpsi1 = ops.m_apply(psi1)
-    e_psi1 = e @ psi1
-    e_psi2 = e @ psi2
-    e_mpsi1 = e @ mpsi1
-    a1 = 0.5 * ops.u_inv(psi1 + e_psi1 + d * e_mpsi1 + d * e_psi2) + pt1
-    a2 = -0.5 * ops.u_inv(mpsi1 + e_mpsi1 - psi2 + e_psi2) + pt2
-    a3 = 0.5 * ops.v_inv(psi1 - e_psi1 - d * e_mpsi1 - d * e_psi2) + pt3
-    a4 = -0.5 * ops.v_inv(mpsi1 - e_mpsi1 - psi2 - e_psi2) + pt4
+    d, e, u, v = ops.delta, ops.e, ops.u, ops.v
+    mpsi1 = ops.g * psi1
+    e_psi1 = e * psi1
+    e_psi2 = e * psi2
+    e_mpsi1 = e * mpsi1
+    a1 = 0.5 * (psi1 + e_psi1 + d * e_mpsi1 + d * e_psi2) / u + pt1
+    a2 = -0.5 * (mpsi1 + e_mpsi1 - psi2 + e_psi2) / u + pt2
+    a3 = 0.5 * (psi1 - e_psi1 - d * e_mpsi1 - d * e_psi2) / v + pt3
+    a4 = -0.5 * (mpsi1 - e_mpsi1 - psi2 - e_psi2) / v + pt4
     return a1, a2, a3, a4
 
 
@@ -347,9 +335,9 @@ def alphas_plus(ops: SideOperators, psi1, psi2, phi_tilde):
 class SubproblemSolution:
     """Assembled one-sided solution: coefficients plus particular part.
 
-    ``alphas`` are physical-basis section vectors; evaluation happens in
-    the eigenbasis (the semigroup factors are diagonal there) and maps
-    back, which is exact in x for the homogeneous part.
+    ``alphas`` are eigenbasis coordinates; evaluation happens in the
+    eigenbasis (the semigroup factors are diagonal there) and maps back
+    once, which is exact in x for the homogeneous part.
     """
 
     side: str
@@ -377,12 +365,11 @@ class SubproblemSolution:
         xs = np.clip(xs, lo, hi)
         q = self.generator.operator.eigenvectors
         gm = self.generator.eigenvalues[:, None]
-        ah = [q.T @ a for a in self.alphas]
         s1 = (xs - lo)[None, :]
         s2 = (hi - xs)[None, :]
         e1 = np.exp(s1 * gm)
         e2 = np.exp(s2 * gm)
-        a1, a2, a3, a4 = (a[:, None] for a in ah)
+        a1, a2, a3, a4 = (a[:, None] for a in self.alphas)
         if order == 0:
             hom = ((e1 - e2) * a1 + (s1 * e1 - s2 * e2) * a2
                    + (e1 + e2) * a3 + (s1 * e1 + s2 * e2) * a4)

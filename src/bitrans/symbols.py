@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BranchCutError
+from .errors import BranchCutError, EvaluationError
 
 
 @dataclass(frozen=True)
@@ -87,11 +87,18 @@ def f_components(delta: float, z):
 
     All four are strictly positive for real z > 0 and tend to (2, 2, 2, 0)
     as z -> +infinity. They satisfy f1 * f3 - f2^2 = g identically.
+    Raises EvaluationError, naming the first such entry of z (the mode
+    when z = -mu), where u or v evaluates to zero in floating point.
     """
     u = u_delta(delta, z)
     v = v_delta(delta, z)
-    if np.any(u == 0) or np.any(v == 0):
-        raise ZeroDivisionError(f"u_delta or v_delta vanishes at z = {z!r}")
+    vanishing = np.ravel((u == 0) | (v == 0))
+    if np.any(vanishing):
+        j = int(np.argmax(vanishing))
+        raise EvaluationError(
+            f"u_delta or v_delta vanishes at mode {j} (z = {np.ravel(z)[j]}, "
+            f"delta = {delta:g}): the interval is too short for this mode"
+        )
     eps = delta * _checked_sqrt(z)
     e = np.exp(-eps)
     if np.iscomplexobj(eps):

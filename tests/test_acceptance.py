@@ -20,6 +20,7 @@ from bitrans import (
     SymbolContext,
     alphas_plus,
     apply_function,
+    assemble_dense_operators,
     assemble_transmission_operators,
     build_dirichlet_laplacian_1d,
     compare,
@@ -101,17 +102,17 @@ def test_criterion_3_spectral_mapping_consistency():
     gen = square_root_generator(op)
     geom = CylinderGeometry(-0.7, 0.0, 1.3)
     km, kp = 1.0, 3.0
-    tops = assemble_transmission_operators(gen, geom, km, kp)
+    dense = assemble_dense_operators(gen, geom, km, kp)
     pairs = [
-        (tops.minus.U.matrix, lambda mu: u_delta(geom.c, -mu)),
-        (tops.plus.U.matrix, lambda mu: u_delta(geom.d, -mu)),
-        (tops.minus.V.matrix, lambda mu: v_delta(geom.c, -mu)),
-        (tops.plus.V.matrix, lambda mu: v_delta(geom.d, -mu)),
+        (dense.minus.U.matrix, lambda mu: u_delta(geom.c, -mu)),
+        (dense.plus.U.matrix, lambda mu: u_delta(geom.d, -mu)),
+        (dense.minus.V.matrix, lambda mu: v_delta(geom.c, -mu)),
+        (dense.plus.V.matrix, lambda mu: v_delta(geom.d, -mu)),
     ]
     for i in range(3):
-        pairs.append((getattr(tops, f"P{i + 1}_minus").matrix / km,
+        pairs.append((getattr(dense, f"P{i + 1}_minus").matrix / km,
                       lambda mu, i=i: f_components(geom.c, -mu)[i]))
-        pairs.append((getattr(tops, f"P{i + 1}_plus").matrix / kp,
+        pairs.append((getattr(dense, f"P{i + 1}_plus").matrix / kp,
                       lambda mu, i=i: f_components(geom.d, -mu)[i]))
     worst = 0.0
     for assembled, symbol in pairs:
@@ -128,24 +129,25 @@ def test_criterion_4_determinant_identities():
     geom = CylinderGeometry(-0.7, 0.0, 1.3)
     km, kp = 1.0, 3.0
     tops = assemble_transmission_operators(gen, geom, km, kp)
+    dense = assemble_dense_operators(gen, geom, km, kp)
     worst_block = 0.0
     for ops, k, (p1, p2, p3) in (
-        (tops.minus, km, (tops.P1_minus, tops.P2_minus, tops.P3_minus)),
-        (tops.plus, kp, (tops.P1_plus, tops.P2_plus, tops.P3_plus)),
+        (dense.minus, km, (dense.P1_minus, dense.P2_minus, dense.P3_minus)),
+        (dense.plus, kp, (dense.P1_plus, dense.P2_plus, dense.P3_plus)),
     ):
         lhs = p1.matrix @ p3.matrix - p2.matrix @ p2.matrix
         rhs = 16.0 * k**2 * ops.u_inv(ops.v_inv(ops.E2))
         scale = max(np.linalg.norm(lhs, 2), np.linalg.norm(rhs, 2), 1.0)
         worst_block = max(worst_block, np.linalg.norm(lhs - rhs, 2) / scale)
     det_scale = 1.0 + np.max(np.abs(tops.det_modal_symbols))
-    det_gap = np.max(np.abs(tops.det_modal_symbols - tops.det_modal_assembled)) / det_scale
+    det_gap = np.max(np.abs(tops.det_modal_symbols - dense.det_modal_assembled)) / det_scale
     m = op.m
     mmat = gen.matrix
-    adj = np.block([[-tops.p3_sum, tops.p2_diff],
-                    [-mmat @ tops.p2_diff, mmat @ tops.p1_sum]])
-    det_op = tops.det_operator()
+    adj = np.block([[-dense.p3_sum, dense.p2_diff],
+                    [-mmat @ dense.p2_diff, mmat @ dense.p1_sum]])
+    det_op = dense.det_operator()
     target = np.block([[det_op, np.zeros((m, m))], [np.zeros((m, m)), det_op]])
-    adj_gap = (np.linalg.norm(tops.Lambda @ adj - target, 2)
+    adj_gap = (np.linalg.norm(dense.Lambda @ adj - target, 2)
                / np.linalg.norm(target, 2))
     ok = worst_block <= 1e-10 and det_gap <= 1e-10 and adj_gap <= 1e-10
     _report("criterion 4: determinant identities (m=8)", ok,
@@ -157,18 +159,19 @@ def test_criterion_5_two_route_agreement():
     gen = square_root_generator(op)
     geom = CylinderGeometry(-0.7, 0.0, 1.3)
     tops = assemble_transmission_operators(gen, geom, 1.0, 3.0)
+    dense = assemble_dense_operators(gen, geom, 1.0, 3.0)
     rng = np.random.default_rng(5)
     worst = 0.0
     for _ in range(10):
         src = InterfaceSources(rng.standard_normal(16), rng.standard_normal(16),
                                np.zeros(16))
-        a = solve_interface_block(tops, src)
+        a = solve_interface_block(dense, src)
         b = solve_interface_calculus(tops, src)
         scale = 1.0 + max(np.max(np.abs(a.psi1)), np.max(np.abs(a.psi2)))
         worst = max(worst, max(np.max(np.abs(a.psi1 - b.psi1)),
                                np.max(np.abs(a.psi2 - b.psi2))) / scale)
     zero = InterfaceSources(np.zeros(16), np.zeros(16), np.zeros(16))
-    za = solve_interface_block(tops, zero)
+    za = solve_interface_block(dense, zero)
     zb = solve_interface_calculus(tops, zero)
     zeros_ok = (np.all(za.psi1 == 0) and np.all(za.psi2 == 0)
                 and np.all(zb.psi1 == 0) and np.all(zb.psi2 == 0))
@@ -276,10 +279,11 @@ def test_criterion_10_uniqueness_and_perturbation():
     bc = BoundaryData(*rng.normal(size=(4, 3)))
     sol = solve_transmission(op, geom, 1.0, 2.0, None, bc)
     eps = np.array([2e-5, -1e-5, 3e-5])
-    pt_p = phi_tilde_plus(sol.operators.plus, bc.phi1_plus, bc.phi2_plus,
+    q = op.eigenvectors
+    pt_p = phi_tilde_plus(sol.operators.plus, q.T @ bc.phi1_plus, q.T @ bc.phi2_plus,
                           np.zeros(3), np.zeros(3))
-    al = alphas_plus(sol.operators.plus, sol.interface.psi1 + eps,
-                     sol.interface.psi2, pt_p)
+    al = alphas_plus(sol.operators.plus, q.T @ (sol.interface.psi1 + eps),
+                     sol.interface.psi2_hat, pt_p)
     plus_pert = SubproblemSolution(SIDE_PLUS, geom, sol.operators.generator, al)
     recovered = plus_pert.evaluate(geom.gamma, 0) - sol.field(SIDE_MINUS, geom.gamma, 0)[:, 0]
     inj_err = float(np.max(np.abs(recovered - eps)))

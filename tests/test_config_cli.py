@@ -232,3 +232,34 @@ def test_cli_route_and_nx_overrides(tmp_path):
     assert main(["solve", "--config", path, "--out", str(out),
                  "--route", "calculus", "--nx", "33"]) == 0
     assert main(["solve", "--config", path, "--out", str(out), "--nx", "5"]) == 2
+
+
+@pytest.mark.parametrize("bad", [".nan", ".inf", "-.inf"])
+def test_load_config_rejects_non_finite_diffusivity(tmp_path, bad):
+    for key in ("k_minus: 1.0", "k_plus: 2.5"):
+        name = key.split(":")[0]
+        text = BASE.format(m=3, extra="").replace(key, f"{name}: {bad}")
+        with pytest.raises(ConfigError, match="finite"):
+            load_config(write_config(tmp_path, text))
+
+
+def test_cli_nan_diffusivity_exit_2_without_traceback(tmp_path, capsys):
+    text = BASE.format(m=3, extra="").replace("k_minus: 1.0", "k_minus: .nan")
+    path = write_config(tmp_path, text)
+    for command in ("solve", "verify"):
+        assert main([command, "--config", path, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "Traceback" not in err
+
+
+def test_cli_vanishing_symbol_exit_2_without_traceback(tmp_path, capsys):
+    mat = tmp_path / "tiny.txt"
+    mat.write_text("2\n-1.0 0.0\n0.0 -1e-11\n")
+    text = (BASE.format(m=2, extra="")
+            .replace("{kind: laplacian-1d, m: 2, length: 1.0}", f"{{kind: matrix-file, path: {mat}}}")
+            .replace("{a: -0.7, gamma: 0.0, b: 0.9}", "{a: -1.0e-8, gamma: 0.0, b: 1.0}"))
+    path = write_config(tmp_path, text)
+    for route in ("calculus", "block"):
+        assert main(["solve", "--config", path, "--out", str(tmp_path), "--route", route]) == 2
+        err = capsys.readouterr().err
+        assert "vanishes at mode 0" in err and "Traceback" not in err

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+import bitrans.subproblem as subproblem
 from bitrans import (
     CylinderGeometry,
     ModalForcing,
+    ParticularSolution,
     ResolutionError,
     SIDE_MINUS,
     SIDE_PLUS,
@@ -11,10 +13,10 @@ from bitrans import (
     alphas_minus,
     alphas_plus,
     build_dirichlet_laplacian_1d,
-    build_side_operators,
     from_matrix,
     phi_tilde_minus,
     phi_tilde_plus,
+    side_symbols,
     solve_particular,
     square_root_generator,
     u_delta,
@@ -102,18 +104,18 @@ def test_resolution_error():
 
 def test_phi_tilde_scalar_reference(scalar_setup):
     op, gen, geom = scalar_setup
-    ops = build_side_operators(gen, geom.c)
+    ops = side_symbols(gen, geom.c)
     one, zero = np.array([1.0]), np.array([0.0])
     pt = phi_tilde_minus(ops, one, zero, zero, zero)
     assert pt[0][0] == pytest.approx(0.5 / u_delta(1.0, 1.0), rel=1e-12)
     assert pt[0][0] == pytest.approx(3.8788, abs=1e-4)
-    ptp = phi_tilde_plus(build_side_operators(gen, geom.d), one, zero, zero, zero)
+    ptp = phi_tilde_plus(side_symbols(gen, geom.d), one, zero, zero, zero)
     assert ptp[0][0] == pytest.approx(-3.8788, abs=1e-4)
 
 
 def test_phi_tilde_zero_data(scalar_setup):
     _, gen, geom = scalar_setup
-    ops = build_side_operators(gen, geom.c)
+    ops = side_symbols(gen, geom.c)
     zero = np.zeros(1)
     for vec in phi_tilde_minus(ops, zero, zero, zero, zero):
         assert np.all(vec == 0.0)
@@ -122,7 +124,7 @@ def test_phi_tilde_zero_data(scalar_setup):
 def test_phi_tilde_linearity():
     op = build_dirichlet_laplacian_1d(4, 1.0)
     gen = square_root_generator(op)
-    ops = build_side_operators(gen, 0.8)
+    ops = side_symbols(gen, 0.8)
     rng = np.random.default_rng(5)
     data = rng.normal(size=(4, 4))
     base = phi_tilde_minus(ops, *data)
@@ -134,8 +136,8 @@ def test_phi_tilde_linearity():
 def test_phi_tilde_plus_minus_antisymmetry(scalar_setup):
     # Mirrored data with c = d: phi~1+ = -phi~1-.
     _, gen, geom = scalar_setup
-    ops_m = build_side_operators(gen, geom.c)
-    ops_p = build_side_operators(gen, geom.d)
+    ops_m = side_symbols(gen, geom.c)
+    ops_p = side_symbols(gen, geom.d)
     rng = np.random.default_rng(8)
     phi1, phi2, ta, tb = rng.normal(size=(4, 1))
     pt_m = phi_tilde_minus(ops_m, phi1, phi2, ta, tb)
@@ -145,7 +147,7 @@ def test_phi_tilde_plus_minus_antisymmetry(scalar_setup):
 
 def test_alphas_scalar_reference(scalar_setup):
     _, gen, geom = scalar_setup
-    ops = build_side_operators(gen, geom.c)
+    ops = side_symbols(gen, geom.c)
     zero4 = tuple(np.zeros(1) for _ in range(4))
     al = alphas_minus(ops, np.array([1.0]), np.array([0.0]), zero4)
     expected = 0.5 / u_delta(1.0, 1.0) * (1.0 + np.exp(-1.0)) * (-1.0)
@@ -155,7 +157,7 @@ def test_alphas_scalar_reference(scalar_setup):
 
 def test_alphas_reduce_to_phi_tilde(scalar_setup):
     _, gen, geom = scalar_setup
-    ops = build_side_operators(gen, geom.c)
+    ops = side_symbols(gen, geom.c)
     rng = np.random.default_rng(2)
     pt = tuple(rng.normal(size=1) for _ in range(4))
     zero = np.zeros(1)
@@ -166,18 +168,16 @@ def test_alphas_reduce_to_phi_tilde(scalar_setup):
 
 
 def _assemble_side(op, gen, geom, side, forcing, bc_pair, psi_pair, n_x=65):
-    """Build a SubproblemSolution from data the way the orchestrator does."""
-    ops = build_side_operators(gen, geom.length(side))
+    """Build a SubproblemSolution from physical data the way the orchestrator does."""
+    ops = side_symbols(gen, geom.length(side))
     part = solve_particular(op.eigenvalues, geom, side, forcing, n_x=n_x)
-    q = op.eigenvectors
+    phi1, phi2, psi1, psi2 = (op.to_modal(vec) for vec in (*bc_pair, *psi_pair))
     if side == SIDE_MINUS:
-        pt = phi_tilde_minus(ops, bc_pair[0], bc_pair[1],
-                             q @ part.fprime_left, q @ part.fprime_right)
-        al = alphas_minus(ops, psi_pair[0], psi_pair[1], pt)
+        pt = phi_tilde_minus(ops, phi1, phi2, part.fprime_left, part.fprime_right)
+        al = alphas_minus(ops, psi1, psi2, pt)
     else:
-        pt = phi_tilde_plus(ops, bc_pair[0], bc_pair[1],
-                            q @ part.fprime_left, q @ part.fprime_right)
-        al = alphas_plus(ops, psi_pair[0], psi_pair[1], pt)
+        pt = phi_tilde_plus(ops, phi1, phi2, part.fprime_left, part.fprime_right)
+        al = alphas_plus(ops, psi1, psi2, pt)
     return SubproblemSolution(side, geom, gen, al, part)
 
 
@@ -256,3 +256,22 @@ def test_pipeline_linearity_in_all_data():
     one = solve(1.0).evaluate(xs, 0)
     two = solve(2.0).evaluate(xs, 0)
     assert np.max(np.abs(two - 2.0 * one)) <= 1e-12 * (1.0 + np.max(np.abs(two)))
+
+
+def test_zero_forcing_side_skips_the_banded_solves(monkeypatch):
+    op = build_dirichlet_laplacian_1d(3, 1.0)
+    geom = CylinderGeometry(-0.7, 0.0, 0.9)
+    forcing = ModalForcing.sine(op, geom, SIDE_PLUS, 1)
+    calls = []
+    real = subproblem.solve_banded
+    monkeypatch.setattr(subproblem, "solve_banded",
+                        lambda *args: calls.append(1) or real(*args))
+    part = solve_particular(op.eigenvalues, geom, SIDE_MINUS, forcing, n_x=33)
+    assert not calls
+    zero = ParticularSolution.zero(SIDE_MINUS, geom, 3, 33)
+    for name in ("grid", "f_modal", "w_modal", "fprime_left", "fprime_right",
+                 "f3_left", "f3_right"):
+        assert np.array_equal(getattr(part, name), getattr(zero, name))
+    assert part.error_estimate == 0.0
+    forced = solve_particular(op.eigenvalues, geom, SIDE_PLUS, forcing, n_x=33)
+    assert calls and np.max(np.abs(forced.f_modal)) > 0.0

@@ -3,6 +3,7 @@ import pytest
 
 from bitrans import (
     BranchCutError,
+    EvaluationError,
     PositivityScan,
     SymbolContext,
     f_components,
@@ -165,3 +166,10 @@ def test_symbol_context_validation():
         SymbolContext(-1.0, 1.0, 1.0, 1.0)
     with pytest.raises(ValueError):
         SymbolContext(1.0, 1.0, 0.0, 1.0)
+
+
+def test_f_components_vanishing_symbol_names_the_mode():
+    with pytest.raises(EvaluationError, match="mode 1"):
+        f_components(1e-8, np.array([1e12, 1.0]))
+    with pytest.raises(EvaluationError, match="mode 0"):
+        f_components(1e-8, 1.0)
