@@ -68,11 +68,10 @@ def _csv_text(rows) -> str:
 def _solution_csv_rows(solution):
     """Modal solution slices: side, x, mode_index, order, value."""
     rows = [("side", "x", "mode_index", "order", "value")]
-    q = solution.operator.eigenvectors
     for side in SIDES:
         xs = solution.geometry.grid(side, solution.options.probe_points)
         for order in range(4):
-            modal = q.T @ solution.field(side, xs, order)
+            modal = solution.side(side).modal_field(xs, order)
             for i, x in enumerate(xs):
                 for j in range(solution.m):
                     rows.append((side, repr(float(x)), j, order, repr(float(modal[j, i]))))
@@ -107,8 +106,7 @@ def _verify_checks(config: RunConfig, operator, forcing, boundary, case):
     if case is not None:
         exact_gap = compare(solution, case, config.solver.probe_points).sup
         record("exact_gap", exact_gap, max(10.0 * oracle_est, 1e-8))
-        levels = config.convergence.get("levels", [65, 129, 257])
-        table = convergence_study(case, "representation", levels,
+        table = convergence_study(case, "representation", config.convergence["levels"],
                                   config.k_minus, config.k_plus)
         rate = 99.0 if table.floor else table.fitted_rate
         checks["representation_rate"] = {
@@ -153,14 +151,9 @@ def cmd_verify(args, config: RunConfig) -> int:
 
 def cmd_scan_symbols(args, config: RunConfig) -> int:
     scan = config.scan
-    start = float(scan.get("start", 1e-6))
-    stop = float(scan.get("stop", 1e6))
-    points = scan.get("points", 121)
-    if not isinstance(points, int) or points < 1 or start <= 0 or stop <= start:
-        raise ConfigError("scan requires 0 < start < stop and integer points >= 1")
     ctx = SymbolContext(config.geometry.c, config.geometry.d,
                         config.k_minus, config.k_plus)
-    grid = np.logspace(np.log10(start), np.log10(stop), points)
+    grid = np.logspace(np.log10(scan["start"]), np.log10(scan["stop"]), scan["points"])
     result = positivity_scan(ctx, grid)
     payload = result.to_dict()
     payload["context"] = {"c": ctx.c, "d": ctx.d,
@@ -176,13 +169,8 @@ def cmd_convergence(args, config: RunConfig) -> int:
     if case is None:
         raise ConfigError("convergence study requires a manufactured forcing case")
     conv = config.convergence
-    method = conv.get("method", "representation")
-    levels = conv.get("levels", [65, 129, 257])
-    if not isinstance(levels, (list, tuple)) or len(levels) < 3:
-        raise ConfigError("convergence.levels must list at least 3 grid sizes")
-    if method not in ("representation", "direct"):
-        raise ConfigError(f"convergence.method must be representation|direct, got {method!r}")
-    table = convergence_study(case, method, levels, config.k_minus, config.k_plus)
+    table = convergence_study(case, conv["method"], conv["levels"],
+                              config.k_minus, config.k_plus)
     _atomic_write(_out_path(args, config, "rates_csv", "rates.csv"),
                   _csv_text(table.to_csv_rows()))
     return EXIT_OK

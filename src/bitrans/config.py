@@ -25,6 +25,8 @@ from .transmission import ROUTE_BLOCK, ROUTE_BOTH, ROUTE_CALCULUS, SolveOptions
 
 _FORCING_KINDS = ("zero", "sine", "csv", "manufactured")
 _BOUNDARY_KINDS = ("zero", "explicit", "from-exact-case", "random")
+_SCAN_DEFAULTS = {"start": 1e-6, "stop": 1e6, "points": 121}
+_CONVERGENCE_DEFAULTS = {"method": "representation", "levels": (65, 129, 257)}
 
 
 def _require(mapping: dict, key: str, context: str):
@@ -75,8 +77,8 @@ class RunConfig:
     forcing: dict
     boundary: dict
     solver: SolveOptions
-    scan: dict = field(default_factory=dict)
-    convergence: dict = field(default_factory=dict)
+    scan: dict = field(default_factory=lambda: dict(_SCAN_DEFAULTS))
+    convergence: dict = field(default_factory=lambda: dict(_CONVERGENCE_DEFAULTS))
     output: dict = field(default_factory=dict)
     seed: int = 0
 
@@ -138,8 +140,26 @@ def load_config(path) -> RunConfig:
     if n_x < 17 or probe < 5:
         raise ConfigError("solver.n_x must be >= 17 and solver.probe_points >= 5")
 
-    scan = _as_map(raw.get("scan", {}), "scan")
-    convergence = _as_map(raw.get("convergence", {}), "convergence")
+    scan = {**_SCAN_DEFAULTS, **_as_map(raw.get("scan", {}), "scan")}
+    start = _as_float(scan["start"], "scan.start")
+    stop = _as_float(scan["stop"], "scan.stop")
+    points = _as_int(scan["points"], "scan.points")
+    if not (0.0 < start < stop < np.inf) or points < 1:
+        raise ConfigError("scan requires 0 < start < stop (finite) and integer points >= 1")
+    scan = {"start": start, "stop": stop, "points": points}
+
+    convergence = {**_CONVERGENCE_DEFAULTS,
+                   **_as_map(raw.get("convergence", {}), "convergence")}
+    method = convergence["method"]
+    if method not in ("representation", "direct"):
+        raise ConfigError(f"convergence.method must be representation|direct, got {method!r}")
+    levels = convergence["levels"]
+    if not isinstance(levels, (list, tuple)) or len(levels) < 3:
+        raise ConfigError("convergence.levels must list at least 3 grid sizes")
+    levels = [_as_int(n, f"convergence.levels[{i}]") for i, n in enumerate(levels)]
+    if min(levels) < 17:
+        raise ConfigError("convergence.levels must all be >= 17")
+    convergence = {"method": method, "levels": levels}
     output = _as_map(raw.get("output", {}), "output")
     seed = _as_int(raw.get("seed", 0), "seed")
     return RunConfig(section=section, geometry=geometry, k_minus=k_minus,

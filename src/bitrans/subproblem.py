@@ -11,7 +11,8 @@ and in the boundary-source quadruple phi~1..phi~4; F is the particular
 solution with homogeneous value and second-derivative conditions at both
 interval ends. Everything here is linear in the data. All operators are
 functions of M, so the coefficient algebra runs per mode on eigenbasis
-coordinates (``SideSymbols``); only field evaluation maps back.
+coordinates (``SideSymbols``) and fields are evaluated there too
+(``modal_field``); ``evaluate`` maps them back where a physical value is read.
 """
 
 from __future__ import annotations
@@ -151,13 +152,16 @@ class ParticularSolution:
     def term(self, xs: np.ndarray, order: int, mu: np.ndarray) -> np.ndarray:
         """Modal F-term of the given derivative order at the points ``xs``.
 
-        Endpoint values use the stored traces exactly (orders 1, 3) or the
-        built-in homogeneous conditions (orders 0, 2); interior values use
-        cubic-spline interpolation of the modal samples.
+        Interior values take one spline derivative of order ``order % 2``
+        of the modal samples, as F^(order) for orders 0, 1 and as
+        w^(order-2) - mu F^(order-2) for orders 2, 3. At the ends, odd
+        orders use the stored traces exactly and even orders the built-in
+        homogeneous conditions F = F'' = 0.
         """
+        if order not in (0, 1, 2, 3):
+            raise ValueError(f"derivative order must be 0..3, got {order}")
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        m = self.m
-        out = np.zeros((m, xs.size))
+        out = np.zeros((self.m, xs.size))
         if self._spline_f is None:
             return out
         lo, hi = self.grid[0], self.grid[-1]
@@ -165,22 +169,15 @@ class ParticularSolution:
         at_lo = np.abs(xs - lo) <= tol
         at_hi = np.abs(xs - hi) <= tol
         inner = ~(at_lo | at_hi)
-        if order == 0:
-            out[:, inner] = self._spline_f(xs[inner])
-        elif order == 1:
-            out[:, inner] = self._spline_f(xs[inner], 1)
-            out[:, at_lo] = self.fprime_left[:, None]
-            out[:, at_hi] = self.fprime_right[:, None]
-        elif order == 2:
-            out[:, inner] = (self._spline_w(xs[inner])
-                             - mu[:, None] * self._spline_f(xs[inner]))
-        elif order == 3:
-            out[:, inner] = (self._spline_w(xs[inner], 1)
-                             - mu[:, None] * self._spline_f(xs[inner], 1))
-            out[:, at_lo] = self.f3_left[:, None]
-            out[:, at_hi] = self.f3_right[:, None]
-        else:
-            raise ValueError(f"derivative order must be 0..3, got {order}")
+        nu = order % 2
+        out[:, inner] = self._spline_f(xs[inner], nu)
+        if order >= 2:
+            out[:, inner] = self._spline_w(xs[inner], nu) - mu[:, None] * out[:, inner]
+        if nu:
+            left, right = ((self.fprime_left, self.fprime_right) if order == 1
+                           else (self.f3_left, self.f3_right))
+            out[:, at_lo] = left[:, None]
+            out[:, at_hi] = right[:, None]
         return out
 
     @classmethod
@@ -335,9 +332,9 @@ def alphas_plus(ops: SideSymbols, psi1, psi2, phi_tilde):
 class SubproblemSolution:
     """Assembled one-sided solution: coefficients plus particular part.
 
-    ``alphas`` are eigenbasis coordinates; evaluation happens in the
-    eigenbasis (the semigroup factors are diagonal there) and maps back
-    once, which is exact in x for the homogeneous part.
+    ``alphas`` are eigenbasis coordinates; ``modal_field`` evaluates in the
+    eigenbasis (the semigroup factors are diagonal there), exactly in x for
+    the homogeneous part, and ``evaluate`` maps the result back once.
     """
 
     side: str
@@ -353,8 +350,13 @@ class SubproblemSolution:
             raise DimensionMismatchError("need exactly four coefficient vectors")
         check_side(self.side)
 
-    def evaluate(self, x, order: int = 0) -> np.ndarray:
-        """Field or derivative values at x (scalar -> (m,), array -> (m, k))."""
+    def modal_field(self, x, order: int = 0) -> np.ndarray:
+        """Eigenbasis values of the field or a derivative at x, shape (m, k).
+
+        With E1 = e^{s1 g}, E2 = e^{s2 g} per mode and d/dx s1 = -d/dx s2 = 1,
+        d^k E1 = g^k E1, d^k (s1 E1) = (k g^{k-1} + s1 g^k) E1, and the
+        E2 terms carry an extra factor (-1)^k.
+        """
         if order not in (0, 1, 2, 3):
             raise ValueError(f"derivative order must be 0..3, got {order}")
         xs = np.atleast_1d(np.asarray(x, dtype=float))
@@ -363,32 +365,24 @@ class SubproblemSolution:
         if np.any(xs < lo - tol) or np.any(xs > hi + tol):
             raise ValueError(f"evaluation points outside [{lo}, {hi}] on side {self.side!r}")
         xs = np.clip(xs, lo, hi)
-        q = self.generator.operator.eigenvectors
         gm = self.generator.eigenvalues[:, None]
         s1 = (xs - lo)[None, :]
         s2 = (hi - xs)[None, :]
+        gk = gm**order
+        dgk = order * gm ** max(order - 1, 0)
+        sign = (-1.0) ** order
         e1 = np.exp(s1 * gm)
         e2 = np.exp(s2 * gm)
+        de1, de2 = gk * e1, sign * gk * e2  # d^k E1, d^k E2
+        dse1, dse2 = (dgk + s1 * gk) * e1, sign * (dgk + s2 * gk) * e2  # d^k (s1 E1), d^k (s2 E2)
         a1, a2, a3, a4 = (a[:, None] for a in self.alphas)
-        if order == 0:
-            hom = ((e1 - e2) * a1 + (s1 * e1 - s2 * e2) * a2
-                   + (e1 + e2) * a3 + (s1 * e1 + s2 * e2) * a4)
-        elif order == 1:
-            hom = (gm * (e1 + e2) * a1
-                   + ((1.0 + s1 * gm) * e1 + (1.0 + s2 * gm) * e2) * a2
-                   + gm * (e1 - e2) * a3
-                   + ((1.0 + s1 * gm) * e1 - (1.0 + s2 * gm) * e2) * a4)
-        elif order == 2:
-            hom = (gm**2 * (e1 - e2) * a1
-                   + ((2.0 * gm + s1 * gm**2) * e1 - (2.0 * gm + s2 * gm**2) * e2) * a2
-                   + gm**2 * (e1 + e2) * a3
-                   + ((2.0 * gm + s1 * gm**2) * e1 + (2.0 * gm + s2 * gm**2) * e2) * a4)
-        else:
-            hom = (gm**3 * (e1 + e2) * a1
-                   + ((3.0 * gm**2 + s1 * gm**3) * e1 + (3.0 * gm**2 + s2 * gm**3) * e2) * a2
-                   + gm**3 * (e1 - e2) * a3
-                   + ((3.0 * gm**2 + s1 * gm**3) * e1 - (3.0 * gm**2 + s2 * gm**3) * e2) * a4)
+        out = ((de1 - de2) * a1 + (dse1 - dse2) * a2
+               + (de1 + de2) * a3 + (dse1 + dse2) * a4)
         if self.particular is not None:
-            hom = hom + self.particular.term(xs, order, self.generator.operator.eigenvalues)
-        out = q @ hom
-        return out[:, 0] if np.isscalar(x) or np.ndim(x) == 0 else out
+            out = out + self.particular.term(xs, order, self.generator.operator.eigenvalues)
+        return out
+
+    def evaluate(self, x, order: int = 0) -> np.ndarray:
+        """Physical-basis field or derivative values at x (scalar -> (m,), array -> (m, k))."""
+        out = self.generator.operator.eigenvectors @ self.modal_field(x, order)
+        return out[:, 0] if np.ndim(x) == 0 else out

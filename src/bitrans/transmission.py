@@ -22,7 +22,7 @@ runs the two and records their gap.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -177,15 +177,13 @@ def assemble_sources(
     f3_gamma_minus: np.ndarray,
     fprime_gamma_plus: np.ndarray,
     f3_gamma_plus: np.ndarray,
-    s_check_sign: float = -1.0,
 ) -> InterfaceSources:
     """Assemble S1, S2 and the particular-flux source S-check, per mode.
 
     S-check = -k+ F+'''(gamma) + k+ M^2 F+'(gamma)
               + k- F-'''(gamma) - k- M^2 F-'(gamma);
-    S1 carries the term ``s_check_sign * M^{-2} S-check`` (the standard
-    convention is -1; +1 is kept only as a diagnostic switch, it breaks
-    the second transmission condition and the tests demonstrate that).
+    S1 carries the term -M^{-2} S-check (the opposite sign breaks the
+    second transmission condition, and the tests demonstrate that).
     Every input is in eigenbasis coordinates.
     """
     kp, km = operators.k_plus, operators.k_minus
@@ -197,7 +195,7 @@ def assemble_sources(
                + km * f3_gamma_minus - km * msq * fprime_gamma_minus)
     s1 = (2.0 * kp * ((pt2p + pt4p) + ed * (pt2p - pt4p))
           - 2.0 * km * ((pt2m - pt4m) + ec * (pt2m + pt4m))
-          + s_check_sign * s_check / msq)
+          - s_check / msq)
     s2 = (2.0 * kp * ((pt2p + pt4p) - ed * (pt2p - pt4p))
           + 2.0 * km * ((pt2m - pt4m) - ec * (pt2m + pt4m)))
     return InterfaceSources(s1=s1, s2=s2, s_check=s_check)
@@ -350,15 +348,9 @@ class ResidualReport:
     budgets: dict = field(default_factory=dict)
     passed: bool = True
 
-    _KEYS = ("eq_minus", "eq_plus", "bc_1", "bc_2", "bc_3", "bc_4",
-             "tc1_u", "tc1_du", "tc2_flux2", "tc2_flux3",
-             "id2_minus", "id2_plus", "id3_minus", "id3_plus",
-             "route_gap", "det_gap",
-             "cond_Uminus", "cond_Uplus", "cond_Vminus", "cond_Vplus",
-             "cond_Lambda")
-
     def to_dict(self) -> dict:
-        out = {key: float(getattr(self, key)) for key in self._KEYS}
+        out = {f.name: float(getattr(self, f.name)) for f in fields(self)
+               if f.name not in ("budgets", "passed")}
         out["budgets"] = {key: float(val) for key, val in self.budgets.items()}
         out["passed"] = bool(self.passed)
         return out
@@ -423,6 +415,11 @@ def residual_report(
     and the four coefficient identities linking second/third derivative
     combinations at the interface to the alpha coefficients.
 
+    Every term is formed from eigenbasis fields (``modal_field``), where
+    A and M^2 act as the per-mode factors mu_j and g_j^2, and mapped to
+    the physical basis by one product per side and one at the interface;
+    each entry is the scaled sup norm of its physical residual.
+
     ``det_gap`` compares the per-mode determinant from the block symbols
     with the determinant symbol; when the dense reference was built
     (``block``/``both``) it is the larger of that and the gap to the
@@ -431,17 +428,14 @@ def residual_report(
     """
     prob = solution.problem
     tops = solution.operators
-    gen = tops.generator
     geom = prob.geometry
-    op = prob.operator
     n_probe = probe_points or solution.options.probe_points
-    mu = op.eigenvalues
-    q = op.eigenvectors
+    mu = prob.operator.eigenvalues[:, None]
+    q = prob.operator.eigenvectors
+    g = tops.generator.eigenvalues
+    msq = g**2
     kp, km = prob.k_plus, prob.k_minus
-
-    def a_apply(vec):
-        hat = q.T @ vec
-        return q @ (mu[:, None] * hat if hat.ndim == 2 else mu * hat)
+    bc = prob.boundary
 
     entries = {}
     bvp_est = 0.0
@@ -449,81 +443,75 @@ def residual_report(
         if sub.particular is not None:
             bvp_est = max(bvp_est, sub.particular.error_estimate)
 
-    # Equation residual per side on the interior of the probe grid.
+    # Per side, one product with Q gives the equation terms on the interior
+    # of the probe grid and the field and its slope at the outer end.
     eq_budget = 0.0
-    for side, key in ((SIDE_MINUS, "eq_minus"), (SIDE_PLUS, "eq_plus")):
+    for side, key, end, bc_keys, bc_data in (
+            (SIDE_MINUS, "eq_minus", 0, ("bc_1", "bc_2"), (bc.phi1_minus, bc.phi2_minus)),
+            (SIDE_PLUS, "eq_plus", -1, ("bc_3", "bc_4"), (bc.phi1_plus, bc.phi2_plus))):
         xs = geom.grid(side, n_probe)
         h = xs[1] - xs[0]
+        n = xs.size - 2
         sub = solution.side(side)
-        u0 = sub.evaluate(xs, 0)
-        u2 = sub.evaluate(xs, 2)
-        u3 = sub.evaluate(xs, 3)
-        d4 = (u3[:, 2:] - u3[:, :-2]) / (2.0 * h)
-        fvals = q @ prob.forcing.sample(side, xs[1:-1])
-        au2 = a_apply(u2[:, 1:-1])
-        a2u0 = a_apply(a_apply(u0[:, 1:-1]))
+        u0, u2, u3 = (sub.modal_field(xs, order) for order in (0, 2, 3))
+        phys = q @ np.hstack([
+            (u3[:, 2:] - u3[:, :-2]) / (2.0 * h),
+            mu * u2[:, 1:-1],
+            mu**2 * u0[:, 1:-1],
+            prob.forcing.sample(side, xs[1:-1]),
+            u0[:, [end]],
+            sub.modal_field(xs[end], 1),
+        ])
+        d4, au2, a2u0, fvals = (phys[:, i * n:(i + 1) * n] for i in range(4))
         res = d4 + 2.0 * au2 + a2u0 - fvals
         ref = max(np.max(np.abs(d4)), 2.0 * np.max(np.abs(au2)),
                   np.max(np.abs(a2u0)), np.max(np.abs(fvals)))
         entries[key] = _scaled_sup(res, ref)
-        eq_budget = max(eq_budget, 5.0 * h**2 * np.max(-gen.eigenvalues))
+        eq_budget = max(eq_budget, 5.0 * h**2 * np.max(-g))
+        for order, (bc_key, data) in enumerate(zip(bc_keys, bc_data)):
+            entries[bc_key] = _scaled_sup(phys[:, 4 * n + order] - data, np.max(np.abs(data)))
     eq_budget = max(eq_budget, 10.0 * bvp_est, 1e-11)
 
-    bc = prob.boundary
-    entries["bc_1"] = _scaled_sup(solution.minus.evaluate(geom.a, 0) - bc.phi1_minus,
-                                  np.max(np.abs(bc.phi1_minus)))
-    entries["bc_2"] = _scaled_sup(solution.minus.evaluate(geom.a, 1) - bc.phi2_minus,
-                                  np.max(np.abs(bc.phi2_minus)))
-    entries["bc_3"] = _scaled_sup(solution.plus.evaluate(geom.b, 0) - bc.phi1_plus,
-                                  np.max(np.abs(bc.phi1_plus)))
-    entries["bc_4"] = _scaled_sup(solution.plus.evaluate(geom.b, 1) - bc.phi2_plus,
-                                  np.max(np.abs(bc.phi2_plus)))
-
-    um = {order: solution.minus.evaluate(geom.gamma, order) for order in range(4)}
-    up = {order: solution.plus.evaluate(geom.gamma, order) for order in range(4)}
-    entries["tc1_u"] = _scaled_sup(um[0] - up[0], max(np.max(np.abs(um[0])),
-                                                      np.max(np.abs(up[0]))))
-    entries["tc1_du"] = _scaled_sup(um[1] - up[1], max(np.max(np.abs(um[1])),
-                                                       np.max(np.abs(up[1]))))
-    flux2_m = km * (um[2] + a_apply(um[0]))
-    flux2_p = kp * (up[2] + a_apply(up[0]))
-    flux3_m = km * (um[3] + a_apply(um[1]))
-    flux3_p = kp * (up[3] + a_apply(up[1]))
-    entries["tc2_flux2"] = _scaled_sup(flux2_m - flux2_p,
-                                       max(np.max(np.abs(flux2_m)), np.max(np.abs(flux2_p))))
-    entries["tc2_flux3"] = _scaled_sup(flux3_m - flux3_p,
-                                       max(np.max(np.abs(flux3_m)), np.max(np.abs(flux3_p))))
-
-    # Coefficient identities at the interface, alphas versus fields; the
-    # alphas are modal, so each right-hand side maps back once.
-    g = gen.eigenvalues
-    ec, ed = tops.minus.e, tops.plus.e
-    a2m, a4m = solution.minus.alphas[1], solution.minus.alphas[3]
-    a2p, a4p = solution.plus.alphas[1], solution.plus.alphas[3]
-
-    def msq_apply(vec):
-        return q @ (g**2 * (q.T @ vec))
-
-    lhs = um[2] - msq_apply(um[0])
-    rhs = q @ (2.0 * g * (-(1.0 - ec) * a2m + (1.0 + ec) * a4m))
-    entries["id2_minus"] = _scaled_sup(lhs - rhs, np.max(np.abs(lhs)))
-    lhs = up[2] - msq_apply(up[0])
-    rhs = q @ (2.0 * g * ((1.0 - ed) * a2p + (1.0 + ed) * a4p))
-    entries["id2_plus"] = _scaled_sup(lhs - rhs, np.max(np.abs(lhs)))
+    # Interface: one product with Q gives u and u' on both sides, the flux
+    # terms t2 = u'' - M^2 u and t3 = u''' - M^2 u', the flux jumps, and the
+    # coefficient identities (alphas versus fields).
+    def traces(sub):
+        u = [sub.modal_field(geom.gamma, order)[:, 0] for order in range(4)]
+        return u[0], u[1], u[2] - msq * u[0], u[3] - msq * u[1]
 
     def f_term(sub):
         """Modal F''' - M^2 F' at the interface end."""
         part = sub.particular
         if part is None:
-            return np.zeros(op.m)
-        return part.f3_interface - g**2 * part.fprime_interface
+            return 0.0
+        return part.f3_interface - msq * part.fprime_interface
 
-    lhs = um[3] - msq_apply(um[1])
-    rhs = q @ (2.0 * g**2 * ((1.0 + ec) * a2m - (1.0 - ec) * a4m) + f_term(solution.minus))
-    entries["id3_minus"] = _scaled_sup(lhs - rhs, np.max(np.abs(lhs)))
-    lhs = up[3] - msq_apply(up[1])
-    rhs = q @ (2.0 * g**2 * ((1.0 + ed) * a2p + (1.0 - ed) * a4p) + f_term(solution.plus))
-    entries["id3_plus"] = _scaled_sup(lhs - rhs, np.max(np.abs(lhs)))
+    u0m, u1m, t2m, t3m = traces(solution.minus)
+    u0p, u1p, t2p, t3p = traces(solution.plus)
+    ec, ed = tops.minus.e, tops.plus.e
+    _, a2m, _, a4m = solution.minus.alphas
+    _, a2p, _, a4p = solution.plus.alphas
+    id2m = 2.0 * g * (-(1.0 - ec) * a2m + (1.0 + ec) * a4m)
+    id2p = 2.0 * g * ((1.0 - ed) * a2p + (1.0 + ed) * a4p)
+    id3m = 2.0 * msq * ((1.0 + ec) * a2m - (1.0 - ec) * a4m) + f_term(solution.minus)
+    id3p = 2.0 * msq * ((1.0 + ed) * a2p + (1.0 - ed) * a4p) + f_term(solution.plus)
+    columns = {
+        "u0m": u0m, "u0p": u0p, "tc1_u": u0m - u0p,
+        "u1m": u1m, "u1p": u1p, "tc1_du": u1m - u1p,
+        "t2m": t2m, "t2p": t2p, "tc2_flux2": km * t2m - kp * t2p,
+        "t3m": t3m, "t3p": t3p, "tc2_flux3": km * t3m - kp * t3p,
+        "id2_minus": t2m - id2m, "id2_plus": t2p - id2p,
+        "id3_minus": t3m - id3m, "id3_plus": t3p - id3p,
+    }
+    sup = dict(zip(columns, np.max(np.abs(q @ np.stack(list(columns.values()), axis=1)),
+                                   axis=0)))
+    for key, ref in (("tc1_u", max(sup["u0m"], sup["u0p"])),
+                     ("tc1_du", max(sup["u1m"], sup["u1p"])),
+                     ("tc2_flux2", max(km * sup["t2m"], kp * sup["t2p"])),
+                     ("tc2_flux3", max(km * sup["t3m"], kp * sup["t3p"])),
+                     ("id2_minus", sup["t2m"]), ("id2_plus", sup["t2p"]),
+                     ("id3_minus", sup["t3m"]), ("id3_plus", sup["t3p"])):
+        entries[key] = float(sup[key] / (1.0 + ref))
 
     det_gap = tops.det_gap
     if solution.reference is not None:

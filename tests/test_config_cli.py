@@ -263,3 +263,15 @@ def test_cli_vanishing_symbol_exit_2_without_traceback(tmp_path, capsys):
         assert main(["solve", "--config", path, "--out", str(tmp_path), "--route", route]) == 2
         err = capsys.readouterr().err
         assert "vanishes at mode 0" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, text", [
+    ("scan-symbols", BASE.format(m=2, extra="scan: {start: abc}\n")),
+    ("verify", BASE.format(m=3, extra=FORCED).replace("[33, 65, 129]", "[65, 129]")),
+    ("convergence", BASE.format(m=3, extra=FORCED).replace("[33, 65, 129]", "[65, x, 129]")),
+], ids=["scan-start-not-a-number", "verify-two-levels", "convergence-non-integer-level"])
+def test_cli_bad_scan_or_convergence_exit_2_without_traceback(tmp_path, capsys, command, text):
+    path = write_config(tmp_path, text)
+    assert main([command, "--config", path, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err

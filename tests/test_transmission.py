@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,11 +10,14 @@ from bitrans import (
     EvaluationError,
     InterfaceSources,
     InvalidGeometryError,
+    ModalForcing,
     SIDE_MINUS,
     SIDE_PLUS,
     SIDES,
     SolveOptions,
     SubproblemSolution,
+    TransmissionSolution,
+    alphas_minus,
     alphas_plus,
     assemble_dense_operators,
     assemble_sources,
@@ -23,6 +28,8 @@ from bitrans import (
     from_matrix,
     leading_order_interface,
     manufactured_homogeneous,
+    phi_tilde_minus,
+    phi_tilde_plus,
     residual_report,
     solve_interface_block,
     solve_interface_calculus,
@@ -329,8 +336,6 @@ def test_tc1_perturbation_injection():
     pt_p = (np.zeros(3),) * 4
     q = op.eigenvectors
     ops_p = sol.operators.plus
-    from bitrans import phi_tilde_plus
-
     pt_p = phi_tilde_plus(ops_p, q.T @ bc.phi1_plus, q.T @ bc.phi2_plus,
                           np.zeros(3), np.zeros(3))
     al_pert = alphas_plus(ops_p, q.T @ (sol.interface.psi1 + eps), sol.interface.psi2_hat, pt_p)
@@ -340,46 +345,38 @@ def test_tc1_perturbation_injection():
 
 
 def test_wrong_flux_sign_convention_breaks_tc2():
-    # The diagnostic switch flips the M^{-2} S-check term; the resulting
-    # solution must violate the third-order flux condition measurably.
+    # Flipping the sign of the M^{-2} S-check term in S1 must give a
+    # solution that the report flags on the third-order flux condition.
     op = build_dirichlet_laplacian_1d(3, 1.0)
     geom = CylinderGeometry(-0.7, 0.0, 0.9)
-    forcing_case = manufactured_homogeneous(op, geom, [0], [0.5], [0.2])
-    from bitrans import ModalForcing, phi_tilde_minus, phi_tilde_plus, alphas_minus
-    from bitrans.subproblem import solve_particular
-    from bitrans.transmission import solve_interface_block
-
     # A genuinely forced problem so s_check != 0.
     forcing = ModalForcing.sine(op, geom, SIDE_PLUS, 0, k_multiple=1, amplitude=2.0)
     sol_good = solve_transmission(op, geom, 1.0, 2.0, forcing)
     assert sol_good.report.tc2_flux3 <= 1e-9
+    assert sol_good.report.passed
 
-    gen = sol_good.operators.generator
     tops = sol_good.operators
-    q = op.eigenvectors
-    part_m = solve_particular(op.eigenvalues, geom, SIDE_MINUS, forcing)
-    part_p = solve_particular(op.eigenvalues, geom, SIDE_PLUS, forcing)
+    gen = tops.generator
+    g = gen.eigenvalues
+    sources = sol_good.sources
+    assert np.max(np.abs(sources.s_check)) > 0.0
+    src_bad = replace(sources, s1=sources.s1 + 2 * sources.s_check / g**2)
+    data = solve_interface_calculus(tops, src_bad)
+    part_m, part_p = sol_good.minus.particular, sol_good.plus.particular
     zero = np.zeros(3)
     pt_m = phi_tilde_minus(tops.minus, zero, zero, part_m.fprime_left, part_m.fprime_right)
     pt_p = phi_tilde_plus(tops.plus, zero, zero, part_p.fprime_left, part_p.fprime_right)
-    src_bad = assemble_sources(tops, pt_m, pt_p,
-                               part_m.fprime_right, part_m.f3_right,
-                               part_p.fprime_left, part_p.f3_left,
-                               s_check_sign=+1.0)
-    data = solve_interface_block(assemble_dense_operators(gen, geom, 1.0, 2.0), src_bad)
     al_m = alphas_minus(tops.minus, data.psi1_hat, data.psi2_hat, pt_m)
     al_p = alphas_plus(tops.plus, data.psi1_hat, data.psi2_hat, pt_p)
-    minus = SubproblemSolution(SIDE_MINUS, geom, gen, al_m, part_m)
-    plus = SubproblemSolution(SIDE_PLUS, geom, gen, al_p, part_p)
-    mu = op.eigenvalues
-
-    def flux3(sub, k):
-        u1 = sub.evaluate(geom.gamma, 1)
-        u3 = sub.evaluate(geom.gamma, 3)
-        return k * (u3 + q @ (mu * (q.T @ u1)))
-
-    bad_gap = np.max(np.abs(flux3(minus, 1.0) - flux3(plus, 2.0)))
-    assert bad_gap > 1e-3   # the flipped convention visibly breaks (TC2)
+    bad = TransmissionSolution(
+        problem=sol_good.problem, operators=tops, sources=src_bad, interface=data,
+        minus=SubproblemSolution(SIDE_MINUS, geom, gen, al_m, part_m),
+        plus=SubproblemSolution(SIDE_PLUS, geom, gen, al_p, part_p),
+        options=sol_good.options,
+    )
+    report = residual_report(bad)
+    assert report.tc2_flux3 > 1e-3   # far over its 1e-9 budget: (TC2) visibly breaks
+    assert report.passed is False
 
 
 def test_report_serialization_keys():
@@ -418,6 +415,98 @@ def test_homogeneous_budgets_met_at_m96():
     for key in ("bc_1", "bc_2", "bc_3", "bc_4", "tc1_u", "tc1_du", "tc2_flux2",
                 "tc2_flux3", "id2_minus", "id2_plus", "id3_minus", "id3_plus"):
         assert getattr(r, key) <= r.budgets[key], key
+
+
+def _standard_case(m):
+    """Geometry (-0.7, 0, 1.3), k = 1, 3, seed-0 boundary data, plus-side sine forcing."""
+    op = build_dirichlet_laplacian_1d(m, 1.0)
+    geom = CylinderGeometry(-0.7, 0.0, 1.3)
+    rng = np.random.default_rng(0)
+    bc = BoundaryData(*(rng.standard_normal(m) for _ in range(4)))
+    forcing = ModalForcing.sine(op, geom, SIDE_PLUS, 1, 1, 1.5)
+    return solve_transmission(op, geom, 1.0, 3.0, forcing, bc)
+
+
+def _over_budget(report):
+    return {key for key, budget in report.budgets.items() if getattr(report, key) > budget}
+
+
+def test_report_flags_perturbed_boundary_data():
+    sol = _standard_case(8)
+    assert sol.report.passed
+    bc = sol.problem.boundary
+    shifted = BoundaryData(*(v + 1e-6 for v in (bc.phi1_minus, bc.phi2_minus,
+                                                 bc.phi1_plus, bc.phi2_plus)))
+    report = residual_report(replace(sol, problem=replace(sol.problem, boundary=shifted)))
+    assert _over_budget(report) == {"bc_1", "bc_2", "bc_3", "bc_4"}
+    assert report.passed is False
+
+
+def test_report_flags_perturbed_forcing():
+    sol = _standard_case(8)
+    assert sol.report.passed
+    geom, forcing = sol.geometry, sol.problem.forcing
+    # An error as large as the forcing itself, on both sides.
+    shift = np.max(np.abs(forcing.sample(SIDE_PLUS, geom.grid(SIDE_PLUS, 33))))
+    wrong = ModalForcing.from_functions(geom, sol.m,
+                                        lambda x: forcing.sample(SIDE_MINUS, x) + shift,
+                                        lambda x: forcing.sample(SIDE_PLUS, x) + shift)
+    report = residual_report(replace(sol, problem=replace(sol.problem, forcing=wrong)))
+    assert _over_budget(report) == {"eq_minus", "eq_plus"}
+    assert report.passed is False
+
+
+def test_report_flags_perturbed_plus_coefficients():
+    sol = _standard_case(8)
+    assert sol.report.passed
+    a1, a2, a3, a4 = sol.plus.alphas
+    wrong = replace(sol.plus, alphas=(a1, a2 + 1e-6, a3, a4))
+    report = residual_report(replace(sol, plus=wrong))
+    failed = _over_budget(report)
+    assert {"tc1_u", "tc1_du", "tc2_flux2", "tc2_flux3"} <= failed
+    # The fields still match their own coefficients and equation.
+    assert not failed & {"id2_plus", "id3_plus", "eq_minus", "eq_plus"}
+    assert report.passed is False
+
+
+def test_report_matches_physical_recomputation_at_m64():
+    # The physical-basis formulas of the earlier report, with the dense
+    # A = Q diag(mu) Q^T, must reproduce the eigenbasis report entries.
+    sol = _standard_case(64)
+    op, geom, r = sol.operator, sol.geometry, sol.report
+    a, q = op.matrix, op.eigenvectors
+    g = sol.operators.generator.eigenvalues
+
+    def scaled_sup(res, ref):
+        return float(np.max(np.abs(res)) / (1.0 + ref))
+
+    for side, key in ((SIDE_MINUS, "eq_minus"), (SIDE_PLUS, "eq_plus")):
+        xs = geom.grid(side, 33)
+        h = xs[1] - xs[0]
+        u0, u2, u3 = (sol.field(side, xs, order) for order in (0, 2, 3))
+        d4 = (u3[:, 2:] - u3[:, :-2]) / (2.0 * h)
+        fvals = q @ sol.problem.forcing.sample(side, xs[1:-1])
+        au2 = a @ u2[:, 1:-1]
+        a2u0 = a @ (a @ u0[:, 1:-1])
+        ref = max(np.max(np.abs(d4)), 2.0 * np.max(np.abs(au2)),
+                  np.max(np.abs(a2u0)), np.max(np.abs(fvals)))
+        assert abs(scaled_sup(d4 + 2.0 * au2 + a2u0 - fvals, ref) - getattr(r, key)) <= 1e-12
+
+    um = [sol.field(SIDE_MINUS, geom.gamma, order)[:, 0] for order in range(4)]
+    up = [sol.field(SIDE_PLUS, geom.gamma, order)[:, 0] for order in range(4)]
+    flux3_m = 1.0 * (um[3] + a @ um[1])
+    flux3_p = 3.0 * (up[3] + a @ up[1])
+    ref = max(np.max(np.abs(flux3_m)), np.max(np.abs(flux3_p)))
+    assert abs(scaled_sup(flux3_m - flux3_p, ref) - r.tc2_flux3) <= 1e-12
+
+    for sub, u, e, sign, key in ((sol.minus, um, sol.operators.minus.e, 1.0, "id3_minus"),
+                                 (sol.plus, up, sol.operators.plus.e, -1.0, "id3_plus")):
+        _, a2, _, a4 = sub.alphas
+        part = sub.particular
+        lhs = u[3] + a @ u[1]
+        rhs = q @ (2.0 * g**2 * ((1.0 + e) * a2 - sign * (1.0 - e) * a4)
+                   + part.f3_interface - g**2 * part.fprime_interface)
+        assert abs(scaled_sup(lhs - rhs, np.max(np.abs(lhs))) - getattr(r, key)) <= 1e-12
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), 0.0])
