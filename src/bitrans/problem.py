@@ -154,13 +154,20 @@ class ModalForcing:
         object.__setattr__(self, "grid_plus", gp)
         object.__setattr__(self, "samples_minus", sm)
         object.__setattr__(self, "samples_plus", sp)
+        # Per-side interpolant of the samples, built on the first sample()
+        # without a resampler; None marks an all-zero side.
+        object.__setattr__(self, "_splines", {})
 
     @property
     def m(self) -> int:
         return self.samples_minus.shape[0]
 
     def sample(self, side: str, xs: np.ndarray) -> np.ndarray:
-        """Forcing values at the points ``xs``, exact when a resampler exists."""
+        """Forcing values at the points ``xs``, exact when a resampler exists.
+
+        Otherwise the values come from a cubic spline of the side's
+        samples, built once per side on first use (none for zero samples).
+        """
         check_side(side)
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
         func = self.func_minus if side == SIDE_MINUS else self.func_plus
@@ -172,11 +179,12 @@ class ModalForcing:
                     f"expected {(self.m, xs.size)}"
                 )
             return vals
-        grid = self.grid_minus if side == SIDE_MINUS else self.grid_plus
-        samples = self.samples_minus if side == SIDE_MINUS else self.samples_plus
-        if np.max(np.abs(samples)) == 0.0:
-            return np.zeros((self.m, xs.size))
-        return CubicSpline(grid, samples, axis=1)(xs)
+        if side not in self._splines:
+            grid = self.grid_minus if side == SIDE_MINUS else self.grid_plus
+            samples = self.samples_minus if side == SIDE_MINUS else self.samples_plus
+            self._splines[side] = CubicSpline(grid, samples, axis=1) if np.any(samples) else None
+        spline = self._splines[side]
+        return np.zeros((self.m, xs.size)) if spline is None else spline(xs)
 
     @classmethod
     def zero(cls, m: int, geometry: CylinderGeometry, n: int = 33) -> "ModalForcing":

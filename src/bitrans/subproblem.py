@@ -88,24 +88,6 @@ def _one_sided_derivative(field: np.ndarray, h: float) -> tuple[np.ndarray, np.n
     return left, right
 
 
-def _dirichlet_helmholtz(mu: float, h: float, rhs_interior: np.ndarray) -> np.ndarray:
-    """Solve y'' + mu y = rhs on a uniform grid with y = 0 at both ends.
-
-    mu < 0 makes the tridiagonal system (-2/h^2 + mu) diag, 1/h^2 off
-    strictly diagonally dominant. Returns the full grid including the
-    zero endpoints.
-    """
-    n_int = rhs_interior.size
-    ab = np.zeros((3, n_int))
-    ab[0, 1:] = 1.0 / h**2
-    ab[1, :] = -2.0 / h**2 + mu
-    ab[2, :-1] = 1.0 / h**2
-    inner = solve_banded((1, 1), ab, rhs_interior)
-    out = np.zeros(n_int + 2)
-    out[1:-1] = inner
-    return out
-
-
 @dataclass(frozen=True)
 class ParticularSolution:
     """Particular solution F of one interval with F = F'' = 0 at both ends.
@@ -114,7 +96,9 @@ class ParticularSolution:
     the endpoint first-derivative traces, and the third-derivative traces
     F''' = w' - mu F' (exact identity of the factorized problem). The
     ``error_estimate`` is the relative size of the Richardson correction,
-    an observed bound for the remaining discretization error.
+    an observed bound for the remaining discretization error. ``active``
+    lists the forced modes; every other row is exactly zero, and the
+    interpolating splines cover the active rows only.
     """
 
     side: str
@@ -127,14 +111,15 @@ class ParticularSolution:
     f3_left: np.ndarray
     f3_right: np.ndarray
     error_estimate: float
+    active: np.ndarray
 
     def __post_init__(self):
-        if np.max(np.abs(self.f_modal)) == 0.0 and np.max(np.abs(self.w_modal)) == 0.0:
-            object.__setattr__(self, "_spline_f", None)
-            object.__setattr__(self, "_spline_w", None)
-        else:
-            object.__setattr__(self, "_spline_f", CubicSpline(self.grid, self.f_modal, axis=1))
-            object.__setattr__(self, "_spline_w", CubicSpline(self.grid, self.w_modal, axis=1))
+        rows = self.active
+        if rows.size:
+            object.__setattr__(self, "_spline_f",
+                               CubicSpline(self.grid, self.f_modal[rows], axis=1))
+            object.__setattr__(self, "_spline_w",
+                               CubicSpline(self.grid, self.w_modal[rows], axis=1))
 
     @property
     def m(self) -> int:
@@ -156,13 +141,14 @@ class ParticularSolution:
         of the modal samples, as F^(order) for orders 0, 1 and as
         w^(order-2) - mu F^(order-2) for orders 2, 3. At the ends, odd
         orders use the stored traces exactly and even orders the built-in
-        homogeneous conditions F = F'' = 0.
+        homogeneous conditions F = F'' = 0. Rows outside ``active`` are 0.
         """
         if order not in (0, 1, 2, 3):
             raise ValueError(f"derivative order must be 0..3, got {order}")
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
         out = np.zeros((self.m, xs.size))
-        if self._spline_f is None:
+        rows = self.active
+        if not rows.size:
             return out
         lo, hi = self.grid[0], self.grid[-1]
         tol = _ENDPOINT_TOL * (hi - lo)
@@ -170,14 +156,16 @@ class ParticularSolution:
         at_hi = np.abs(xs - hi) <= tol
         inner = ~(at_lo | at_hi)
         nu = order % 2
-        out[:, inner] = self._spline_f(xs[inner], nu)
+        part = np.zeros((rows.size, xs.size))
+        part[:, inner] = self._spline_f(xs[inner], nu)
         if order >= 2:
-            out[:, inner] = self._spline_w(xs[inner], nu) - mu[:, None] * out[:, inner]
+            part[:, inner] = self._spline_w(xs[inner], nu) - mu[rows, None] * part[:, inner]
         if nu:
             left, right = ((self.fprime_left, self.fprime_right) if order == 1
                            else (self.f3_left, self.f3_right))
-            out[:, at_lo] = left[:, None]
-            out[:, at_hi] = right[:, None]
+            part[:, at_lo] = left[rows, None]
+            part[:, at_hi] = right[rows, None]
+        out[rows] = part
         return out
 
     @classmethod
@@ -186,18 +174,33 @@ class ParticularSolution:
         z = np.zeros((m, n_x))
         zm = np.zeros(m)
         return cls(side, geometry, grid, z, z.copy(), zm, zm.copy(),
-                   zm.copy(), zm.copy(), 0.0)
+                   zm.copy(), zm.copy(), 0.0, np.zeros(0, dtype=int))
 
 
 def _solve_factorized(mu: np.ndarray, grid: np.ndarray, fhat: np.ndarray):
-    """Two-stage Dirichlet solve of u'''' + 2 mu u'' + mu^2 u = fhat per mode."""
+    """Dirichlet solve of u'''' + 2 mu_j u'' + mu_j^2 u = fhat_j for every row j.
+
+    Per row the operator factors as (d^2/dx^2 + mu_j)^2: w solves
+    w'' + mu_j w = fhat_j and F solves F'' + mu_j F = w, both with zero
+    ends. Each stage is one block-diagonal tridiagonal system: the row
+    bands (-2/h^2 + mu_j) diag, 1/h^2 off are stacked with zero coupling
+    across blocks, so every block eliminates exactly as it would alone,
+    and mu_j < 0 keeps each block strictly diagonally dominant. Returns
+    (F, w) on the full grid with the zero ends; no rows means no solve.
+    """
     h = grid[1] - grid[0]
-    m, n = fhat.shape
-    w = np.zeros((m, n))
-    f = np.zeros((m, n))
-    for j in range(m):
-        w[j] = _dirichlet_helmholtz(mu[j], h, fhat[j, 1:-1])
-        f[j] = _dirichlet_helmholtz(mu[j], h, w[j, 1:-1])
+    k, n = fhat.shape
+    n_int = n - 2
+    w = np.zeros((k, n))
+    f = np.zeros((k, n))
+    if k:
+        ab = np.empty((3, k * n_int))
+        ab[0] = ab[2] = 1.0 / h**2
+        ab[0, ::n_int] = 0.0
+        ab[2, n_int - 1::n_int] = 0.0
+        ab[1] = np.repeat(-2.0 / h**2 + mu, n_int)
+        w[:, 1:-1] = solve_banded((1, 1), ab, fhat[:, 1:-1].ravel()).reshape(k, n_int)
+        f[:, 1:-1] = solve_banded((1, 1), ab, w[:, 1:-1].ravel()).reshape(k, n_int)
     return f, w
 
 
@@ -210,14 +213,16 @@ def solve_particular(
 ) -> ParticularSolution:
     """Solve the homogeneous-ends particular problem on one interval.
 
-    Per mode mu the fourth-order equation factors as (d^2/dx^2 + mu)^2,
-    giving two successive Dirichlet solves; both are coercive since
+    The problem decouples by mode, and a mode whose forcing samples are
+    zero on both grids has F = 0 exactly; only the other (active) modes
+    are solved. Per mode mu the fourth-order equation factors as
+    (d^2/dx^2 + mu)^2, giving two successive Dirichlet solves, each one
+    block-banded solve over the active modes; both are coercive since
     mu < 0. Fields and traces are Richardson-extrapolated from the h and
     h/2 central-difference solutions; first-derivative traces use
     one-sided 4th-order stencils on the extrapolated fields and the
-    third-derivative traces use F''' = w' - mu F'. A side whose forcing
-    samples are all zero on both grids gets the zero solution without
-    any solve.
+    third-derivative traces use F''' = w' - mu F'. A side without active
+    modes makes no solve and builds no spline.
 
     Parameters
     ----------
@@ -236,18 +241,17 @@ def solve_particular(
         raise DimensionMismatchError(
             f"forcing has {fhat_c.shape[0]} modes, operator has {mu.size}"
         )
-    if not (np.any(fhat_c) or np.any(fhat_f)):
-        return ParticularSolution.zero(side, geometry, mu.size, n_x)
-    f_c, w_c = _solve_factorized(mu, grid_c, fhat_c)
-    f_f, w_f = _solve_factorized(mu, grid_f, fhat_f)
+    active = np.flatnonzero(np.any(fhat_c, axis=1) | np.any(fhat_f, axis=1))
+    mu_a = mu[active]
+    f_c, w_c = _solve_factorized(mu_a, grid_c, fhat_c[active])
+    f_f, w_f = _solve_factorized(mu_a, grid_f, fhat_f[active])
     corr_f = (f_f[:, ::2] - f_c) / 3.0
-    f_x = f_f[:, ::2] + corr_f  # = (4 f_fine - f_coarse) / 3 on coarse nodes
-    w_x = w_f[:, ::2] + (w_f[:, ::2] - w_c) / 3.0
-    # Endpoint rows are exactly zero in both solves; keep them exact.
-    f_x[:, 0] = 0.0
-    f_x[:, -1] = 0.0
-    w_x[:, 0] = 0.0
-    w_x[:, -1] = 0.0
+    f_x = np.zeros((mu.size, n_x))
+    w_x = np.zeros((mu.size, n_x))
+    f_x[active] = f_f[:, ::2] + corr_f  # = (4 f_fine - f_coarse) / 3 on coarse nodes
+    w_x[active] = w_f[:, ::2] + (w_f[:, ::2] - w_c) / 3.0
+    # The trace stencils run on all m rows, so a mode's traces round the same
+    # whichever other modes are active.
     h = grid_c[1] - grid_c[0]
     fp_l, fp_r = _one_sided_derivative(f_x, h)
     wp_l, wp_r = _one_sided_derivative(w_x, h)
@@ -258,7 +262,7 @@ def solve_particular(
         f_modal=f_x, w_modal=w_x,
         fprime_left=fp_l, fprime_right=fp_r,
         f3_left=wp_l - mu * fp_l, f3_right=wp_r - mu * fp_r,
-        error_estimate=estimate,
+        error_estimate=estimate, active=active,
     )
 
 

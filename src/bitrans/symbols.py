@@ -14,13 +14,14 @@ of z = -mu (principal branch of sqrt on C minus the negative reals):
   tending to 1 at +infinity.
 
 All functions accept positive real scalars/arrays or complex scalars off
-the cut. On the real axis the evaluation uses expm1-stabilized forms so
-the small-argument cancellation u_delta(x) ~ (delta sqrt(x))^3 / 3 stays
-accurate down to the scan floor.
+the cut. On the real axis u_delta sums the Taylor series of sinh eps - eps
+for eps = delta sqrt(z) <= 1 and uses an expm1 form for eps > 1, so it
+keeps full relative accuracy as u_delta ~ eps^3 / 3 -> 0.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +49,11 @@ class SymbolContext:
                 raise ValueError(f"symbol context requires {name} > 0, got {val}")
 
 
+# Taylor coefficients of (sinh x - x) / x^3 in powers of x^2, 1/3!, 1/5!, ...,
+# 1/21!: at x = 1 the first omitted term is below 1e-19 of the sum.
+_SINH_SERIES = np.array([1.0 / math.factorial(k) for k in range(3, 22, 2)])
+
+
 def _checked_sqrt(z):
     """Principal sqrt(z), rejecting the branch cut (-inf, 0]."""
     z = np.asarray(z)
@@ -61,14 +67,25 @@ def _checked_sqrt(z):
 
 
 def u_delta(delta: float, z):
-    """u_delta(z) = 1 - e^{-2 delta sqrt(z)} - 2 delta sqrt(z) e^{-delta sqrt(z)}."""
+    """u_delta(z) = 1 - e^{-2 delta sqrt(z)} - 2 delta sqrt(z) e^{-delta sqrt(z)}.
+
+    On the real axis u = 2 e^{-eps} (sinh eps - eps) with eps = delta sqrt(z);
+    for eps <= 1 the difference sinh eps - eps is summed from its Taylor
+    series, whose terms are all positive, so nothing cancels.
+    """
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
     eps = delta * _checked_sqrt(z)
     if np.iscomplexobj(eps):
         w = np.exp(-eps)
         return 1.0 - w * w - 2.0 * eps * w
-    return -np.expm1(-2.0 * eps) - 2.0 * eps * np.exp(-eps)
+    u = -np.expm1(-2.0 * eps) - 2.0 * eps * np.exp(-eps)
+    small = eps <= 1.0
+    if not np.any(small):
+        return u
+    s = np.minimum(eps, 1.0)  # equals eps where the series is used, and stays finite elsewhere
+    series = 2.0 * np.exp(-s) * s**3 * np.polynomial.polynomial.polyval(s * s, _SINH_SERIES)
+    return np.where(small, series, u)[()]
 
 
 def v_delta(delta: float, z):

@@ -254,7 +254,7 @@ def test_cli_nan_diffusivity_exit_2_without_traceback(tmp_path, capsys):
 
 def test_cli_vanishing_symbol_exit_2_without_traceback(tmp_path, capsys):
     mat = tmp_path / "tiny.txt"
-    mat.write_text("2\n-1.0 0.0\n0.0 -1e-11\n")
+    mat.write_text("2\n-1e-250 0.0\n0.0 -1e-251\n")  # u_delta underflows on both modes
     text = (BASE.format(m=2, extra="")
             .replace("{kind: laplacian-1d, m: 2, length: 1.0}", f"{{kind: matrix-file, path: {mat}}}")
             .replace("{a: -0.7, gamma: 0.0, b: 0.9}", "{a: -1.0e-8, gamma: 0.0, b: 1.0}"))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 import bitrans.subproblem as subproblem
 from bitrans import (
@@ -9,6 +10,7 @@ from bitrans import (
     ResolutionError,
     SIDE_MINUS,
     SIDE_PLUS,
+    SIDES,
     SubproblemSolution,
     alphas_minus,
     alphas_plus,
@@ -275,3 +277,103 @@ def test_zero_forcing_side_skips_the_banded_solves(monkeypatch):
     assert part.error_estimate == 0.0
     forced = solve_particular(op.eigenvalues, geom, SIDE_PLUS, forcing, n_x=33)
     assert calls and np.max(np.abs(forced.f_modal)) > 0.0
+
+
+def _per_mode_particular(mu, geom, side, forcing, n_x):
+    """Reference particular solve: one pair of Dirichlet solves per mode, all modes."""
+    def dirichlet(mu_j, h, rhs):
+        ab = np.zeros((3, rhs.size))
+        ab[0, 1:] = 1.0 / h**2
+        ab[1, :] = -2.0 / h**2 + mu_j
+        ab[2, :-1] = 1.0 / h**2
+        out = np.zeros(rhs.size + 2)
+        out[1:-1] = solve_banded((1, 1), ab, rhs)
+        return out
+
+    def factorized(grid, fhat):
+        h = grid[1] - grid[0]
+        f, w = np.zeros_like(fhat), np.zeros_like(fhat)
+        for j in range(mu.size):
+            w[j] = dirichlet(mu[j], h, fhat[j, 1:-1])
+            f[j] = dirichlet(mu[j], h, w[j, 1:-1])
+        return f, w
+
+    grid_c, grid_f = geom.grid(side, n_x), geom.grid(side, 2 * n_x - 1)
+    fhat_c = forcing.sample(side, grid_c)
+    f_c, w_c = factorized(grid_c, fhat_c)
+    f_f, w_f = factorized(grid_f, forcing.sample(side, grid_f))
+    corr = (f_f[:, ::2] - f_c) / 3.0
+    f_x = f_f[:, ::2] + corr
+    w_x = w_f[:, ::2] + (w_f[:, ::2] - w_c) / 3.0
+    h = grid_c[1] - grid_c[0]
+    d1 = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
+    fp_l, fp_r = f_x[:, :5] @ d1 / h, -(f_x[:, -1:-6:-1] @ d1) / h
+    wp_l, wp_r = w_x[:, :5] @ d1 / h, -(w_x[:, -1:-6:-1] @ d1) / h
+    estimate = np.max(np.abs(corr)) / (1.0 + np.max(np.abs(f_x))) if np.any(fhat_c) else 0.0
+    return dict(f_modal=f_x, w_modal=w_x, fprime_left=fp_l, fprime_right=fp_r,
+                f3_left=wp_l - mu * fp_l, f3_right=wp_r - mu * fp_r, error_estimate=estimate)
+
+
+def _random_forcing(geom, m, rng, zero_rows=()):
+    """Smooth per-mode forcing with random coefficients; ``zero_rows`` are 0 on both sides."""
+    coeffs = rng.normal(size=(m, 4))
+    coeffs[list(zero_rows)] = 0.0
+
+    def func(xs):
+        xs = np.asarray(xs)
+        return (coeffs[:, :1] + coeffs[:, 1:2] * xs + coeffs[:, 2:3] * np.cos(3.0 * xs)
+                + coeffs[:, 3:4] * np.sin(7.0 * xs))
+
+    return ModalForcing.from_functions(geom, m, func, func)
+
+
+@pytest.mark.parametrize("n_x", [17, 129])
+@pytest.mark.parametrize("m", [1, 5, 64])
+@pytest.mark.parametrize("mixed", [False, True], ids=["dense", "mixed"])
+def test_particular_matches_per_mode_reference(m, n_x, mixed):
+    # Mixed forcing zeroes every mode j with j % 3 != 1, so m=1 has no active mode.
+    op = build_dirichlet_laplacian_1d(m, 1.0)
+    geom = CylinderGeometry(-0.7, 0.0, 0.9)
+    rng = np.random.default_rng(m * n_x)
+    zero_rows = [j for j in range(m) if j % 3 != 1] if mixed else []
+    forcing = _random_forcing(geom, m, rng, zero_rows)
+    for side in (SIDE_MINUS, SIDE_PLUS):
+        part = solve_particular(op.eigenvalues, geom, side, forcing, n_x=n_x)
+        ref = _per_mode_particular(op.eigenvalues, geom, side, forcing, n_x)
+        for name, expected in ref.items():
+            np.testing.assert_allclose(getattr(part, name), expected, rtol=1e-15, atol=0.0,
+                                       err_msg=name)
+        inactive = np.setdiff1d(np.arange(m), part.active)
+        assert np.array_equal(inactive, zero_rows)
+        lo, hi = geom.interval(side)
+        xs = np.concatenate([[lo], np.linspace(lo, hi, 11)[1:-1], [hi]])
+        for order in range(4):
+            term = part.term(xs, order, op.eigenvalues)
+            assert np.all(term[inactive] == 0.0)
+            assert np.any(term[part.active]) == bool(part.active.size)
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["one-mode-sine", "dense-64-modes"])
+def test_particular_solve_makes_four_banded_calls_per_forced_side(monkeypatch, dense):
+    m, n_x = 64, 129
+    op = build_dirichlet_laplacian_1d(m, 1.0)
+    geom = CylinderGeometry(-0.7, 0.0, 0.9)
+    if dense:
+        forcing, forced, rows = _random_forcing(geom, m, np.random.default_rng(3)), SIDES, m
+    else:
+        forcing, forced, rows = ModalForcing.sine(op, geom, SIDE_PLUS, 5), (SIDE_PLUS,), 1
+    banded, splines = [], []
+    real_banded, real_spline = subproblem.solve_banded, subproblem.CubicSpline
+    monkeypatch.setattr(subproblem, "solve_banded",
+                        lambda *args: banded.append(1) or real_banded(*args))
+    monkeypatch.setattr(subproblem, "CubicSpline",
+                        lambda x, y, **kw: splines.append(np.shape(y)) or real_spline(x, y, **kw))
+    for side in SIDES:
+        banded.clear()
+        splines.clear()
+        solve_particular(op.eigenvalues, geom, side, forcing, n_x=n_x)
+        if side in forced:
+            assert len(banded) == 4
+            assert splines == [(rows, n_x)] * 2
+        else:
+            assert not banded and not splines

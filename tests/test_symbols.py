@@ -59,6 +59,23 @@ def test_small_argument_asymptotics():
         assert v_delta(delta, x) == pytest.approx(4.0 * eps, rel=1e-3)
 
 
+@pytest.mark.parametrize("delta", [1.0, 0.3])
+def test_u_delta_full_relative_accuracy_against_mpmath(delta):
+    # eps = delta sqrt(z) over 1e-8..1e2, with points on both sides of the
+    # switch from the series to the expm1 form at eps = 1.
+    import mpmath
+
+    eps = np.concatenate([np.logspace(-8, 2, 101),
+                          [np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0), 0.999, 1.001]])
+    z = (eps / delta) ** 2
+    values = u_delta(delta, z)
+    with mpmath.workdps(50):
+        for e, value in zip(delta * np.sqrt(z), values):
+            e = mpmath.mpf(float(e))
+            exact = -mpmath.expm1(-2 * e) - 2 * e * mpmath.exp(-e)
+            assert abs(value - exact) <= 1e-14 * exact, float(e)
+
+
 def test_f_components_reference_values():
     f1, f2, f3, g = f_components(1.0, 1.0)
     assert f1 == pytest.approx(14.7649, abs=2e-4)
@@ -169,7 +186,8 @@ def test_symbol_context_validation():
 
 
 def test_f_components_vanishing_symbol_names_the_mode():
+    # u_delta ~ eps^3 / 3 underflows to 0 at eps = 1e-8 * sqrt(1e-250).
     with pytest.raises(EvaluationError, match="mode 1"):
-        f_components(1e-8, np.array([1e12, 1.0]))
+        f_components(1e-8, np.array([1e12, 1e-250]))
     with pytest.raises(EvaluationError, match="mode 0"):
-        f_components(1e-8, 1.0)
+        f_components(1e-8, 1e-250)

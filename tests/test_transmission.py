@@ -38,6 +38,7 @@ from bitrans import (
     u_delta,
     v_delta,
 )
+from bitrans import problem
 from bitrans.symbols import SymbolContext
 
 
@@ -520,7 +521,32 @@ def test_non_finite_or_nonpositive_diffusivity_rejected(bad):
 
 @pytest.mark.parametrize("route", ["calculus", "block", "both"])
 def test_vanishing_symbol_is_an_evaluation_error(route):
-    op = from_matrix(np.diag([-1.0, -1e-11]))
+    op = from_matrix(np.diag([-1e-250, -1e-251]))  # u_delta underflows on both modes
     geom = CylinderGeometry(-1e-8, 0.0, 1.0)
     with pytest.raises(EvaluationError, match="mode 0"):
         solve_transmission(op, geom, 1.0, 1.0, options=SolveOptions(route=route))
+
+
+def test_csv_forcing_builds_one_spline_per_forced_side(monkeypatch):
+    # Minus rows are all zero, plus rows are not: one solve with its report
+    # samples each side on three grids but interpolates the plus side once.
+    op = build_dirichlet_laplacian_1d(3, 1.0)
+    geom = CylinderGeometry(-0.7, 0.0, 0.9)
+    rows = [(x, j, 0.0, SIDE_MINUS) for x in geom.grid(SIDE_MINUS, 21) for j in range(3)]
+    rows += [(x, j, np.sin(3.0 * x) + j, SIDE_PLUS) for x in geom.grid(SIDE_PLUS, 21)
+             for j in range(3)]
+    forcing = ModalForcing.from_csv_rows(geom, 3, rows)
+    builds = []
+    real = problem.CubicSpline
+    monkeypatch.setattr(problem, "CubicSpline",
+                        lambda *args, **kw: builds.append(1) or real(*args, **kw))
+    sol = solve_transmission(op, geom, 1.0, 2.5, forcing=forcing)
+    assert len(builds) == 1
+    assert sol.report.passed
+    reference = real(forcing.grid_plus, forcing.samples_plus, axis=1)
+    for n in (sol.options.n_x, 2 * sol.options.n_x - 1, sol.options.probe_points):
+        xs = geom.grid(SIDE_PLUS, n)
+        assert np.array_equal(forcing.sample(SIDE_PLUS, xs), reference(xs))
+        zeros = forcing.sample(SIDE_MINUS, geom.grid(SIDE_MINUS, n))
+        assert np.array_equal(zeros, np.zeros((3, n)))
+    assert len(builds) == 1
