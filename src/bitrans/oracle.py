@@ -20,10 +20,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy.interpolate import CubicSpline
-from scipy.sparse import csr_matrix
-from scipy.sparse.linalg import spsolve
 
+from ._scipy import CubicSpline, csr_matrix, spsolve
 from .errors import AnomalyError, DimensionMismatchError, ResolutionError
 from .problem import (
     SIDE_MINUS,
@@ -253,73 +251,66 @@ def _interface_stencil(h: float) -> np.ndarray:
     return np.array([3.0, -4.0, 1.0]) / (2.0 * h)
 
 
-def _assemble_mode(mu: float, geometry: CylinderGeometry, k_minus: float, k_plus: float,
-                   f_minus: np.ndarray, f_plus: np.ndarray, bc_hat: np.ndarray, n: int):
-    """Sparse system for one mode of the coupled mixed discretization.
+def _coupled_pattern(geometry: CylinderGeometry, k_minus: float, k_plus: float, n: int):
+    """CSR structure of the coupled mixed discretization, shared by all modes.
 
-    Unknown layout: [u_-, w_-, u_+, w_+], each of length n. Interior rows
-    impose u'' + mu u = w and w'' + mu w = f; outer boundary rows fix the
-    value and the one-sided derivative of u; interface rows impose the
-    two continuity and the two flux conditions with one-sided stencils.
+    Unknown layout: [u_-, w_-, u_+, w_+], each of length n. Rows
+    0..4(n-2)-1 hold the interior equations, minus side first, a
+    u'' + mu u = w row then a w'' + mu w = f row per interior point; the
+    next four rows fix the value and the one-sided derivative of u at a
+    and b; the last four impose the two continuity and the two flux
+    conditions at the interface with one-sided stencils. Only the interior
+    diagonal depends on the mode: ``data`` holds -2/h^2 there, and a mode
+    adds its mu at the positions ``diag``. Column indices are sorted
+    within each row.
+
+    Returns (data, indices, indptr, diag).
     """
     hm = geometry.c / (n - 1)
     hp = geometry.d / (n - 1)
     um, wm, up, wp = 0, n, 2 * n, 3 * n
-    rows, cols, vals = [], [], []
-    rhs = np.zeros(4 * n)
-    req = [0]
-
-    def add(col, val):
-        rows.append(req[0])
-        cols.append(col)
-        vals.append(val)
-
-    def next_row():
-        req[0] += 1
-
-    for base_u, base_w, h, fvals in ((um, wm, hm, f_minus), (up, wp, hp, f_plus)):
-        for i in range(1, n - 1):
-            add(base_u + i - 1, 1.0 / h**2)
-            add(base_u + i, -2.0 / h**2 + mu)
-            add(base_u + i + 1, 1.0 / h**2)
-            add(base_w + i, -1.0)
-            next_row()
-            add(base_w + i - 1, 1.0 / h**2)
-            add(base_w + i, -2.0 / h**2 + mu)
-            add(base_w + i + 1, 1.0 / h**2)
-            rhs[req[0]] = fvals[i]
-            next_row()
-    # Outer boundary: value and one-sided derivative of u at a and b.
-    add(um, 1.0)
-    rhs[req[0]] = bc_hat[0]
-    next_row()
     dm = _interface_stencil(hm)
-    add(um, -dm[0]); add(um + 1, -dm[1]); add(um + 2, -dm[2])
-    rhs[req[0]] = bc_hat[1]
-    next_row()
-    add(up + n - 1, 1.0)
-    rhs[req[0]] = bc_hat[2]
-    next_row()
     dp = _interface_stencil(hp)
-    add(up + n - 1, dp[0]); add(up + n - 2, dp[1]); add(up + n - 3, dp[2])
-    rhs[req[0]] = bc_hat[3]
-    next_row()
+    i = np.arange(1, n - 1)
+    rows, cols, vals, on_diag = [], [], [], []
+
+    def put(row, col, val, diag=False):
+        row, col = np.broadcast_arrays(np.atleast_1d(row), col)
+        rows.append(row)
+        cols.append(col)
+        vals.append(np.broadcast_to(np.asarray(val, dtype=float), row.shape))
+        on_diag.append(np.full(row.shape, diag))
+
+    for first, base_u, base_w, h in ((0, um, wm, hm), (2 * (n - 2), up, wp, hp)):
+        row_u = first + 2 * (i - 1)
+        for row, base in ((row_u, base_u), (row_u + 1, base_w)):
+            put(row, base + i - 1, 1.0 / h**2)
+            put(row, base + i, -2.0 / h**2, diag=True)
+            put(row, base + i + 1, 1.0 / h**2)
+        put(row_u, base_w + i, -1.0)
+    b = 4 * (n - 2)
+    # Outer boundary: value and one-sided derivative of u at a and b.
+    put(b, um, 1.0)
+    put(b + 1, um + np.arange(3), -dm)
+    put(b + 2, up + n - 1, 1.0)
+    put(b + 3, up + n - 1 - np.arange(3), dp)
     # Interface: continuity of u and u', proportionality of w and w'.
-    add(um + n - 1, 1.0); add(up, -1.0)
-    next_row()
-    add(um + n - 1, dm[0]); add(um + n - 2, dm[1]); add(um + n - 3, dm[2])
-    add(up, -(-dp[0])); add(up + 1, -(-dp[1])); add(up + 2, -(-dp[2]))
-    next_row()
-    add(wm + n - 1, k_minus); add(wp, -k_plus)
-    next_row()
-    add(wm + n - 1, k_minus * dm[0]); add(wm + n - 2, k_minus * dm[1])
-    add(wm + n - 3, k_minus * dm[2])
-    add(wp, k_plus * dp[0]); add(wp + 1, k_plus * dp[1]); add(wp + 2, k_plus * dp[2])
-    next_row()
-    if req[0] != 4 * n:
-        raise AnomalyError(f"oracle assembly produced {req[0]} rows for {4 * n} unknowns")
-    mat = csr_matrix((vals, (rows, cols)), shape=(4 * n, 4 * n))
-    return mat, rhs
+    put(b + 4, [um + n - 1, up], [1.0, -1.0])
+    put(b + 5, um + n - 1 - np.arange(3), dm)
+    put(b + 5, up + np.arange(3), dp)
+    put(b + 6, [wm + n - 1, wp], [k_minus, -k_plus])
+    put(b + 7, wm + n - 1 - np.arange(3), k_minus * dm)
+    put(b + 7, wp + np.arange(3), k_plus * dp)
+
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    per_row = np.bincount(rows)
+    if per_row.size != 4 * n or not np.all(per_row):
+        raise AnomalyError(f"oracle assembly filled {np.count_nonzero(per_row)} rows "
+                           f"for {4 * n} unknowns")
+    order = np.lexsort((cols, rows))
+    indptr = np.concatenate([[0], np.cumsum(per_row)])
+    diag = np.flatnonzero(np.concatenate(on_diag)[order])
+    return np.concatenate(vals)[order], cols[order], indptr, diag
 
 
 @dataclass(frozen=True)
@@ -372,6 +363,8 @@ def direct_solve(
 ) -> OracleSolution:
     """Coupled second-order finite-difference solve, one mode at a time.
 
+    The sparse structure is built once per call; each mode fills in its
+    eigenvalue and gets its own sparse LU solve and backward-error check.
     Strictly independent of the representation route: it never touches
     semigroups, solvability operators, or interface-source algebra, only
     the spectrum of the section operator.
@@ -390,18 +383,28 @@ def direct_solve(
     q = operator.eigenvectors
     bc_hat = np.stack([q.T @ boundary.phi1_minus, q.T @ boundary.phi2_minus,
                        q.T @ boundary.phi1_plus, q.T @ boundary.phi2_plus])
+    size = 4 * n_x
+    data, indices, indptr, diag = _coupled_pattern(geometry, k_minus, k_plus, n_x)
+    # Right-hand sides of all modes: f on the interior w rows, the boundary
+    # data on the four outer rows, zero on the interface rows.
+    n_int = 2 * (n_x - 2)
+    rhs = np.zeros((m, size))
+    rhs[:, 1:n_int:2] = f_m[:, 1:-1]
+    rhs[:, n_int + 1:2 * n_int:2] = f_p[:, 1:-1]
+    rhs[:, 2 * n_int:2 * n_int + 4] = bc_hat.T
     u_m = np.zeros((m, n_x))
     u_p = np.zeros((m, n_x))
     w_m = np.zeros((m, n_x))
     w_p = np.zeros((m, n_x))
     worst = 0.0
     for j in range(m):
-        mat, rhs = _assemble_mode(float(operator.eigenvalues[j]), geometry,
-                                  k_minus, k_plus, f_m[j], f_p[j], bc_hat[:, j], n_x)
-        sol = spsolve(mat, rhs)
-        backward = (np.max(np.abs(mat @ sol - rhs))
+        vals = data.copy()
+        vals[diag] += operator.eigenvalues[j]
+        mat = csr_matrix((vals, indices, indptr), shape=(size, size))
+        sol = spsolve(mat, rhs[j])
+        backward = (np.max(np.abs(mat @ sol - rhs[j]))
                     / (np.max(np.abs(mat).sum(axis=1)) * max(np.max(np.abs(sol)), 1e-300)
-                       + np.max(np.abs(rhs)) + 1e-300))
+                       + np.max(np.abs(rhs[j])) + 1e-300))
         worst = max(worst, float(backward))
         u_m[j], w_m[j] = sol[:n_x], sol[n_x:2 * n_x]
         u_p[j], w_p[j] = sol[2 * n_x:3 * n_x], sol[3 * n_x:]

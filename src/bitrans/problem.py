@@ -11,8 +11,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
+from ._scipy import CubicSpline
 from .errors import DimensionMismatchError, InvalidGeometryError
 from .section_operator import SectionOperator
 

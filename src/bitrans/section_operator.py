@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import (
     EvaluationError,
@@ -178,22 +177,22 @@ def build_dirichlet_laplacian_1d(m: int, length: float) -> SectionOperator:
     Returns
     -------
     SectionOperator
-        Spectral decomposition of the tridiagonal (1, -2, 1)/h^2 matrix.
-        Eigenvalues are -(4/h^2) sin^2(k pi / (2(m+1))), k = 1..m.
+        Spectral decomposition of the tridiagonal (1, -2, 1)/h^2 matrix,
+        in closed form: eigenvalues -(4/h^2) sin^2(k pi / (2(m+1))) and
+        eigenvectors q_jk = sqrt(2/(m+1)) sin(j k pi / (m+1)), taken for
+        k = m..1 so the eigenvalues ascend. The product j k is reduced
+        modulo 2(m+1) before it scales pi, which keeps the sine argument
+        in [0, 2 pi) and the eigenvectors accurate to rounding at large m.
     """
     if not isinstance(m, (int, np.integer)) or m < 1:
         raise InvalidGeometryError(f"interior point count must be a positive integer, got {m}")
     if not np.isfinite(length) or length <= 0:
         raise InvalidGeometryError(f"interval length must be positive, got {length}")
     h = length / (m + 1)
-    diag = np.full(m, -2.0 / h**2)
-    off = np.full(m - 1, 1.0 / h**2)
-    if m == 1:
-        mu = diag.copy()
-        q = np.ones((1, 1))
-    else:
-        mu, q = eigh_tridiagonal(diag, off)
-    q = _fix_eigenvector_signs(q)
+    k = np.arange(m, 0, -1)
+    mu = -(4.0 / h**2) * np.sin(k * np.pi / (2 * (m + 1))) ** 2
+    jk = np.outer(np.arange(1, m + 1), k) % (2 * (m + 1))
+    q = _fix_eigenvector_signs(np.sqrt(2.0 / (m + 1)) * np.sin(jk * np.pi / (m + 1)))
     return SectionOperator(mu, q, label=f"dirichlet-laplacian-1d(m={m}, L={length})")
 
 

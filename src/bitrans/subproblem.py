@@ -21,9 +21,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.linalg import solve_banded
 
+from ._scipy import CubicSpline, solve_banded
 from .errors import DimensionMismatchError, ResolutionError
 from .problem import SIDE_MINUS, SIDE_PLUS, CylinderGeometry, ModalForcing, check_side
 from .section_operator import GeneratorM

@@ -105,7 +105,9 @@ def f_components(delta: float, z):
     All four are strictly positive for real z > 0 and tend to (2, 2, 2, 0)
     as z -> +infinity. They satisfy f1 * f3 - f2^2 = g identically.
     Raises EvaluationError, naming the first such entry of z (the mode
-    when z = -mu), where u or v evaluates to zero in floating point.
+    when z = -mu), where u or v evaluates to zero in floating point. On
+    the real axis 1 - e^{-eps} and 1 - e^{-2 eps} come from expm1, so
+    every term is a sum of accurate positive parts as eps -> 0.
     """
     u = u_delta(delta, z)
     v = v_delta(delta, z)
@@ -119,12 +121,14 @@ def f_components(delta: float, z):
     eps = delta * _checked_sqrt(z)
     e = np.exp(-eps)
     if np.iscomplexobj(eps):
+        one_minus_e = 1.0 - e
         one_minus_e2 = 1.0 - e * e
     else:
+        one_minus_e = -np.expm1(-eps)
         one_minus_e2 = -np.expm1(-2.0 * eps)
-    f1 = (1.0 + e) ** 2 / u + (1.0 - e) ** 2 / v
+    f1 = (1.0 + e) ** 2 / u + one_minus_e**2 / v
     f2 = (1.0 / u + 1.0 / v) * one_minus_e2
-    f3 = (1.0 - e) ** 2 / u + (1.0 + e) ** 2 / v
+    f3 = one_minus_e**2 / u + (1.0 + e) ** 2 / v
     g = 16.0 * e * e / (u * v)
     return f1, f2, f3, g
 

@@ -22,8 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
+from ._scipy import lu_factor, lu_solve
 from .errors import AnomalyError
 from .problem import CylinderGeometry
 from .section_operator import GeneratorM, OperatorMatrix, apply_function, semigroup

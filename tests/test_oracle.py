@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.linalg import spsolve
 
 from bitrans import (
     BoundaryData,
     CylinderGeometry,
     DimensionMismatchError,
+    ModalForcing,
     SIDE_MINUS,
     SIDE_PLUS,
     SIDES,
@@ -18,7 +21,101 @@ from bitrans import (
     manufactured_homogeneous,
     solve_transmission,
 )
-from bitrans.oracle import _assemble_mode
+from bitrans import oracle
+
+
+def _assemble_mode(mu: float, geometry: CylinderGeometry, k_minus: float, k_plus: float,
+                   f_minus: np.ndarray, f_plus: np.ndarray, bc_hat: np.ndarray, n: int):
+    """Reference: the sparse system of one mode, built entry by entry from lists.
+
+    Unknown layout: [u_-, w_-, u_+, w_+], each of length n. Interior rows
+    impose u'' + mu u = w and w'' + mu w = f; outer boundary rows fix the
+    value and the one-sided derivative of u; interface rows impose the
+    two continuity and the two flux conditions with one-sided stencils.
+    """
+    def stencil(h):
+        return np.array([3.0, -4.0, 1.0]) / (2.0 * h)
+
+    hm = geometry.c / (n - 1)
+    hp = geometry.d / (n - 1)
+    um, wm, up, wp = 0, n, 2 * n, 3 * n
+    rows, cols, vals = [], [], []
+    rhs = np.zeros(4 * n)
+    req = [0]
+
+    def add(col, val):
+        rows.append(req[0])
+        cols.append(col)
+        vals.append(val)
+
+    def next_row():
+        req[0] += 1
+
+    for base_u, base_w, h, fvals in ((um, wm, hm, f_minus), (up, wp, hp, f_plus)):
+        for i in range(1, n - 1):
+            add(base_u + i - 1, 1.0 / h**2)
+            add(base_u + i, -2.0 / h**2 + mu)
+            add(base_u + i + 1, 1.0 / h**2)
+            add(base_w + i, -1.0)
+            next_row()
+            add(base_w + i - 1, 1.0 / h**2)
+            add(base_w + i, -2.0 / h**2 + mu)
+            add(base_w + i + 1, 1.0 / h**2)
+            rhs[req[0]] = fvals[i]
+            next_row()
+    # Outer boundary: value and one-sided derivative of u at a and b.
+    add(um, 1.0)
+    rhs[req[0]] = bc_hat[0]
+    next_row()
+    dm = stencil(hm)
+    add(um, -dm[0]); add(um + 1, -dm[1]); add(um + 2, -dm[2])
+    rhs[req[0]] = bc_hat[1]
+    next_row()
+    add(up + n - 1, 1.0)
+    rhs[req[0]] = bc_hat[2]
+    next_row()
+    dp = stencil(hp)
+    add(up + n - 1, dp[0]); add(up + n - 2, dp[1]); add(up + n - 3, dp[2])
+    rhs[req[0]] = bc_hat[3]
+    next_row()
+    # Interface: continuity of u and u', proportionality of w and w'.
+    add(um + n - 1, 1.0); add(up, -1.0)
+    next_row()
+    add(um + n - 1, dm[0]); add(um + n - 2, dm[1]); add(um + n - 3, dm[2])
+    add(up, -(-dp[0])); add(up + 1, -(-dp[1])); add(up + 2, -(-dp[2]))
+    next_row()
+    add(wm + n - 1, k_minus); add(wp, -k_plus)
+    next_row()
+    add(wm + n - 1, k_minus * dm[0]); add(wm + n - 2, k_minus * dm[1])
+    add(wm + n - 3, k_minus * dm[2])
+    add(wp, k_plus * dp[0]); add(wp + 1, k_plus * dp[1]); add(wp + 2, k_plus * dp[2])
+    next_row()
+    assert req[0] == 4 * n
+    mat = csr_matrix((vals, (rows, cols)), shape=(4 * n, 4 * n))
+    return mat, rhs
+
+
+def _reference_direct_solve(op, geom, k_minus, k_plus, forcing, boundary, n):
+    """Per-mode list assembly, sparse solve and backward error, as fields."""
+    q = op.eigenvectors
+    f_m = forcing.sample(SIDE_MINUS, geom.grid(SIDE_MINUS, n))
+    f_p = forcing.sample(SIDE_PLUS, geom.grid(SIDE_PLUS, n))
+    bc_hat = np.stack([q.T @ boundary.phi1_minus, q.T @ boundary.phi2_minus,
+                       q.T @ boundary.phi1_plus, q.T @ boundary.phi2_plus])
+    sols, worst = [], 0.0
+    for j in range(op.m):
+        mat, rhs = _assemble_mode(float(op.eigenvalues[j]), geom, k_minus, k_plus,
+                                  f_m[j], f_p[j], bc_hat[:, j], n)
+        sol = spsolve(mat, rhs)
+        backward = (np.max(np.abs(mat @ sol - rhs))
+                    / (np.max(np.abs(mat).sum(axis=1)) * max(np.max(np.abs(sol)), 1e-300)
+                       + np.max(np.abs(rhs)) + 1e-300))
+        worst = max(worst, float(backward))
+        sols.append(sol)
+    sols = np.array(sols)
+    fields = {"u_minus": sols[:, :n], "w_minus": sols[:, n:2 * n],
+              "u_plus": sols[:, 2 * n:3 * n], "w_plus": sols[:, 3 * n:]}
+    return fields, worst
 
 
 @pytest.fixture
@@ -215,3 +312,57 @@ def test_oracle_solution_field_orders():
         assert np.max(np.abs(approx - exact)) < 5e-3 * (1 + np.max(np.abs(exact)))
     with pytest.raises(ValueError):
         sol.modal_field(SIDE_PLUS, xs, 3)
+
+
+@pytest.mark.parametrize("forced", [False, True], ids=["zero", "sine"])
+@pytest.mark.parametrize("n_x", [33, 129, 257])
+@pytest.mark.parametrize("m", [1, 3, 64])
+def test_direct_solve_matches_per_mode_list_assembly(m, n_x, forced):
+    # The shared CSR pattern must give the very system the list assembly
+    # gives, so the sparse solves and the backward error agree bit for bit.
+    op = build_dirichlet_laplacian_1d(m, 1.0)
+    geom = CylinderGeometry(-0.7, 0.0, 1.3)
+    boundary = BoundaryData(*np.random.default_rng(m).normal(size=(4, m)))
+    forcing = (ModalForcing.sine(op, geom, SIDE_PLUS, min(1, m - 1), 1, 1.5) if forced
+               else ModalForcing.zero(m, geom))
+    sol = direct_solve(op, geom, 1.0, 3.0, forcing, boundary, n_x=n_x)
+    fields, worst = _reference_direct_solve(op, geom, 1.0, 3.0, forcing, boundary, n_x)
+    for name, ref in fields.items():
+        assert np.array_equal(getattr(sol, name), ref), name
+    assert sol.solve_residual == worst
+
+
+def test_wrong_interface_flux_sign_in_pattern_is_caught(monkeypatch):
+    # Flip the sign of k+ in the w-proportionality row (k- w- = k+ w+ at
+    # the interface). The equivalence with the list assembly breaks, and
+    # the oracle leaves the manufactured forced solution.
+    op = build_dirichlet_laplacian_1d(3, 1.0)
+    geom = CylinderGeometry(-0.7, 0.0, 0.9)
+    km, kp, n = 1.0, 3.0, 129
+    case = manufactured_forced(op, geom, km, kp, 2,
+                               [0.5, -1.2, 0.8, 0.3, -0.6], psi1=0.3, psi2=-0.2)
+    forcing, boundary = case.forcing(), case.boundary_data()
+
+    def gap(sol):
+        return max(float(np.max(np.abs(sol.field(side, sol.grid(side))
+                                       - case.field(side, sol.grid(side)))))
+                   for side in SIDES)
+
+    right = direct_solve(op, geom, km, kp, forcing, boundary, n_x=n)
+    real = oracle._coupled_pattern
+
+    def flipped(geometry, k_minus, k_plus, n_pts):
+        data, indices, indptr, diag = real(geometry, k_minus, k_plus, n_pts)
+        row = 4 * n_pts - 2
+        span = slice(indptr[row], indptr[row + 1])
+        data = data.copy()
+        data[span] = np.where(indices[span] == 3 * n_pts, -data[span], data[span])
+        return data, indices, indptr, diag
+
+    monkeypatch.setattr(oracle, "_coupled_pattern", flipped)
+    wrong = direct_solve(op, geom, km, kp, forcing, boundary, n_x=n)
+    fields, _ = _reference_direct_solve(op, geom, km, kp, forcing, boundary, n)
+    assert np.array_equal(right.u_minus, fields["u_minus"])
+    assert not np.array_equal(wrong.u_minus, fields["u_minus"])
+    assert gap(right) < 1e-3
+    assert gap(wrong) > 1e-2

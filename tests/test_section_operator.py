@@ -13,6 +13,7 @@ from bitrans import (
     semigroup,
     square_root_generator,
 )
+from bitrans.section_operator import _fix_eigenvector_signs
 
 
 def laplacian_closed_form(m, length):
@@ -43,6 +44,28 @@ def test_laplacian_orthonormal_and_reconstructs(m):
     dense = (np.diag(np.full(m, -2.0)) + np.diag(np.ones(m - 1), 1)
              + np.diag(np.ones(m - 1), -1)) / h**2
     assert np.linalg.norm(op.matrix - dense, 2) <= 1e-10 * np.linalg.norm(dense, 2)
+
+
+@pytest.mark.parametrize("m", [1, 2, 8, 64, 256, 512])
+def test_laplacian_closed_form_matches_eigh_tridiagonal(m):
+    from scipy.linalg import eigh_tridiagonal
+
+    h = 1.0 / (m + 1)
+    diag, off = np.full(m, -2.0 / h**2), np.full(m - 1, 1.0 / h**2)
+    dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    ref_mu, ref_q = eigh_tridiagonal(diag, off)
+    op = build_dirichlet_laplacian_1d(m, 1.0)
+    mu, q = op.eigenvalues, op.eigenvectors
+    # Ascending order and the sign convention (first entry positive, which
+    # is the first significant entry of every Dirichlet sine mode).
+    assert np.all(np.diff(mu) > 0)
+    assert np.all(q[0] > 0)
+    assert np.array_equal(_fix_eigenvector_signs(q), q)
+    assert np.max(np.abs(q - _fix_eigenvector_signs(ref_q))) < 1e-9
+    assert np.max(np.abs(mu - ref_mu) / np.abs(ref_mu)) < 1e-10
+    norm = np.linalg.norm(dense, 2)
+    assert np.linalg.norm(dense @ q - q * mu, 2) <= 1e-15 * norm
+    assert np.linalg.norm(q.T @ q - np.eye(m), 2) < 1e-14
 
 
 def test_invalid_geometry_rejected():

@@ -76,6 +76,32 @@ def test_u_delta_full_relative_accuracy_against_mpmath(delta):
             assert abs(value - exact) <= 1e-14 * exact, float(e)
 
 
+@pytest.mark.parametrize("delta", [1.0, 0.3])
+def test_f_components_full_relative_accuracy_against_mpmath(delta):
+    # f1, f2, f3 and g over eps = delta sqrt(z) in 1e-8..1e2 and next to the
+    # series switch of u_delta at eps = 1. f3 holds (1 - e^{-eps})^2 / u,
+    # which loses 1e-16 / eps relative when 1 - e^{-eps} is a subtraction.
+    import mpmath
+
+    eps = np.concatenate([np.logspace(-8, 2, 101),
+                          [np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0), 0.999, 1.001]])
+    z = (eps / delta) ** 2
+    values = np.array(f_components(delta, z))
+    with mpmath.workdps(50):
+        for i, e in enumerate(delta * np.sqrt(z)):
+            e = mpmath.mpf(float(e))
+            w = mpmath.exp(-e)
+            one_minus_w2 = -mpmath.expm1(-2 * e)
+            u = one_minus_w2 - 2 * e * w
+            v = one_minus_w2 + 2 * e * w
+            exact = ((1 + w) ** 2 / u + (1 - w) ** 2 / v,
+                     (1 / u + 1 / v) * one_minus_w2,
+                     (1 - w) ** 2 / u + (1 + w) ** 2 / v,
+                     16 * w * w / (u * v))
+            for name, value, ref in zip(("f1", "f2", "f3", "g"), values[:, i], exact):
+                assert abs(value - ref) <= 1e-14 * ref, (name, float(e))
+
+
 def test_f_components_reference_values():
     f1, f2, f3, g = f_components(1.0, 1.0)
     assert f1 == pytest.approx(14.7649, abs=2e-4)
