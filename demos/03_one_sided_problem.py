@@ -9,7 +9,6 @@ import numpy as np
 import bitrans as bt
 
 op = bt.build_dirichlet_laplacian_1d(4, 1.0)
-gen = bt.square_root_generator(op)
 geom = bt.CylinderGeometry(a=-0.8, gamma=0.0, b=1.2)
 side = bt.SIDE_MINUS
 
@@ -28,11 +27,11 @@ print("  Richardson error estimate:", part.error_estimate)
 rng = np.random.default_rng(1)
 phi1, phi2, psi1, psi2 = rng.normal(size=(4, 4))
 # the coefficient algebra is per mode, on eigenbasis coordinates
-ops = bt.side_symbols(gen, geom.c)
+ops = bt.side_symbols(op, geom.c)
 pt = bt.phi_tilde_minus(ops, op.to_modal(phi1), op.to_modal(phi2),
                         part.fprime_left, part.fprime_right)
 al = bt.alphas_minus(ops, op.to_modal(psi1), op.to_modal(psi2), pt)
-sol = bt.SubproblemSolution(side, geom, gen, al, part)
+sol = bt.SubproblemSolution(side, geom, op, al, part)
 
 print("\nround trip of the imposed data:")
 print("  |u(a) - phi1|  =", np.max(np.abs(sol.evaluate(geom.a, 0) - phi1)))

@@ -39,16 +39,11 @@ from .problem import (
     TransmissionProblem,
 )
 from .section_operator import (
-    GeneratorM,
-    OperatorMatrix,
     SectionOperator,
-    apply_function,
     build_dirichlet_laplacian_1d,
     from_matrix,
     from_matrix_file,
     read_matrix_file,
-    semigroup,
-    square_root_generator,
 )
 from .subproblem import (
     ParticularSolution,
@@ -89,10 +84,13 @@ from .transmission import (
 from .verification import (
     DenseOperators,
     SideOperators,
+    apply_function,
     assemble_dense_operators,
     assemble_P,
     assemble_UV,
     build_side_operators,
+    generator_matrix,
+    semigroup,
     spectral_mapping_gap,
 )
 

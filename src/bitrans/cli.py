@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, build_case, build_section, load_config
+from .config import RunConfig, build_case, build_section, check_seed, load_config
 from .errors import (
     AnomalyError,
     ConfigError,
@@ -212,7 +212,7 @@ def main(argv=None) -> int:
                 raise ConfigError("--nx must be >= 17")
             config = replace(config, solver=replace(config.solver, n_x=args.nx))
         if args.seed is not None:
-            config = replace(config, seed=args.seed)
+            config = replace(config, seed=check_seed(args.seed, "--seed"))
         return _COMMANDS[args.command](args, config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

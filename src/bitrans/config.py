@@ -27,6 +27,11 @@ _FORCING_KINDS = ("zero", "sine", "csv", "manufactured")
 _BOUNDARY_KINDS = ("zero", "explicit", "from-exact-case", "random")
 _SCAN_DEFAULTS = {"start": 1e-6, "stop": 1e6, "points": 121}
 _CONVERGENCE_DEFAULTS = {"method": "representation", "levels": (65, 129, 257)}
+# Diffusivities enter the determinant symbol squared (the solution depends on
+# k+ / k- only); lengths enter the spectrum, its square and the grid spacings
+# squared and inverse-squared. Inside these ranges all of them stay normal.
+_DIFFUSIVITY_RANGE = (1e-150, 1e150)
+_LENGTH_RANGE = (1e-50, 1e50)
 
 
 def _require(mapping: dict, key: str, context: str):
@@ -54,6 +59,18 @@ def _as_int(value, context: str) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ConfigError(f"{context} must be an integer, got {value!r}")
     return int(value)
+
+
+def _as_list(value, context: str, item=_as_float) -> list:
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{context} must be a list, got {value!r}")
+    return [item(v, f"{context}[{i}]") for i, v in enumerate(value)]
+
+
+def _as_str(value, context: str) -> str:
+    if not isinstance(value, str) or not value:
+        raise ConfigError(f"{context} must be a nonempty string, got {value!r}")
+    return value
 
 
 def _as_vector(value, m: int, context: str) -> np.ndarray:
@@ -100,9 +117,11 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"section.kind must be 'laplacian-1d' or 'matrix-file', got {kind!r}")
     if kind == "laplacian-1d":
         _as_int(_require(section, "m", "section"), "section.m")
-        _as_float(_require(section, "length", "section"), "section.length")
+        length = _as_float(_require(section, "length", "section"), "section.length")
+        if not _LENGTH_RANGE[0] <= length <= _LENGTH_RANGE[1]:
+            raise ConfigError(f"section.length must lie in {_LENGTH_RANGE}, got {length}")
     else:
-        _require(section, "path", "section")
+        _as_str(_require(section, "path", "section"), "section.path")
 
     geo = _as_map(_require(raw, "geometry", "config"), "geometry")
     try:
@@ -113,12 +132,17 @@ def load_config(path) -> RunConfig:
         )
     except SolverError as exc:
         raise ConfigError(f"bad geometry: {exc}") from exc
+    if max(geometry.c, geometry.d) > _LENGTH_RANGE[1]:
+        raise ConfigError(f"geometry intervals must lie in {_LENGTH_RANGE}, "
+                          f"got {geometry.c}, {geometry.d}")
 
     diff = _as_map(_require(raw, "diffusivities", "config"), "diffusivities")
     k_minus = _as_float(_require(diff, "k_minus", "diffusivities"), "diffusivities.k_minus")
     k_plus = _as_float(_require(diff, "k_plus", "diffusivities"), "diffusivities.k_plus")
-    if not (0.0 < k_minus < np.inf and 0.0 < k_plus < np.inf):
-        raise ConfigError(f"diffusivities must be positive and finite, got {k_minus}, {k_plus}")
+    lo, hi = _DIFFUSIVITY_RANGE
+    if not (lo <= k_minus <= hi and lo <= k_plus <= hi):
+        raise ConfigError(f"diffusivities must be positive, finite and in {_DIFFUSIVITY_RANGE}, "
+                          f"got {k_minus}, {k_plus}")
 
     forcing = _as_map(raw.get("forcing", {"kind": "zero"}), "forcing")
     fkind = forcing.get("kind", "zero")
@@ -153,19 +177,27 @@ def load_config(path) -> RunConfig:
     method = convergence["method"]
     if method not in ("representation", "direct"):
         raise ConfigError(f"convergence.method must be representation|direct, got {method!r}")
-    levels = convergence["levels"]
-    if not isinstance(levels, (list, tuple)) or len(levels) < 3:
+    levels = _as_list(convergence["levels"], "convergence.levels", _as_int)
+    if len(levels) < 3:
         raise ConfigError("convergence.levels must list at least 3 grid sizes")
-    levels = [_as_int(n, f"convergence.levels[{i}]") for i, n in enumerate(levels)]
     if min(levels) < 17:
         raise ConfigError("convergence.levels must all be >= 17")
     convergence = {"method": method, "levels": levels}
     output = _as_map(raw.get("output", {}), "output")
-    seed = _as_int(raw.get("seed", 0), "seed")
+    for key, name in output.items():
+        _as_str(name, f"output.{key}")
+    seed = check_seed(_as_int(raw.get("seed", 0), "seed"), "seed")
     return RunConfig(section=section, geometry=geometry, k_minus=k_minus,
                      k_plus=k_plus, forcing=forcing, boundary=boundary,
                      solver=SolveOptions(route=route, n_x=n_x, probe_points=probe),
                      scan=scan, convergence=convergence, output=output, seed=seed)
+
+
+def check_seed(seed: int, context: str) -> int:
+    """The RNG seed, which must be a non-negative integer."""
+    if seed < 0:
+        raise ConfigError(f"{context} must be a non-negative integer, got {seed}")
+    return seed
 
 
 def build_section(config: RunConfig) -> SectionOperator:
@@ -207,33 +239,41 @@ def build_case(config: RunConfig, operator: SectionOperator):
     if fkind == "zero":
         forcing = ModalForcing.zero(m, geometry)
     elif fkind == "sine":
+        side = _require(fspec, "side", "forcing")
+        if side not in SIDES:
+            raise ConfigError(f"forcing.side must be one of {SIDES}, got {side!r}")
         forcing = ModalForcing.sine(
-            operator, geometry,
-            str(_require(fspec, "side", "forcing")),
+            operator, geometry, side,
             _as_int(_require(fspec, "mode", "forcing"), "forcing.mode"),
             k_multiple=_as_int(fspec.get("k_multiple", 1), "forcing.k_multiple"),
             amplitude=_as_float(fspec.get("amplitude", 1.0), "forcing.amplitude"),
         )
     elif fkind == "csv":
-        forcing = _read_forcing_csv(_require(fspec, "path", "forcing"), geometry, m)
+        forcing = _read_forcing_csv(_as_str(_require(fspec, "path", "forcing"), "forcing.path"),
+                                    geometry, m)
     else:
         ckind = fspec.get("case", "forced")
         if ckind == "forced":
-            profile = _require(fspec, "profile", "forcing (manufactured)")
+            profile = _as_list(_require(fspec, "profile", "forcing (manufactured)"),
+                               "forcing.profile")
+            if not 1 <= len(profile) <= 7 or not np.all(np.isfinite(profile)):
+                raise ConfigError("forcing.profile must list 1 to 7 finite coefficients "
+                                  f"(degree <= 6), got {profile}")
             case = manufactured_forced(
                 operator, geometry, config.k_minus, config.k_plus,
                 _as_int(_require(fspec, "mode", "forcing"), "forcing.mode"),
-                [float(v) for v in profile],
+                profile,
                 psi1=_as_float(fspec.get("psi1", 0.0), "forcing.psi1"),
                 psi2=_as_float(fspec.get("psi2", 0.0), "forcing.psi2"),
             )
         elif ckind == "homogeneous":
-            case = manufactured_homogeneous(
-                operator, geometry,
-                [int(v) for v in _require(fspec, "modes", "forcing (manufactured)")],
-                [float(v) for v in _require(fspec, "a1", "forcing (manufactured)")],
-                [float(v) for v in _require(fspec, "a2", "forcing (manufactured)")],
-            )
+            ctx = "forcing (manufactured)"
+            modes = _as_list(_require(fspec, "modes", ctx), "forcing.modes", _as_int)
+            a1 = _as_list(_require(fspec, "a1", ctx), "forcing.a1")
+            a2 = _as_list(_require(fspec, "a2", ctx), "forcing.a2")
+            if not any(a1) and not any(a2):
+                raise ConfigError("forcing.a1 and forcing.a2 must not all vanish")
+            case = manufactured_homogeneous(operator, geometry, modes, a1, a2)
         else:
             raise ConfigError(f"forcing.case must be 'forced' or 'homogeneous', got {ckind!r}")
         forcing = case.forcing()

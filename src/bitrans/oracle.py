@@ -81,12 +81,12 @@ class ExactCase:
 
     def field(self, side: str, xs, order: int = 0) -> np.ndarray:
         check_side(side)
-        return self.operator.eigenvectors @ self.modal_field(xs, order)
+        return self.operator.from_modal(self.modal_field(xs, order))
 
     def psi(self):
         """Exact interface data (psi1, psi2) in the physical basis."""
-        q = self.operator.eigenvectors
-        return q @ (self.a1 + self.a2), q @ (self.s * (self.a1 - self.a2))
+        op = self.operator
+        return op.from_modal(self.a1 + self.a2), op.from_modal(self.s * (self.a1 - self.a2))
 
     def boundary_data(self) -> BoundaryData:
         geom = self.geometry
@@ -172,13 +172,13 @@ class ForcedCase:
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
         out = np.zeros((self.operator.m, xs.size))
         out[self.mode] = self._mode_values(side, xs, order)
-        return self.operator.eigenvectors @ out
+        return self.operator.from_modal(out)
 
     def psi(self):
-        q = self.operator.eigenvectors
-        e = np.zeros(self.operator.m)
+        op = self.operator
+        e = np.zeros(op.m)
         e[self.mode] = 1.0
-        return q @ (self.psi1_value * e), q @ (self.psi2_value * e)
+        return op.from_modal(self.psi1_value * e), op.from_modal(self.psi2_value * e)
 
     def boundary_data(self) -> BoundaryData:
         geom = self.geometry
@@ -349,7 +349,7 @@ class OracleSolution:
         raise ValueError(f"oracle fields support orders 0..2, got {order}")
 
     def field(self, side: str, xs, order: int = 0) -> np.ndarray:
-        return self.operator.eigenvectors @ self.modal_field(side, xs, order)
+        return self.operator.from_modal(self.modal_field(side, xs, order))
 
 
 def direct_solve(
@@ -380,9 +380,8 @@ def direct_solve(
     grid_p = geometry.grid(SIDE_PLUS, n_x)
     f_m = forcing.sample(SIDE_MINUS, grid_m)
     f_p = forcing.sample(SIDE_PLUS, grid_p)
-    q = operator.eigenvectors
-    bc_hat = np.stack([q.T @ boundary.phi1_minus, q.T @ boundary.phi2_minus,
-                       q.T @ boundary.phi1_plus, q.T @ boundary.phi2_plus])
+    bc_hat = np.stack([operator.to_modal(phi) for phi in (
+        boundary.phi1_minus, boundary.phi2_minus, boundary.phi1_plus, boundary.phi2_plus)])
     size = 4 * n_x
     data, indices, indptr, diag = _coupled_pattern(geometry, k_minus, k_plus, n_x)
     # Right-hand sides of all modes: f on the interior w rows, the boundary
@@ -516,7 +515,7 @@ def convergence_study(case, method: str, refinements: Sequence[int],
             for side in SIDES:
                 xs = osol.grid(side)
                 fields = osol.u_minus if side == SIDE_MINUS else osol.u_plus
-                exact = op.eigenvectors.T @ case.field(side, xs, 0)
+                exact = op.to_modal(case.field(side, xs, 0))
                 err = max(err, float(np.max(np.abs(fields - exact))))
         errors.append(err)
     floor = all(err <= FLOOR for err in errors)

@@ -162,6 +162,12 @@ class ModalForcing:
     def m(self) -> int:
         return self.samples_minus.shape[0]
 
+    def vanishes(self, side: str) -> bool:
+        """True for a side without a resampler whose stored samples are all zero."""
+        func, samples = ((self.func_minus, self.samples_minus) if check_side(side) == SIDE_MINUS
+                         else (self.func_plus, self.samples_plus))
+        return func is None and not np.any(samples)
+
     def sample(self, side: str, xs: np.ndarray) -> np.ndarray:
         """Forcing values at the points ``xs``, exact when a resampler exists.
 

@@ -1,11 +1,13 @@
-"""Finite-dimensional section operator and its spectral calculus.
+"""Finite-dimensional section operator, the one spectral object of the solver.
 
 The section operator A is a symmetric negative-definite m x m matrix; it
 stands in for the cross-section diffusion operator of the transmission
-problem. Every operator-valued object downstream (the square-root
-generator M = -sqrt(-A), the semigroups e^{tM}, the interface blocks) is
-a function of A evaluated through a single shared eigendecomposition, so
-all such operators commute to rounding by construction.
+problem. Every operator downstream (the square-root generator
+M = -sqrt(-A), the semigroups e^{tM}, the interface blocks) is a function
+of A, hence diagonal in its eigenbasis. ``SectionOperator`` holds that
+eigenbasis together with the eigenvalues of A and of M, and its
+``to_modal``/``from_modal`` are the only basis changes the solver makes;
+the dense matrices of these functions are built only by ``verification``.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    EvaluationError,
     HypothesisViolationError,
     InvalidGeometryError,
     SymmetryError,
@@ -44,34 +45,6 @@ def _fix_eigenvector_signs(vectors: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class OperatorMatrix:
-    """Dense carrier for a bounded operator function of the section operator.
-
-    Parameters
-    ----------
-    matrix : (m, m) ndarray
-        The operator in the physical basis.
-    tag : str
-        Which symbol this realizes (e.g. ``"exp(0.5*M)"``, ``"U_minus"``).
-    """
-
-    matrix: np.ndarray
-    tag: str = ""
-
-    def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=float)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise EvaluationError(f"operator matrix must be square, got {mat.shape}")
-        if not np.all(np.isfinite(mat)):
-            raise EvaluationError(f"operator matrix '{self.tag}' has non-finite entries")
-        object.__setattr__(self, "matrix", mat)
-
-    @property
-    def m(self) -> int:
-        return self.matrix.shape[0]
-
-
-@dataclass(frozen=True)
 class SectionOperator:
     """Symmetric negative-definite section operator, stored spectrally.
 
@@ -83,11 +56,15 @@ class SectionOperator:
         Orthonormal columns, sign-fixed (first significant entry positive).
     label : str
         Provenance note ("dirichlet-laplacian-1d(...)", "user matrix", ...).
+    generator_eigenvalues : (m,) ndarray
+        Eigenvalues g_j = -sqrt(-mu_j) of the generator M = -sqrt(-A) on the
+        same eigenbasis, so M is symmetric negative definite and M^2 = -A.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     label: str = ""
+    generator_eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mu = np.asarray(self.eigenvalues, dtype=float)
@@ -108,13 +85,15 @@ class SectionOperator:
                 "negative-definiteness gate (surrogates H2: 0 in the resolvent "
                 "set, H4: sectorial of angle 0) rejects this section operator"
             )
-        ortho = np.linalg.norm(q.T @ q - np.eye(mu.size), 2)
+        # The Frobenius norm bounds the 2-norm from above and needs no SVD.
+        ortho = np.linalg.norm(q.T @ q - np.eye(mu.size))
         if ortho > ORTHONORMALITY_TOL:
             raise InvalidGeometryError(
-                f"eigenvector matrix not orthonormal: ||Q^T Q - I|| = {ortho:.3e}"
+                f"eigenvector matrix not orthonormal: ||Q^T Q - I||_F = {ortho:.3e}"
             )
         object.__setattr__(self, "eigenvalues", mu)
         object.__setattr__(self, "eigenvectors", q)
+        object.__setattr__(self, "generator_eigenvalues", -np.sqrt(-mu))
 
     @property
     def m(self) -> int:
@@ -133,35 +112,6 @@ class SectionOperator:
     def from_modal(self, vec: np.ndarray) -> np.ndarray:
         """Physical-basis vector from eigenbasis coordinates."""
         return self.eigenvectors @ vec
-
-
-@dataclass(frozen=True)
-class GeneratorM:
-    """Square-root generator M = -sqrt(-A) of the representation semigroup.
-
-    Shares the eigenbasis of its parent; ``eigenvalues[j] = -sqrt(-mu_j)``,
-    so M is symmetric negative definite and M^2 = -A.
-    """
-
-    operator: SectionOperator
-    eigenvalues: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        vals = -np.sqrt(-self.operator.eigenvalues)
-        if self.eigenvalues is not None:
-            given = np.asarray(self.eigenvalues, dtype=float)
-            if given.shape != vals.shape or np.max(np.abs(given - vals)) > 1e-12 * np.max(-vals):
-                raise HypothesisViolationError("generator eigenvalues inconsistent with -sqrt(-A)")
-        object.__setattr__(self, "eigenvalues", vals)
-
-    @property
-    def m(self) -> int:
-        return self.operator.m
-
-    @property
-    def matrix(self) -> np.ndarray:
-        q = self.operator.eigenvectors
-        return (q * self.eigenvalues) @ q.T
 
 
 def build_dirichlet_laplacian_1d(m: int, length: float) -> SectionOperator:
@@ -253,59 +203,3 @@ def read_matrix_file(path) -> np.ndarray:
 def from_matrix_file(path, label: str | None = None) -> SectionOperator:
     """Load and validate a section operator from the plain-text format."""
     return from_matrix(read_matrix_file(path), label=label or f"matrix-file({path})")
-
-
-def apply_function(operator: SectionOperator, g, tag: str = "") -> OperatorMatrix:
-    """Evaluate a scalar function of the section operator spectrally.
-
-    Computes Q diag(g(mu_j)) Q^T. ``g`` is called on the eigenvalue array
-    (it may also be scalar-only; it is then mapped entrywise).
-
-    Raises
-    ------
-    EvaluationError
-        If g is non-finite at some eigenvalue, or returns values with a
-        non-negligible imaginary part.
-    """
-    mu = operator.eigenvalues
-    try:
-        vals = np.asarray(g(mu))
-        if vals.shape != mu.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        vals = np.array([g(float(x)) for x in mu])
-    if np.iscomplexobj(vals):
-        scale = np.max(np.abs(vals)) if vals.size else 0.0
-        if np.max(np.abs(vals.imag)) > 1e-13 * max(scale, 1.0):
-            raise EvaluationError(f"spectral function '{tag}' is not real on the spectrum")
-        vals = vals.real
-    vals = vals.astype(float)
-    if not np.all(np.isfinite(vals)):
-        j = int(np.argmax(~np.isfinite(vals)))
-        raise EvaluationError(
-            f"spectral function '{tag}' not finite at eigenvalue mu_{j + 1} = {mu[j]:.6g}"
-        )
-    q = operator.eigenvectors
-    mat = (q * vals) @ q.T
-    return OperatorMatrix(0.5 * (mat + mat.T), tag=tag)
-
-
-def square_root_generator(operator: SectionOperator) -> GeneratorM:
-    """Generator M = -sqrt(-A); satisfies M^2 = -A on the shared eigenbasis."""
-    return GeneratorM(operator)
-
-
-def semigroup(generator: GeneratorM, t: float) -> OperatorMatrix:
-    """Semigroup matrix e^{tM} for t >= 0.
-
-    Symmetric positive definite with 2-norm <= 1 (all generator
-    eigenvalues are negative); t = 0 returns the exact identity.
-    """
-    if not np.isfinite(t) or t < 0:
-        raise ValueError(f"semigroup time must be nonnegative, got {t}")
-    m = generator.m
-    if t == 0:
-        return OperatorMatrix(np.eye(m), tag="exp(0*M)")
-    q = generator.operator.eigenvectors
-    mat = (q * np.exp(t * generator.eigenvalues)) @ q.T
-    return OperatorMatrix(0.5 * (mat + mat.T), tag=f"exp({t:g}*M)")

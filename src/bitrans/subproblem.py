@@ -25,7 +25,7 @@ import numpy as np
 from ._scipy import CubicSpline, solve_banded
 from .errors import DimensionMismatchError, ResolutionError
 from .problem import SIDE_MINUS, SIDE_PLUS, CylinderGeometry, ModalForcing, check_side
-from .section_operator import GeneratorM
+from .section_operator import SectionOperator
 from .symbols import f_components, u_delta, v_delta
 
 # 4th-order one-sided 5-point first-derivative stencils (left end / right end).
@@ -42,11 +42,12 @@ class SideSymbols:
     V = I - E^2 - 2 delta M E are diagonal, with entries
     e_j = exp(delta g_j), u_j = u_delta(delta, -mu_j) and
     v_j = v_delta(delta, -mu_j); ``f`` holds the interface-block symbols
-    f_{delta,1..3}(-mu_j). Every coefficient formula below is per-mode
-    arithmetic on these arrays, applied to eigenbasis coordinates.
+    f_{delta,1..3}(-mu_j), and ``g`` the generator eigenvalues themselves.
+    Every coefficient formula below is per-mode arithmetic on these
+    arrays, applied to eigenbasis coordinates.
     """
 
-    generator: GeneratorM
+    g: np.ndarray
     delta: float
     e: np.ndarray
     u: np.ndarray
@@ -55,11 +56,7 @@ class SideSymbols:
 
     @property
     def m(self) -> int:
-        return self.generator.m
-
-    @property
-    def g(self) -> np.ndarray:
-        return self.generator.eigenvalues
+        return self.g.size
 
     @property
     def cond_u(self) -> float:
@@ -71,12 +68,12 @@ class SideSymbols:
         return float(np.max(self.v) / np.min(self.v))
 
 
-def side_symbols(generator: GeneratorM, delta: float) -> SideSymbols:
+def side_symbols(operator: SectionOperator, delta: float) -> SideSymbols:
     """Evaluate the one-sided symbols on the spectrum, O(m)."""
-    z = -generator.operator.eigenvalues
+    z = -operator.eigenvalues
+    g = operator.generator_eigenvalues
     f1, f2, f3, _ = f_components(delta, z)  # rejects modes where u or v vanishes
-    return SideSymbols(generator=generator, delta=delta,
-                       e=np.exp(delta * generator.eigenvalues),
+    return SideSymbols(g=g, delta=delta, e=np.exp(delta * g),
                        u=u_delta(delta, z), v=v_delta(delta, z), f=(f1, f2, f3))
 
 
@@ -169,10 +166,10 @@ class ParticularSolution:
 
     @classmethod
     def zero(cls, side: str, geometry: CylinderGeometry, m: int, n_x: int = 33):
+        # Fresh np.zeros fields, not copies: their pages are never written.
         grid = geometry.grid(side, n_x)
-        z = np.zeros((m, n_x))
         zm = np.zeros(m)
-        return cls(side, geometry, grid, z, z.copy(), zm, zm.copy(),
+        return cls(side, geometry, grid, np.zeros((m, n_x)), np.zeros((m, n_x)), zm, zm.copy(),
                    zm.copy(), zm.copy(), 0.0, np.zeros(0, dtype=int))
 
 
@@ -221,7 +218,9 @@ def solve_particular(
     h/2 central-difference solutions; first-derivative traces use
     one-sided 4th-order stencils on the extrapolated fields and the
     third-derivative traces use F''' = w' - mu F'. A side without active
-    modes makes no solve and builds no spline.
+    modes makes no solve and builds no spline, and a side whose forcing
+    is stored as zero samples (no resampler) is not even sampled: it
+    returns ``ParticularSolution.zero``.
 
     Parameters
     ----------
@@ -232,14 +231,14 @@ def solve_particular(
     if n_x < 17:
         raise ResolutionError(f"particular solve needs n_x >= 17, got {n_x}")
     mu = np.asarray(operator_mu, dtype=float)
+    if forcing.m != mu.size:
+        raise DimensionMismatchError(f"forcing has {forcing.m} modes, operator has {mu.size}")
+    if forcing.vanishes(side):
+        return ParticularSolution.zero(side, geometry, mu.size, n_x)
     grid_c = geometry.grid(side, n_x)
     grid_f = geometry.grid(side, 2 * n_x - 1)
     fhat_c = forcing.sample(side, grid_c)
     fhat_f = forcing.sample(side, grid_f)
-    if fhat_c.shape[0] != mu.size:
-        raise DimensionMismatchError(
-            f"forcing has {fhat_c.shape[0]} modes, operator has {mu.size}"
-        )
     active = np.flatnonzero(np.any(fhat_c, axis=1) | np.any(fhat_f, axis=1))
     mu_a = mu[active]
     f_c, w_c = _solve_factorized(mu_a, grid_c, fhat_c[active])
@@ -342,12 +341,12 @@ class SubproblemSolution:
 
     side: str
     geometry: CylinderGeometry
-    generator: GeneratorM
+    operator: SectionOperator
     alphas: tuple
     particular: Optional[ParticularSolution] = None
 
     def __post_init__(self):
-        m = self.generator.m
+        m = self.operator.m
         _check_vectors(m, *self.alphas)
         if len(self.alphas) != 4:
             raise DimensionMismatchError("need exactly four coefficient vectors")
@@ -368,7 +367,7 @@ class SubproblemSolution:
         if np.any(xs < lo - tol) or np.any(xs > hi + tol):
             raise ValueError(f"evaluation points outside [{lo}, {hi}] on side {self.side!r}")
         xs = np.clip(xs, lo, hi)
-        gm = self.generator.eigenvalues[:, None]
+        gm = self.operator.generator_eigenvalues[:, None]
         s1 = (xs - lo)[None, :]
         s2 = (hi - xs)[None, :]
         gk = gm**order
@@ -382,10 +381,10 @@ class SubproblemSolution:
         out = ((de1 - de2) * a1 + (dse1 - dse2) * a2
                + (de1 + de2) * a3 + (dse1 + dse2) * a4)
         if self.particular is not None:
-            out = out + self.particular.term(xs, order, self.generator.operator.eigenvalues)
+            out = out + self.particular.term(xs, order, self.operator.eigenvalues)
         return out
 
     def evaluate(self, x, order: int = 0) -> np.ndarray:
         """Physical-basis field or derivative values at x (scalar -> (m,), array -> (m, k))."""
-        out = self.generator.operator.eigenvectors @ self.modal_field(x, order)
+        out = self.operator.from_modal(self.modal_field(x, order))
         return out[:, 0] if np.ndim(x) == 0 else out

@@ -36,7 +36,7 @@ from .problem import (
     ModalForcing,
     TransmissionProblem,
 )
-from .section_operator import GeneratorM, SectionOperator, square_root_generator
+from .section_operator import SectionOperator
 from .subproblem import (
     SideSymbols,
     SubproblemSolution,
@@ -88,7 +88,7 @@ class TransmissionOperators:
     max u / min u, max v / min v, and that of Lambda (``_cond_lambda``).
     """
 
-    generator: GeneratorM
+    operator: SectionOperator
     geometry: CylinderGeometry
     k_minus: float
     k_plus: float
@@ -104,7 +104,7 @@ class TransmissionOperators:
 
     @property
     def m(self) -> int:
-        return self.generator.m
+        return self.operator.m
 
     @property
     def det_gap(self) -> float:
@@ -114,17 +114,17 @@ class TransmissionOperators:
 
 
 def assemble_transmission_operators(
-    generator: GeneratorM,
+    operator: SectionOperator,
     geometry: CylinderGeometry,
     k_minus: float,
     k_plus: float,
 ) -> TransmissionOperators:
     """Evaluate every interface block symbol on the spectrum, O(m)."""
-    minus = side_symbols(generator, geometry.c)
-    plus = side_symbols(generator, geometry.d)
+    minus = side_symbols(operator, geometry.c)
+    plus = side_symbols(operator, geometry.d)
     ctx = SymbolContext(geometry.c, geometry.d, k_minus, k_plus)
-    f_vals = np.asarray(f_total(ctx, -generator.operator.eigenvalues), dtype=float)
-    g = generator.eigenvalues
+    f_vals = np.asarray(f_total(ctx, -operator.eigenvalues), dtype=float)
+    g = operator.generator_eigenvalues
     p1s = k_plus * plus.f[0] + k_minus * minus.f[0]
     p2d = k_plus * plus.f[1] - k_minus * minus.f[1]
     p3s = k_plus * plus.f[2] + k_minus * minus.f[2]
@@ -137,7 +137,7 @@ def assemble_transmission_operators(
         "Lambda": _cond_lambda(g, p1s, p2d, p3s, det_sym),
     }
     return TransmissionOperators(
-        generator=generator, geometry=geometry, k_minus=k_minus, k_plus=k_plus,
+        operator=operator, geometry=geometry, k_minus=k_minus, k_plus=k_plus,
         minus=minus, plus=plus, p1_sum=p1s, p2_diff=p2d, p3_sum=p3s,
         f_values=f_vals, det_modal_symbols=det_sym,
         det_modal_blocks=-g * (p1s * p3s - p2d * p2d), conditions=conditions,
@@ -190,7 +190,7 @@ def assemble_sources(
     ed, ec = operators.plus.e, operators.minus.e
     _, pt2m, _, pt4m = phi_tilde_m
     _, pt2p, _, pt4p = phi_tilde_p
-    msq = operators.generator.eigenvalues**2
+    msq = operators.operator.generator_eigenvalues**2
     s_check = (-kp * f3_gamma_plus + kp * msq * fprime_gamma_plus
                + km * f3_gamma_minus - km * msq * fprime_gamma_minus)
     s1 = (2.0 * kp * ((pt2p + pt4p) + ed * (pt2p - pt4p))
@@ -230,9 +230,11 @@ def solve_interface_block(reference: DenseOperators,
     """Direct LU solve of the assembled 2m x 2m block system (verification route)."""
     if sources.m != reference.m:
         raise DimensionMismatchError("source dimension does not match operators")
-    q = reference.generator.operator.eigenvectors
-    psi1, psi2, residual = solve_block(reference, q @ sources.s1, q @ sources.s2)
-    return InterfaceData(q.T @ psi1, q.T @ psi2, psi1, psi2, ROUTE_BLOCK, residual)
+    op = reference.operator
+    psi1, psi2, residual = solve_block(reference, op.from_modal(sources.s1),
+                                       op.from_modal(sources.s2))
+    return InterfaceData(op.to_modal(psi1), op.to_modal(psi2), psi1, psi2,
+                         ROUTE_BLOCK, residual)
 
 
 def solve_interface_calculus(operators: TransmissionOperators,
@@ -250,18 +252,19 @@ def solve_interface_calculus(operators: TransmissionOperators,
     """
     if sources.m != operators.m:
         raise DimensionMismatchError("source dimension does not match operators")
+    op = operators.operator
     fvals = operators.f_values
     if np.any(fvals <= 0.0):
         j = int(np.argmax(fvals <= 0.0))
         raise AnomalyError(
-            f"determinant symbol f({-operators.generator.operator.eigenvalues[j]:.6g}) = "
+            f"determinant symbol f({-op.eigenvalues[j]:.6g}) = "
             f"{fvals[j]:.6g} <= 0 (contradicts its positivity on the positive real axis)"
         )
     if operators.det_gap > DET_CROSSCHECK_TOL:
         raise AnomalyError(
             f"determinant factorization cross-check failed: gap {operators.det_gap:.3e}"
         )
-    g = operators.generator.eigenvalues
+    g = op.generator_eigenvalues
     p1s, p2d, p3s = operators.p1_sum, operators.p2_diff, operators.p3_sum
     det = operators.det_modal_symbols
     s1, s2 = sources.s1, sources.s2
@@ -271,8 +274,7 @@ def solve_interface_calculus(operators: TransmissionOperators,
     res2 = g * p2d * psi1_hat - p3s * psi2_hat - s2
     residual = float(np.sqrt(np.sum(res1**2) + np.sum(res2**2))
                      / (1.0 + np.sqrt(np.sum(s1**2) + np.sum(s2**2))))
-    q = operators.generator.operator.eigenvectors
-    return InterfaceData(psi1_hat, psi2_hat, q @ psi1_hat, q @ psi2_hat,
+    return InterfaceData(psi1_hat, psi2_hat, op.from_modal(psi1_hat), op.from_modal(psi2_hat),
                          ROUTE_CALCULUS, residual)
 
 
@@ -287,14 +289,13 @@ def leading_order_interface(operators: TransmissionOperators,
     decays exponentially with the interval lengths. Returns the pair in
     the physical basis.
     """
-    gen = operators.generator
+    op = operators.operator
     kp, km = operators.k_plus, operators.k_minus
     cp = (kp + km) / (8.0 * kp * km)
     cm = (kp - km) / (8.0 * kp * km)
-    q = gen.operator.eigenvectors
     s1, s2 = sources.s1, sources.s2
-    psi1 = q @ ((cp * s1 - cm * s2) / gen.eigenvalues)
-    psi2 = q @ (cm * s1 - cp * s2)
+    psi1 = op.from_modal((cp * s1 - cm * s2) / op.generator_eigenvalues)
+    psi2 = op.from_modal(cm * s1 - cp * s2)
     return psi1, psi2
 
 
@@ -427,12 +428,12 @@ def residual_report(
     exact per-mode ones of the operators.
     """
     prob = solution.problem
+    op = prob.operator
     tops = solution.operators
     geom = prob.geometry
     n_probe = probe_points or solution.options.probe_points
-    mu = prob.operator.eigenvalues[:, None]
-    q = prob.operator.eigenvectors
-    g = tops.generator.eigenvalues
+    mu = op.eigenvalues[:, None]
+    g = op.generator_eigenvalues
     msq = g**2
     kp, km = prob.k_plus, prob.k_minus
     bc = prob.boundary
@@ -443,7 +444,7 @@ def residual_report(
         if sub.particular is not None:
             bvp_est = max(bvp_est, sub.particular.error_estimate)
 
-    # Per side, one product with Q gives the equation terms on the interior
+    # Per side, one basis change gives the equation terms on the interior
     # of the probe grid and the field and its slope at the outer end.
     eq_budget = 0.0
     for side, key, end, bc_keys, bc_data in (
@@ -454,14 +455,14 @@ def residual_report(
         n = xs.size - 2
         sub = solution.side(side)
         u0, u2, u3 = (sub.modal_field(xs, order) for order in (0, 2, 3))
-        phys = q @ np.hstack([
+        phys = op.from_modal(np.hstack([
             (u3[:, 2:] - u3[:, :-2]) / (2.0 * h),
             mu * u2[:, 1:-1],
             mu**2 * u0[:, 1:-1],
             prob.forcing.sample(side, xs[1:-1]),
             u0[:, [end]],
             sub.modal_field(xs[end], 1),
-        ])
+        ]))
         d4, au2, a2u0, fvals = (phys[:, i * n:(i + 1) * n] for i in range(4))
         res = d4 + 2.0 * au2 + a2u0 - fvals
         ref = max(np.max(np.abs(d4)), 2.0 * np.max(np.abs(au2)),
@@ -472,7 +473,7 @@ def residual_report(
             entries[bc_key] = _scaled_sup(phys[:, 4 * n + order] - data, np.max(np.abs(data)))
     eq_budget = max(eq_budget, 10.0 * bvp_est, 1e-11)
 
-    # Interface: one product with Q gives u and u' on both sides, the flux
+    # Interface: one basis change gives u and u' on both sides, the flux
     # terms t2 = u'' - M^2 u and t3 = u''' - M^2 u', the flux jumps, and the
     # coefficient identities (alphas versus fields).
     def traces(sub):
@@ -503,8 +504,8 @@ def residual_report(
         "id2_minus": t2m - id2m, "id2_plus": t2p - id2p,
         "id3_minus": t3m - id3m, "id3_plus": t3p - id3p,
     }
-    sup = dict(zip(columns, np.max(np.abs(q @ np.stack(list(columns.values()), axis=1)),
-                                   axis=0)))
+    sup = dict(zip(columns, np.max(np.abs(op.from_modal(np.stack(list(columns.values()),
+                                                                  axis=1))), axis=0)))
     for key, ref in (("tc1_u", max(sup["u0m"], sup["u0p"])),
                      ("tc1_du", max(sup["u1m"], sup["u1p"])),
                      ("tc2_flux2", max(km * sup["t2m"], kp * sup["t2p"])),
@@ -569,8 +570,7 @@ def solve_transmission(
     if boundary is None:
         boundary = BoundaryData.zeros(operator.m)
     prob = TransmissionProblem(operator, geometry, k_minus, k_plus, forcing, boundary)
-    gen = square_root_generator(operator)
-    tops = assemble_transmission_operators(gen, geometry, k_minus, k_plus)
+    tops = assemble_transmission_operators(operator, geometry, k_minus, k_plus)
     part_m = solve_particular(operator.eigenvalues, geometry, SIDE_MINUS, forcing, options.n_x)
     part_p = solve_particular(operator.eigenvalues, geometry, SIDE_PLUS, forcing, options.n_x)
     phi1_m, phi2_m, phi1_p, phi2_p = operator.to_modal(np.stack(
@@ -588,7 +588,7 @@ def solve_transmission(
     if options.route == ROUTE_CALCULUS:
         interface = solve_interface_calculus(tops, sources)
     else:
-        reference = assemble_dense_operators(gen, geometry, k_minus, k_plus)
+        reference = assemble_dense_operators(operator, geometry, k_minus, k_plus)
         interface = solve_interface_block(reference, sources)
         if options.route == ROUTE_BOTH:
             block = interface
@@ -600,8 +600,8 @@ def solve_transmission(
     al_p = alphas_plus(tops.plus, interface.psi1_hat, interface.psi2_hat, pt_p)
     sol = TransmissionSolution(
         problem=prob, operators=tops, sources=sources, interface=interface,
-        minus=SubproblemSolution(SIDE_MINUS, geometry, gen, al_m, part_m),
-        plus=SubproblemSolution(SIDE_PLUS, geometry, gen, al_p, part_p),
+        minus=SubproblemSolution(SIDE_MINUS, geometry, operator, al_m, part_m),
+        plus=SubproblemSolution(SIDE_PLUS, geometry, operator, al_p, part_p),
         options=options, route_gap=route_gap, reference=reference,
     )
     return replace(sol, report=residual_report(sol))

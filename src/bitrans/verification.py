@@ -6,6 +6,9 @@ transmission module evaluates the blocks through the scalar symbols.
 This module builds the same blocks the long way, as m x m matrices from
 semigroup matrices and LU factorizations, without the scalar symbols:
 
+* the dense calculus: a spectral function Q diag(g(mu)) Q^T of A
+  (``apply_function``), the generator M (``generator_matrix``) and the
+  semigroup e^{tM} (``semigroup``),
 * E, U, V (with LU factors and SVD condition numbers) per interval,
 * the six interface blocks P1..P3 on each side,
 * the assembled 2m x 2m interface matrix Lambda and its LU solve,
@@ -24,10 +27,68 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._scipy import lu_factor, lu_solve
-from .errors import AnomalyError
+from .errors import AnomalyError, EvaluationError
 from .problem import CylinderGeometry
-from .section_operator import GeneratorM, OperatorMatrix, apply_function, semigroup
+from .section_operator import SectionOperator
 from .symbols import f_components, u_delta, v_delta
+
+
+def apply_function(operator: SectionOperator, g, tag: str = "") -> np.ndarray:
+    """Evaluate a scalar function of the section operator as a dense matrix.
+
+    Computes Q diag(g(mu)) Q^T, symmetrized; ``g`` maps the eigenvalue
+    array to an array of the same shape.
+
+    Raises
+    ------
+    EvaluationError
+        If g is non-finite at some eigenvalue, or returns values with a
+        non-negligible imaginary part.
+    """
+    mu = operator.eigenvalues
+    vals = np.broadcast_to(g(mu), mu.shape)
+    if np.iscomplexobj(vals):
+        scale = np.max(np.abs(vals)) if vals.size else 0.0
+        if np.max(np.abs(vals.imag)) > 1e-13 * max(scale, 1.0):
+            raise EvaluationError(f"spectral function '{tag}' is not real on the spectrum")
+        vals = vals.real
+    vals = vals.astype(float)
+    if not np.all(np.isfinite(vals)):
+        j = int(np.argmax(~np.isfinite(vals)))
+        raise EvaluationError(
+            f"spectral function '{tag}' not finite at eigenvalue mu_{j + 1} = {mu[j]:.6g}"
+        )
+    q = operator.eigenvectors
+    mat = (q * vals) @ q.T
+    return 0.5 * (mat + mat.T)
+
+
+def generator_matrix(operator: SectionOperator) -> np.ndarray:
+    """Dense generator M = Q diag(g) Q^T, with g = -sqrt(-mu); M^2 = -A."""
+    q = operator.eigenvectors
+    return (q * operator.generator_eigenvalues) @ q.T
+
+
+def semigroup(operator: SectionOperator, t: float) -> np.ndarray:
+    """Semigroup matrix e^{tM} for t >= 0.
+
+    Symmetric positive definite with 2-norm <= 1 (all generator
+    eigenvalues are negative); t = 0 returns the exact identity.
+    """
+    if not np.isfinite(t) or t < 0:
+        raise ValueError(f"semigroup time must be nonnegative, got {t}")
+    if t == 0:
+        return np.eye(operator.m)
+    q = operator.eigenvectors
+    mat = (q * np.exp(t * operator.generator_eigenvalues)) @ q.T
+    return 0.5 * (mat + mat.T)
+
+
+def _finite(block: np.ndarray, tag: str) -> np.ndarray:
+    """The assembled block, rejected with an EvaluationError if not finite."""
+    if not np.all(np.isfinite(block)):
+        raise EvaluationError(f"operator matrix '{tag}' has non-finite entries")
+    return block
 
 
 @dataclass(frozen=True)
@@ -40,12 +101,12 @@ class SideOperators:
     numerically singular factorization is reported as an anomaly.
     """
 
-    generator: GeneratorM
+    operator: SectionOperator
     delta: float
     E: np.ndarray
     E2: np.ndarray
-    U: OperatorMatrix
-    V: OperatorMatrix
+    U: np.ndarray
+    V: np.ndarray
     lu_u: tuple
     lu_v: tuple
     cond_u: float
@@ -53,7 +114,7 @@ class SideOperators:
 
     @property
     def m(self) -> int:
-        return self.generator.m
+        return self.operator.m
 
     def u_inv(self, rhs: np.ndarray) -> np.ndarray:
         return lu_solve(self.lu_u, rhs)
@@ -62,14 +123,15 @@ class SideOperators:
         return lu_solve(self.lu_v, rhs)
 
 
-def build_side_operators(generator: GeneratorM, delta: float, side_tag: str = "") -> SideOperators:
+def build_side_operators(operator: SectionOperator, delta: float,
+                         side_tag: str = "") -> SideOperators:
     """Assemble E, U, V (with inverses) for one interval from semigroups."""
-    e = semigroup(generator, delta).matrix
-    e2 = semigroup(generator, 2.0 * delta).matrix
-    me = generator.matrix @ e
-    eye = np.eye(generator.m)
-    u = eye - e2 + 2.0 * delta * me
-    v = eye - e2 - 2.0 * delta * me
+    e = semigroup(operator, delta)
+    e2 = semigroup(operator, 2.0 * delta)
+    me = generator_matrix(operator) @ e
+    eye = np.eye(operator.m)
+    u = _finite(eye - e2 + 2.0 * delta * me, f"U_{side_tag}")
+    v = _finite(eye - e2 - 2.0 * delta * me, f"V_{side_tag}")
     try:
         lu_u = lu_factor(u)
         lu_v = lu_factor(v)
@@ -83,16 +145,15 @@ def build_side_operators(generator: GeneratorM, delta: float, side_tag: str = ""
             "(contradicts their bounded invertibility)"
         )
     return SideOperators(
-        generator=generator, delta=delta, E=e, E2=e2,
-        U=OperatorMatrix(u, tag=f"U_{side_tag}"), V=OperatorMatrix(v, tag=f"V_{side_tag}"),
+        operator=operator, delta=delta, E=e, E2=e2, U=u, V=v,
         lu_u=lu_u, lu_v=lu_v, cond_u=cond_u, cond_v=cond_v,
     )
 
 
-def assemble_UV(generator: GeneratorM, geometry: CylinderGeometry):
+def assemble_UV(operator: SectionOperator, geometry: CylinderGeometry):
     """Solvability operators (with inverses) for both intervals."""
-    minus = build_side_operators(generator, geometry.c, side_tag="minus")
-    plus = build_side_operators(generator, geometry.d, side_tag="plus")
+    minus = build_side_operators(operator, geometry.c, side_tag="minus")
+    plus = build_side_operators(operator, geometry.d, side_tag="plus")
     return minus, plus
 
 
@@ -106,9 +167,8 @@ def assemble_P(k_minus: float, k_plus: float, minus: SideOperators, plus: SideOp
         p1 = k * (ops.u_inv(plus_sq) + ops.v_inv(minus_sq))
         p2 = k * (ops.u_inv(eye - ops.E2) + ops.v_inv(eye - ops.E2))
         p3 = k * (ops.u_inv(minus_sq) + ops.v_inv(plus_sq))
-        return (OperatorMatrix(p1, tag=f"P1_{side}"),
-                OperatorMatrix(p2, tag=f"P2_{side}"),
-                OperatorMatrix(p3, tag=f"P3_{side}"))
+        return (_finite(p1, f"P1_{side}"), _finite(p2, f"P2_{side}"),
+                _finite(p3, f"P3_{side}"))
 
     return triple(minus, k_minus, "minus") + triple(plus, k_plus, "plus")
 
@@ -123,45 +183,46 @@ class DenseOperators:
     ``conditions`` are SVD condition numbers of U, V and Lambda.
     """
 
-    generator: GeneratorM
+    operator: SectionOperator
     geometry: CylinderGeometry
     k_minus: float
     k_plus: float
     minus: SideOperators
     plus: SideOperators
-    P1_minus: OperatorMatrix
-    P2_minus: OperatorMatrix
-    P3_minus: OperatorMatrix
-    P1_plus: OperatorMatrix
-    P2_plus: OperatorMatrix
-    P3_plus: OperatorMatrix
+    P1_minus: np.ndarray
+    P2_minus: np.ndarray
+    P3_minus: np.ndarray
+    P1_plus: np.ndarray
+    P2_plus: np.ndarray
+    P3_plus: np.ndarray
     Lambda: np.ndarray
     det_modal_assembled: np.ndarray
     conditions: dict
 
     @property
     def m(self) -> int:
-        return self.generator.m
+        return self.operator.m
 
     @property
     def p1_sum(self) -> np.ndarray:
-        return self.P1_plus.matrix + self.P1_minus.matrix
+        return self.P1_plus + self.P1_minus
 
     @property
     def p2_diff(self) -> np.ndarray:
-        return self.P2_plus.matrix - self.P2_minus.matrix
+        return self.P2_plus - self.P2_minus
 
     @property
     def p3_sum(self) -> np.ndarray:
-        return self.P3_plus.matrix + self.P3_minus.matrix
+        return self.P3_plus + self.P3_minus
 
     def det_operator(self) -> np.ndarray:
         """Assembled determinant operator -M (P1s P3s - P2d^2)."""
-        return -self.generator.matrix @ (self.p1_sum @ self.p3_sum - self.p2_diff @ self.p2_diff)
+        mmat = generator_matrix(self.operator)
+        return -mmat @ (self.p1_sum @ self.p3_sum - self.p2_diff @ self.p2_diff)
 
     def max_commutator(self) -> float:
         """Largest relative pairwise commutator among the system blocks."""
-        blocks = [self.generator.matrix, self.p1_sum, self.p2_diff, self.p3_sum]
+        blocks = [generator_matrix(self.operator), self.p1_sum, self.p2_diff, self.p3_sum]
         worst = 0.0
         for i in range(len(blocks)):
             for j in range(i + 1, len(blocks)):
@@ -172,20 +233,20 @@ class DenseOperators:
 
 
 def assemble_dense_operators(
-    generator: GeneratorM,
+    operator: SectionOperator,
     geometry: CylinderGeometry,
     k_minus: float,
     k_plus: float,
 ) -> DenseOperators:
     """Build every interface block densely, plus the block matrix and diagnostics."""
-    minus, plus = assemble_UV(generator, geometry)
+    minus, plus = assemble_UV(operator, geometry)
     p1m, p2m, p3m, p1p, p2p, p3p = assemble_P(k_minus, k_plus, minus, plus)
-    mmat = generator.matrix
-    p1s = p1p.matrix + p1m.matrix
-    p2d = p2p.matrix - p2m.matrix
-    p3s = p3p.matrix + p3m.matrix
+    mmat = generator_matrix(operator)
+    p1s = p1p + p1m
+    p2d = p2p - p2m
+    p3s = p3p + p3m
     lam = np.block([[mmat @ p1s, -p2d], [mmat @ p2d, -p3s]])
-    q = generator.operator.eigenvectors
+    q = operator.eigenvectors
     det_op = -mmat @ (p1s @ p3s - p2d @ p2d)
     conditions = {
         "Uminus": minus.cond_u,
@@ -195,7 +256,7 @@ def assemble_dense_operators(
         "Lambda": float(np.linalg.cond(lam)),
     }
     return DenseOperators(
-        generator=generator, geometry=geometry, k_minus=k_minus, k_plus=k_plus,
+        operator=operator, geometry=geometry, k_minus=k_minus, k_plus=k_plus,
         minus=minus, plus=plus,
         P1_minus=p1m, P2_minus=p2m, P3_minus=p3m,
         P1_plus=p1p, P2_plus=p2p, P3_plus=p3p,
@@ -224,22 +285,22 @@ def solve_block(reference: DenseOperators, s1: np.ndarray, s2: np.ndarray):
 
 def spectral_mapping_gap(reference: DenseOperators) -> float:
     """Worst relative gap between assembled blocks and their scalar symbols."""
-    op = reference.generator.operator
+    op = reference.operator
     c, d = reference.geometry.c, reference.geometry.d
     pairs = [
-        (reference.minus.U.matrix, lambda mu: u_delta(c, -mu)),
-        (reference.plus.U.matrix, lambda mu: u_delta(d, -mu)),
-        (reference.minus.V.matrix, lambda mu: v_delta(c, -mu)),
-        (reference.plus.V.matrix, lambda mu: v_delta(d, -mu)),
+        (reference.minus.U, lambda mu: u_delta(c, -mu)),
+        (reference.plus.U, lambda mu: u_delta(d, -mu)),
+        (reference.minus.V, lambda mu: v_delta(c, -mu)),
+        (reference.plus.V, lambda mu: v_delta(d, -mu)),
     ]
     for idx in range(3):
-        pairs.append((getattr(reference, f"P{idx + 1}_minus").matrix / reference.k_minus,
+        pairs.append((getattr(reference, f"P{idx + 1}_minus") / reference.k_minus,
                       lambda mu, i=idx: f_components(c, -mu)[i]))
-        pairs.append((getattr(reference, f"P{idx + 1}_plus").matrix / reference.k_plus,
+        pairs.append((getattr(reference, f"P{idx + 1}_plus") / reference.k_plus,
                       lambda mu, i=idx: f_components(d, -mu)[i]))
     worst = 0.0
     for assembled, symbol in pairs:
-        target = apply_function(op, symbol).matrix
+        target = apply_function(op, symbol)
         scale = max(np.linalg.norm(target, 2), 1e-300)
         worst = max(worst, float(np.linalg.norm(assembled - target, 2) / scale))
     return worst

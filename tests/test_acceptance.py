@@ -28,6 +28,7 @@ from bitrans import (
     direct_solve,
     f_components,
     f_total,
+    generator_matrix,
     leading_order_interface,
     manufactured_forced,
     manufactured_homogeneous,
@@ -37,7 +38,6 @@ from bitrans import (
     solve_interface_block,
     solve_interface_calculus,
     solve_transmission,
-    square_root_generator,
     u_delta,
     v_delta,
 )
@@ -57,13 +57,13 @@ def test_criterion_1_hypothesis_surrogates():
         exact = np.sort(-(4.0 / h**2) * np.sin(k * np.pi / (2 * (m + 1))) ** 2)
         worst_eig = max(worst_eig, float(np.max(np.abs(op.eigenvalues - exact)
                                                 / np.abs(exact))))
-        gen = square_root_generator(op)
-        sq = np.linalg.norm(gen.matrix @ gen.matrix + op.matrix, 2)
+        mmat = generator_matrix(op)
+        sq = np.linalg.norm(mmat @ mmat + op.matrix, 2)
         worst_sq = max(worst_sq, sq / np.linalg.norm(op.matrix, 2))
         for t in (0.0, 0.1, 1.0, 10.0):
-            worst_norm = max(worst_norm, np.linalg.norm(semigroup(gen, t).matrix, 2))
-        law = np.linalg.norm(semigroup(gen, 0.3).matrix @ semigroup(gen, 0.7).matrix
-                             - semigroup(gen, 1.0).matrix, 2)
+            worst_norm = max(worst_norm, np.linalg.norm(semigroup(op, t), 2))
+        law = np.linalg.norm(semigroup(op, 0.3) @ semigroup(op, 0.7)
+                             - semigroup(op, 1.0), 2)
         worst_law = max(worst_law, law)
     ok = (worst_eig <= 1e-10 and worst_sq <= 1e-10
           and worst_norm <= 1.0 and worst_law <= 1e-12)
@@ -99,24 +99,23 @@ def test_criterion_2_scalar_symbol_suite():
 
 def test_criterion_3_spectral_mapping_consistency():
     op = build_dirichlet_laplacian_1d(8, 1.0)
-    gen = square_root_generator(op)
     geom = CylinderGeometry(-0.7, 0.0, 1.3)
     km, kp = 1.0, 3.0
-    dense = assemble_dense_operators(gen, geom, km, kp)
+    dense = assemble_dense_operators(op, geom, km, kp)
     pairs = [
-        (dense.minus.U.matrix, lambda mu: u_delta(geom.c, -mu)),
-        (dense.plus.U.matrix, lambda mu: u_delta(geom.d, -mu)),
-        (dense.minus.V.matrix, lambda mu: v_delta(geom.c, -mu)),
-        (dense.plus.V.matrix, lambda mu: v_delta(geom.d, -mu)),
+        (dense.minus.U, lambda mu: u_delta(geom.c, -mu)),
+        (dense.plus.U, lambda mu: u_delta(geom.d, -mu)),
+        (dense.minus.V, lambda mu: v_delta(geom.c, -mu)),
+        (dense.plus.V, lambda mu: v_delta(geom.d, -mu)),
     ]
     for i in range(3):
-        pairs.append((getattr(dense, f"P{i + 1}_minus").matrix / km,
+        pairs.append((getattr(dense, f"P{i + 1}_minus") / km,
                       lambda mu, i=i: f_components(geom.c, -mu)[i]))
-        pairs.append((getattr(dense, f"P{i + 1}_plus").matrix / kp,
+        pairs.append((getattr(dense, f"P{i + 1}_plus") / kp,
                       lambda mu, i=i: f_components(geom.d, -mu)[i]))
     worst = 0.0
     for assembled, symbol in pairs:
-        target = apply_function(op, symbol).matrix
+        target = apply_function(op, symbol)
         worst = max(worst, np.linalg.norm(assembled - target, 2)
                     / np.linalg.norm(target, 2))
     _report("criterion 3: spectral-mapping consistency (m=8)", worst <= 1e-11,
@@ -125,24 +124,23 @@ def test_criterion_3_spectral_mapping_consistency():
 
 def test_criterion_4_determinant_identities():
     op = build_dirichlet_laplacian_1d(8, 1.0)
-    gen = square_root_generator(op)
     geom = CylinderGeometry(-0.7, 0.0, 1.3)
     km, kp = 1.0, 3.0
-    tops = assemble_transmission_operators(gen, geom, km, kp)
-    dense = assemble_dense_operators(gen, geom, km, kp)
+    tops = assemble_transmission_operators(op, geom, km, kp)
+    dense = assemble_dense_operators(op, geom, km, kp)
     worst_block = 0.0
     for ops, k, (p1, p2, p3) in (
         (dense.minus, km, (dense.P1_minus, dense.P2_minus, dense.P3_minus)),
         (dense.plus, kp, (dense.P1_plus, dense.P2_plus, dense.P3_plus)),
     ):
-        lhs = p1.matrix @ p3.matrix - p2.matrix @ p2.matrix
+        lhs = p1 @ p3 - p2 @ p2
         rhs = 16.0 * k**2 * ops.u_inv(ops.v_inv(ops.E2))
         scale = max(np.linalg.norm(lhs, 2), np.linalg.norm(rhs, 2), 1.0)
         worst_block = max(worst_block, np.linalg.norm(lhs - rhs, 2) / scale)
     det_scale = 1.0 + np.max(np.abs(tops.det_modal_symbols))
     det_gap = np.max(np.abs(tops.det_modal_symbols - dense.det_modal_assembled)) / det_scale
     m = op.m
-    mmat = gen.matrix
+    mmat = generator_matrix(op)
     adj = np.block([[-dense.p3_sum, dense.p2_diff],
                     [-mmat @ dense.p2_diff, mmat @ dense.p1_sum]])
     det_op = dense.det_operator()
@@ -156,10 +154,9 @@ def test_criterion_4_determinant_identities():
 
 def test_criterion_5_two_route_agreement():
     op = build_dirichlet_laplacian_1d(16, 1.0)
-    gen = square_root_generator(op)
     geom = CylinderGeometry(-0.7, 0.0, 1.3)
-    tops = assemble_transmission_operators(gen, geom, 1.0, 3.0)
-    dense = assemble_dense_operators(gen, geom, 1.0, 3.0)
+    tops = assemble_transmission_operators(op, geom, 1.0, 3.0)
+    dense = assemble_dense_operators(op, geom, 1.0, 3.0)
     rng = np.random.default_rng(5)
     worst = 0.0
     for _ in range(10):
@@ -284,7 +281,7 @@ def test_criterion_10_uniqueness_and_perturbation():
                           np.zeros(3), np.zeros(3))
     al = alphas_plus(sol.operators.plus, q.T @ (sol.interface.psi1 + eps),
                      sol.interface.psi2_hat, pt_p)
-    plus_pert = SubproblemSolution(SIDE_PLUS, geom, sol.operators.generator, al)
+    plus_pert = SubproblemSolution(SIDE_PLUS, geom, sol.operator, al)
     recovered = plus_pert.evaluate(geom.gamma, 0) - sol.field(SIDE_MINUS, geom.gamma, 0)[:, 0]
     inj_err = float(np.max(np.abs(recovered - eps)))
     ok = zero_ok and inj_err <= 1e-12

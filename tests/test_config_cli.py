@@ -275,3 +275,27 @@ def test_cli_bad_scan_or_convergence_exit_2_without_traceback(tmp_path, capsys, 
     assert main([command, "--config", path, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "Traceback" not in err
+
+
+RANDOM_BC = "boundary: {kind: random}\n"
+HOMOG_ZERO = """
+forcing: {kind: manufactured, case: homogeneous, modes: [0], a1: [0], a2: [0]}
+boundary: {kind: from-exact-case}
+"""
+
+
+@pytest.mark.parametrize("argv, extra", [
+    (["--seed", "-1"], RANDOM_BC),
+    ([], RANDOM_BC + "seed: -3\n"),
+    ([], "forcing: {kind: sine, side: left, mode: 1}\n"),
+    ([], FORCED.replace("[0.5, -1.2, 0.8, 0.3, -0.6]", "[1, 2, 3, 4, 5, 6, 7, 8]")),
+    ([], FORCED.replace("[0.5, -1.2, 0.8, 0.3, -0.6]", "[a, 1]")),
+    ([], HOMOG_ZERO),
+    ([], "output: {solution_csv: 5}\n"),
+], ids=["cli-seed-negative", "seed-negative", "sine-side-left", "profile-8-coefficients",
+        "profile-not-numbers", "homogeneous-zero-coefficients", "output-name-not-a-string"])
+def test_cli_gate_rejects_bad_input_exit_2_without_traceback(tmp_path, capsys, argv, extra):
+    path = write_config(tmp_path, BASE.format(m=3, extra=extra))
+    assert main(["solve", "--config", path, "--out", str(tmp_path), *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err

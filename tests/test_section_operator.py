@@ -5,13 +5,14 @@ from bitrans import (
     EvaluationError,
     HypothesisViolationError,
     InvalidGeometryError,
+    SectionOperator,
     SymmetryError,
     apply_function,
     build_dirichlet_laplacian_1d,
     from_matrix,
     from_matrix_file,
+    generator_matrix,
     semigroup,
-    square_root_generator,
 )
 from bitrans.section_operator import _fix_eigenvector_signs
 
@@ -101,23 +102,33 @@ def test_from_matrix_matches_tridiagonal_constructor():
     assert np.max(np.abs(a.eigenvalues - b.eigenvalues)) < 1e-12 * np.max(-b.eigenvalues)
 
 
+def test_orthonormality_gate_rejects_perturbed_q_and_accepts_large_laplacian():
+    op = build_dirichlet_laplacian_1d(8, 1.0)
+    q = op.eigenvectors.copy()
+    q[:, 0] *= 1.0 + 5e-12
+    assert np.linalg.norm(q.T @ q - np.eye(8), 2) == pytest.approx(1e-11, rel=1e-3)
+    with pytest.raises(InvalidGeometryError, match="not orthonormal"):
+        SectionOperator(op.eigenvalues, q)
+    assert build_dirichlet_laplacian_1d(2048, 1.0).m == 2048
+
+
 def test_apply_function_identity_reproduces_matrix():
     op = build_dirichlet_laplacian_1d(5, 1.0)
     out = apply_function(op, lambda mu: mu, tag="identity")
-    assert np.linalg.norm(out.matrix - op.matrix, 2) <= 1e-12 * np.linalg.norm(op.matrix, 2)
+    assert np.linalg.norm(out - op.matrix, 2) <= 1e-12 * np.linalg.norm(op.matrix, 2)
 
 
 def test_apply_function_scalar_square_root():
     op = from_matrix(np.array([[-4.0]]))
     out = apply_function(op, lambda mu: -np.sqrt(-mu))
-    assert out.matrix[0, 0] == pytest.approx(-2.0, rel=1e-14)
+    assert out[0, 0] == pytest.approx(-2.0, rel=1e-14)
 
 
 def test_apply_function_exponential_per_mode():
     op = build_dirichlet_laplacian_1d(3, 1.0)
     out = apply_function(op, lambda mu: np.exp(-np.sqrt(-mu)))
     q = op.eigenvectors
-    modal = np.diag(q.T @ out.matrix @ q)
+    modal = np.diag(q.T @ out @ q)
     assert np.max(np.abs(modal - np.exp(-np.sqrt(-op.eigenvalues)))) < 1e-12
 
 
@@ -133,64 +144,68 @@ def test_apply_function_outputs_commute():
     coef_a, coef_b = rng.normal(size=(2, 3))
     f = apply_function(op, lambda mu: coef_a[0] + coef_a[1] * np.exp(0.1 * mu) + coef_a[2] / mu)
     g = apply_function(op, lambda mu: coef_b[0] * np.sqrt(-mu) + coef_b[1] * mu + coef_b[2])
-    comm = f.matrix @ g.matrix - g.matrix @ f.matrix
-    scale = np.linalg.norm(f.matrix, 2) * np.linalg.norm(g.matrix, 2)
+    comm = f @ g - g @ f
+    scale = np.linalg.norm(f, 2) * np.linalg.norm(g, 2)
     assert np.linalg.norm(comm, 2) <= 1e-11 * scale
 
 
 @pytest.mark.parametrize("m", [1, 3, 50])
 def test_generator_squares_to_minus_a(m):
     op = build_dirichlet_laplacian_1d(m, 1.0)
-    gen = square_root_generator(op)
-    assert np.all(gen.eigenvalues < 0)
-    gap = np.linalg.norm(gen.matrix @ gen.matrix + op.matrix, 2)
+    assert np.all(op.generator_eigenvalues < 0)
+    mmat = generator_matrix(op)
+    gap = np.linalg.norm(mmat @ mmat + op.matrix, 2)
     assert gap <= 1e-10 * np.linalg.norm(op.matrix, 2)
 
 
 def test_generator_scalar_values():
-    assert square_root_generator(from_matrix(np.array([[-1.0]]))).eigenvalues[0] == pytest.approx(-1.0)
-    assert square_root_generator(from_matrix(np.array([[-4.0]]))).eigenvalues[0] == pytest.approx(-2.0)
+    for mu, g in ((-1.0, -1.0), (-4.0, -2.0)):
+        op = from_matrix(np.array([[mu]]))
+        assert op.generator_eigenvalues[0] == pytest.approx(g)
+        assert generator_matrix(op)[0, 0] == pytest.approx(g)
 
 
 def test_generator_laplacian3_values():
-    gen = square_root_generator(build_dirichlet_laplacian_1d(3, 1.0))
+    op = build_dirichlet_laplacian_1d(3, 1.0)
     exact = -np.sqrt(-laplacian_closed_form(3, 1.0))
-    assert np.max(np.abs(np.sort(gen.eigenvalues) - np.sort(exact))) < 1e-10
+    assert np.max(np.abs(np.sort(op.generator_eigenvalues) - np.sort(exact))) < 1e-10
+    dense = np.linalg.eigvalsh(generator_matrix(op))
+    assert np.max(np.abs(dense - np.sort(exact))) < 1e-10
 
 
 def test_semigroup_identity_at_zero():
-    gen = square_root_generator(build_dirichlet_laplacian_1d(4, 1.0))
-    assert np.array_equal(semigroup(gen, 0.0).matrix, np.eye(4))
+    op = build_dirichlet_laplacian_1d(4, 1.0)
+    assert np.array_equal(semigroup(op, 0.0), np.eye(4))
 
 
 def test_semigroup_scalar_exponential():
-    gen = square_root_generator(from_matrix(np.array([[-1.0]])))
-    assert semigroup(gen, 1.0).matrix[0, 0] == pytest.approx(np.exp(-1.0), rel=1e-14)
+    op = from_matrix(np.array([[-1.0]]))
+    assert semigroup(op, 1.0)[0, 0] == pytest.approx(np.exp(-1.0), rel=1e-14)
 
 
 def test_semigroup_law():
-    gen = square_root_generator(build_dirichlet_laplacian_1d(3, 1.0))
-    lhs = semigroup(gen, 0.3).matrix @ semigroup(gen, 0.7).matrix
-    rhs = semigroup(gen, 1.0).matrix
+    op = build_dirichlet_laplacian_1d(3, 1.0)
+    lhs = semigroup(op, 0.3) @ semigroup(op, 0.7)
+    rhs = semigroup(op, 1.0)
     assert np.linalg.norm(lhs - rhs, 2) <= 1e-12
 
 
 @pytest.mark.parametrize("t", [0.0, 0.1, 1.0, 10.0])
 def test_semigroup_contractive(t):
-    gen = square_root_generator(build_dirichlet_laplacian_1d(6, 1.0))
-    assert np.linalg.norm(semigroup(gen, t).matrix, 2) <= 1.0
+    op = build_dirichlet_laplacian_1d(6, 1.0)
+    assert np.linalg.norm(semigroup(op, t), 2) <= 1.0
 
 
 def test_semigroup_monotone_decay():
-    gen = square_root_generator(build_dirichlet_laplacian_1d(6, 1.0))
-    norms = [np.linalg.norm(semigroup(gen, t).matrix, 2) for t in (0.0, 0.2, 0.5, 1.0, 3.0)]
+    op = build_dirichlet_laplacian_1d(6, 1.0)
+    norms = [np.linalg.norm(semigroup(op, t), 2) for t in (0.0, 0.2, 0.5, 1.0, 3.0)]
     assert all(b <= a for a, b in zip(norms, norms[1:]))
 
 
 def test_semigroup_negative_time_rejected():
-    gen = square_root_generator(build_dirichlet_laplacian_1d(2, 1.0))
+    op = build_dirichlet_laplacian_1d(2, 1.0)
     with pytest.raises(ValueError):
-        semigroup(gen, -0.1)
+        semigroup(op, -0.1)
 
 
 def test_matrix_file_roundtrip(tmp_path):

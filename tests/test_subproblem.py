@@ -4,6 +4,7 @@ from scipy.linalg import solve_banded
 
 import bitrans.subproblem as subproblem
 from bitrans import (
+    BoundaryData,
     CylinderGeometry,
     ModalForcing,
     ParticularSolution,
@@ -20,7 +21,7 @@ from bitrans import (
     phi_tilde_plus,
     side_symbols,
     solve_particular,
-    square_root_generator,
+    solve_transmission,
     u_delta,
 )
 
@@ -28,9 +29,8 @@ from bitrans import (
 @pytest.fixture
 def scalar_setup():
     op = from_matrix(np.array([[-1.0]]))
-    gen = square_root_generator(op)
     geom = CylinderGeometry(-1.0, 0.0, 1.0)   # c = d = 1
-    return op, gen, geom
+    return op, geom
 
 
 def test_zero_forcing_gives_zero_particular():
@@ -105,19 +105,19 @@ def test_resolution_error():
 
 
 def test_phi_tilde_scalar_reference(scalar_setup):
-    op, gen, geom = scalar_setup
-    ops = side_symbols(gen, geom.c)
+    op, geom = scalar_setup
+    ops = side_symbols(op, geom.c)
     one, zero = np.array([1.0]), np.array([0.0])
     pt = phi_tilde_minus(ops, one, zero, zero, zero)
     assert pt[0][0] == pytest.approx(0.5 / u_delta(1.0, 1.0), rel=1e-12)
     assert pt[0][0] == pytest.approx(3.8788, abs=1e-4)
-    ptp = phi_tilde_plus(side_symbols(gen, geom.d), one, zero, zero, zero)
+    ptp = phi_tilde_plus(side_symbols(op, geom.d), one, zero, zero, zero)
     assert ptp[0][0] == pytest.approx(-3.8788, abs=1e-4)
 
 
 def test_phi_tilde_zero_data(scalar_setup):
-    _, gen, geom = scalar_setup
-    ops = side_symbols(gen, geom.c)
+    op, geom = scalar_setup
+    ops = side_symbols(op, geom.c)
     zero = np.zeros(1)
     for vec in phi_tilde_minus(ops, zero, zero, zero, zero):
         assert np.all(vec == 0.0)
@@ -125,8 +125,7 @@ def test_phi_tilde_zero_data(scalar_setup):
 
 def test_phi_tilde_linearity():
     op = build_dirichlet_laplacian_1d(4, 1.0)
-    gen = square_root_generator(op)
-    ops = side_symbols(gen, 0.8)
+    ops = side_symbols(op, 0.8)
     rng = np.random.default_rng(5)
     data = rng.normal(size=(4, 4))
     base = phi_tilde_minus(ops, *data)
@@ -137,9 +136,9 @@ def test_phi_tilde_linearity():
 
 def test_phi_tilde_plus_minus_antisymmetry(scalar_setup):
     # Mirrored data with c = d: phi~1+ = -phi~1-.
-    _, gen, geom = scalar_setup
-    ops_m = side_symbols(gen, geom.c)
-    ops_p = side_symbols(gen, geom.d)
+    op, geom = scalar_setup
+    ops_m = side_symbols(op, geom.c)
+    ops_p = side_symbols(op, geom.d)
     rng = np.random.default_rng(8)
     phi1, phi2, ta, tb = rng.normal(size=(4, 1))
     pt_m = phi_tilde_minus(ops_m, phi1, phi2, ta, tb)
@@ -148,8 +147,8 @@ def test_phi_tilde_plus_minus_antisymmetry(scalar_setup):
 
 
 def test_alphas_scalar_reference(scalar_setup):
-    _, gen, geom = scalar_setup
-    ops = side_symbols(gen, geom.c)
+    op, geom = scalar_setup
+    ops = side_symbols(op, geom.c)
     zero4 = tuple(np.zeros(1) for _ in range(4))
     al = alphas_minus(ops, np.array([1.0]), np.array([0.0]), zero4)
     expected = 0.5 / u_delta(1.0, 1.0) * (1.0 + np.exp(-1.0)) * (-1.0)
@@ -158,8 +157,8 @@ def test_alphas_scalar_reference(scalar_setup):
 
 
 def test_alphas_reduce_to_phi_tilde(scalar_setup):
-    _, gen, geom = scalar_setup
-    ops = side_symbols(gen, geom.c)
+    op, geom = scalar_setup
+    ops = side_symbols(op, geom.c)
     rng = np.random.default_rng(2)
     pt = tuple(rng.normal(size=1) for _ in range(4))
     zero = np.zeros(1)
@@ -169,9 +168,9 @@ def test_alphas_reduce_to_phi_tilde(scalar_setup):
         assert a[0] == pytest.approx(p[0], rel=1e-14)
 
 
-def _assemble_side(op, gen, geom, side, forcing, bc_pair, psi_pair, n_x=65):
+def _assemble_side(op, geom, side, forcing, bc_pair, psi_pair, n_x=65):
     """Build a SubproblemSolution from physical data the way the orchestrator does."""
-    ops = side_symbols(gen, geom.length(side))
+    ops = side_symbols(op, geom.length(side))
     part = solve_particular(op.eigenvalues, geom, side, forcing, n_x=n_x)
     phi1, phi2, psi1, psi2 = (op.to_modal(vec) for vec in (*bc_pair, *psi_pair))
     if side == SIDE_MINUS:
@@ -180,18 +179,17 @@ def _assemble_side(op, gen, geom, side, forcing, bc_pair, psi_pair, n_x=65):
     else:
         pt = phi_tilde_plus(ops, phi1, phi2, part.fprime_left, part.fprime_right)
         al = alphas_plus(ops, psi1, psi2, pt)
-    return SubproblemSolution(side, geom, gen, al, part)
+    return SubproblemSolution(side, geom, op, al, part)
 
 
 @pytest.mark.parametrize("side", [SIDE_MINUS, SIDE_PLUS])
 def test_boundary_roundtrip_with_forcing(side):
     op = build_dirichlet_laplacian_1d(4, 1.0)
-    gen = square_root_generator(op)
     geom = CylinderGeometry(-0.8, 0.0, 1.2)
     rng = np.random.default_rng(17)
     forcing = ModalForcing.sine(op, geom, side, 0, k_multiple=1, amplitude=0.7)
     phi1, phi2, psi1, psi2 = rng.normal(size=(4, 4))
-    sol = _assemble_side(op, gen, geom, side, forcing, (phi1, phi2), (psi1, psi2))
+    sol = _assemble_side(op, geom, side, forcing, (phi1, phi2), (psi1, psi2))
     lo, hi = geom.interval(side)
     outer, inner = (lo, hi) if side == SIDE_MINUS else (hi, lo)
     assert np.max(np.abs(sol.evaluate(outer, 0) - phi1)) < 1e-9
@@ -202,20 +200,18 @@ def test_boundary_roundtrip_with_forcing(side):
 
 def test_evaluate_zero_everywhere():
     op = build_dirichlet_laplacian_1d(3, 1.0)
-    gen = square_root_generator(op)
     geom = CylinderGeometry(-1.0, 0.0, 1.0)
     zeros = tuple(np.zeros(3) for _ in range(4))
-    sol = SubproblemSolution(SIDE_MINUS, geom, gen, zeros)
+    sol = SubproblemSolution(SIDE_MINUS, geom, op, zeros)
     for order in range(4):
         assert np.max(np.abs(sol.evaluate(np.linspace(-1, 0, 9), order))) == 0.0
 
 
 def test_evaluate_rejects_bad_inputs():
     op = build_dirichlet_laplacian_1d(2, 1.0)
-    gen = square_root_generator(op)
     geom = CylinderGeometry(-1.0, 0.0, 1.0)
     zeros = tuple(np.zeros(2) for _ in range(4))
-    sol = SubproblemSolution(SIDE_MINUS, geom, gen, zeros)
+    sol = SubproblemSolution(SIDE_MINUS, geom, op, zeros)
     with pytest.raises(ValueError):
         sol.evaluate(0.5, 0)   # outside the minus interval
     with pytest.raises(ValueError):
@@ -227,11 +223,10 @@ def test_derivative_formulas_consistent_with_differencing(order):
     # The analytic order-(k+1) field must match the numerical derivative
     # of the order-k field: an independent check of the evaluation algebra.
     op = build_dirichlet_laplacian_1d(3, 1.0)
-    gen = square_root_generator(op)
     geom = CylinderGeometry(-0.9, 0.0, 1.0)
     rng = np.random.default_rng(4)
     al = tuple(rng.normal(size=3) for _ in range(4))
-    sol = SubproblemSolution(SIDE_MINUS, geom, gen, al)
+    sol = SubproblemSolution(SIDE_MINUS, geom, op, al)
     xs = np.linspace(-0.7, -0.2, 5)
     h = 1e-5
     numeric = (sol.evaluate(xs + h, order) - sol.evaluate(xs - h, order)) / (2 * h)
@@ -242,7 +237,6 @@ def test_derivative_formulas_consistent_with_differencing(order):
 
 def test_pipeline_linearity_in_all_data():
     op = build_dirichlet_laplacian_1d(3, 1.0)
-    gen = square_root_generator(op)
     geom = CylinderGeometry(-0.6, 0.0, 0.8)
     rng = np.random.default_rng(23)
     phi1, phi2, psi1, psi2 = rng.normal(size=(4, 3))
@@ -250,7 +244,7 @@ def test_pipeline_linearity_in_all_data():
 
     def solve(scale):
         forcing = ModalForcing.sine(op, geom, SIDE_MINUS, 1, amplitude=scale * amp)
-        return _assemble_side(op, gen, geom, SIDE_MINUS, forcing,
+        return _assemble_side(op, geom, SIDE_MINUS, forcing,
                               (scale * phi1, scale * phi2),
                               (scale * psi1, scale * psi2))
 
@@ -377,3 +371,55 @@ def test_particular_solve_makes_four_banded_calls_per_forced_side(monkeypatch, d
             assert splines == [(rows, n_x)] * 2
         else:
             assert not banded and not splines
+
+
+def _csv_forcing(geom, m, rng):
+    rows = [(x, j, value, side) for side in SIDES
+            for x, column in zip(geom.grid(side, 17), rng.normal(size=(17, m)))
+            for j, value in enumerate(column)]
+    return ModalForcing.from_csv_rows(geom, m, rows)
+
+
+@pytest.mark.parametrize("kind, calls", [("zero", 0), ("sine", 4), ("csv", 4)])
+def test_zero_sample_side_is_not_sampled(monkeypatch, kind, calls):
+    m, n_x = 8, 65
+    op = build_dirichlet_laplacian_1d(m, 1.0)
+    geom = CylinderGeometry(-0.7, 0.0, 1.3)
+    forcing = {"zero": lambda: ModalForcing.zero(m, geom),
+               "sine": lambda: ModalForcing.sine(op, geom, SIDE_PLUS, 1),
+               "csv": lambda: _csv_forcing(geom, m, np.random.default_rng(5))}[kind]()
+    sampled = []
+    real = ModalForcing.sample
+    monkeypatch.setattr(ModalForcing, "sample",
+                        lambda self, side, xs: sampled.append(side) or real(self, side, xs))
+    for side in SIDES:
+        solve_particular(op.eigenvalues, geom, side, forcing, n_x)
+    assert len(sampled) == calls
+
+
+def test_zero_sample_side_matches_the_sampled_solve():
+    # The same zero forcing behind a resampler still takes the sampling path.
+    m, n_x = 8, 65
+    op = build_dirichlet_laplacian_1d(m, 1.0)
+    geom = CylinderGeometry(-0.7, 0.0, 1.3)
+
+    def zeros(xs):
+        return np.zeros((m, np.size(xs)))
+
+    forcing = ModalForcing.zero(m, geom)
+    sampled_zero = ModalForcing.from_functions(geom, m, zeros, zeros)
+    for side in SIDES:
+        part = solve_particular(op.eigenvalues, geom, side, forcing, n_x)
+        full = solve_particular(op.eigenvalues, geom, side, sampled_zero, n_x)
+        for name in ("grid", "f_modal", "w_modal", "fprime_left", "fprime_right",
+                     "f3_left", "f3_right", "active"):
+            assert np.array_equal(getattr(part, name), getattr(full, name))
+        assert part.error_estimate == full.error_estimate == 0.0
+    # Downstream, the fields and the report are bit-identical.
+    bc = BoundaryData(*np.random.default_rng(0).standard_normal((4, m)))
+    fast, slow = (solve_transmission(op, geom, 1.0, 3.0, f, bc) for f in (forcing, sampled_zero))
+    for side in SIDES:
+        xs = geom.grid(side, 33)
+        for order in range(4):
+            assert fast.field(side, xs, order).tobytes() == slow.field(side, xs, order).tobytes()
+    assert fast.report.to_json() == slow.report.to_json()

@@ -26,6 +26,7 @@ from bitrans import (
     f_components,
     f_total,
     from_matrix,
+    generator_matrix,
     leading_order_interface,
     manufactured_homogeneous,
     phi_tilde_minus,
@@ -34,7 +35,6 @@ from bitrans import (
     solve_interface_block,
     solve_interface_calculus,
     solve_transmission,
-    square_root_generator,
     u_delta,
     v_delta,
 )
@@ -44,39 +44,37 @@ from bitrans.symbols import SymbolContext
 
 def scalar_tops(mu=-1.0, c=1.0, d=1.0, km=1.0, kp=1.0):
     op = from_matrix(np.array([[mu]]))
-    gen = square_root_generator(op)
     geom = CylinderGeometry(-c, 0.0, d)
-    return op, gen, geom, assemble_transmission_operators(gen, geom, km, kp)
+    return op, geom, assemble_transmission_operators(op, geom, km, kp)
 
 
 def scalar_dense(mu=-1.0, c=1.0, d=1.0, km=1.0, kp=1.0):
-    op, gen, geom, _ = scalar_tops(mu, c, d, km, kp)
-    return assemble_dense_operators(gen, geom, km, kp)
+    op, geom, _ = scalar_tops(mu, c, d, km, kp)
+    return assemble_dense_operators(op, geom, km, kp)
 
 
 def test_uv_scalar_values():
     dense = scalar_dense()
-    assert dense.minus.U.matrix[0, 0] == pytest.approx(0.1289058, abs=1e-6)
-    assert dense.minus.V.matrix[0, 0] == pytest.approx(1.6004236, abs=1e-6)
-    _, _, _, tops = scalar_tops()
+    assert dense.minus.U[0, 0] == pytest.approx(0.1289058, abs=1e-6)
+    assert dense.minus.V[0, 0] == pytest.approx(1.6004236, abs=1e-6)
+    _, _, tops = scalar_tops()
     assert tops.minus.u[0] == pytest.approx(0.1289058, abs=1e-6)
     assert tops.minus.v[0] == pytest.approx(1.6004236, abs=1e-6)
 
 
 def test_uv_large_interval_limit():
     dense = scalar_dense(c=50.0, d=50.0)
-    assert dense.minus.U.matrix[0, 0] == pytest.approx(1.0, abs=1e-12)
-    assert dense.minus.V.matrix[0, 0] == pytest.approx(1.0, abs=1e-12)
+    assert dense.minus.U[0, 0] == pytest.approx(1.0, abs=1e-12)
+    assert dense.minus.V[0, 0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_uv_spectral_mapping_modes():
     op = build_dirichlet_laplacian_1d(3, 1.0)
-    gen = square_root_generator(op)
     geom = CylinderGeometry(-0.7, 0.0, 1.1)
-    dense = assemble_dense_operators(gen, geom, 1.0, 1.0)
+    dense = assemble_dense_operators(op, geom, 1.0, 1.0)
     q = op.eigenvectors
     for ops, delta in ((dense.minus, geom.c), (dense.plus, geom.d)):
-        for mat, sym in ((ops.U.matrix, u_delta), (ops.V.matrix, v_delta)):
+        for mat, sym in ((ops.U, u_delta), (ops.V, v_delta)):
             modal = np.diag(q.T @ mat @ q)
             exact = np.array([sym(delta, -mu) for mu in op.eigenvalues])
             assert np.max(np.abs(modal - exact)) <= 1e-11 * np.max(np.abs(exact))
@@ -84,10 +82,10 @@ def test_uv_spectral_mapping_modes():
 
 def test_p_blocks_scalar_values():
     dense = scalar_dense()
-    assert dense.P1_plus.matrix[0, 0] == pytest.approx(14.7649, abs=2e-4)
-    assert dense.P2_plus.matrix[0, 0] == pytest.approx(7.2480, abs=2e-4)
-    assert dense.P3_plus.matrix[0, 0] == pytest.approx(4.2689, abs=2e-4)
-    _, _, _, tops = scalar_tops()
+    assert dense.P1_plus[0, 0] == pytest.approx(14.7649, abs=2e-4)
+    assert dense.P2_plus[0, 0] == pytest.approx(7.2480, abs=2e-4)
+    assert dense.P3_plus[0, 0] == pytest.approx(4.2689, abs=2e-4)
+    _, _, tops = scalar_tops()
     for got, want in zip(tops.plus.f, (14.7649, 7.2480, 4.2689)):
         assert got[0] == pytest.approx(want, abs=2e-4)
 
@@ -96,21 +94,20 @@ def test_p_blocks_large_interval_limit():
     dense = scalar_dense(c=50.0, d=50.0, km=0.7, kp=2.0)
     for pm, k in ((dense.P1_minus, 0.7), (dense.P2_minus, 0.7), (dense.P3_minus, 0.7),
                   (dense.P1_plus, 2.0), (dense.P2_plus, 2.0), (dense.P3_plus, 2.0)):
-        assert pm.matrix[0, 0] == pytest.approx(2.0 * k, abs=1e-10)
+        assert pm[0, 0] == pytest.approx(2.0 * k, abs=1e-10)
 
 
 @pytest.mark.parametrize("side", SIDES)
 def test_determinant_block_identity_m8(side):
     op = build_dirichlet_laplacian_1d(8, 1.0)
-    gen = square_root_generator(op)
     geom = CylinderGeometry(-0.7, 0.0, 1.3)
     km, kp = 1.0, 3.0
-    dense = assemble_dense_operators(gen, geom, km, kp)
+    dense = assemble_dense_operators(op, geom, km, kp)
     ops = dense.minus if side == SIDE_MINUS else dense.plus
     k = km if side == SIDE_MINUS else kp
     p1, p2, p3 = ((dense.P1_minus, dense.P2_minus, dense.P3_minus) if side == SIDE_MINUS
                   else (dense.P1_plus, dense.P2_plus, dense.P3_plus))
-    lhs = p1.matrix @ p3.matrix - p2.matrix @ p2.matrix
+    lhs = p1 @ p3 - p2 @ p2
     rhs = 16.0 * k**2 * ops.u_inv(ops.v_inv(ops.E2))
     scale = max(np.linalg.norm(lhs, 2), np.linalg.norm(rhs, 2), 1.0)
     assert np.linalg.norm(lhs - rhs, 2) <= 1e-10 * scale
@@ -118,17 +115,16 @@ def test_determinant_block_identity_m8(side):
 
 def test_determinant_per_mode_values_m8():
     op = build_dirichlet_laplacian_1d(8, 1.0)
-    gen = square_root_generator(op)
     geom = CylinderGeometry(-0.7, 0.0, 1.3)
-    tops = assemble_transmission_operators(gen, geom, 1.0, 3.0)
-    dense = assemble_dense_operators(gen, geom, 1.0, 3.0)
+    tops = assemble_transmission_operators(op, geom, 1.0, 3.0)
+    dense = assemble_dense_operators(op, geom, 1.0, 3.0)
     scale = 1.0 + np.max(np.abs(tops.det_modal_symbols))
     assert np.max(np.abs(tops.det_modal_symbols - dense.det_modal_assembled)) <= 1e-10 * scale
     assert tops.det_gap <= 1e-10
 
 
 def test_determinant_scalar_sign_and_value():
-    _, gen, _, tops = scalar_tops()
+    _, _, tops = scalar_tops()
     ctx = SymbolContext(1.0, 1.0, 1.0, 1.0)
     assert tops.det_modal_symbols[0] == pytest.approx(f_total(ctx, 1.0), rel=1e-12)
     assert tops.det_modal_symbols[0] == pytest.approx(252.12, abs=1e-2)
@@ -137,11 +133,10 @@ def test_determinant_scalar_sign_and_value():
 
 def test_lambda_adjugate_identity():
     op = build_dirichlet_laplacian_1d(8, 1.0)
-    gen = square_root_generator(op)
     geom = CylinderGeometry(-0.7, 0.0, 1.3)
-    dense = assemble_dense_operators(gen, geom, 1.0, 3.0)
+    dense = assemble_dense_operators(op, geom, 1.0, 3.0)
     m = op.m
-    mmat = gen.matrix
+    mmat = generator_matrix(op)
     adj = np.block([[-dense.p3_sum, dense.p2_diff],
                     [-mmat @ dense.p2_diff, mmat @ dense.p1_sum]])
     det = dense.det_operator()
@@ -153,17 +148,16 @@ def test_lambda_adjugate_identity():
 def test_lambda_large_interval_collapse():
     mu, km, kp = -2.0, 0.6, 2.1
     op = from_matrix(np.array([[mu]]))
-    gen = square_root_generator(op)
     geom = CylinderGeometry(-40.0, 0.0, 40.0)
-    dense = assemble_dense_operators(gen, geom, km, kp)
-    mval = gen.eigenvalues[0]
+    dense = assemble_dense_operators(op, geom, km, kp)
+    mval = op.generator_eigenvalues[0]
     expected = np.array([[2 * (kp + km) * mval, -2 * (kp - km)],
                          [2 * (kp - km) * mval, -2 * (kp + km)]])
     assert np.max(np.abs(dense.Lambda - expected)) < 1e-12
 
 
 def test_sources_zero_data():
-    _, gen, geom, tops = scalar_tops()
+    _, geom, tops = scalar_tops()
     zero = np.zeros(1)
     src = assemble_sources(tops, (zero,) * 4, (zero,) * 4, zero, zero, zero, zero)
     assert np.all(src.s1 == 0) and np.all(src.s2 == 0) and np.all(src.s_check == 0)
@@ -171,7 +165,7 @@ def test_sources_zero_data():
 
 def test_sources_scalar_flux_example():
     # Only F'''_+(gamma) = 1, k+ = 1, A = (-1): s_check = -1, S1 = +1, S2 = 0.
-    _, gen, geom, tops = scalar_tops()
+    _, geom, tops = scalar_tops()
     zero = np.zeros(1)
     src = assemble_sources(tops, (zero,) * 4, (zero,) * 4,
                            fprime_gamma_minus=zero, f3_gamma_minus=zero,
@@ -183,7 +177,7 @@ def test_sources_scalar_flux_example():
 
 def test_sources_mirrored_cancellation():
     # k+ = k-, c = d, mirrored quadruples: S1 = 0 by term-by-term cancellation.
-    _, gen, geom, tops = scalar_tops(km=1.3, kp=1.3)
+    _, geom, tops = scalar_tops(km=1.3, kp=1.3)
     rng = np.random.default_rng(6)
     pt2, pt4 = rng.normal(size=2)
     zero = np.zeros(1)
@@ -195,10 +189,9 @@ def test_sources_mirrored_cancellation():
 
 def test_interface_block_zero_sources():
     op = build_dirichlet_laplacian_1d(5, 1.0)
-    gen = square_root_generator(op)
     geom = CylinderGeometry(-0.7, 0.0, 1.3)
-    tops = assemble_transmission_operators(gen, geom, 1.0, 3.0)
-    dense = assemble_dense_operators(gen, geom, 1.0, 3.0)
+    tops = assemble_transmission_operators(op, geom, 1.0, 3.0)
+    dense = assemble_dense_operators(op, geom, 1.0, 3.0)
     src = InterfaceSources(np.zeros(5), np.zeros(5), np.zeros(5))
     data = solve_interface_block(dense, src)
     assert np.all(data.psi1 == 0) and np.all(data.psi2 == 0)
@@ -208,10 +201,9 @@ def test_interface_block_zero_sources():
 
 def test_two_route_agreement_random_m16():
     op = build_dirichlet_laplacian_1d(16, 1.0)
-    gen = square_root_generator(op)
     geom = CylinderGeometry(-0.7, 0.0, 1.3)
-    tops = assemble_transmission_operators(gen, geom, 1.0, 3.0)
-    dense = assemble_dense_operators(gen, geom, 1.0, 3.0)
+    tops = assemble_transmission_operators(op, geom, 1.0, 3.0)
+    dense = assemble_dense_operators(op, geom, 1.0, 3.0)
     rng = np.random.default_rng(42)
     for _ in range(10):
         src = InterfaceSources(rng.standard_normal(16), rng.standard_normal(16), np.zeros(16))
@@ -223,7 +215,7 @@ def test_two_route_agreement_random_m16():
 
 
 def test_calculus_route_scalar_det():
-    _, gen, geom, tops = scalar_tops()
+    _, geom, tops = scalar_tops()
     src = InterfaceSources(np.array([252.1155]), np.zeros(1), np.zeros(1))
     data = solve_interface_calculus(tops, src)
     # psi1 = -p3s * S1 / det with det = -m f = +f(1).
@@ -235,10 +227,9 @@ def test_calculus_route_scalar_det():
 
 def test_leading_order_zero_and_equal_k():
     op = build_dirichlet_laplacian_1d(3, 1.0)
-    gen = square_root_generator(op)
     geom = CylinderGeometry(-1.0, 0.0, 1.0)
     k = 1.7
-    tops = assemble_transmission_operators(gen, geom, k, k)
+    tops = assemble_transmission_operators(op, geom, k, k)
     zero = InterfaceSources(np.zeros(3), np.zeros(3), np.zeros(3))
     l1, l2 = leading_order_interface(tops, zero)
     assert np.all(l1 == 0) and np.all(l2 == 0)
@@ -246,7 +237,7 @@ def test_leading_order_zero_and_equal_k():
     src = InterfaceSources(rng.normal(size=3), rng.normal(size=3), np.zeros(3))
     l1, l2 = leading_order_interface(tops, src)
     q = op.eigenvectors   # sources are modal, the leading-order pair physical
-    expected1 = q @ (src.s1 / gen.eigenvalues) / (4.0 * k)
+    expected1 = q @ (src.s1 / op.generator_eigenvalues) / (4.0 * k)
     assert np.max(np.abs(l1 - expected1)) < 1e-13
     assert np.max(np.abs(l2 + q @ src.s2 / (4.0 * k))) < 1e-13
 
@@ -340,7 +331,7 @@ def test_tc1_perturbation_injection():
     pt_p = phi_tilde_plus(ops_p, q.T @ bc.phi1_plus, q.T @ bc.phi2_plus,
                           np.zeros(3), np.zeros(3))
     al_pert = alphas_plus(ops_p, q.T @ (sol.interface.psi1 + eps), sol.interface.psi2_hat, pt_p)
-    plus_pert = SubproblemSolution(SIDE_PLUS, geom, sol.operators.generator, al_pert)
+    plus_pert = SubproblemSolution(SIDE_PLUS, geom, sol.operator, al_pert)
     gap = plus_pert.evaluate(geom.gamma, 0) - sol.field(SIDE_MINUS, geom.gamma, 0)[:, 0]
     assert np.max(np.abs(gap - eps)) <= 1e-12 * (1 + np.max(np.abs(eps)))
 
@@ -357,8 +348,7 @@ def test_wrong_flux_sign_convention_breaks_tc2():
     assert sol_good.report.passed
 
     tops = sol_good.operators
-    gen = tops.generator
-    g = gen.eigenvalues
+    g = op.generator_eigenvalues
     sources = sol_good.sources
     assert np.max(np.abs(sources.s_check)) > 0.0
     src_bad = replace(sources, s1=sources.s1 + 2 * sources.s_check / g**2)
@@ -371,8 +361,8 @@ def test_wrong_flux_sign_convention_breaks_tc2():
     al_p = alphas_plus(tops.plus, data.psi1_hat, data.psi2_hat, pt_p)
     bad = TransmissionSolution(
         problem=sol_good.problem, operators=tops, sources=src_bad, interface=data,
-        minus=SubproblemSolution(SIDE_MINUS, geom, gen, al_m, part_m),
-        plus=SubproblemSolution(SIDE_PLUS, geom, gen, al_p, part_p),
+        minus=SubproblemSolution(SIDE_MINUS, geom, op, al_m, part_m),
+        plus=SubproblemSolution(SIDE_PLUS, geom, op, al_p, part_p),
         options=sol_good.options,
     )
     report = residual_report(bad)
@@ -396,10 +386,10 @@ def test_report_serialization_keys():
 
 
 def test_commutator_guard_raises_on_foreign_blocks():
-    _, gen, geom, tops = scalar_tops()
+    op, geom, tops = scalar_tops()
     src = InterfaceSources(np.ones(1), np.ones(1), np.zeros(1))
     # sanity: the dense reference blocks commute
-    assert assemble_dense_operators(gen, geom, 1.0, 1.0).max_commutator() <= 1e-11
+    assert assemble_dense_operators(op, geom, 1.0, 1.0).max_commutator() <= 1e-11
     data = solve_interface_calculus(tops, src)
     assert np.isfinite(data.psi1).all()
 
@@ -476,7 +466,7 @@ def test_report_matches_physical_recomputation_at_m64():
     sol = _standard_case(64)
     op, geom, r = sol.operator, sol.geometry, sol.report
     a, q = op.matrix, op.eigenvectors
-    g = sol.operators.generator.eigenvalues
+    g = op.generator_eigenvalues
 
     def scaled_sup(res, ref):
         return float(np.max(np.abs(res)) / (1.0 + ref))
