@@ -1,18 +1,15 @@
 """Deferred scipy entry points.
 
-Importing scipy's linalg, interpolate and sparse subpackages costs more
-than a small solve. Each function here imports its scipy name on its
-first call and forwards the arguments, so ``import bitrans`` loads no
-scipy module and a run that never calls one of them never loads scipy.
-The modules that use them bind these names at import time, exactly as
-they would bind the scipy names, so a test can still replace one per
-module.
+bitrans uses ``scipy.linalg`` and no other scipy subpackage: banded LU
+for the particular problem, the finite-difference oracle and the
+spline slopes, and dense LU for the verification route. Importing it
+costs more than a small solve, so each function here imports its scipy
+name on its first call and forwards the arguments; ``import bitrans``
+loads no scipy module and a run that never calls one of them never
+loads scipy. The modules that use them bind these names at import time,
+exactly as they would bind the scipy names, so a test can still replace
+one per module.
 """
-
-
-def CubicSpline(*args, **kwargs):
-    from scipy.interpolate import CubicSpline
-    return CubicSpline(*args, **kwargs)
 
 
 def solve_banded(*args, **kwargs):
@@ -29,12 +26,3 @@ def lu_solve(*args, **kwargs):
     from scipy.linalg import lu_solve
     return lu_solve(*args, **kwargs)
 
-
-def csr_matrix(*args, **kwargs):
-    from scipy.sparse import csr_matrix
-    return csr_matrix(*args, **kwargs)
-
-
-def spsolve(*args, **kwargs):
-    from scipy.sparse.linalg import spsolve
-    return spsolve(*args, **kwargs)

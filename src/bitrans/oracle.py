@@ -21,8 +21,14 @@ from typing import Optional, Sequence
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from ._scipy import CubicSpline, csr_matrix, spsolve
-from .errors import AnomalyError, DimensionMismatchError, ResolutionError
+from ._scipy import solve_banded
+from ._spline import CubicSpline
+from .errors import (
+    AnomalyError,
+    DimensionMismatchError,
+    InvalidGeometryError,
+    ResolutionError,
+)
 from .problem import (
     SIDE_MINUS,
     SIDE_PLUS,
@@ -251,66 +257,89 @@ def _interface_stencil(h: float) -> np.ndarray:
     return np.array([3.0, -4.0, 1.0]) / (2.0 * h)
 
 
-def _coupled_pattern(geometry: CylinderGeometry, k_minus: float, k_plus: float, n: int):
-    """CSR structure of the coupled mixed discretization, shared by all modes.
+# (lower, upper) bandwidths of the coupled system in node-interleaved order;
+# the interface derivative rows reach five columns to each side.
+_BANDS = (5, 5)
 
-    Unknown layout: [u_-, w_-, u_+, w_+], each of length n. Rows
-    0..4(n-2)-1 hold the interior equations, minus side first, a
-    u'' + mu u = w row then a w'' + mu w = f row per interior point; the
-    next four rows fix the value and the one-sided derivative of u at a
-    and b; the last four impose the two continuity and the two flux
-    conditions at the interface with one-sided stencils. Only the interior
-    diagonal depends on the mode: ``data`` holds -2/h^2 there, and a mode
-    adds its mu at the positions ``diag``. Column indices are sorted
-    within each row.
 
-    Returns (data, indices, indptr, diag).
+def _coupled_bands(geometry: CylinderGeometry, k_minus: float, k_plus: float, n: int):
+    """Banded storage of the coupled mixed discretization, shared by all modes.
+
+    Unknowns are interleaved per node along x: column 2i holds u_-(x_i)
+    and 2i+1 holds w_-(x_i), column 2n+2i holds u_+(x_i) and 2n+2i+1
+    holds w_+(x_i), for i = 0..n-1. An interior node i of a side owns the
+    rows of its columns: u'' + mu u = w in the u row and w'' + mu w = f
+    in the w row. The rows of the end nodes hold the conditions that
+    touch them: row 0 fixes u(a) and row 1 the one-sided u'(a); rows
+    2n-2..2n+1 impose continuity of u, continuity of u', proportionality
+    of w' and proportionality of w at the interface; row 4n-2 fixes
+    u'(b) and row 4n-1 u(b). Entry A[i, j] sits at ``ab[U + i - j, j]``
+    with (L, U) = ``_BANDS``. Only the interior diagonal depends on the
+    mode: it holds -2/h^2 here, and a mode adds its mu at the columns
+    ``interior``.
+
+    Returns (ab, interior). Raises InvalidGeometryError when 1/h^2 of
+    either side is not a finite positive number.
     """
+    lower, upper = _BANDS
+    size = 4 * n
     hm = geometry.c / (n - 1)
     hp = geometry.d / (n - 1)
-    um, wm, up, wp = 0, n, 2 * n, 3 * n
+    try:
+        finite = all(0.0 < 1.0 / h**2 < np.inf for h in (hm, hp))
+    except (OverflowError, ZeroDivisionError):
+        finite = False
+    if not finite:
+        raise InvalidGeometryError(
+            f"axial steps h = {hm:.3e}, {hp:.3e} leave 1/h^2 outside the float range"
+        )
     dm = _interface_stencil(hm)
     dp = _interface_stencil(hp)
+    ab = np.zeros((lower + upper + 1, size))
+
+    def put(row, col, val):
+        row, col = np.broadcast_arrays(row, col)
+        ab[upper + row - col, col] = val
+
     i = np.arange(1, n - 1)
-    rows, cols, vals, on_diag = [], [], [], []
-
-    def put(row, col, val, diag=False):
-        row, col = np.broadcast_arrays(np.atleast_1d(row), col)
-        rows.append(row)
-        cols.append(col)
-        vals.append(np.broadcast_to(np.asarray(val, dtype=float), row.shape))
-        on_diag.append(np.full(row.shape, diag))
-
-    for first, base_u, base_w, h in ((0, um, wm, hm), (2 * (n - 2), up, wp, hp)):
-        row_u = first + 2 * (i - 1)
-        for row, base in ((row_u, base_u), (row_u + 1, base_w)):
-            put(row, base + i - 1, 1.0 / h**2)
-            put(row, base + i, -2.0 / h**2, diag=True)
-            put(row, base + i + 1, 1.0 / h**2)
-        put(row_u, base_w + i, -1.0)
-    b = 4 * (n - 2)
+    for base, h in ((0, hm), (2 * n, hp)):
+        u, w = base + 2 * i, base + 2 * i + 1
+        for row in (u, w):
+            put(row, row - 2, 1.0 / h**2)
+            put(row, row, -2.0 / h**2)
+            put(row, row + 2, 1.0 / h**2)
+        put(u, w, -1.0)
+    last_u, last_w = 2 * n - 2, 2 * n - 1  # minus side at the interface
+    first_u, first_w = 2 * n, 2 * n + 1    # plus side at the interface
+    back, ahead = -2 * np.arange(3), 2 * np.arange(3)
     # Outer boundary: value and one-sided derivative of u at a and b.
-    put(b, um, 1.0)
-    put(b + 1, um + np.arange(3), -dm)
-    put(b + 2, up + n - 1, 1.0)
-    put(b + 3, up + n - 1 - np.arange(3), dp)
-    # Interface: continuity of u and u', proportionality of w and w'.
-    put(b + 4, [um + n - 1, up], [1.0, -1.0])
-    put(b + 5, um + n - 1 - np.arange(3), dm)
-    put(b + 5, up + np.arange(3), dp)
-    put(b + 6, [wm + n - 1, wp], [k_minus, -k_plus])
-    put(b + 7, wm + n - 1 - np.arange(3), k_minus * dm)
-    put(b + 7, wp + np.arange(3), k_plus * dp)
+    put(0, 0, 1.0)
+    put(1, ahead, -dm)
+    put(size - 2, size - 2 + back, dp)
+    put(size - 1, size - 2, 1.0)
+    # Interface: continuity of u and u', proportionality of w' and w.
+    put(last_u, [last_u, first_u], [1.0, -1.0])
+    put(last_w, last_u + back, dm)
+    put(last_w, first_u + ahead, dp)
+    put(first_u, last_w + back, k_minus * dm)
+    put(first_u, first_w + ahead, k_plus * dp)
+    put(first_w, [last_w, first_w], [k_minus, -k_plus])
+    interior = np.concatenate([2 + np.arange(2 * n - 4), 2 * n + 2 + np.arange(2 * n - 4)])
+    return ab, interior
 
-    rows, cols = np.concatenate(rows), np.concatenate(cols)
-    per_row = np.bincount(rows)
-    if per_row.size != 4 * n or not np.all(per_row):
-        raise AnomalyError(f"oracle assembly filled {np.count_nonzero(per_row)} rows "
-                           f"for {4 * n} unknowns")
-    order = np.lexsort((cols, rows))
-    indptr = np.concatenate([[0], np.cumsum(per_row)])
-    diag = np.flatnonzero(np.concatenate(on_diag)[order])
-    return np.concatenate(vals)[order], cols[order], indptr, diag
+
+def _band_matvec(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A @ x for A in the band storage of ``_coupled_bands``."""
+    lower, upper = _BANDS
+    out = np.zeros_like(x)
+    size = x.size
+    for k in range(-lower, upper + 1):  # k = column - row
+        diag = ab[upper - k]
+        if k >= 0:
+            out[:size - k] += diag[k:] * x[k:]
+        else:
+            out[-k:] += diag[:size + k] * x[:size + k]
+    return out
 
 
 @dataclass(frozen=True)
@@ -340,12 +369,12 @@ class OracleSolution:
         u = self.u_minus if side == SIDE_MINUS else self.u_plus
         w = self.w_minus if side == SIDE_MINUS else self.w_plus
         if order == 0:
-            return CubicSpline(grid, u, axis=1)(xs)
+            return CubicSpline(grid, u)(xs)
         if order == 1:
-            return CubicSpline(grid, u, axis=1)(xs, 1)
+            return CubicSpline(grid, u)(xs, 1)
         if order == 2:
             mu = self.operator.eigenvalues[:, None]
-            return CubicSpline(grid, w - mu * u, axis=1)(xs)
+            return CubicSpline(grid, w - mu * u)(xs)
         raise ValueError(f"oracle fields support orders 0..2, got {order}")
 
     def field(self, side: str, xs, order: int = 0) -> np.ndarray:
@@ -363,8 +392,9 @@ def direct_solve(
 ) -> OracleSolution:
     """Coupled second-order finite-difference solve, one mode at a time.
 
-    The sparse structure is built once per call; each mode fills in its
-    eigenvalue and gets its own sparse LU solve and backward-error check.
+    Each mode's system is banded (see ``_coupled_bands``, assembled once
+    per call): a mode fills in its eigenvalue and gets its own banded LU
+    solve with partial pivoting and backward-error check.
     Strictly independent of the representation route: it never touches
     semigroups, solvability operators, or interface-source algebra, only
     the spectrum of the section operator.
@@ -376,6 +406,7 @@ def direct_solve(
     boundary = boundary if boundary is not None else BoundaryData.zeros(m)
     if forcing.m != m or boundary.m != m:
         raise DimensionMismatchError("forcing/boundary dimension mismatch")
+    ab, interior = _coupled_bands(geometry, k_minus, k_plus, n_x)
     grid_m = geometry.grid(SIDE_MINUS, n_x)
     grid_p = geometry.grid(SIDE_PLUS, n_x)
     f_m = forcing.sample(SIDE_MINUS, grid_m)
@@ -383,35 +414,30 @@ def direct_solve(
     bc_hat = np.stack([operator.to_modal(phi) for phi in (
         boundary.phi1_minus, boundary.phi2_minus, boundary.phi1_plus, boundary.phi2_plus)])
     size = 4 * n_x
-    data, indices, indptr, diag = _coupled_pattern(geometry, k_minus, k_plus, n_x)
-    # Right-hand sides of all modes: f on the interior w rows, the boundary
-    # data on the four outer rows, zero on the interface rows.
-    n_int = 2 * (n_x - 2)
+    # Right-hand sides of all modes: f in the interior w rows, the boundary
+    # data in the four outer rows, zero in the interface rows.
     rhs = np.zeros((m, size))
-    rhs[:, 1:n_int:2] = f_m[:, 1:-1]
-    rhs[:, n_int + 1:2 * n_int:2] = f_p[:, 1:-1]
-    rhs[:, 2 * n_int:2 * n_int + 4] = bc_hat.T
-    u_m = np.zeros((m, n_x))
-    u_p = np.zeros((m, n_x))
-    w_m = np.zeros((m, n_x))
-    w_p = np.zeros((m, n_x))
+    rhs[:, 3:2 * n_x - 2:2] = f_m[:, 1:-1]
+    rhs[:, 2 * n_x + 3:size - 2:2] = f_p[:, 1:-1]
+    rhs[:, [0, 1, size - 1, size - 2]] = bc_hat.T
+    sols = np.empty((m, size))
+    ones = np.ones(size)
+    diag = ab[_BANDS[1], interior]
     worst = 0.0
     for j in range(m):
-        vals = data.copy()
-        vals[diag] += operator.eigenvalues[j]
-        mat = csr_matrix((vals, indices, indptr), shape=(size, size))
-        sol = spsolve(mat, rhs[j])
-        backward = (np.max(np.abs(mat @ sol - rhs[j]))
-                    / (np.max(np.abs(mat).sum(axis=1)) * max(np.max(np.abs(sol)), 1e-300)
+        ab[_BANDS[1], interior] = diag + operator.eigenvalues[j]
+        sol = sols[j] = solve_banded(_BANDS, ab, rhs[j])
+        backward = (np.max(np.abs(_band_matvec(ab, sol) - rhs[j]))
+                    / (np.max(_band_matvec(np.abs(ab), ones)) * max(np.max(np.abs(sol)), 1e-300)
                        + np.max(np.abs(rhs[j])) + 1e-300))
         worst = max(worst, float(backward))
-        u_m[j], w_m[j] = sol[:n_x], sol[n_x:2 * n_x]
-        u_p[j], w_p[j] = sol[2 * n_x:3 * n_x], sol[3 * n_x:]
     if worst > 1e-12:
         raise AnomalyError(
             f"direct solve backward error {worst:.3e} above linear-solve level "
             "(the discrete system should be uniquely solvable)"
         )
+    u_m, w_m = sols[:, 0:2 * n_x:2], sols[:, 1:2 * n_x:2]
+    u_p, w_p = sols[:, 2 * n_x::2], sols[:, 2 * n_x + 1::2]
     return OracleSolution(operator, geometry, k_minus, k_plus,
                           grid_m, grid_p, u_m, u_p, w_m, w_p, worst)
 

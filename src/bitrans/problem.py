@@ -12,7 +12,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._scipy import CubicSpline
+from ._spline import CubicSpline
 from .errors import DimensionMismatchError, InvalidGeometryError
 from .section_operator import SectionOperator
 
@@ -188,7 +188,7 @@ class ModalForcing:
         if side not in self._splines:
             grid = self.grid_minus if side == SIDE_MINUS else self.grid_plus
             samples = self.samples_minus if side == SIDE_MINUS else self.samples_plus
-            self._splines[side] = CubicSpline(grid, samples, axis=1) if np.any(samples) else None
+            self._splines[side] = CubicSpline(grid, samples) if np.any(samples) else None
         spline = self._splines[side]
         return np.zeros((self.m, xs.size)) if spline is None else spline(xs)
 

@@ -35,13 +35,9 @@ def _fix_eigenvector_signs(vectors: np.ndarray) -> np.ndarray:
     Makes the decomposition reproducible across LAPACK builds; modal CSV
     output depends on this convention.
     """
-    fixed = vectors.copy()
-    for j in range(fixed.shape[1]):
-        col = fixed[:, j]
-        idx = np.argmax(np.abs(col) > 1e-8 * np.max(np.abs(col)))
-        if col[idx] < 0:
-            fixed[:, j] = -col
-    return fixed
+    significant = np.abs(vectors) > 1e-8 * np.max(np.abs(vectors), axis=0)
+    lead = vectors[np.argmax(significant, axis=0), np.arange(vectors.shape[1])]
+    return vectors * np.where(lead < 0, -1.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -139,8 +135,16 @@ def build_dirichlet_laplacian_1d(m: int, length: float) -> SectionOperator:
     if not np.isfinite(length) or length <= 0:
         raise InvalidGeometryError(f"interval length must be positive, got {length}")
     h = length / (m + 1)
+    try:
+        scale = 4.0 / h**2
+    except (OverflowError, ZeroDivisionError):
+        scale = 0.0
+    if not 0.0 < scale < np.inf:
+        raise InvalidGeometryError(
+            f"grid spacing h = {h:.3e} leaves 4/h^2 outside the float range"
+        )
     k = np.arange(m, 0, -1)
-    mu = -(4.0 / h**2) * np.sin(k * np.pi / (2 * (m + 1))) ** 2
+    mu = -scale * np.sin(k * np.pi / (2 * (m + 1))) ** 2
     jk = np.outer(np.arange(1, m + 1), k) % (2 * (m + 1))
     q = _fix_eigenvector_signs(np.sqrt(2.0 / (m + 1)) * np.sin(jk * np.pi / (m + 1)))
     return SectionOperator(mu, q, label=f"dirichlet-laplacian-1d(m={m}, L={length})")

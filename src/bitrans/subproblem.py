@@ -22,7 +22,8 @@ from typing import Optional
 
 import numpy as np
 
-from ._scipy import CubicSpline, solve_banded
+from ._scipy import solve_banded
+from ._spline import CubicSpline
 from .errors import DimensionMismatchError, ResolutionError
 from .problem import SIDE_MINUS, SIDE_PLUS, CylinderGeometry, ModalForcing, check_side
 from .section_operator import SectionOperator
@@ -113,9 +114,9 @@ class ParticularSolution:
         rows = self.active
         if rows.size:
             object.__setattr__(self, "_spline_f",
-                               CubicSpline(self.grid, self.f_modal[rows], axis=1))
+                               CubicSpline(self.grid, self.f_modal[rows]))
             object.__setattr__(self, "_spline_w",
-                               CubicSpline(self.grid, self.w_modal[rows], axis=1))
+                               CubicSpline(self.grid, self.w_modal[rows]))
 
     @property
     def m(self) -> int:

@@ -140,11 +140,21 @@ def f_total(ctx: SymbolContext, z):
         + k+ k- (f_{d,1} f_{c,3} + f_{c,1} f_{d,3} + 2 f_{d,2} f_{c,2}),
 
     strictly positive for real z > 0; tends to 16 k+ k- at +infinity.
+    Raises EvaluationError when a squared diffusivity overflows.
     """
     fd1, fd2, fd3, gd = f_components(ctx.d, z)
     fc1, fc2, fc3, gc = f_components(ctx.c, z)
     kp, km = ctx.k_plus, ctx.k_minus
-    return kp**2 * gd + km**2 * gc + kp * km * (fd1 * fc3 + fc1 * fd3 + 2.0 * fd2 * fc2)
+    try:
+        with np.errstate(over="ignore"):
+            kp2, km2 = kp**2, km**2
+    except OverflowError:  # Python floats raise where numpy floats give inf
+        kp2 = km2 = np.inf
+    if not (np.isfinite(kp2) and np.isfinite(km2)):
+        raise EvaluationError(
+            f"determinant symbol overflows: k- = {km:g}, k+ = {kp:g} square past the float range"
+        )
+    return kp2 * gd + km2 * gc + kp * km * (fd1 * fc3 + fc1 * fd3 + 2.0 * fd2 * fc2)
 
 
 def f_tilde(ctx: SymbolContext, z):

@@ -5,11 +5,14 @@ long since imported scipy. The assertions are on ``sys.modules`` and the
 outputs, never on timing.
 """
 
+import csv
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -20,11 +23,18 @@ boundary: {kind: random, scale: 1.0}
 solver: {n_x: 129, probe_points: 33}
 """
 
+# "subpackages" lists the public scipy subpackages loaded: scipy.<name>
+# modules that are packages and whose name has no leading underscore.
 _REPORT_SCIPY = """
 import json, sys
 {body}
 print(json.dumps({{"exit": code,
-                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}}))
+                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+                  "subpackages": sorted(
+                      name[len("scipy."):] for name, mod in sys.modules.items()
+                      if name.startswith("scipy.") and name.count(".") == 1
+                      and not name[len("scipy."):].startswith("_")
+                      and hasattr(mod, "__path__"))}}))
 """
 
 
@@ -65,5 +75,38 @@ def test_cold_verify_sine_forced_m64_passes(tmp_path):
                       + _COMMON)
     result = _cli("verify", config, tmp_path / "out")
     assert result["exit"] == 0
+    assert result["subpackages"] == ["linalg"]
     verify = json.loads((tmp_path / "out" / "verify.json").read_text())
     assert verify["passed"] is True
+
+
+def _forcing_csv(path: Path, m: int) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(("x", "mode_index", "value", "side"))
+        for side, lo, hi in (("minus", -0.7, 0.0), ("plus", 0.0, 1.3)):
+            for i in range(21):
+                x = lo + (hi - lo) * i / 20
+                for j in range(m):
+                    writer.writerow((repr(x), j, repr((j + 1) * x * (x - lo) * (hi - x)), side))
+
+
+def _forced_solve_config(tmp_path: Path, kind: str) -> Path:
+    forcing = "{kind: sine, side: plus, mode: 1, k_multiple: 1, amplitude: 1.5}"
+    if kind == "csv":
+        _forcing_csv(tmp_path / "forcing.csv", 8)
+        forcing = "{kind: csv, path: %s}" % (tmp_path / "forcing.csv")
+    config = tmp_path / "solve.yaml"
+    config.write_text("section: {kind: laplacian-1d, m: 8, length: 1.0}\n"
+                      f"forcing: {forcing}\n" + _COMMON)
+    return config
+
+
+@pytest.mark.parametrize("kind", ["sine", "csv"])
+def test_cold_forced_solve_loads_only_scipy_linalg(tmp_path, kind):
+    # The particular solve and the forcing spline need banded LU and
+    # nothing else: no scipy.interpolate, sparse, optimize, special or fft.
+    result = _cli("solve", _forced_solve_config(tmp_path, kind), tmp_path / "out")
+    assert result["exit"] == 0
+    assert result["subpackages"] == ["linalg"]
+    assert (tmp_path / "out" / "solution.csv").is_file()

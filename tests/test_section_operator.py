@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from bitrans import (
+    CylinderGeometry,
     EvaluationError,
     HypothesisViolationError,
     InvalidGeometryError,
@@ -9,12 +10,14 @@ from bitrans import (
     SymmetryError,
     apply_function,
     build_dirichlet_laplacian_1d,
+    direct_solve,
     from_matrix,
     from_matrix_file,
     generator_matrix,
     semigroup,
 )
 from bitrans.section_operator import _fix_eigenvector_signs
+from bitrans.symbols import SymbolContext, f_total
 
 
 def laplacian_closed_form(m, length):
@@ -69,11 +72,60 @@ def test_laplacian_closed_form_matches_eigh_tridiagonal(m):
     assert np.linalg.norm(q.T @ q - np.eye(m), 2) < 1e-14
 
 
+def _fix_signs_loop(vectors):
+    # Column-by-column reference for the vectorized sign convention.
+    fixed = vectors.copy()
+    for j in range(fixed.shape[1]):
+        col = fixed[:, j]
+        idx = np.argmax(np.abs(col) > 1e-8 * np.max(np.abs(col)))
+        if col[idx] < 0:
+            fixed[:, j] = -col
+    return fixed
+
+
+@pytest.mark.parametrize("m", [1, 8, 256, 2048])
+def test_vectorized_sign_fix_is_bit_identical_to_the_loop(m):
+    # The unsigned closed-form sine table, as build_dirichlet_laplacian_1d forms it.
+    k = np.arange(m, 0, -1)
+    jk = np.outer(np.arange(1, m + 1), k) % (2 * (m + 1))
+    raw = np.sqrt(2.0 / (m + 1)) * np.sin(jk * np.pi / (m + 1))
+    assert np.array_equal(_fix_eigenvector_signs(raw), _fix_signs_loop(raw))
+    assert np.array_equal(build_dirichlet_laplacian_1d(m, 1.0).eigenvectors, _fix_signs_loop(raw))
+
+
+def test_vectorized_sign_fix_matches_the_loop_on_a_user_matrix():
+    rng = np.random.default_rng(7)
+    b = rng.normal(size=(40, 40))
+    a = -(b @ b.T) - 40.0 * np.eye(40)
+    _, q = np.linalg.eigh(0.5 * (a + a.T))
+    assert np.any(q[0] < 0)  # some columns need a flip
+    assert np.array_equal(_fix_eigenvector_signs(q), _fix_signs_loop(q))
+    assert np.array_equal(from_matrix(a).eigenvectors, _fix_signs_loop(q))
+
+
 def test_invalid_geometry_rejected():
     with pytest.raises(InvalidGeometryError):
         build_dirichlet_laplacian_1d(0, 1.0)
     with pytest.raises(InvalidGeometryError):
         build_dirichlet_laplacian_1d(3, -1.0)
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: build_dirichlet_laplacian_1d(1, 3.5e-215), InvalidGeometryError),
+    (lambda: f_total(SymbolContext(0.7, 1.3, 1.0, 2e154), np.array([1.0, 50.0])),
+     EvaluationError),
+    (lambda: f_total(SymbolContext(0.7, 1.3, np.float64(2e154), 1.0), np.array([1.0])),
+     EvaluationError),
+    (lambda: direct_solve(build_dirichlet_laplacian_1d(2, 1.0),
+                          CylinderGeometry(-1e300, 0.0, 1e300), 1.0, 2.0),
+     InvalidGeometryError),
+], ids=["laplacian-h2-underflow", "f_total-k2-overflow", "f_total-numpy-k2-overflow",
+        "oracle-h2-overflow"])
+def test_extreme_scales_raise_typed_errors(call, error):
+    # These used to escape as ZeroDivisionError or OverflowError, or, for a
+    # numpy-float diffusivity, return inf.
+    with pytest.raises(error):
+        call()
 
 
 def test_from_matrix_scalar():

@@ -533,7 +533,7 @@ def test_csv_forcing_builds_one_spline_per_forced_side(monkeypatch):
     sol = solve_transmission(op, geom, 1.0, 2.5, forcing=forcing)
     assert len(builds) == 1
     assert sol.report.passed
-    reference = real(forcing.grid_plus, forcing.samples_plus, axis=1)
+    reference = real(forcing.grid_plus, forcing.samples_plus)
     for n in (sol.options.n_x, 2 * sol.options.n_x - 1, sol.options.probe_points):
         xs = geom.grid(SIDE_PLUS, n)
         assert np.array_equal(forcing.sample(SIDE_PLUS, xs), reference(xs))
