@@ -194,7 +194,7 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", required=True, help="YAML run configuration")
         cmd.add_argument("--out", default=".", help="output directory")
-        cmd.add_argument("--route", choices=["block", "calculus", "both"],
+        cmd.add_argument("--route", choices=["calculus", "both"],
                          help="override solver.route")
         cmd.add_argument("--nx", type=int, help="override solver.n_x")
         cmd.add_argument("--seed", type=int, help="override the RNG seed")

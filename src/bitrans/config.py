@@ -21,7 +21,7 @@ from .errors import ConfigError, SolverError
 from .oracle import manufactured_forced, manufactured_homogeneous
 from .problem import SIDES, BoundaryData, CylinderGeometry, ModalForcing
 from .section_operator import SectionOperator, build_dirichlet_laplacian_1d, from_matrix_file
-from .transmission import ROUTE_BLOCK, ROUTE_BOTH, ROUTE_CALCULUS, SolveOptions
+from .transmission import ROUTE_BOTH, ROUTE_CALCULUS, SolveOptions
 
 _FORCING_KINDS = ("zero", "sine", "csv", "manufactured")
 _BOUNDARY_KINDS = ("zero", "explicit", "from-exact-case", "random")
@@ -157,8 +157,8 @@ def load_config(path) -> RunConfig:
 
     solver = _as_map(raw.get("solver", {}), "solver")
     route = solver.get("route", ROUTE_CALCULUS)
-    if route not in (ROUTE_BLOCK, ROUTE_CALCULUS, ROUTE_BOTH):
-        raise ConfigError(f"solver.route must be block|calculus|both, got {route!r}")
+    if route not in (ROUTE_CALCULUS, ROUTE_BOTH):
+        raise ConfigError(f"solver.route must be calculus|both, got {route!r}")
     n_x = _as_int(solver.get("n_x", 129), "solver.n_x")
     probe = _as_int(solver.get("probe_points", 33), "solver.probe_points")
     if n_x < 17 or probe < 5:

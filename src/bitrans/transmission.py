@@ -12,11 +12,10 @@ module, so the default solve is one modal pipeline: the boundary data
 enters the eigenbasis once, sources, interface pair and representation
 coefficients are O(m) per-mode arithmetic, and the fields map back once.
 The system matrix splits into 2x2 blocks per mode, inverted by the
-cofactor formula with determinant -m_j * f(-mu_j).
-
-The ``block`` route instead solves the assembled 2m x 2m matrix by LU
-(built by the ``verification`` module without the symbols); ``both``
-runs the two and records their gap.
+cofactor formula with determinant -m_j * f(-mu_j); that is the answer on
+every route. The ``both`` route also solves the assembled 2m x 2m matrix
+by LU (built by the ``verification`` module without the symbols) and
+records the gap between the two.
 """
 
 from __future__ import annotations
@@ -52,7 +51,7 @@ from .verification import DenseOperators, assemble_dense_operators, solve_block
 
 BLOCK_RESIDUAL_TOL = 1e-10
 DET_CROSSCHECK_TOL = 1e-10
-ROUTE_BLOCK = "block"
+ROUTE_BLOCK = "block"  # labels the dense LU answer, the cross-check on "both"
 ROUTE_CALCULUS = "calculus"
 ROUTE_BOTH = "both"
 
@@ -301,14 +300,14 @@ def leading_order_interface(operators: TransmissionOperators,
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """Solver options: interface route, modal BVP grid, probe density."""
+    """Solver options: interface route (calculus|both), modal BVP grid, probe density."""
 
     route: str = ROUTE_CALCULUS
     n_x: int = 129
     probe_points: int = 33
 
     def __post_init__(self):
-        if self.route not in (ROUTE_BLOCK, ROUTE_CALCULUS, ROUTE_BOTH):
+        if self.route not in (ROUTE_CALCULUS, ROUTE_BOTH):
             raise ValueError(f"unknown route {self.route!r}")
         if self.probe_points < 5:
             raise ValueError("need at least 5 probe points")
@@ -318,8 +317,8 @@ class SolveOptions:
 class ResidualReport:
     """Scaled sup-norm residuals of the assembled transmission solution.
 
-    Homogeneous-path entries (boundary, interface, coefficient
-    identities) are exact in x and budgeted at 1e-9; the equation
+    Homogeneous-path entries (boundary and interface conditions) are
+    exact in x and budgeted at 1e-9; the equation
     residual goes through one numerical differentiation of the
     third-derivative field plus the interpolated particular solution and
     is budgeted from the probe spacing and the observed BVP error.
@@ -335,10 +334,6 @@ class ResidualReport:
     tc1_du: float
     tc2_flux2: float
     tc2_flux3: float
-    id2_minus: float
-    id2_plus: float
-    id3_minus: float
-    id3_plus: float
     route_gap: float
     det_gap: float
     cond_Uminus: float
@@ -364,8 +359,8 @@ class ResidualReport:
 class TransmissionSolution:
     """Full transmission solution: one-sided solutions plus diagnostics.
 
-    ``reference`` is the dense verification build when the route needed
-    it (``block`` or ``both``), else None.
+    ``reference`` is the dense verification build on the ``both`` route,
+    else None.
     """
 
     problem: TransmissionProblem
@@ -412,18 +407,17 @@ def residual_report(
     Evaluates the equation residual on an interior probe grid (with the
     fourth derivative obtained by central-differencing the analytic
     third-derivative field), the four outer boundary conditions, both
-    interface-continuity conditions, both flux transmission conditions,
-    and the four coefficient identities linking second/third derivative
-    combinations at the interface to the alpha coefficients.
+    interface-continuity conditions and both flux transmission conditions.
 
-    Every term is formed from eigenbasis fields (``modal_field``), where
-    A and M^2 act as the per-mode factors mu_j and g_j^2, and mapped to
-    the physical basis by one product per side and one at the interface;
-    each entry is the scaled sup norm of its physical residual.
+    Every term is formed in the eigenbasis, where A and M^2 act as the
+    per-mode factors mu_j and g_j^2, and mapped to the physical basis by
+    one product per side and one at the interface; each entry is the
+    scaled sup norm of its physical residual. The interface flux traces
+    are the closed forms of the representation in its coefficients.
 
     ``det_gap`` compares the per-mode determinant from the block symbols
     with the determinant symbol; when the dense reference was built
-    (``block``/``both``) it is the larger of that and the gap to the
+    (``both``) it is the larger of that and the gap to the
     determinant read off the assembled matrices. The conditions are the
     exact per-mode ones of the operators.
     """
@@ -474,12 +468,13 @@ def residual_report(
     eq_budget = max(eq_budget, 10.0 * bvp_est, 1e-11)
 
     # Interface: one basis change gives u and u' on both sides, the flux
-    # terms t2 = u'' - M^2 u and t3 = u''' - M^2 u', the flux jumps, and the
-    # coefficient identities (alphas versus fields).
-    def traces(sub):
-        u = [sub.modal_field(geom.gamma, order)[:, 0] for order in range(4)]
-        return u[0], u[1], u[2] - msq * u[0], u[3] - msq * u[1]
-
+    # terms t2 = u'' - M^2 u and t3 = u''' - M^2 u' and the flux jumps.
+    # Per mode d^2 E = g^2 E, so the a1, a3 terms cancel exactly, and
+    # F = F'' = 0 at gamma; with (E1, E2) = (e, 1) on the minus side and
+    # (1, e) on the plus side,
+    #   t2 = 2g [(E1 - E2) a2 + (E1 + E2) a4],
+    #   t3 = 2g^2 [(E1 + E2) a2 + (E1 - E2) a4] + F''' - M^2 F'.
+    # Subtracting differentiated fields instead rounds at eps g^3 |u|.
     def f_term(sub):
         """Modal F''' - M^2 F' at the interface end."""
         part = sub.particular
@@ -487,31 +482,27 @@ def residual_report(
             return 0.0
         return part.f3_interface - msq * part.fprime_interface
 
-    u0m, u1m, t2m, t3m = traces(solution.minus)
-    u0p, u1p, t2p, t3p = traces(solution.plus)
+    u0m, u1m = (solution.minus.modal_field(geom.gamma, order)[:, 0] for order in (0, 1))
+    u0p, u1p = (solution.plus.modal_field(geom.gamma, order)[:, 0] for order in (0, 1))
     ec, ed = tops.minus.e, tops.plus.e
     _, a2m, _, a4m = solution.minus.alphas
     _, a2p, _, a4p = solution.plus.alphas
-    id2m = 2.0 * g * (-(1.0 - ec) * a2m + (1.0 + ec) * a4m)
-    id2p = 2.0 * g * ((1.0 - ed) * a2p + (1.0 + ed) * a4p)
-    id3m = 2.0 * msq * ((1.0 + ec) * a2m - (1.0 - ec) * a4m) + f_term(solution.minus)
-    id3p = 2.0 * msq * ((1.0 + ed) * a2p + (1.0 - ed) * a4p) + f_term(solution.plus)
+    t2m = 2.0 * g * (-(1.0 - ec) * a2m + (1.0 + ec) * a4m)
+    t2p = 2.0 * g * ((1.0 - ed) * a2p + (1.0 + ed) * a4p)
+    t3m = 2.0 * msq * ((1.0 + ec) * a2m - (1.0 - ec) * a4m) + f_term(solution.minus)
+    t3p = 2.0 * msq * ((1.0 + ed) * a2p + (1.0 - ed) * a4p) + f_term(solution.plus)
     columns = {
         "u0m": u0m, "u0p": u0p, "tc1_u": u0m - u0p,
         "u1m": u1m, "u1p": u1p, "tc1_du": u1m - u1p,
         "t2m": t2m, "t2p": t2p, "tc2_flux2": km * t2m - kp * t2p,
         "t3m": t3m, "t3p": t3p, "tc2_flux3": km * t3m - kp * t3p,
-        "id2_minus": t2m - id2m, "id2_plus": t2p - id2p,
-        "id3_minus": t3m - id3m, "id3_plus": t3p - id3p,
     }
     sup = dict(zip(columns, np.max(np.abs(op.from_modal(np.stack(list(columns.values()),
                                                                   axis=1))), axis=0)))
     for key, ref in (("tc1_u", max(sup["u0m"], sup["u0p"])),
                      ("tc1_du", max(sup["u1m"], sup["u1p"])),
                      ("tc2_flux2", max(km * sup["t2m"], kp * sup["t2p"])),
-                     ("tc2_flux3", max(km * sup["t3m"], kp * sup["t3p"])),
-                     ("id2_minus", sup["t2m"]), ("id2_plus", sup["t2p"]),
-                     ("id3_minus", sup["t3m"]), ("id3_plus", sup["t3p"])):
+                     ("tc2_flux3", max(km * sup["t3m"], kp * sup["t3p"]))):
         entries[key] = float(sup[key] / (1.0 + ref))
 
     det_gap = tops.det_gap
@@ -530,8 +521,6 @@ def residual_report(
         "bc_3": homogeneous_budget, "bc_4": homogeneous_budget,
         "tc1_u": homogeneous_budget, "tc1_du": homogeneous_budget,
         "tc2_flux2": homogeneous_budget, "tc2_flux3": homogeneous_budget,
-        "id2_minus": homogeneous_budget, "id2_plus": homogeneous_budget,
-        "id3_minus": homogeneous_budget, "id3_plus": homogeneous_budget,
         "route_gap": BLOCK_RESIDUAL_TOL, "det_gap": DET_CROSSCHECK_TOL,
     }
     passed = all(entries[key] <= budgets[key] for key in budgets)
@@ -558,10 +547,9 @@ def solve_transmission(
     Pipeline: particular solutions on both intervals, the boundary data
     in the eigenbasis, boundary-source quadruples, interface sources,
     interface solve, representation coefficients, and the residual
-    report. The interface route follows ``options``: ``"calculus"`` is
-    the per-mode solve, ``"block"`` the dense LU solve of the
-    ``verification`` module, and ``"both"`` runs the two, keeps the
-    per-mode solution and records their gap. A residual above its budget
+    report. The interface pair is always the per-mode solve; on the
+    ``"both"`` route the dense LU solve of the ``verification`` module
+    runs too and their gap is recorded. A residual above its budget
     flags the report; it never silently passes.
     """
     options = options or SolveOptions()
@@ -583,19 +571,15 @@ def solve_transmission(
         fprime_gamma_minus=part_m.fprime_right, f3_gamma_minus=part_m.f3_right,
         fprime_gamma_plus=part_p.fprime_left, f3_gamma_plus=part_p.f3_left,
     )
+    interface = solve_interface_calculus(tops, sources)
     reference = None
     route_gap = 0.0
-    if options.route == ROUTE_CALCULUS:
-        interface = solve_interface_calculus(tops, sources)
-    else:
+    if options.route == ROUTE_BOTH:
         reference = assemble_dense_operators(operator, geometry, k_minus, k_plus)
-        interface = solve_interface_block(reference, sources)
-        if options.route == ROUTE_BOTH:
-            block = interface
-            interface = solve_interface_calculus(tops, sources)
-            scale = 1.0 + max(np.max(np.abs(interface.psi1)), np.max(np.abs(interface.psi2)))
-            route_gap = float(max(np.max(np.abs(interface.psi1 - block.psi1)),
-                                  np.max(np.abs(interface.psi2 - block.psi2))) / scale)
+        block = solve_interface_block(reference, sources)
+        scale = 1.0 + max(np.max(np.abs(interface.psi1)), np.max(np.abs(interface.psi2)))
+        route_gap = float(max(np.max(np.abs(interface.psi1 - block.psi1)),
+                              np.max(np.abs(interface.psi2 - block.psi2))) / scale)
     al_m = alphas_minus(tops.minus, interface.psi1_hat, interface.psi2_hat, pt_m)
     al_p = alphas_plus(tops.plus, interface.psi1_hat, interface.psi2_hat, pt_p)
     sol = TransmissionSolution(

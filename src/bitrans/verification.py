@@ -15,14 +15,14 @@ semigroup matrices and LU factorizations, without the scalar symbols:
 * the determinant operator, the pairwise block commutator, and the
   spectral-mapping gap between the assembled blocks and their symbols.
 
-It costs O(m^3) and runs only on the ``block`` and ``both`` routes, where
-it is the independent reference for the route gap, the dense determinant
-gap and the spectral-mapping check.
+It costs O(m^3) and runs only on the ``both`` route, where it is the
+independent reference for the route gap, the dense determinant gap and
+the spectral-mapping check.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -180,7 +180,6 @@ class DenseOperators:
     ``det_modal_assembled`` holds the diagonal of Q^T det_operator() Q,
     the per-mode determinant read off the assembled matrices; the
     solve path's ``det_modal_symbols`` must match it.
-    ``conditions`` are SVD condition numbers of U, V and Lambda.
     """
 
     operator: SectionOperator
@@ -196,8 +195,12 @@ class DenseOperators:
     P2_plus: np.ndarray
     P3_plus: np.ndarray
     Lambda: np.ndarray
-    det_modal_assembled: np.ndarray
-    conditions: dict
+    det_modal_assembled: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        q = self.operator.eigenvectors
+        object.__setattr__(self, "det_modal_assembled",
+                           np.einsum("ij,ij->j", q, self.det_operator() @ q))
 
     @property
     def m(self) -> int:
@@ -246,22 +249,11 @@ def assemble_dense_operators(
     p2d = p2p - p2m
     p3s = p3p + p3m
     lam = np.block([[mmat @ p1s, -p2d], [mmat @ p2d, -p3s]])
-    q = operator.eigenvectors
-    det_op = -mmat @ (p1s @ p3s - p2d @ p2d)
-    conditions = {
-        "Uminus": minus.cond_u,
-        "Uplus": plus.cond_u,
-        "Vminus": minus.cond_v,
-        "Vplus": plus.cond_v,
-        "Lambda": float(np.linalg.cond(lam)),
-    }
     return DenseOperators(
         operator=operator, geometry=geometry, k_minus=k_minus, k_plus=k_plus,
         minus=minus, plus=plus,
         P1_minus=p1m, P2_minus=p2m, P3_minus=p3m,
-        P1_plus=p1p, P2_plus=p2p, P3_plus=p3p,
-        Lambda=lam, det_modal_assembled=np.einsum("ij,ij->j", q, det_op @ q),
-        conditions=conditions,
+        P1_plus=p1p, P2_plus=p2p, P3_plus=p3p, Lambda=lam,
     )
 
 

@@ -259,10 +259,20 @@ def test_cli_vanishing_symbol_exit_2_without_traceback(tmp_path, capsys):
             .replace("{kind: laplacian-1d, m: 2, length: 1.0}", f"{{kind: matrix-file, path: {mat}}}")
             .replace("{a: -0.7, gamma: 0.0, b: 0.9}", "{a: -1.0e-8, gamma: 0.0, b: 1.0}"))
     path = write_config(tmp_path, text)
-    for route in ("calculus", "block"):
+    for route in ("calculus", "both"):
         assert main(["solve", "--config", path, "--out", str(tmp_path), "--route", route]) == 2
         err = capsys.readouterr().err
         assert "vanishes at mode 0" in err and "Traceback" not in err
+    # The dense LU is no longer a route of its own.
+    block = write_config(tmp_path, text + "solver: {route: block}\n", name="block.yaml")
+    assert main(["solve", "--config", block, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "calculus|both" in err and "Traceback" not in err
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--config", path, "--out", str(tmp_path), "--route", "block"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'block'" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("command, text", [

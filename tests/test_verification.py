@@ -72,8 +72,6 @@ def test_modal_and_dense_agree(m):
         for name, mat in (("U", side.U), ("V", side.V)):
             assert tops.conditions[name + key] == pytest.approx(np.linalg.cond(mat), rel=1e-8)
     assert tops.conditions["Lambda"] == pytest.approx(np.linalg.cond(dense.Lambda), rel=1e-8)
-    for key, value in dense.conditions.items():
-        assert tops.conditions[key] == pytest.approx(value, rel=1e-8)
 
 
 def test_both_route_keeps_modal_solution_and_records_gap():
@@ -82,17 +80,15 @@ def test_both_route_keeps_modal_solution_and_records_gap():
     bc = BoundaryData(*rng.standard_normal((4, 16)))
     modal = solve_transmission(op, GEOM, 1.0, 3.0, None, bc)
     both = solve_transmission(op, GEOM, 1.0, 3.0, None, bc, SolveOptions(route="both"))
-    block = solve_transmission(op, GEOM, 1.0, 3.0, None, bc, SolveOptions(route="block"))
-    assert both.interface.route == "calculus" and block.interface.route == "block"
+    assert both.interface.route == "calculus"
     assert np.array_equal(both.interface.psi1, modal.interface.psi1)
     assert np.array_equal(both.interface.psi2, modal.interface.psi2)
     assert 0.0 < both.route_gap <= 1e-10
     assert isinstance(both.reference, DenseOperators)
     assert spectral_mapping_gap(both.reference) <= 1e-11
     # eq_* is left out: its 33-point probe grid does not resolve m = 16.
-    for report in (both.report, block.report):
-        assert all(getattr(report, key) <= budget for key, budget in report.budgets.items()
-                   if not key.startswith("eq_"))
+    assert all(getattr(both.report, key) <= budget for key, budget in both.report.budgets.items()
+               if not key.startswith("eq_"))
 
 
 def test_det_gap_takes_the_dense_gap_when_built():
