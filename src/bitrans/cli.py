@@ -70,8 +70,8 @@ def _solution_csv_rows(solution):
     rows = [("side", "x", "mode_index", "order", "value")]
     for side in SIDES:
         xs = solution.geometry.grid(side, solution.options.probe_points)
-        for order in range(4):
-            modal = solution.side(side).modal_field(xs, order)
+        table = solution.side(side).modal_fields(xs)
+        for order, modal in enumerate(table):
             for i, x in enumerate(xs):
                 for j in range(solution.m):
                     rows.append((side, repr(float(x)), j, order, repr(float(modal[j, i]))))

@@ -11,8 +11,9 @@ and in the boundary-source quadruple phi~1..phi~4; F is the particular
 solution with homogeneous value and second-derivative conditions at both
 interval ends. Everything here is linear in the data. All operators are
 functions of M, so the coefficient algebra runs per mode on eigenbasis
-coordinates (``SideSymbols``) and fields are evaluated there too
-(``modal_field``); ``evaluate`` maps them back where a physical value is read.
+coordinates (``SideSymbols``) and fields are evaluated there too, orders
+0..3 in one table (``modal_fields``); ``evaluate`` maps them back where a
+physical value is read.
 """
 
 from __future__ import annotations
@@ -131,19 +132,17 @@ class ParticularSolution:
     def f3_interface(self) -> np.ndarray:
         return self.f3_right if self.side == SIDE_MINUS else self.f3_left
 
-    def term(self, xs: np.ndarray, order: int, mu: np.ndarray) -> np.ndarray:
-        """Modal F-term of the given derivative order at the points ``xs``.
+    def terms(self, xs: np.ndarray, mu: np.ndarray) -> np.ndarray:
+        """Modal F-terms of derivative orders 0..3 at the points ``xs``, shape (4, m, k).
 
-        Interior values take one spline derivative of order ``order % 2``
-        of the modal samples, as F^(order) for orders 0, 1 and as
-        w^(order-2) - mu F^(order-2) for orders 2, 3. At the ends, odd
-        orders use the stored traces exactly and even orders the built-in
-        homogeneous conditions F = F'' = 0. Rows outside ``active`` are 0.
+        Interior values take four spline evaluations of the modal samples:
+        F and F' are orders 0 and 1, w - mu F and w' - mu F' orders 2
+        and 3. At the ends, odd orders use the stored traces exactly and
+        even orders the built-in homogeneous conditions F = F'' = 0. Rows
+        outside ``active`` are 0 and are not sampled.
         """
-        if order not in (0, 1, 2, 3):
-            raise ValueError(f"derivative order must be 0..3, got {order}")
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        out = np.zeros((self.m, xs.size))
+        out = np.zeros((4, self.m, xs.size))
         rows = self.active
         if not rows.size:
             return out
@@ -152,17 +151,17 @@ class ParticularSolution:
         at_lo = np.abs(xs - lo) <= tol
         at_hi = np.abs(xs - hi) <= tol
         inner = ~(at_lo | at_hi)
-        nu = order % 2
-        part = np.zeros((rows.size, xs.size))
-        part[:, inner] = self._spline_f(xs[inner], nu)
-        if order >= 2:
-            part[:, inner] = self._spline_w(xs[inner], nu) - mu[rows, None] * part[:, inner]
-        if nu:
-            left, right = ((self.fprime_left, self.fprime_right) if order == 1
-                           else (self.f3_left, self.f3_right))
-            part[:, at_lo] = left[rows, None]
-            part[:, at_hi] = right[rows, None]
-        out[rows] = part
+        x_in = xs[inner]
+        part = np.zeros((4, rows.size, xs.size))
+        for nu in (0, 1):
+            f_nu = self._spline_f(x_in, nu)
+            part[nu][:, inner] = f_nu
+            part[nu + 2][:, inner] = self._spline_w(x_in, nu) - mu[rows, None] * f_nu
+        for order, left, right in ((1, self.fprime_left, self.fprime_right),
+                                   (3, self.f3_left, self.f3_right)):
+            part[order][:, at_lo] = left[rows, None]
+            part[order][:, at_hi] = right[rows, None]
+        out[:, rows] = part
         return out
 
     @classmethod
@@ -335,9 +334,10 @@ def alphas_plus(ops: SideSymbols, psi1, psi2, phi_tilde):
 class SubproblemSolution:
     """Assembled one-sided solution: coefficients plus particular part.
 
-    ``alphas`` are eigenbasis coordinates; ``modal_field`` evaluates in the
-    eigenbasis (the semigroup factors are diagonal there), exactly in x for
-    the homogeneous part, and ``evaluate`` maps the result back once.
+    ``alphas`` are eigenbasis coordinates; ``modal_fields`` evaluates the
+    field and its first three x-derivatives in the eigenbasis (the
+    semigroup factors are diagonal there), exactly in x for the
+    homogeneous part, and ``evaluate`` maps one order back.
     """
 
     side: str
@@ -353,15 +353,15 @@ class SubproblemSolution:
             raise DimensionMismatchError("need exactly four coefficient vectors")
         check_side(self.side)
 
-    def modal_field(self, x, order: int = 0) -> np.ndarray:
-        """Eigenbasis values of the field or a derivative at x, shape (m, k).
+    def modal_fields(self, x) -> np.ndarray:
+        """Eigenbasis values of the field and its x-derivatives of orders 0..3, shape (4, m, k).
 
-        With E1 = e^{s1 g}, E2 = e^{s2 g} per mode and d/dx s1 = -d/dx s2 = 1,
-        d^k E1 = g^k E1, d^k (s1 E1) = (k g^{k-1} + s1 g^k) E1, and the
-        E2 terms carry an extra factor (-1)^k.
+        Per mode u = E1 (A + s1 B) + E2 (C + s2 D), A = a1 + a3, B = a2 + a4,
+        C = a3 - a1, D = a4 - a2, and d/dx E1 = g E1, d/dx E2 = -g E2. With
+        b = E1 B, d = E2 D, p = E1 A + s1 b and n = E2 C + s2 d: u = p + n,
+        u' = g (p - n) + (b - d), u'' = g^2 (p + n) + 2g (b + d) and
+        u''' = g^2 [g (p - n) + 3 (b - d)].
         """
-        if order not in (0, 1, 2, 3):
-            raise ValueError(f"derivative order must be 0..3, got {order}")
         xs = np.atleast_1d(np.asarray(x, dtype=float))
         lo, hi = self.geometry.interval(self.side)
         tol = 1e-10 * (hi - lo)
@@ -371,21 +371,25 @@ class SubproblemSolution:
         gm = self.operator.generator_eigenvalues[:, None]
         s1 = (xs - lo)[None, :]
         s2 = (hi - xs)[None, :]
-        gk = gm**order
-        dgk = order * gm ** max(order - 1, 0)
-        sign = (-1.0) ** order
         e1 = np.exp(s1 * gm)
         e2 = np.exp(s2 * gm)
-        de1, de2 = gk * e1, sign * gk * e2  # d^k E1, d^k E2
-        dse1, dse2 = (dgk + s1 * gk) * e1, sign * (dgk + s2 * gk) * e2  # d^k (s1 E1), d^k (s2 E2)
         a1, a2, a3, a4 = (a[:, None] for a in self.alphas)
-        out = ((de1 - de2) * a1 + (dse1 - dse2) * a2
-               + (de1 + de2) * a3 + (dse1 + dse2) * a4)
-        if self.particular is not None:
-            out = out + self.particular.term(xs, order, self.operator.eigenvalues)
+        b = e1 * (a2 + a4)
+        d = e2 * (a4 - a2)
+        p = e1 * (a1 + a3) + s1 * b
+        n = e2 * (a3 - a1) + s2 * d
+        odd = gm * (p - n)
+        out = np.empty((4,) + p.shape)
+        out[0], out[1] = p + n, odd + (b - d)
+        out[2], out[3] = gm**2 * out[0] + 2.0 * gm * (b + d), gm**2 * (odd + 3.0 * (b - d))
+        part = self.particular
+        if part is not None and part.active.size:
+            out += part.terms(xs, self.operator.eigenvalues)
         return out
 
     def evaluate(self, x, order: int = 0) -> np.ndarray:
         """Physical-basis field or derivative values at x (scalar -> (m,), array -> (m, k))."""
-        out = self.operator.from_modal(self.modal_field(x, order))
+        if order not in (0, 1, 2, 3):
+            raise ValueError(f"derivative order must be 0..3, got {order}")
+        out = self.operator.from_modal(self.modal_fields(x)[order])
         return out[:, 0] if np.ndim(x) == 0 else out

@@ -410,8 +410,9 @@ def residual_report(
     interface-continuity conditions and both flux transmission conditions.
 
     Every term is formed in the eigenbasis, where A and M^2 act as the
-    per-mode factors mu_j and g_j^2, and mapped to the physical basis by
-    one product per side and one at the interface; each entry is the
+    per-mode factors mu_j and g_j^2, from one order-0..3 field table per
+    side (``modal_fields``) and a vanishing forcing taken as exact zeros,
+    and mapped to the physical basis by one product; each entry is the
     scaled sup norm of its physical residual. The interface flux traces
     are the closed forms of the representation in its coefficients.
 
@@ -438,37 +439,26 @@ def residual_report(
         if sub.particular is not None:
             bvp_est = max(bvp_est, sub.particular.error_estimate)
 
-    # Per side, one basis change gives the equation terms on the interior
-    # of the probe grid and the field and its slope at the outer end.
+    # One field table per side on its probe grid gives the equation terms
+    # on the interior and, from its end columns, u and u' at the outer end
+    # and at gamma (the minus grid ends there and the plus grid starts).
+    tables, modal = {}, {}
     eq_budget = 0.0
-    for side, key, end, bc_keys, bc_data in (
-            (SIDE_MINUS, "eq_minus", 0, ("bc_1", "bc_2"), (bc.phi1_minus, bc.phi2_minus)),
-            (SIDE_PLUS, "eq_plus", -1, ("bc_3", "bc_4"), (bc.phi1_plus, bc.phi2_plus))):
+    for side, outer in ((SIDE_MINUS, 0), (SIDE_PLUS, -1)):
         xs = geom.grid(side, n_probe)
         h = xs[1] - xs[0]
-        n = xs.size - 2
-        sub = solution.side(side)
-        u0, u2, u3 = (sub.modal_field(xs, order) for order in (0, 2, 3))
-        phys = op.from_modal(np.hstack([
-            (u3[:, 2:] - u3[:, :-2]) / (2.0 * h),
-            mu * u2[:, 1:-1],
-            mu**2 * u0[:, 1:-1],
-            prob.forcing.sample(side, xs[1:-1]),
-            u0[:, [end]],
-            sub.modal_field(xs[end], 1),
-        ]))
-        d4, au2, a2u0, fvals = (phys[:, i * n:(i + 1) * n] for i in range(4))
-        res = d4 + 2.0 * au2 + a2u0 - fvals
-        ref = max(np.max(np.abs(d4)), 2.0 * np.max(np.abs(au2)),
-                  np.max(np.abs(a2u0)), np.max(np.abs(fvals)))
-        entries[key] = _scaled_sup(res, ref)
+        u = tables[side] = solution.side(side).modal_fields(xs)
+        modal[side, "d4"] = (u[3, :, 2:] - u[3, :, :-2]) / (2.0 * h)
+        modal[side, "au2"] = mu * u[2, :, 1:-1]
+        modal[side, "a2u0"] = mu**2 * u[0, :, 1:-1]
+        modal[side, "outer"] = u[:2, :, outer].T
+        if not prob.forcing.vanishes(side):
+            modal[side, "f"] = prob.forcing.sample(side, xs[1:-1])
         eq_budget = max(eq_budget, 5.0 * h**2 * np.max(-g))
-        for order, (bc_key, data) in enumerate(zip(bc_keys, bc_data)):
-            entries[bc_key] = _scaled_sup(phys[:, 4 * n + order] - data, np.max(np.abs(data)))
     eq_budget = max(eq_budget, 10.0 * bvp_est, 1e-11)
 
-    # Interface: one basis change gives u and u' on both sides, the flux
-    # terms t2 = u'' - M^2 u and t3 = u''' - M^2 u' and the flux jumps.
+    # Interface: u and u' on both sides, the flux terms t2 = u'' - M^2 u and
+    # t3 = u''' - M^2 u' and the flux jumps.
     # Per mode d^2 E = g^2 E, so the a1, a3 terms cancel exactly, and
     # F = F'' = 0 at gamma; with (E1, E2) = (e, 1) on the minus side and
     # (1, e) on the plus side,
@@ -482,8 +472,8 @@ def residual_report(
             return 0.0
         return part.f3_interface - msq * part.fprime_interface
 
-    u0m, u1m = (solution.minus.modal_field(geom.gamma, order)[:, 0] for order in (0, 1))
-    u0p, u1p = (solution.plus.modal_field(geom.gamma, order)[:, 0] for order in (0, 1))
+    u0m, u1m = tables[SIDE_MINUS][:2, :, -1]
+    u0p, u1p = tables[SIDE_PLUS][:2, :, 0]
     ec, ed = tops.minus.e, tops.plus.e
     _, a2m, _, a4m = solution.minus.alphas
     _, a2p, _, a4p = solution.plus.alphas
@@ -497,8 +487,24 @@ def residual_report(
         "t2m": t2m, "t2p": t2p, "tc2_flux2": km * t2m - kp * t2p,
         "t3m": t3m, "t3p": t3p, "tc2_flux3": km * t3m - kp * t3p,
     }
-    sup = dict(zip(columns, np.max(np.abs(op.from_modal(np.stack(list(columns.values()),
-                                                                  axis=1))), axis=0)))
+    modal["interface"] = np.stack(list(columns.values()), axis=1)
+    cuts = np.cumsum([block.shape[1] for block in modal.values()])[:-1]
+    phys = dict(zip(modal, np.split(op.from_modal(np.hstack(list(modal.values()))), cuts, 1)))
+
+    for side, key, bc_keys, bc_data in (
+            (SIDE_MINUS, "eq_minus", ("bc_1", "bc_2"), (bc.phi1_minus, bc.phi2_minus)),
+            (SIDE_PLUS, "eq_plus", ("bc_3", "bc_4"), (bc.phi1_plus, bc.phi2_plus))):
+        d4, au2, a2u0 = (phys[side, name] for name in ("d4", "au2", "a2u0"))
+        fvals = phys.get((side, "f"), 0.0)  # exactly zero for a vanishing forcing
+        res = d4 + 2.0 * au2 + a2u0 - fvals
+        ref = max(np.max(np.abs(d4)), 2.0 * np.max(np.abs(au2)),
+                  np.max(np.abs(a2u0)), np.max(np.abs(fvals)))
+        entries[key] = _scaled_sup(res, ref)
+        for order, (bc_key, data) in enumerate(zip(bc_keys, bc_data)):
+            entries[bc_key] = _scaled_sup(phys[side, "outer"][:, order] - data,
+                                          np.max(np.abs(data)))
+
+    sup = dict(zip(columns, np.max(np.abs(phys["interface"]), axis=0)))
     for key, ref in (("tc1_u", max(sup["u0m"], sup["u0p"])),
                      ("tc1_du", max(sup["u1m"], sup["u1p"])),
                      ("tc2_flux2", max(km * sup["t2m"], kp * sup["t2p"])),

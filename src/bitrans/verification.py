@@ -9,7 +9,8 @@ semigroup matrices and LU factorizations, without the scalar symbols:
 * the dense calculus: a spectral function Q diag(g(mu)) Q^T of A
   (``apply_function``), the generator M (``generator_matrix``) and the
   semigroup e^{tM} (``semigroup``),
-* E, U, V (with LU factors and SVD condition numbers) per interval,
+* E, U, V (with LU factors) per interval, rejected as singular by their
+  LU pivots and exact per-mode condition numbers,
 * the six interface blocks P1..P3 on each side,
 * the assembled 2m x 2m interface matrix Lambda and its LU solve,
 * the determinant operator, the pairwise block commutator, and the
@@ -109,8 +110,6 @@ class SideOperators:
     V: np.ndarray
     lu_u: tuple
     lu_v: tuple
-    cond_u: float
-    cond_v: float
 
     @property
     def m(self) -> int:
@@ -123,6 +122,19 @@ class SideOperators:
         return lu_solve(self.lu_v, rhs)
 
 
+def _invertible(lu: tuple, symbol: np.ndarray, tag: str) -> tuple:
+    """LU factors of U or V: finite, no zero pivot, and a finite exact 2-norm
+    condition number max|s_j| / min|s_j| of its symbol (U = Q diag(u_j) Q^T)."""
+    mags = np.abs(symbol)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = np.max(mags) / np.min(mags)
+    factors = lu[0]
+    if not (np.isfinite(cond) and np.all(np.isfinite(factors)) and np.all(np.diagonal(factors))):
+        raise AnomalyError(f"{tag} numerically singular (condition number {cond:.3g}; "
+                           "contradicts its bounded invertibility)")
+    return lu
+
+
 def build_side_operators(operator: SectionOperator, delta: float,
                          side_tag: str = "") -> SideOperators:
     """Assemble E, U, V (with inverses) for one interval from semigroups."""
@@ -132,22 +144,11 @@ def build_side_operators(operator: SectionOperator, delta: float,
     eye = np.eye(operator.m)
     u = _finite(eye - e2 + 2.0 * delta * me, f"U_{side_tag}")
     v = _finite(eye - e2 - 2.0 * delta * me, f"V_{side_tag}")
-    try:
-        lu_u = lu_factor(u)
-        lu_v = lu_factor(v)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - structural guarantee
-        raise AnomalyError(f"singular U/V factorization on side {side_tag!r}: {exc}") from exc
-    cond_u = float(np.linalg.cond(u))
-    cond_v = float(np.linalg.cond(v))
-    if not (np.isfinite(cond_u) and np.isfinite(cond_v)):
-        raise AnomalyError(
-            f"U/V numerically singular on side {side_tag!r} "
-            "(contradicts their bounded invertibility)"
-        )
-    return SideOperators(
-        operator=operator, delta=delta, E=e, E2=e2, U=u, V=v,
-        lu_u=lu_u, lu_v=lu_v, cond_u=cond_u, cond_v=cond_v,
-    )
+    z = -operator.eigenvalues
+    lu_u = _invertible(lu_factor(u), u_delta(delta, z), f"U_{side_tag}")
+    lu_v = _invertible(lu_factor(v), v_delta(delta, z), f"V_{side_tag}")
+    return SideOperators(operator=operator, delta=delta, E=e, E2=e2, U=u, V=v,
+                         lu_u=lu_u, lu_v=lu_v)
 
 
 def assemble_UV(operator: SectionOperator, geometry: CylinderGeometry):

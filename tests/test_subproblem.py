@@ -321,6 +321,91 @@ def _random_forcing(geom, m, rng, zero_rows=()):
     return ModalForcing.from_functions(geom, m, func, func)
 
 
+def _term_reference(part, xs, order, mu):
+    """F-term of one derivative order, one spline derivative per call.
+
+    Interior: F^(order) for orders 0, 1 and w^(order-2) - mu F^(order-2)
+    for orders 2, 3; at the ends the stored traces (odd orders) or the
+    homogeneous conditions F = F'' = 0 (even orders).
+    """
+    out = np.zeros((part.m, xs.size))
+    rows = part.active
+    if not rows.size:
+        return out
+    lo, hi = part.grid[0], part.grid[-1]
+    at_lo = np.abs(xs - lo) <= 1e-10 * (hi - lo)
+    at_hi = np.abs(xs - hi) <= 1e-10 * (hi - lo)
+    inner = ~(at_lo | at_hi)
+    nu = order % 2
+    spline_f = subproblem.CubicSpline(part.grid, part.f_modal[rows])
+    spline_w = subproblem.CubicSpline(part.grid, part.w_modal[rows])
+    sub = np.zeros((rows.size, xs.size))
+    sub[:, inner] = spline_f(xs[inner], nu)
+    if order >= 2:
+        sub[:, inner] = spline_w(xs[inner], nu) - mu[rows, None] * sub[:, inner]
+    if nu:
+        left, right = ((part.fprime_left, part.fprime_right) if order == 1
+                       else (part.f3_left, part.f3_right))
+        sub[:, at_lo] = left[rows, None]
+        sub[:, at_hi] = right[rows, None]
+    out[rows] = sub
+    return out
+
+
+def _per_order_field(sol, xs, order):
+    """Homogeneous field of one derivative order from the per-term derivatives.
+
+    With E1 = e^{s1 g}, E2 = e^{s2 g} and d/dx s1 = -d/dx s2 = 1:
+    d^k E1 = g^k E1, d^k (s1 E1) = (k g^{k-1} + s1 g^k) E1, and the E2
+    terms carry an extra factor (-1)^k.
+    """
+    lo, hi = sol.geometry.interval(sol.side)
+    gm = sol.operator.generator_eigenvalues[:, None]
+    s1, s2 = (xs - lo)[None, :], (hi - xs)[None, :]
+    gk = gm**order
+    dgk = order * gm ** max(order - 1, 0)
+    sign = (-1.0) ** order
+    e1, e2 = np.exp(s1 * gm), np.exp(s2 * gm)
+    de1, de2 = gk * e1, sign * gk * e2
+    dse1, dse2 = (dgk + s1 * gk) * e1, sign * (dgk + s2 * gk) * e2
+    a1, a2, a3, a4 = (a[:, None] for a in sol.alphas)
+    return ((de1 - de2) * a1 + (dse1 - dse2) * a2
+            + (de1 + de2) * a3 + (dse1 + dse2) * a4)
+
+
+@pytest.mark.parametrize("forced", [False, True], ids=["unforced", "forced"])
+@pytest.mark.parametrize("side", [SIDE_MINUS, SIDE_PLUS])
+def test_modal_fields_match_the_per_order_closed_form(side, forced):
+    # Random a1..a4 (a2, a4 != 0 exercise the s E terms that pure
+    # exponentials leave out), interior points and both ends exactly.
+    m = 12
+    op = build_dirichlet_laplacian_1d(m, 1.0)
+    geom = CylinderGeometry(-0.7, 0.0, 0.9)
+    rng = np.random.default_rng(23)
+    alphas = tuple(rng.normal(size=m) for _ in range(4))
+    part = None
+    if forced:
+        zero_rows = [j for j in range(m) if j % 3 == 0]
+        part = solve_particular(op.eigenvalues, geom, side, _random_forcing(geom, m, rng,
+                                                                             zero_rows), n_x=65)
+    sol = SubproblemSolution(side, geom, op, alphas, part)
+    lo, hi = geom.interval(side)
+    xs = np.concatenate([[lo], np.sort(rng.uniform(lo, hi, 7)), [hi]])
+    table = sol.modal_fields(xs)
+    assert table.shape == (4, m, xs.size)
+    for order in range(4):
+        expected = _per_order_field(sol, xs, order)
+        if forced:
+            expected = expected + _term_reference(part, xs, order, op.eigenvalues)
+        scale = np.max(np.abs(expected))
+        assert np.max(np.abs(table[order] - expected)) <= 1e-13 * scale, order
+        np.testing.assert_array_equal(sol.evaluate(xs, order), op.from_modal(table[order]))
+    with pytest.raises(ValueError, match="outside"):
+        sol.modal_fields([lo - 1e-3 * (hi - lo)])
+    with pytest.raises(ValueError, match="outside"):
+        sol.modal_fields([hi + 1e-3 * (hi - lo)])
+
+
 @pytest.mark.parametrize("n_x", [17, 129])
 @pytest.mark.parametrize("m", [1, 5, 64])
 @pytest.mark.parametrize("mixed", [False, True], ids=["dense", "mixed"])
@@ -341,10 +426,12 @@ def test_particular_matches_per_mode_reference(m, n_x, mixed):
         assert np.array_equal(inactive, zero_rows)
         lo, hi = geom.interval(side)
         xs = np.concatenate([[lo], np.linspace(lo, hi, 11)[1:-1], [hi]])
-        for order in range(4):
-            term = part.term(xs, order, op.eigenvalues)
+        terms = part.terms(xs, op.eigenvalues)
+        assert terms.shape == (4, m, xs.size)
+        for order, term in enumerate(terms):
             assert np.all(term[inactive] == 0.0)
             assert np.any(term[part.active]) == bool(part.active.size)
+            assert terms[order].tobytes() == _term_reference(part, xs, order, op.eigenvalues).tobytes()
 
 
 @pytest.mark.parametrize("dense", [False, True], ids=["one-mode-sine", "dense-64-modes"])

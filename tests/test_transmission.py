@@ -570,3 +570,55 @@ def test_csv_forcing_builds_one_spline_per_forced_side(monkeypatch):
         zeros = forcing.sample(SIDE_MINUS, geom.grid(SIDE_MINUS, n))
         assert np.array_equal(zeros, np.zeros((3, n)))
     assert len(builds) == 1
+
+
+def _count_calls(monkeypatch, owner, name):
+    """Wrap ``owner.name`` so each call appends its arguments to the returned list."""
+    calls = []
+    real = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("forced", [False, True], ids=["zero-forcing", "plus-forced"])
+def test_report_is_one_modal_pass(monkeypatch, forced):
+    # One order-0..3 table per side, one basis change for every entry, and
+    # no forcing samples for a side whose forcing vanishes: all of it without
+    # forcing, the minus side of zero CSV samples otherwise.
+    op = build_dirichlet_laplacian_1d(16, 1.0)
+    geom = CylinderGeometry(-0.7, 0.0, 1.3)
+    rng = np.random.default_rng(6)
+    bc = BoundaryData(*rng.standard_normal((4, 16)))
+    forcing = None
+    if forced:
+        rows = [(x, j, 0.0, SIDE_MINUS) for x in geom.grid(SIDE_MINUS, 21) for j in range(16)]
+        rows += [(x, j, np.sin(3.0 * x) + j, SIDE_PLUS) for x in geom.grid(SIDE_PLUS, 21)
+                 for j in range(16)]
+        forcing = ModalForcing.from_csv_rows(geom, 16, rows)
+    sol = solve_transmission(op, geom, 1.0, 3.0, forcing, bc)
+    bases = _count_calls(monkeypatch, type(op), "from_modal")
+    tables = _count_calls(monkeypatch, SubproblemSolution, "modal_fields")
+    samples = _count_calls(monkeypatch, ModalForcing, "sample")
+    report = residual_report(sol)
+    assert len(bases) == 1
+    assert [args[0].side for args in tables] == [SIDE_MINUS, SIDE_PLUS]
+    assert [args[1] for args in samples] == ([SIDE_PLUS] if forced else [])
+    assert report.to_dict() == sol.report.to_dict()
+
+
+def test_solution_csv_takes_one_table_per_side(monkeypatch):
+    from bitrans.cli import _solution_csv_rows
+
+    op = build_dirichlet_laplacian_1d(4, 1.0)
+    geom = CylinderGeometry(-0.7, 0.0, 1.3)
+    bc = BoundaryData(*np.random.default_rng(7).standard_normal((4, 4)))
+    sol = solve_transmission(op, geom, 1.0, 3.0, None, bc)
+    tables = _count_calls(monkeypatch, SubproblemSolution, "modal_fields")
+    rows = _solution_csv_rows(sol)
+    assert [args[0].side for args in tables] == [SIDE_MINUS, SIDE_PLUS]
+    assert len(rows) == 1 + 2 * 4 * sol.options.probe_points * 4

@@ -6,6 +6,7 @@ import pytest
 import bitrans.transmission as transmission
 import bitrans.verification as verification
 from bitrans import (
+    AnomalyError,
     BoundaryData,
     CylinderGeometry,
     DenseOperators,
@@ -104,3 +105,42 @@ def test_det_gap_takes_the_dense_gap_when_built():
     assert both.report.det_gap == max(both.operators.det_gap, dense_gap)
     assert both.report.det_gap <= 1e-10
 
+
+
+def test_side_operators_take_no_svd(monkeypatch):
+    # The singularity guard reads the LU pivots and the exact per-mode
+    # conditions; an SVD of U or V would cost O(m^3) for nothing.
+    monkeypatch.setattr(np.linalg, "cond", _forbidden("np.linalg.cond"))
+    monkeypatch.setattr(np.linalg, "svd", _forbidden("np.linalg.svd"))
+    op = build_dirichlet_laplacian_1d(16, 1.0)
+    side = verification.build_side_operators(op, GEOM.c, "minus")
+    rhs = np.random.default_rng(5).standard_normal(16)
+    np.testing.assert_allclose(side.U @ side.u_inv(rhs), rhs, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(side.V @ side.v_inv(rhs), rhs, rtol=0, atol=1e-12)
+
+
+def test_zero_pivot_in_side_factors_is_an_anomaly(monkeypatch):
+    real = verification.lu_factor
+
+    def zero_pivot(mat):
+        lu, piv = real(mat)
+        lu[3, 3] = 0.0
+        return lu, piv
+
+    monkeypatch.setattr(verification, "lu_factor", zero_pivot)
+    with pytest.raises(AnomalyError, match="U_minus numerically singular"):
+        verification.build_side_operators(build_dirichlet_laplacian_1d(8, 1.0), GEOM.c, "minus")
+
+
+@pytest.mark.parametrize("bad", [0.0, np.inf, np.nan])
+def test_singular_side_symbol_is_an_anomaly(monkeypatch, bad):
+    real = verification.v_delta
+
+    def broken(delta, z):
+        vals = real(delta, z)
+        vals[2] = bad
+        return vals
+
+    monkeypatch.setattr(verification, "v_delta", broken)
+    with pytest.raises(AnomalyError, match="V_plus numerically singular"):
+        verification.build_side_operators(build_dirichlet_laplacian_1d(8, 1.0), GEOM.d, "plus")
