@@ -129,6 +129,8 @@ def build_dirichlet_laplacian_1d(m: int, length: float) -> SectionOperator:
         k = m..1 so the eigenvalues ascend. The product j k is reduced
         modulo 2(m+1) before it scales pi, which keeps the sine argument
         in [0, 2 pi) and the eigenvectors accurate to rounding at large m.
+        The first row, sqrt(2/(m+1)) sin(k pi / (m+1)), is positive, so
+        the columns already carry the sign convention of ``from_matrix``.
     """
     if not isinstance(m, (int, np.integer)) or m < 1:
         raise InvalidGeometryError(f"interior point count must be a positive integer, got {m}")
@@ -146,7 +148,7 @@ def build_dirichlet_laplacian_1d(m: int, length: float) -> SectionOperator:
     k = np.arange(m, 0, -1)
     mu = -scale * np.sin(k * np.pi / (2 * (m + 1))) ** 2
     jk = np.outer(np.arange(1, m + 1), k) % (2 * (m + 1))
-    q = _fix_eigenvector_signs(np.sqrt(2.0 / (m + 1)) * np.sin(jk * np.pi / (m + 1)))
+    q = np.sqrt(2.0 / (m + 1)) * np.sin(jk * np.pi / (m + 1))
     return SectionOperator(mu, q, label=f"dirichlet-laplacian-1d(m={m}, L={length})")
 
 

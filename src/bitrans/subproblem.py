@@ -6,14 +6,16 @@ Each interval problem is solved by the exact representation
          + (E1 + E2) a3 + (s1 E1 + s2 E2) a4 + F(x),
 
 with E1 = e^{s1 M}, E2 = e^{s2 M}, s1 = x - left end, s2 = right end - x.
-The coefficients a1..a4 are affine in the interface values (psi1, psi2)
-and in the boundary-source quadruple phi~1..phi~4; F is the particular
-solution with homogeneous value and second-derivative conditions at both
-interval ends. Everything here is linear in the data. All operators are
-functions of M, so the coefficient algebra runs per mode on eigenbasis
-coordinates (``SideSymbols``) and fields are evaluated there too, orders
-0..3 in one table (``modal_fields``); ``evaluate`` maps them back where a
-physical value is read.
+The coefficients a1..a4 are sums of end contributions of one end map
+(``_end_coefficients``; the other end is its reflection): the outer data
+and the particular slopes give the boundary-source quadruple phi~, and
+the interface values (psi1, psi2) add their end at gamma. F is the
+particular solution with homogeneous value and second-derivative
+conditions at both interval ends. Everything here is linear in the
+data. All operators are functions of M, so the coefficient algebra runs
+per mode on eigenbasis coordinates (``SideSymbols``) and fields are
+evaluated there too, orders 0..3 in one table (``modal_fields``);
+``evaluate`` maps them back where a physical value is read.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 from ._scipy import solve_banded
 from ._spline import CubicSpline
 from .errors import DimensionMismatchError, ResolutionError
-from .problem import SIDE_MINUS, SIDE_PLUS, CylinderGeometry, ModalForcing, check_side
+from .problem import SIDE_MINUS, CylinderGeometry, ModalForcing, check_side
 from .section_operator import SectionOperator
 from .symbols import f_components, u_delta, v_delta
 
@@ -274,60 +276,69 @@ def _check_vectors(m: int, *vectors: np.ndarray) -> list[np.ndarray]:
     return out
 
 
+def _end_coefficients(ops: SideSymbols, value, slope, right: bool) -> tuple:
+    """Coefficients (a1..a4) that a value phi and a slope sigma at one interval end contribute.
+
+    At the left end (s1 = 0), with n = e (phi + delta (g phi + sigma)):
+    a1 = (phi + n) / 2u, a2 = -[(g phi - sigma) + e (g phi + sigma)] / 2u,
+    a3 = (phi - n) / 2v and a4 = -[(g phi - sigma) - e (g phi + sigma)] / 2v.
+    The right end is the reflection that swaps s1 and s2: the slope
+    changes sign, and so do a1 and a2.
+    """
+    sigma = -slope if right else slope
+    gphi = ops.g * value
+    n = ops.e * (value + ops.delta * (gphi + sigma))
+    odd, even = gphi - sigma, ops.e * (gphi + sigma)
+    half = -0.5 if right else 0.5
+    return (half * (value + n) / ops.u, -half * (odd + even) / ops.u,
+            0.5 * (value - n) / ops.v, -0.5 * (odd - even) / ops.v)
+
+
+def _add(first: tuple, second: tuple) -> tuple:
+    return tuple(p + q for p, q in zip(first, second))
+
+
 def phi_tilde_minus(ops: SideSymbols, phi1, phi2, fprime_a, fprime_gamma):
-    """Boundary-source quadruple of the minus interval, in eigenbasis coordinates."""
+    """Boundary-source quadruple of the minus interval: (phi1, phi2 - F'(a)) at a, -F' at gamma."""
     phi1, phi2, fpa, fpg = _check_vectors(ops.m, phi1, phi2, fprime_a, fprime_gamma)
-    c, e, u, v = ops.delta, ops.e, ops.u, ops.v
-    mphi1 = ops.g * phi1
-    pt1 = 0.5 * (phi1 + e * (phi1 + c * (mphi1 + phi2 - fpa - fpg))) / u
-    pt2 = -0.5 * ((mphi1 - phi2 + fpa + fpg) + e * (mphi1 + phi2 - fpa - fpg)) / u
-    pt3 = 0.5 * (phi1 - e * (phi1 + c * (mphi1 + phi2 - fpa + fpg))) / v
-    pt4 = -0.5 * ((mphi1 - phi2 + fpa - fpg) - e * (mphi1 + phi2 - fpa + fpg)) / v
-    return pt1, pt2, pt3, pt4
+    return _add(_end_coefficients(ops, phi1, phi2 - fpa, right=False),
+                _end_coefficients(ops, 0.0, -fpg, right=True))
 
 
 def phi_tilde_plus(ops: SideSymbols, phi1, phi2, fprime_gamma, fprime_b):
-    """Boundary-source quadruple of the plus interval (mirrored signs)."""
+    """Boundary-source quadruple of the plus interval: (phi1, phi2 - F'(b)) at b, -F' at gamma."""
     phi1, phi2, fpg, fpb = _check_vectors(ops.m, phi1, phi2, fprime_gamma, fprime_b)
-    d, e, u, v = ops.delta, ops.e, ops.u, ops.v
-    mphi1 = ops.g * phi1
-    pt1 = -0.5 * (phi1 + e * (phi1 + d * (mphi1 - phi2 + fpg + fpb))) / u
-    pt2 = 0.5 * ((mphi1 + phi2 - fpg - fpb) + e * (mphi1 - phi2 + fpg + fpb)) / u
-    pt3 = 0.5 * (phi1 - e * (phi1 + d * (mphi1 - phi2 - fpg + fpb))) / v
-    pt4 = -0.5 * ((mphi1 + phi2 + fpg - fpb) - e * (mphi1 - phi2 - fpg + fpb)) / v
-    return pt1, pt2, pt3, pt4
+    return _add(_end_coefficients(ops, phi1, phi2 - fpb, right=True),
+                _end_coefficients(ops, 0.0, -fpg, right=False))
 
 
 def alphas_minus(ops: SideSymbols, psi1, psi2, phi_tilde):
-    """Representation coefficients of the minus interval, in eigenbasis coordinates."""
+    """Representation coefficients of the minus interval: phi~ plus (psi1, psi2) at gamma."""
     psi1, psi2 = _check_vectors(ops.m, psi1, psi2)
-    pt1, pt2, pt3, pt4 = phi_tilde
-    c, e, u, v = ops.delta, ops.e, ops.u, ops.v
-    mpsi1 = ops.g * psi1
-    e_psi1 = e * psi1
-    e_psi2 = e * psi2
-    e_mpsi1 = e * mpsi1
-    a1 = -0.5 * (psi1 + e_psi1 + c * e_mpsi1 - c * e_psi2) / u + pt1
-    a2 = 0.5 * (mpsi1 + e_mpsi1 + psi2 - e_psi2) / u + pt2
-    a3 = 0.5 * (psi1 - e_psi1 - c * e_mpsi1 + c * e_psi2) / v + pt3
-    a4 = -0.5 * (mpsi1 - e_mpsi1 + psi2 + e_psi2) / v + pt4
-    return a1, a2, a3, a4
+    return _add(phi_tilde, _end_coefficients(ops, psi1, psi2, right=True))
 
 
 def alphas_plus(ops: SideSymbols, psi1, psi2, phi_tilde):
-    """Representation coefficients of the plus interval, in eigenbasis coordinates."""
+    """Representation coefficients of the plus interval: phi~ plus (psi1, psi2) at gamma."""
     psi1, psi2 = _check_vectors(ops.m, psi1, psi2)
-    pt1, pt2, pt3, pt4 = phi_tilde
-    d, e, u, v = ops.delta, ops.e, ops.u, ops.v
-    mpsi1 = ops.g * psi1
-    e_psi1 = e * psi1
-    e_psi2 = e * psi2
-    e_mpsi1 = e * mpsi1
-    a1 = 0.5 * (psi1 + e_psi1 + d * e_mpsi1 + d * e_psi2) / u + pt1
-    a2 = -0.5 * (mpsi1 + e_mpsi1 - psi2 + e_psi2) / u + pt2
-    a3 = 0.5 * (psi1 - e_psi1 - d * e_mpsi1 - d * e_psi2) / v + pt3
-    a4 = -0.5 * (mpsi1 - e_mpsi1 - psi2 - e_psi2) / v + pt4
-    return a1, a2, a3, a4
+    return _add(phi_tilde, _end_coefficients(ops, psi1, psi2, right=False))
+
+
+def interface_fluxes(ops: SideSymbols, side: str, alphas: tuple, fprime=0.0, f3=0.0):
+    """Closed-form flux traces t2 = u'' - M^2 u and t3 = u''' - M^2 u' at gamma, per mode.
+
+    d^2 E = g^2 E, so the a1, a3 terms cancel exactly, and F = F'' = 0 at
+    gamma; with (E1, E2) = (e, 1) on the minus side and (1, e) on the plus
+    side, t2 = 2g [(E1 - E2) a2 + (E1 + E2) a4] and
+    t3 = 2g^2 [(E1 + E2) a2 + (E1 - E2) a4] + F''' - g^2 F', with the
+    particular traces F', F''' at gamma. Subtracting differentiated fields
+    instead rounds at eps g^3 |u|.
+    """
+    e1, e2 = (ops.e, 1.0) if check_side(side) == SIDE_MINUS else (1.0, ops.e)
+    g, a2, a4 = ops.g, alphas[1], alphas[3]
+    t2 = 2.0 * g * ((e1 - e2) * a2 + (e1 + e2) * a4)
+    t3 = 2.0 * g**2 * ((e1 + e2) * a2 + (e1 - e2) * a4) + (f3 - g**2 * fprime)
+    return t2, t3
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,8 @@ whose blocks are all functions of the same generator M. In the
 eigenbasis of M every block is the scalar symbol of the ``symbols``
 module, so the default solve is one modal pipeline: the boundary data
 enters the eigenbasis once, sources, interface pair and representation
-coefficients are O(m) per-mode arithmetic, and the fields map back once.
+coefficients are O(m) per-mode arithmetic (the sources are flux jumps at
+gamma, ``interface_fluxes``), and the fields map back once.
 The system matrix splits into 2x2 blocks per mode, inverted by the
 cofactor formula with determinant -m_j * f(-mu_j); that is the answer on
 every route. The ``both`` route also solves the assembled 2m x 2m matrix
@@ -41,6 +42,7 @@ from .subproblem import (
     SubproblemSolution,
     alphas_minus,
     alphas_plus,
+    interface_fluxes,
     phi_tilde_minus,
     phi_tilde_plus,
     side_symbols,
@@ -179,25 +181,23 @@ def assemble_sources(
 ) -> InterfaceSources:
     """Assemble S1, S2 and the particular-flux source S-check, per mode.
 
-    S-check = -k+ F+'''(gamma) + k+ M^2 F+'(gamma)
-              + k- F-'''(gamma) - k- M^2 F-'(gamma);
-    S1 carries the term -M^{-2} S-check (the opposite sign breaks the
-    second transmission condition, and the tests demonstrate that).
-    Every input is in eigenbasis coordinates.
+    S1 = (k+ t3+ - k- t3-) / M^2 and S2 = (k+ t2+ - k- t2-) / M are the
+    flux jumps at gamma (``interface_fluxes``) of phi~ with the particular
+    traces. S-check = -k+ F+'''(gamma) + k+ M^2 F+'(gamma)
+    + k- F-'''(gamma) - k- M^2 F-'(gamma) enters S1 as -M^{-2} S-check
+    (the opposite sign breaks the second transmission condition, and the
+    tests demonstrate that). Every input is in eigenbasis coordinates.
     """
     kp, km = operators.k_plus, operators.k_minus
-    ed, ec = operators.plus.e, operators.minus.e
-    _, pt2m, _, pt4m = phi_tilde_m
-    _, pt2p, _, pt4p = phi_tilde_p
-    msq = operators.operator.generator_eigenvalues**2
-    s_check = (-kp * f3_gamma_plus + kp * msq * fprime_gamma_plus
-               + km * f3_gamma_minus - km * msq * fprime_gamma_minus)
-    s1 = (2.0 * kp * ((pt2p + pt4p) + ed * (pt2p - pt4p))
-          - 2.0 * km * ((pt2m - pt4m) + ec * (pt2m + pt4m))
-          - s_check / msq)
-    s2 = (2.0 * kp * ((pt2p + pt4p) - ed * (pt2p - pt4p))
-          + 2.0 * km * ((pt2m - pt4m) - ec * (pt2m + pt4m)))
-    return InterfaceSources(s1=s1, s2=s2, s_check=s_check)
+    g = operators.operator.generator_eigenvalues
+    t2m, t3m = interface_fluxes(operators.minus, SIDE_MINUS, phi_tilde_m,
+                                fprime_gamma_minus, f3_gamma_minus)
+    t2p, t3p = interface_fluxes(operators.plus, SIDE_PLUS, phi_tilde_p,
+                                fprime_gamma_plus, f3_gamma_plus)
+    s_check = (-kp * f3_gamma_plus + kp * g**2 * fprime_gamma_plus
+               + km * f3_gamma_minus - km * g**2 * fprime_gamma_minus)
+    return InterfaceSources(s1=(kp * t3p - km * t3m) / g**2, s2=(kp * t2p - km * t2m) / g,
+                            s_check=s_check)
 
 
 @dataclass(frozen=True)
@@ -398,13 +398,11 @@ def _scaled_sup(residual: np.ndarray, reference: float) -> float:
     return float(np.max(np.abs(residual)) / (1.0 + reference))
 
 
-def residual_report(
-    solution: TransmissionSolution,
-    probe_points: Optional[int] = None,
-) -> ResidualReport:
+def residual_report(solution: TransmissionSolution) -> ResidualReport:
     """Quantitative verification of every equation of the problem.
 
-    Evaluates the equation residual on an interior probe grid (with the
+    Evaluates the equation residual on an interior probe grid of
+    ``solution.options.probe_points`` points per side (with the
     fourth derivative obtained by central-differencing the analytic
     third-derivative field), the four outer boundary conditions, both
     interface-continuity conditions and both flux transmission conditions.
@@ -414,7 +412,7 @@ def residual_report(
     side (``modal_fields``) and a vanishing forcing taken as exact zeros,
     and mapped to the physical basis by one product; each entry is the
     scaled sup norm of its physical residual. The interface flux traces
-    are the closed forms of the representation in its coefficients.
+    are the closed forms of ``interface_fluxes`` in the coefficients.
 
     ``det_gap`` compares the per-mode determinant from the block symbols
     with the determinant symbol; when the dense reference was built
@@ -426,10 +424,9 @@ def residual_report(
     op = prob.operator
     tops = solution.operators
     geom = prob.geometry
-    n_probe = probe_points or solution.options.probe_points
+    n_probe = solution.options.probe_points
     mu = op.eigenvalues[:, None]
     g = op.generator_eigenvalues
-    msq = g**2
     kp, km = prob.k_plus, prob.k_minus
     bc = prob.boundary
 
@@ -457,30 +454,16 @@ def residual_report(
         eq_budget = max(eq_budget, 5.0 * h**2 * np.max(-g))
     eq_budget = max(eq_budget, 10.0 * bvp_est, 1e-11)
 
-    # Interface: u and u' on both sides, the flux terms t2 = u'' - M^2 u and
-    # t3 = u''' - M^2 u' and the flux jumps.
-    # Per mode d^2 E = g^2 E, so the a1, a3 terms cancel exactly, and
-    # F = F'' = 0 at gamma; with (E1, E2) = (e, 1) on the minus side and
-    # (1, e) on the plus side,
-    #   t2 = 2g [(E1 - E2) a2 + (E1 + E2) a4],
-    #   t3 = 2g^2 [(E1 + E2) a2 + (E1 - E2) a4] + F''' - M^2 F'.
-    # Subtracting differentiated fields instead rounds at eps g^3 |u|.
-    def f_term(sub):
-        """Modal F''' - M^2 F' at the interface end."""
+    # Interface: u and u' on both sides, the closed-form flux terms
+    # t2 = u'' - M^2 u and t3 = u''' - M^2 u' and the flux jumps.
+    fluxes = []
+    for sub, side_ops in ((solution.minus, tops.minus), (solution.plus, tops.plus)):
         part = sub.particular
-        if part is None:
-            return 0.0
-        return part.f3_interface - msq * part.fprime_interface
-
+        traces = () if part is None else (part.fprime_interface, part.f3_interface)
+        fluxes.append(interface_fluxes(side_ops, sub.side, sub.alphas, *traces))
+    (t2m, t3m), (t2p, t3p) = fluxes
     u0m, u1m = tables[SIDE_MINUS][:2, :, -1]
     u0p, u1p = tables[SIDE_PLUS][:2, :, 0]
-    ec, ed = tops.minus.e, tops.plus.e
-    _, a2m, _, a4m = solution.minus.alphas
-    _, a2p, _, a4p = solution.plus.alphas
-    t2m = 2.0 * g * (-(1.0 - ec) * a2m + (1.0 + ec) * a4m)
-    t2p = 2.0 * g * ((1.0 - ed) * a2p + (1.0 + ed) * a4p)
-    t3m = 2.0 * msq * ((1.0 + ec) * a2m - (1.0 - ec) * a4m) + f_term(solution.minus)
-    t3p = 2.0 * msq * ((1.0 + ed) * a2p + (1.0 - ed) * a4p) + f_term(solution.plus)
     columns = {
         "u0m": u0m, "u0p": u0p, "tc1_u": u0m - u0p,
         "u1m": u1m, "u1p": u1p, "tc1_du": u1m - u1p,

@@ -91,6 +91,10 @@ def test_vectorized_sign_fix_is_bit_identical_to_the_loop(m):
     raw = np.sqrt(2.0 / (m + 1)) * np.sin(jk * np.pi / (m + 1))
     assert np.array_equal(_fix_eigenvector_signs(raw), _fix_signs_loop(raw))
     assert np.array_equal(build_dirichlet_laplacian_1d(m, 1.0).eigenvectors, _fix_signs_loop(raw))
+    # The first row sqrt(2/(m+1)) sin(k pi/(m+1)) is positive, so the
+    # Laplacian builds its closed form without the sign fix.
+    assert np.all(raw[0] > 0)
+    assert np.array_equal(_fix_eigenvector_signs(raw), raw)
 
 
 def test_vectorized_sign_fix_matches_the_loop_on_a_user_matrix():
