@@ -82,15 +82,9 @@ from .transmission import (
     solve_transmission,
 )
 from .verification import (
-    DenseOperators,
-    SideOperators,
-    apply_function,
-    assemble_dense_operators,
-    assemble_P,
-    assemble_UV,
-    build_side_operators,
-    generator_matrix,
-    semigroup,
+    FundamentalSymbols,
+    fundamental_solve,
+    fundamental_symbols,
     spectral_mapping_gap,
 )
 

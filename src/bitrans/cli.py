@@ -92,7 +92,8 @@ def _verify_checks(config: RunConfig, operator, forcing, boundary, case):
 
     record("route_gap", solution.route_gap, 1e-10)
     record("det_gap", report.det_gap, IDENTITY_TOL)
-    record("spectral_mapping", spectral_mapping_gap(solution.reference), SPECTRAL_MAP_TOL)
+    record("spectral_mapping", spectral_mapping_gap(solution.operators, solution.reference),
+           SPECTRAL_MAP_TOL)
     record("residual_budgets", 0.0 if report.passed else 1.0, 0.5)
 
     oracle = direct_solve(operator, config.geometry, config.k_minus, config.k_plus,

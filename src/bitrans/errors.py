@@ -48,9 +48,10 @@ class AnomalyError(SolverError):
     """Numerical contradiction of a structurally guaranteed property.
 
     Raised when something that is provably true of the assembled system
-    (invertibility of U/V/Lambda, positivity of the determinant symbol,
-    pairwise commutation of the blocks) fails numerically; this always
-    indicates broken inputs or a bug, never a legitimate input regime.
+    (invertibility of Lambda and of each mode's fundamental-system
+    problem, positivity of the determinant symbol) fails numerically;
+    this always indicates broken inputs or a bug, never a legitimate
+    input regime.
     """
 
 

@@ -6,8 +6,9 @@ problem. Every operator downstream (the square-root generator
 M = -sqrt(-A), the semigroups e^{tM}, the interface blocks) is a function
 of A, hence diagonal in its eigenbasis. ``SectionOperator`` holds that
 eigenbasis together with the eigenvalues of A and of M, and its
-``to_modal``/``from_modal`` are the only basis changes the solver makes;
-the dense matrices of these functions are built only by ``verification``.
+``to_modal``/``from_modal`` are the only basis changes the solver makes.
+No module forms the dense matrix of one of these functions: each acts by
+scaling eigenbasis coordinates.
 """
 
 from __future__ import annotations

@@ -14,9 +14,9 @@ coefficients are O(m) per-mode arithmetic (the sources are flux jumps at
 gamma, ``interface_fluxes``), and the fields map back once.
 The system matrix splits into 2x2 blocks per mode, inverted by the
 cofactor formula with determinant -m_j * f(-mu_j); that is the answer on
-every route. The ``both`` route also solves the assembled 2m x 2m matrix
-by LU (built by the ``verification`` module without the symbols) and
-records the gap between the two.
+every route. The ``both`` route also solves each mode's 8 x 8 system in
+the fundamental system of its ODE (the ``verification`` module, which
+uses none of the symbols) and records the gap between the two.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from .problem import (
 )
 from .section_operator import SectionOperator
 from .subproblem import (
+    ParticularSolution,
     SideSymbols,
     SubproblemSolution,
     alphas_minus,
@@ -49,11 +50,11 @@ from .subproblem import (
     solve_particular,
 )
 from .symbols import SymbolContext, f_total
-from .verification import DenseOperators, assemble_dense_operators, solve_block
+from .verification import FundamentalSymbols, fundamental_solve, fundamental_symbols
 
 BLOCK_RESIDUAL_TOL = 1e-10
 DET_CROSSCHECK_TOL = 1e-10
-ROUTE_BLOCK = "block"  # labels the dense LU answer, the cross-check on "both"
+ROUTE_FUNDAMENTAL = "fundamental"  # labels the per-mode 8 x 8 answer, the check on "both"
 ROUTE_CALCULUS = "calculus"
 ROUTE_BOTH = "both"
 
@@ -224,16 +225,18 @@ class InterfaceData:
             )
 
 
-def solve_interface_block(reference: DenseOperators,
-                          sources: InterfaceSources) -> InterfaceData:
-    """Direct LU solve of the assembled 2m x 2m block system (verification route)."""
-    if sources.m != reference.m:
-        raise DimensionMismatchError("source dimension does not match operators")
-    op = reference.operator
-    psi1, psi2, residual = solve_block(reference, op.from_modal(sources.s1),
-                                       op.from_modal(sources.s2))
-    return InterfaceData(op.to_modal(psi1), op.to_modal(psi2), psi1, psi2,
-                         ROUTE_BLOCK, residual)
+def solve_interface_block(operators: TransmissionOperators, phi_hat: tuple,
+                          part_minus: ParticularSolution,
+                          part_plus: ParticularSolution) -> InterfaceData:
+    """Per-mode 8 x 8 fundamental-system solve of the whole problem (verification route).
+
+    ``phi_hat`` is the modal boundary data (phi1-, phi2-, phi1+, phi2+);
+    see ``verification.fundamental_solve``.
+    """
+    psi1_hat, psi2_hat, residual = fundamental_solve(operators, phi_hat, part_minus, part_plus)
+    op = operators.operator
+    return InterfaceData(psi1_hat, psi2_hat, op.from_modal(psi1_hat), op.from_modal(psi2_hat),
+                         ROUTE_FUNDAMENTAL, residual)
 
 
 def solve_interface_calculus(operators: TransmissionOperators,
@@ -359,8 +362,8 @@ class ResidualReport:
 class TransmissionSolution:
     """Full transmission solution: one-sided solutions plus diagnostics.
 
-    ``reference`` is the dense verification build on the ``both`` route,
-    else None.
+    ``reference`` holds the fundamental-system interface symbols on the
+    ``both`` route, else None.
     """
 
     problem: TransmissionProblem
@@ -371,7 +374,7 @@ class TransmissionSolution:
     plus: SubproblemSolution
     options: SolveOptions
     route_gap: float = 0.0
-    reference: Optional[DenseOperators] = None
+    reference: Optional[FundamentalSymbols] = None
     report: Optional[ResidualReport] = None
 
     @property
@@ -415,10 +418,9 @@ def residual_report(solution: TransmissionSolution) -> ResidualReport:
     are the closed forms of ``interface_fluxes`` in the coefficients.
 
     ``det_gap`` compares the per-mode determinant from the block symbols
-    with the determinant symbol; when the dense reference was built
-    (``both``) it is the larger of that and the gap to the
-    determinant read off the assembled matrices. The conditions are the
-    exact per-mode ones of the operators.
+    with the determinant symbol; on ``both`` it is the larger of that and
+    the gap to the determinant formed from the fundamental-system symbols.
+    The conditions are the exact per-mode ones of the operators.
     """
     prob = solution.problem
     op = prob.operator
@@ -497,9 +499,9 @@ def residual_report(solution: TransmissionSolution) -> ResidualReport:
     det_gap = tops.det_gap
     if solution.reference is not None:
         det = tops.det_modal_symbols
-        dense_gap = (np.max(np.abs(det - solution.reference.det_modal_assembled))
-                     / (1.0 + np.max(np.abs(det))))
-        det_gap = max(det_gap, float(dense_gap))
+        ref_gap = (np.max(np.abs(det - solution.reference.det_modal))
+                   / (1.0 + np.max(np.abs(det))))
+        det_gap = max(det_gap, float(ref_gap))
     entries["det_gap"] = det_gap
     entries["route_gap"] = float(solution.route_gap)
 
@@ -537,8 +539,8 @@ def solve_transmission(
     in the eigenbasis, boundary-source quadruples, interface sources,
     interface solve, representation coefficients, and the residual
     report. The interface pair is always the per-mode solve; on the
-    ``"both"`` route the dense LU solve of the ``verification`` module
-    runs too and their gap is recorded. A residual above its budget
+    ``"both"`` route the fundamental-system solve of the ``verification``
+    module runs too and their gap is recorded. A residual above its budget
     flags the report; it never silently passes.
     """
     options = options or SolveOptions()
@@ -550,9 +552,10 @@ def solve_transmission(
     tops = assemble_transmission_operators(operator, geometry, k_minus, k_plus)
     part_m = solve_particular(operator.eigenvalues, geometry, SIDE_MINUS, forcing, options.n_x)
     part_p = solve_particular(operator.eigenvalues, geometry, SIDE_PLUS, forcing, options.n_x)
-    phi1_m, phi2_m, phi1_p, phi2_p = operator.to_modal(np.stack(
+    phi_hat = operator.to_modal(np.stack(
         [boundary.phi1_minus, boundary.phi2_minus, boundary.phi1_plus, boundary.phi2_plus],
         axis=1)).T
+    phi1_m, phi2_m, phi1_p, phi2_p = phi_hat
     pt_m = phi_tilde_minus(tops.minus, phi1_m, phi2_m, part_m.fprime_left, part_m.fprime_right)
     pt_p = phi_tilde_plus(tops.plus, phi1_p, phi2_p, part_p.fprime_left, part_p.fprime_right)
     sources = assemble_sources(
@@ -564,11 +567,11 @@ def solve_transmission(
     reference = None
     route_gap = 0.0
     if options.route == ROUTE_BOTH:
-        reference = assemble_dense_operators(operator, geometry, k_minus, k_plus)
-        block = solve_interface_block(reference, sources)
+        reference = fundamental_symbols(tops)
+        check = solve_interface_block(tops, phi_hat, part_m, part_p)
         scale = 1.0 + max(np.max(np.abs(interface.psi1)), np.max(np.abs(interface.psi2)))
-        route_gap = float(max(np.max(np.abs(interface.psi1 - block.psi1)),
-                              np.max(np.abs(interface.psi2 - block.psi2))) / scale)
+        route_gap = float(max(np.max(np.abs(interface.psi1 - check.psi1)),
+                              np.max(np.abs(interface.psi2 - check.psi2))) / scale)
     al_m = alphas_minus(tops.minus, interface.psi1_hat, interface.psi2_hat, pt_m)
     al_p = alphas_plus(tops.plus, interface.psi1_hat, interface.psi2_hat, pt_p)
     sol = TransmissionSolution(

@@ -1,299 +1,117 @@
-"""Dense reference build of the interface operators, for verification only.
+"""Per-mode fundamental-system reference, for verification only.
 
-The solve path works mode by mode: every interface block is a function
-of the generator M, hence diagonal in its eigenbasis, and the
-transmission module evaluates the blocks through the scalar symbols.
-This module builds the same blocks the long way, as m x m matrices from
-semigroup matrices and LU factorizations, without the scalar symbols:
-
-* the dense calculus: a spectral function Q diag(g(mu)) Q^T of A
-  (``apply_function``), the generator M (``generator_matrix``) and the
-  semigroup e^{tM} (``semigroup``),
-* E, U, V (with LU factors) per interval, rejected as singular by their
-  LU pivots and exact per-mode condition numbers,
-* the six interface blocks P1..P3 on each side,
-* the assembled 2m x 2m interface matrix Lambda and its LU solve,
-* the determinant operator, the pairwise block commutator, and the
-  spectral-mapping gap between the assembled blocks and their symbols.
-
-It costs O(m^3) and runs only on the ``both`` route, where it is the
-independent reference for the route gap, the dense determinant gap and
-the spectral-mapping check.
+Per mode j the problem is the ODE (d^2 - g_j^2)^2 u = f_j on two intervals
+with eight conditions. In the end-localized fundamental system E1 = e^{g s1},
+s1 E1, E2 = e^{g s2}, s2 E2 of an interval [lo, hi] (s1 = x - lo,
+s2 = hi - x; Coddington & Levinson 1955, ch. 3) it is one 8 x 8 system per
+mode, which uses none of the symbols, the end map or Lambda. Rows are
+equilibrated (Higham 2002, sec. 7.3) and all modes are one batched solve:
+O(m), on the ``both`` route and in ``verify`` only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from ._scipy import lu_factor, lu_solve
-from .errors import AnomalyError, EvaluationError
-from .problem import CylinderGeometry
-from .section_operator import SectionOperator
-from .symbols import f_components, u_delta, v_delta
+from .errors import AnomalyError
+from .problem import SIDE_MINUS, SIDE_PLUS
 
 
-def apply_function(operator: SectionOperator, g, tag: str = "") -> np.ndarray:
-    """Evaluate a scalar function of the section operator as a dense matrix.
+def _end_rows(ops, at_lo: bool) -> np.ndarray:
+    """Rows of u, u', t2 = u'' - g^2 u, t3 = u''' - g^2 u' at one interval end, (m, 4, 4).
 
-    Computes Q diag(g(mu)) Q^T, symmetrized; ``g`` maps the eigenvalue
-    array to an array of the same shape.
-
-    Raises
-    ------
-    EvaluationError
-        If g is non-finite at some eigenvalue, or returns values with a
-        non-negligible imaginary part.
-    """
-    mu = operator.eigenvalues
-    vals = np.broadcast_to(g(mu), mu.shape)
-    if np.iscomplexobj(vals):
-        scale = np.max(np.abs(vals)) if vals.size else 0.0
-        if np.max(np.abs(vals.imag)) > 1e-13 * max(scale, 1.0):
-            raise EvaluationError(f"spectral function '{tag}' is not real on the spectrum")
-        vals = vals.real
-    vals = vals.astype(float)
-    if not np.all(np.isfinite(vals)):
-        j = int(np.argmax(~np.isfinite(vals)))
-        raise EvaluationError(
-            f"spectral function '{tag}' not finite at eigenvalue mu_{j + 1} = {mu[j]:.6g}"
-        )
-    q = operator.eigenvectors
-    mat = (q * vals) @ q.T
-    return 0.5 * (mat + mat.T)
+    With d^k (s1 E1) = (g^k s1 + k g^{k-1}) E1, d^k (s2 E2) = (-1)^k (g^k s2 + k g^{k-1}) E2,
+    E1 and E2 cancel from the flux rows exactly."""
+    g, near, zero = ops.g, np.ones_like(ops.g), np.zeros_like(ops.g)
+    ends = (0.0, near), (ops.delta, ops.e)
+    (s1, e1), (s2, e2) = ends if at_lo else ends[::-1]
+    return np.stack([np.stack(row, axis=-1) for row in (
+        (e1, s1 * e1, e2, s2 * e2),
+        (g * e1, (g * s1 + 1.0) * e1, -g * e2, -(g * s2 + 1.0) * e2),
+        (zero, 2.0 * g * e1, zero, 2.0 * g * e2),
+        (zero, 2.0 * g**2 * e1, zero, -2.0 * g**2 * e2))], axis=1)
 
 
-def generator_matrix(operator: SectionOperator) -> np.ndarray:
-    """Dense generator M = Q diag(g) Q^T, with g = -sqrt(-mu); M^2 = -A."""
-    q = operator.eigenvectors
-    return (q * operator.generator_eigenvalues) @ q.T
-
-
-def semigroup(operator: SectionOperator, t: float) -> np.ndarray:
-    """Semigroup matrix e^{tM} for t >= 0.
-
-    Symmetric positive definite with 2-norm <= 1 (all generator
-    eigenvalues are negative); t = 0 returns the exact identity.
-    """
-    if not np.isfinite(t) or t < 0:
-        raise ValueError(f"semigroup time must be nonnegative, got {t}")
-    if t == 0:
-        return np.eye(operator.m)
-    q = operator.eigenvectors
-    mat = (q * np.exp(t * operator.generator_eigenvalues)) @ q.T
-    return 0.5 * (mat + mat.T)
-
-
-def _finite(block: np.ndarray, tag: str) -> np.ndarray:
-    """The assembled block, rejected with an EvaluationError if not finite."""
-    if not np.all(np.isfinite(block)):
-        raise EvaluationError(f"operator matrix '{tag}' has non-finite entries")
-    return block
-
-
-@dataclass(frozen=True)
-class SideOperators:
-    """Dense operators of one interval of length delta.
-
-    E = e^{delta M}, E2 = e^{2 delta M}, U = I - E2 + 2 delta M E and
-    V = I - E2 - 2 delta M E, with cached LU factorizations of U and V.
-    Both are provably invertible for the admissible operator class; a
-    numerically singular factorization is reported as an anomaly.
-    """
-
-    operator: SectionOperator
-    delta: float
-    E: np.ndarray
-    E2: np.ndarray
-    U: np.ndarray
-    V: np.ndarray
-    lu_u: tuple
-    lu_v: tuple
-
-    @property
-    def m(self) -> int:
-        return self.operator.m
-
-    def u_inv(self, rhs: np.ndarray) -> np.ndarray:
-        return lu_solve(self.lu_u, rhs)
-
-    def v_inv(self, rhs: np.ndarray) -> np.ndarray:
-        return lu_solve(self.lu_v, rhs)
-
-
-def _invertible(lu: tuple, symbol: np.ndarray, tag: str) -> tuple:
-    """LU factors of U or V: finite, no zero pivot, and a finite exact 2-norm
-    condition number max|s_j| / min|s_j| of its symbol (U = Q diag(u_j) Q^T)."""
-    mags = np.abs(symbol)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cond = np.max(mags) / np.min(mags)
-    factors = lu[0]
-    if not (np.isfinite(cond) and np.all(np.isfinite(factors)) and np.all(np.diagonal(factors))):
-        raise AnomalyError(f"{tag} numerically singular (condition number {cond:.3g}; "
-                           "contradicts its bounded invertibility)")
-    return lu
-
-
-def build_side_operators(operator: SectionOperator, delta: float,
-                         side_tag: str = "") -> SideOperators:
-    """Assemble E, U, V (with inverses) for one interval from semigroups."""
-    e = semigroup(operator, delta)
-    e2 = semigroup(operator, 2.0 * delta)
-    me = generator_matrix(operator) @ e
-    eye = np.eye(operator.m)
-    u = _finite(eye - e2 + 2.0 * delta * me, f"U_{side_tag}")
-    v = _finite(eye - e2 - 2.0 * delta * me, f"V_{side_tag}")
-    z = -operator.eigenvalues
-    lu_u = _invertible(lu_factor(u), u_delta(delta, z), f"U_{side_tag}")
-    lu_v = _invertible(lu_factor(v), v_delta(delta, z), f"V_{side_tag}")
-    return SideOperators(operator=operator, delta=delta, E=e, E2=e2, U=u, V=v,
-                         lu_u=lu_u, lu_v=lu_v)
-
-
-def assemble_UV(operator: SectionOperator, geometry: CylinderGeometry):
-    """Solvability operators (with inverses) for both intervals."""
-    minus = build_side_operators(operator, geometry.c, side_tag="minus")
-    plus = build_side_operators(operator, geometry.d, side_tag="plus")
-    return minus, plus
-
-
-def assemble_P(k_minus: float, k_plus: float, minus: SideOperators, plus: SideOperators):
-    """The six interface blocks P1, P2, P3 on each side."""
-    eye = np.eye(minus.m)
-
-    def triple(ops: SideOperators, k: float, side: str):
-        plus_sq = (eye + ops.E) @ (eye + ops.E)
-        minus_sq = (eye - ops.E) @ (eye - ops.E)
-        p1 = k * (ops.u_inv(plus_sq) + ops.v_inv(minus_sq))
-        p2 = k * (ops.u_inv(eye - ops.E2) + ops.v_inv(eye - ops.E2))
-        p3 = k * (ops.u_inv(minus_sq) + ops.v_inv(plus_sq))
-        return (_finite(p1, f"P1_{side}"), _finite(p2, f"P2_{side}"),
-                _finite(p3, f"P3_{side}"))
-
-    return triple(minus, k_minus, "minus") + triple(plus, k_plus, "plus")
-
-
-@dataclass(frozen=True)
-class DenseOperators:
-    """Assembled interface blocks, the 2m x 2m system, and dense diagnostics.
-
-    ``det_modal_assembled`` holds the diagonal of Q^T det_operator() Q,
-    the per-mode determinant read off the assembled matrices; the
-    solve path's ``det_modal_symbols`` must match it.
-    """
-
-    operator: SectionOperator
-    geometry: CylinderGeometry
-    k_minus: float
-    k_plus: float
-    minus: SideOperators
-    plus: SideOperators
-    P1_minus: np.ndarray
-    P2_minus: np.ndarray
-    P3_minus: np.ndarray
-    P1_plus: np.ndarray
-    P2_plus: np.ndarray
-    P3_plus: np.ndarray
-    Lambda: np.ndarray
-    det_modal_assembled: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        q = self.operator.eigenvectors
-        object.__setattr__(self, "det_modal_assembled",
-                           np.einsum("ij,ij->j", q, self.det_operator() @ q))
-
-    @property
-    def m(self) -> int:
-        return self.operator.m
-
-    @property
-    def p1_sum(self) -> np.ndarray:
-        return self.P1_plus + self.P1_minus
-
-    @property
-    def p2_diff(self) -> np.ndarray:
-        return self.P2_plus - self.P2_minus
-
-    @property
-    def p3_sum(self) -> np.ndarray:
-        return self.P3_plus + self.P3_minus
-
-    def det_operator(self) -> np.ndarray:
-        """Assembled determinant operator -M (P1s P3s - P2d^2)."""
-        mmat = generator_matrix(self.operator)
-        return -mmat @ (self.p1_sum @ self.p3_sum - self.p2_diff @ self.p2_diff)
-
-    def max_commutator(self) -> float:
-        """Largest relative pairwise commutator among the system blocks."""
-        blocks = [generator_matrix(self.operator), self.p1_sum, self.p2_diff, self.p3_sum]
-        worst = 0.0
-        for i in range(len(blocks)):
-            for j in range(i + 1, len(blocks)):
-                x, y = blocks[i], blocks[j]
-                denom = max(np.linalg.norm(x, 2) * np.linalg.norm(y, 2), 1e-300)
-                worst = max(worst, np.linalg.norm(x @ y - y @ x, 2) / denom)
-        return worst
-
-
-def assemble_dense_operators(
-    operator: SectionOperator,
-    geometry: CylinderGeometry,
-    k_minus: float,
-    k_plus: float,
-) -> DenseOperators:
-    """Build every interface block densely, plus the block matrix and diagnostics."""
-    minus, plus = assemble_UV(operator, geometry)
-    p1m, p2m, p3m, p1p, p2p, p3p = assemble_P(k_minus, k_plus, minus, plus)
-    mmat = generator_matrix(operator)
-    p1s = p1p + p1m
-    p2d = p2p - p2m
-    p3s = p3p + p3m
-    lam = np.block([[mmat @ p1s, -p2d], [mmat @ p2d, -p3s]])
-    return DenseOperators(
-        operator=operator, geometry=geometry, k_minus=k_minus, k_plus=k_plus,
-        minus=minus, plus=plus,
-        P1_minus=p1m, P2_minus=p2m, P3_minus=p3m,
-        P1_plus=p1p, P2_plus=p2p, P3_plus=p3p, Lambda=lam,
-    )
-
-
-def solve_block(reference: DenseOperators, s1: np.ndarray, s2: np.ndarray):
-    """LU solve of Lambda [psi1; psi2] = [s1; s2] in the physical basis.
-
-    Returns (psi1, psi2, residual) with the scaled residual
-    ||Lambda psi - s|| / (1 + ||s||).
-    """
-    rhs = np.concatenate([s1, s2])
+def _solve(a: np.ndarray, b: np.ndarray, what: str):
+    """Row-equilibrated batched solve of a x = b; returns x and the scaled residual."""
+    scale = np.max(np.abs(a), axis=2, keepdims=True)
+    scale[scale == 0.0] = 1.0
+    a, b = a / scale, b / scale
     try:
-        sol = np.linalg.solve(reference.Lambda, rhs)
+        x = np.linalg.solve(a, b)
     except np.linalg.LinAlgError as exc:
-        raise AnomalyError(
-            "singular interface block matrix (contradicts determinant "
-            f"invertibility): {exc}"
-        ) from exc
-    residual = float(np.linalg.norm(reference.Lambda @ sol - rhs) / (1.0 + np.linalg.norm(rhs)))
-    return sol[:reference.m], sol[reference.m:], residual
+        raise AnomalyError(f"singular per-mode {what}: {exc}") from exc
+    if not np.all(np.isfinite(x)):
+        raise AnomalyError(f"per-mode {what} has a non-finite solution")
+    return x, float(np.linalg.norm(a @ x - b) / (1.0 + np.linalg.norm(b)))
 
 
-def spectral_mapping_gap(reference: DenseOperators) -> float:
-    """Worst relative gap between assembled blocks and their scalar symbols."""
-    op = reference.operator
-    c, d = reference.geometry.c, reference.geometry.d
-    pairs = [
-        (reference.minus.U, lambda mu: u_delta(c, -mu)),
-        (reference.plus.U, lambda mu: u_delta(d, -mu)),
-        (reference.minus.V, lambda mu: v_delta(c, -mu)),
-        (reference.plus.V, lambda mu: v_delta(d, -mu)),
-    ]
-    for idx in range(3):
-        pairs.append((getattr(reference, f"P{idx + 1}_minus") / reference.k_minus,
-                      lambda mu, i=idx: f_components(c, -mu)[i]))
-        pairs.append((getattr(reference, f"P{idx + 1}_plus") / reference.k_plus,
-                      lambda mu, i=idx: f_components(d, -mu)[i]))
+def fundamental_solve(operators, phi_hat, part_minus, part_plus):
+    """Modal interface pair and scaled residual (psi1_hat, psi2_hat, residual) of the 8 x 8 solves.
+
+    Unknowns: four basis coefficients per side. Rows: u, u' at a and at b, and the jumps
+    of u, u', k t2 and k t3 at gamma. ``phi_hat`` is the modal boundary data (phi1-,
+    phi2-, phi1+, phi2+); the particular parts (F = F'' = 0 at every end) enter through
+    F'(a), F'(gamma+-), F'''(gamma+-) and F'(b), and psi2 = h-'(gamma) + F-'(gamma)."""
+    minus, plus, km, kp = operators.minus, operators.plus, operators.k_minus, operators.k_plus
+    m_a, m_g = _end_rows(minus, True), _end_rows(minus, False)
+    p_g, p_b = _end_rows(plus, True), _end_rows(plus, False)
+    a = np.zeros((minus.m, 8, 8))
+    a[:, 0:2, :4], a[:, 2:4, 4:] = m_a[:, :2], p_b[:, :2]
+    a[:, 4:6, :4], a[:, 4:6, 4:] = m_g[:, :2], -p_g[:, :2]
+    a[:, 6:8, :4], a[:, 6:8, 4:] = km * m_g[:, 2:], -kp * p_g[:, 2:]
+    g2, zero = minus.g**2, np.zeros(minus.m)
+    phi1m, phi2m, phi1p, phi2p = phi_hat
+    fpm, fpp = part_minus.fprime_right, part_plus.fprime_left
+    b = np.stack([phi1m, phi2m - part_minus.fprime_left, phi1p, phi2p - part_plus.fprime_right,
+                  zero, fpp - fpm, zero,
+                  kp * (part_plus.f3_left - g2 * fpp) - km * (part_minus.f3_right - g2 * fpm)],
+                 axis=1)
+    x, residual = _solve(a, b[..., None], "interface system")
+    psi = m_g[:, :2] @ x[:, :4]
+    return psi[:, 0, 0], psi[:, 1, 0] + fpm, residual
+
+
+class FundamentalSymbols(NamedTuple):
+    """Symbols read off the fundamental system, per mode: ``minus``/``plus`` hold f1, f2 (from
+    t3), f2 (from t2), f3 and det = -u v; ``det_modal`` is -g (p1s p3s - p2d^2) from them."""
+
+    minus: np.ndarray
+    plus: np.ndarray
+    det_modal: np.ndarray
+
+
+def _one_sided(ops, side: str) -> np.ndarray:
+    """f1, f2, f2, f3 and det (= -u_delta v_delta) of the 4 x 4 system u, u' at both ends.
+
+    Unit interface data (psi1, psi2) gives, plus side, t3(1, 0) = -g^3 f1, t3(0, 1) = g^2 f2,
+    t2(1, 0) = -g^2 f2, t2(0, 1) = g f3; the minus side flips f1 and f3."""
+    lo, hi = _end_rows(ops, True), _end_rows(ops, False)
+    a = np.concatenate([lo[:, :2], hi[:, :2]], axis=1)
+    at_gamma, first = (hi, 2) if side == SIDE_MINUS else (lo, 0)
+    unit = np.zeros((ops.m, 4, 2))
+    unit[:, first, 0] = unit[:, first + 1, 1] = 1.0
+    t2, t3 = np.moveaxis(at_gamma[:, 2:] @ _solve(a, unit, "one-sided system")[0], 1, 0)
+    g, sign = ops.g, (1.0 if side == SIDE_MINUS else -1.0)
+    return np.stack([sign * t3[:, 0] / g**3, t3[:, 1] / g**2, -t2[:, 0] / g**2,
+                     -sign * t2[:, 1] / g, np.linalg.det(a)])
+
+
+def fundamental_symbols(operators) -> FundamentalSymbols:
+    """Interface symbols of both intervals from the fundamental system, O(m)."""
+    minus, plus = _one_sided(operators.minus, SIDE_MINUS), _one_sided(operators.plus, SIDE_PLUS)
+    km, kp = operators.k_minus, operators.k_plus
+    p1s, p3s = kp * plus[0] + km * minus[0], kp * plus[3] + km * minus[3]
+    p2d = kp * plus[1] - km * minus[1]
+    return FundamentalSymbols(minus, plus, -operators.minus.g * (p1s * p3s - p2d**2))
+
+
+def spectral_mapping_gap(operators, reference: FundamentalSymbols) -> float:
+    """Worst max_j |read - symbol| / max_j |symbol| over f_delta,1..3 and -u_delta v_delta."""
     worst = 0.0
-    for assembled, symbol in pairs:
-        target = apply_function(op, symbol)
-        scale = max(np.linalg.norm(target, 2), 1e-300)
-        worst = max(worst, float(np.linalg.norm(assembled - target, 2) / scale))
+    for ops, read in ((operators.minus, reference.minus), (operators.plus, reference.plus)):
+        for got, want in zip(read, (ops.f[0], ops.f[1], ops.f[1], ops.f[2], -ops.u * ops.v)):
+            worst = max(worst, float(np.max(np.abs(got - want)) / np.max(np.abs(want))))
     return worst

@@ -1,0 +1,155 @@
+"""Dense m x m build of the interface operators, a test helper.
+
+The solver works mode by mode and never forms these matrices. The tests
+that check the spectral calculus, the block identities and the per-mode
+inversion against an independent dense construction build them here, as
+m x m matrices from semigroup matrices and dense solves, without the
+scalar symbols: O(m^3), so only at small m.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from bitrans import EvaluationError
+
+
+def apply_function(operator, g, tag: str = "") -> np.ndarray:
+    """Q diag(g(mu)) Q^T, symmetrized; rejects values that are not finite."""
+    mu = operator.eigenvalues
+    vals = np.broadcast_to(g(mu), mu.shape).astype(float)
+    if not np.all(np.isfinite(vals)):
+        j = int(np.argmax(~np.isfinite(vals)))
+        raise EvaluationError(
+            f"spectral function '{tag}' not finite at eigenvalue mu_{j + 1} = {mu[j]:.6g}"
+        )
+    q = operator.eigenvectors
+    mat = (q * vals) @ q.T
+    return 0.5 * (mat + mat.T)
+
+
+def generator_matrix(operator) -> np.ndarray:
+    """Dense generator M = Q diag(g) Q^T, with g = -sqrt(-mu); M^2 = -A."""
+    q = operator.eigenvectors
+    return (q * operator.generator_eigenvalues) @ q.T
+
+
+def semigroup(operator, t: float) -> np.ndarray:
+    """Semigroup matrix e^{tM} for t >= 0; t = 0 returns the exact identity."""
+    if not np.isfinite(t) or t < 0:
+        raise ValueError(f"semigroup time must be nonnegative, got {t}")
+    if t == 0:
+        return np.eye(operator.m)
+    q = operator.eigenvectors
+    mat = (q * np.exp(t * operator.generator_eigenvalues)) @ q.T
+    return 0.5 * (mat + mat.T)
+
+
+@dataclass(frozen=True)
+class SideOperators:
+    """E = e^{delta M}, E2 = e^{2 delta M}, U = I - E2 + 2 delta M E, V = I - E2 - 2 delta M E."""
+
+    E: np.ndarray
+    E2: np.ndarray
+    U: np.ndarray
+    V: np.ndarray
+
+    def u_inv(self, rhs: np.ndarray) -> np.ndarray:
+        return np.linalg.solve(self.U, rhs)
+
+    def v_inv(self, rhs: np.ndarray) -> np.ndarray:
+        return np.linalg.solve(self.V, rhs)
+
+
+def build_side_operators(operator, delta: float) -> SideOperators:
+    e = semigroup(operator, delta)
+    e2 = semigroup(operator, 2.0 * delta)
+    me = generator_matrix(operator) @ e
+    eye = np.eye(operator.m)
+    return SideOperators(E=e, E2=e2, U=eye - e2 + 2.0 * delta * me, V=eye - e2 - 2.0 * delta * me)
+
+
+@dataclass(frozen=True)
+class DenseOperators:
+    """The six interface blocks, the 2m x 2m matrix Lambda and the dense diagnostics.
+
+    ``det_modal_assembled`` is the diagonal of Q^T det_operator() Q.
+    """
+
+    operator: object
+    minus: SideOperators
+    plus: SideOperators
+    P1_minus: np.ndarray
+    P2_minus: np.ndarray
+    P3_minus: np.ndarray
+    P1_plus: np.ndarray
+    P2_plus: np.ndarray
+    P3_plus: np.ndarray
+    Lambda: np.ndarray
+    det_modal_assembled: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        q = self.operator.eigenvectors
+        object.__setattr__(self, "det_modal_assembled",
+                           np.einsum("ij,ij->j", q, self.det_operator() @ q))
+
+    @property
+    def p1_sum(self) -> np.ndarray:
+        return self.P1_plus + self.P1_minus
+
+    @property
+    def p2_diff(self) -> np.ndarray:
+        return self.P2_plus - self.P2_minus
+
+    @property
+    def p3_sum(self) -> np.ndarray:
+        return self.P3_plus + self.P3_minus
+
+    def det_operator(self) -> np.ndarray:
+        """Assembled determinant operator -M (P1s P3s - P2d^2)."""
+        mmat = generator_matrix(self.operator)
+        return -mmat @ (self.p1_sum @ self.p3_sum - self.p2_diff @ self.p2_diff)
+
+    def max_commutator(self) -> float:
+        """Largest relative pairwise commutator among the system blocks."""
+        blocks = [generator_matrix(self.operator), self.p1_sum, self.p2_diff, self.p3_sum]
+        worst = 0.0
+        for i in range(len(blocks)):
+            for j in range(i + 1, len(blocks)):
+                x, y = blocks[i], blocks[j]
+                denom = max(np.linalg.norm(x, 2) * np.linalg.norm(y, 2), 1e-300)
+                worst = max(worst, np.linalg.norm(x @ y - y @ x, 2) / denom)
+        return worst
+
+
+def assemble_dense_operators(operator, geometry, k_minus: float, k_plus: float) -> DenseOperators:
+    """Build every interface block densely, and the block matrix Lambda."""
+    minus = build_side_operators(operator, geometry.c)
+    plus = build_side_operators(operator, geometry.d)
+    eye = np.eye(operator.m)
+
+    def triple(ops: SideOperators, k: float):
+        plus_sq = (eye + ops.E) @ (eye + ops.E)
+        minus_sq = (eye - ops.E) @ (eye - ops.E)
+        return (k * (ops.u_inv(plus_sq) + ops.v_inv(minus_sq)),
+                k * (ops.u_inv(eye - ops.E2) + ops.v_inv(eye - ops.E2)),
+                k * (ops.u_inv(minus_sq) + ops.v_inv(plus_sq)))
+
+    p1m, p2m, p3m = triple(minus, k_minus)
+    p1p, p2p, p3p = triple(plus, k_plus)
+    mmat = generator_matrix(operator)
+    p1s, p2d, p3s = p1p + p1m, p2p - p2m, p3p + p3m
+    lam = np.block([[mmat @ p1s, -p2d], [mmat @ p2d, -p3s]])
+    return DenseOperators(operator=operator, minus=minus, plus=plus,
+                          P1_minus=p1m, P2_minus=p2m, P3_minus=p3m,
+                          P1_plus=p1p, P2_plus=p2p, P3_plus=p3p, Lambda=lam)
+
+
+def solve_block(reference: DenseOperators, sources):
+    """Dense solve of Lambda [psi1; psi2] = [S1; S2]; ``sources`` are modal, the pair physical."""
+    op = reference.operator
+    rhs = np.concatenate([op.from_modal(sources.s1), op.from_modal(sources.s2)])
+    sol = np.linalg.solve(reference.Lambda, rhs)
+    return sol[:op.m], sol[op.m:]

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import bitrans
 
-BASIS_OWNERS = {"section_operator.py", "verification.py"}
+BASIS_OWNERS = {"section_operator.py"}
 
 
 def test_only_the_section_operator_and_verification_touch_the_eigenvectors():

@@ -47,10 +47,11 @@ def _run_fresh(body: str, *argv) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def _cli(command: str, config: Path, out: Path) -> dict:
+def _cli(command: str, config: Path, out: Path, *extra) -> dict:
     return _run_fresh("from bitrans.cli import main\n"
-                      "code = main([sys.argv[1], '--config', sys.argv[2], '--out', sys.argv[3]])",
-                      command, str(config), str(out))
+                      "code = main([sys.argv[1], '--config', sys.argv[2], '--out', sys.argv[3],"
+                      " *sys.argv[4:]])",
+                      command, str(config), str(out), *extra)
 
 
 def test_import_bitrans_loads_no_scipy():
@@ -66,6 +67,18 @@ def test_cold_solve_loads_no_scipy(tmp_path):
     assert result["exit"] == 0
     assert (tmp_path / "out" / "solution.csv").is_file()
     assert json.loads((tmp_path / "out" / "report.json").read_text())["passed"] is True
+
+
+def test_cold_solve_on_both_routes_loads_no_scipy(tmp_path):
+    # The fundamental-system reference is numpy only; with no forcing there
+    # is no particular solve either.
+    config = tmp_path / "solve.yaml"
+    config.write_text("section: {kind: laplacian-1d, m: 8, length: 1.0}\n" + _COMMON)
+    result = _cli("solve", config, tmp_path / "out", "--route", "both")
+    assert result["scipy"] == []
+    assert result["exit"] == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["passed"] is True and 0.0 < report["route_gap"] <= 1e-10
 
 
 def test_cold_verify_sine_forced_m64_passes(tmp_path):

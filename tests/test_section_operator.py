@@ -8,16 +8,14 @@ from bitrans import (
     InvalidGeometryError,
     SectionOperator,
     SymmetryError,
-    apply_function,
     build_dirichlet_laplacian_1d,
     direct_solve,
     from_matrix,
     from_matrix_file,
-    generator_matrix,
-    semigroup,
 )
 from bitrans.section_operator import _fix_eigenvector_signs
 from bitrans.symbols import SymbolContext, f_total
+from dense_reference import apply_function, generator_matrix, semigroup
 
 
 def laplacian_closed_form(m, length):
