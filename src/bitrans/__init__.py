@@ -59,9 +59,11 @@ from .subproblem import (
 from .symbols import (
     PositivityScan,
     SymbolContext,
+    determinant,
     f_components,
     f_tilde,
     f_total,
+    interval_symbols,
     positivity_scan,
     u_delta,
     v_delta,

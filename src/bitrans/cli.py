@@ -31,7 +31,7 @@ from .errors import (
 from .oracle import compare, convergence_study, direct_solve
 from .problem import SIDES
 from .symbols import SymbolContext, positivity_scan
-from .transmission import ROUTE_BOTH, solve_transmission
+from .transmission import BLOCK_RESIDUAL_TOL, DET_CROSSCHECK_TOL, ROUTE_BOTH, solve_transmission
 from .verification import spectral_mapping_gap
 
 EXIT_OK = 0
@@ -40,7 +40,6 @@ EXIT_HYPOTHESIS = 3
 EXIT_BUDGET = 4
 
 SPECTRAL_MAP_TOL = 1e-11
-IDENTITY_TOL = 1e-10
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -90,8 +89,8 @@ def _verify_checks(config: RunConfig, operator, forcing, boundary, case):
         checks[name] = {"value": float(value), "budget": float(budget),
                         "passed": bool(value <= budget)}
 
-    record("route_gap", solution.route_gap, 1e-10)
-    record("det_gap", report.det_gap, IDENTITY_TOL)
+    record("route_gap", solution.route_gap, BLOCK_RESIDUAL_TOL)
+    record("det_gap", report.det_gap, DET_CROSSCHECK_TOL)
     record("spectral_mapping", spectral_mapping_gap(solution.operators, solution.reference),
            SPECTRAL_MAP_TOL)
     record("residual_budgets", 0.0 if report.passed else 1.0, 0.5)

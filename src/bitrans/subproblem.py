@@ -30,7 +30,7 @@ from ._spline import CubicSpline
 from .errors import DimensionMismatchError, ResolutionError
 from .problem import SIDE_MINUS, CylinderGeometry, ModalForcing, check_side
 from .section_operator import SectionOperator
-from .symbols import f_components, u_delta, v_delta
+from .symbols import interval_symbols
 
 # 4th-order one-sided 5-point first-derivative stencils (left end / right end).
 _D1_LEFT = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
@@ -45,8 +45,8 @@ class SideSymbols:
     operators E = e^{delta M}, U = I - E^2 + 2 delta M E and
     V = I - E^2 - 2 delta M E are diagonal, with entries
     e_j = exp(delta g_j), u_j = u_delta(delta, -mu_j) and
-    v_j = v_delta(delta, -mu_j); ``f`` holds the interface-block symbols
-    f_{delta,1..3}(-mu_j), and ``g`` the generator eigenvalues themselves.
+    v_j = v_delta(delta, -mu_j); ``f`` holds f_{delta,1..3}(-mu_j) and the
+    determinant remainder g_delta(-mu_j), ``g`` the generator eigenvalues.
     Every coefficient formula below is per-mode arithmetic on these
     arrays, applied to eigenbasis coordinates.
     """
@@ -73,12 +73,9 @@ class SideSymbols:
 
 
 def side_symbols(operator: SectionOperator, delta: float) -> SideSymbols:
-    """Evaluate the one-sided symbols on the spectrum, O(m)."""
-    z = -operator.eigenvalues
-    g = operator.generator_eigenvalues
-    f1, f2, f3, _ = f_components(delta, z)  # rejects modes where u or v vanishes
-    return SideSymbols(g=g, delta=delta, e=np.exp(delta * g),
-                       u=u_delta(delta, z), v=v_delta(delta, z), f=(f1, f2, f3))
+    """Evaluate the one-sided symbols on the spectrum in one pass, O(m)."""
+    e, u, v, *f = interval_symbols(delta, -operator.eigenvalues)  # raises where u or v vanishes
+    return SideSymbols(g=operator.generator_eigenvalues, delta=delta, e=e, u=u, v=v, f=tuple(f))
 
 
 def _one_sided_derivative(field: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:

@@ -6,10 +6,12 @@ of z = -mu (principal branch of sqrt on C minus the negative reals):
 
 * ``u_delta``, ``v_delta``: the symbols of the one-sided solvability
   operators U, V for an interval of length delta,
-* ``f_components``: the three interface-block symbols f_{delta,1..3} and
-  the determinant remainder g_delta,
-* ``f_total``: the scalar determinant symbol, strictly positive on the
-  positive real axis for any positive lengths and diffusivities,
+* ``interval_symbols``: e^{-delta sqrt(z)}, u_delta, v_delta, the
+  interface-block symbols f_{delta,1..3} and the determinant remainder
+  g_delta of one interval in one pass (``f_components``: the last four),
+* ``determinant``: the scalar determinant symbol, strictly positive on the
+  positive real axis for any positive lengths and diffusivities; ``f_total``
+  and the interface assembly share it, so a solve evaluates each interval once,
 * ``f_tilde``: the normalized determinant, f / (16 k+ k- (u v)^2 terms),
   tending to 1 at +infinity.
 
@@ -99,11 +101,11 @@ def v_delta(delta: float, z):
     return -np.expm1(-2.0 * eps) + 2.0 * eps * np.exp(-eps)
 
 
-def f_components(delta: float, z):
-    """The interface-block symbols (f_{delta,1}, f_{delta,2}, f_{delta,3}, g_delta).
+def interval_symbols(delta: float, z):
+    """(e^{-delta sqrt(z)}, u_delta, v_delta, f_{delta,1..3}, g_delta) in one pass.
 
-    All four are strictly positive for real z > 0 and tend to (2, 2, 2, 0)
-    as z -> +infinity. They satisfy f1 * f3 - f2^2 = g identically.
+    The last four are strictly positive for real z > 0, tend to (2, 2, 2, 0)
+    as z -> +infinity and satisfy f1 * f3 - f2^2 = g identically.
     Raises EvaluationError, naming the first such entry of z (the mode
     when z = -mu), where u or v evaluates to zero in floating point. On
     the real axis 1 - e^{-eps} and 1 - e^{-2 eps} come from expm1, so
@@ -130,11 +132,16 @@ def f_components(delta: float, z):
     f2 = (1.0 / u + 1.0 / v) * one_minus_e2
     f3 = one_minus_e**2 / u + (1.0 + e) ** 2 / v
     g = 16.0 * e * e / (u * v)
-    return f1, f2, f3, g
+    return e, u, v, f1, f2, f3, g
 
 
-def f_total(ctx: SymbolContext, z):
-    """Scalar determinant symbol.
+def f_components(delta: float, z):
+    """(f_{delta,1}, f_{delta,2}, f_{delta,3}, g_delta): the last four of ``interval_symbols``."""
+    return interval_symbols(delta, z)[3:]
+
+
+def determinant(k_minus: float, k_plus: float, minus, plus):
+    """Scalar determinant symbol from the (f1, f2, f3, g) of the minus (c) and plus (d) interval.
 
     f = k+^2 g_d + k-^2 g_c
         + k+ k- (f_{d,1} f_{c,3} + f_{c,1} f_{d,3} + 2 f_{d,2} f_{c,2}),
@@ -142,9 +149,8 @@ def f_total(ctx: SymbolContext, z):
     strictly positive for real z > 0; tends to 16 k+ k- at +infinity.
     Raises EvaluationError when a squared diffusivity overflows.
     """
-    fd1, fd2, fd3, gd = f_components(ctx.d, z)
-    fc1, fc2, fc3, gc = f_components(ctx.c, z)
-    kp, km = ctx.k_plus, ctx.k_minus
+    (fc1, fc2, fc3, gc), (fd1, fd2, fd3, gd) = minus, plus
+    kp, km = k_plus, k_minus
     try:
         with np.errstate(over="ignore"):
             kp2, km2 = kp**2, km**2
@@ -157,6 +163,12 @@ def f_total(ctx: SymbolContext, z):
     return kp2 * gd + km2 * gc + kp * km * (fd1 * fc3 + fc1 * fd3 + 2.0 * fd2 * fc2)
 
 
+def f_total(ctx: SymbolContext, z):
+    """``determinant`` of the two intervals of ``ctx``, evaluated at z."""
+    plus = f_components(ctx.d, z)  # plus first: it names the mode when both vanish
+    return determinant(ctx.k_minus, ctx.k_plus, f_components(ctx.c, z), plus)
+
+
 def f_tilde(ctx: SymbolContext, z):
     """Normalized determinant symbol, f * (u_c u_d v_c v_d)^2 / (16 k+ k-).
 
@@ -165,9 +177,10 @@ def f_tilde(ctx: SymbolContext, z):
     materialized); tends to 1 as z -> +infinity and stays positive on
     the positive real axis.
     """
-    prod = (u_delta(ctx.c, z) * u_delta(ctx.d, z)
-            * v_delta(ctx.c, z) * v_delta(ctx.d, z))
-    return f_total(ctx, z) * prod**2 / (16.0 * ctx.k_plus * ctx.k_minus)
+    _, ud, vd, *plus = interval_symbols(ctx.d, z)
+    _, uc, vc, *minus = interval_symbols(ctx.c, z)
+    f = determinant(ctx.k_minus, ctx.k_plus, minus, plus)
+    return f * (uc * ud * vc * vd) ** 2 / (16.0 * ctx.k_plus * ctx.k_minus)
 
 
 @dataclass(frozen=True)

@@ -49,7 +49,7 @@ from .subproblem import (
     side_symbols,
     solve_particular,
 )
-from .symbols import SymbolContext, f_total
+from .symbols import determinant
 from .verification import FundamentalSymbols, fundamental_solve, fundamental_symbols
 
 BLOCK_RESIDUAL_TOL = 1e-10
@@ -78,8 +78,8 @@ def _cond_lambda(g: np.ndarray, p1s: np.ndarray, p2d: np.ndarray, p3s: np.ndarra
 class TransmissionOperators:
     """Per-mode symbols of every interface block.
 
-    ``minus``/``plus`` hold E, U, V and f_{delta,1..3} of each interval,
-    so the blocks are P_i = k f_{delta,i} per side. The system matrix is
+    ``minus``/``plus`` hold E, U, V, f_{delta,1..3} and g_delta of each
+    interval, so the blocks are P_i = k f_{delta,i} per side. The system matrix is
     Lambda_j = [[g_j p1s_j, -p2d_j], [g_j p2d_j, -p3s_j]] per mode, with
     g_j the generator eigenvalues and p1s = P1+ + P1-, p2d = P2+ - P2-,
     p3s = P3+ + P3-. ``det_modal_symbols`` holds det Lambda_j =
@@ -124,8 +124,7 @@ def assemble_transmission_operators(
     """Evaluate every interface block symbol on the spectrum, O(m)."""
     minus = side_symbols(operator, geometry.c)
     plus = side_symbols(operator, geometry.d)
-    ctx = SymbolContext(geometry.c, geometry.d, k_minus, k_plus)
-    f_vals = np.asarray(f_total(ctx, -operator.eigenvalues), dtype=float)
+    f_vals = determinant(k_minus, k_plus, minus.f, plus.f)
     g = operator.generator_eigenvalues
     p1s = k_plus * plus.f[0] + k_minus * minus.f[0]
     p2d = k_plus * plus.f[1] - k_minus * minus.f[1]

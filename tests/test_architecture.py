@@ -6,16 +6,43 @@ from pathlib import Path
 import bitrans
 
 BASIS_OWNERS = {"section_operator.py"}
+INTERVAL_EVALUATORS = {"u_delta", "v_delta", "f_components"}
+
+
+def _nodes():
+    """(module file name, AST node) for every node of the package source."""
+    for path in sorted(Path(bitrans.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            yield path.name, node
+
+
+def _name(node):
+    """The name a Name, Attribute or import alias node refers to, else None."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.alias):
+        return node.name
+    return None
 
 
 def test_only_the_section_operator_and_verification_touch_the_eigenvectors():
     # Every other module changes basis through SectionOperator.to_modal and
     # from_modal, so the choice of eigenbasis is made in one place.
-    offenders = []
-    for path in sorted(Path(bitrans.__file__).parent.glob("*.py")):
-        if path.name in BASIS_OWNERS:
-            continue
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Attribute) and node.attr == "eigenvectors":
-                offenders.append(f"{path.name}:{node.lineno}")
+    offenders = [f"{name}:{node.lineno}" for name, node in _nodes()
+                 if name not in BASIS_OWNERS
+                 and isinstance(node, ast.Attribute) and node.attr == "eigenvectors"]
     assert not offenders, f"eigenvectors named outside {sorted(BASIS_OWNERS)}: {offenders}"
+
+
+def test_only_symbols_evaluates_an_interval():
+    # An interval's symbols come from symbols.interval_symbols in one pass,
+    # and the assembly forms the determinant from the two sides it holds,
+    # so a solve evaluates each interval once.
+    offenders = [f"{name}:{node.lineno}" for name, node in _nodes()
+                 if name != "symbols.py" and isinstance(node, ast.Call)
+                 and _name(node.func) in INTERVAL_EVALUATORS]
+    offenders += [f"{name}:{getattr(node, 'lineno', '?')}" for name, node in _nodes()
+                  if name == "transmission.py" and _name(node) in {"SymbolContext", "f_total"}]
+    assert not offenders, f"interval symbols evaluated outside symbols.py: {offenders}"

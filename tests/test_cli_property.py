@@ -13,7 +13,7 @@ import tempfile
 from pathlib import Path
 
 import yaml
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bitrans.cli import main
@@ -84,8 +84,7 @@ def configs(draw):
     }
 
 
-@settings(max_examples=60, derandomize=True, database=None, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=60)
 @given(config=configs(),
        command=st.sampled_from(["solve", "verify", "scan-symbols", "convergence"]),
        seed=st.one_of(st.none(), st.integers(-3, 2**31)))

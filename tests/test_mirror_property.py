@@ -9,7 +9,7 @@ a sign slip on either side breaks this symmetry.
 """
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bitrans import (
@@ -25,8 +25,7 @@ from bitrans import (
 OTHER = {SIDE_MINUS: SIDE_PLUS, SIDE_PLUS: SIDE_MINUS}
 
 
-@settings(max_examples=25, derandomize=True, database=None, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=25)
 @given(m=st.integers(1, 64), c=st.floats(0.1, 2.0), d=st.floats(0.1, 2.0),
        k_minus=st.floats(0.1, 10.0), k_plus=st.floats(0.1, 10.0),
        seed=st.integers(0, 2**32 - 1))

@@ -8,6 +8,7 @@ from bitrans import (
     InvalidGeometryError,
     SectionOperator,
     SymmetryError,
+    assemble_transmission_operators,
     build_dirichlet_laplacian_1d,
     direct_solve,
     from_matrix,
@@ -118,10 +119,14 @@ def test_invalid_geometry_rejected():
      EvaluationError),
     (lambda: f_total(SymbolContext(0.7, 1.3, np.float64(2e154), 1.0), np.array([1.0])),
      EvaluationError),
+    (lambda: assemble_transmission_operators(build_dirichlet_laplacian_1d(2, 1.0),
+                                             CylinderGeometry(-0.7, 0.0, 1.3), 1.0, 2e154),
+     EvaluationError),
     (lambda: direct_solve(build_dirichlet_laplacian_1d(2, 1.0),
                           CylinderGeometry(-1e300, 0.0, 1e300), 1.0, 2.0),
      InvalidGeometryError),
 ], ids=["laplacian-h2-underflow", "f_total-k2-overflow", "f_total-numpy-k2-overflow",
+        "assembly-k2-overflow",
         "oracle-h2-overflow"])
 def test_extreme_scales_raise_typed_errors(call, error):
     # These used to escape as ZeroDivisionError or OverflowError, or, for a

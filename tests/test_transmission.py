@@ -1,7 +1,11 @@
+import sys
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bitrans import (
     AnomalyError,
@@ -35,7 +39,7 @@ from bitrans import (
     u_delta,
     v_delta,
 )
-from bitrans import problem
+from bitrans import problem, symbols
 from bitrans.symbols import SymbolContext
 from dense_reference import assemble_dense_operators, generator_matrix, solve_block
 
@@ -618,3 +622,67 @@ def test_solution_csv_takes_one_table_per_side(monkeypatch):
     rows = _solution_csv_rows(sol)
     assert [args[0].side for args in tables] == [SIDE_MINUS, SIDE_PLUS]
     assert len(rows) == 1 + 2 * 4 * sol.options.probe_points * 4
+
+
+def _spy_on_symbols(monkeypatch, names):
+    """Count calls of bitrans.symbols functions through every bitrans name bound to them."""
+    calls = Counter()
+    modules = [mod for key, mod in list(sys.modules.items())
+               if key == "bitrans" or key.startswith("bitrans.")]
+    for name in names:
+        original = getattr(symbols, name)
+
+        def spy(*args, _name=name, _fn=original, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for mod in modules:
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, spy)
+    return calls
+
+
+@pytest.mark.parametrize("route", ["calculus", "both"])
+def test_one_solve_evaluates_each_interval_once(monkeypatch, route):
+    calls = _spy_on_symbols(monkeypatch, ("u_delta", "v_delta", "f_components", "f_total"))
+    op = build_dirichlet_laplacian_1d(8, 1.0)
+    geom = CylinderGeometry(-0.7, 0.0, 1.3)
+    rng = np.random.default_rng(0)
+    solve_transmission(op, geom, 1.0, 3.0, ModalForcing.sine(op, geom, SIDE_PLUS, 1, 1, 1.5),
+                       BoundaryData(*rng.normal(size=(4, 8))), SolveOptions(route=route))
+    assert dict(calls) == {"u_delta": 2, "v_delta": 2}
+
+
+@pytest.mark.parametrize("m", [32, 256])
+def test_assembly_symbols_match_the_direct_formulas_bit_for_bit(m):
+    # e^{-delta sqrt(-mu)} is exp(delta g) because g = -sqrt(-mu), and the
+    # determinant the assembly forms from its two sides is f_total's.
+    op = build_dirichlet_laplacian_1d(m, 1.0)
+    geom = CylinderGeometry(-0.7, 0.0, 1.3)
+    tops = assemble_transmission_operators(op, geom, 0.4, 3.0)
+    for side, delta in ((tops.minus, geom.c), (tops.plus, geom.d)):
+        assert np.array_equal(side.e, np.exp(delta * op.generator_eigenvalues))
+    ctx = SymbolContext(geom.c, geom.d, 0.4, 3.0)
+    assert np.array_equal(tops.f_values, f_total(ctx, -op.eigenvalues))
+
+
+@settings(max_examples=25)
+@given(m=st.integers(1, 32), c=st.floats(0.1, 3.0), d=st.floats(0.1, 3.0),
+       k_minus=st.floats(1e-2, 1e2), k_plus=st.floats(1e-2, 1e2),
+       seed=st.integers(0, 2**32 - 1))
+def test_exact_homogeneous_case_property(m, c, d, k_minus, k_plus, seed):
+    # Scaled by the case's sup over both sides: the two sides' data can
+    # differ by many orders, and the small side is not resolved to its own
+    # scale (nor is the residual report asserted here).
+    rng = np.random.default_rng(seed)
+    op = build_dirichlet_laplacian_1d(m, 1.0)
+    geom = CylinderGeometry(-c, 0.0, d)
+    modes = rng.choice(m, size=min(int(rng.integers(1, 5)), m), replace=False)
+    case = manufactured_homogeneous(op, geom, modes, *rng.normal(size=(2, modes.size)))
+    sol = solve_transmission(op, geom, k_minus, k_plus, case.forcing(), case.boundary_data())
+    grids = {side: geom.grid(side, 33) for side in SIDES}
+    scale = max(np.max(np.abs(case.field(side, xs))) for side, xs in grids.items())
+    gap = max(np.max(np.abs(sol.field(side, xs) - case.field(side, xs)))
+              for side, xs in grids.items())
+    assert gap <= 1e-12 * scale, gap / scale

@@ -7,7 +7,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bitrans.transmission as transmission
@@ -259,8 +259,7 @@ def test_singular_per_mode_system_exits_4(monkeypatch, tmp_path, capsys):
     assert "anomaly: singular per-mode interface system" in err and "Traceback" not in err
 
 
-@settings(max_examples=25, derandomize=True, database=None, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=25)
 @given(m=st.integers(1, 64), c=st.floats(0.1, 3.0), d=st.floats(0.1, 3.0),
        k_minus=st.floats(1e-2, 1e2), k_plus=st.floats(1e-2, 1e2),
        seed=st.integers(0, 2**32 - 1))
