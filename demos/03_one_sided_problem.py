@@ -17,6 +17,7 @@ forcing = bt.ModalForcing.sine(op, geom, side, mode=0, k_multiple=1, amplitude=0
 part = bt.solve_particular(op.eigenvalues, geom, side, forcing, n_x=129)
 k = np.pi / geom.c
 print("particular solution (mode 0): F should be 0.7 sin(k (x - a))")
+print("  solved modes:", part.active)  # f_modal has one row per solved mode
 print("  max |F - exact| =", np.max(np.abs(
     part.f_modal[0] - 0.7 * np.sin(k * (part.grid - geom.a)))))
 print("  F'(a) =", part.fprime_left[0], " exact:", 0.7 * k)

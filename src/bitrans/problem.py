@@ -8,7 +8,7 @@ solver and the finite-difference oracle consume them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -108,15 +108,49 @@ class BoundaryData:
         return cls(z, z.copy(), z.copy(), z.copy())
 
 
+def _checked_rows(values, rows: int, points: int) -> np.ndarray:
+    """Forcing values as a finite (rows, points) float array, else DimensionMismatchError."""
+    vals = np.asarray(values, dtype=float)
+    if vals.shape != (rows, points):
+        raise DimensionMismatchError(
+            f"forcing resampler returned shape {vals.shape}, expected {(rows, points)}"
+        )
+    if not np.all(np.isfinite(vals)):
+        raise DimensionMismatchError("forcing samples must be finite")
+    return vals
+
+
+def _mode_rows(modes, m: int) -> np.ndarray:
+    """Declared forcing modes as sorted distinct indices in 0..m-1, else DimensionMismatchError.
+
+    Sorted and checked by hand: ``np.unique`` imports ``numpy.ma`` on its
+    first call, 15 ms of every cold command-line run.
+    """
+    rows = np.asarray(modes)
+    if rows.ndim != 1 or (rows.size and rows.dtype.kind not in "iu"):
+        raise DimensionMismatchError("forcing modes must be a vector of mode indices")
+    rows = np.sort(rows).astype(np.intp)
+    if rows.size and not (0 <= rows[0] and rows[-1] < m):
+        raise DimensionMismatchError(f"forcing modes outside 0..{m - 1}")
+    if np.any(rows[1:] == rows[:-1]):
+        raise DimensionMismatchError("forcing modes must be distinct")
+    return rows
+
+
 @dataclass(frozen=True)
 class ModalForcing:
     """Per-mode forcing in the eigenbasis of the section operator.
 
     Stored as samples on one grid per interval; an optional exact
-    resampler (``func_minus`` / ``func_plus``, mapping an x-array to an
-    (m, len(x)) array) lets closed-form test cases be re-evaluated on any
-    grid without interpolation error. Sample counts on the two intervals
-    must match.
+    resampler (``func_minus`` / ``func_plus``, mapping an x-array to a
+    (len(modes), len(x)) array of the declared rows) lets closed-form
+    test cases be re-evaluated on any grid without interpolation error.
+    Sample counts on the two intervals must match.
+
+    ``modes`` are the sorted rows that may be nonzero on either side;
+    every other row is zero everywhere. Without a declaration they are
+    all m rows when a resampler exists, else the rows with a nonzero
+    stored sample. ``sample_modes`` returns the declared rows only.
     """
 
     geometry: CylinderGeometry
@@ -127,6 +161,7 @@ class ModalForcing:
     func_minus: Optional[Callable[[np.ndarray], np.ndarray]] = None
     func_plus: Optional[Callable[[np.ndarray], np.ndarray]] = None
     label: str = ""
+    modes: Optional[Sequence[int]] = None
 
     def __post_init__(self):
         gm = np.asarray(self.grid_minus, dtype=float)
@@ -150,12 +185,23 @@ class ModalForcing:
                 raise InvalidGeometryError(
                     f"forcing grid on side {side!r} must increase and cover [{lo}, {hi}]"
                 )
+        m = sm.shape[0]
+        nonzero = np.any(sm, axis=1) | np.any(sp, axis=1)
+        if self.modes is None:
+            has_func = self.func_minus is not None or self.func_plus is not None
+            modes = np.arange(m) if has_func else np.flatnonzero(nonzero)
+        else:
+            modes = _mode_rows(self.modes, m)
+            nonzero[modes] = False
+            if np.any(nonzero):
+                raise DimensionMismatchError("forcing samples are nonzero outside the declared modes")
         object.__setattr__(self, "grid_minus", gm)
         object.__setattr__(self, "grid_plus", gp)
         object.__setattr__(self, "samples_minus", sm)
         object.__setattr__(self, "samples_plus", sp)
-        # Per-side interpolant of the samples, built on the first sample()
-        # without a resampler; None marks an all-zero side.
+        object.__setattr__(self, "modes", modes)
+        # Per-side interpolant of the declared rows' samples, built on the
+        # first sample without a resampler; None marks an all-zero side.
         object.__setattr__(self, "_splines", {})
 
     @property
@@ -168,29 +214,34 @@ class ModalForcing:
                          else (self.func_plus, self.samples_plus))
         return func is None and not np.any(samples)
 
-    def sample(self, side: str, xs: np.ndarray) -> np.ndarray:
-        """Forcing values at the points ``xs``, exact when a resampler exists.
+    def sample_modes(self, side: str, xs: np.ndarray) -> np.ndarray:
+        """Values of the declared rows ``modes`` at the points ``xs``, shape (len(modes), len(xs)).
 
-        Otherwise the values come from a cubic spline of the side's
-        samples, built once per side on first use (none for zero samples).
+        Exact when the side has a resampler; otherwise the values come
+        from a cubic spline of the side's samples on the declared rows,
+        built once per side on first use (none for zero samples). Raises
+        DimensionMismatchError unless the values are finite and shaped so.
         """
         check_side(side)
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
         func = self.func_minus if side == SIDE_MINUS else self.func_plus
         if func is not None:
-            vals = np.asarray(func(xs), dtype=float)
-            if vals.shape != (self.m, xs.size):
-                raise DimensionMismatchError(
-                    f"forcing resampler returned shape {vals.shape}, "
-                    f"expected {(self.m, xs.size)}"
-                )
-            return vals
+            return _checked_rows(func(xs), self.modes.size, xs.size)
         if side not in self._splines:
             grid = self.grid_minus if side == SIDE_MINUS else self.grid_plus
             samples = self.samples_minus if side == SIDE_MINUS else self.samples_plus
-            self._splines[side] = CubicSpline(grid, samples) if np.any(samples) else None
+            self._splines[side] = (CubicSpline(grid, samples[self.modes])
+                                   if np.any(samples) else None)
         spline = self._splines[side]
-        return np.zeros((self.m, xs.size)) if spline is None else spline(xs)
+        vals = np.zeros((self.modes.size, xs.size)) if spline is None else spline(xs)
+        return _checked_rows(vals, self.modes.size, xs.size)
+
+    def sample(self, side: str, xs: np.ndarray) -> np.ndarray:
+        """All m rows at the points ``xs``, shape (m, len(xs)): ``sample_modes`` scattered."""
+        rows = self.sample_modes(side, xs)
+        out = np.zeros((self.m, rows.shape[1]))
+        out[self.modes] = rows
+        return out
 
     @classmethod
     def zero(cls, m: int, geometry: CylinderGeometry, n: int = 33) -> "ModalForcing":
@@ -212,12 +263,20 @@ class ModalForcing:
         func_plus: Callable[[np.ndarray], np.ndarray],
         n: int = 33,
         label: str = "",
+        modes: Optional[Sequence[int]] = None,
     ) -> "ModalForcing":
-        gm = geometry.grid(SIDE_MINUS, n)
-        gp = geometry.grid(SIDE_PLUS, n)
-        return cls(geometry, gm, gp, np.asarray(func_minus(gm), dtype=float),
-                   np.asarray(func_plus(gp), dtype=float),
-                   func_minus=func_minus, func_plus=func_plus, label=label)
+        """Forcing from exact resamplers of the rows ``modes`` (all m rows by default).
+
+        Each resampler maps an x-array to its (len(modes), len(x)) values;
+        the stored samples are their values on ``n`` points per side.
+        """
+        rows = np.arange(m) if modes is None else _mode_rows(modes, m)
+        grids = [geometry.grid(side, n) for side in SIDES]
+        samples = [np.zeros((m, n)), np.zeros((m, n))]
+        for full, func, grid in zip(samples, (func_minus, func_plus), grids):
+            full[rows] = _checked_rows(func(grid), rows.size, n)
+        return cls(geometry, *grids, *samples, func_minus=func_minus, func_plus=func_plus,
+                   label=label, modes=rows)
 
     @classmethod
     def sine(
@@ -247,9 +306,9 @@ class ModalForcing:
 
         def make(active: bool):
             def func(xs: np.ndarray) -> np.ndarray:
-                out = np.zeros((operator.m, np.size(xs)))
+                out = np.zeros((1, np.size(xs)))
                 if active:
-                    out[mode] = coef * np.sin(k * (np.asarray(xs) - lo))
+                    out[0] = coef * np.sin(k * (np.asarray(xs) - lo))
                 return out
             return func
 
@@ -257,6 +316,7 @@ class ModalForcing:
             geometry, operator.m,
             make(side == SIDE_MINUS), make(side == SIDE_PLUS),
             n=n, label=f"sine(side={side}, mode={mode}, k={k_multiple}*pi/len)",
+            modes=(mode,),
         )
 
     @classmethod

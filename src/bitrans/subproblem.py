@@ -11,11 +11,14 @@ The coefficients a1..a4 are sums of end contributions of one end map
 and the particular slopes give the boundary-source quadruple phi~, and
 the interface values (psi1, psi2) add their end at gamma. F is the
 particular solution with homogeneous value and second-derivative
-conditions at both interval ends. Everything here is linear in the
-data. All operators are functions of M, so the coefficient algebra runs
-per mode on eigenbasis coordinates (``SideSymbols``) and fields are
-evaluated there too, orders 0..3 in one table (``modal_fields``);
-``evaluate`` maps them back where a physical value is read.
+conditions at both interval ends; it is sampled and solved on the
+forcing's declared modes only (``ModalForcing.modes``), all of them in
+one banded call per factor stage, and every other mode's F is zero.
+Everything here is linear in the data. All operators are functions of
+M, so the coefficient algebra runs per mode on eigenbasis coordinates
+(``SideSymbols``) and fields are evaluated there too, orders 0..3 in one
+table (``modal_fields``); ``evaluate`` maps them back where a physical
+value is read.
 """
 
 from __future__ import annotations
@@ -89,13 +92,15 @@ def _one_sided_derivative(field: np.ndarray, h: float) -> tuple[np.ndarray, np.n
 class ParticularSolution:
     """Particular solution F of one interval with F = F'' = 0 at both ends.
 
-    Stores the modal fields F and w = F'' + mu F on the interval grid,
-    the endpoint first-derivative traces, and the third-derivative traces
-    F''' = w' - mu F' (exact identity of the factorized problem). The
-    ``error_estimate`` is the relative size of the Richardson correction,
-    an observed bound for the remaining discretization error. ``active``
-    lists the forced modes; every other row is exactly zero, and the
-    interpolating splines cover the active rows only.
+    ``active`` lists the forced modes, and ``f_modal``, ``w_modal`` hold
+    their fields F and w = F'' + mu F on the interval grid, one row per
+    entry of ``active``; every other mode's F is exactly zero. The
+    endpoint first-derivative traces and the third-derivative traces
+    F''' = w' - mu F' (exact identity of the factorized problem) are
+    vectors over all m modes. The ``error_estimate`` is the relative
+    size of the Richardson correction, an observed bound for the
+    remaining discretization error. One spline interpolates F and w of
+    the active rows together.
     """
 
     side: str
@@ -111,16 +116,13 @@ class ParticularSolution:
     active: np.ndarray
 
     def __post_init__(self):
-        rows = self.active
-        if rows.size:
-            object.__setattr__(self, "_spline_f",
-                               CubicSpline(self.grid, self.f_modal[rows]))
-            object.__setattr__(self, "_spline_w",
-                               CubicSpline(self.grid, self.w_modal[rows]))
+        if self.active.size:
+            object.__setattr__(self, "_spline",
+                               CubicSpline(self.grid, np.vstack([self.f_modal, self.w_modal])))
 
     @property
     def m(self) -> int:
-        return self.f_modal.shape[0]
+        return self.fprime_left.size
 
     @property
     def fprime_interface(self) -> np.ndarray:
@@ -134,11 +136,11 @@ class ParticularSolution:
     def terms(self, xs: np.ndarray, mu: np.ndarray) -> np.ndarray:
         """Modal F-terms of derivative orders 0..3 at the points ``xs``, shape (4, m, k).
 
-        Interior values take four spline evaluations of the modal samples:
-        F and F' are orders 0 and 1, w - mu F and w' - mu F' orders 2
-        and 3. At the ends, odd orders use the stored traces exactly and
-        even orders the built-in homogeneous conditions F = F'' = 0. Rows
-        outside ``active`` are 0 and are not sampled.
+        Interior values take two evaluations of the [F; w] spline: F and
+        F' are orders 0 and 1, w - mu F and w' - mu F' orders 2 and 3. At
+        the ends, odd orders use the stored traces exactly and even orders
+        the built-in homogeneous conditions F = F'' = 0. Rows outside
+        ``active`` are 0 and are not sampled.
         """
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
         out = np.zeros((4, self.m, xs.size))
@@ -153,9 +155,9 @@ class ParticularSolution:
         x_in = xs[inner]
         part = np.zeros((4, rows.size, xs.size))
         for nu in (0, 1):
-            f_nu = self._spline_f(x_in, nu)
+            f_nu, w_nu = np.split(self._spline(x_in, nu), 2)
             part[nu][:, inner] = f_nu
-            part[nu + 2][:, inner] = self._spline_w(x_in, nu) - mu[rows, None] * f_nu
+            part[nu + 2][:, inner] = w_nu - mu[rows, None] * f_nu
         for order, left, right in ((1, self.fprime_left, self.fprime_right),
                                    (3, self.f3_left, self.f3_right)):
             part[order][:, at_lo] = left[rows, None]
@@ -165,38 +167,64 @@ class ParticularSolution:
 
     @classmethod
     def zero(cls, side: str, geometry: CylinderGeometry, m: int, n_x: int = 33):
-        # Fresh np.zeros fields, not copies: their pages are never written.
+        # No active mode: empty field tables and zero traces.
         grid = geometry.grid(side, n_x)
         zm = np.zeros(m)
-        return cls(side, geometry, grid, np.zeros((m, n_x)), np.zeros((m, n_x)), zm, zm.copy(),
+        return cls(side, geometry, grid, np.zeros((0, n_x)), np.zeros((0, n_x)), zm, zm.copy(),
                    zm.copy(), zm.copy(), 0.0, np.zeros(0, dtype=int))
 
 
-def _solve_factorized(mu: np.ndarray, grid: np.ndarray, fhat: np.ndarray):
-    """Dirichlet solve of u'''' + 2 mu_j u'' + mu_j^2 u = fhat_j for every row j.
+def _solve_factorized(mu: np.ndarray, grids: tuple, fhats: tuple) -> list:
+    """Dirichlet solve of u'''' + 2 mu_j u'' + mu_j^2 u = fhat_j for every row j on every grid.
 
     Per row the operator factors as (d^2/dx^2 + mu_j)^2: w solves
     w'' + mu_j w = fhat_j and F solves F'' + mu_j F = w, both with zero
-    ends. Each stage is one block-diagonal tridiagonal system: the row
-    bands (-2/h^2 + mu_j) diag, 1/h^2 off are stacked with zero coupling
-    across blocks, so every block eliminates exactly as it would alone,
-    and mu_j < 0 keeps each block strictly diagonally dominant. Returns
-    (F, w) on the full grid with the zero ends; no rows means no solve.
+    ends. Each stage is one block-diagonal tridiagonal system over all
+    rows and grids: the bands (-2/h^2 + mu_j) diag, 1/h^2 off, with the h
+    of the block's grid, are stacked with zero coupling across blocks, so
+    every block eliminates exactly as it would alone, and mu_j < 0 keeps
+    each block strictly diagonally dominant. Returns one (F, w) pair per
+    grid, on the full grid with the zero ends; no rows means no solve.
     """
-    h = grid[1] - grid[0]
-    k, n = fhat.shape
-    n_int = n - 2
-    w = np.zeros((k, n))
-    f = np.zeros((k, n))
-    if k:
+    k = mu.size
+    bands = []
+    for grid in grids:
+        h, n_int = grid[1] - grid[0], grid.size - 2
         ab = np.empty((3, k * n_int))
         ab[0] = ab[2] = 1.0 / h**2
         ab[0, ::n_int] = 0.0
         ab[2, n_int - 1::n_int] = 0.0
         ab[1] = np.repeat(-2.0 / h**2 + mu, n_int)
-        w[:, 1:-1] = solve_banded((1, 1), ab, fhat[:, 1:-1].ravel()).reshape(k, n_int)
-        f[:, 1:-1] = solve_banded((1, 1), ab, w[:, 1:-1].ravel()).reshape(k, n_int)
-    return f, w
+        bands.append(ab)
+    ab = np.hstack(bands)
+    cuts = np.cumsum([band.shape[1] for band in bands])[:-1]
+
+    def stage(blocks):
+        if not k:
+            return blocks
+        sol = solve_banded((1, 1), ab, np.concatenate([block.ravel() for block in blocks]))
+        return [part.reshape(k, -1) for part in np.split(sol, cuts)]
+
+    w_int = stage([fhat[:, 1:-1] for fhat in fhats])
+    f_int = stage(w_int)
+    out = []
+    for fhat, f_in, w_in in zip(fhats, f_int, w_int):
+        f, w = np.zeros(fhat.shape), np.zeros(fhat.shape)
+        f[:, 1:-1], w[:, 1:-1] = f_in, w_in
+        out.append((f, w))
+    return out
+
+
+def _end_traces(rows: np.ndarray, field: np.ndarray, m: int, h: float):
+    """One-sided end derivatives of the active rows' (k, n) ``field``, as (m,) vectors.
+
+    The stencils run on an (m, 10) slab of the first and last five
+    columns with each active row at its mode's index, so a mode's traces
+    round the same whichever other modes are active.
+    """
+    slab = np.zeros((m, 10))
+    slab[rows, :5], slab[rows, 5:] = field[:, :5], field[:, -5:]
+    return _one_sided_derivative(slab, h)
 
 
 def solve_particular(
@@ -208,14 +236,15 @@ def solve_particular(
 ) -> ParticularSolution:
     """Solve the homogeneous-ends particular problem on one interval.
 
-    The problem decouples by mode, and a mode whose forcing samples are
-    zero on both grids has F = 0 exactly; only the other (active) modes
-    are solved. Per mode mu the fourth-order equation factors as
-    (d^2/dx^2 + mu)^2, giving two successive Dirichlet solves, each one
-    block-banded solve over the active modes; both are coercive since
-    mu < 0. Fields and traces are Richardson-extrapolated from the h and
-    h/2 central-difference solutions; first-derivative traces use
-    one-sided 4th-order stencils on the extrapolated fields and the
+    The problem decouples by mode, and only the forcing's declared
+    ``modes`` are sampled. A declared mode whose samples are zero on both
+    grids has F = 0 exactly; only the other (active) modes are solved.
+    Per mode mu the fourth-order equation factors as (d^2/dx^2 + mu)^2,
+    giving two successive Dirichlet solves, each one block-banded solve
+    over the active modes on the h and h/2 grids together; both are
+    coercive since mu < 0. Fields and traces are Richardson-extrapolated
+    from the two central-difference solutions; first-derivative traces
+    use one-sided 4th-order stencils on the extrapolated fields and the
     third-derivative traces use F''' = w' - mu F'. A side without active
     modes makes no solve and builds no spline, and a side whose forcing
     is stored as zero samples (no resampler) is not even sampled: it
@@ -236,24 +265,21 @@ def solve_particular(
         return ParticularSolution.zero(side, geometry, mu.size, n_x)
     grid_c = geometry.grid(side, n_x)
     grid_f = geometry.grid(side, 2 * n_x - 1)
-    fhat_c = forcing.sample(side, grid_c)
-    fhat_f = forcing.sample(side, grid_f)
-    active = np.flatnonzero(np.any(fhat_c, axis=1) | np.any(fhat_f, axis=1))
-    mu_a = mu[active]
-    f_c, w_c = _solve_factorized(mu_a, grid_c, fhat_c[active])
-    f_f, w_f = _solve_factorized(mu_a, grid_f, fhat_f[active])
+    fhat_c = forcing.sample_modes(side, grid_c)
+    fhat_f = forcing.sample_modes(side, grid_f)
+    keep = np.any(fhat_c, axis=1) | np.any(fhat_f, axis=1)
+    active = forcing.modes[keep]
+    (f_c, w_c), (f_f, w_f) = _solve_factorized(mu[active], (grid_c, grid_f),
+                                               (fhat_c[keep], fhat_f[keep]))
     corr_f = (f_f[:, ::2] - f_c) / 3.0
-    f_x = np.zeros((mu.size, n_x))
-    w_x = np.zeros((mu.size, n_x))
-    f_x[active] = f_f[:, ::2] + corr_f  # = (4 f_fine - f_coarse) / 3 on coarse nodes
-    w_x[active] = w_f[:, ::2] + (w_f[:, ::2] - w_c) / 3.0
-    # The trace stencils run on all m rows, so a mode's traces round the same
-    # whichever other modes are active.
+    f_x = f_f[:, ::2] + corr_f  # = (4 f_fine - f_coarse) / 3 on coarse nodes
+    w_x = w_f[:, ::2] + (w_f[:, ::2] - w_c) / 3.0
     h = grid_c[1] - grid_c[0]
-    fp_l, fp_r = _one_sided_derivative(f_x, h)
-    wp_l, wp_r = _one_sided_derivative(w_x, h)
-    scale = 1.0 + np.max(np.abs(f_x))
-    estimate = float(np.max(np.abs(corr_f)) / scale) if np.max(np.abs(fhat_c)) > 0 else 0.0
+    fp_l, fp_r = _end_traces(active, f_x, mu.size, h)
+    wp_l, wp_r = _end_traces(active, w_x, mu.size, h)
+    scale = 1.0 + np.max(np.abs(f_x), initial=0.0)
+    estimate = (float(np.max(np.abs(corr_f), initial=0.0) / scale)
+                if np.any(fhat_c) else 0.0)
     return ParticularSolution(
         side=side, geometry=geometry, grid=grid_c,
         f_modal=f_x, w_modal=w_x,

@@ -217,7 +217,7 @@ class InterfaceData:
     residual: float
 
     def __post_init__(self):
-        if self.residual > BLOCK_RESIDUAL_TOL:
+        if not self.residual <= BLOCK_RESIDUAL_TOL:  # a NaN residual fails too
             raise AnomalyError(
                 f"interface solve residual {self.residual:.3e} exceeds "
                 f"{BLOCK_RESIDUAL_TOL:g} (route {self.route!r})"
@@ -236,6 +236,15 @@ def solve_interface_block(operators: TransmissionOperators, phi_hat: tuple,
     op = operators.operator
     return InterfaceData(psi1_hat, psi2_hat, op.from_modal(psi1_hat), op.from_modal(psi2_hat),
                          ROUTE_FUNDAMENTAL, residual)
+
+
+def _norm(*vectors: np.ndarray) -> float:
+    """2-norm of the stacked vectors, scaled by the largest entry so no square over- or underflows."""
+    vec = np.concatenate(vectors)
+    top = float(np.max(np.abs(vec), initial=0.0))
+    if not 0.0 < top < np.inf:
+        return top  # 0, inf or NaN as it stands
+    return top * float(np.sqrt(np.sum((vec / top) ** 2)))
 
 
 def solve_interface_calculus(operators: TransmissionOperators,
@@ -261,7 +270,7 @@ def solve_interface_calculus(operators: TransmissionOperators,
             f"determinant symbol f({-op.eigenvalues[j]:.6g}) = "
             f"{fvals[j]:.6g} <= 0 (contradicts its positivity on the positive real axis)"
         )
-    if operators.det_gap > DET_CROSSCHECK_TOL:
+    if not operators.det_gap <= DET_CROSSCHECK_TOL:
         raise AnomalyError(
             f"determinant factorization cross-check failed: gap {operators.det_gap:.3e}"
         )
@@ -273,8 +282,7 @@ def solve_interface_calculus(operators: TransmissionOperators,
     psi2_hat = g * (-p2d * s1 + p1s * s2) / det
     res1 = g * p1s * psi1_hat - p2d * psi2_hat - s1
     res2 = g * p2d * psi1_hat - p3s * psi2_hat - s2
-    residual = float(np.sqrt(np.sum(res1**2) + np.sum(res2**2))
-                     / (1.0 + np.sqrt(np.sum(s1**2) + np.sum(s2**2))))
+    residual = _norm(res1, res2) / (1.0 + _norm(s1, s2))
     return InterfaceData(psi1_hat, psi2_hat, op.from_modal(psi1_hat), op.from_modal(psi2_hat),
                          ROUTE_CALCULUS, residual)
 

@@ -46,3 +46,17 @@ def test_only_symbols_evaluates_an_interval():
     offenders += [f"{name}:{getattr(node, 'lineno', '?')}" for name, node in _nodes()
                   if name == "transmission.py" and _name(node) in {"SymbolContext", "f_total"}]
     assert not offenders, f"interval symbols evaluated outside symbols.py: {offenders}"
+
+
+def test_the_particular_path_reads_only_the_declared_rows():
+    # The particular solve takes the forcing's declared rows from
+    # ModalForcing.sample_modes, never the scattered (m, n) table of
+    # sample, and only problem.py reaches a resampler, so every resampler
+    # call is shape-checked against the declared modes.
+    offenders = [f"{name}:{node.lineno}" for name, node in _nodes()
+                 if name == "subproblem.py" and isinstance(node, ast.Call)
+                 and _name(node.func) == "sample"]
+    offenders += [f"{name}:{node.lineno}" for name, node in _nodes()
+                  if name != "problem.py" and isinstance(node, ast.Attribute)
+                  and node.attr in {"func_minus", "func_plus"}]
+    assert not offenders, f"forcing rows read around the declared modes: {offenders}"

@@ -1,0 +1,220 @@
+"""The forcing's declared modes, and the typed and NaN-proof gates around them.
+
+A forcing declares the rows that may be nonzero (``ModalForcing.modes``);
+the particular solve samples and solves only those, and must give the
+bytes that the same forcing over all m rows gives.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import bitrans.oracle as oracle
+from bitrans import (
+    AnomalyError,
+    BoundaryData,
+    CylinderGeometry,
+    DimensionMismatchError,
+    InterfaceData,
+    ModalForcing,
+    SIDE_MINUS,
+    SIDE_PLUS,
+    SIDES,
+    SolveOptions,
+    assemble_transmission_operators,
+    build_dirichlet_laplacian_1d,
+    direct_solve,
+    manufactured_forced,
+    solve_interface_calculus,
+    solve_particular,
+    solve_transmission,
+)
+
+GEOM = CylinderGeometry(-0.7, 0.0, 1.3)
+TRACES = ("fprime_left", "fprime_right", "f3_left", "f3_right")
+
+
+def _rows_func(coeffs, sign):
+    """Smooth per-row forcing with one row per line of ``coeffs``."""
+    def func(xs):
+        xs = np.asarray(xs)
+        return sign * (coeffs[:, :1] + coeffs[:, 1:2] * xs + coeffs[:, 2:3] * np.cos(3.0 * xs)
+                       + coeffs[:, 3:4] * np.sin(7.0 * xs))
+    return func
+
+
+def _declared_and_full(m, modes, forced_sides, seed):
+    """The same forcing twice: declaring ``modes``, and over all m rows."""
+    coeffs = np.random.default_rng(seed).normal(size=(len(modes), 4))
+    full_coeffs = np.zeros((m, 4))
+    full_coeffs[list(modes)] = coeffs
+    funcs, full_funcs = [], []
+    for side in SIDES:
+        sign = 1.0 if side in forced_sides else 0.0
+        funcs.append(_rows_func(coeffs, sign))
+        full_funcs.append(_rows_func(full_coeffs, sign))
+    return (ModalForcing.from_functions(GEOM, m, *funcs, modes=modes),
+            ModalForcing.from_functions(GEOM, m, *full_funcs))
+
+
+def _sol_bytes(sol, xs_by_side):
+    out = [sol.report.to_json().encode()]
+    for side in SIDES:
+        part = sol.side(side).particular
+        out += [getattr(part, name).tobytes() for name in TRACES]
+        out.append(part.terms(xs_by_side[side], sol.operator.eigenvalues).tobytes())
+        out += [sol.field(side, xs_by_side[side], order).tobytes() for order in range(4)]
+    return out
+
+
+@settings(max_examples=30)
+@given(m=st.integers(1, 40), n_x=st.sampled_from([17, 33, 65]),
+       side=st.sampled_from(SIDES + ("both",)), data=st.data())
+def test_declared_modes_give_the_bytes_of_all_rows(m, n_x, side, data):
+    modes = sorted(data.draw(st.sets(st.integers(0, m - 1), max_size=m), label="modes"))
+    seed = data.draw(st.integers(0, 2**16), label="seed")
+    declared, full = _declared_and_full(m, modes, SIDES if side == "both" else (side,), seed)
+    assert np.array_equal(declared.modes, modes) and full.modes.size == m
+    bc = BoundaryData(*np.random.default_rng(seed).standard_normal((4, m)))
+    options = SolveOptions(n_x=n_x)
+    sols = [solve_transmission(build_dirichlet_laplacian_1d(m, 1.0), GEOM, 1.0, 3.0, f, bc,
+                               options) for f in (declared, full)]
+    rng = np.random.default_rng(seed + 1)
+    xs = {s: np.concatenate([[lo], np.sort(rng.uniform(lo, hi, 7)), [hi]])
+          for s in SIDES for lo, hi in [GEOM.interval(s)]}
+    assert _sol_bytes(sols[0], xs) == _sol_bytes(sols[1], xs)
+    for s in SIDES:
+        parts = [sol.side(s).particular for sol in sols]
+        assert np.array_equal(parts[0].active, parts[1].active)
+        assert parts[0].f_modal.tobytes() == parts[1].f_modal.tobytes()
+        assert parts[0].f_modal.shape == (parts[0].active.size, n_x)
+        np.testing.assert_array_equal(declared.sample(s, xs[s]), full.sample(s, xs[s]))
+
+
+@pytest.mark.parametrize("m", [5, 32, 64])
+def test_a_mode_rounds_the_same_alone_or_among_all(m):
+    op = build_dirichlet_laplacian_1d(m, 1.0)
+    coeffs = np.random.default_rng(m).normal(size=(m, 4))
+    every = _rows_func(coeffs, 1.0)
+    together = ModalForcing.from_functions(GEOM, m, every, every)
+    for side in SIDES:
+        full = solve_particular(op.eigenvalues, GEOM, side, together, n_x=65)
+        assert np.array_equal(full.active, np.arange(m))
+        for j in range(m):
+            one = _rows_func(coeffs[j:j + 1], 1.0)
+            alone = solve_particular(op.eigenvalues, GEOM, side,
+                                     ModalForcing.from_functions(GEOM, m, one, one, modes=[j]),
+                                     n_x=65)
+            assert np.array_equal(alone.active, [j])
+            for name in TRACES:
+                assert getattr(alone, name)[j].tobytes() == getattr(full, name)[j].tobytes(), name
+                assert not np.any(np.delete(getattr(alone, name), j))
+            assert alone.f_modal[0].tobytes() == full.f_modal[j].tobytes()
+            assert alone.w_modal[0].tobytes() == full.w_modal[j].tobytes()
+
+
+def test_a_resampler_never_returns_more_than_its_modes():
+    m, modes = 16, (2, 5, 11)
+    op = build_dirichlet_laplacian_1d(m, 1.0)
+    coeffs = np.random.default_rng(4).normal(size=(len(modes), 4))
+    rows_seen = []
+
+    def spied(func):
+        def wrapper(xs):
+            vals = func(xs)
+            rows_seen.append(vals.shape[0])
+            return vals
+        return wrapper
+
+    forcing = ModalForcing.from_functions(GEOM, m, spied(_rows_func(coeffs, 1.0)),
+                                          spied(_rows_func(coeffs, -1.0)), modes=modes)
+    rows_seen.clear()
+    bc = BoundaryData(*np.random.default_rng(1).standard_normal((4, m)))
+    sol = solve_transmission(op, GEOM, 1.0, 3.0, forcing, bc, SolveOptions(route="both"))
+    assert rows_seen and max(rows_seen) == len(modes)
+    for side in SIDES:
+        assert np.array_equal(sol.side(side).particular.active, modes)
+
+
+def test_declared_modes_of_the_built_in_forcings():
+    m = 8
+    op = build_dirichlet_laplacian_1d(m, 1.0)
+    assert ModalForcing.sine(op, GEOM, SIDE_PLUS, 3).modes.tolist() == [3]
+    case = manufactured_forced(op, GEOM, 1.0, 2.0, 2, [1.0, 0.5, -0.3])
+    assert case.forcing().modes.tolist() == [2]
+    assert ModalForcing.zero(m, GEOM).modes.size == 0
+    rows = [(x, j, float(j in (1, 6)) * (1.0 + x), side) for side in SIDES
+            for x in GEOM.grid(side, 9) for j in range(m)]
+    csv = ModalForcing.from_csv_rows(GEOM, m, rows)
+    assert csv.modes.tolist() == [1, 6]
+    xs = GEOM.grid(SIDE_MINUS, 21)
+    assert csv.sample_modes(SIDE_MINUS, xs).shape == (2, xs.size)
+    full = csv.sample(SIDE_MINUS, xs)
+    assert full.shape == (m, xs.size) and not np.any(np.delete(full, [1, 6], axis=0))
+    np.testing.assert_allclose(full[[1, 6]], np.tile(1.0 + xs, (2, 1)), rtol=1e-14, atol=1e-14)
+    funcs = (lambda xs: np.ones((m, np.size(xs))),) * 2
+    assert ModalForcing.from_functions(GEOM, m, *funcs).modes.tolist() == list(range(m))
+
+
+def test_bad_mode_declarations_are_rejected():
+    m = 4
+    one = lambda xs: np.ones((1, np.size(xs)))  # noqa: E731
+    for modes in ([4], [-1], [[0, 1]], [0.5], [1, 1]):
+        with pytest.raises(DimensionMismatchError):
+            ModalForcing.from_functions(GEOM, m, one, one, modes=modes)
+    with pytest.raises(DimensionMismatchError, match="returned shape"):
+        ModalForcing.from_functions(GEOM, m, one, one, modes=[0, 2])
+    forcing = ModalForcing.from_functions(GEOM, m, one, one, modes=[1])
+    with pytest.raises(DimensionMismatchError, match="outside the declared modes"):
+        ModalForcing(GEOM, forcing.grid_minus, forcing.grid_plus, np.ones((m, 33)),
+                     forcing.samples_plus, modes=[1])
+
+
+def test_non_finite_resampled_forcing_is_a_typed_error():
+    # Finite on the stored 33-point grid, NaN on any solve grid.
+    m = 4
+    op = build_dirichlet_laplacian_1d(m, 1.0)
+
+    def func(xs):
+        vals = np.ones((m, np.size(xs)))
+        return vals if np.size(xs) == 33 else vals * np.nan
+
+    forcing = ModalForcing.from_functions(GEOM, m, func, func)
+    with pytest.raises(DimensionMismatchError, match="forcing samples must be finite"):
+        solve_transmission(op, GEOM, 1.0, 3.0, forcing)
+    with pytest.raises(DimensionMismatchError, match="forcing samples must be finite"):
+        direct_solve(op, GEOM, 1.0, 3.0, forcing, n_x=65)
+
+
+def test_interface_residual_norm_does_not_overflow():
+    # A constant plus-side forcing of 1e200: unscaled squares overflow to NaN.
+    m = 4
+    op = build_dirichlet_laplacian_1d(m, 1.0)
+    zero = lambda xs: np.zeros((m, np.size(xs)))  # noqa: E731
+    for amp in (1e160, 1e200):
+        const = lambda xs, a=amp: np.full((m, np.size(xs)), a)  # noqa: E731
+        sol = solve_transmission(op, GEOM, 1.0, 3.0,
+                                 ModalForcing.from_functions(GEOM, m, zero, const))
+        assert np.isfinite(sol.interface.psi1_hat).all()
+        assert 0.0 < sol.interface.residual <= 1e-15
+
+
+def test_nan_fails_every_gate(monkeypatch):
+    m = 4
+    op = build_dirichlet_laplacian_1d(m, 1.0)
+    sol = solve_transmission(op, GEOM, 1.0, 3.0,
+                             boundary=BoundaryData(*np.random.default_rng(0).normal(size=(4, m))))
+    iface = sol.interface
+    with pytest.raises(AnomalyError, match="residual"):
+        InterfaceData(iface.psi1_hat, iface.psi2_hat, iface.psi1, iface.psi2, iface.route, np.nan)
+    tops = assemble_transmission_operators(op, GEOM, 1.0, 3.0)
+    blocks = tops.det_modal_blocks.copy()
+    blocks[1] = np.nan
+    with pytest.raises(AnomalyError, match="cross-check"):
+        solve_interface_calculus(replace(tops, det_modal_blocks=blocks), sol.sources)
+    monkeypatch.setattr(oracle, "solve_banded", lambda bands, ab, rhs: np.full(rhs.shape, np.nan))
+    with pytest.raises(AnomalyError, match="backward error"):
+        direct_solve(op, GEOM, 1.0, 3.0, n_x=65)

@@ -38,7 +38,7 @@ def test_zero_forcing_gives_zero_particular():
     geom = CylinderGeometry(-0.7, 0.0, 0.9)
     part = solve_particular(op.eigenvalues, geom, SIDE_MINUS,
                             ModalForcing.zero(3, geom), n_x=33)
-    assert np.max(np.abs(part.f_modal)) == 0.0
+    assert part.active.size == 0 and part.f_modal.shape == part.w_modal.shape == (0, 33)
     assert np.max(np.abs(part.fprime_left)) == 0.0
     assert np.max(np.abs(part.f3_right)) == 0.0
     assert part.error_estimate == 0.0
@@ -53,9 +53,11 @@ def test_sine_forcing_exact_particular(k_multiple):
     part = solve_particular(op.eigenvalues, geom, SIDE_MINUS, forcing, n_x=129)
     k = k_multiple * np.pi / geom.c
     exact = np.sin(k * (part.grid - geom.a))
-    assert np.max(np.abs(part.f_modal[mode] - exact)) < 5e-9 * k_multiple**4
+    assert np.array_equal(part.active, [mode])  # f_modal rows follow active
+    assert np.max(np.abs(part.f_modal[0] - exact)) < 5e-9 * k_multiple**4
     others = [j for j in range(3) if j != mode]
-    assert np.max(np.abs(part.f_modal[others])) == 0.0
+    xs = np.linspace(geom.a, geom.gamma, 9)
+    assert np.max(np.abs(part.terms(xs, op.eigenvalues)[:, others])) == 0.0
     # Trace values: F'(a) = k, F'(gamma) = k cos(k c) = +-k.
     rel = 1e-7 * k_multiple**4
     assert part.fprime_left[mode] == pytest.approx(k, rel=rel)
@@ -73,7 +75,7 @@ def test_particular_fourth_order_convergence():
         part = solve_particular(op.eigenvalues, geom, SIDE_PLUS, forcing, n_x=n)
         k = 2 * np.pi / geom.d
         exact = np.sin(k * (part.grid - geom.gamma))
-        errors.append(np.max(np.abs(part.f_modal[2] - exact)))
+        errors.append(np.max(np.abs(part.f_modal[list(part.active).index(2)] - exact)))
     rates = [np.log2(errors[i] / errors[i + 1]) for i in range(2)]
     assert min(rates) > 3.5
 
@@ -322,7 +324,7 @@ def _random_forcing(geom, m, rng, zero_rows=()):
 
 
 def _term_reference(part, xs, order, mu):
-    """F-term of one derivative order, one spline derivative per call.
+    """F-term of one derivative order, one spline derivative per call, one spline per field.
 
     Interior: F^(order) for orders 0, 1 and w^(order-2) - mu F^(order-2)
     for orders 2, 3; at the ends the stored traces (odd orders) or the
@@ -337,8 +339,8 @@ def _term_reference(part, xs, order, mu):
     at_hi = np.abs(xs - hi) <= 1e-10 * (hi - lo)
     inner = ~(at_lo | at_hi)
     nu = order % 2
-    spline_f = subproblem.CubicSpline(part.grid, part.f_modal[rows])
-    spline_w = subproblem.CubicSpline(part.grid, part.w_modal[rows])
+    spline_f = subproblem.CubicSpline(part.grid, part.f_modal)
+    spline_w = subproblem.CubicSpline(part.grid, part.w_modal)
     sub = np.zeros((rows.size, xs.size))
     sub[:, inner] = spline_f(xs[inner], nu)
     if order >= 2:
@@ -419,11 +421,14 @@ def test_particular_matches_per_mode_reference(m, n_x, mixed):
     for side in (SIDE_MINUS, SIDE_PLUS):
         part = solve_particular(op.eigenvalues, geom, side, forcing, n_x=n_x)
         ref = _per_mode_particular(op.eigenvalues, geom, side, forcing, n_x)
-        for name, expected in ref.items():
-            np.testing.assert_allclose(getattr(part, name), expected, rtol=1e-15, atol=0.0,
-                                       err_msg=name)
         inactive = np.setdiff1d(np.arange(m), part.active)
         assert np.array_equal(inactive, zero_rows)
+        for name, expected in ref.items():
+            if name in ("f_modal", "w_modal"):  # one row per active mode
+                assert np.all(expected[inactive] == 0.0)
+                expected = expected[part.active]
+            np.testing.assert_allclose(getattr(part, name), expected, rtol=1e-15, atol=0.0,
+                                       err_msg=name)
         lo, hi = geom.interval(side)
         xs = np.concatenate([[lo], np.linspace(lo, hi, 11)[1:-1], [hi]])
         terms = part.terms(xs, op.eigenvalues)
@@ -435,7 +440,8 @@ def test_particular_matches_per_mode_reference(m, n_x, mixed):
 
 
 @pytest.mark.parametrize("dense", [False, True], ids=["one-mode-sine", "dense-64-modes"])
-def test_particular_solve_makes_four_banded_calls_per_forced_side(monkeypatch, dense):
+def test_particular_solve_makes_two_banded_calls_per_forced_side(monkeypatch, dense):
+    # One banded call per stage over both grids, one spline over [F; w].
     m, n_x = 64, 129
     op = build_dirichlet_laplacian_1d(m, 1.0)
     geom = CylinderGeometry(-0.7, 0.0, 0.9)
@@ -454,8 +460,8 @@ def test_particular_solve_makes_four_banded_calls_per_forced_side(monkeypatch, d
         splines.clear()
         solve_particular(op.eigenvalues, geom, side, forcing, n_x=n_x)
         if side in forced:
-            assert len(banded) == 4
-            assert splines == [(rows, n_x)] * 2
+            assert len(banded) == 2
+            assert splines == [(2 * rows, n_x)]
         else:
             assert not banded and not splines
 
@@ -476,8 +482,8 @@ def test_zero_sample_side_is_not_sampled(monkeypatch, kind, calls):
                "sine": lambda: ModalForcing.sine(op, geom, SIDE_PLUS, 1),
                "csv": lambda: _csv_forcing(geom, m, np.random.default_rng(5))}[kind]()
     sampled = []
-    real = ModalForcing.sample
-    monkeypatch.setattr(ModalForcing, "sample",
+    real = ModalForcing.sample_modes
+    monkeypatch.setattr(ModalForcing, "sample_modes",
                         lambda self, side, xs: sampled.append(side) or real(self, side, xs))
     for side in SIDES:
         solve_particular(op.eigenvalues, geom, side, forcing, n_x)
