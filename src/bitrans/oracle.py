@@ -43,8 +43,21 @@ from .section_operator import SectionOperator
 FLOOR = 1e-9  # error level treated as the linear-algebra floor in rate fits
 
 
+class _ClosedFormCase:
+    """Outer boundary data read off a closed-form ``field(side, xs, order)``."""
+
+    def boundary_data(self) -> BoundaryData:
+        geom = self.geometry
+        return BoundaryData(
+            self.field(SIDE_MINUS, geom.a, 0)[:, 0],
+            self.field(SIDE_MINUS, geom.a, 1)[:, 0],
+            self.field(SIDE_PLUS, geom.b, 0)[:, 0],
+            self.field(SIDE_PLUS, geom.b, 1)[:, 0],
+        )
+
+
 @dataclass(frozen=True)
-class ExactCase:
+class ExactCase(_ClosedFormCase):
     """Closed-form homogeneous solution from per-mode exponential pairs.
 
     u_j(x) = a1_j e^{s_j (x - gamma)} + a2_j e^{-s_j (x - gamma)} with
@@ -94,15 +107,6 @@ class ExactCase:
         op = self.operator
         return op.from_modal(self.a1 + self.a2), op.from_modal(self.s * (self.a1 - self.a2))
 
-    def boundary_data(self) -> BoundaryData:
-        geom = self.geometry
-        return BoundaryData(
-            self.field(SIDE_MINUS, geom.a, 0)[:, 0],
-            self.field(SIDE_MINUS, geom.a, 1)[:, 0],
-            self.field(SIDE_PLUS, geom.b, 0)[:, 0],
-            self.field(SIDE_PLUS, geom.b, 1)[:, 0],
-        )
-
     def forcing(self) -> ModalForcing:
         return ModalForcing.zero(self.operator.m, self.geometry)
 
@@ -140,7 +144,7 @@ def _poly_particular(w: np.ndarray, mu: float) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ForcedCase:
+class ForcedCase(_ClosedFormCase):
     """Manufactured forced solution exercising diffusivity asymmetry.
 
     Built from a polynomial profile r by prescribing the flux fields
@@ -158,7 +162,6 @@ class ForcedCase:
     profile: np.ndarray
     psi1_value: float
     psi2_value: float
-    w_polys: dict
     u_polys: dict
     exp_coeffs: dict
     f_polys: dict
@@ -186,18 +189,8 @@ class ForcedCase:
         e[self.mode] = 1.0
         return op.from_modal(self.psi1_value * e), op.from_modal(self.psi2_value * e)
 
-    def boundary_data(self) -> BoundaryData:
-        geom = self.geometry
-        return BoundaryData(
-            self.field(SIDE_MINUS, geom.a, 0)[:, 0],
-            self.field(SIDE_MINUS, geom.a, 1)[:, 0],
-            self.field(SIDE_PLUS, geom.b, 0)[:, 0],
-            self.field(SIDE_PLUS, geom.b, 1)[:, 0],
-        )
-
-    def forcing(self, n: int = 33) -> ModalForcing:
+    def forcing(self) -> ModalForcing:
         gamma = self.geometry.gamma
-        mode, m = self.mode, self.operator.m
 
         def make(side):
             fpoly = self.f_polys[side]
@@ -206,10 +199,8 @@ class ForcedCase:
                 return npoly.polyval(np.asarray(xs) - gamma, fpoly)[None, :]
             return func
 
-        return ModalForcing.from_functions(
-            self.geometry, m, make(SIDE_MINUS), make(SIDE_PLUS), n=n,
-            label=f"manufactured-forced(mode={mode})", modes=(mode,),
-        )
+        return ModalForcing.from_functions(self.geometry, self.operator.m, make(SIDE_MINUS),
+                                           make(SIDE_PLUS), modes=(self.mode,))
 
 
 def manufactured_forced(
@@ -234,7 +225,7 @@ def manufactured_forced(
         raise ValueError("profile must be polynomial coefficients of degree <= 6")
     mu = float(operator.eigenvalues[mode])
     s = np.sqrt(-mu)
-    w_polys, u_polys, exp_coeffs, f_polys = {}, {}, {}, {}
+    u_polys, exp_coeffs, f_polys = {}, {}, {}
     for side, k_target in ((SIDE_MINUS, k_plus), (SIDE_PLUS, k_minus)):
         w = k_target * r
         p = _poly_particular(w, mu)
@@ -242,12 +233,11 @@ def manufactured_forced(
         c2 = psi2 - (p[1] if p.size > 1 else 0.0)
         a_c = 0.5 * (c1 + c2 / s)
         b_c = 0.5 * (c1 - c2 / s)
-        w_polys[side] = w
         u_polys[side] = p
         exp_coeffs[side] = (a_c, b_c)
         f_polys[side] = npoly.polyadd(npoly.polyder(w, 2), mu * w)
     return ForcedCase(operator, geometry, k_minus, k_plus, mode, r,
-                      psi1, psi2, w_polys, u_polys, exp_coeffs, f_polys)
+                      psi1, psi2, u_polys, exp_coeffs, f_polys)
 
 
 def _interface_stencil(h: float) -> np.ndarray:
@@ -404,6 +394,8 @@ def direct_solve(
     boundary = boundary if boundary is not None else BoundaryData.zeros(m)
     if forcing.m != m or boundary.m != m:
         raise DimensionMismatchError("forcing/boundary dimension mismatch")
+    if forcing.geometry != geometry:
+        raise InvalidGeometryError(f"forcing built on {forcing.geometry}, not on {geometry}")
     ab, interior = _coupled_bands(geometry, k_minus, k_plus, n_x)
     grid_m = geometry.grid(SIDE_MINUS, n_x)
     grid_p = geometry.grid(SIDE_PLUS, n_x)
@@ -523,8 +515,8 @@ def convergence_study(case, method: str, refinements: Sequence[int],
     ns = [int(n) for n in refinements]
     if len(ns) < 3:
         raise ValueError("need at least 3 refinement levels")
-    km = case.k_minus if hasattr(case, "k_minus") else k_minus
-    kp = case.k_plus if hasattr(case, "k_plus") else k_plus
+    km = getattr(case, "k_minus", k_minus)
+    kp = getattr(case, "k_plus", k_plus)
     if km is None or kp is None:
         raise ValueError("diffusivities required for a case that does not carry them")
     op, geom = case.operator, case.geometry
@@ -535,11 +527,7 @@ def convergence_study(case, method: str, refinements: Sequence[int],
         if method == "representation":
             sol = solve_transmission(op, geom, km, kp, forcing, bc,
                                      SolveOptions(n_x=n))
-            err = 0.0
-            for side in SIDES:
-                xs = geom.grid(side, probe_points)
-                err = max(err, float(np.max(np.abs(sol.field(side, xs, 0)
-                                                   - case.field(side, xs, 0)))))
+            err = compare(sol, case, probe_points).sup
         else:
             osol = direct_solve(op, geom, km, kp, forcing, bc, n_x=n)
             err = 0.0

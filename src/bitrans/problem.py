@@ -24,6 +24,9 @@ SIDES = (SIDE_MINUS, SIDE_PLUS)
 # semigroup times, and near-zero lengths are a modeling error, not a regime.
 MIN_INTERVAL = 1e-8
 
+# A forcing side's values: an x-array to the (len(modes), len(x)) declared rows.
+Resampler = Callable[[np.ndarray], np.ndarray]
+
 
 def check_side(side: str) -> str:
     if side not in SIDES:
@@ -141,99 +144,38 @@ def _mode_rows(modes, m: int) -> np.ndarray:
 class ModalForcing:
     """Per-mode forcing in the eigenbasis of the section operator.
 
-    Stored as samples on one grid per interval; an optional exact
-    resampler (``func_minus`` / ``func_plus``, mapping an x-array to a
-    (len(modes), len(x)) array of the declared rows) lets closed-form
-    test cases be re-evaluated on any grid without interpolation error.
-    Sample counts on the two intervals must match.
-
-    ``modes`` are the sorted rows that may be nonzero on either side;
-    every other row is zero everywhere. Without a declaration they are
-    all m rows when a resampler exists, else the rows with a nonzero
-    stored sample. ``sample_modes`` returns the declared rows only.
+    ``modes`` are the rows that may be nonzero (stored sorted); every
+    other row is zero everywhere. Each side has an optional resampler
+    (``func_minus`` / ``func_plus``) mapping an x-array to the
+    (len(modes), len(x)) values of those rows; a side without one is
+    identically zero. ``sample_modes`` checks every resampled value.
     """
 
     geometry: CylinderGeometry
-    grid_minus: np.ndarray
-    grid_plus: np.ndarray
-    samples_minus: np.ndarray
-    samples_plus: np.ndarray
-    func_minus: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    func_plus: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    label: str = ""
-    modes: Optional[Sequence[int]] = None
+    m: int
+    modes: Sequence[int]
+    func_minus: Optional[Resampler] = None
+    func_plus: Optional[Resampler] = None
 
     def __post_init__(self):
-        gm = np.asarray(self.grid_minus, dtype=float)
-        gp = np.asarray(self.grid_plus, dtype=float)
-        sm = np.asarray(self.samples_minus, dtype=float)
-        sp = np.asarray(self.samples_plus, dtype=float)
-        if gm.size != gp.size:
-            raise DimensionMismatchError(
-                f"sample counts differ between intervals: {gm.size} vs {gp.size}"
-            )
-        if sm.shape != (sm.shape[0], gm.size) or sp.shape != (sm.shape[0], gp.size):
-            raise DimensionMismatchError(
-                f"forcing samples {sm.shape}/{sp.shape} inconsistent with grids"
-            )
-        if not (np.all(np.isfinite(sm)) and np.all(np.isfinite(sp))):
-            raise DimensionMismatchError("forcing samples must be finite")
-        for grid, side in ((gm, SIDE_MINUS), (gp, SIDE_PLUS)):
-            lo, hi = self.geometry.interval(side)
-            tol = 1e-9 * (hi - lo)
-            if grid[0] > lo + tol or grid[-1] < hi - tol or np.any(np.diff(grid) <= 0):
-                raise InvalidGeometryError(
-                    f"forcing grid on side {side!r} must increase and cover [{lo}, {hi}]"
-                )
-        m = sm.shape[0]
-        nonzero = np.any(sm, axis=1) | np.any(sp, axis=1)
-        if self.modes is None:
-            has_func = self.func_minus is not None or self.func_plus is not None
-            modes = np.arange(m) if has_func else np.flatnonzero(nonzero)
-        else:
-            modes = _mode_rows(self.modes, m)
-            nonzero[modes] = False
-            if np.any(nonzero):
-                raise DimensionMismatchError("forcing samples are nonzero outside the declared modes")
-        object.__setattr__(self, "grid_minus", gm)
-        object.__setattr__(self, "grid_plus", gp)
-        object.__setattr__(self, "samples_minus", sm)
-        object.__setattr__(self, "samples_plus", sp)
-        object.__setattr__(self, "modes", modes)
-        # Per-side interpolant of the declared rows' samples, built on the
-        # first sample without a resampler; None marks an all-zero side.
-        object.__setattr__(self, "_splines", {})
+        object.__setattr__(self, "modes", _mode_rows(self.modes, self.m))
 
-    @property
-    def m(self) -> int:
-        return self.samples_minus.shape[0]
+    def _func(self, side: str):
+        return self.func_minus if check_side(side) == SIDE_MINUS else self.func_plus
 
     def vanishes(self, side: str) -> bool:
-        """True for a side without a resampler whose stored samples are all zero."""
-        func, samples = ((self.func_minus, self.samples_minus) if check_side(side) == SIDE_MINUS
-                         else (self.func_plus, self.samples_plus))
-        return func is None and not np.any(samples)
+        """True for a side without a resampler: its forcing is zero everywhere."""
+        return self._func(side) is None
 
     def sample_modes(self, side: str, xs: np.ndarray) -> np.ndarray:
         """Values of the declared rows ``modes`` at the points ``xs``, shape (len(modes), len(xs)).
 
-        Exact when the side has a resampler; otherwise the values come
-        from a cubic spline of the side's samples on the declared rows,
-        built once per side on first use (none for zero samples). Raises
-        DimensionMismatchError unless the values are finite and shaped so.
+        Zeros on a side without a resampler. Raises DimensionMismatchError
+        unless the values are finite and shaped so.
         """
-        check_side(side)
+        func = self._func(side)
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        func = self.func_minus if side == SIDE_MINUS else self.func_plus
-        if func is not None:
-            return _checked_rows(func(xs), self.modes.size, xs.size)
-        if side not in self._splines:
-            grid = self.grid_minus if side == SIDE_MINUS else self.grid_plus
-            samples = self.samples_minus if side == SIDE_MINUS else self.samples_plus
-            self._splines[side] = (CubicSpline(grid, samples[self.modes])
-                                   if np.any(samples) else None)
-        spline = self._splines[side]
-        vals = np.zeros((self.modes.size, xs.size)) if spline is None else spline(xs)
+        vals = np.zeros((self.modes.size, xs.size)) if func is None else func(xs)
         return _checked_rows(vals, self.modes.size, xs.size)
 
     def sample(self, side: str, xs: np.ndarray) -> np.ndarray:
@@ -244,39 +186,30 @@ class ModalForcing:
         return out
 
     @classmethod
-    def zero(cls, m: int, geometry: CylinderGeometry, n: int = 33) -> "ModalForcing":
-        return cls(
-            geometry,
-            geometry.grid(SIDE_MINUS, n),
-            geometry.grid(SIDE_PLUS, n),
-            np.zeros((m, n)),
-            np.zeros((m, n)),
-            label="zero",
-        )
+    def zero(cls, m: int, geometry: CylinderGeometry) -> "ModalForcing":
+        return cls(geometry, m, ())
 
     @classmethod
     def from_functions(
         cls,
         geometry: CylinderGeometry,
         m: int,
-        func_minus: Callable[[np.ndarray], np.ndarray],
-        func_plus: Callable[[np.ndarray], np.ndarray],
-        n: int = 33,
-        label: str = "",
+        func_minus: Optional[Resampler],
+        func_plus: Optional[Resampler],
         modes: Optional[Sequence[int]] = None,
     ) -> "ModalForcing":
         """Forcing from exact resamplers of the rows ``modes`` (all m rows by default).
 
         Each resampler maps an x-array to its (len(modes), len(x)) values;
-        the stored samples are their values on ``n`` points per side.
+        None makes its side zero. Each is checked once here, on 33 points
+        of its interval, so a wrong shape or a non-finite value surfaces
+        at construction.
         """
-        rows = np.arange(m) if modes is None else _mode_rows(modes, m)
-        grids = [geometry.grid(side, n) for side in SIDES]
-        samples = [np.zeros((m, n)), np.zeros((m, n))]
-        for full, func, grid in zip(samples, (func_minus, func_plus), grids):
-            full[rows] = _checked_rows(func(grid), rows.size, n)
-        return cls(geometry, *grids, *samples, func_minus=func_minus, func_plus=func_plus,
-                   label=label, modes=rows)
+        forcing = cls(geometry, m, np.arange(m) if modes is None else modes,
+                      func_minus, func_plus)
+        for side in SIDES:
+            forcing.sample_modes(side, geometry.grid(side, 33))
+        return forcing
 
     @classmethod
     def sine(
@@ -287,14 +220,14 @@ class ModalForcing:
         mode: int,
         k_multiple: int = 1,
         amplitude: float = 1.0,
-        n: int = 33,
     ) -> "ModalForcing":
         """Closed-form test forcing whose particular solution is a sine.
 
         On the chosen interval and mode with eigenvalue mu, the forcing
         amp * (k^2 - mu)^2 sin(k (x - lo)) with k = k_multiple * pi / len
         makes F(x) = amp * sin(k (x - lo)) the exact particular solution
-        (its second derivative also vanishes at both ends).
+        (its second derivative also vanishes at both ends). The other
+        side has no resampler.
         """
         check_side(side)
         if not 0 <= mode < operator.m:
@@ -304,27 +237,21 @@ class ModalForcing:
         mu = operator.eigenvalues[mode]
         coef = amplitude * (k**2 - mu) ** 2
 
-        def make(active: bool):
-            def func(xs: np.ndarray) -> np.ndarray:
-                out = np.zeros((1, np.size(xs)))
-                if active:
-                    out[0] = coef * np.sin(k * (np.asarray(xs) - lo))
-                return out
-            return func
+        def func(xs: np.ndarray) -> np.ndarray:
+            return coef * np.sin(k * (np.asarray(xs) - lo))[None, :]
 
-        return cls.from_functions(
-            geometry, operator.m,
-            make(side == SIDE_MINUS), make(side == SIDE_PLUS),
-            n=n, label=f"sine(side={side}, mode={mode}, k={k_multiple}*pi/len)",
-            modes=(mode,),
-        )
+        funcs = (func, None) if side == SIDE_MINUS else (None, func)
+        return cls.from_functions(geometry, operator.m, *funcs, modes=(mode,))
 
     @classmethod
     def from_csv_rows(cls, geometry: CylinderGeometry, m: int, rows) -> "ModalForcing":
         """Build from (x, mode_index, value, side) records.
 
-        Every (side, x) pair must carry all m mode values; the x-grids per
-        side must agree in size.
+        Every (side, x) pair must carry all m finite mode values, and the
+        x-grids of the two sides must agree in size and cover their
+        intervals. The declared modes are the rows nonzero on either side;
+        each side with a nonzero value is resampled by a cubic spline of
+        its table on those rows, and an all-zero side gets no resampler.
         """
         per_side: dict[str, dict[float, np.ndarray]] = {SIDE_MINUS: {}, SIDE_PLUS: {}}
         for x, mode, value, side in rows:
@@ -334,7 +261,7 @@ class ModalForcing:
                 raise DimensionMismatchError(f"mode index {mode} outside 0..{m - 1}")
             col = per_side[side].setdefault(float(x), np.full(m, np.nan))
             col[mode] = float(value)
-        grids, samples = {}, {}
+        tables = {}
         for side, cols in per_side.items():
             if not cols:
                 raise InvalidGeometryError(f"no forcing rows for side {side!r}")
@@ -344,9 +271,25 @@ class ModalForcing:
                 raise DimensionMismatchError(
                     f"incomplete mode values in forcing rows for side {side!r}"
                 )
-            grids[side], samples[side] = xs, mat
-        return cls(geometry, grids[SIDE_MINUS], grids[SIDE_PLUS],
-                   samples[SIDE_MINUS], samples[SIDE_PLUS], label="csv")
+            tables[side] = xs, mat
+        (grid_m, vals_m), (grid_p, vals_p) = tables.values()
+        if grid_m.size != grid_p.size:
+            raise DimensionMismatchError(
+                f"sample counts differ between intervals: {grid_m.size} vs {grid_p.size}"
+            )
+        if not (np.all(np.isfinite(vals_m)) and np.all(np.isfinite(vals_p))):
+            raise DimensionMismatchError("forcing samples must be finite")
+        for side, (grid, _) in tables.items():
+            lo, hi = geometry.interval(side)
+            tol = 1e-9 * (hi - lo)
+            if grid[0] > lo + tol or grid[-1] < hi - tol:
+                raise InvalidGeometryError(
+                    f"forcing grid on side {side!r} must cover [{lo}, {hi}]"
+                )
+        modes = np.flatnonzero(np.any(vals_m, axis=1) | np.any(vals_p, axis=1))
+        splines = [CubicSpline(grid, vals[modes]) if np.any(vals) else None
+                   for grid, vals in tables.values()]
+        return cls(geometry, m, modes, *splines)
 
 
 @dataclass(frozen=True)
@@ -368,4 +311,8 @@ class TransmissionProblem:
         if self.boundary.m != self.operator.m or self.forcing.m != self.operator.m:
             raise DimensionMismatchError(
                 "boundary/forcing dimension does not match the section operator"
+            )
+        if self.forcing.geometry != self.geometry:
+            raise InvalidGeometryError(
+                f"forcing built on {self.forcing.geometry}, not on the problem's {self.geometry}"
             )

@@ -13,7 +13,8 @@ the interface values (psi1, psi2) add their end at gamma. F is the
 particular solution with homogeneous value and second-derivative
 conditions at both interval ends; it is sampled and solved on the
 forcing's declared modes only (``ModalForcing.modes``), all of them in
-one banded call per factor stage, and every other mode's F is zero.
+one banded call per factor stage, and every other mode's F is zero, as
+is every mode's on a side without a resampler.
 Everything here is linear in the data. All operators are functions of
 M, so the coefficient algebra runs per mode on eigenbasis coordinates
 (``SideSymbols``) and fields are evaluated there too, orders 0..3 in one
@@ -84,7 +85,9 @@ def side_symbols(operator: SectionOperator, delta: float) -> SideSymbols:
 def _one_sided_derivative(field: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
     """4th-order one-sided first derivatives at both ends of (m, n) samples."""
     left = field[:, :5] @ _D1_LEFT / h
-    right = -(field[:, -1:-6:-1] @ _D1_LEFT) / h
+    # The stencil is negated, not the product, so a zero row gives +0.0 as
+    # ParticularSolution.zero does.
+    right = field[:, -1:-6:-1] @ -_D1_LEFT / h
     return left, right
 
 
@@ -246,9 +249,8 @@ def solve_particular(
     from the two central-difference solutions; first-derivative traces
     use one-sided 4th-order stencils on the extrapolated fields and the
     third-derivative traces use F''' = w' - mu F'. A side without active
-    modes makes no solve and builds no spline, and a side whose forcing
-    is stored as zero samples (no resampler) is not even sampled: it
-    returns ``ParticularSolution.zero``.
+    modes makes no solve and builds no spline, and a side without a
+    resampler is not even sampled: it returns ``ParticularSolution.zero``.
 
     Parameters
     ----------

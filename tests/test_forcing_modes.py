@@ -2,7 +2,9 @@
 
 A forcing declares the rows that may be nonzero (``ModalForcing.modes``);
 the particular solve samples and solves only those, and must give the
-bytes that the same forcing over all m rows gives.
+bytes that the same forcing over all m rows gives. A side without a
+resampler is zero: it is never sampled, and it must give the bytes that
+a resampler of zeros gives.
 """
 
 from dataclasses import replace
@@ -13,12 +15,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bitrans.oracle as oracle
+import bitrans.problem as problem
+import bitrans.subproblem as subproblem
 from bitrans import (
     AnomalyError,
     BoundaryData,
     CylinderGeometry,
     DimensionMismatchError,
     InterfaceData,
+    InvalidGeometryError,
     ModalForcing,
     SIDE_MINUS,
     SIDE_PLUS,
@@ -167,10 +172,6 @@ def test_bad_mode_declarations_are_rejected():
             ModalForcing.from_functions(GEOM, m, one, one, modes=modes)
     with pytest.raises(DimensionMismatchError, match="returned shape"):
         ModalForcing.from_functions(GEOM, m, one, one, modes=[0, 2])
-    forcing = ModalForcing.from_functions(GEOM, m, one, one, modes=[1])
-    with pytest.raises(DimensionMismatchError, match="outside the declared modes"):
-        ModalForcing(GEOM, forcing.grid_minus, forcing.grid_plus, np.ones((m, 33)),
-                     forcing.samples_plus, modes=[1])
 
 
 def test_non_finite_resampled_forcing_is_a_typed_error():
@@ -218,3 +219,93 @@ def test_nan_fails_every_gate(monkeypatch):
     monkeypatch.setattr(oracle, "solve_banded", lambda bands, ab, rhs: np.full(rhs.shape, np.nan))
     with pytest.raises(AnomalyError, match="backward error"):
         direct_solve(op, GEOM, 1.0, 3.0, n_x=65)
+
+
+def _spy(monkeypatch, owner, name):
+    """Wrap ``owner.name`` so each call appends 1 to the returned list."""
+    calls, real = [], getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args, **kw: calls.append(1) or real(*args, **kw))
+    return calls
+
+
+def test_side_without_resampler_is_not_sampled_solved_or_interpolated(monkeypatch):
+    m, modes = 8, [1, 5]
+    op = build_dirichlet_laplacian_1d(m, 1.0)
+    coeffs = np.random.default_rng(4).normal(size=(len(modes), 4))
+    forcing = ModalForcing.from_functions(GEOM, m, None, _rows_func(coeffs, 1.0), modes=modes)
+    assert forcing.vanishes(SIDE_MINUS) and not forcing.vanishes(SIDE_PLUS)
+    sampled = _spy(monkeypatch, ModalForcing, "sample_modes")
+    banded = _spy(monkeypatch, subproblem, "solve_banded")
+    splines = _spy(monkeypatch, subproblem, "CubicSpline")
+    table_splines = _spy(monkeypatch, problem, "CubicSpline")
+    part = solve_particular(op.eigenvalues, GEOM, SIDE_MINUS, forcing, n_x=65)
+    assert part.active.size == 0 and not (sampled or banded or splines)
+    part = solve_particular(op.eigenvalues, GEOM, SIDE_PLUS, forcing, n_x=65)
+    assert part.active.tolist() == modes
+    assert (len(sampled), len(banded), len(splines)) == (2, 2, 1)
+    assert not table_splines
+
+
+@pytest.mark.parametrize("route", ["calculus", "both"])
+def test_missing_resampler_solves_like_a_resampler_of_zeros(route):
+    m, modes = 6, [1, 3]
+    op = build_dirichlet_laplacian_1d(m, 1.0)
+    rng = np.random.default_rng(8)
+    func = _rows_func(rng.normal(size=(len(modes), 4)), 1.0)
+    zeros = lambda xs: np.zeros((len(modes), np.size(xs)))  # noqa: E731
+    bc = BoundaryData(*rng.normal(size=(4, m)))
+    xs = {side: GEOM.grid(side, 41) for side in SIDES}
+    for unforced in SIDES:
+        pair = [(None, func), (zeros, func)] if unforced == SIDE_MINUS else [(func, None),
+                                                                            (func, zeros)]
+        sols = [solve_transmission(op, GEOM, 1.0, 3.0,
+                                   ModalForcing.from_functions(GEOM, m, *funcs, modes=modes),
+                                   bc, SolveOptions(route=route)) for funcs in pair]
+        assert sols[0].side(unforced).particular.active.size == 0
+        # The solve is byte-identical. The report maps all its blocks through
+        # one product, which has no forcing columns for the unforced side on
+        # one path, so its entries may round apart in the last bit.
+        assert _sol_bytes(sols[0], xs)[1:] == _sol_bytes(sols[1], xs)[1:]
+        none, zero = (sol.report.to_dict() for sol in sols)
+        for key in ("budgets", "passed"):
+            assert none.pop(key) == zero.pop(key)
+        assert none == pytest.approx(zero, rel=1e-12, abs=1e-300)
+
+
+def _csv(m, minus_x, plus_x, value=lambda x, j: np.cos(x) * (j == 1)):
+    return [(x, j, value(x, j), side) for side, grid in ((SIDE_MINUS, minus_x), (SIDE_PLUS, plus_x))
+            for x in grid for j in range(m)]
+
+
+def test_csv_gates_keep_their_error_classes():
+    m = 3
+    grids = GEOM.grid(SIDE_MINUS, 9), GEOM.grid(SIDE_PLUS, 9)
+    forcing = ModalForcing.from_csv_rows(GEOM, m, _csv(m, *grids))
+    assert forcing.modes.tolist() == [1]
+    rows = _csv(m, *grids)
+    with pytest.raises(DimensionMismatchError, match="incomplete"):
+        ModalForcing.from_csv_rows(GEOM, m, rows[:4] + rows[5:])
+    for bad in (np.inf, -np.inf):
+        with pytest.raises(DimensionMismatchError, match="finite"):
+            ModalForcing.from_csv_rows(GEOM, m, rows[:4] + [rows[4][:2] + (bad,) + rows[4][3:]]
+                                       + rows[5:])
+    with pytest.raises(DimensionMismatchError, match="counts differ"):
+        ModalForcing.from_csv_rows(GEOM, m, _csv(m, grids[0], GEOM.grid(SIDE_PLUS, 11)))
+    with pytest.raises(InvalidGeometryError, match="cover"):
+        ModalForcing.from_csv_rows(GEOM, m, _csv(m, grids[0], grids[1] * 0.9))
+    with pytest.raises(InvalidGeometryError, match="no forcing rows"):
+        ModalForcing.from_csv_rows(GEOM, m, _csv(m, grids[0], ()))
+    with pytest.raises(DimensionMismatchError, match="outside"):
+        ModalForcing.from_csv_rows(GEOM, m, rows + [(0.1, m, 1.0, SIDE_PLUS)])
+
+
+def test_forcing_on_another_geometry_is_rejected():
+    m = 4
+    op = build_dirichlet_laplacian_1d(m, 1.0)
+    other = CylinderGeometry(-2.0, 0.0, 3.0)
+    forcing = ModalForcing.sine(op, GEOM, SIDE_PLUS, 1, 1, 1.5)
+    with pytest.raises(InvalidGeometryError, match="forcing built on"):
+        solve_transmission(op, other, 1.0, 3.0, forcing)
+    with pytest.raises(InvalidGeometryError, match="forcing built on"):
+        direct_solve(op, other, 1.0, 3.0, forcing, n_x=65)
+    solve_transmission(op, CylinderGeometry(-0.7, 0.0, 1.3), 1.0, 3.0, forcing)

@@ -473,7 +473,7 @@ def _csv_forcing(geom, m, rng):
     return ModalForcing.from_csv_rows(geom, m, rows)
 
 
-@pytest.mark.parametrize("kind, calls", [("zero", 0), ("sine", 4), ("csv", 4)])
+@pytest.mark.parametrize("kind, calls", [("zero", 0), ("sine", 2), ("csv", 4)])
 def test_zero_sample_side_is_not_sampled(monkeypatch, kind, calls):
     m, n_x = 8, 65
     op = build_dirichlet_laplacian_1d(m, 1.0)
@@ -491,7 +491,8 @@ def test_zero_sample_side_is_not_sampled(monkeypatch, kind, calls):
 
 
 def test_zero_sample_side_matches_the_sampled_solve():
-    # The same zero forcing behind a resampler still takes the sampling path.
+    # The same zero forcing behind a resampler still takes the sampling path,
+    # and gives the same bytes, signed zeros included.
     m, n_x = 8, 65
     op = build_dirichlet_laplacian_1d(m, 1.0)
     geom = CylinderGeometry(-0.7, 0.0, 1.3)
@@ -506,7 +507,7 @@ def test_zero_sample_side_matches_the_sampled_solve():
         full = solve_particular(op.eigenvalues, geom, side, sampled_zero, n_x)
         for name in ("grid", "f_modal", "w_modal", "fprime_left", "fprime_right",
                      "f3_left", "f3_right", "active"):
-            assert np.array_equal(getattr(part, name), getattr(full, name))
+            assert getattr(part, name).tobytes() == getattr(full, name).tobytes(), name
         assert part.error_estimate == full.error_estimate == 0.0
     # Downstream, the fields and the report are bit-identical.
     bc = BoundaryData(*np.random.default_rng(0).standard_normal((4, m)))

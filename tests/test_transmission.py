@@ -548,22 +548,24 @@ def test_vanishing_symbol_is_an_evaluation_error(route):
 
 
 def test_csv_forcing_builds_one_spline_per_forced_side(monkeypatch):
-    # Minus rows are all zero, plus rows are not: one solve with its report
-    # samples each side on three grids but interpolates the plus side once.
+    # Minus rows are all zero, plus rows are not: construction interpolates
+    # the plus table once, and a solve with its report samples each side on
+    # three grids without building another.
     op = build_dirichlet_laplacian_1d(3, 1.0)
     geom = CylinderGeometry(-0.7, 0.0, 0.9)
-    rows = [(x, j, 0.0, SIDE_MINUS) for x in geom.grid(SIDE_MINUS, 21) for j in range(3)]
-    rows += [(x, j, np.sin(3.0 * x) + j, SIDE_PLUS) for x in geom.grid(SIDE_PLUS, 21)
-             for j in range(3)]
-    forcing = ModalForcing.from_csv_rows(geom, 3, rows)
+    grid = geom.grid(SIDE_PLUS, 21)
+    minus = [(x, j, 0.0, SIDE_MINUS) for x in geom.grid(SIDE_MINUS, 21) for j in range(3)]
+    plus = [(x, j, np.sin(3.0 * x) + j, SIDE_PLUS) for x in grid for j in range(3)]
     builds = []
     real = problem.CubicSpline
     monkeypatch.setattr(problem, "CubicSpline",
                         lambda *args, **kw: builds.append(1) or real(*args, **kw))
+    forcing = ModalForcing.from_csv_rows(geom, 3, minus + plus)
+    assert len(builds) == 1
     sol = solve_transmission(op, geom, 1.0, 2.5, forcing=forcing)
     assert len(builds) == 1
     assert sol.report.passed
-    reference = real(forcing.grid_plus, forcing.samples_plus)
+    reference = real(grid, np.reshape([value for _, _, value, _ in plus], (21, 3)).T)
     for n in (sol.options.n_x, 2 * sol.options.n_x - 1, sol.options.probe_points):
         xs = geom.grid(SIDE_PLUS, n)
         assert np.array_equal(forcing.sample(SIDE_PLUS, xs), reference(xs))
