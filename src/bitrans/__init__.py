@@ -75,6 +75,7 @@ from .transmission import (
     SolveOptions,
     TransmissionOperators,
     TransmissionSolution,
+    TransmissionSolver,
     assemble_sources,
     assemble_transmission_operators,
     leading_order_interface,

@@ -36,6 +36,7 @@ from .problem import (
     BoundaryData,
     CylinderGeometry,
     ModalForcing,
+    check_integer,
     check_side,
 )
 from .section_operator import SectionOperator
@@ -387,6 +388,7 @@ def direct_solve(
     semigroups, solvability operators, or interface-source algebra, only
     the spectrum of the section operator.
     """
+    check_integer("n_x", n_x)
     if n_x < 33:
         raise ResolutionError(f"direct solve needs n_x >= 33, got {n_x}")
     m = operator.m

@@ -34,6 +34,19 @@ def check_side(side: str) -> str:
     return side
 
 
+def check_integer(name: str, value) -> None:
+    """Raise ValueError unless ``value`` is an integer (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def check_diffusivities(k_minus: float, k_plus: float) -> None:
+    if not (0.0 < k_minus < np.inf and 0.0 < k_plus < np.inf):
+        raise InvalidGeometryError(
+            f"diffusivities must be positive and finite, got {k_minus}, {k_plus}"
+        )
+
+
 @dataclass(frozen=True)
 class CylinderGeometry:
     """Axial geometry a < gamma < b of the two-piece cylinder."""
@@ -304,10 +317,7 @@ class TransmissionProblem:
     boundary: BoundaryData
 
     def __post_init__(self):
-        if not (0.0 < self.k_minus < np.inf and 0.0 < self.k_plus < np.inf):
-            raise InvalidGeometryError(
-                f"diffusivities must be positive and finite, got {self.k_minus}, {self.k_plus}"
-            )
+        check_diffusivities(self.k_minus, self.k_plus)
         if self.boundary.m != self.operator.m or self.forcing.m != self.operator.m:
             raise DimensionMismatchError(
                 "boundary/forcing dimension does not match the section operator"

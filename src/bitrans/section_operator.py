@@ -41,6 +41,13 @@ def _fix_eigenvector_signs(vectors: np.ndarray) -> np.ndarray:
     return vectors * np.where(lead < 0, -1.0, 1.0)
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """A read-only view of ``array``; the array itself keeps its flags."""
+    view = array.view()
+    view.flags.writeable = False
+    return view
+
+
 @dataclass(frozen=True)
 class SectionOperator:
     """Symmetric negative-definite section operator, stored spectrally.
@@ -56,12 +63,19 @@ class SectionOperator:
     generator_eigenvalues : (m,) ndarray
         Eigenvalues g_j = -sqrt(-mu_j) of the generator M = -sqrt(-A) on the
         same eigenbasis, so M is symmetric negative definite and M^2 = -A.
+
+    The three arrays are read-only views (the caller's own arrays stay
+    writable): an edit in place would leave ``generator_eigenvalues`` stale
+    and poison every solve that reuses them. ``_solver`` holds the last
+    ``transmission.TransmissionSolver`` built on this operator, so it lives
+    exactly as long as the operator.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     label: str = ""
     generator_eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
+    _solver: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mu = np.asarray(self.eigenvalues, dtype=float)
@@ -88,9 +102,9 @@ class SectionOperator:
             raise InvalidGeometryError(
                 f"eigenvector matrix not orthonormal: ||Q^T Q - I||_F = {ortho:.3e}"
             )
-        object.__setattr__(self, "eigenvalues", mu)
-        object.__setattr__(self, "eigenvectors", q)
-        object.__setattr__(self, "generator_eigenvalues", -np.sqrt(-mu))
+        object.__setattr__(self, "eigenvalues", _read_only(mu))
+        object.__setattr__(self, "eigenvectors", _read_only(q))
+        object.__setattr__(self, "generator_eigenvalues", _read_only(-np.sqrt(-mu)))
 
     @property
     def m(self) -> int:

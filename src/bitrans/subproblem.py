@@ -25,7 +25,7 @@ value is read.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -366,6 +366,38 @@ def interface_fluxes(ops: SideSymbols, side: str, alphas: tuple, fprime=0.0, f3=
     return t2, t3
 
 
+class AxialFactors(NamedTuple):
+    """Points of one interval with the factors of a field table that the coefficients do not touch.
+
+    ``s1`` = x - left end and ``s2`` = right end - x have shape (1, k);
+    ``e1`` = e^{s1 g} and ``e2`` = e^{s2 g} have shape (m, k).
+    """
+
+    xs: np.ndarray
+    s1: np.ndarray
+    s2: np.ndarray
+    e1: np.ndarray
+    e2: np.ndarray
+
+
+def axial_factors(geometry: CylinderGeometry, side: str, g: np.ndarray, x) -> AxialFactors:
+    """``AxialFactors`` of the points ``x`` on one side, for generator eigenvalues ``g``.
+
+    Points within 1e-10 of the interval length outside an end are moved
+    onto it; points farther out raise ValueError.
+    """
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    lo, hi = geometry.interval(side)
+    tol = 1e-10 * (hi - lo)
+    if np.any(xs < lo - tol) or np.any(xs > hi + tol):
+        raise ValueError(f"evaluation points outside [{lo}, {hi}] on side {side!r}")
+    xs = np.clip(xs, lo, hi)
+    gm = g[:, None]
+    s1 = (xs - lo)[None, :]
+    s2 = (hi - xs)[None, :]
+    return AxialFactors(xs, s1, s2, np.exp(s1 * gm), np.exp(s2 * gm))
+
+
 @dataclass(frozen=True)
 class SubproblemSolution:
     """Assembled one-sided solution: coefficients plus particular part.
@@ -373,7 +405,8 @@ class SubproblemSolution:
     ``alphas`` are eigenbasis coordinates; ``modal_fields`` evaluates the
     field and its first three x-derivatives in the eigenbasis (the
     semigroup factors are diagonal there), exactly in x for the
-    homogeneous part, and ``evaluate`` maps one order back.
+    homogeneous part, ``fields_at`` does so from factors formed once, and
+    ``evaluate`` maps one order back.
     """
 
     side: str
@@ -392,35 +425,33 @@ class SubproblemSolution:
     def modal_fields(self, x) -> np.ndarray:
         """Eigenbasis values of the field and its x-derivatives of orders 0..3, shape (4, m, k).
 
+        ``fields_at`` on the ``axial_factors`` of the points ``x``.
+        """
+        g = self.operator.generator_eigenvalues
+        return self.fields_at(axial_factors(self.geometry, self.side, g, x))
+
+    def fields_at(self, at: AxialFactors) -> np.ndarray:
+        """``modal_fields`` at points whose ``axial_factors`` on this side are already formed.
+
         Per mode u = E1 (A + s1 B) + E2 (C + s2 D), A = a1 + a3, B = a2 + a4,
         C = a3 - a1, D = a4 - a2, and d/dx E1 = g E1, d/dx E2 = -g E2. With
         b = E1 B, d = E2 D, p = E1 A + s1 b and n = E2 C + s2 d: u = p + n,
         u' = g (p - n) + (b - d), u'' = g^2 (p + n) + 2g (b + d) and
         u''' = g^2 [g (p - n) + 3 (b - d)].
         """
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
-        lo, hi = self.geometry.interval(self.side)
-        tol = 1e-10 * (hi - lo)
-        if np.any(xs < lo - tol) or np.any(xs > hi + tol):
-            raise ValueError(f"evaluation points outside [{lo}, {hi}] on side {self.side!r}")
-        xs = np.clip(xs, lo, hi)
         gm = self.operator.generator_eigenvalues[:, None]
-        s1 = (xs - lo)[None, :]
-        s2 = (hi - xs)[None, :]
-        e1 = np.exp(s1 * gm)
-        e2 = np.exp(s2 * gm)
         a1, a2, a3, a4 = (a[:, None] for a in self.alphas)
-        b = e1 * (a2 + a4)
-        d = e2 * (a4 - a2)
-        p = e1 * (a1 + a3) + s1 * b
-        n = e2 * (a3 - a1) + s2 * d
+        b = at.e1 * (a2 + a4)
+        d = at.e2 * (a4 - a2)
+        p = at.e1 * (a1 + a3) + at.s1 * b
+        n = at.e2 * (a3 - a1) + at.s2 * d
         odd = gm * (p - n)
         out = np.empty((4,) + p.shape)
         out[0], out[1] = p + n, odd + (b - d)
         out[2], out[3] = gm**2 * out[0] + 2.0 * gm * (b + d), gm**2 * (odd + 3.0 * (b - d))
         part = self.particular
         if part is not None and part.active.size:
-            out += part.terms(xs, self.operator.eigenvalues)
+            out += part.terms(at.xs, self.operator.eigenvalues)
         return out
 
     def evaluate(self, x, order: int = 0) -> np.ndarray:

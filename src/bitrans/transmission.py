@@ -17,6 +17,10 @@ cofactor formula with determinant -m_j * f(-mu_j); that is the answer on
 every route. The ``both`` route also solves each mode's 8 x 8 system in
 the fundamental system of its ODE (the ``verification`` module, which
 uses none of the symbols) and records the gap between the two.
+Everything that depends only on the operator, the geometry, the
+diffusivities and the options is built once, by ``TransmissionSolver``;
+``solve_transmission`` keeps the last solver with its operator and reuses
+it while those inputs compare equal.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import AnomalyError, DimensionMismatchError
+from .errors import AnomalyError, DimensionMismatchError, ResolutionError
 from .problem import (
     SIDE_MINUS,
     SIDE_PLUS,
@@ -35,6 +39,8 @@ from .problem import (
     CylinderGeometry,
     ModalForcing,
     TransmissionProblem,
+    check_diffusivities,
+    check_integer,
 )
 from .section_operator import SectionOperator
 from .subproblem import (
@@ -43,6 +49,7 @@ from .subproblem import (
     SubproblemSolution,
     alphas_minus,
     alphas_plus,
+    axial_factors,
     interface_fluxes,
     phi_tilde_minus,
     phi_tilde_plus,
@@ -86,8 +93,10 @@ class TransmissionOperators:
     -g_j f(-mu_j) through the scalar determinant symbol,
     ``det_modal_blocks`` the same numbers as -g_j (p1s p3s - p2d^2) from
     the block symbols; their agreement is the determinant-factorization
-    check. ``conditions`` are exact 2-norm condition numbers:
-    max u / min u, max v / min v, and that of Lambda (``_cond_lambda``).
+    check, and ``det_gap`` their scaled gap. ``conditions`` are exact
+    2-norm condition numbers: max u / min u, max v / min v, and that of
+    Lambda (``_cond_lambda``). Every array is read-only, because a
+    ``TransmissionSolver`` hands the same operators to all its solves.
     """
 
     operator: SectionOperator
@@ -103,16 +112,22 @@ class TransmissionOperators:
     det_modal_symbols: np.ndarray
     det_modal_blocks: np.ndarray
     conditions: dict
+    det_gap: float = field(init=False)
+
+    def __post_init__(self):
+        for side in (self.minus, self.plus):
+            for arr in (side.e, side.u, side.v, *side.f):
+                arr.flags.writeable = False
+        for arr in (self.p1_sum, self.p2_diff, self.p3_sum, self.f_values,
+                    self.det_modal_symbols, self.det_modal_blocks):
+            arr.flags.writeable = False
+        det = self.det_modal_symbols
+        object.__setattr__(self, "det_gap", float(
+            np.max(np.abs(self.det_modal_blocks - det)) / (1.0 + np.max(np.abs(det)))))
 
     @property
     def m(self) -> int:
         return self.operator.m
-
-    @property
-    def det_gap(self) -> float:
-        """Scaled gap between the block-symbol and determinant-symbol determinants."""
-        det = self.det_modal_symbols
-        return float(np.max(np.abs(self.det_modal_blocks - det)) / (1.0 + np.max(np.abs(det))))
 
 
 def assemble_transmission_operators(
@@ -147,22 +162,18 @@ def assemble_transmission_operators(
 
 @dataclass(frozen=True)
 class InterfaceSources:
-    """Right-hand sides S1, S2 of the interface system and the flux source.
-
-    All three are eigenbasis coordinates.
-    """
+    """Right-hand sides S1, S2 of the interface system, in eigenbasis coordinates."""
 
     s1: np.ndarray
     s2: np.ndarray
-    s_check: np.ndarray
 
     def __post_init__(self):
-        for name in ("s1", "s2", "s_check"):
+        for name in ("s1", "s2"):
             vec = np.atleast_1d(np.asarray(getattr(self, name), dtype=float))
             if vec.ndim != 1 or not np.all(np.isfinite(vec)):
                 raise DimensionMismatchError(f"{name} must be a finite vector")
             object.__setattr__(self, name, vec)
-        if not (self.s1.size == self.s2.size == self.s_check.size):
+        if self.s1.size != self.s2.size:
             raise DimensionMismatchError("source vectors must share one dimension")
 
     @property
@@ -179,12 +190,12 @@ def assemble_sources(
     fprime_gamma_plus: np.ndarray,
     f3_gamma_plus: np.ndarray,
 ) -> InterfaceSources:
-    """Assemble S1, S2 and the particular-flux source S-check, per mode.
+    """Assemble S1 and S2, per mode.
 
     S1 = (k+ t3+ - k- t3-) / M^2 and S2 = (k+ t2+ - k- t2-) / M are the
     flux jumps at gamma (``interface_fluxes``) of phi~ with the particular
-    traces. S-check = -k+ F+'''(gamma) + k+ M^2 F+'(gamma)
-    + k- F-'''(gamma) - k- M^2 F-'(gamma) enters S1 as -M^{-2} S-check
+    traces. The F''' - M^2 F' term of t3 puts the particular-flux source
+    -M^{-2} (-k+ F+''' + k+ M^2 F+' + k- F-''' - k- M^2 F-') (gamma) into S1
     (the opposite sign breaks the second transmission condition, and the
     tests demonstrate that). Every input is in eigenbasis coordinates.
     """
@@ -194,10 +205,7 @@ def assemble_sources(
                                 fprime_gamma_minus, f3_gamma_minus)
     t2p, t3p = interface_fluxes(operators.plus, SIDE_PLUS, phi_tilde_p,
                                 fprime_gamma_plus, f3_gamma_plus)
-    s_check = (-kp * f3_gamma_plus + kp * g**2 * fprime_gamma_plus
-               + km * f3_gamma_minus - km * g**2 * fprime_gamma_minus)
-    return InterfaceSources(s1=(kp * t3p - km * t3m) / g**2, s2=(kp * t2p - km * t2m) / g,
-                            s_check=s_check)
+    return InterfaceSources(s1=(kp * t3p - km * t3m) / g**2, s2=(kp * t2p - km * t2m) / g)
 
 
 @dataclass(frozen=True)
@@ -310,7 +318,12 @@ def leading_order_interface(operators: TransmissionOperators,
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """Solver options: interface route (calculus|both), modal BVP grid, probe density."""
+    """Solver options: interface route (calculus|both), modal BVP grid, probe density.
+
+    Checked here, since they are part of a ``TransmissionSolver``'s identity:
+    a non-integer count raises ValueError, and ``n_x < 17`` the
+    ResolutionError of the particular solve.
+    """
 
     route: str = ROUTE_CALCULUS
     n_x: int = 129
@@ -319,6 +332,10 @@ class SolveOptions:
     def __post_init__(self):
         if self.route not in (ROUTE_CALCULUS, ROUTE_BOTH):
             raise ValueError(f"unknown route {self.route!r}")
+        check_integer("n_x", self.n_x)
+        check_integer("probe_points", self.probe_points)
+        if self.n_x < 17:
+            raise ResolutionError(f"particular solve needs n_x >= 17, got {self.n_x}")
         if self.probe_points < 5:
             raise ValueError("need at least 5 probe points")
 
@@ -408,7 +425,16 @@ def _scaled_sup(residual: np.ndarray, reference: float) -> float:
     return float(np.max(np.abs(residual)) / (1.0 + reference))
 
 
-def residual_report(solution: TransmissionSolution) -> ResidualReport:
+def probe_factors(operator: SectionOperator, geometry: CylinderGeometry,
+                  probe_points: int) -> dict:
+    """Side -> ``AxialFactors`` of the report's probe grid of ``probe_points`` per side."""
+    g = operator.generator_eigenvalues
+    return {side: axial_factors(geometry, side, g, geometry.grid(side, probe_points))
+            for side in (SIDE_MINUS, SIDE_PLUS)}
+
+
+def residual_report(solution: TransmissionSolution,
+                    probes: Optional[dict] = None) -> ResidualReport:
     """Quantitative verification of every equation of the problem.
 
     Evaluates the equation residual on an interior probe grid of
@@ -419,10 +445,12 @@ def residual_report(solution: TransmissionSolution) -> ResidualReport:
 
     Every term is formed in the eigenbasis, where A and M^2 act as the
     per-mode factors mu_j and g_j^2, from one order-0..3 field table per
-    side (``modal_fields``) and a vanishing forcing taken as exact zeros,
-    and mapped to the physical basis by one product; each entry is the
-    scaled sup norm of its physical residual. The interface flux traces
-    are the closed forms of ``interface_fluxes`` in the coefficients.
+    side (``SubproblemSolution.fields_at`` on ``probes``, the
+    ``probe_factors`` of the solution's grid, formed here when not given)
+    and a vanishing forcing taken as exact zeros, and mapped to the
+    physical basis by one product; each entry is the scaled sup norm of
+    its physical residual. The interface flux traces are the closed forms
+    of ``interface_fluxes`` in the coefficients.
 
     ``det_gap`` compares the per-mode determinant from the block symbols
     with the determinant symbol; on ``both`` it is the larger of that and
@@ -432,8 +460,8 @@ def residual_report(solution: TransmissionSolution) -> ResidualReport:
     prob = solution.problem
     op = prob.operator
     tops = solution.operators
-    geom = prob.geometry
-    n_probe = solution.options.probe_points
+    if probes is None:
+        probes = probe_factors(op, prob.geometry, solution.options.probe_points)
     mu = op.eigenvalues[:, None]
     g = op.generator_eigenvalues
     kp, km = prob.k_plus, prob.k_minus
@@ -451,9 +479,9 @@ def residual_report(solution: TransmissionSolution) -> ResidualReport:
     tables, modal = {}, {}
     eq_budget = 0.0
     for side, outer in ((SIDE_MINUS, 0), (SIDE_PLUS, -1)):
-        xs = geom.grid(side, n_probe)
+        xs = probes[side].xs
         h = xs[1] - xs[0]
-        u = tables[side] = solution.side(side).modal_fields(xs)
+        u = tables[side] = solution.side(side).fields_at(probes[side])
         modal[side, "d4"] = (u[3, :, 2:] - u[3, :, :-2]) / (2.0 * h)
         modal[side, "au2"] = mu * u[2, :, 1:-1]
         modal[side, "a2u0"] = mu**2 * u[0, :, 1:-1]
@@ -531,6 +559,89 @@ def residual_report(solution: TransmissionSolution) -> ResidualReport:
     )
 
 
+class TransmissionSolver:
+    """The transmission problem of one operator, geometry and diffusivity pair, built once.
+
+    Construction forms everything that depends on these inputs and the
+    options alone: both intervals' symbols, the interface blocks, their
+    conditions and determinant gap (``assemble_transmission_operators``),
+    the fundamental-system symbols on the ``both`` route, the zero forcing,
+    and each side's probe grid with its semigroup factors
+    (``probe_factors``). ``solve`` runs only what depends on the forcing
+    and boundary data, so a new right-hand side passes through fixed
+    per-mode functions of M.
+    """
+
+    def __init__(self, operator: SectionOperator, geometry: CylinderGeometry,
+                 k_minus: float, k_plus: float, options: Optional[SolveOptions] = None):
+        check_diffusivities(k_minus, k_plus)
+        self.operator, self.geometry = operator, geometry
+        self.k_minus, self.k_plus = k_minus, k_plus
+        self.options = options or SolveOptions()
+        self.operators = assemble_transmission_operators(operator, geometry, k_minus, k_plus)
+        self.reference = (fundamental_symbols(self.operators)
+                          if self.options.route == ROUTE_BOTH else None)
+        self.zero_forcing = ModalForcing.zero(operator.m, geometry)
+        self.probes = probe_factors(operator, geometry, self.options.probe_points)
+
+    def matches(self, geometry: CylinderGeometry, k_minus: float, k_plus: float,
+                options: SolveOptions) -> bool:
+        """True when this solver was built for these inputs (its operator aside)."""
+        return (self.geometry == geometry and self.k_minus == k_minus
+                and self.k_plus == k_plus and self.options == options)
+
+    def solve(self, forcing: Optional[ModalForcing] = None,
+              boundary: Optional[BoundaryData] = None) -> TransmissionSolution:
+        """Solve for one forcing and boundary data (zero when None).
+
+        Pipeline: particular solutions on both intervals, the boundary
+        data in the eigenbasis, boundary-source quadruples, interface
+        sources, interface solve, representation coefficients, and the
+        residual report. The interface pair is always the per-mode solve;
+        on the ``"both"`` route the fundamental-system solve of the
+        ``verification`` module runs too and their gap is recorded. A
+        residual above its budget flags the report; it never silently
+        passes.
+        """
+        op, geometry, tops, options = self.operator, self.geometry, self.operators, self.options
+        if forcing is None:
+            forcing = self.zero_forcing
+        if boundary is None:
+            boundary = BoundaryData.zeros(op.m)
+        prob = TransmissionProblem(op, geometry, self.k_minus, self.k_plus, forcing, boundary)
+        part_m = solve_particular(op.eigenvalues, geometry, SIDE_MINUS, forcing, options.n_x)
+        part_p = solve_particular(op.eigenvalues, geometry, SIDE_PLUS, forcing, options.n_x)
+        phi_hat = op.to_modal(np.stack(
+            [boundary.phi1_minus, boundary.phi2_minus, boundary.phi1_plus, boundary.phi2_plus],
+            axis=1)).T
+        phi1_m, phi2_m, phi1_p, phi2_p = phi_hat
+        pt_m = phi_tilde_minus(tops.minus, phi1_m, phi2_m, part_m.fprime_left,
+                               part_m.fprime_right)
+        pt_p = phi_tilde_plus(tops.plus, phi1_p, phi2_p, part_p.fprime_left,
+                              part_p.fprime_right)
+        sources = assemble_sources(
+            tops, pt_m, pt_p,
+            fprime_gamma_minus=part_m.fprime_right, f3_gamma_minus=part_m.f3_right,
+            fprime_gamma_plus=part_p.fprime_left, f3_gamma_plus=part_p.f3_left,
+        )
+        interface = solve_interface_calculus(tops, sources)
+        route_gap = 0.0
+        if options.route == ROUTE_BOTH:
+            check = solve_interface_block(tops, phi_hat, part_m, part_p)
+            scale = 1.0 + max(np.max(np.abs(interface.psi1)), np.max(np.abs(interface.psi2)))
+            route_gap = float(max(np.max(np.abs(interface.psi1 - check.psi1)),
+                                  np.max(np.abs(interface.psi2 - check.psi2))) / scale)
+        al_m = alphas_minus(tops.minus, interface.psi1_hat, interface.psi2_hat, pt_m)
+        al_p = alphas_plus(tops.plus, interface.psi1_hat, interface.psi2_hat, pt_p)
+        sol = TransmissionSolution(
+            problem=prob, operators=tops, sources=sources, interface=interface,
+            minus=SubproblemSolution(SIDE_MINUS, geometry, op, al_m, part_m),
+            plus=SubproblemSolution(SIDE_PLUS, geometry, op, al_p, part_p),
+            options=options, route_gap=route_gap, reference=self.reference,
+        )
+        return replace(sol, report=residual_report(sol, self.probes))
+
+
 def solve_transmission(
     operator: SectionOperator,
     geometry: CylinderGeometry,
@@ -542,49 +653,15 @@ def solve_transmission(
 ) -> TransmissionSolution:
     """Solve the full transmission problem by the representation route.
 
-    Pipeline: particular solutions on both intervals, the boundary data
-    in the eigenbasis, boundary-source quadruples, interface sources,
-    interface solve, representation coefficients, and the residual
-    report. The interface pair is always the per-mode solve; on the
-    ``"both"`` route the fundamental-system solve of the ``verification``
-    module runs too and their gap is recorded. A residual above its budget
-    flags the report; it never silently passes.
+    ``TransmissionSolver.solve`` on the last solver built on this operator
+    object when its geometry, diffusivities and options compare equal to
+    these, else on a new one, which the operator then keeps (so it goes
+    with the operator). Two threads may each build one; either is kept,
+    and both give the same answers.
     """
     options = options or SolveOptions()
-    if forcing is None:
-        forcing = ModalForcing.zero(operator.m, geometry)
-    if boundary is None:
-        boundary = BoundaryData.zeros(operator.m)
-    prob = TransmissionProblem(operator, geometry, k_minus, k_plus, forcing, boundary)
-    tops = assemble_transmission_operators(operator, geometry, k_minus, k_plus)
-    part_m = solve_particular(operator.eigenvalues, geometry, SIDE_MINUS, forcing, options.n_x)
-    part_p = solve_particular(operator.eigenvalues, geometry, SIDE_PLUS, forcing, options.n_x)
-    phi_hat = operator.to_modal(np.stack(
-        [boundary.phi1_minus, boundary.phi2_minus, boundary.phi1_plus, boundary.phi2_plus],
-        axis=1)).T
-    phi1_m, phi2_m, phi1_p, phi2_p = phi_hat
-    pt_m = phi_tilde_minus(tops.minus, phi1_m, phi2_m, part_m.fprime_left, part_m.fprime_right)
-    pt_p = phi_tilde_plus(tops.plus, phi1_p, phi2_p, part_p.fprime_left, part_p.fprime_right)
-    sources = assemble_sources(
-        tops, pt_m, pt_p,
-        fprime_gamma_minus=part_m.fprime_right, f3_gamma_minus=part_m.f3_right,
-        fprime_gamma_plus=part_p.fprime_left, f3_gamma_plus=part_p.f3_left,
-    )
-    interface = solve_interface_calculus(tops, sources)
-    reference = None
-    route_gap = 0.0
-    if options.route == ROUTE_BOTH:
-        reference = fundamental_symbols(tops)
-        check = solve_interface_block(tops, phi_hat, part_m, part_p)
-        scale = 1.0 + max(np.max(np.abs(interface.psi1)), np.max(np.abs(interface.psi2)))
-        route_gap = float(max(np.max(np.abs(interface.psi1 - check.psi1)),
-                              np.max(np.abs(interface.psi2 - check.psi2))) / scale)
-    al_m = alphas_minus(tops.minus, interface.psi1_hat, interface.psi2_hat, pt_m)
-    al_p = alphas_plus(tops.plus, interface.psi1_hat, interface.psi2_hat, pt_p)
-    sol = TransmissionSolution(
-        problem=prob, operators=tops, sources=sources, interface=interface,
-        minus=SubproblemSolution(SIDE_MINUS, geometry, operator, al_m, part_m),
-        plus=SubproblemSolution(SIDE_PLUS, geometry, operator, al_p, part_p),
-        options=options, route_gap=route_gap, reference=reference,
-    )
-    return replace(sol, report=residual_report(sol))
+    solver = operator._solver
+    if solver is None or not solver.matches(geometry, k_minus, k_plus, options):
+        solver = TransmissionSolver(operator, geometry, k_minus, k_plus, options)
+        object.__setattr__(operator, "_solver", solver)
+    return solver.solve(forcing, boundary)

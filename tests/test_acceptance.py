@@ -168,14 +168,13 @@ def test_criterion_5_two_route_agreement():
     rng = np.random.default_rng(5)
     worst = 0.0
     for _ in range(10):
-        src = InterfaceSources(rng.standard_normal(16), rng.standard_normal(16),
-                               np.zeros(16))
+        src = InterfaceSources(rng.standard_normal(16), rng.standard_normal(16))
         a1, a2 = solve_block(dense, src)
         b = solve_interface_calculus(tops, src)
         scale = 1.0 + max(np.max(np.abs(a1)), np.max(np.abs(a2)))
         worst = max(worst, max(np.max(np.abs(a1 - b.psi1)),
                                np.max(np.abs(a2 - b.psi2))) / scale)
-    zero = InterfaceSources(np.zeros(16), np.zeros(16), np.zeros(16))
+    zero = InterfaceSources(np.zeros(16), np.zeros(16))
     za1, za2 = solve_block(dense, zero)
     zb = solve_interface_calculus(tops, zero)
     zeros_ok = (np.all(za1 == 0) and np.all(za2 == 0)

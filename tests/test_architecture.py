@@ -9,11 +9,17 @@ BASIS_OWNERS = {"section_operator.py"}
 INTERVAL_EVALUATORS = {"u_delta", "v_delta", "f_components"}
 
 
+def _trees():
+    """(module file name, parsed module) for every module of the package source."""
+    for path in sorted(Path(bitrans.__file__).parent.glob("*.py")):
+        yield path.name, ast.parse(path.read_text(encoding="utf-8"))
+
+
 def _nodes():
     """(module file name, AST node) for every node of the package source."""
-    for path in sorted(Path(bitrans.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            yield path.name, node
+    for name, tree in _trees():
+        for node in ast.walk(tree):
+            yield name, node
 
 
 def _name(node):
@@ -60,3 +66,18 @@ def test_the_particular_path_reads_only_the_declared_rows():
                   if name != "problem.py" and isinstance(node, ast.Attribute)
                   and node.attr in {"func_minus", "func_plus"}]
     assert not offenders, f"forcing rows read around the declared modes: {offenders}"
+
+
+def test_only_the_solver_assembles_the_interface_blocks():
+    # The interface blocks depend on the operator, geometry and k alone, so
+    # TransmissionSolver builds them once and every solve reuses them; an
+    # assembly anywhere else would bring the per-call rebuild back.
+    offenders = []
+    for name, tree in _trees():
+        inside = {id(node) for cls in ast.walk(tree)
+                  if isinstance(cls, ast.ClassDef) and cls.name == "TransmissionSolver"
+                  for node in ast.walk(cls)}
+        offenders += [f"{name}:{node.lineno}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Call) and id(node) not in inside
+                      and _name(node.func) == "assemble_transmission_operators"]
+    assert not offenders, f"interface blocks assembled outside TransmissionSolver: {offenders}"

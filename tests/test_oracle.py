@@ -8,6 +8,7 @@ from bitrans import (
     CylinderGeometry,
     DimensionMismatchError,
     ModalForcing,
+    ResolutionError,
     SIDE_MINUS,
     SIDE_PLUS,
     SIDES,
@@ -472,3 +473,12 @@ def test_direct_solve_backward_error_matches_full_row_sums(monkeypatch, m, n_x, 
                 for ab, rhs, x in seen]
     eps = np.finfo(float).eps
     assert sol.solve_residual == pytest.approx(max(backward), rel=2.0 * eps, abs=0.0)
+
+
+def test_direct_solve_checks_its_grid_size_up_front():
+    op = build_dirichlet_laplacian_1d(4, 1.0)
+    geom = CylinderGeometry(-0.7, 0.0, 1.3)
+    with pytest.raises(ValueError, match="n_x must be an integer"):
+        direct_solve(op, geom, 1.0, 3.0, n_x=129.0)
+    with pytest.raises(ResolutionError, match="n_x >= 33"):
+        direct_solve(op, geom, 1.0, 3.0, n_x=17)

@@ -32,6 +32,22 @@ def test_laplacian_eigenvalues_match_closed_form(m):
     assert np.max(np.abs(op.eigenvalues - exact) / np.abs(exact)) < 1e-10
 
 
+def test_spectral_arrays_are_read_only_views():
+    # An edit in place would leave generator_eigenvalues stale and poison the
+    # solver the operator keeps; the caller's own arrays stay writable.
+    mu = np.array([-4.0, -1.0])
+    q = np.eye(2)
+    op = SectionOperator(mu, q)
+    for arr in (op.eigenvalues, op.eigenvectors, op.generator_eigenvalues):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = -9.0
+    mu[0], q[0, 0] = -9.0, 1.0
+    assert mu.flags.writeable and q.flags.writeable
+    built = build_dirichlet_laplacian_1d(3, 1.0)
+    with pytest.raises(ValueError, match="read-only"):
+        built.eigenvalues[0] = -1.0
+
+
 def test_laplacian_m1_single_mode():
     op = build_dirichlet_laplacian_1d(1, 1.0)
     assert op.eigenvalues.shape == (1,)

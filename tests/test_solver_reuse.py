@@ -1,0 +1,156 @@
+"""A TransmissionSolver is built once per operator, geometry, k pair and options.
+
+``solve_transmission`` reuses the last solver kept on the operator object
+when the other inputs compare equal; a reused solve must give the bytes of
+a first solve.
+"""
+
+import gc
+import weakref
+
+import numpy as np
+import pytest
+
+from bitrans import (
+    BoundaryData,
+    CylinderGeometry,
+    ModalForcing,
+    SIDES,
+    SolveOptions,
+    TransmissionSolver,
+    build_dirichlet_laplacian_1d,
+    manufactured_forced,
+    solve_transmission,
+)
+from bitrans import subproblem, transmission
+
+GEOM = CylinderGeometry(-0.7, 0.0, 1.3)
+
+
+def _spy(monkeypatch, names):
+    """Count calls of each named function through its binding in bitrans.transmission."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        real = getattr(transmission, name)
+
+        def spy(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(transmission, name, spy)
+    return calls
+
+
+def _boundary(rng, m):
+    return BoundaryData(*rng.standard_normal((4, m)))
+
+
+def test_repeated_solves_assemble_once_and_run_the_data_pipeline_each_time(monkeypatch):
+    per_solve = ("residual_report", "assemble_sources", "solve_interface_calculus",
+                 "phi_tilde_minus", "alphas_plus")
+    calls = _spy(monkeypatch, ("assemble_transmission_operators",) + per_solve)
+    op = build_dirichlet_laplacian_1d(16, 1.0)
+    rng = np.random.default_rng(3)
+    for _ in range(5):
+        solve_transmission(op, GEOM, 1.0, 3.0, None, _boundary(rng, 16))
+    assert calls == {"assemble_transmission_operators": 1, **dict.fromkeys(per_solve, 5)}
+
+
+@pytest.mark.parametrize("change", [
+    "operator", "geometry", "k_minus", "k_plus", "route", "n_x", "probe_points"])
+def test_a_changed_input_rebuilds_the_solver(monkeypatch, change):
+    calls = _spy(monkeypatch, ("assemble_transmission_operators",))
+    args = {"operator": build_dirichlet_laplacian_1d(8, 1.0), "geometry": GEOM,
+            "k_minus": 1.0, "k_plus": 3.0, "options": SolveOptions()}
+    solve_transmission(**args)
+    solve_transmission(**args)
+    assert calls["assemble_transmission_operators"] == 1
+    if change == "operator":  # the same spectrum, but another object
+        args["operator"] = build_dirichlet_laplacian_1d(8, 1.0)
+    elif change == "geometry":
+        args["geometry"] = CylinderGeometry(-0.7, 0.0, 1.4)
+    elif change in ("k_minus", "k_plus"):
+        args[change] = 2.0
+    else:
+        value = {"route": "both", "n_x": 65, "probe_points": 17}[change]
+        args["options"] = SolveOptions(**{change: value})
+    solve_transmission(**args)
+    assert calls["assemble_transmission_operators"] == 2
+
+
+def _forcing(kind, op, geom, km, kp, rng):
+    m = op.m
+    if kind == "zero":
+        return None, _boundary(rng, m)
+    if kind == "sine":
+        side = SIDES[int(rng.integers(2))]
+        forcing = ModalForcing.sine(op, geom, side, int(rng.integers(m)), 1, rng.normal())
+        return forcing, _boundary(rng, m)
+    case = manufactured_forced(op, geom, km, kp, int(rng.integers(min(m, 4))),
+                               rng.normal(size=3), float(rng.normal()), float(rng.normal()))
+    return case.forcing(), case.boundary_data()
+
+
+def _fingerprint(sol):
+    """The report, the order-0..3 field tables and every trace, as bytes."""
+    geom = sol.geometry
+    parts = [sol.report.to_json().encode(), sol.interface.psi1.tobytes(),
+             sol.interface.psi2.tobytes()]
+    for side in SIDES:
+        sub = sol.side(side)
+        parts.append(sub.modal_fields(geom.grid(side, 17)).tobytes())
+        part = sub.particular
+        parts += [getattr(part, name).tobytes()
+                  for name in ("fprime_left", "fprime_right", "f3_left", "f3_right")]
+    return parts
+
+
+def test_reused_solves_match_first_solves_byte_for_byte():
+    rng = np.random.default_rng(2024)
+    for trial in range(12):
+        m = int(rng.integers(1, 65))
+        geom = CylinderGeometry(-float(rng.uniform(0.3, 2.0)), 0.0, float(rng.uniform(0.3, 2.0)))
+        km, kp = (float(k) for k in np.exp(rng.uniform(-2.0, 2.0, 2)))
+        kind = ("zero", "sine", "manufactured")[trial % 3]
+        options = SolveOptions(route=("calculus", "both")[(trial // 3) % 2])
+        op = build_dirichlet_laplacian_1d(m, 1.0)
+        solve_transmission(op, geom, km, kp, *_forcing(kind, op, geom, km, kp, rng), options)
+        for _ in range(2):
+            data = _forcing(kind, op, geom, km, kp, rng)
+            reused = solve_transmission(op, geom, km, kp, *data, options)
+            fresh = solve_transmission(build_dirichlet_laplacian_1d(m, 1.0), geom, km, kp,
+                                       *data, options)
+            assert _fingerprint(reused) == _fingerprint(fresh), (trial, m, kind)
+
+
+def test_solver_solve_is_solve_transmission():
+    op = build_dirichlet_laplacian_1d(12, 1.0)
+    rng = np.random.default_rng(5)
+    forcing, boundary = _forcing("sine", op, GEOM, 0.5, 2.0, rng)
+    options = SolveOptions(route="both")
+    direct = TransmissionSolver(op, GEOM, 0.5, 2.0, options).solve(forcing, boundary)
+    wrapped = solve_transmission(build_dirichlet_laplacian_1d(12, 1.0), GEOM, 0.5, 2.0,
+                                 forcing, boundary, options)
+    assert _fingerprint(direct) == _fingerprint(wrapped)
+
+
+def test_the_kept_solver_goes_with_its_operator():
+    op = build_dirichlet_laplacian_1d(32, 1.0)
+    sol = solve_transmission(op, GEOM, 1.0, 3.0, None, _boundary(np.random.default_rng(0), 32))
+    ref = weakref.ref(op)
+    del op, sol
+    gc.collect()
+    assert ref() is None
+
+
+def test_the_report_reads_the_solvers_probe_factors(monkeypatch):
+    # A reused solve forms no semigroup factor of the probe grid.
+    op = build_dirichlet_laplacian_1d(8, 1.0)
+    rng = np.random.default_rng(9)
+    solve_transmission(op, GEOM, 1.0, 3.0, None, _boundary(rng, 8))
+    calls = []
+    real = subproblem.axial_factors
+    monkeypatch.setattr(transmission, "axial_factors",
+                        lambda *args: calls.append(args) or real(*args))
+    solve_transmission(op, GEOM, 1.0, 3.0, None, _boundary(rng, 8))
+    assert calls == []

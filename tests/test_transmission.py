@@ -15,6 +15,7 @@ from bitrans import (
     InterfaceSources,
     InvalidGeometryError,
     ModalForcing,
+    ResolutionError,
     SIDE_MINUS,
     SIDE_PLUS,
     SIDES,
@@ -162,17 +163,17 @@ def test_sources_zero_data():
     _, geom, tops = scalar_tops()
     zero = np.zeros(1)
     src = assemble_sources(tops, (zero,) * 4, (zero,) * 4, zero, zero, zero, zero)
-    assert np.all(src.s1 == 0) and np.all(src.s2 == 0) and np.all(src.s_check == 0)
+    assert np.all(src.s1 == 0) and np.all(src.s2 == 0)
 
 
 def test_sources_scalar_flux_example():
-    # Only F'''_+(gamma) = 1, k+ = 1, A = (-1): s_check = -1, S1 = +1, S2 = 0.
+    # Only F'''_+(gamma) = 1, k+ = 1, A = (-1): the particular-flux source
+    # -k+ F'''_+ = -1 enters S1 as -M^{-2} times it, so S1 = +1 and S2 = 0.
     _, geom, tops = scalar_tops()
     zero = np.zeros(1)
     src = assemble_sources(tops, (zero,) * 4, (zero,) * 4,
                            fprime_gamma_minus=zero, f3_gamma_minus=zero,
                            fprime_gamma_plus=zero, f3_gamma_plus=np.array([1.0]))
-    assert src.s_check[0] == pytest.approx(-1.0, rel=1e-14)
     assert src.s1[0] == pytest.approx(1.0, rel=1e-14)
     assert src.s2[0] == pytest.approx(0.0, abs=1e-15)
 
@@ -194,7 +195,7 @@ def test_interface_block_zero_sources():
     geom = CylinderGeometry(-0.7, 0.0, 1.3)
     tops = assemble_transmission_operators(op, geom, 1.0, 3.0)
     dense = assemble_dense_operators(op, geom, 1.0, 3.0)
-    src = InterfaceSources(np.zeros(5), np.zeros(5), np.zeros(5))
+    src = InterfaceSources(np.zeros(5), np.zeros(5))
     psi1, psi2 = solve_block(dense, src)
     assert np.all(psi1 == 0) and np.all(psi2 == 0)
     data = solve_interface_calculus(tops, src)
@@ -208,7 +209,7 @@ def test_two_route_agreement_random_m16():
     dense = assemble_dense_operators(op, geom, 1.0, 3.0)
     rng = np.random.default_rng(42)
     for _ in range(10):
-        src = InterfaceSources(rng.standard_normal(16), rng.standard_normal(16), np.zeros(16))
+        src = InterfaceSources(rng.standard_normal(16), rng.standard_normal(16))
         a1, a2 = solve_block(dense, src)
         b = solve_interface_calculus(tops, src)
         scale = 1.0 + max(np.max(np.abs(a1)), np.max(np.abs(a2)))
@@ -218,7 +219,7 @@ def test_two_route_agreement_random_m16():
 
 def test_calculus_route_scalar_det():
     _, geom, tops = scalar_tops()
-    src = InterfaceSources(np.array([252.1155]), np.zeros(1), np.zeros(1))
+    src = InterfaceSources(np.array([252.1155]), np.zeros(1))
     data = solve_interface_calculus(tops, src)
     # psi1 = -p3s * S1 / det with det = -m f = +f(1).
     ctx = SymbolContext(1.0, 1.0, 1.0, 1.0)
@@ -232,11 +233,11 @@ def test_leading_order_zero_and_equal_k():
     geom = CylinderGeometry(-1.0, 0.0, 1.0)
     k = 1.7
     tops = assemble_transmission_operators(op, geom, k, k)
-    zero = InterfaceSources(np.zeros(3), np.zeros(3), np.zeros(3))
+    zero = InterfaceSources(np.zeros(3), np.zeros(3))
     l1, l2 = leading_order_interface(tops, zero)
     assert np.all(l1 == 0) and np.all(l2 == 0)
     rng = np.random.default_rng(9)
-    src = InterfaceSources(rng.normal(size=3), rng.normal(size=3), np.zeros(3))
+    src = InterfaceSources(rng.normal(size=3), rng.normal(size=3))
     l1, l2 = leading_order_interface(tops, src)
     q = op.eigenvectors   # sources are modal, the leading-order pair physical
     expected1 = q @ (src.s1 / op.generator_eigenvalues) / (4.0 * k)
@@ -339,8 +340,9 @@ def test_tc1_perturbation_injection():
 
 
 def test_wrong_flux_sign_convention_breaks_tc2():
-    # Flipping the sign of the M^{-2} S-check term in S1 must give a
-    # solution that the report flags on the third-order flux condition.
+    # Flipping the sign of the particular-flux term -M^{-2} S-check in S1,
+    # S-check = -k+ F+''' + k+ M^2 F+' + k- F-''' - k- M^2 F-' at gamma, must
+    # give a solution that the report flags on the third-order flux condition.
     op = build_dirichlet_laplacian_1d(3, 1.0)
     geom = CylinderGeometry(-0.7, 0.0, 0.9)
     # A genuinely forced problem so s_check != 0.
@@ -352,10 +354,12 @@ def test_wrong_flux_sign_convention_breaks_tc2():
     tops = sol_good.operators
     g = op.generator_eigenvalues
     sources = sol_good.sources
-    assert np.max(np.abs(sources.s_check)) > 0.0
-    src_bad = replace(sources, s1=sources.s1 + 2 * sources.s_check / g**2)
-    data = solve_interface_calculus(tops, src_bad)
     part_m, part_p = sol_good.minus.particular, sol_good.plus.particular
+    s_check = (-2.0 * part_p.f3_left + 2.0 * g**2 * part_p.fprime_left
+               + part_m.f3_right - g**2 * part_m.fprime_right)
+    assert np.max(np.abs(s_check)) > 0.0
+    src_bad = replace(sources, s1=sources.s1 + 2 * s_check / g**2)
+    data = solve_interface_calculus(tops, src_bad)
     zero = np.zeros(3)
     pt_m = phi_tilde_minus(tops.minus, zero, zero, part_m.fprime_left, part_m.fprime_right)
     pt_p = phi_tilde_plus(tops.plus, zero, zero, part_p.fprime_left, part_p.fprime_right)
@@ -390,7 +394,7 @@ def test_report_serialization_keys():
 
 def test_commutator_guard_raises_on_foreign_blocks():
     op, geom, tops = scalar_tops()
-    src = InterfaceSources(np.ones(1), np.ones(1), np.zeros(1))
+    src = InterfaceSources(np.ones(1), np.ones(1))
     # sanity: the dense reference blocks commute
     assert assemble_dense_operators(op, geom, 1.0, 1.0).max_commutator() <= 1e-11
     data = solve_interface_calculus(tops, src)
@@ -539,6 +543,31 @@ def test_block_route_is_not_an_option():
         SolveOptions(route="block")
 
 
+@pytest.mark.parametrize("bad", [{"n_x": 129.0}, {"probe_points": 33.0}, {"n_x": True},
+                                 {"probe_points": np.float64(33)}])
+def test_non_integer_counts_are_rejected_at_the_options(bad):
+    # These used to pass SolveOptions and fail inside numpy with a bare TypeError.
+    with pytest.raises(ValueError, match="must be an integer"):
+        SolveOptions(**bad)
+
+
+def test_too_coarse_particular_grid_is_rejected_at_the_options():
+    with pytest.raises(ResolutionError, match="n_x >= 17"):
+        SolveOptions(n_x=5)
+    assert SolveOptions(n_x=np.int64(17), probe_points=5).n_x == 17
+
+
+def test_interface_operators_are_read_only():
+    # A solver hands the same operators to every solve; an edit in place
+    # would change later answers.
+    op = build_dirichlet_laplacian_1d(4, 1.0)
+    tops = solve_transmission(op, CylinderGeometry(-0.7, 0.0, 1.3), 1.0, 3.0).operators
+    for arr in (tops.minus.u, tops.plus.f[1], tops.minus.g, tops.p1_sum, tops.f_values,
+                tops.det_modal_symbols, tops.det_modal_blocks):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
+
+
 @pytest.mark.parametrize("route", ["calculus", "both"])
 def test_vanishing_symbol_is_an_evaluation_error(route):
     op = from_matrix(np.diag([-1e-250, -1e-251]))  # u_delta underflows on both modes
@@ -604,7 +633,7 @@ def test_report_is_one_modal_pass(monkeypatch, forced):
         forcing = ModalForcing.from_csv_rows(geom, 16, rows)
     sol = solve_transmission(op, geom, 1.0, 3.0, forcing, bc)
     bases = _count_calls(monkeypatch, type(op), "from_modal")
-    tables = _count_calls(monkeypatch, SubproblemSolution, "modal_fields")
+    tables = _count_calls(monkeypatch, SubproblemSolution, "fields_at")
     samples = _count_calls(monkeypatch, ModalForcing, "sample")
     report = residual_report(sol)
     assert len(bases) == 1

@@ -73,7 +73,7 @@ def test_modal_and_dense_agree(m):
     tops = assemble_transmission_operators(op, GEOM, 1.0, 3.0)
     dense = assemble_dense_operators(op, GEOM, 1.0, 3.0)
     rng = np.random.default_rng(m)
-    src = InterfaceSources(rng.standard_normal(m), rng.standard_normal(m), np.zeros(m))
+    src = InterfaceSources(rng.standard_normal(m), rng.standard_normal(m))
     a1, a2 = solve_block(dense, src)
     b = solve_interface_calculus(tops, src)
     scale = 1.0 + max(np.max(np.abs(a1)), np.max(np.abs(a2)))
