@@ -41,13 +41,6 @@ def _fix_eigenvector_signs(vectors: np.ndarray) -> np.ndarray:
     return vectors * np.where(lead < 0, -1.0, 1.0)
 
 
-def _read_only(array: np.ndarray) -> np.ndarray:
-    """A read-only view of ``array``; the array itself keeps its flags."""
-    view = array.view()
-    view.flags.writeable = False
-    return view
-
-
 @dataclass(frozen=True)
 class SectionOperator:
     """Symmetric negative-definite section operator, stored spectrally.
@@ -64,9 +57,10 @@ class SectionOperator:
         Eigenvalues g_j = -sqrt(-mu_j) of the generator M = -sqrt(-A) on the
         same eigenbasis, so M is symmetric negative definite and M^2 = -A.
 
-    The three arrays are read-only views (the caller's own arrays stay
-    writable): an edit in place would leave ``generator_eigenvalues`` stale
-    and poison every solve that reuses them. ``_solver`` holds the last
+    The three arrays are read-only copies, so the caller's own arrays stay
+    writable and an edit to them changes nothing here: an edit in place
+    would leave ``generator_eigenvalues`` stale and poison every solve
+    that reuses them. ``_solver`` holds the last
     ``transmission.TransmissionSolver`` built on this operator, so it lives
     exactly as long as the operator.
     """
@@ -78,8 +72,8 @@ class SectionOperator:
     _solver: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        mu = np.asarray(self.eigenvalues, dtype=float)
-        q = np.asarray(self.eigenvectors, dtype=float)
+        mu = np.array(self.eigenvalues, dtype=float)
+        q = np.array(self.eigenvectors, dtype=float)
         if mu.ndim != 1 or q.shape != (mu.size, mu.size):
             raise InvalidGeometryError(
                 f"inconsistent spectral data: {mu.shape} eigenvalues, {q.shape} eigenvectors"
@@ -102,9 +96,10 @@ class SectionOperator:
             raise InvalidGeometryError(
                 f"eigenvector matrix not orthonormal: ||Q^T Q - I||_F = {ortho:.3e}"
             )
-        object.__setattr__(self, "eigenvalues", _read_only(mu))
-        object.__setattr__(self, "eigenvectors", _read_only(q))
-        object.__setattr__(self, "generator_eigenvalues", _read_only(-np.sqrt(-mu)))
+        g = -np.sqrt(-mu)
+        for name, arr in (("eigenvalues", mu), ("eigenvectors", q), ("generator_eigenvalues", g)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
     def m(self) -> int:

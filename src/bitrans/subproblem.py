@@ -25,7 +25,7 @@ value is read.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -349,53 +349,51 @@ def alphas_plus(ops: SideSymbols, psi1, psi2, phi_tilde):
     return _add(phi_tilde, _end_coefficients(ops, psi1, psi2, right=False))
 
 
-def interface_fluxes(ops: SideSymbols, side: str, alphas: tuple, fprime=0.0, f3=0.0):
+def interface_fluxes(ops: SideSymbols, side: str, alphas: tuple, fprime=None, f3=None):
     """Closed-form flux traces t2 = u'' - M^2 u and t3 = u''' - M^2 u' at gamma, per mode.
 
     d^2 E = g^2 E, so the a1, a3 terms cancel exactly, and F = F'' = 0 at
     gamma; with (E1, E2) = (e, 1) on the minus side and (1, e) on the plus
     side, t2 = 2g [(E1 - E2) a2 + (E1 + E2) a4] and
     t3 = 2g^2 [(E1 + E2) a2 + (E1 - E2) a4] + F''' - g^2 F', with the
-    particular traces F', F''' at gamma. Subtracting differentiated fields
-    instead rounds at eps g^3 |u|.
+    particular traces F', F''' at gamma when given (else F = 0).
+    Subtracting differentiated fields instead rounds at eps g^3 |u|.
     """
     e1, e2 = (ops.e, 1.0) if check_side(side) == SIDE_MINUS else (1.0, ops.e)
     g, a2, a4 = ops.g, alphas[1], alphas[3]
-    t2 = 2.0 * g * ((e1 - e2) * a2 + (e1 + e2) * a4)
-    t3 = 2.0 * g**2 * ((e1 + e2) * a2 + (e1 - e2) * a4) + (f3 - g**2 * fprime)
+    odd, even = e1 - e2, e1 + e2
+    two_g = 2.0 * g
+    t2 = two_g * (odd * a2 + even * a4)
+    t3 = two_g * g * (even * a2 + odd * a4)
+    if fprime is not None:
+        t3 = t3 + (f3 - g * g * fprime)
     return t2, t3
 
 
-class AxialFactors(NamedTuple):
-    """Points of one interval with the factors of a field table that the coefficients do not touch.
+def end_values(ops: SideSymbols, side: str, alphas: tuple,
+               particular: Optional[ParticularSolution] = None) -> tuple:
+    """Closed-form u and u' at both ends of one interval, per mode: ((u, u') left, (u, u') right).
 
-    ``s1`` = x - left end and ``s2`` = right end - x have shape (1, k);
-    ``e1`` = e^{s1 g} and ``e2`` = e^{s2 g} have shape (m, k).
+    ``SubproblemSolution.modal_fields``' formulas with its grouping A = a1 + a3,
+    B = a2 + a4, C = a3 - a1, D = a4 - a2, at (E1, E2, s1, s2) = (1, e, 0, delta)
+    on the left end and (e, 1, delta, 0) on the right; the unit factors and
+    zero terms are dropped, which changes no bit, so the values match
+    ``modal_fields`` at the ends exactly, without an exponential. F = F'' = 0
+    at every end, so a particular part with active modes adds only its F'
+    traces.
     """
-
-    xs: np.ndarray
-    s1: np.ndarray
-    s2: np.ndarray
-    e1: np.ndarray
-    e2: np.ndarray
-
-
-def axial_factors(geometry: CylinderGeometry, side: str, g: np.ndarray, x) -> AxialFactors:
-    """``AxialFactors`` of the points ``x`` on one side, for generator eigenvalues ``g``.
-
-    Points within 1e-10 of the interval length outside an end are moved
-    onto it; points farther out raise ValueError.
-    """
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    lo, hi = geometry.interval(side)
-    tol = 1e-10 * (hi - lo)
-    if np.any(xs < lo - tol) or np.any(xs > hi + tol):
-        raise ValueError(f"evaluation points outside [{lo}, {hi}] on side {side!r}")
-    xs = np.clip(xs, lo, hi)
-    gm = g[:, None]
-    s1 = (xs - lo)[None, :]
-    s2 = (hi - xs)[None, :]
-    return AxialFactors(xs, s1, s2, np.exp(s1 * gm), np.exp(s2 * gm))
+    check_side(side)
+    g, e, delta = ops.g, ops.e, ops.delta
+    a1, a2, a3, a4 = alphas
+    big_a, big_b, big_c, big_d = a1 + a3, a2 + a4, a3 - a1, a4 - a2
+    d = e * big_d  # left: b = B, p = A
+    n = e * big_c + delta * d
+    b = e * big_b  # right: d = D, n = C
+    p = e * big_a + delta * b
+    du_left, du_right = g * (big_a - n) + (big_b - d), g * (p - big_c) + (b - big_d)
+    if particular is not None and particular.active.size:
+        du_left, du_right = du_left + particular.fprime_left, du_right + particular.fprime_right
+    return (big_a + n, du_left), (p + big_c, du_right)
 
 
 @dataclass(frozen=True)
@@ -405,8 +403,7 @@ class SubproblemSolution:
     ``alphas`` are eigenbasis coordinates; ``modal_fields`` evaluates the
     field and its first three x-derivatives in the eigenbasis (the
     semigroup factors are diagonal there), exactly in x for the
-    homogeneous part, ``fields_at`` does so from factors formed once, and
-    ``evaluate`` maps one order back.
+    homogeneous part, and ``evaluate`` maps one order back.
     """
 
     side: str
@@ -425,33 +422,35 @@ class SubproblemSolution:
     def modal_fields(self, x) -> np.ndarray:
         """Eigenbasis values of the field and its x-derivatives of orders 0..3, shape (4, m, k).
 
-        ``fields_at`` on the ``axial_factors`` of the points ``x``.
-        """
-        g = self.operator.generator_eigenvalues
-        return self.fields_at(axial_factors(self.geometry, self.side, g, x))
-
-    def fields_at(self, at: AxialFactors) -> np.ndarray:
-        """``modal_fields`` at points whose ``axial_factors`` on this side are already formed.
-
         Per mode u = E1 (A + s1 B) + E2 (C + s2 D), A = a1 + a3, B = a2 + a4,
         C = a3 - a1, D = a4 - a2, and d/dx E1 = g E1, d/dx E2 = -g E2. With
         b = E1 B, d = E2 D, p = E1 A + s1 b and n = E2 C + s2 d: u = p + n,
         u' = g (p - n) + (b - d), u'' = g^2 (p + n) + 2g (b + d) and
-        u''' = g^2 [g (p - n) + 3 (b - d)].
+        u''' = g^2 [g (p - n) + 3 (b - d)]. Points within 1e-10 of the
+        interval length outside an end are moved onto it; points farther
+        out raise ValueError.
         """
+        xs = np.atleast_1d(np.asarray(x, dtype=float))
+        lo, hi = self.geometry.interval(self.side)
+        tol = 1e-10 * (hi - lo)
+        if np.any(xs < lo - tol) or np.any(xs > hi + tol):
+            raise ValueError(f"evaluation points outside [{lo}, {hi}] on side {self.side!r}")
+        xs = np.clip(xs, lo, hi)
         gm = self.operator.generator_eigenvalues[:, None]
+        s1, s2 = (xs - lo)[None, :], (hi - xs)[None, :]
+        e1, e2 = np.exp(s1 * gm), np.exp(s2 * gm)
         a1, a2, a3, a4 = (a[:, None] for a in self.alphas)
-        b = at.e1 * (a2 + a4)
-        d = at.e2 * (a4 - a2)
-        p = at.e1 * (a1 + a3) + at.s1 * b
-        n = at.e2 * (a3 - a1) + at.s2 * d
+        b = e1 * (a2 + a4)
+        d = e2 * (a4 - a2)
+        p = e1 * (a1 + a3) + s1 * b
+        n = e2 * (a3 - a1) + s2 * d
         odd = gm * (p - n)
         out = np.empty((4,) + p.shape)
         out[0], out[1] = p + n, odd + (b - d)
         out[2], out[3] = gm**2 * out[0] + 2.0 * gm * (b + d), gm**2 * (odd + 3.0 * (b - d))
         part = self.particular
         if part is not None and part.active.size:
-            out += part.terms(at.xs, self.operator.eigenvalues)
+            out += part.terms(xs, self.operator.eigenvalues)
         return out
 
     def evaluate(self, x, order: int = 0) -> np.ndarray:

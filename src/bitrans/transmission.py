@@ -49,7 +49,7 @@ from .subproblem import (
     SubproblemSolution,
     alphas_minus,
     alphas_plus,
-    axial_factors,
+    end_values,
     interface_fluxes,
     phi_tilde_minus,
     phi_tilde_plus,
@@ -320,9 +320,12 @@ def leading_order_interface(operators: TransmissionOperators,
 class SolveOptions:
     """Solver options: interface route (calculus|both), modal BVP grid, probe density.
 
-    Checked here, since they are part of a ``TransmissionSolver``'s identity:
-    a non-integer count raises ValueError, and ``n_x < 17`` the
-    ResolutionError of the particular solve.
+    ``probe_points`` sets the per-side grid of the solution CSV, of the
+    command-line oracle comparisons and of a forced side's ``eq_*``
+    entry; no other report entry reads a grid. Checked here, since they
+    are part of a ``TransmissionSolver``'s identity: a non-integer count
+    raises ValueError, and ``n_x < 17`` the ResolutionError of the
+    particular solve.
     """
 
     route: str = ROUTE_CALCULUS
@@ -344,11 +347,13 @@ class SolveOptions:
 class ResidualReport:
     """Scaled sup-norm residuals of the assembled transmission solution.
 
-    Homogeneous-path entries (boundary and interface conditions) are
-    exact in x and budgeted at 1e-9; the equation
-    residual goes through one numerical differentiation of the
-    third-derivative field plus the interpolated particular solution and
-    is budgeted from the probe spacing and the observed BVP error.
+    The boundary and interface entries are read from closed-form per-mode
+    end values and flux traces, exact in x, and budgeted at 1e-9. The
+    homogeneous part satisfies the equation exactly per mode, so
+    ``eq_*`` is the particular part's residual: one numerical
+    differentiation of its interpolated third derivative on the probe
+    grid, budgeted from the probe spacing and the observed BVP error, and
+    exactly 0 on a side without forcing or particular part.
     """
 
     eq_minus: float
@@ -425,32 +430,25 @@ def _scaled_sup(residual: np.ndarray, reference: float) -> float:
     return float(np.max(np.abs(residual)) / (1.0 + reference))
 
 
-def probe_factors(operator: SectionOperator, geometry: CylinderGeometry,
-                  probe_points: int) -> dict:
-    """Side -> ``AxialFactors`` of the report's probe grid of ``probe_points`` per side."""
-    g = operator.generator_eigenvalues
-    return {side: axial_factors(geometry, side, g, geometry.grid(side, probe_points))
-            for side in (SIDE_MINUS, SIDE_PLUS)}
-
-
-def residual_report(solution: TransmissionSolution,
-                    probes: Optional[dict] = None) -> ResidualReport:
+def residual_report(solution: TransmissionSolution) -> ResidualReport:
     """Quantitative verification of every equation of the problem.
 
-    Evaluates the equation residual on an interior probe grid of
-    ``solution.options.probe_points`` points per side (with the
-    fourth derivative obtained by central-differencing the analytic
-    third-derivative field), the four outer boundary conditions, both
-    interface-continuity conditions and both flux transmission conditions.
-
-    Every term is formed in the eigenbasis, where A and M^2 act as the
-    per-mode factors mu_j and g_j^2, from one order-0..3 field table per
-    side (``SubproblemSolution.fields_at`` on ``probes``, the
-    ``probe_factors`` of the solution's grid, formed here when not given)
-    and a vanishing forcing taken as exact zeros, and mapped to the
-    physical basis by one product; each entry is the scaled sup norm of
-    its physical residual. The interface flux traces are the closed forms
-    of ``interface_fluxes`` in the coefficients.
+    Per mode the homogeneous part is an exact combination of e^{g s1},
+    s1 e^{g s1}, e^{g s2} and s2 e^{g s2}, so (d^2 - g_j^2)^2 u_j = 0 holds
+    identically and only the particular part F can leave an equation
+    residual. ``eq_*`` is therefore F's residual
+    F'''' + 2 A F'' + A^2 F - f on the interior of a grid of
+    ``solution.options.probe_points`` points per side, with F'''' the
+    central difference of F''' (``ParticularSolution.terms``); its only
+    nonzero rows are ``particular.active`` and, on a forced side, the
+    forcing's declared ``modes``. A side with neither reads exactly 0.
+    The four outer boundary conditions and the interface continuity of u
+    and u' read the closed-form end values of ``end_values``, and the
+    flux transmission conditions the closed-form traces of
+    ``interface_fluxes``. Every term is formed in the eigenbasis, where A
+    acts as the per-mode factor mu_j, and all of them reach the physical
+    basis through one product; each entry is the scaled sup norm of its
+    physical residual.
 
     ``det_gap`` compares the per-mode determinant from the block symbols
     with the determinant symbol; on ``both`` it is the larger of that and
@@ -458,78 +456,80 @@ def residual_report(solution: TransmissionSolution,
     The conditions are the exact per-mode ones of the operators.
     """
     prob = solution.problem
-    op = prob.operator
+    op, forcing = prob.operator, prob.forcing
     tops = solution.operators
-    if probes is None:
-        probes = probe_factors(op, prob.geometry, solution.options.probe_points)
     mu = op.eigenvalues[:, None]
-    g = op.generator_eigenvalues
     kp, km = prob.k_plus, prob.k_minus
     bc = prob.boundary
 
-    entries = {}
+    entries = {"eq_minus": 0.0, "eq_plus": 0.0}
     bvp_est = 0.0
     for sub in (solution.minus, solution.plus):
         if sub.particular is not None:
             bvp_est = max(bvp_est, sub.particular.error_estimate)
 
-    # One field table per side on its probe grid gives the equation terms
-    # on the interior and, from its end columns, u and u' at the outer end
-    # and at gamma (the minus grid ends there and the plus grid starts).
-    tables, modal = {}, {}
-    eq_budget = 0.0
-    for side, outer in ((SIDE_MINUS, 0), (SIDE_PLUS, -1)):
-        xs = probes[side].xs
-        h = xs[1] - xs[0]
-        u = tables[side] = solution.side(side).fields_at(probes[side])
-        modal[side, "d4"] = (u[3, :, 2:] - u[3, :, :-2]) / (2.0 * h)
-        modal[side, "au2"] = mu * u[2, :, 1:-1]
-        modal[side, "a2u0"] = mu**2 * u[0, :, 1:-1]
-        modal[side, "outer"] = u[:2, :, outer].T
-        if not prob.forcing.vanishes(side):
-            modal[side, "f"] = prob.forcing.sample(side, xs[1:-1])
-        eq_budget = max(eq_budget, 5.0 * h**2 * np.max(-g))
-    eq_budget = max(eq_budget, 10.0 * bvp_est, 1e-11)
-
-    # Interface: u and u' on both sides, the closed-form flux terms
-    # t2 = u'' - M^2 u and t3 = u''' - M^2 u' and the flux jumps.
-    fluxes = []
+    # u and u' at both ends of each interval, and the closed-form flux
+    # terms t2 = u'' - M^2 u and t3 = u''' - M^2 u' at gamma.
+    ends, fluxes = [], []
     for sub, side_ops in ((solution.minus, tops.minus), (solution.plus, tops.plus)):
         part = sub.particular
-        traces = () if part is None else (part.fprime_interface, part.f3_interface)
+        active = part is not None and part.active.size
+        traces = (part.fprime_interface, part.f3_interface) if active else ()
+        ends.append(end_values(side_ops, sub.side, sub.alphas, part))
         fluxes.append(interface_fluxes(side_ops, sub.side, sub.alphas, *traces))
+    ((u_a, du_a), (u0m, u1m)), ((u0p, u1p), (u_b, du_b)) = ends
     (t2m, t3m), (t2p, t3p) = fluxes
-    u0m, u1m = tables[SIDE_MINUS][:2, :, -1]
-    u0p, u1p = tables[SIDE_PLUS][:2, :, 0]
     columns = {
+        "bc_1": u_a, "bc_2": du_a, "bc_3": u_b, "bc_4": du_b,
         "u0m": u0m, "u0p": u0p, "tc1_u": u0m - u0p,
         "u1m": u1m, "u1p": u1p, "tc1_du": u1m - u1p,
         "t2m": t2m, "t2p": t2p, "tc2_flux2": km * t2m - kp * t2p,
         "t3m": t3m, "t3p": t3p, "tc2_flux3": km * t3m - kp * t3p,
     }
-    modal["interface"] = np.stack(list(columns.values()), axis=1)
-    cuts = np.cumsum([block.shape[1] for block in modal.values()])[:-1]
-    phys = dict(zip(modal, np.split(op.from_modal(np.hstack(list(modal.values()))), cuts, 1)))
+    blocks = [np.array(list(columns.values())).T]  # (m, 16), contiguous columns
 
-    for side, key, bc_keys, bc_data in (
-            (SIDE_MINUS, "eq_minus", ("bc_1", "bc_2"), (bc.phi1_minus, bc.phi2_minus)),
-            (SIDE_PLUS, "eq_plus", ("bc_3", "bc_4"), (bc.phi1_plus, bc.phi2_plus))):
-        d4, au2, a2u0 = (phys[side, name] for name in ("d4", "au2", "a2u0"))
-        fvals = phys.get((side, "f"), 0.0)  # exactly zero for a vanishing forcing
-        res = d4 + 2.0 * au2 + a2u0 - fvals
+    # The particular part's terms F'''' (a central difference of F'''),
+    # A F'', A^2 F and f on the probe interior, for each side with a
+    # forcing or an active row; the other sides read exactly 0.
+    eq_budget, eq_sides = 0.0, []
+    max_g = -op.generator_eigenvalues[0]  # the eigenvalues ascend
+    n_probe = solution.options.probe_points
+    for side, sub in ((SIDE_MINUS, solution.minus), (SIDE_PLUS, solution.plus)):
+        h = prob.geometry.length(side) / (n_probe - 1)
+        eq_budget = max(eq_budget, 5.0 * h**2 * max_g)
+        part = sub.particular
+        forced = not forcing.vanishes(side)
+        if not forced and (part is None or not part.active.size):
+            continue
+        xs = prob.geometry.grid(side, n_probe)
+        terms = (np.zeros((4, op.m, xs.size)) if part is None
+                 else part.terms(xs, op.eigenvalues))
+        blocks += [(terms[3, :, 2:] - terms[3, :, :-2]) / (2.0 * h),
+                   mu * terms[2, :, 1:-1], mu**2 * terms[0, :, 1:-1],
+                   forcing.sample(side, xs[1:-1]) if forced else np.zeros((op.m, xs.size - 2))]
+        eq_sides.append(side)
+    eq_budget = max(eq_budget, 10.0 * bvp_est, 1e-11)
+
+    phys = op.from_modal(np.hstack(blocks) if len(blocks) > 1 else blocks[0])
+    phys_ends = phys[:, :len(columns)].T  # one row per entry of columns
+    phys_eq = phys[:, len(columns):].reshape(op.m, len(eq_sides), 4, n_probe - 2)
+    for i, side in enumerate(eq_sides):
+        d4, au2, a2u0, fvals = (phys_eq[:, i, j] for j in range(4))
         ref = max(np.max(np.abs(d4)), 2.0 * np.max(np.abs(au2)),
                   np.max(np.abs(a2u0)), np.max(np.abs(fvals)))
-        entries[key] = _scaled_sup(res, ref)
-        for order, (bc_key, data) in enumerate(zip(bc_keys, bc_data)):
-            entries[bc_key] = _scaled_sup(phys[side, "outer"][:, order] - data,
-                                          np.max(np.abs(data)))
+        entries["eq_" + side] = _scaled_sup(d4 + 2.0 * au2 + a2u0 - fvals, ref)
 
-    sup = dict(zip(columns, np.max(np.abs(phys["interface"]), axis=0)))
+    # One reduction for the boundary residuals, the data's scale and every end column.
+    data = np.array([bc.phi1_minus, bc.phi2_minus, bc.phi1_plus, bc.phi2_plus])
+    sups = np.abs(np.concatenate([phys_ends[:4] - data, data, phys_ends])).max(axis=1).tolist()
+    for i, key in enumerate(("bc_1", "bc_2", "bc_3", "bc_4")):
+        entries[key] = sups[i] / (1.0 + sups[4 + i])
+    sup = dict(zip(columns, sups[8:]))
     for key, ref in (("tc1_u", max(sup["u0m"], sup["u0p"])),
                      ("tc1_du", max(sup["u1m"], sup["u1p"])),
                      ("tc2_flux2", max(km * sup["t2m"], kp * sup["t2p"])),
                      ("tc2_flux3", max(km * sup["t3m"], kp * sup["t3p"]))):
-        entries[key] = float(sup[key] / (1.0 + ref))
+        entries[key] = sup[key] / (1.0 + ref)
 
     det_gap = tops.det_gap
     if solution.reference is not None:
@@ -565,9 +565,8 @@ class TransmissionSolver:
     Construction forms everything that depends on these inputs and the
     options alone: both intervals' symbols, the interface blocks, their
     conditions and determinant gap (``assemble_transmission_operators``),
-    the fundamental-system symbols on the ``both`` route, the zero forcing,
-    and each side's probe grid with its semigroup factors
-    (``probe_factors``). ``solve`` runs only what depends on the forcing
+    the fundamental-system symbols on the ``both`` route and the zero
+    forcing. ``solve`` runs only what depends on the forcing
     and boundary data, so a new right-hand side passes through fixed
     per-mode functions of M.
     """
@@ -582,7 +581,6 @@ class TransmissionSolver:
         self.reference = (fundamental_symbols(self.operators)
                           if self.options.route == ROUTE_BOTH else None)
         self.zero_forcing = ModalForcing.zero(operator.m, geometry)
-        self.probes = probe_factors(operator, geometry, self.options.probe_points)
 
     def matches(self, geometry: CylinderGeometry, k_minus: float, k_plus: float,
                 options: SolveOptions) -> bool:
@@ -639,7 +637,7 @@ class TransmissionSolver:
             plus=SubproblemSolution(SIDE_PLUS, geometry, op, al_p, part_p),
             options=options, route_gap=route_gap, reference=self.reference,
         )
-        return replace(sol, report=residual_report(sol, self.probes))
+        return replace(sol, report=residual_report(sol))
 
 
 def solve_transmission(

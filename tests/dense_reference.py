@@ -153,3 +153,46 @@ def solve_block(reference: DenseOperators, sources):
     rhs = np.concatenate([op.from_modal(sources.s1), op.from_modal(sources.s2)])
     sol = np.linalg.solve(reference.Lambda, rhs)
     return sol[:op.m], sol[op.m:]
+
+
+def _equation_residual(a, u0, u2, u3, fvals, h: float) -> float:
+    """Scaled sup of u'''' + 2 A u'' + A^2 u - f on the interior, u'''' the central difference of u'''.
+
+    Scaled by one plus the largest of the four terms, as the report scales it.
+    """
+    d4 = (u3[:, 2:] - u3[:, :-2]) / (2.0 * h)
+    au2 = a @ u2[:, 1:-1]
+    a2u0 = a @ (a @ u0[:, 1:-1])
+    ref = max(np.max(np.abs(d4)), 2.0 * np.max(np.abs(au2)),
+              np.max(np.abs(a2u0)), np.max(np.abs(fvals)))
+    return float(np.max(np.abs(d4 + 2.0 * au2 + a2u0 - fvals)) / (1.0 + ref))
+
+
+def whole_field_eq(solution, side: str) -> float:
+    """The earlier report's ``eq_*``: the whole field's equation residual on the probe grid.
+
+    Physical fields of orders 0, 2 and 3 (homogeneous part included) on the
+    solution's ``probe_points`` grid, with the dense A = Q diag(mu) Q^T.
+    The homogeneous part solves the equation exactly per mode, so all it
+    adds is the differencing error of its u'''; the report's ``eq_*`` must
+    flag whatever this flags.
+    """
+    op = solution.operator
+    xs = solution.geometry.grid(side, solution.options.probe_points)
+    u0, u2, u3 = (solution.field(side, xs, order) for order in (0, 2, 3))
+    fvals = op.eigenvectors @ solution.problem.forcing.sample(side, xs[1:-1])
+    return _equation_residual(op.matrix, u0, u2, u3, fvals, xs[1] - xs[0])
+
+
+def particular_eq(solution, side: str) -> float:
+    """The report's ``eq_*`` recomputed in the physical basis with the dense A.
+
+    The residual of the particular part alone, from its order-0..3 terms
+    on the solution's ``probe_points`` grid.
+    """
+    op = solution.operator
+    xs = solution.geometry.grid(side, solution.options.probe_points)
+    terms = solution.side(side).particular.terms(xs, op.eigenvalues)
+    u0, u2, u3 = (op.eigenvectors @ terms[order] for order in (0, 2, 3))
+    fvals = op.eigenvectors @ solution.problem.forcing.sample(side, xs[1:-1])
+    return _equation_residual(op.matrix, u0, u2, u3, fvals, xs[1] - xs[0])

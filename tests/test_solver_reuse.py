@@ -17,12 +17,13 @@ from bitrans import (
     ModalForcing,
     SIDES,
     SolveOptions,
+    SubproblemSolution,
     TransmissionSolver,
     build_dirichlet_laplacian_1d,
     manufactured_forced,
     solve_transmission,
 )
-from bitrans import subproblem, transmission
+from bitrans import transmission
 
 GEOM = CylinderGeometry(-0.7, 0.0, 1.3)
 
@@ -143,14 +144,19 @@ def test_the_kept_solver_goes_with_its_operator():
     assert ref() is None
 
 
-def test_the_report_reads_the_solvers_probe_factors(monkeypatch):
-    # A reused solve forms no semigroup factor of the probe grid.
-    op = build_dirichlet_laplacian_1d(8, 1.0)
-    rng = np.random.default_rng(9)
-    solve_transmission(op, GEOM, 1.0, 3.0, None, _boundary(rng, 8))
+def test_the_report_forms_no_probe_factors(monkeypatch):
+    # The report reads closed-form end values, so no solve and no report
+    # evaluates a field table (the semigroup factors on a grid), and the
+    # solver keeps no probe grid.
     calls = []
-    real = subproblem.axial_factors
-    monkeypatch.setattr(transmission, "axial_factors",
+    real = SubproblemSolution.modal_fields
+    monkeypatch.setattr(SubproblemSolution, "modal_fields",
                         lambda *args: calls.append(args) or real(*args))
-    solve_transmission(op, GEOM, 1.0, 3.0, None, _boundary(rng, 8))
+    rng = np.random.default_rng(9)
+    for kind in ("zero", "sine", "manufactured"):
+        op = build_dirichlet_laplacian_1d(8, 1.0)
+        for _ in range(2):  # a first and a reused solve
+            sol = solve_transmission(op, GEOM, 1.0, 3.0, *_forcing(kind, op, GEOM, 1.0, 3.0, rng))
+        transmission.residual_report(sol)
+        assert not hasattr(op._solver, "probes")
     assert calls == []

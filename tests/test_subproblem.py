@@ -408,6 +408,28 @@ def test_modal_fields_match_the_per_order_closed_form(side, forced):
         sol.modal_fields([hi + 1e-3 * (hi - lo)])
 
 
+@pytest.mark.parametrize("forced", [False, True], ids=["unforced", "forced"])
+@pytest.mark.parametrize("side", [SIDE_MINUS, SIDE_PLUS])
+def test_end_values_match_modal_fields_at_both_ends_bit_for_bit(side, forced):
+    # The report reads u and u' at the interval ends from end_values; they
+    # must be modal_fields' values there, bit for bit, at every size.
+    geom = CylinderGeometry(-0.7, 0.0, 1.3)
+    rng = np.random.default_rng(31)
+    for m in range(1, 65):
+        op = build_dirichlet_laplacian_1d(m, 1.0)
+        ops = side_symbols(op, geom.length(side))
+        alphas = tuple(rng.normal(size=m) * 10.0 ** rng.uniform(-3, 3, m) for _ in range(4))
+        part = None
+        if forced:
+            forcing = _random_forcing(geom, m, rng, [j for j in range(m) if j % 3 == 1])
+            part = solve_particular(op.eigenvalues, geom, side, forcing, n_x=33)
+        table = SubproblemSolution(side, geom, op, alphas, part).modal_fields(
+            np.array(geom.interval(side)))
+        for end, (u, du) in enumerate(subproblem.end_values(ops, side, alphas, part)):
+            assert np.array_equal(u, table[0, :, end]), (m, end)
+            assert np.array_equal(du, table[1, :, end]), (m, end)
+
+
 @pytest.mark.parametrize("n_x", [17, 129])
 @pytest.mark.parametrize("m", [1, 5, 64])
 @pytest.mark.parametrize("mixed", [False, True], ids=["dense", "mixed"])

@@ -42,7 +42,13 @@ from bitrans import (
 )
 from bitrans import problem, symbols
 from bitrans.symbols import SymbolContext
-from dense_reference import assemble_dense_operators, generator_matrix, solve_block
+from dense_reference import (
+    assemble_dense_operators,
+    generator_matrix,
+    particular_eq,
+    solve_block,
+    whole_field_eq,
+)
 
 
 def scalar_tops(mu=-1.0, c=1.0, d=1.0, km=1.0, kp=1.0):
@@ -373,6 +379,7 @@ def test_wrong_flux_sign_convention_breaks_tc2():
     )
     report = residual_report(bad)
     assert report.tc2_flux3 > 1e-3   # far over its 1e-9 budget: (TC2) visibly breaks
+    assert _whole_field_eq_flags(bad, report) <= _over_budget(report)
     assert report.passed is False
 
 
@@ -412,9 +419,9 @@ def test_homogeneous_budgets_met(m):
     bc = BoundaryData(*(rng.standard_normal(m) for _ in range(4)))
     sol = solve_transmission(op, geom, 1.0, 3.0, None, bc, SolveOptions(route="both"))
     r = sol.report
-    for key in ("bc_1", "bc_2", "bc_3", "bc_4", "tc1_u", "tc1_du", "tc2_flux2",
-                "tc2_flux3", "route_gap", "det_gap"):
+    for key in r.budgets:
         assert getattr(r, key) <= r.budgets[key], key
+    assert r.eq_minus == r.eq_plus == 0.0  # unforced: the homogeneous part is exact
 
 
 def _standard_case(m):
@@ -431,14 +438,22 @@ def _over_budget(report):
     return {key for key, budget in report.budgets.items() if getattr(report, key) > budget}
 
 
+def _whole_field_eq_flags(solution, report):
+    """The eq entries the earlier whole-field estimator flags, under the report's budgets."""
+    return {key for side, key in ((SIDE_MINUS, "eq_minus"), (SIDE_PLUS, "eq_plus"))
+            if whole_field_eq(solution, side) > report.budgets[key]}
+
+
 def test_report_flags_perturbed_boundary_data():
     sol = _standard_case(8)
     assert sol.report.passed
     bc = sol.problem.boundary
     shifted = BoundaryData(*(v + 1e-6 for v in (bc.phi1_minus, bc.phi2_minus,
                                                  bc.phi1_plus, bc.phi2_plus)))
-    report = residual_report(replace(sol, problem=replace(sol.problem, boundary=shifted)))
+    bad = replace(sol, problem=replace(sol.problem, boundary=shifted))
+    report = residual_report(bad)
     assert _over_budget(report) == {"bc_1", "bc_2", "bc_3", "bc_4"}
+    assert _whole_field_eq_flags(bad, report) == set()  # neither eq estimator flags
     assert report.passed is False
 
 
@@ -451,8 +466,10 @@ def test_report_flags_perturbed_forcing():
     wrong = ModalForcing.from_functions(geom, sol.m,
                                         lambda x: forcing.sample(SIDE_MINUS, x) + shift,
                                         lambda x: forcing.sample(SIDE_PLUS, x) + shift)
-    report = residual_report(replace(sol, problem=replace(sol.problem, forcing=wrong)))
+    bad = replace(sol, problem=replace(sol.problem, forcing=wrong))
+    report = residual_report(bad)
     assert _over_budget(report) == {"eq_minus", "eq_plus"}
+    assert _whole_field_eq_flags(bad, report) == {"eq_minus", "eq_plus"}  # both estimators flag
     assert report.passed is False
 
 
@@ -461,37 +478,65 @@ def test_report_flags_perturbed_plus_coefficients():
     assert sol.report.passed
     a1, a2, a3, a4 = sol.plus.alphas
     wrong = replace(sol.plus, alphas=(a1, a2 + 1e-6, a3, a4))
-    report = residual_report(replace(sol, plus=wrong))
+    bad = replace(sol, plus=wrong)
+    report = residual_report(bad)
     failed = _over_budget(report)
     assert {"tc1_u", "tc1_du", "tc2_flux2", "tc2_flux3"} <= failed
-    # The fields still match their own coefficients and equation.
+    # The fields still match their own coefficients and equation: neither
+    # eq estimator flags.
     assert not failed & {"eq_minus", "eq_plus"}
+    assert _whole_field_eq_flags(bad, report) == set()
     assert report.passed is False
 
 
+@pytest.mark.parametrize("m, forced", [(1, False), (8, False), (8, True), (64, True)])
+def test_an_unforced_sides_eq_is_exactly_zero_for_any_coefficients(m, forced):
+    # Per mode the homogeneous part solves the equation exactly, so a side
+    # without forcing and without an active particular row has nothing to
+    # measure, whatever its coefficients.
+    sol = _standard_case(m) if forced else solve_transmission(
+        build_dirichlet_laplacian_1d(m, 1.0), CylinderGeometry(-0.7, 0.0, 1.3), 1.0, 3.0)
+    rng = np.random.default_rng(m)
+    for _ in range(3):
+        minus = replace(sol.minus, alphas=tuple(
+            rng.normal(size=m) * 10.0 ** rng.uniform(-8, 8, m) for _ in range(4)))
+        report = residual_report(replace(sol, minus=minus))
+        assert report.eq_minus == 0.0
+        assert (report.eq_plus > 0.0) if forced else (report.eq_plus == 0.0)
+
+
+def test_eq_flags_a_forcing_its_particular_part_did_not_solve():
+    # Solved with one forcing and reported against another: the side whose
+    # particular part does not match its forcing fails eq, the other side
+    # (unforced in both) still reads exactly 0.
+    sol = _standard_case(8)
+    geom, op = sol.geometry, sol.operator
+    unforced = solve_transmission(op, geom, 1.0, 3.0, None, sol.problem.boundary)
+    others = (ModalForcing.zero(8, geom), ModalForcing.sine(op, geom, SIDE_PLUS, 2, 1, 1.5))
+    cases = [(sol, other) for other in others] + [(unforced, sol.problem.forcing)]
+    for solved, forcing in cases:
+        report = residual_report(replace(solved, problem=replace(solved.problem,
+                                                                 forcing=forcing)))
+        assert _over_budget(report) == {"eq_plus"}
+        assert report.eq_minus == 0.0
+
+
 def test_report_matches_physical_recomputation_at_m64():
-    # The physical-basis formulas of the earlier report, with the dense
-    # A = Q diag(mu) Q^T, must reproduce the eigenbasis report entries.
-    # tc2_flux3 comes from closed-form traces; the derivative-based
-    # recomputation meets it to 2.8e-14 on this forced case.
+    # The physical-basis formulas, with the dense A = Q diag(mu) Q^T, must
+    # reproduce the eigenbasis report entries: eq_* is the particular
+    # part's residual (dense_reference.particular_eq), and tc2_flux3 comes
+    # from closed-form traces, which the derivative-based recomputation
+    # meets to 2.8e-14 on this forced case.
     sol = _standard_case(64)
     op, geom, r = sol.operator, sol.geometry, sol.report
-    a, q = op.matrix, op.eigenvectors
+    a = op.matrix
 
     def scaled_sup(res, ref):
         return float(np.max(np.abs(res)) / (1.0 + ref))
 
     for side, key in ((SIDE_MINUS, "eq_minus"), (SIDE_PLUS, "eq_plus")):
-        xs = geom.grid(side, 33)
-        h = xs[1] - xs[0]
-        u0, u2, u3 = (sol.field(side, xs, order) for order in (0, 2, 3))
-        d4 = (u3[:, 2:] - u3[:, :-2]) / (2.0 * h)
-        fvals = q @ sol.problem.forcing.sample(side, xs[1:-1])
-        au2 = a @ u2[:, 1:-1]
-        a2u0 = a @ (a @ u0[:, 1:-1])
-        ref = max(np.max(np.abs(d4)), 2.0 * np.max(np.abs(au2)),
-                  np.max(np.abs(a2u0)), np.max(np.abs(fvals)))
-        assert abs(scaled_sup(d4 + 2.0 * au2 + a2u0 - fvals, ref) - getattr(r, key)) <= 1e-12
+        assert abs(particular_eq(sol, side) - getattr(r, key)) <= 1e-12
+    assert r.eq_minus == 0.0 and r.eq_plus > 0.0
 
     um = [sol.field(SIDE_MINUS, geom.gamma, order)[:, 0] for order in range(4)]
     up = [sol.field(SIDE_PLUS, geom.gamma, order)[:, 0] for order in range(4)]
@@ -618,9 +663,9 @@ def _count_calls(monkeypatch, owner, name):
 
 @pytest.mark.parametrize("forced", [False, True], ids=["zero-forcing", "plus-forced"])
 def test_report_is_one_modal_pass(monkeypatch, forced):
-    # One order-0..3 table per side, one basis change for every entry, and
-    # no forcing samples for a side whose forcing vanishes: all of it without
-    # forcing, the minus side of zero CSV samples otherwise.
+    # Closed-form end values instead of field tables, one basis change for
+    # every entry, and forcing samples only on a forced side: none without
+    # forcing, none on the minus side of zero CSV samples otherwise.
     op = build_dirichlet_laplacian_1d(16, 1.0)
     geom = CylinderGeometry(-0.7, 0.0, 1.3)
     rng = np.random.default_rng(6)
@@ -633,11 +678,11 @@ def test_report_is_one_modal_pass(monkeypatch, forced):
         forcing = ModalForcing.from_csv_rows(geom, 16, rows)
     sol = solve_transmission(op, geom, 1.0, 3.0, forcing, bc)
     bases = _count_calls(monkeypatch, type(op), "from_modal")
-    tables = _count_calls(monkeypatch, SubproblemSolution, "fields_at")
-    samples = _count_calls(monkeypatch, ModalForcing, "sample")
+    tables = _count_calls(monkeypatch, SubproblemSolution, "modal_fields")
+    samples = _count_calls(monkeypatch, ModalForcing, "sample_modes")
     report = residual_report(sol)
     assert len(bases) == 1
-    assert [args[0].side for args in tables] == [SIDE_MINUS, SIDE_PLUS]
+    assert tables == []
     assert [args[1] for args in samples] == ([SIDE_PLUS] if forced else [])
     assert report.to_dict() == sol.report.to_dict()
 

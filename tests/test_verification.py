@@ -97,9 +97,8 @@ def test_both_route_keeps_modal_solution_and_records_gap():
     assert 0.0 < both.route_gap <= 1e-10
     assert isinstance(both.reference, FundamentalSymbols)
     assert spectral_mapping_gap(both.operators, both.reference) <= 1e-11
-    # eq_* is left out: its 33-point probe grid does not resolve m = 16.
-    assert all(getattr(both.report, key) <= budget for key, budget in both.report.budgets.items()
-               if not key.startswith("eq_"))
+    assert all(getattr(both.report, key) <= budget for key, budget in both.report.budgets.items())
+    assert both.report.eq_minus == both.report.eq_plus == 0.0  # unforced: nothing to measure
 
 
 def test_det_gap_takes_the_dense_gap_when_built():
@@ -274,7 +273,11 @@ def test_both_route_property(m, c, d, k_minus, k_plus, seed):
     report = sol.report
     assert report.route_gap <= 1e-10
     assert spectral_mapping_gap(sol.operators, sol.reference) <= 1e-11
-    # eq_* is a known weak estimator with its own open item; every other entry holds.
+    # eq_* is left out. It central-differences the particular part's third
+    # derivative on the probe grid, which errs by about (k h)^2 / 6 for a
+    # sine of axial wavenumber k = pi / length, while its budget
+    # 5 h^2 max|g| does not see k: at m = 1, c = d = 0.25 it reads 1.5e-3
+    # against 8.6e-4 on a right answer. Every other entry holds.
     over = {key for key, budget in report.budgets.items()
             if not key.startswith("eq_") and getattr(report, key) > budget}
     assert not over, {key: getattr(report, key) for key in over}
