@@ -205,7 +205,10 @@ def build_section(config: RunConfig) -> SectionOperator:
     section = config.section
     if section["kind"] == "laplacian-1d":
         return build_dirichlet_laplacian_1d(int(section["m"]), float(section["length"]))
-    return from_matrix_file(section["path"])
+    try:
+        return from_matrix_file(section["path"])
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read section.path {section['path']!r}: {exc}") from exc
 
 
 def _read_forcing_csv(path, geometry: CylinderGeometry, m: int) -> ModalForcing:
@@ -214,6 +217,8 @@ def _read_forcing_csv(path, geometry: CylinderGeometry, m: int) -> ModalForcing:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.DictReader(fh)
             for record in reader:
+                if None in record.values():
+                    raise ConfigError(f"bad forcing csv {path!r}: row {reader.line_num} is short")
                 rows.append((float(record["x"]), int(record["mode_index"]),
                              float(record["value"]), record["side"].strip()))
     except (OSError, KeyError, TypeError, ValueError) as exc:

@@ -29,7 +29,7 @@ class HypothesisViolationError(SolverError):
 
 
 class BranchCutError(SolverError):
-    """Scalar symbol evaluated on the branch cut (-inf, 0] of sqrt(z)."""
+    """Scalar symbol evaluated off the positive real axis: at a complex z or any z <= 0."""
 
 
 class EvaluationError(SolverError):

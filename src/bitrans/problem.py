@@ -161,7 +161,9 @@ class ModalForcing:
     other row is zero everywhere. Each side has an optional resampler
     (``func_minus`` / ``func_plus``) mapping an x-array to the
     (len(modes), len(x)) values of those rows; a side without one is
-    identically zero. ``sample_modes`` checks every resampled value.
+    identically zero. A resampler is evaluated pointwise (its value at x
+    does not depend on the other points of the call), and
+    ``sample_modes`` checks every resampled value.
     """
 
     geometry: CylinderGeometry

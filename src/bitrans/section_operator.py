@@ -142,7 +142,7 @@ def build_dirichlet_laplacian_1d(m: int, length: float) -> SectionOperator:
         The first row, sqrt(2/(m+1)) sin(k pi / (m+1)), is positive, so
         the columns already carry the sign convention of ``from_matrix``.
     """
-    if not isinstance(m, (int, np.integer)) or m < 1:
+    if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
         raise InvalidGeometryError(f"interior point count must be a positive integer, got {m}")
     if not np.isfinite(length) or length <= 0:
         raise InvalidGeometryError(f"interval length must be positive, got {length}")

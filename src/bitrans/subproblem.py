@@ -240,8 +240,10 @@ def solve_particular(
     """Solve the homogeneous-ends particular problem on one interval.
 
     The problem decouples by mode, and only the forcing's declared
-    ``modes`` are sampled. A declared mode whose samples are zero on both
-    grids has F = 0 exactly; only the other (active) modes are solved.
+    ``modes`` are sampled, once, on the h/2 grid, whose every other node
+    is the h grid bit for bit (halving the step is exact). A declared mode
+    whose samples are zero has F = 0 exactly; only the other (active)
+    modes are solved.
     Per mode mu the fourth-order equation factors as (d^2/dx^2 + mu)^2,
     giving two successive Dirichlet solves, each one block-banded solve
     over the active modes on the h and h/2 grids together; both are
@@ -265,11 +267,10 @@ def solve_particular(
         raise DimensionMismatchError(f"forcing has {forcing.m} modes, operator has {mu.size}")
     if forcing.vanishes(side):
         return ParticularSolution.zero(side, geometry, mu.size, n_x)
-    grid_c = geometry.grid(side, n_x)
     grid_f = geometry.grid(side, 2 * n_x - 1)
-    fhat_c = forcing.sample_modes(side, grid_c)
     fhat_f = forcing.sample_modes(side, grid_f)
-    keep = np.any(fhat_c, axis=1) | np.any(fhat_f, axis=1)
+    grid_c, fhat_c = grid_f[::2], fhat_f[:, ::2]
+    keep = np.any(fhat_f, axis=1)
     active = forcing.modes[keep]
     (f_c, w_c), (f_f, w_f) = _solve_factorized(mu[active], (grid_c, grid_f),
                                                (fhat_c[keep], fhat_f[keep]))

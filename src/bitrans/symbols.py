@@ -2,7 +2,7 @@
 
 Every operator block of the transmission system is a spectral function of
 the section operator; this module holds the underlying scalar functions
-of z = -mu (principal branch of sqrt on C minus the negative reals):
+of z = -mu > 0, the spectrum of -A:
 
 * ``u_delta``, ``v_delta``: the symbols of the one-sided solvability
   operators U, V for an interval of length delta,
@@ -15,10 +15,10 @@ of z = -mu (principal branch of sqrt on C minus the negative reals):
 * ``f_tilde``: the normalized determinant, f / (16 k+ k- (u v)^2 terms),
   tending to 1 at +infinity.
 
-All functions accept positive real scalars/arrays or complex scalars off
-the cut. On the real axis u_delta sums the Taylor series of sinh eps - eps
-for eps = delta sqrt(z) <= 1 and uses an expm1 form for eps > 1, so it
-keeps full relative accuracy as u_delta ~ eps^3 / 3 -> 0.
+The symbols are evaluated on the positive real axis only: a complex z or
+any z <= 0 raises BranchCutError. u_delta sums the Taylor series of
+sinh eps - eps for eps = delta sqrt(z) <= 1 and uses an expm1 form for
+eps > 1, so it keeps full relative accuracy as u_delta ~ eps^3 / 3 -> 0.
 """
 
 from __future__ import annotations
@@ -56,63 +56,56 @@ class SymbolContext:
 _SINH_SERIES = np.array([1.0 / math.factorial(k) for k in range(3, 22, 2)])
 
 
-def _checked_sqrt(z):
-    """Principal sqrt(z), rejecting the branch cut (-inf, 0]."""
+def _exponentials(delta: float, z):
+    """(eps, e^{-eps}, 1 - e^{-2 eps}) with eps = delta sqrt(z), for delta > 0 and real z > 0."""
+    if delta <= 0:
+        raise ValueError(f"delta must be positive, got {delta}")
     z = np.asarray(z)
-    if np.iscomplexobj(z):
-        if np.any((z.imag == 0) & (z.real <= 0)):
-            raise BranchCutError("z on the branch cut (-inf, 0] of sqrt")
-        return np.sqrt(z.astype(complex))
-    if np.any(z <= 0):
-        raise BranchCutError("z on the branch cut (-inf, 0] of sqrt")
-    return np.sqrt(z.astype(float))
+    if np.iscomplexobj(z) or np.any(z <= 0):
+        raise BranchCutError("z must be real and off the branch cut (-inf, 0] of sqrt")
+    eps = delta * np.sqrt(z.astype(float))
+    return eps, np.exp(-eps), -np.expm1(-2.0 * eps)
+
+
+def _u_v(eps, e, one_minus_e2):
+    """(u, v) = (1 - e^{-2 eps} - 2 eps e^{-eps}, 1 - e^{-2 eps} + 2 eps e^{-eps}).
+
+    For eps <= 1, u = 2 e^{-eps} (sinh eps - eps) sums the Taylor series
+    of sinh eps - eps, whose terms are all positive, so nothing cancels.
+    """
+    u = one_minus_e2 - 2.0 * eps * e
+    v = one_minus_e2 + 2.0 * eps * e
+    small = eps <= 1.0
+    if not np.any(small):
+        return u, v
+    s = np.minimum(eps, 1.0)  # equals eps where the series is used, and stays finite elsewhere
+    series = 2.0 * e * s**3 * np.polynomial.polynomial.polyval(s * s, _SINH_SERIES)
+    return np.where(small, series, u)[()], v
 
 
 def u_delta(delta: float, z):
-    """u_delta(z) = 1 - e^{-2 delta sqrt(z)} - 2 delta sqrt(z) e^{-delta sqrt(z)}.
-
-    On the real axis u = 2 e^{-eps} (sinh eps - eps) with eps = delta sqrt(z);
-    for eps <= 1 the difference sinh eps - eps is summed from its Taylor
-    series, whose terms are all positive, so nothing cancels.
-    """
-    if delta <= 0:
-        raise ValueError(f"delta must be positive, got {delta}")
-    eps = delta * _checked_sqrt(z)
-    if np.iscomplexobj(eps):
-        w = np.exp(-eps)
-        return 1.0 - w * w - 2.0 * eps * w
-    u = -np.expm1(-2.0 * eps) - 2.0 * eps * np.exp(-eps)
-    small = eps <= 1.0
-    if not np.any(small):
-        return u
-    s = np.minimum(eps, 1.0)  # equals eps where the series is used, and stays finite elsewhere
-    series = 2.0 * np.exp(-s) * s**3 * np.polynomial.polynomial.polyval(s * s, _SINH_SERIES)
-    return np.where(small, series, u)[()]
+    """u_delta(z) = 1 - e^{-2 delta sqrt(z)} - 2 delta sqrt(z) e^{-delta sqrt(z)}."""
+    return _u_v(*_exponentials(delta, z))[0]
 
 
 def v_delta(delta: float, z):
     """v_delta(z) = 1 - e^{-2 delta sqrt(z)} + 2 delta sqrt(z) e^{-delta sqrt(z)}."""
-    if delta <= 0:
-        raise ValueError(f"delta must be positive, got {delta}")
-    eps = delta * _checked_sqrt(z)
-    if np.iscomplexobj(eps):
-        w = np.exp(-eps)
-        return 1.0 - w * w + 2.0 * eps * w
-    return -np.expm1(-2.0 * eps) + 2.0 * eps * np.exp(-eps)
+    return _u_v(*_exponentials(delta, z))[1]
 
 
 def interval_symbols(delta: float, z):
     """(e^{-delta sqrt(z)}, u_delta, v_delta, f_{delta,1..3}, g_delta) in one pass.
 
-    The last four are strictly positive for real z > 0, tend to (2, 2, 2, 0)
-    as z -> +infinity and satisfy f1 * f3 - f2^2 = g identically.
-    Raises EvaluationError, naming the first such entry of z (the mode
-    when z = -mu), where u or v evaluates to zero in floating point. On
-    the real axis 1 - e^{-eps} and 1 - e^{-2 eps} come from expm1, so
-    every term is a sum of accurate positive parts as eps -> 0.
+    eps = delta sqrt(z), e^{-eps}, 1 - e^{-eps} and 1 - e^{-2 eps} are
+    formed once each, the last two from expm1, so every term is a sum of
+    accurate positive parts as eps -> 0. The last four values are strictly
+    positive for real z > 0, tend to (2, 2, 2, 0) as z -> +infinity and
+    satisfy f1 * f3 - f2^2 = g identically. Raises EvaluationError,
+    naming the first such entry of z (the mode when z = -mu), where u or
+    v evaluates to zero in floating point.
     """
-    u = u_delta(delta, z)
-    v = v_delta(delta, z)
+    eps, e, one_minus_e2 = _exponentials(delta, z)
+    u, v = _u_v(eps, e, one_minus_e2)
     vanishing = np.ravel((u == 0) | (v == 0))
     if np.any(vanishing):
         j = int(np.argmax(vanishing))
@@ -120,14 +113,7 @@ def interval_symbols(delta: float, z):
             f"u_delta or v_delta vanishes at mode {j} (z = {np.ravel(z)[j]}, "
             f"delta = {delta:g}): the interval is too short for this mode"
         )
-    eps = delta * _checked_sqrt(z)
-    e = np.exp(-eps)
-    if np.iscomplexobj(eps):
-        one_minus_e = 1.0 - e
-        one_minus_e2 = 1.0 - e * e
-    else:
-        one_minus_e = -np.expm1(-eps)
-        one_minus_e2 = -np.expm1(-2.0 * eps)
+    one_minus_e = -np.expm1(-eps)
     f1 = (1.0 + e) ** 2 / u + one_minus_e**2 / v
     f2 = (1.0 / u + 1.0 / v) * one_minus_e2
     f3 = one_minus_e**2 / u + (1.0 + e) ** 2 / v

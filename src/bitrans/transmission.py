@@ -93,9 +93,11 @@ class TransmissionOperators:
     -g_j f(-mu_j) through the scalar determinant symbol,
     ``det_modal_blocks`` the same numbers as -g_j (p1s p3s - p2d^2) from
     the block symbols; their agreement is the determinant-factorization
-    check, and ``det_gap`` their scaled gap. ``conditions`` are exact
-    2-norm condition numbers: max u / min u, max v / min v, and that of
-    Lambda (``_cond_lambda``). Every array is read-only, because a
+    check, and ``det_gap`` their scaled gap. Construction raises
+    AnomalyError where f <= 0 at a mode or ``det_gap`` exceeds
+    ``DET_CROSSCHECK_TOL``, so no solve runs either gate. ``conditions``
+    are exact 2-norm condition numbers: max u / min u, max v / min v, and
+    that of Lambda (``_cond_lambda``). Every array is read-only, because a
     ``TransmissionSolver`` hands the same operators to all its solves.
     """
 
@@ -121,9 +123,17 @@ class TransmissionOperators:
         for arr in (self.p1_sum, self.p2_diff, self.p3_sum, self.f_values,
                     self.det_modal_symbols, self.det_modal_blocks):
             arr.flags.writeable = False
+        fvals = self.f_values
+        if np.any(fvals <= 0.0):
+            j = int(np.argmax(fvals <= 0.0))
+            raise AnomalyError(f"determinant symbol f({-self.operator.eigenvalues[j]:.6g}) = "
+                               f"{fvals[j]:.6g} <= 0 at mode {j} (contradicts its positivity)")
         det = self.det_modal_symbols
         object.__setattr__(self, "det_gap", float(
             np.max(np.abs(self.det_modal_blocks - det)) / (1.0 + np.max(np.abs(det)))))
+        if not self.det_gap <= DET_CROSSCHECK_TOL:  # a NaN gap fails too
+            raise AnomalyError("determinant factorization cross-check failed: "
+                               f"gap {self.det_gap:.3e}")
 
     @property
     def m(self) -> int:
@@ -271,17 +281,6 @@ def solve_interface_calculus(operators: TransmissionOperators,
     if sources.m != operators.m:
         raise DimensionMismatchError("source dimension does not match operators")
     op = operators.operator
-    fvals = operators.f_values
-    if np.any(fvals <= 0.0):
-        j = int(np.argmax(fvals <= 0.0))
-        raise AnomalyError(
-            f"determinant symbol f({-op.eigenvalues[j]:.6g}) = "
-            f"{fvals[j]:.6g} <= 0 (contradicts its positivity on the positive real axis)"
-        )
-    if not operators.det_gap <= DET_CROSSCHECK_TOL:
-        raise AnomalyError(
-            f"determinant factorization cross-check failed: gap {operators.det_gap:.3e}"
-        )
     g = op.generator_eigenvalues
     p1s, p2d, p3s = operators.p1_sum, operators.p2_diff, operators.p3_sum
     det = operators.det_modal_symbols
@@ -564,11 +563,12 @@ class TransmissionSolver:
 
     Construction forms everything that depends on these inputs and the
     options alone: both intervals' symbols, the interface blocks, their
-    conditions and determinant gap (``assemble_transmission_operators``),
+    conditions, determinant gap and gates (``assemble_transmission_operators``),
     the fundamental-system symbols on the ``both`` route and the zero
-    forcing. ``solve`` runs only what depends on the forcing
-    and boundary data, so a new right-hand side passes through fixed
-    per-mode functions of M.
+    forcing. ``solve`` runs what depends on the forcing and boundary
+    data, so a new right-hand side passes through fixed per-mode functions
+    of M; on ``both`` it also re-forms each mode's 8 x 8 fundamental-system
+    rows, which depend on the operators alone.
     """
 
     def __init__(self, operator: SectionOperator, geometry: CylinderGeometry,

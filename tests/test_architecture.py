@@ -54,6 +54,17 @@ def test_only_symbols_evaluates_an_interval():
     assert not offenders, f"interval symbols evaluated outside symbols.py: {offenders}"
 
 
+def test_interval_symbols_forms_u_and_v_itself():
+    # interval_symbols takes sqrt(z), e^{-eps} and the expm1 terms once and
+    # forms u and v from them, so it calls neither public evaluator.
+    tree = dict(_trees())["symbols.py"]
+    body = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "interval_symbols")
+    offenders = [f"symbols.py:{node.lineno}" for node in ast.walk(body)
+                 if isinstance(node, ast.Call) and _name(node.func) in {"u_delta", "v_delta"}]
+    assert not offenders, f"interval_symbols re-evaluates u or v: {offenders}"
+
+
 def test_the_particular_path_reads_only_the_declared_rows():
     # The particular solve takes the forcing's declared rows from
     # ModalForcing.sample_modes, never the scattered (m, n) table of

@@ -244,6 +244,30 @@ def test_load_config_rejects_non_finite_diffusivity(tmp_path, bad):
             load_config(write_config(tmp_path, text))
 
 
+@pytest.mark.parametrize("content", [None, b"\x80\xff 2"], ids=["missing", "not-utf8"])
+def test_cli_unreadable_matrix_file_exit_2_without_traceback(tmp_path, capsys, content):
+    mat = tmp_path / "nope.txt"
+    if content is not None:
+        mat.write_bytes(content)
+    text = BASE.format(m=2, extra="").replace(
+        "{kind: laplacian-1d, m: 2, length: 1.0}", f"{{kind: matrix-file, path: {mat}}}")
+    path = write_config(tmp_path, text)
+    assert main(["solve", "--config", path, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "section.path" in err and "Traceback" not in err
+
+
+def test_cli_short_forcing_csv_row_exit_2_without_traceback(tmp_path, capsys):
+    # csv.DictReader fills the missing side of row 3 with None.
+    csv_path = tmp_path / "forcing.csv"
+    csv_path.write_text("x,mode_index,value,side\n0.0,0,1.0,plus\n0.0,0,1.0\n")
+    extra = f"forcing: {{kind: csv, path: {csv_path}}}\n"
+    path = write_config(tmp_path, BASE.format(m=2, extra=extra))
+    assert main(["solve", "--config", path, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "row 3" in err and "Traceback" not in err
+
+
 def test_cli_nan_diffusivity_exit_2_without_traceback(tmp_path, capsys):
     text = BASE.format(m=3, extra="").replace("k_minus: 1.0", "k_minus: .nan")
     path = write_config(tmp_path, text)

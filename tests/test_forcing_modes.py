@@ -33,7 +33,6 @@ from bitrans import (
     build_dirichlet_laplacian_1d,
     direct_solve,
     manufactured_forced,
-    solve_interface_calculus,
     solve_particular,
     solve_transmission,
 )
@@ -215,7 +214,7 @@ def test_nan_fails_every_gate(monkeypatch):
     blocks = tops.det_modal_blocks.copy()
     blocks[1] = np.nan
     with pytest.raises(AnomalyError, match="cross-check"):
-        solve_interface_calculus(replace(tops, det_modal_blocks=blocks), sol.sources)
+        replace(tops, det_modal_blocks=blocks)
     monkeypatch.setattr(oracle, "solve_banded", lambda bands, ab, rhs: np.full(rhs.shape, np.nan))
     with pytest.raises(AnomalyError, match="backward error"):
         direct_solve(op, GEOM, 1.0, 3.0, n_x=65)
@@ -242,7 +241,7 @@ def test_side_without_resampler_is_not_sampled_solved_or_interpolated(monkeypatc
     assert part.active.size == 0 and not (sampled or banded or splines)
     part = solve_particular(op.eigenvalues, GEOM, SIDE_PLUS, forcing, n_x=65)
     assert part.active.tolist() == modes
-    assert (len(sampled), len(banded), len(splines)) == (2, 2, 1)
+    assert (len(sampled), len(banded), len(splines)) == (1, 2, 1)
     assert not table_splines
 
 

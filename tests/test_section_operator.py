@@ -148,6 +148,8 @@ def test_invalid_geometry_rejected():
     with pytest.raises(InvalidGeometryError):
         build_dirichlet_laplacian_1d(0, 1.0)
     with pytest.raises(InvalidGeometryError):
+        build_dirichlet_laplacian_1d(True, 1.0)  # a bool is not a point count
+    with pytest.raises(InvalidGeometryError):
         build_dirichlet_laplacian_1d(3, -1.0)
 
 

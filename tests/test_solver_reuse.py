@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from bitrans import (
+    AnomalyError,
     BoundaryData,
     CylinderGeometry,
     ModalForcing,
@@ -160,3 +161,17 @@ def test_the_report_forms_no_probe_factors(monkeypatch):
         transmission.residual_report(sol)
         assert not hasattr(op._solver, "probes")
     assert calls == []
+
+
+def test_a_failing_determinant_gap_refuses_the_solver_not_its_solve(monkeypatch):
+    # The determinant gates depend on the operators alone: they run once,
+    # when the operators are built, and a solve runs none of them.
+    op = build_dirichlet_laplacian_1d(6, 1.0)
+    real = transmission.determinant
+    with monkeypatch.context() as patch:
+        patch.setattr(transmission, "determinant", lambda *args: real(*args) * (1.0 + 1e-6))
+        with pytest.raises(AnomalyError, match="cross-check"):
+            TransmissionSolver(op, GEOM, 1.0, 3.0)
+    solver = TransmissionSolver(op, GEOM, 1.0, 3.0)
+    object.__setattr__(solver.operators, "det_gap", np.inf)
+    assert solver.solve().report.det_gap == np.inf

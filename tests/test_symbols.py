@@ -9,6 +9,7 @@ from bitrans import (
     f_components,
     f_tilde,
     f_total,
+    interval_symbols,
     positivity_scan,
     u_delta,
     v_delta,
@@ -31,24 +32,20 @@ def test_u_vanishes_at_zero_limit():
 
 
 def test_branch_cut_rejected():
-    for bad in (-1.0, 0.0, complex(-2.0, 0.0)):
+    # The symbols live on the positive real axis: the cut and every complex
+    # z, on the cut or off it, are rejected.
+    for bad in (-1.0, 0.0, complex(-2.0, 0.0), 2.0 + 1.0j, np.array([1.0, 2.0 + 0.0j])):
         with pytest.raises(BranchCutError):
             u_delta(1.0, bad)
         with pytest.raises(BranchCutError):
             v_delta(0.5, bad)
+        with pytest.raises(BranchCutError):
+            interval_symbols(0.5, bad)
 
 
 def test_real_axis_returns_real():
     val = u_delta(0.7, 3.2)
     assert np.isrealobj(val)
-
-
-def test_complex_path_consistent_with_real():
-    for delta, x in ((0.6, 2.0), (1.5, 17.0)):
-        real = u_delta(delta, x)
-        cplx = u_delta(delta, complex(x, 1e-20))
-        assert cplx.real == pytest.approx(real, rel=1e-10)
-        assert abs(cplx.imag) < 1e-12
 
 
 def test_small_argument_asymptotics():

@@ -721,13 +721,25 @@ def _spy_on_symbols(monkeypatch, names):
 
 @pytest.mark.parametrize("route", ["calculus", "both"])
 def test_one_solve_evaluates_each_interval_once(monkeypatch, route):
-    calls = _spy_on_symbols(monkeypatch, ("u_delta", "v_delta", "f_components", "f_total"))
+    # One interval_symbols pass per interval, which forms u and v itself.
+    calls = _spy_on_symbols(monkeypatch, ("interval_symbols", "u_delta", "v_delta",
+                                          "f_components", "f_total"))
     op = build_dirichlet_laplacian_1d(8, 1.0)
     geom = CylinderGeometry(-0.7, 0.0, 1.3)
     rng = np.random.default_rng(0)
     solve_transmission(op, geom, 1.0, 3.0, ModalForcing.sine(op, geom, SIDE_PLUS, 1, 1, 1.5),
                        BoundaryData(*rng.normal(size=(4, 8))), SolveOptions(route=route))
-    assert dict(calls) == {"u_delta": 2, "v_delta": 2}
+    assert dict(calls) == {"interval_symbols": 2}
+
+
+def test_operators_with_a_nonpositive_determinant_symbol_cannot_be_built():
+    op = build_dirichlet_laplacian_1d(4, 1.0)
+    tops = assemble_transmission_operators(op, CylinderGeometry(-0.7, 0.0, 1.3), 1.0, 3.0)
+    for bad in (0.0, -1.0):
+        f_values = tops.f_values.copy()
+        f_values[2] = bad
+        with pytest.raises(AnomalyError, match="<= 0 at mode 2"):
+            replace(tops, f_values=f_values)
 
 
 @pytest.mark.parametrize("m", [32, 256])
