@@ -208,8 +208,6 @@ def main(argv=None) -> int:
         if args.route is not None:
             config = replace(config, solver=replace(config.solver, route=args.route))
         if args.nx is not None:
-            if args.nx < 17:
-                raise ConfigError("--nx must be >= 17")
             config = replace(config, solver=replace(config.solver, n_x=args.nx))
         if args.seed is not None:
             config = replace(config, seed=check_seed(args.seed, "--seed"))

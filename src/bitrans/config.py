@@ -3,25 +3,25 @@
 The configuration is one YAML file of nested key/value sections. The
 grammar (documented in the README) covers the section operator, the
 geometry, diffusivities, forcing and boundary specifications, solver
-options, and per-command parameters. Everything is validated here with
-`ConfigError`s naming the offending key; downstream solver errors keep
+options, and per-command parameters. What a library type carries, that
+type checks; this module maps its errors, and checks the rest, to
+`ConfigError`s naming the offending key. Downstream solver errors keep
 their own types so the command layer can map them to exit codes.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 import yaml
 
-from .errors import ConfigError, SolverError
-from .oracle import manufactured_forced, manufactured_homogeneous
-from .problem import SIDES, BoundaryData, CylinderGeometry, ModalForcing
+from .errors import ConfigError, DimensionMismatchError, SolverError
+from .oracle import check_levels, manufactured_forced, manufactured_homogeneous
+from .problem import BoundaryData, CylinderGeometry, ModalForcing, read_forcing_csv
 from .section_operator import SectionOperator, build_dirichlet_laplacian_1d, from_matrix_file
-from .transmission import ROUTE_BOTH, ROUTE_CALCULUS, SolveOptions
+from .transmission import SolveOptions
 
 _FORCING_KINDS = ("zero", "sine", "csv", "manufactured")
 _BOUNDARY_KINDS = ("zero", "explicit", "from-exact-case", "random")
@@ -71,16 +71,6 @@ def _as_str(value, context: str) -> str:
     if not isinstance(value, str) or not value:
         raise ConfigError(f"{context} must be a nonempty string, got {value!r}")
     return value
-
-
-def _as_vector(value, m: int, context: str) -> np.ndarray:
-    try:
-        vec = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{context} must be a list of numbers") from exc
-    if vec.shape != (m,):
-        raise ConfigError(f"{context} must have length {m}, got shape {vec.shape}")
-    return vec
 
 
 @dataclass(frozen=True)
@@ -156,13 +146,11 @@ def load_config(path) -> RunConfig:
         raise ConfigError("boundary.kind 'from-exact-case' requires forcing.kind 'manufactured'")
 
     solver = _as_map(raw.get("solver", {}), "solver")
-    route = solver.get("route", ROUTE_CALCULUS)
-    if route not in (ROUTE_CALCULUS, ROUTE_BOTH):
-        raise ConfigError(f"solver.route must be calculus|both, got {route!r}")
-    n_x = _as_int(solver.get("n_x", 129), "solver.n_x")
-    probe = _as_int(solver.get("probe_points", 33), "solver.probe_points")
-    if n_x < 17 or probe < 5:
-        raise ConfigError("solver.n_x must be >= 17 and solver.probe_points >= 5")
+    try:
+        options = SolveOptions(**{k: solver[k] for k in ("route", "n_x", "probe_points")
+                                  if k in solver})
+    except (ValueError, SolverError) as exc:
+        raise ConfigError(f"bad solver: {exc}") from exc
 
     scan = {**_SCAN_DEFAULTS, **_as_map(raw.get("scan", {}), "scan")}
     start = _as_float(scan["start"], "scan.start")
@@ -178,8 +166,10 @@ def load_config(path) -> RunConfig:
     if method not in ("representation", "direct"):
         raise ConfigError(f"convergence.method must be representation|direct, got {method!r}")
     levels = _as_list(convergence["levels"], "convergence.levels", _as_int)
-    if len(levels) < 3:
-        raise ConfigError("convergence.levels must list at least 3 grid sizes")
+    try:
+        check_levels(levels)
+    except ValueError as exc:
+        raise ConfigError(f"convergence.levels: {exc}") from exc
     if min(levels) < 17:
         raise ConfigError("convergence.levels must all be >= 17")
     convergence = {"method": method, "levels": levels}
@@ -189,8 +179,7 @@ def load_config(path) -> RunConfig:
     seed = check_seed(_as_int(raw.get("seed", 0), "seed"), "seed")
     return RunConfig(section=section, geometry=geometry, k_minus=k_minus,
                      k_plus=k_plus, forcing=forcing, boundary=boundary,
-                     solver=SolveOptions(route=route, n_x=n_x, probe_points=probe),
-                     scan=scan, convergence=convergence, output=output, seed=seed)
+                     solver=options, scan=scan, convergence=convergence, output=output, seed=seed)
 
 
 def check_seed(seed: int, context: str) -> int:
@@ -212,19 +201,10 @@ def build_section(config: RunConfig) -> SectionOperator:
 
 
 def _read_forcing_csv(path, geometry: CylinderGeometry, m: int) -> ModalForcing:
-    rows = []
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh)
-            for record in reader:
-                if None in record.values():
-                    raise ConfigError(f"bad forcing csv {path!r}: row {reader.line_num} is short")
-                rows.append((float(record["x"]), int(record["mode_index"]),
-                             float(record["value"]), record["side"].strip()))
-    except (OSError, KeyError, TypeError, ValueError) as exc:
+        return ModalForcing.from_csv_rows(geometry, m, read_forcing_csv(path))
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"bad forcing csv {path!r}: {exc}") from exc
-    try:
-        return ModalForcing.from_csv_rows(geometry, m, rows)
     except SolverError as exc:
         raise ConfigError(f"inconsistent forcing csv {path!r}: {exc}") from exc
 
@@ -241,59 +221,54 @@ def build_case(config: RunConfig, operator: SectionOperator):
     fspec = config.forcing
     case = None
     fkind = fspec.get("kind", "zero")
-    if fkind == "zero":
-        forcing = ModalForcing.zero(m, geometry)
-    elif fkind == "sine":
-        side = _require(fspec, "side", "forcing")
-        if side not in SIDES:
-            raise ConfigError(f"forcing.side must be one of {SIDES}, got {side!r}")
-        forcing = ModalForcing.sine(
-            operator, geometry, side,
-            _as_int(_require(fspec, "mode", "forcing"), "forcing.mode"),
-            k_multiple=_as_int(fspec.get("k_multiple", 1), "forcing.k_multiple"),
-            amplitude=_as_float(fspec.get("amplitude", 1.0), "forcing.amplitude"),
-        )
-    elif fkind == "csv":
-        forcing = _read_forcing_csv(_as_str(_require(fspec, "path", "forcing"), "forcing.path"),
-                                    geometry, m)
-    else:
-        ckind = fspec.get("case", "forced")
-        if ckind == "forced":
-            profile = _as_list(_require(fspec, "profile", "forcing (manufactured)"),
-                               "forcing.profile")
-            if not 1 <= len(profile) <= 7 or not np.all(np.isfinite(profile)):
-                raise ConfigError("forcing.profile must list 1 to 7 finite coefficients "
-                                  f"(degree <= 6), got {profile}")
-            case = manufactured_forced(
-                operator, geometry, config.k_minus, config.k_plus,
+    try:  # the forcing types and manufactured cases check their own arguments
+        if fkind == "zero":
+            forcing = ModalForcing.zero(m, geometry)
+        elif fkind == "sine":
+            forcing = ModalForcing.sine(
+                operator, geometry, _require(fspec, "side", "forcing"),
                 _as_int(_require(fspec, "mode", "forcing"), "forcing.mode"),
-                profile,
-                psi1=_as_float(fspec.get("psi1", 0.0), "forcing.psi1"),
-                psi2=_as_float(fspec.get("psi2", 0.0), "forcing.psi2"),
+                k_multiple=_as_int(fspec.get("k_multiple", 1), "forcing.k_multiple"),
+                amplitude=_as_float(fspec.get("amplitude", 1.0), "forcing.amplitude"),
             )
-        elif ckind == "homogeneous":
-            ctx = "forcing (manufactured)"
-            modes = _as_list(_require(fspec, "modes", ctx), "forcing.modes", _as_int)
-            a1 = _as_list(_require(fspec, "a1", ctx), "forcing.a1")
-            a2 = _as_list(_require(fspec, "a2", ctx), "forcing.a2")
-            if not any(a1) and not any(a2):
-                raise ConfigError("forcing.a1 and forcing.a2 must not all vanish")
-            case = manufactured_homogeneous(operator, geometry, modes, a1, a2)
+        elif fkind == "csv":
+            forcing = _read_forcing_csv(
+                _as_str(_require(fspec, "path", "forcing"), "forcing.path"), geometry, m)
         else:
-            raise ConfigError(f"forcing.case must be 'forced' or 'homogeneous', got {ckind!r}")
-        forcing = case.forcing()
+            ckind = fspec.get("case", "forced")
+            ctx = "forcing (manufactured)"
+            if ckind == "forced":
+                case = manufactured_forced(
+                    operator, geometry, config.k_minus, config.k_plus,
+                    _as_int(_require(fspec, "mode", "forcing"), "forcing.mode"),
+                    _as_list(_require(fspec, "profile", ctx), "forcing.profile"),
+                    psi1=_as_float(fspec.get("psi1", 0.0), "forcing.psi1"),
+                    psi2=_as_float(fspec.get("psi2", 0.0), "forcing.psi2"),
+                )
+            elif ckind == "homogeneous":
+                modes = _as_list(_require(fspec, "modes", ctx), "forcing.modes", _as_int)
+                case = manufactured_homogeneous(
+                    operator, geometry, modes, _as_list(_require(fspec, "a1", ctx), "forcing.a1"),
+                    _as_list(_require(fspec, "a2", ctx), "forcing.a2"))
+            else:
+                raise ConfigError(f"forcing.case must be forced|homogeneous, got {ckind!r}")
+            forcing = case.forcing()
+    except ValueError as exc:
+        raise ConfigError(f"bad forcing: {exc}") from exc
 
     bspec = config.boundary
     bkind = bspec.get("kind", "zero")
     if bkind == "zero":
         boundary = BoundaryData.zeros(m)
     elif bkind == "explicit":
-        boundary = BoundaryData(
-            _as_vector(_require(bspec, "phi1_minus", "boundary"), m, "boundary.phi1_minus"),
-            _as_vector(_require(bspec, "phi2_minus", "boundary"), m, "boundary.phi2_minus"),
-            _as_vector(_require(bspec, "phi1_plus", "boundary"), m, "boundary.phi1_plus"),
-            _as_vector(_require(bspec, "phi2_plus", "boundary"), m, "boundary.phi2_plus"),
-        )
+        try:
+            boundary = BoundaryData(*(_as_list(_require(bspec, key, "boundary"), f"boundary.{key}")
+                                      for key in ("phi1_minus", "phi2_minus", "phi1_plus",
+                                                  "phi2_plus")))
+        except DimensionMismatchError as exc:
+            raise ConfigError(f"bad boundary: {exc}") from exc
+        if boundary.m != m:
+            raise ConfigError(f"boundary vectors must have length {m}, got {boundary.m}")
     elif bkind == "random":
         rng = np.random.default_rng(config.seed)
         scale = _as_float(bspec.get("scale", 1.0), "boundary.scale")

@@ -36,6 +36,7 @@ from .problem import (
     BoundaryData,
     CylinderGeometry,
     ModalForcing,
+    TransmissionProblem,
     check_integer,
     check_side,
 )
@@ -223,7 +224,7 @@ def manufactured_forced(
         raise DimensionMismatchError(f"mode {mode} outside 0..{operator.m - 1}")
     r = np.atleast_1d(np.asarray(profile, dtype=float))
     if r.ndim != 1 or r.size == 0 or r.size > 7 or not np.all(np.isfinite(r)):
-        raise ValueError("profile must be polynomial coefficients of degree <= 6")
+        raise ValueError(f"profile must list 1 to 7 finite coefficients, got {r.tolist()}")
     mu = float(operator.eigenvalues[mode])
     s = np.sqrt(-mu)
     u_polys, exp_coeffs, f_polys = {}, {}, {}
@@ -352,7 +353,6 @@ class OracleSolution:
         return self.grid_minus if side == SIDE_MINUS else self.grid_plus
 
     def modal_field(self, side: str, xs, order: int = 0) -> np.ndarray:
-        check_side(side)
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
         grid = self.grid(side)
         u = self.u_minus if side == SIDE_MINUS else self.u_plus
@@ -386,18 +386,16 @@ def direct_solve(
     solve with partial pivoting and backward-error check.
     Strictly independent of the representation route: it never touches
     semigroups, solvability operators, or interface-source algebra, only
-    the spectrum of the section operator.
+    the spectrum of the section operator. Its inputs form a ``TransmissionProblem``.
     """
     check_integer("n_x", n_x)
     if n_x < 33:
         raise ResolutionError(f"direct solve needs n_x >= 33, got {n_x}")
     m = operator.m
-    forcing = forcing if forcing is not None else ModalForcing.zero(m, geometry)
-    boundary = boundary if boundary is not None else BoundaryData.zeros(m)
-    if forcing.m != m or boundary.m != m:
-        raise DimensionMismatchError("forcing/boundary dimension mismatch")
-    if forcing.geometry != geometry:
-        raise InvalidGeometryError(f"forcing built on {forcing.geometry}, not on {geometry}")
+    problem = TransmissionProblem(operator, geometry, k_minus, k_plus,
+                                  ModalForcing.zero(m, geometry) if forcing is None else forcing,
+                                  BoundaryData.zeros(m) if boundary is None else boundary)
+    forcing, boundary = problem.forcing, problem.boundary
     ab, interior = _coupled_bands(geometry, k_minus, k_plus, n_x)
     grid_m = geometry.grid(SIDE_MINUS, n_x)
     grid_p = geometry.grid(SIDE_PLUS, n_x)
@@ -476,6 +474,14 @@ def compare(sol_a, sol_b, probe_points: int = 65) -> ErrorMetrics:
     return ErrorMetrics(sup=sup, l2_scaled=float(np.sqrt(sq_sum / count) / (1.0 + scale)))
 
 
+def check_levels(levels: Sequence[int]) -> list:
+    """Refinement levels as ints: at least 3, strictly increasing, else ValueError."""
+    ns = [int(n) for n in levels]
+    if len(ns) < 3 or any(b <= a for a, b in zip(ns, ns[1:])):
+        raise ValueError(f"need at least 3 strictly increasing refinement levels, got {ns}")
+    return ns
+
+
 @dataclass(frozen=True)
 class RateTable:
     """Per-level errors and convergence rates of a refinement study."""
@@ -507,16 +513,14 @@ def convergence_study(case, method: str, refinements: Sequence[int],
 
     ``case`` is an ExactCase or ForcedCase; ``method`` selects the
     representation-formula solver or the direct finite-difference
-    oracle. At least three refinement levels are required. Errors at or
-    below the linear-algebra floor are flagged instead of fitted.
+    oracle, on the levels of ``check_levels``. Errors at or below the
+    linear-algebra floor are flagged instead of fitted.
     """
     from .transmission import SolveOptions, solve_transmission
 
     if method not in ("representation", "direct"):
         raise ValueError(f"method must be 'representation' or 'direct', got {method!r}")
-    ns = [int(n) for n in refinements]
-    if len(ns) < 3:
-        raise ValueError("need at least 3 refinement levels")
+    ns = check_levels(refinements)
     km = getattr(case, "k_minus", k_minus)
     kp = getattr(case, "k_plus", k_plus)
     if km is None or kp is None:

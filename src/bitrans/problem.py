@@ -1,12 +1,14 @@
 """Problem-specification types: geometry, boundary data, modal forcing.
 
-These carry the data of the two-interval transmission problem
-independently of any solution method; both the representation-formula
-solver and the finite-difference oracle consume them.
+These carry and check the data of the two-interval transmission problem
+(and read the forcing-CSV format) independently of any solution method;
+the representation-formula solver and the FD oracle both build a ``TransmissionProblem``.
 """
 
 from __future__ import annotations
 
+import csv
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -19,6 +21,7 @@ from .section_operator import SectionOperator
 SIDE_MINUS = "minus"
 SIDE_PLUS = "plus"
 SIDES = (SIDE_MINUS, SIDE_PLUS)
+FORCING_CSV_FIELDS = ("x", "mode_index", "value", "side")
 
 # Intervals shorter than this are rejected outright: the lengths act as
 # semigroup times, and near-zero lengths are a modeling error, not a regime.
@@ -244,7 +247,6 @@ class ModalForcing:
         (its second derivative also vanishes at both ends). The other
         side has no resampler.
         """
-        check_side(side)
         if not 0 <= mode < operator.m:
             raise DimensionMismatchError(f"mode {mode} outside 0..{operator.m - 1}")
         lo, hi = geometry.interval(side)
@@ -262,20 +264,24 @@ class ModalForcing:
     def from_csv_rows(cls, geometry: CylinderGeometry, m: int, rows) -> "ModalForcing":
         """Build from (x, mode_index, value, side) records.
 
-        Every (side, x) pair must carry all m finite mode values, and the
-        x-grids of the two sides must agree in size and cover their
-        intervals. The declared modes are the rows nonzero on either side;
+        Every (side, x) pair must carry each of the m modes once, with a
+        finite value, and the x-grids of the two sides must agree in size
+        and cover their intervals. The declared modes are the rows nonzero on either side;
         each side with a nonzero value is resampled by a cubic spline of
         its table on those rows, and an all-zero side gets no resampler.
         """
         per_side: dict[str, dict[float, np.ndarray]] = {SIDE_MINUS: {}, SIDE_PLUS: {}}
         for x, mode, value, side in rows:
             check_side(side)
-            mode = int(mode)
+            x, mode, value = float(x), int(mode), float(value)
             if not 0 <= mode < m:
                 raise DimensionMismatchError(f"mode index {mode} outside 0..{m - 1}")
-            col = per_side[side].setdefault(float(x), np.full(m, np.nan))
-            col[mode] = float(value)
+            if not (math.isfinite(x) and math.isfinite(value)):
+                raise DimensionMismatchError(f"forcing samples must be finite, got {x}, {value}")
+            col = per_side[side].setdefault(x, np.full(m, np.nan))
+            if not math.isnan(col[mode]):
+                raise DimensionMismatchError(f"repeated forcing row {(side, x, mode)}")
+            col[mode] = value
         tables = {}
         for side, cols in per_side.items():
             if not cols:
@@ -292,8 +298,6 @@ class ModalForcing:
             raise DimensionMismatchError(
                 f"sample counts differ between intervals: {grid_m.size} vs {grid_p.size}"
             )
-        if not (np.all(np.isfinite(vals_m)) and np.all(np.isfinite(vals_p))):
-            raise DimensionMismatchError("forcing samples must be finite")
         for side, (grid, _) in tables.items():
             lo, hi = geometry.interval(side)
             tol = 1e-9 * (hi - lo)
@@ -305,6 +309,25 @@ class ModalForcing:
         splines = [CubicSpline(grid, vals[modes]) if np.any(vals) else None
                    for grid, vals in tables.values()]
         return cls(geometry, m, modes, *splines)
+
+
+def read_forcing_csv(path) -> list:
+    """The (x, mode_index, value, side) records of a forcing-CSV file, for ``from_csv_rows``.
+
+    The header names the ``FORCING_CSV_FIELDS`` in any order, and every
+    further row holds exactly four fields; else ValueError.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        if sorted(reader.fieldnames or ()) != sorted(FORCING_CSV_FIELDS):
+            raise ValueError(f"header must name {FORCING_CSV_FIELDS}, got {reader.fieldnames}")
+        rows = []
+        for rec in reader:
+            if None in rec or None in rec.values():
+                raise ValueError(f"row {reader.line_num} does not hold exactly 4 fields")
+            rows.append((float(rec["x"]), int(rec["mode_index"]), float(rec["value"]),
+                         rec["side"].strip()))
+    return rows
 
 
 @dataclass(frozen=True)

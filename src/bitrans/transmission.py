@@ -321,10 +321,10 @@ class SolveOptions:
 
     ``probe_points`` sets the per-side grid of the solution CSV, of the
     command-line oracle comparisons and of a forced side's ``eq_*``
-    entry; no other report entry reads a grid. Checked here, since they
-    are part of a ``TransmissionSolver``'s identity: a non-integer count
-    raises ValueError, and ``n_x < 17`` the ResolutionError of the
-    particular solve.
+    entry; no other report entry reads a grid. The one gate and default of
+    these settings, the configuration's ``solver`` section and ``--nx``
+    included: an unknown route, a non-integer count or ``probe_points < 5``
+    raises ValueError, and ``n_x < 17`` the ResolutionError of the particular solve.
     """
 
     route: str = ROUTE_CALCULUS
@@ -333,13 +333,13 @@ class SolveOptions:
 
     def __post_init__(self):
         if self.route not in (ROUTE_CALCULUS, ROUTE_BOTH):
-            raise ValueError(f"unknown route {self.route!r}")
+            raise ValueError(f"unknown route {self.route!r}, expected calculus|both")
         check_integer("n_x", self.n_x)
         check_integer("probe_points", self.probe_points)
         if self.n_x < 17:
             raise ResolutionError(f"particular solve needs n_x >= 17, got {self.n_x}")
         if self.probe_points < 5:
-            raise ValueError("need at least 5 probe points")
+            raise ValueError(f"need at least 5 probe points, got {self.probe_points}")
 
 
 @dataclass(frozen=True)

@@ -92,3 +92,25 @@ def test_only_the_solver_assembles_the_interface_blocks():
                       if isinstance(node, ast.Call) and id(node) not in inside
                       and _name(node.func) == "assemble_transmission_operators"]
     assert not offenders, f"interface blocks assembled outside TransmissionSolver: {offenders}"
+
+
+def test_config_leaves_the_solver_settings_and_the_csv_format_to_their_types():
+    # SolveOptions alone decides the route, n_x and probe_points, and
+    # problem.py alone reads the forcing-CSV format; config.py maps their
+    # errors, so it needs neither the csv module nor a route constant.
+    tree = dict(_trees())["config.py"]
+    offenders = [f"config.py:{node.lineno}" for node in ast.walk(tree)
+                 if isinstance(node, (ast.Import, ast.ImportFrom))
+                 for alias in node.names
+                 if alias.name == "csv" or alias.name.startswith("ROUTE_")]
+    assert not offenders, f"config.py re-decides a setting its type carries: {offenders}"
+
+
+def test_the_oracle_checks_its_inputs_through_the_problem_type():
+    # direct_solve forms a TransmissionProblem, so it rejects the data and
+    # diffusivities that the representation route rejects, with the same errors.
+    tree = dict(_trees())["oracle.py"]
+    body = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "direct_solve")
+    assert any(isinstance(node, ast.Call) and _name(node.func) == "TransmissionProblem"
+               for node in ast.walk(body)), "direct_solve does not construct a TransmissionProblem"

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bitrans import ConfigError, solve_transmission
+from bitrans import ConfigError, SolveOptions, solve_transmission
 from bitrans.cli import main
 from bitrans.config import build_case, build_section, load_config
 
@@ -369,3 +369,76 @@ def test_demo_entries_match_the_field_table_report_to_rounding(name):
                                 forcing, boundary, config.solver).report
     for key, expected in zip(REPORT_KEYS, FIELD_TABLE_ENTRIES[name]):
         assert abs(getattr(report, key) - expected) <= 4 * np.finfo(float).eps, key
+
+
+def test_config_without_a_solver_section_gives_the_default_options(tmp_path):
+    config = load_config(write_config(tmp_path, BASE.format(m=3, extra="")))
+    assert config.solver == SolveOptions()
+
+
+@pytest.mark.parametrize("argv, extra, shown", [
+    ([], "solver: {route: magic}\n", "'magic'"),
+    ([], "solver: {n_x: 5}\n", "got 5"),
+    ([], "solver: {n_x: '12'}\n", "'12'"),
+    ([], "solver: {probe_points: 3}\n", "got 3"),
+    (["--nx", "5"], "", "got 5"),
+], ids=["route-magic", "n_x-5", "n_x-string", "probe_points-3", "cli-nx-5"])
+def test_cli_bad_solver_setting_exit_2_without_traceback(tmp_path, capsys, argv, extra, shown):
+    # SolveOptions is the one gate of these settings, for the config and --nx alike.
+    path = write_config(tmp_path, BASE.format(m=3, extra=extra))
+    assert main(["solve", "--config", path, "--out", str(tmp_path), *argv]) == 2
+    err = capsys.readouterr().err
+    assert shown in err and "Traceback" not in err
+    if not argv:
+        assert err.startswith("config error: bad solver:")
+
+
+def _forcing_csv(tmp_path, extra_rows=(), long_row=None):
+    """A two-sided m = 2 forcing CSV; ``long_row`` gets a fifth field."""
+    lines = ["x,mode_index,value,side"]
+    for side, lo, hi in (("minus", -0.7, 0.0), ("plus", 0.0, 0.9)):
+        for x in np.linspace(lo, hi, 9):
+            lines += [f"{float(x)!r},{j},{float(np.cos(x) * j)!r},{side}" for j in range(2)]
+    if long_row is not None:
+        lines[long_row - 1] += ",9.0"
+    path = tmp_path / "forcing.csv"
+    path.write_text("\n".join(lines + list(extra_rows)) + "\n")
+    return BASE.format(m=2, extra=f"forcing: {{kind: csv, path: {path}}}\n")
+
+
+def test_cli_long_forcing_csv_row_exit_2_without_traceback(tmp_path, capsys):
+    # csv.DictReader files the extra field under the key None; it used to be dropped.
+    path = write_config(tmp_path, _forcing_csv(tmp_path, long_row=5))
+    assert main(["solve", "--config", path, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: bad forcing csv") and "row 5" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["1.0", "7.0"], ids=["identical", "conflicting"])
+def test_cli_repeated_forcing_csv_row_exit_2_without_traceback(tmp_path, capsys, value):
+    # The last of two rows for one (side, x, mode) used to win without a word.
+    path = write_config(tmp_path, _forcing_csv(tmp_path, [f"0.0,1,{value},plus"]))
+    assert main(["solve", "--config", path, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: inconsistent forcing csv") and "repeated" in err
+    assert "Traceback" not in err
+
+
+def test_cli_forcing_csv_row_on_an_unknown_side_exit_2_without_traceback(tmp_path, capsys):
+    path = write_config(tmp_path, _forcing_csv(tmp_path, ["0.0,1,1.0,left"]))
+    assert main(["solve", "--config", path, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: bad forcing csv") and "'left'" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("levels", ["[65, 65, 65]", "[129, 65, 33]"],
+                         ids=["repeated", "decreasing"])
+def test_cli_levels_must_strictly_increase_exit_2_without_traceback(tmp_path, capsys, levels):
+    # [65, 65, 65] used to exit 0 with nan rates and a numpy RankWarning.
+    text = BASE.format(m=3, extra=FORCED).replace("[33, 65, 129]", levels)
+    path = write_config(tmp_path, text)
+    assert main(["convergence", "--config", path, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: convergence.levels") and "Traceback" not in err

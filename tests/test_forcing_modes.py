@@ -308,3 +308,27 @@ def test_forcing_on_another_geometry_is_rejected():
     with pytest.raises(InvalidGeometryError, match="forcing built on"):
         direct_solve(op, other, 1.0, 3.0, forcing, n_x=65)
     solve_transmission(op, CylinderGeometry(-0.7, 0.0, 1.3), 1.0, 3.0, forcing)
+
+
+@pytest.mark.parametrize("value", [lambda v: v, lambda v: v + 1.0], ids=["identical", "conflicting"])
+def test_csv_rows_reject_a_repeated_triple(value):
+    # A second row for one (side, x, mode) used to override the first silently.
+    m = 3
+    rows = _csv(m, GEOM.grid(SIDE_MINUS, 9), GEOM.grid(SIDE_PLUS, 9))
+    x, mode, v, side = rows[-1]
+    with pytest.raises(DimensionMismatchError, match="repeated"):
+        ModalForcing.from_csv_rows(GEOM, m, rows + [(x, mode, value(v), side)])
+
+
+def test_forcing_csv_reader_checks_the_header_and_the_field_count(tmp_path):
+    path = tmp_path / "f.csv"
+    path.write_text("side,value,x,mode_index\nplus, 2.5,0.25,1\n\nminus,0,0.0,0\n")
+    assert problem.read_forcing_csv(path) == [(0.25, 1, 2.5, "plus"), (0.0, 0, 0.0, "minus")]
+    for text, message in [("x,mode,value,side\n", "header"),
+                          ("x,mode_index,value,side,note\n", "header"),
+                          ("x,mode_index,value,side\n0.0,0,1.0\n", "row 2"),
+                          ("x,mode_index,value,side\n0.0,0,1.0,plus,9\n", "row 2"),
+                          ("x,mode_index,value,side\n0.0,zero,1.0,plus\n", "zero")]:
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            problem.read_forcing_csv(path)

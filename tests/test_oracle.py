@@ -7,6 +7,7 @@ from bitrans import (
     BoundaryData,
     CylinderGeometry,
     DimensionMismatchError,
+    InvalidGeometryError,
     ModalForcing,
     ResolutionError,
     SIDE_MINUS,
@@ -482,3 +483,26 @@ def test_direct_solve_checks_its_grid_size_up_front():
         direct_solve(op, geom, 1.0, 3.0, n_x=129.0)
     with pytest.raises(ResolutionError, match="n_x >= 33"):
         direct_solve(op, geom, 1.0, 3.0, n_x=17)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf], ids=["zero", "negative", "nan", "inf"])
+def test_direct_solve_rejects_the_diffusivities_the_solver_rejects(bad):
+    # direct_solve(op, geom, 0.0, 1.0) used to return a "solution" and NaN
+    # ended in a bare scipy ValueError; both routes now share one gate.
+    op = build_dirichlet_laplacian_1d(4, 1.0)
+    geom = CylinderGeometry(-0.7, 0.0, 1.3)
+    for km, kp in ((bad, 1.0), (1.0, bad)):
+        with pytest.raises(InvalidGeometryError, match="diffusivities"):
+            direct_solve(op, geom, km, kp)
+        with pytest.raises(InvalidGeometryError, match="diffusivities"):
+            solve_transmission(op, geom, km, kp)
+
+
+@pytest.mark.parametrize("levels", [[33, 65], [65, 65, 65], [129, 65, 33], [33, 129, 65]])
+def test_convergence_levels_must_be_three_strictly_increasing(levels):
+    op = build_dirichlet_laplacian_1d(3, 1.0)
+    case = manufactured_forced(op, CylinderGeometry(-0.7, 0.0, 1.3), 1.0, 3.0, 1, [1.0])
+    for method in ("representation", "direct"):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            convergence_study(case, method, levels)
+    assert oracle.check_levels((33, 65, np.int64(129))) == [33, 65, 129]
