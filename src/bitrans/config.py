@@ -163,16 +163,11 @@ def load_config(path) -> RunConfig:
     convergence = {**_CONVERGENCE_DEFAULTS,
                    **_as_map(raw.get("convergence", {}), "convergence")}
     method = convergence["method"]
-    if method not in ("representation", "direct"):
-        raise ConfigError(f"convergence.method must be representation|direct, got {method!r}")
     levels = _as_list(convergence["levels"], "convergence.levels", _as_int)
-    try:
-        check_levels(levels)
-    except ValueError as exc:
-        raise ConfigError(f"convergence.levels: {exc}") from exc
-    if min(levels) < 17:
-        raise ConfigError("convergence.levels must all be >= 17")
-    convergence = {"method": method, "levels": levels}
+    try:  # each gate message names its setting, method or levels
+        convergence = {"method": method, "levels": check_levels(levels, method)}
+    except (ValueError, SolverError) as exc:
+        raise ConfigError(f"convergence.{exc}") from exc
     output = _as_map(raw.get("output", {}), "output")
     for key, name in output.items():
         _as_str(name, f"output.{key}")

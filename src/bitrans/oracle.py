@@ -23,12 +23,7 @@ from numpy.polynomial import polynomial as npoly
 
 from ._scipy import solve_banded
 from ._spline import CubicSpline
-from .errors import (
-    AnomalyError,
-    DimensionMismatchError,
-    InvalidGeometryError,
-    ResolutionError,
-)
+from .errors import AnomalyError, DimensionMismatchError, InvalidGeometryError
 from .problem import (
     SIDE_MINUS,
     SIDE_PLUS,
@@ -37,12 +32,16 @@ from .problem import (
     CylinderGeometry,
     ModalForcing,
     TransmissionProblem,
-    check_integer,
+    check_grid,
+    check_modes,
     check_side,
 )
 from .section_operator import SectionOperator
+from .subproblem import PARTICULAR_MIN_N_X
 
 FLOOR = 1e-9  # error level treated as the linear-algebra floor in rate fits
+ORACLE_MIN_N_X = 33
+CONVERGENCE_MIN_N_X = {"representation": PARTICULAR_MIN_N_X, "direct": ORACLE_MIN_N_X}
 
 
 class _ClosedFormCase:
@@ -118,17 +117,13 @@ def manufactured_homogeneous(operator: SectionOperator, geometry: CylinderGeomet
     """Exact homogeneous case on one mode or a collection of modes.
 
     ``mode`` may be an index with scalar coefficients, or a sequence of
-    indices with matching coefficient sequences.
+    distinct indices (``check_modes``) with matching coefficient sequences.
     """
-    modes = np.atleast_1d(np.asarray(mode, dtype=int))
+    modes = check_modes("modes", [mode] if np.ndim(mode) == 0 else mode, operator.m)
     c1 = np.atleast_1d(np.asarray(a1, dtype=float))
     c2 = np.atleast_1d(np.asarray(a2, dtype=float))
     if not (modes.size == c1.size == c2.size):
         raise DimensionMismatchError("mode and coefficient lists must match in length")
-    if np.any(modes < 0) or np.any(modes >= operator.m):
-        raise DimensionMismatchError(
-            f"mode indices {modes.tolist()} outside 0..{operator.m - 1}"
-        )
     full1 = np.zeros(operator.m)
     full2 = np.zeros(operator.m)
     full1[modes] = c1
@@ -218,10 +213,9 @@ def manufactured_forced(
     """Build the polynomial-profile forced case on one mode.
 
     ``profile`` holds ascending coefficients of r in powers of
-    (x - gamma); degree at most 6.
+    (x - gamma); degree at most 6. ``mode`` goes through ``check_modes``.
     """
-    if not 0 <= mode < operator.m:
-        raise DimensionMismatchError(f"mode {mode} outside 0..{operator.m - 1}")
+    check_modes("mode", (mode,), operator.m)
     r = np.atleast_1d(np.asarray(profile, dtype=float))
     if r.ndim != 1 or r.size == 0 or r.size > 7 or not np.all(np.isfinite(r)):
         raise ValueError(f"profile must list 1 to 7 finite coefficients, got {r.tolist()}")
@@ -386,11 +380,10 @@ def direct_solve(
     solve with partial pivoting and backward-error check.
     Strictly independent of the representation route: it never touches
     semigroups, solvability operators, or interface-source algebra, only
-    the spectrum of the section operator. Its inputs form a ``TransmissionProblem``.
+    the spectrum of the section operator. Its inputs form a ``TransmissionProblem``;
+    ``n_x`` is at least ``ORACLE_MIN_N_X`` (``check_grid``).
     """
-    check_integer("n_x", n_x)
-    if n_x < 33:
-        raise ResolutionError(f"direct solve needs n_x >= 33, got {n_x}")
+    check_grid(n_x, ORACLE_MIN_N_X)
     m = operator.m
     problem = TransmissionProblem(operator, geometry, k_minus, k_plus,
                                   ModalForcing.zero(m, geometry) if forcing is None else forcing,
@@ -474,11 +467,19 @@ def compare(sol_a, sol_b, probe_points: int = 65) -> ErrorMetrics:
     return ErrorMetrics(sup=sup, l2_scaled=float(np.sqrt(sq_sum / count) / (1.0 + scale)))
 
 
-def check_levels(levels: Sequence[int]) -> list:
-    """Refinement levels as ints: at least 3, strictly increasing, else ValueError."""
+def check_levels(levels: Sequence[int], method: str = "representation") -> list:
+    """The one gate of the convergence settings; each message starts with ``method`` or ``levels``.
+
+    ValueError unless the method is representation|direct and the levels at least 3 strictly
+    increasing integers; ``check_grid`` at the method's ``CONVERGENCE_MIN_N_X`` for each level.
+    """
+    if not isinstance(method, str) or method not in CONVERGENCE_MIN_N_X:
+        raise ValueError(f"method must be representation|direct, got {method!r}")
+    for n in levels:
+        check_grid(n, CONVERGENCE_MIN_N_X[method], "levels")
     ns = [int(n) for n in levels]
     if len(ns) < 3 or any(b <= a for a, b in zip(ns, ns[1:])):
-        raise ValueError(f"need at least 3 strictly increasing refinement levels, got {ns}")
+        raise ValueError(f"levels: need at least 3 strictly increasing refinement levels, got {ns}")
     return ns
 
 
@@ -513,14 +514,12 @@ def convergence_study(case, method: str, refinements: Sequence[int],
 
     ``case`` is an ExactCase or ForcedCase; ``method`` selects the
     representation-formula solver or the direct finite-difference
-    oracle, on the levels of ``check_levels``. Errors at or below the
-    linear-algebra floor are flagged instead of fitted.
+    oracle, and ``check_levels`` checks both it and the levels. Errors at
+    or below the linear-algebra floor are flagged instead of fitted.
     """
     from .transmission import SolveOptions, solve_transmission
 
-    if method not in ("representation", "direct"):
-        raise ValueError(f"method must be 'representation' or 'direct', got {method!r}")
-    ns = check_levels(refinements)
+    ns = check_levels(refinements, method)
     km = getattr(case, "k_minus", k_minus)
     kp = getattr(case, "k_plus", k_plus)
     if km is None or kp is None:

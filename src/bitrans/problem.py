@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from ._spline import CubicSpline
-from .errors import DimensionMismatchError, InvalidGeometryError
+from .errors import DimensionMismatchError, InvalidGeometryError, ResolutionError
 from .section_operator import SectionOperator
 
 SIDE_MINUS = "minus"
@@ -41,6 +41,13 @@ def check_integer(name: str, value) -> None:
     """Raise ValueError unless ``value`` is an integer (a bool is not)."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def check_grid(n_x, minimum: int, name: str = "n_x") -> None:
+    """The grid gate: ValueError unless ``n_x`` is an integer, ResolutionError below ``minimum``."""
+    check_integer(name, n_x)
+    if n_x < minimum:
+        raise ResolutionError(f"{name} >= {minimum} needed, got {n_x}")
 
 
 def check_diffusivities(k_minus: float, k_plus: float) -> None:
@@ -139,31 +146,33 @@ def _checked_rows(values, rows: int, points: int) -> np.ndarray:
     return vals
 
 
-def _mode_rows(modes, m: int) -> np.ndarray:
-    """Declared forcing modes as sorted distinct indices in 0..m-1, else DimensionMismatchError.
+def check_modes(name: str, modes, m: int) -> np.ndarray:
+    """The one gate of mode indices: distinct integers (not bools) in 0..m-1, as an index array.
 
-    Sorted and checked by hand: ``np.unique`` imports ``numpy.ma`` on its
-    first call, 15 ms of every cold command-line run.
+    The indices keep their order; else DimensionMismatchError, labelled ``name``. Checked by
+    hand: ``np.unique`` imports ``numpy.ma`` on its first call, 15 ms of a cold command-line run.
     """
     rows = np.asarray(modes)
-    if rows.ndim != 1 or (rows.size and rows.dtype.kind not in "iu"):
-        raise DimensionMismatchError("forcing modes must be a vector of mode indices")
-    rows = np.sort(rows).astype(np.intp)
-    if rows.size and not (0 <= rows[0] and rows[-1] < m):
-        raise DimensionMismatchError(f"forcing modes outside 0..{m - 1}")
-    if np.any(rows[1:] == rows[:-1]):
-        raise DimensionMismatchError("forcing modes must be distinct")
-    return rows
+    if (rows.ndim != 1 or (rows.size and rows.dtype.kind not in "iu")
+            or (not isinstance(modes, np.ndarray)
+                and any(isinstance(j, (bool, np.bool_)) for j in modes))):
+        raise DimensionMismatchError(f"{name} must be a vector of integer mode indices")
+    order = np.sort(rows)
+    if rows.size and not (0 <= order[0] and order[-1] < m):
+        raise DimensionMismatchError(f"{name} span {order[0]}..{order[-1]}, outside 0..{m - 1}")
+    if np.any(order[1:] == order[:-1]):
+        raise DimensionMismatchError(f"{name} must be distinct, got a repeated mode in {order}")
+    return rows.astype(np.intp)
 
 
 @dataclass(frozen=True)
 class ModalForcing:
     """Per-mode forcing in the eigenbasis of the section operator.
 
-    ``modes`` are the rows that may be nonzero (stored sorted); every
-    other row is zero everywhere. Each side has an optional resampler
-    (``func_minus`` / ``func_plus``) mapping an x-array to the
-    (len(modes), len(x)) values of those rows; a side without one is
+    ``modes`` are the rows that may be nonzero, in the order of the
+    resamplers' rows; every other row is zero everywhere. Each side has an
+    optional resampler (``func_minus`` / ``func_plus``) mapping an x-array
+    to the (len(modes), len(x)) values of those rows; a side without one is
     identically zero. A resampler is evaluated pointwise (its value at x
     does not depend on the other points of the call), and
     ``sample_modes`` checks every resampled value.
@@ -176,7 +185,7 @@ class ModalForcing:
     func_plus: Optional[Resampler] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "modes", _mode_rows(self.modes, self.m))
+        object.__setattr__(self, "modes", check_modes("forcing modes", self.modes, self.m))
 
     def _func(self, side: str):
         return self.func_minus if check_side(side) == SIDE_MINUS else self.func_plus
@@ -247,14 +256,11 @@ class ModalForcing:
         (its second derivative also vanishes at both ends). The other
         side has no resampler.
         """
-        if not 0 <= mode < operator.m:
-            raise DimensionMismatchError(f"mode {mode} outside 0..{operator.m - 1}")
         lo, hi = geometry.interval(side)
         k = k_multiple * np.pi / (hi - lo)
-        mu = operator.eigenvalues[mode]
-        coef = amplitude * (k**2 - mu) ** 2
 
-        def func(xs: np.ndarray) -> np.ndarray:
+        def func(xs: np.ndarray) -> np.ndarray:  # first called after the mode gate of the forcing
+            coef = amplitude * (k**2 - operator.eigenvalues[mode]) ** 2
             return coef * np.sin(k * (np.asarray(xs) - lo))[None, :]
 
         funcs = (func, None) if side == SIDE_MINUS else (None, func)
@@ -270,41 +276,34 @@ class ModalForcing:
         each side with a nonzero value is resampled by a cubic spline of
         its table on those rows, and an all-zero side gets no resampler.
         """
-        per_side: dict[str, dict[float, np.ndarray]] = {SIDE_MINUS: {}, SIDE_PLUS: {}}
+        per_side: dict[str, dict[float, list]] = {SIDE_MINUS: {}, SIDE_PLUS: {}}
         for x, mode, value, side in rows:
-            check_side(side)
-            x, mode, value = float(x), int(mode), float(value)
-            if not 0 <= mode < m:
-                raise DimensionMismatchError(f"mode index {mode} outside 0..{m - 1}")
+            x, value = float(x), float(value)
             if not (math.isfinite(x) and math.isfinite(value)):
                 raise DimensionMismatchError(f"forcing samples must be finite, got {x}, {value}")
-            col = per_side[side].setdefault(x, np.full(m, np.nan))
-            if not math.isnan(col[mode]):
-                raise DimensionMismatchError(f"repeated forcing row {(side, x, mode)}")
-            col[mode] = value
+            per_side[check_side(side)].setdefault(x, []).append((mode, value))
         tables = {}
         for side, cols in per_side.items():
             if not cols:
                 raise InvalidGeometryError(f"no forcing rows for side {side!r}")
-            xs = np.array(sorted(cols))
-            mat = np.stack([cols[x] for x in xs], axis=1)
-            if np.any(np.isnan(mat)):
-                raise DimensionMismatchError(
-                    f"incomplete mode values in forcing rows for side {side!r}"
-                )
-            tables[side] = xs, mat
+            xs = sorted(cols)
+            lo, hi = geometry.interval(side)
+            tol = 1e-9 * (hi - lo)
+            if xs[0] > lo + tol or xs[-1] < hi - tol:
+                raise InvalidGeometryError(f"forcing grid on side {side!r} must cover [{lo}, {hi}]")
+            mat = np.empty((m, len(xs)))
+            for i, x in enumerate(xs):
+                indices, values = zip(*cols[x])
+                indices = check_modes(f"forcing rows at {side} x = {x!r}", indices, m)
+                if indices.size != m:
+                    raise DimensionMismatchError(f"incomplete forcing rows at {side} x = {x!r}")
+                mat[indices, i] = values
+            tables[side] = np.array(xs), mat
         (grid_m, vals_m), (grid_p, vals_p) = tables.values()
         if grid_m.size != grid_p.size:
             raise DimensionMismatchError(
                 f"sample counts differ between intervals: {grid_m.size} vs {grid_p.size}"
             )
-        for side, (grid, _) in tables.items():
-            lo, hi = geometry.interval(side)
-            tol = 1e-9 * (hi - lo)
-            if grid[0] > lo + tol or grid[-1] < hi - tol:
-                raise InvalidGeometryError(
-                    f"forcing grid on side {side!r} must cover [{lo}, {hi}]"
-                )
         modes = np.flatnonzero(np.any(vals_m, axis=1) | np.any(vals_p, axis=1))
         splines = [CubicSpline(grid, vals[modes]) if np.any(vals) else None
                    for grid, vals in tables.values()]

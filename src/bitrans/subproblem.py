@@ -31,14 +31,15 @@ import numpy as np
 
 from ._scipy import solve_banded
 from ._spline import CubicSpline
-from .errors import DimensionMismatchError, ResolutionError
-from .problem import SIDE_MINUS, CylinderGeometry, ModalForcing, check_side
+from .errors import DimensionMismatchError
+from .problem import SIDE_MINUS, CylinderGeometry, ModalForcing, check_grid, check_side
 from .section_operator import SectionOperator
 from .symbols import interval_symbols
 
 # 4th-order one-sided 5-point first-derivative stencils (left end / right end).
 _D1_LEFT = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
 _ENDPOINT_TOL = 1e-10
+PARTICULAR_MIN_N_X = 17
 
 
 @dataclass(frozen=True)
@@ -253,6 +254,7 @@ def solve_particular(
     third-derivative traces use F''' = w' - mu F'. A side without active
     modes makes no solve and builds no spline, and a side without a
     resampler is not even sampled: it returns ``ParticularSolution.zero``.
+    ``n_x``, the h grid's size, passes ``check_grid`` at ``PARTICULAR_MIN_N_X``.
 
     Parameters
     ----------
@@ -260,8 +262,7 @@ def solve_particular(
         Eigenvalues of the section operator (the forcing is modal).
     """
     check_side(side)
-    if n_x < 17:
-        raise ResolutionError(f"particular solve needs n_x >= 17, got {n_x}")
+    check_grid(n_x, PARTICULAR_MIN_N_X)
     mu = np.asarray(operator_mu, dtype=float)
     if forcing.m != mu.size:
         raise DimensionMismatchError(f"forcing has {forcing.m} modes, operator has {mu.size}")
@@ -427,13 +428,13 @@ class SubproblemSolution:
         C = a3 - a1, D = a4 - a2, and d/dx E1 = g E1, d/dx E2 = -g E2. With
         b = E1 B, d = E2 D, p = E1 A + s1 b and n = E2 C + s2 d: u = p + n,
         u' = g (p - n) + (b - d), u'' = g^2 (p + n) + 2g (b + d) and
-        u''' = g^2 [g (p - n) + 3 (b - d)]. Points within 1e-10 of the
-        interval length outside an end are moved onto it; points farther
-        out raise ValueError.
+        u''' = g^2 [g (p - n) + 3 (b - d)]. Points within ``_ENDPOINT_TOL``
+        of the interval length outside an end (an end for ``ParticularSolution.terms``
+        too) are moved onto it; points farther out raise ValueError.
         """
         xs = np.atleast_1d(np.asarray(x, dtype=float))
         lo, hi = self.geometry.interval(self.side)
-        tol = 1e-10 * (hi - lo)
+        tol = _ENDPOINT_TOL * (hi - lo)
         if np.any(xs < lo - tol) or np.any(xs > hi + tol):
             raise ValueError(f"evaluation points outside [{lo}, {hi}] on side {self.side!r}")
         xs = np.clip(xs, lo, hi)

@@ -31,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import AnomalyError, DimensionMismatchError, ResolutionError
+from .errors import AnomalyError, DimensionMismatchError
 from .problem import (
     SIDE_MINUS,
     SIDE_PLUS,
@@ -40,10 +40,12 @@ from .problem import (
     ModalForcing,
     TransmissionProblem,
     check_diffusivities,
+    check_grid,
     check_integer,
 )
 from .section_operator import SectionOperator
 from .subproblem import (
+    PARTICULAR_MIN_N_X,
     ParticularSolution,
     SideSymbols,
     SubproblemSolution,
@@ -223,14 +225,13 @@ class InterfaceData:
     """Solved interface trace pair with its solve route and residual.
 
     ``psi1_hat``, ``psi2_hat`` are eigenbasis coordinates (what the
-    coefficient recovery consumes); ``psi1``, ``psi2`` the same pair in
-    the physical basis.
+    coefficient recovery consumes); ``psi1``, ``psi2`` map the pair to
+    the physical basis when read, so a solve that reads neither maps nothing.
     """
 
+    operator: SectionOperator
     psi1_hat: np.ndarray
     psi2_hat: np.ndarray
-    psi1: np.ndarray
-    psi2: np.ndarray
     route: str
     residual: float
 
@@ -240,6 +241,14 @@ class InterfaceData:
                 f"interface solve residual {self.residual:.3e} exceeds "
                 f"{BLOCK_RESIDUAL_TOL:g} (route {self.route!r})"
             )
+
+    @property
+    def psi1(self) -> np.ndarray:
+        return self.operator.from_modal(self.psi1_hat)
+
+    @property
+    def psi2(self) -> np.ndarray:
+        return self.operator.from_modal(self.psi2_hat)
 
 
 def solve_interface_block(operators: TransmissionOperators, phi_hat: tuple,
@@ -251,9 +260,7 @@ def solve_interface_block(operators: TransmissionOperators, phi_hat: tuple,
     see ``verification.fundamental_solve``.
     """
     psi1_hat, psi2_hat, residual = fundamental_solve(operators, phi_hat, part_minus, part_plus)
-    op = operators.operator
-    return InterfaceData(psi1_hat, psi2_hat, op.from_modal(psi1_hat), op.from_modal(psi2_hat),
-                         ROUTE_FUNDAMENTAL, residual)
+    return InterfaceData(operators.operator, psi1_hat, psi2_hat, ROUTE_FUNDAMENTAL, residual)
 
 
 def _norm(*vectors: np.ndarray) -> float:
@@ -290,8 +297,7 @@ def solve_interface_calculus(operators: TransmissionOperators,
     res1 = g * p1s * psi1_hat - p2d * psi2_hat - s1
     res2 = g * p2d * psi1_hat - p3s * psi2_hat - s2
     residual = _norm(res1, res2) / (1.0 + _norm(s1, s2))
-    return InterfaceData(psi1_hat, psi2_hat, op.from_modal(psi1_hat), op.from_modal(psi2_hat),
-                         ROUTE_CALCULUS, residual)
+    return InterfaceData(op, psi1_hat, psi2_hat, ROUTE_CALCULUS, residual)
 
 
 def leading_order_interface(operators: TransmissionOperators,
@@ -324,7 +330,7 @@ class SolveOptions:
     entry; no other report entry reads a grid. The one gate and default of
     these settings, the configuration's ``solver`` section and ``--nx``
     included: an unknown route, a non-integer count or ``probe_points < 5``
-    raises ValueError, and ``n_x < 17`` the ResolutionError of the particular solve.
+    raises ValueError, and ``n_x < 17`` the particular solve's ResolutionError (``check_grid``).
     """
 
     route: str = ROUTE_CALCULUS
@@ -334,10 +340,8 @@ class SolveOptions:
     def __post_init__(self):
         if self.route not in (ROUTE_CALCULUS, ROUTE_BOTH):
             raise ValueError(f"unknown route {self.route!r}, expected calculus|both")
-        check_integer("n_x", self.n_x)
+        check_grid(self.n_x, PARTICULAR_MIN_N_X)
         check_integer("probe_points", self.probe_points)
-        if self.n_x < 17:
-            raise ResolutionError(f"particular solve needs n_x >= 17, got {self.n_x}")
         if self.probe_points < 5:
             raise ValueError(f"need at least 5 probe points, got {self.probe_points}")
 
@@ -626,9 +630,8 @@ class TransmissionSolver:
         route_gap = 0.0
         if options.route == ROUTE_BOTH:
             check = solve_interface_block(tops, phi_hat, part_m, part_p)
-            scale = 1.0 + max(np.max(np.abs(interface.psi1)), np.max(np.abs(interface.psi2)))
-            route_gap = float(max(np.max(np.abs(interface.psi1 - check.psi1)),
-                                  np.max(np.abs(interface.psi2 - check.psi2))) / scale)
+            pair, ref = (np.stack([data.psi1, data.psi2]) for data in (interface, check))
+            route_gap = float(np.max(np.abs(pair - ref)) / (1.0 + np.max(np.abs(pair))))
         al_m = alphas_minus(tops.minus, interface.psi1_hat, interface.psi2_hat, pt_m)
         al_p = alphas_plus(tops.plus, interface.psi1_hat, interface.psi2_hat, pt_p)
         sol = TransmissionSolution(

@@ -114,3 +114,32 @@ def test_the_oracle_checks_its_inputs_through_the_problem_type():
                 if isinstance(node, ast.FunctionDef) and node.name == "direct_solve")
     assert any(isinstance(node, ast.Call) and _name(node.func) == "TransmissionProblem"
                for node in ast.walk(body)), "direct_solve does not construct a TransmissionProblem"
+
+
+def test_only_the_mode_gate_orders_an_index_against_m():
+    # problem.check_modes is the one range check of a mode index: every
+    # entry point that takes a mode calls it, so none compares an index
+    # with a section dimension `.m` itself.
+    orderings = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
+    offenders = [f"{name}:{node.lineno}" for name, node in _nodes()
+                 if name != "problem.py" and isinstance(node, ast.Compare)
+                 for op, left, right in zip(node.ops, [node.left, *node.comparators],
+                                            node.comparators)
+                 if isinstance(op, orderings)
+                 and any(isinstance(side, ast.Attribute) and side.attr == "m"
+                         for side in (left, right))]
+    assert not offenders, f"a mode index ordered against .m outside check_modes: {offenders}"
+
+
+def test_config_leaves_the_convergence_settings_to_their_gate():
+    # oracle.check_levels alone decides the convergence method and each
+    # method's least level; config.py maps its errors, so it compares no
+    # value with a method name or a grid minimum.
+    settled = {"representation", "direct", 17, 33}
+    minimums = {"PARTICULAR_MIN_N_X", "ORACLE_MIN_N_X", "CONVERGENCE_MIN_N_X"}
+    tree = dict(_trees())["config.py"]
+    offenders = [f"config.py:{node.lineno}" for node in ast.walk(tree)
+                 if isinstance(node, ast.Compare)
+                 and any((isinstance(sub, ast.Constant) and sub.value in settled)
+                         or _name(sub) in minimums for sub in ast.walk(node))]
+    assert not offenders, f"config.py re-decides a convergence setting: {offenders}"

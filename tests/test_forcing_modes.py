@@ -209,7 +209,7 @@ def test_nan_fails_every_gate(monkeypatch):
                              boundary=BoundaryData(*np.random.default_rng(0).normal(size=(4, m))))
     iface = sol.interface
     with pytest.raises(AnomalyError, match="residual"):
-        InterfaceData(iface.psi1_hat, iface.psi2_hat, iface.psi1, iface.psi2, iface.route, np.nan)
+        InterfaceData(iface.operator, iface.psi1_hat, iface.psi2_hat, iface.route, np.nan)
     tops = assemble_transmission_operators(op, GEOM, 1.0, 3.0)
     blocks = tops.det_modal_blocks.copy()
     blocks[1] = np.nan
