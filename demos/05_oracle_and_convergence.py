@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 # Manufactured ground truth against the two solvers: the representation
-# route converges at fourth order (Richardson-extrapolated particular
-# solutions), the direct finite-difference oracle at second order, and
-# the two approach each other accordingly.
+# route sits at the linear-algebra floor on every level (its particular
+# part is a chopped Chebyshev series, spectrally accurate, and n_x only
+# caps its length), the direct finite-difference oracle converges at
+# second order, and the gap between the two closes at the oracle's rate.
 
 import numpy as np
 

@@ -17,6 +17,7 @@ from typing import Optional
 import numpy as np
 import yaml
 
+from ._checks import is_integer
 from .errors import ConfigError, DimensionMismatchError, SolverError
 from .oracle import check_levels, manufactured_forced, manufactured_homogeneous
 from .problem import BoundaryData, CylinderGeometry, ModalForcing, read_forcing_csv
@@ -56,7 +57,7 @@ def _as_float(value, context: str) -> float:
 
 
 def _as_int(value, context: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+    if not is_integer(value):
         raise ConfigError(f"{context} must be an integer, got {value!r}")
     return int(value)
 
@@ -216,7 +217,7 @@ def build_case(config: RunConfig, operator: SectionOperator):
     fspec = config.forcing
     case = None
     fkind = fspec.get("kind", "zero")
-    try:  # the forcing types and manufactured cases check their own arguments
+    try:  # the forcing types, manufactured cases and the mode gate check their own arguments
         if fkind == "zero":
             forcing = ModalForcing.zero(m, geometry)
         elif fkind == "sine":
@@ -248,7 +249,7 @@ def build_case(config: RunConfig, operator: SectionOperator):
             else:
                 raise ConfigError(f"forcing.case must be forced|homogeneous, got {ckind!r}")
             forcing = case.forcing()
-    except ValueError as exc:
+    except (ValueError, DimensionMismatchError) as exc:
         raise ConfigError(f"bad forcing: {exc}") from exc
 
     bspec = config.boundary

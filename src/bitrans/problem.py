@@ -14,6 +14,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from ._checks import is_integer
 from ._spline import CubicSpline
 from .errors import DimensionMismatchError, InvalidGeometryError, ResolutionError
 from .section_operator import SectionOperator
@@ -39,7 +40,7 @@ def check_side(side: str) -> str:
 
 def check_integer(name: str, value) -> None:
     """Raise ValueError unless ``value`` is an integer (a bool is not)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+    if not is_integer(value):
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 

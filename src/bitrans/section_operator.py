@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._checks import is_integer
 from .errors import (
     HypothesisViolationError,
     InvalidGeometryError,
@@ -119,6 +120,15 @@ class SectionOperator:
         """Physical-basis vector from eigenbasis coordinates."""
         return self.eigenvectors @ vec
 
+    def from_modes(self, modes: np.ndarray, vec: np.ndarray) -> np.ndarray:
+        """Physical-basis vector from the coordinates ``vec`` of the eigenvectors ``modes``.
+
+        ``from_modal`` of coordinates that vanish outside ``modes``, at the
+        cost of len(modes) columns of the basis instead of m. ``np.dot``:
+        with one mode, ``@`` takes 2.5 to 5 times as long for the same bits.
+        """
+        return np.dot(self.eigenvectors[:, modes], vec)
+
 
 def build_dirichlet_laplacian_1d(m: int, length: float) -> SectionOperator:
     """Second-order central-difference Dirichlet Laplacian on (0, length).
@@ -142,7 +152,7 @@ def build_dirichlet_laplacian_1d(m: int, length: float) -> SectionOperator:
         The first row, sqrt(2/(m+1)) sin(k pi / (m+1)), is positive, so
         the columns already carry the sign convention of ``from_matrix``.
     """
-    if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
+    if not is_integer(m) or m < 1:
         raise InvalidGeometryError(f"interior point count must be a positive integer, got {m}")
     if not np.isfinite(length) or length <= 0:
         raise InvalidGeometryError(f"interval length must be positive, got {length}")

@@ -11,10 +11,11 @@ The coefficients a1..a4 are sums of end contributions of one end map
 and the particular slopes give the boundary-source quadruple phi~, and
 the interface values (psi1, psi2) add their end at gamma. F is the
 particular solution with homogeneous value and second-derivative
-conditions at both interval ends; it is sampled and solved on the
-forcing's declared modes only (``ModalForcing.modes``), all of them in
-one banded call per factor stage, and every other mode's F is zero, as
-is every mode's on a side without a resampler.
+conditions at both interval ends, a chopped Chebyshev series per mode;
+it is sampled and solved on the forcing's declared modes only
+(``ModalForcing.modes``), all of them in one banded call per factor stage
+and refinement round, and every other mode's F is zero, as is every
+mode's on a side without a resampler.
 Everything here is linear in the data. All operators are functions of
 M, so the coefficient algebra runs per mode on eigenbasis coordinates
 (``SideSymbols``) and fields are evaluated there too, orders 0..3 in one
@@ -25,21 +26,24 @@ value is read.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from functools import lru_cache
+from itertools import accumulate
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from ._scipy import solve_banded
-from ._spline import CubicSpline
 from .errors import DimensionMismatchError
 from .problem import SIDE_MINUS, CylinderGeometry, ModalForcing, check_grid, check_side
 from .section_operator import SectionOperator
 from .symbols import interval_symbols
 
-# 4th-order one-sided 5-point first-derivative stencils (left end / right end).
-_D1_LEFT = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
 _ENDPOINT_TOL = 1e-10
 PARTICULAR_MIN_N_X = 17
+# A mode's Chebyshev series chops at the first length where the tails of
+# its forcing, w and F are all at most CHOP_TOL of their largest coefficient.
+CHOP_TOL = 1e-14
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -83,33 +87,26 @@ def side_symbols(operator: SectionOperator, delta: float) -> SideSymbols:
     return SideSymbols(g=operator.generator_eigenvalues, delta=delta, e=e, u=u, v=v, f=tuple(f))
 
 
-def _one_sided_derivative(field: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """4th-order one-sided first derivatives at both ends of (m, n) samples."""
-    left = field[:, :5] @ _D1_LEFT / h
-    # The stencil is negated, not the product, so a zero row gives +0.0 as
-    # ParticularSolution.zero does.
-    right = field[:, -1:-6:-1] @ -_D1_LEFT / h
-    return left, right
-
-
 @dataclass(frozen=True)
 class ParticularSolution:
     """Particular solution F of one interval with F = F'' = 0 at both ends.
 
     ``active`` lists the forced modes, and ``f_modal``, ``w_modal`` hold
-    their fields F and w = F'' + mu F on the interval grid, one row per
-    entry of ``active``; every other mode's F is exactly zero. The
-    endpoint first-derivative traces and the third-derivative traces
-    F''' = w' - mu F' (exact identity of the factorized problem) are
-    vectors over all m modes. The ``error_estimate`` is the relative
-    size of the Richardson correction, an observed bound for the
-    remaining discretization error. One spline interpolates F and w of
-    the active rows together.
+    the Chebyshev-T coefficients of their F and w = F'' + mu F on the
+    interval (mapped onto [-1, 1]), one row per entry of ``active``; a row
+    is as long as its mode needed and zero past that. Every other mode's F
+    is exactly zero. The endpoint first-derivative traces and the
+    third-derivative traces F''' = w' - mu F' (exact identity of the
+    factorized problem) are vectors over all m modes, summed from the
+    coefficients. ``error_estimate`` is the largest relative coefficient
+    tail of the active rows (``_tail``): rounding level where every row
+    chopped, the unresolved tail where a row reached the length cap, and
+    the tail of its last half where the cap is below the row's
+    ``_layer_length``.
     """
 
     side: str
     geometry: CylinderGeometry
-    grid: np.ndarray
     f_modal: np.ndarray
     w_modal: np.ndarray
     fprime_left: np.ndarray
@@ -118,11 +115,6 @@ class ParticularSolution:
     f3_right: np.ndarray
     error_estimate: float
     active: np.ndarray
-
-    def __post_init__(self):
-        if self.active.size:
-            object.__setattr__(self, "_spline",
-                               CubicSpline(self.grid, np.vstack([self.f_modal, self.w_modal])))
 
     @property
     def m(self) -> int:
@@ -140,95 +132,223 @@ class ParticularSolution:
     def terms(self, xs: np.ndarray, mu: np.ndarray) -> np.ndarray:
         """Modal F-terms of derivative orders 0..3 at the points ``xs``, shape (4, m, k).
 
-        Interior values take two evaluations of the [F; w] spline: F and
-        F' are orders 0 and 1, w - mu F and w' - mu F' orders 2 and 3. At
-        the ends, odd orders use the stored traces exactly and even orders
-        the built-in homogeneous conditions F = F'' = 0. Rows outside
-        ``active`` are 0 and are not sampled.
+        Interior values are one product of the [F; w] coefficients with
+        T_k and T_k' at the points (T_k(cos t) = cos kt, T_k'(cos t) =
+        k sin kt / sin t, from the powers of e^{it}): F and F' are orders
+        0 and 1, w - mu F and w' - mu F' orders 2 and 3. Points within
+        ``_ENDPOINT_TOL`` of the interval length of an end take the end:
+        odd orders the stored traces exactly, even orders the built-in
+        homogeneous conditions F = F'' = 0. Rows outside ``active`` are 0.
         """
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
         out = np.zeros((4, self.m, xs.size))
         rows = self.active
         if not rows.size:
             return out
-        lo, hi = self.grid[0], self.grid[-1]
-        tol = _ENDPOINT_TOL * (hi - lo)
-        at_lo = np.abs(xs - lo) <= tol
-        at_hi = np.abs(xs - hi) <= tol
+        lo, hi = self.geometry.interval(self.side)
+        half, tol = 0.5 * (hi - lo), _ENDPOINT_TOL * (hi - lo)
+        at_lo, at_hi = xs - lo <= tol, hi - xs <= tol
         inner = ~(at_lo | at_hi)
-        x_in = xs[inner]
+        z = np.exp(1j * np.arccos((xs[inner] - lo) / half - 1.0))
+        powers = np.empty((self.f_modal.shape[1], z.size), dtype=complex)
+        powers[0], powers[1:] = 1.0, z
+        powers = np.cumprod(powers, axis=0)  # e^{ik theta}: cos and sin of k theta
+        k = np.arange(powers.shape[0])[:, None]
+        basis = np.hstack([powers.real, k * powers.imag / (half * z.imag)])
+        vals = np.vstack([self.f_modal, self.w_modal]) @ basis  # [F, F'; w, w'] by rows
+        f, w = vals.reshape(2, rows.size, 2, -1).transpose(0, 2, 1, 3)  # (value, slope) first
         part = np.zeros((4, rows.size, xs.size))
-        for nu in (0, 1):
-            f_nu, w_nu = np.split(self._spline(x_in, nu), 2)
-            part[nu][:, inner] = f_nu
-            part[nu + 2][:, inner] = w_nu - mu[rows, None] * f_nu
-        for order, left, right in ((1, self.fprime_left, self.fprime_right),
-                                   (3, self.f3_left, self.f3_right)):
-            part[order][:, at_lo] = left[rows, None]
-            part[order][:, at_hi] = right[rows, None]
+        part[:2, :, inner] = f
+        part[2:, :, inner] = w - mu[rows, None] * f
+        part[1::2, :, at_lo] = np.array([self.fprime_left[rows], self.f3_left[rows]])[..., None]
+        part[1::2, :, at_hi] = np.array([self.fprime_right[rows], self.f3_right[rows]])[..., None]
         out[:, rows] = part
         return out
 
     @classmethod
-    def zero(cls, side: str, geometry: CylinderGeometry, m: int, n_x: int = 33):
-        # No active mode: empty field tables and zero traces.
-        grid = geometry.grid(side, n_x)
+    def zero(cls, side: str, geometry: CylinderGeometry, m: int):
+        # No active mode: empty coefficient tables and zero traces.
         zm = np.zeros(m)
-        return cls(side, geometry, grid, np.zeros((0, n_x)), np.zeros((0, n_x)), zm, zm.copy(),
+        return cls(side, geometry, np.zeros((0, 0)), np.zeros((0, 0)), zm, zm.copy(),
                    zm.copy(), zm.copy(), 0.0, np.zeros(0, dtype=int))
 
 
-def _solve_factorized(mu: np.ndarray, grids: tuple, fhats: tuple) -> list:
-    """Dirichlet solve of u'''' + 2 mu_j u'' + mu_j^2 u = fhat_j for every row j on every grid.
+class _Layout(NamedTuple):
+    """The O(n) constants of a length-n stage solve (``_layout``).
 
-    Per row the operator factors as (d^2/dx^2 + mu_j)^2: w solves
-    w'' + mu_j w = fhat_j and F solves F'' + mu_j F = w, both with zero
-    ends. Each stage is one block-diagonal tridiagonal system over all
-    rows and grids: the bands (-2/h^2 + mu_j) diag, 1/h^2 off, with the h
-    of the block's grid, are stacked with zero coupling across blocks, so
-    every block eliminates exactly as it would alone, and mu_j < 0 keeps
-    each block strictly diagonally dominant. Returns one (F, w) pair per
-    grid, on the full grid with the zero ends; no rows means no solve.
+    ``points`` are the n Chebyshev extreme points -cos(pi j / (n - 1)) of
+    [-1, 1], ascending and exactly antisymmetric; for n = 2^k + 1 the
+    points of n nest in those of 2n - 1. ``dct`` turns the real FFT of
+    the samples' even extension into T coefficients. A solve runs in
+    parity order: the even coefficient indices, then the odd ones
+    (``even`` of them); ``natural`` gathers natural order back. ``fixed``
+    + lam ``slope`` are the (3, n) bands, ``rows`` the solve position of
+    each equation row j = 0..n-3, ``unit`` the e_0 of each block, and
+    ``s1s0`` the three diagonals of S1 S0 (``_layout``). ``block`` is the
+    parity block of each position, and ``slopes`` holds T_k'(-1) =
+    (-1)^(k+1) k^2 and T_k'(1) = k^2.
     """
-    k = mu.size
-    bands = []
-    for grid in grids:
-        h, n_int = grid[1] - grid[0], grid.size - 2
-        ab = np.empty((3, k * n_int))
-        ab[0] = ab[2] = 1.0 / h**2
-        ab[0, ::n_int] = 0.0
-        ab[2, n_int - 1::n_int] = 0.0
-        ab[1] = np.repeat(-2.0 / h**2 + mu, n_int)
-        bands.append(ab)
-    ab = np.hstack(bands)
-    cuts = np.cumsum([band.shape[1] for band in bands])[:-1]
 
-    def stage(blocks):
-        if not k:
-            return blocks
-        sol = solve_banded((1, 1), ab, np.concatenate([block.ravel() for block in blocks]))
-        return [part.reshape(k, -1) for part in np.split(sol, cuts)]
-
-    w_int = stage([fhat[:, 1:-1] for fhat in fhats])
-    f_int = stage(w_int)
-    out = []
-    for fhat, f_in, w_in in zip(fhats, f_int, w_int):
-        f, w = np.zeros(fhat.shape), np.zeros(fhat.shape)
-        f[:, 1:-1], w[:, 1:-1] = f_in, w_in
-        out.append((f, w))
-    return out
+    points: np.ndarray
+    dct: np.ndarray
+    natural: np.ndarray
+    even: int
+    fixed: np.ndarray
+    slope: np.ndarray
+    rows: np.ndarray
+    unit: np.ndarray
+    s1s0: np.ndarray
+    block: np.ndarray
+    slopes: np.ndarray
 
 
-def _end_traces(rows: np.ndarray, field: np.ndarray, m: int, h: float):
-    """One-sided end derivatives of the active rows' (k, n) ``field``, as (m,) vectors.
+@lru_cache(maxsize=32)
+def _layout(n: int) -> _Layout:
+    """Bands of D2 - lam S1 S0 with one boundary row per parity, for u'' - lam u = g, u(+-1) = 0.
 
-    The stencils run on an (m, 10) slab of the first and last five
-    columns with each active row at its mode's index, so a mode's traces
-    round the same whichever other modes are active.
+    In T to C^(2) coefficients D2 c_j = 2 (j + 2) c_{j+2}, and S1 S0 has
+    the offsets 0, 2, 4: (S1 S0 c)_j = s0_j c_j / (j + 1)
+    - (1 / (j + 1) + 1 / (j + 3)) c_{j+2} / 2 + c_{j+4} / (2 (j + 3)),
+    s0 = 1 at j = 0 and 1/2 after (S0: T_0 = C^(1)_0, T_k = (C^(1)_k -
+    C^(1)_{k-2}) / 2; S1: C^(1)_k = (C^(2)_k - C^(2)_{k-2}) / (k + 1)).
+    In parity order the equation row j touches the neighbouring positions
+    of one block only, so below each block's boundary row (u(1) + u(-1)
+    for the even block, u(1) - u(-1) for the odd one: the sum of the
+    block's coefficients) the system is tridiagonal. The boundary row
+    keeps its first two ones here, and ``_bordered`` adds the rest. The
+    bands are in ``solve_banded((1, 1))`` layout with zero coupling into
+    the next block or row.
     """
-    slab = np.zeros((m, 10))
-    slab[rows, :5], slab[rows, 5:] = field[:, :5], field[:, -5:]
-    return _one_sided_derivative(slab, h)
+    order = np.concatenate([np.arange(0, n, 2), np.arange(1, n, 2)])
+    even = (n + 1) // 2
+    j = order - 2.0  # the equation row held at each position below a boundary row
+    firsts = [0, even]
+    j[firsts] = 0.0
+    sub = -np.where(j == 0.0, 1.0, 0.5) / (j + 1.0)
+    sup = -0.5 / (j + 3.0)
+    sup[[even - 1, n - 1]] = 0.0
+    fixed, slope = np.zeros((3, n)), np.zeros((3, n))
+    fixed[1], slope[1] = 2.0 * (j + 2.0), 0.5 / (j + 1.0) + 0.5 / (j + 3.0)
+    slope[0, 1:], slope[2, :-1] = sup[:-1], sub[1:]
+    slope[2, even - 1] = slope[2, -1] = 0.0
+    fixed[1, firsts] = fixed[0, [1, even + 1]] = 1.0
+    slope[1, firsts] = slope[0, [1, even + 1]] = 0.0
+    unit = np.zeros(n)
+    unit[firsts] = 1.0
+    eq = np.arange(n - 2.0)
+    s1s0 = np.stack([np.where(eq == 0.0, 1.0, 0.5) / (eq + 1.0),
+                     -0.5 / (eq + 1.0) - 0.5 / (eq + 3.0), 0.5 / (eq + 3.0)])
+    k = np.arange(n)
+    sign = np.where(k % 2, -1.0, 1.0)  # the points ascend: T_k(-t) = (-1)^k T_k(t)
+    dct = sign / (n - 1)
+    dct[[0, -1]] *= 0.5
+    natural = np.argsort(order)
+    arrays = _Layout(np.sin(0.5 * np.pi * np.arange(1 - n, n, 2) / (n - 1)), dct, natural, even,
+                     fixed, slope, natural[2:], unit, s1s0, (np.arange(n) >= even).astype(int),
+                     np.stack([-sign * k**2, k**2.0]))
+    for arr in arrays:
+        if isinstance(arr, np.ndarray):
+            arr.flags.writeable = False
+    return arrays
+
+
+def _coefficients(values: np.ndarray, lay: _Layout) -> np.ndarray:
+    """Chebyshev-T coefficients of the interpolants of the rows of ``values``, at ``lay.points``.
+
+    One real FFT of the even extension (a DCT-I), row by row, so a row's
+    coefficients do not depend on the other rows.
+    """
+    return np.fft.rfft(np.hstack([values, values[:, -2:0:-1]]), axis=1).real * lay.dct
+
+
+def _tail(coeffs: np.ndarray, share: int = 8) -> np.ndarray:
+    """Along the last axis: the largest of the last max(2, n // share) coefficients, over the largest.
+
+    Zeros have tail 0. The window holds both parities, so a series that
+    is even or odd in x still shows its tail.
+    """
+    size = np.abs(coeffs)
+    window = size[..., -max(2, coeffs.shape[-1] // share):].max(axis=-1)
+    return window / np.maximum(size.max(axis=-1), _TINY)
+
+
+def _layer_length(lam: np.ndarray) -> np.ndarray:
+    """Chebyshev length that resolves the boundary layers of a stage with parameter lam.
+
+    The stage solutions carry boundary layers e^{-sqrt(lam) (1 +- t)},
+    whose coefficients fall like exp(-k^2 / (2 sqrt(lam))): about
+    9.5 lam^(1/4) of them reach a tail below ``CHOP_TOL``.
+    """
+    return 9.5 * lam**0.25
+
+
+def _start_length(lam: float, n_x: int) -> int:
+    """First Chebyshev length of a row: the fewest 16 * 2^k + 1 points that cover ``_layer_length``.
+
+    Capped at ``n_x``.
+    """
+    n = 17
+    while n < min(_layer_length(lam), n_x):
+        n = 2 * n - 1
+    return min(n, n_x)
+
+
+def _stage_rhs(g: np.ndarray, lay: _Layout, scale: float) -> np.ndarray:
+    """``scale`` S1 S0 g at the equation rows of ``lay``, 0 at its boundary rows.
+
+    ``g`` holds T coefficients in natural order.
+    """
+    c2 = g[:, :-2] * lay.s1s0[0] + g[:, 2:] * lay.s1s0[1]
+    c2[:, :-2] += g[:, 4:] * lay.s1s0[2, :-2]
+    rhs = np.zeros(g.shape)
+    rhs[:, lay.rows] = scale * c2
+    return rhs
+
+
+def _bordered(y: np.ndarray, z: np.ndarray, lay: _Layout) -> np.ndarray:
+    """Sherman-Morrison: the natural-order solution with each boundary row whole.
+
+    Per parity block the system is T + e_0 v^T with v the block's ones
+    past its first two entries; ``y`` solves T with the right-hand side
+    and ``z`` with e_0 (both in parity order), so the solution is
+    y - z (v.y) / (1 + v.z).
+    """
+    cuts = [2, lay.even, lay.even + 2]
+    sums_y, sums_z = (np.add.reduceat(v, cuts, axis=1)[:, ::2] for v in (y, z))
+    ratio = sums_y / (1.0 + sums_z)
+    return (y - z * ratio[:, lay.block])[:, lay.natural]
+
+
+def _solve_groups(lams: list, fhats: list, scale: float) -> list:
+    """Both Dirichlet stages, w from fhat and then F from w, for groups of rows of one length each.
+
+    ``lams`` and ``fhats`` hold each group's (k,) lam and (k, n) forcing
+    coefficients. Every block of every row goes into one
+    ``solve_banded`` call per stage, with zero coupling between blocks, so
+    a row eliminates exactly as it would alone. The first call also
+    solves for the e_0 columns of ``_bordered``, which the second reuses.
+    The bands and right-hand sides are finite by construction (the
+    samples pass ``sample_modes``' check), so the solves skip scipy's
+    finiteness scan. Returns each group's natural-order (F, w)
+    coefficients, shape (2, k, n).
+    """
+    lays = [_layout(fhat.shape[1]) for fhat in fhats]
+    ends = list(accumulate(fhat.size for fhat in fhats))
+    spans = [slice(end - fhat.size, end) for end, fhat in zip(ends, fhats)]  # each group's unknowns
+    ab = np.concatenate([(lay.fixed[:, None] + lam[:, None] * lay.slope[:, None]).reshape(3, -1)
+                         for lay, lam in zip(lays, lams)], axis=1)
+    rhs = np.empty((ends[-1], 2))
+    for span, g, lay in zip(spans, fhats, lays):
+        rhs[span, 0] = _stage_rhs(g, lay, scale).ravel()
+        rhs[span, 1] = np.tile(lay.unit, g.shape[0])
+    sol = solve_banded((1, 1), ab, rhs, check_finite=False)
+    zs = [sol[span, 1].reshape(g.shape) for span, g in zip(spans, fhats)]
+    ws = [_bordered(sol[span, 0].reshape(g.shape), z, lay)
+          for span, z, g, lay in zip(spans, zs, fhats, lays)]
+    rhs = np.concatenate([_stage_rhs(w, lay, scale).ravel() for w, lay in zip(ws, lays)])
+    sol = solve_banded((1, 1), ab, rhs, check_finite=False)
+    return [np.stack([_bordered(sol[span].reshape(w.shape), z, lay), w])
+            for span, z, w, lay in zip(spans, zs, ws, lays)]
 
 
 def solve_particular(
@@ -241,20 +361,20 @@ def solve_particular(
     """Solve the homogeneous-ends particular problem on one interval.
 
     The problem decouples by mode, and only the forcing's declared
-    ``modes`` are sampled, once, on the h/2 grid, whose every other node
-    is the h grid bit for bit (halving the step is exact). A declared mode
-    whose samples are zero has F = 0 exactly; only the other (active)
-    modes are solved.
-    Per mode mu the fourth-order equation factors as (d^2/dx^2 + mu)^2,
-    giving two successive Dirichlet solves, each one block-banded solve
-    over the active modes on the h and h/2 grids together; both are
-    coercive since mu < 0. Fields and traces are Richardson-extrapolated
-    from the two central-difference solutions; first-derivative traces
-    use one-sided 4th-order stencils on the extrapolated fields and the
-    third-derivative traces use F''' = w' - mu F'. A side without active
-    modes makes no solve and builds no spline, and a side without a
-    resampler is not even sampled: it returns ``ParticularSolution.zero``.
-    ``n_x``, the h grid's size, passes ``check_grid`` at ``PARTICULAR_MIN_N_X``.
+    ``modes`` are sampled, once per Chebyshev length used. Per mode mu the fourth-order equation factors
+    as (d^2/dx^2 + mu)^2, giving two Dirichlet stages, w'' + mu w = f and
+    F'' + mu F = w, each solved by the ultraspherical method (Olver and
+    Townsend) in Chebyshev-T coefficients: O(n) per mode, one banded call
+    per stage over all pending modes (``_solve_groups``). A mode starts at
+    ``_start_length`` and refines n -> 2n - 1 (the points nest) until the
+    coefficient tails of its forcing, w and F all chop (``_tail`` at most
+    ``CHOP_TOL``) or its length reaches the cap ``n_x``. A mode's lengths
+    depend on its own data alone, so its result does not depend on which
+    other modes are active. A declared mode whose samples are zero has
+    F = 0 exactly and is dropped. The traces F' and F''' = w' - mu F' are
+    summed from the coefficients. A side without a resampler is not even
+    sampled: it returns ``ParticularSolution.zero``. ``n_x``, the largest
+    Chebyshev length, passes ``check_grid`` at ``PARTICULAR_MIN_N_X``.
 
     Parameters
     ----------
@@ -267,29 +387,55 @@ def solve_particular(
     if forcing.m != mu.size:
         raise DimensionMismatchError(f"forcing has {forcing.m} modes, operator has {mu.size}")
     if forcing.vanishes(side):
-        return ParticularSolution.zero(side, geometry, mu.size, n_x)
-    grid_f = geometry.grid(side, 2 * n_x - 1)
-    fhat_f = forcing.sample_modes(side, grid_f)
-    grid_c, fhat_c = grid_f[::2], fhat_f[:, ::2]
-    keep = np.any(fhat_f, axis=1)
-    active = forcing.modes[keep]
-    (f_c, w_c), (f_f, w_f) = _solve_factorized(mu[active], (grid_c, grid_f),
-                                               (fhat_c[keep], fhat_f[keep]))
-    corr_f = (f_f[:, ::2] - f_c) / 3.0
-    f_x = f_f[:, ::2] + corr_f  # = (4 f_fine - f_coarse) / 3 on coarse nodes
-    w_x = w_f[:, ::2] + (w_f[:, ::2] - w_c) / 3.0
-    h = grid_c[1] - grid_c[0]
-    fp_l, fp_r = _end_traces(active, f_x, mu.size, h)
-    wp_l, wp_r = _end_traces(active, w_x, mu.size, h)
-    scale = 1.0 + np.max(np.abs(f_x), initial=0.0)
-    estimate = (float(np.max(np.abs(corr_f), initial=0.0) / scale)
-                if np.any(fhat_c) else 0.0)
+        return ParticularSolution.zero(side, geometry, mu.size)
+    lo, hi = geometry.interval(side)
+    half = 0.5 * (hi - lo)
+    modes = forcing.modes
+    lam = -half**2 * mu[modes]
+    lengths = [_start_length(value, n_x) for value in lam.tolist()]
+    short = (_layer_length(lam) > n_x).tolist()
+    pending = list(range(modes.size))
+    done = {}  # declared row -> ((F, w), (F, w)' at (lo, hi), tail)
+    samples = {}  # length -> every declared row at its points, sampled once
+    while pending:
+        groups = {}
+        for row in pending:
+            groups.setdefault(lengths[row], []).append(row)
+        groups = sorted(groups.items())
+        for n, _ in groups:
+            if n not in samples:
+                samples[n] = forcing.sample_modes(side, lo + half * (1.0 + _layout(n).points))
+        fhats = [_coefficients(samples[n][rows], _layout(n)) for n, rows in groups]
+        solved = _solve_groups([lam[rows] for _, rows in groups], fhats, half**2)
+        pending = []
+        for (n, rows), fhat, fw in zip(groups, fhats, solved):
+            tails = _tail(np.stack([fhat, *fw])).max(axis=0).tolist()
+            # One row per (F or w, mode, end), summed along its 2-D row so that a
+            # mode's sums round the same whichever other modes are present.
+            ends = (fw[:, :, None] * _layout(n).slopes).reshape(-1, n).sum(axis=1) / half
+            ends = ends.reshape(2, len(rows), 2)
+            for i, row in enumerate(rows):
+                if tails[i] > CHOP_TOL and n < n_x:
+                    lengths[row] = min(2 * n - 1, n_x)
+                    pending.append(row)
+                elif fhat[i].any():
+                    # Capped below its layer length, a row's last eighth can sit at
+                    # rounding level while its layers are unresolved: it reports
+                    # the tail of its last half instead.
+                    tail = _tail(np.stack([fhat[i], *fw[:, i]]), 2).max() if short[row] else tails[i]
+                    done[row] = (fw[:, i], ends[:, i], float(tail))
+    keep = sorted(done)
+    tables = np.zeros((2, len(keep), max((lengths[row] for row in keep), default=0)))
+    traces = np.zeros((2, 2, mu.size))  # (F', w') at (lo, hi)
+    for i, row in enumerate(keep):
+        tables[:, i, :lengths[row]], traces[:, :, modes[row]] = done[row][:2]
+    (fp_l, fp_r), (wp_l, wp_r) = traces
     return ParticularSolution(
-        side=side, geometry=geometry, grid=grid_c,
-        f_modal=f_x, w_modal=w_x,
+        side=side, geometry=geometry, f_modal=tables[0], w_modal=tables[1],
         fprime_left=fp_l, fprime_right=fp_r,
         f3_left=wp_l - mu * fp_l, f3_right=wp_r - mu * fp_r,
-        error_estimate=estimate, active=active,
+        error_estimate=max((done[row][-1] for row in keep), default=0.0),
+        active=modes[keep],
     )
 
 

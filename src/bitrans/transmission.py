@@ -444,14 +444,16 @@ def residual_report(solution: TransmissionSolution) -> ResidualReport:
     ``solution.options.probe_points`` points per side, with F'''' the
     central difference of F''' (``ParticularSolution.terms``); its only
     nonzero rows are ``particular.active`` and, on a forced side, the
-    forcing's declared ``modes``. A side with neither reads exactly 0.
-    The four outer boundary conditions and the interface continuity of u
-    and u' read the closed-form end values of ``end_values``, and the
-    flux transmission conditions the closed-form traces of
-    ``interface_fluxes``. Every term is formed in the eigenbasis, where A
-    acts as the per-mode factor mu_j, and all of them reach the physical
-    basis through one product; each entry is the scaled sup norm of its
-    physical residual.
+    forcing's declared ``modes``, and only those rows are formed and
+    mapped (``SectionOperator.from_modes``). A side with neither reads
+    exactly 0. The four outer boundary conditions and the interface
+    continuity of u and u' read the closed-form end values of
+    ``end_values``, and the flux transmission conditions the closed-form
+    traces of ``interface_fluxes``. Every term is formed in the
+    eigenbasis, where A acts as the per-mode factor mu_j; the end values
+    reach the physical basis through one product, and each side's
+    equation terms through one more. Each entry is the scaled sup norm of
+    its physical residual.
 
     ``det_gap`` compares the per-mode determinant from the block symbols
     with the determinant symbol; on ``both`` it is the larger of that and
@@ -489,12 +491,14 @@ def residual_report(solution: TransmissionSolution) -> ResidualReport:
         "t2m": t2m, "t2p": t2p, "tc2_flux2": km * t2m - kp * t2p,
         "t3m": t3m, "t3p": t3p, "tc2_flux3": km * t3m - kp * t3p,
     }
-    blocks = [np.array(list(columns.values())).T]  # (m, 16), contiguous columns
+    phys_ends = op.from_modal(np.array(list(columns.values())).T).T  # one row per entry
 
     # The particular part's terms F'''' (a central difference of F'''),
-    # A F'', A^2 F and f on the probe interior, for each side with a
-    # forcing or an active row; the other sides read exactly 0.
-    eq_budget, eq_sides = 0.0, []
+    # A F'', A^2 F and f on the probe interior, on the rows that can be
+    # nonzero: the active rows and, on a forced side, the declared modes.
+    # They reach the physical basis through those eigenvectors alone; a
+    # side without such rows reads exactly 0.
+    eq_budget = 0.0
     max_g = -op.generator_eigenvalues[0]  # the eigenvalues ascend
     n_probe = solution.options.probe_points
     for side, sub in ((SIDE_MINUS, solution.minus), (SIDE_PLUS, solution.plus)):
@@ -502,25 +506,27 @@ def residual_report(solution: TransmissionSolution) -> ResidualReport:
         eq_budget = max(eq_budget, 5.0 * h**2 * max_g)
         part = sub.particular
         forced = not forcing.vanishes(side)
-        if not forced and (part is None or not part.active.size):
+        nonzero = np.zeros(op.m, dtype=bool)
+        if part is not None:
+            nonzero[part.active] = True
+        if forced:
+            nonzero[forcing.modes] = True
+        rows = np.flatnonzero(nonzero)
+        if not rows.size:
             continue
         xs = prob.geometry.grid(side, n_probe)
-        terms = (np.zeros((4, op.m, xs.size)) if part is None
-                 else part.terms(xs, op.eigenvalues))
-        blocks += [(terms[3, :, 2:] - terms[3, :, :-2]) / (2.0 * h),
-                   mu * terms[2, :, 1:-1], mu**2 * terms[0, :, 1:-1],
-                   forcing.sample(side, xs[1:-1]) if forced else np.zeros((op.m, xs.size - 2))]
-        eq_sides.append(side)
-    eq_budget = max(eq_budget, 10.0 * bvp_est, 1e-11)
-
-    phys = op.from_modal(np.hstack(blocks) if len(blocks) > 1 else blocks[0])
-    phys_ends = phys[:, :len(columns)].T  # one row per entry of columns
-    phys_eq = phys[:, len(columns):].reshape(op.m, len(eq_sides), 4, n_probe - 2)
-    for i, side in enumerate(eq_sides):
-        d4, au2, a2u0, fvals = (phys_eq[:, i, j] for j in range(4))
+        terms = (np.zeros((4, rows.size, xs.size)) if part is None
+                 else part.terms(xs, op.eigenvalues)[:, rows])
+        mu_rows = mu[rows]
+        block = np.concatenate([(terms[3, :, 2:] - terms[3, :, :-2]) / (2.0 * h),
+                                mu_rows * terms[2, :, 1:-1], mu_rows**2 * terms[0, :, 1:-1],
+                                forcing.sample(side, xs[1:-1])[rows] if forced
+                                else np.zeros((rows.size, xs.size - 2))], axis=1)
+        d4, au2, a2u0, fvals = op.from_modes(rows, block).reshape(op.m, 4, -1).transpose(1, 0, 2)
         ref = max(np.max(np.abs(d4)), 2.0 * np.max(np.abs(au2)),
                   np.max(np.abs(a2u0)), np.max(np.abs(fvals)))
         entries["eq_" + side] = _scaled_sup(d4 + 2.0 * au2 + a2u0 - fvals, ref)
+    eq_budget = max(eq_budget, 10.0 * bvp_est, 1e-11)
 
     # One reduction for the boundary residuals, the data's scale and every end column.
     data = np.array([bc.phi1_minus, bc.phi2_minus, bc.phi1_plus, bc.phi2_plus])

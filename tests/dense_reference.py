@@ -1,10 +1,12 @@
-"""Dense m x m build of the interface operators, a test helper.
+"""Dense and finite-difference references, a test helper.
 
 The solver works mode by mode and never forms these matrices. The tests
 that check the spectral calculus, the block identities and the per-mode
 inversion against an independent dense construction build them here, as
 m x m matrices from semigroup matrices and dense solves, without the
-scalar symbols: O(m^3), so only at small m.
+scalar symbols: O(m^3), so only at small m. The finite-difference
+particular part (``fd_particular``) is the reference the Chebyshev
+particular part is compared with.
 """
 
 from __future__ import annotations
@@ -13,7 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from bitrans import EvaluationError
+from bitrans import SIDE_MINUS, EvaluationError
+from bitrans._scipy import solve_banded
+from bitrans._spline import CubicSpline
 
 
 def apply_function(operator, g, tag: str = "") -> np.ndarray:
@@ -196,3 +200,152 @@ def particular_eq(solution, side: str) -> float:
     u0, u2, u3 = (op.eigenvectors @ terms[order] for order in (0, 2, 3))
     fvals = op.eigenvectors @ solution.problem.forcing.sample(side, xs[1:-1])
     return _equation_residual(op.matrix, u0, u2, u3, fvals, xs[1] - xs[0])
+
+
+# -- The finite-difference particular part, kept as a reference --------------
+#
+# Two central-difference Dirichlet solves per mode on the h and h/2 grids,
+# one Richardson step, 4th-order one-sided end stencils and one cubic
+# spline of [F; w]. Fourth-order accurate; the solver's Chebyshev path
+# (``bitrans.solve_particular``) replaced it, and tests compare the two.
+
+_D1_LEFT = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
+
+
+@dataclass(frozen=True)
+class FDParticular:
+    """The finite-difference particular part, with the interface of ``ParticularSolution``.
+
+    ``f_modal`` and ``w_modal`` hold F and w = F'' + mu F of the active
+    rows on ``grid``; ``error_estimate`` is the relative size of the
+    Richardson correction.
+    """
+
+    side: str
+    geometry: object
+    grid: np.ndarray
+    f_modal: np.ndarray
+    w_modal: np.ndarray
+    fprime_left: np.ndarray
+    fprime_right: np.ndarray
+    f3_left: np.ndarray
+    f3_right: np.ndarray
+    error_estimate: float
+    active: np.ndarray
+
+    def __post_init__(self):
+        if self.active.size:
+            object.__setattr__(self, "_spline",
+                               CubicSpline(self.grid, np.vstack([self.f_modal, self.w_modal])))
+
+    @property
+    def m(self) -> int:
+        return self.fprime_left.size
+
+    @property
+    def fprime_interface(self) -> np.ndarray:
+        return self.fprime_right if self.side == SIDE_MINUS else self.fprime_left
+
+    @property
+    def f3_interface(self) -> np.ndarray:
+        return self.f3_right if self.side == SIDE_MINUS else self.f3_left
+
+    def terms(self, xs, mu) -> np.ndarray:
+        """Orders 0..3 at ``xs``, shape (4, m, k): two evaluations of the [F; w] spline inside,
+        the stored traces (odd orders) and F = F'' = 0 (even orders) at the ends."""
+        xs = np.atleast_1d(np.asarray(xs, dtype=float))
+        out = np.zeros((4, self.m, xs.size))
+        rows = self.active
+        if not rows.size:
+            return out
+        lo, hi = self.grid[0], self.grid[-1]
+        tol = 1e-10 * (hi - lo)
+        at_lo, at_hi = np.abs(xs - lo) <= tol, np.abs(xs - hi) <= tol
+        inner = ~(at_lo | at_hi)
+        part = np.zeros((4, rows.size, xs.size))
+        for nu in (0, 1):
+            f_nu, w_nu = np.split(self._spline(xs[inner], nu), 2)
+            part[nu][:, inner] = f_nu
+            part[nu + 2][:, inner] = w_nu - mu[rows, None] * f_nu
+        for order, left, right in ((1, self.fprime_left, self.fprime_right),
+                                   (3, self.f3_left, self.f3_right)):
+            part[order][:, at_lo] = left[rows, None]
+            part[order][:, at_hi] = right[rows, None]
+        out[:, rows] = part
+        return out
+
+
+def _fd_factorized(mu: np.ndarray, grids: tuple, fhats: tuple) -> list:
+    """Dirichlet solves of (d^2 + mu_j)^2 u = fhat_j as w'' + mu w = fhat, F'' + mu F = w, per grid.
+
+    Each stage is one block-diagonal tridiagonal system over all rows and
+    grids, with zero coupling across blocks. Returns one (F, w) pair per
+    grid, with the zero ends.
+    """
+    k = mu.size
+    bands = []
+    for grid in grids:
+        h, n_int = grid[1] - grid[0], grid.size - 2
+        ab = np.empty((3, k * n_int))
+        ab[0] = ab[2] = 1.0 / h**2
+        ab[0, ::n_int] = 0.0
+        ab[2, n_int - 1::n_int] = 0.0
+        ab[1] = np.repeat(-2.0 / h**2 + mu, n_int)
+        bands.append(ab)
+    ab = np.hstack(bands)
+    cuts = np.cumsum([band.shape[1] for band in bands])[:-1]
+
+    def stage(blocks):
+        if not k:
+            return blocks
+        sol = solve_banded((1, 1), ab, np.concatenate([block.ravel() for block in blocks]))
+        return [part.reshape(k, -1) for part in np.split(sol, cuts)]
+
+    w_int = stage([fhat[:, 1:-1] for fhat in fhats])
+    f_int = stage(w_int)
+    out = []
+    for fhat, f_in, w_in in zip(fhats, f_int, w_int):
+        f, w = np.zeros(fhat.shape), np.zeros(fhat.shape)
+        f[:, 1:-1], w[:, 1:-1] = f_in, w_in
+        out.append((f, w))
+    return out
+
+
+def _fd_end_traces(rows: np.ndarray, field: np.ndarray, m: int, h: float):
+    """4th-order one-sided end derivatives of the active rows, as (m,) vectors."""
+    slab = np.zeros((m, 10))
+    slab[rows, :5], slab[rows, 5:] = field[:, :5], field[:, -5:]
+    return slab[:, :5] @ _D1_LEFT / h, slab[:, -1:-6:-1] @ -_D1_LEFT / h
+
+
+def fd_particular(operator_mu, geometry, side: str, forcing, n_x: int = 129) -> FDParticular:
+    """The finite-difference particular solve on the ``n_x`` grid, Richardson-extrapolated.
+
+    The declared modes are sampled on the h/2 grid (every other node is
+    the h grid), solved on both grids, extrapolated, and their end traces
+    taken by one-sided stencils, F''' = w' - mu F'. Same arguments as
+    ``bitrans.solve_particular``, so a test can put it in its place.
+    """
+    mu = np.asarray(operator_mu, dtype=float)
+    zm = np.zeros(mu.size)
+    grid_c = geometry.grid(side, n_x)
+    if forcing.vanishes(side):
+        return FDParticular(side, geometry, grid_c, np.zeros((0, n_x)), np.zeros((0, n_x)),
+                            zm, zm.copy(), zm.copy(), zm.copy(), 0.0, np.zeros(0, dtype=int))
+    grid_f = geometry.grid(side, 2 * n_x - 1)
+    fhat_f = forcing.sample_modes(side, grid_f)
+    keep = np.any(fhat_f, axis=1)
+    active = forcing.modes[keep]
+    (f_c, w_c), (f_f, w_f) = _fd_factorized(mu[active], (grid_f[::2], grid_f),
+                                            (fhat_f[keep][:, ::2], fhat_f[keep]))
+    corr_f = (f_f[:, ::2] - f_c) / 3.0
+    f_x = f_f[:, ::2] + corr_f
+    w_x = w_f[:, ::2] + (w_f[:, ::2] - w_c) / 3.0
+    h = grid_f[2] - grid_f[0]
+    fp_l, fp_r = _fd_end_traces(active, f_x, mu.size, h)
+    wp_l, wp_r = _fd_end_traces(active, w_x, mu.size, h)
+    scale = 1.0 + np.max(np.abs(f_x), initial=0.0)
+    estimate = (float(np.max(np.abs(corr_f), initial=0.0) / scale)
+                if np.any(fhat_f[:, ::2]) else 0.0)
+    return FDParticular(side, geometry, grid_f[::2], f_x, w_x, fp_l, fp_r,
+                        wp_l - mu * fp_l, wp_r - mu * fp_r, estimate, active)

@@ -143,3 +143,36 @@ def test_config_leaves_the_convergence_settings_to_their_gate():
                  and any((isinstance(sub, ast.Constant) and sub.value in settled)
                          or _name(sub) in minimums for sub in ast.walk(node))]
     assert not offenders, f"config.py re-decides a convergence setting: {offenders}"
+
+
+def test_one_integer_test_for_every_gate():
+    # _checks.is_integer is the one bool-excluding integer test; the gates of
+    # section_operator, problem and config call it and raise their own errors.
+    offenders = [f"{name}:{node.lineno}" for name, node in _nodes()
+                 if name != "_checks.py" and isinstance(node, ast.Call)
+                 and _name(node.func) == "isinstance"
+                 and any(_name(sub) == "integer" for sub in ast.walk(node))]
+    assert not offenders, f"an integer test outside _checks.is_integer: {offenders}"
+
+
+def test_the_particular_part_uses_no_spline_and_no_dense_solve():
+    # The particular part is a banded Chebyshev solve per mode: it neither
+    # interpolates nor factors a dense matrix.
+    tree = dict(_trees())["subproblem.py"]
+    offenders = [f"subproblem.py:{node.lineno}" for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.module
+                 and node.module.lstrip(".") == "_spline"]
+    offenders += [f"subproblem.py:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in {"solve", "inv"}
+                  and _name(node.func.value) == "linalg"]
+    assert not offenders, f"spline or dense solve in subproblem: {offenders}"
+
+
+def test_the_oracle_does_not_call_the_particular_solve():
+    # The finite-difference oracle is an independent truth: it shares no
+    # code with the representation's particular part.
+    tree = dict(_trees())["oracle.py"]
+    offenders = [f"oracle.py:{node.lineno}" for node in ast.walk(tree)
+                 if _name(node) in {"solve_particular", "ParticularSolution"}]
+    assert not offenders, f"the oracle reaches the particular solve: {offenders}"

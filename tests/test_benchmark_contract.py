@@ -22,6 +22,7 @@ KNOWN_STALE = {
     "bitrans.transmission:assemble_UV",
     "bitrans.transmission:assemble_P",
     "bitrans.subproblem:lu_factor",
+    "bitrans.subproblem:CubicSpline",
     "bitrans.oracle:spsolve",
 }
 

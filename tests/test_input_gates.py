@@ -148,15 +148,18 @@ HOMOG = "homogeneous, modes: {modes}, a1: [0.8, -0.5], a2: [-0.4, 0.6]"
 
 
 @pytest.mark.parametrize("command, case, convergence, shown", [
-    ("solve", HOMOG.format(modes="[0, 0]"), "{}", "error: modes must be distinct"),
+    ("solve", HOMOG.format(modes="[0, 0]"), "{}",
+     "config error: bad forcing: modes must be distinct"),
+    ("solve", FORCED.replace("mode: 2", "mode: 9"), "{}",
+     "config error: bad forcing: mode span 9..9, outside 0..2"),
     ("convergence", FORCED, "{method: direct, levels: [17, 33, 65]}",
      "config error: convergence.levels >= 33 needed, got 17"),
     ("solve", FORCED, "{method: representation, levels: [9, 33, 65]}",
      "config error: convergence.levels >= 17 needed, got 9"),
     ("solve", FORCED, "{method: [direct], levels: [33, 65, 129]}",
      "config error: convergence.method must be representation|direct, got ['direct']"),
-], ids=["repeated-homogeneous-mode", "direct-level-17", "representation-level-9",
-        "unhashable-method"])
+], ids=["repeated-homogeneous-mode", "mode-out-of-range", "direct-level-17",
+        "representation-level-9", "unhashable-method"])
 def test_cli_gate_errors_exit_2_without_traceback(tmp_path, capsys, command, case, convergence,
                                                   shown):
     # [0, 0] used to exit 0 with the second coefficient in place of the first,

@@ -330,7 +330,7 @@ def test_forced_case_convergence_both_methods():
     case = manufactured_forced(op, geom, 1.0, 3.0, 2,
                                [0.5, -1.2, 0.8, 0.3, -0.6], psi1=0.3, psi2=-0.2)
     rep = convergence_study(case, "representation", [65, 129, 257])
-    assert not rep.floor and rep.fitted_rate >= 1.8
+    assert rep.floor  # the Chebyshev particular part is at rounding on every level
     direct = convergence_study(case, "direct", [65, 129, 257])
     assert direct.fitted_rate == pytest.approx(2.0, abs=0.2)
 

@@ -1,7 +1,10 @@
+import mpmath
 import numpy as np
 import pytest
+from numpy.polynomial import chebyshev
 from scipy.linalg import solve_banded
 
+import bitrans._spline as spline
 import bitrans.subproblem as subproblem
 from bitrans import (
     BoundaryData,
@@ -24,6 +27,7 @@ from bitrans import (
     solve_transmission,
     u_delta,
 )
+from dense_reference import fd_particular
 
 
 @pytest.fixture
@@ -38,7 +42,7 @@ def test_zero_forcing_gives_zero_particular():
     geom = CylinderGeometry(-0.7, 0.0, 0.9)
     part = solve_particular(op.eigenvalues, geom, SIDE_MINUS,
                             ModalForcing.zero(3, geom), n_x=33)
-    assert part.active.size == 0 and part.f_modal.shape == part.w_modal.shape == (0, 33)
+    assert part.active.size == 0 and part.f_modal.shape == part.w_modal.shape == (0, 0)
     assert np.max(np.abs(part.fprime_left)) == 0.0
     assert np.max(np.abs(part.f3_right)) == 0.0
     assert part.error_estimate == 0.0
@@ -50,32 +54,47 @@ def test_sine_forcing_exact_particular(k_multiple):
     geom = CylinderGeometry(-0.7, 0.0, 0.9)
     mode = 1
     forcing = ModalForcing.sine(op, geom, SIDE_MINUS, mode, k_multiple=k_multiple)
-    part = solve_particular(op.eigenvalues, geom, SIDE_MINUS, forcing, n_x=129)
     k = k_multiple * np.pi / geom.c
-    exact = np.sin(k * (part.grid - geom.a))
-    assert np.array_equal(part.active, [mode])  # f_modal rows follow active
-    assert np.max(np.abs(part.f_modal[0] - exact)) < 5e-9 * k_multiple**4
-    others = [j for j in range(3) if j != mode]
-    xs = np.linspace(geom.a, geom.gamma, 9)
-    assert np.max(np.abs(part.terms(xs, op.eigenvalues)[:, others])) == 0.0
-    # Trace values: F'(a) = k, F'(gamma) = k cos(k c) = +-k.
-    rel = 1e-7 * k_multiple**4
-    assert part.fprime_left[mode] == pytest.approx(k, rel=rel)
-    assert part.fprime_right[mode] == pytest.approx(k * np.cos(k * geom.c), rel=rel)
-    # F''' = -k^2 F' for the sine.
-    assert part.f3_left[mode] == pytest.approx(-k**2 * k, rel=10 * rel)
+    xs = np.linspace(geom.a, geom.gamma, 129)
+    exact = np.sin(k * (xs - geom.a))
+    errors = []
+    for solve in (solve_particular, fd_particular):  # the new path, then the FD reference
+        part = solve(op.eigenvalues, geom, SIDE_MINUS, forcing, n_x=129)
+        assert np.array_equal(part.active, [mode])  # f_modal rows follow active
+        terms = part.terms(xs, op.eigenvalues)
+        errors.append(np.max(np.abs(terms[0, mode] - exact)))
+        assert errors[-1] < 5e-9 * k_multiple**4
+        others = [j for j in range(3) if j != mode]
+        assert np.max(np.abs(terms[:, others])) == 0.0
+        # Trace values: F'(a) = k, F'(gamma) = k cos(k c) = +-k.
+        rel = 1e-7 * k_multiple**4
+        assert part.fprime_left[mode] == pytest.approx(k, rel=rel)
+        assert part.fprime_right[mode] == pytest.approx(k * np.cos(k * geom.c), rel=rel)
+        # F''' = -k^2 F' for the sine.
+        assert part.f3_left[mode] == pytest.approx(-k**2 * k, rel=10 * rel)
+    assert errors[0] <= errors[1]
+    # The Chebyshev traces are exact to rounding.
+    part = solve_particular(op.eigenvalues, geom, SIDE_MINUS, forcing, n_x=129)
+    assert part.fprime_left[mode] == pytest.approx(k, rel=1e-14)
+    assert part.f3_right[mode] == pytest.approx(-k**3 * np.cos(k * geom.c), rel=1e-14)
 
 
 def test_particular_fourth_order_convergence():
+    # The finite-difference reference converges at fourth order; the
+    # Chebyshev path is at rounding on every grid size that is its cap.
     op = build_dirichlet_laplacian_1d(3, 1.0)
     geom = CylinderGeometry(-0.7, 0.0, 0.9)
     forcing = ModalForcing.sine(op, geom, SIDE_PLUS, 2, k_multiple=2)
+    k = 2 * np.pi / geom.d
     errors = []
     for n in (33, 65, 129):
-        part = solve_particular(op.eigenvalues, geom, SIDE_PLUS, forcing, n_x=n)
-        k = 2 * np.pi / geom.d
+        part = fd_particular(op.eigenvalues, geom, SIDE_PLUS, forcing, n_x=n)
         exact = np.sin(k * (part.grid - geom.gamma))
         errors.append(np.max(np.abs(part.f_modal[list(part.active).index(2)] - exact)))
+        xs = geom.grid(SIDE_PLUS, n)[1:-1]
+        cheb = solve_particular(op.eigenvalues, geom, SIDE_PLUS, forcing, n_x=n)
+        assert np.max(np.abs(cheb.terms(xs, op.eigenvalues)[0, 2]
+                             - np.sin(k * (xs - geom.gamma)))) <= min(1e-14, errors[-1])
     rates = [np.log2(errors[i] / errors[i + 1]) for i in range(2)]
     assert min(rates) > 3.5
 
@@ -91,11 +110,20 @@ def test_particular_endpoint_invariants():
         return np.stack([c[0] + c[1] * xs + c[2] * xs**2 for c in coeffs])
 
     forcing = ModalForcing.from_functions(geom, 4, func, func)
+    ref = fd_particular(op.eigenvalues, geom, SIDE_MINUS, forcing, n_x=65)
+    assert np.max(np.abs(ref.f_modal[:, 0])) == 0.0
+    assert np.max(np.abs(ref.f_modal[:, -1])) == 0.0
+    assert np.max(np.abs(ref.w_modal[:, 0])) == 0.0   # w = F'' at the ends
+    assert np.max(np.abs(ref.w_modal[:, -1])) == 0.0
+    # Chebyshev: the terms hold F = F'' = 0 at the ends exactly, and the
+    # series of F and w vanish there to rounding (T_k(+-1) = (+-1)^k).
     part = solve_particular(op.eigenvalues, geom, SIDE_MINUS, forcing, n_x=65)
-    assert np.max(np.abs(part.f_modal[:, 0])) == 0.0
-    assert np.max(np.abs(part.f_modal[:, -1])) == 0.0
-    assert np.max(np.abs(part.w_modal[:, 0])) == 0.0   # w = F'' at the ends
-    assert np.max(np.abs(part.w_modal[:, -1])) == 0.0
+    ends = part.terms(np.array(geom.interval(SIDE_MINUS)), op.eigenvalues)
+    assert np.max(np.abs(ends[[0, 2]])) == 0.0
+    signs = (-1.0) ** np.arange(part.f_modal.shape[1])
+    for table in (part.f_modal, part.w_modal):
+        for end_values in (table.sum(axis=1), table @ signs):
+            assert np.max(np.abs(end_values)) <= 1e-15 * np.max(np.abs(table))
 
 
 def test_resolution_error():
@@ -263,11 +291,11 @@ def test_zero_forcing_side_skips_the_banded_solves(monkeypatch):
     calls = []
     real = subproblem.solve_banded
     monkeypatch.setattr(subproblem, "solve_banded",
-                        lambda *args: calls.append(1) or real(*args))
+                        lambda *args, **kw: calls.append(1) or real(*args, **kw))
     part = solve_particular(op.eigenvalues, geom, SIDE_MINUS, forcing, n_x=33)
     assert not calls
-    zero = ParticularSolution.zero(SIDE_MINUS, geom, 3, 33)
-    for name in ("grid", "f_modal", "w_modal", "fprime_left", "fprime_right",
+    zero = ParticularSolution.zero(SIDE_MINUS, geom, 3)
+    for name in ("f_modal", "w_modal", "fprime_left", "fprime_right",
                  "f3_left", "f3_right"):
         assert np.array_equal(getattr(part, name), getattr(zero, name))
     assert part.error_estimate == 0.0
@@ -324,7 +352,7 @@ def _random_forcing(geom, m, rng, zero_rows=()):
 
 
 def _term_reference(part, xs, order, mu):
-    """F-term of one derivative order, one spline derivative per call, one spline per field.
+    """F-term of one derivative order of an ``fd_particular``, one spline per field.
 
     Interior: F^(order) for orders 0, 1 and w^(order-2) - mu F^(order-2)
     for orders 2, 3; at the ends the stored traces (odd orders) or the
@@ -339,8 +367,8 @@ def _term_reference(part, xs, order, mu):
     at_hi = np.abs(xs - hi) <= 1e-10 * (hi - lo)
     inner = ~(at_lo | at_hi)
     nu = order % 2
-    spline_f = subproblem.CubicSpline(part.grid, part.f_modal)
-    spline_w = subproblem.CubicSpline(part.grid, part.w_modal)
+    spline_f = spline.CubicSpline(part.grid, part.f_modal)
+    spline_w = spline.CubicSpline(part.grid, part.w_modal)
     sub = np.zeros((rows.size, xs.size))
     sub[:, inner] = spline_f(xs[inner], nu)
     if order >= 2:
@@ -351,6 +379,30 @@ def _term_reference(part, xs, order, mu):
         sub[:, at_lo] = left[rows, None]
         sub[:, at_hi] = right[rows, None]
     out[rows] = sub
+    return out
+
+
+def _chebyshev_term_reference(part, xs, order, mu):
+    """F-term of one derivative order from numpy's Chebyshev series of the coefficient tables.
+
+    Interior: F^(order) for orders 0, 1 and w^(order-2) - mu F^(order-2)
+    for orders 2, 3 (d/dx = d/dt / half); at the ends the stored traces
+    (odd orders) or F = F'' = 0 (even orders).
+    """
+    out = np.zeros((part.m, xs.size))
+    lo, hi = part.geometry.interval(part.side)
+    half = 0.5 * (hi - lo)
+    t = (xs - lo) / half - 1.0
+    inner = np.abs(np.abs(t) - 1.0) > 1e-10
+    nu = order % 2
+    for i, row in enumerate(part.active):
+        f_nu, w_nu = (chebyshev.chebval(t[inner], chebyshev.chebder(table[i], nu)) / half**nu
+                      for table in (part.f_modal, part.w_modal))
+        out[row, inner] = f_nu if order < 2 else w_nu - mu[row] * f_nu
+        if nu:
+            left, right = ((part.fprime_left, part.fprime_right) if order == 1
+                           else (part.f3_left, part.f3_right))
+            out[row, t <= -1.0 + 1e-10], out[row, t >= 1.0 - 1e-10] = left[row], right[row]
     return out
 
 
@@ -398,7 +450,7 @@ def test_modal_fields_match_the_per_order_closed_form(side, forced):
     for order in range(4):
         expected = _per_order_field(sol, xs, order)
         if forced:
-            expected = expected + _term_reference(part, xs, order, op.eigenvalues)
+            expected = expected + _chebyshev_term_reference(part, xs, order, op.eigenvalues)
         scale = np.max(np.abs(expected))
         assert np.max(np.abs(table[order] - expected)) <= 1e-13 * scale, order
         np.testing.assert_array_equal(sol.evaluate(xs, order), op.from_modal(table[order]))
@@ -430,10 +482,31 @@ def test_end_values_match_modal_fields_at_both_ends_bit_for_bit(side, forced):
             assert np.array_equal(du, table[1, :, end]), (m, end)
 
 
+def _check_per_mode_bytes(mu, geom, side, forcing, n_x, zero_rows):
+    """solve_particular's active modes are the nonzero ones, each the bytes of its solve alone."""
+    part = solve_particular(mu, geom, side, forcing, n_x=n_x)
+    assert np.array_equal(np.setdiff1d(np.arange(mu.size), part.active), zero_rows)
+    for i, j in enumerate(part.active):
+        alone = solve_particular(mu, geom, side, ModalForcing.from_functions(
+            geom, mu.size, *(lambda xs, f=f: f(xs)[[j]] for f in (forcing.func_minus,
+                                                                   forcing.func_plus)),
+            modes=(j,)), n_x=n_x)
+        width = alone.f_modal.shape[1]
+        for name in ("f_modal", "w_modal"):
+            row = getattr(part, name)[i]
+            assert row[:width].tobytes() == getattr(alone, name)[0].tobytes(), (j, name)
+            assert not row[width:].any()
+        for name in ("fprime_left", "fprime_right", "f3_left", "f3_right"):
+            assert getattr(part, name)[j] == getattr(alone, name)[j], (j, name)
+        assert alone.error_estimate <= part.error_estimate
+
+
 @pytest.mark.parametrize("n_x", [17, 129])
 @pytest.mark.parametrize("m", [1, 5, 64])
 @pytest.mark.parametrize("mixed", [False, True], ids=["dense", "mixed"])
 def test_particular_matches_per_mode_reference(m, n_x, mixed):
+    # The finite-difference reference's stacked solve against one solve per
+    # mode, and solve_particular's stacked solve against itself on one mode.
     # Mixed forcing zeroes every mode j with j % 3 != 1, so m=1 has no active mode.
     op = build_dirichlet_laplacian_1d(m, 1.0)
     geom = CylinderGeometry(-0.7, 0.0, 0.9)
@@ -441,7 +514,8 @@ def test_particular_matches_per_mode_reference(m, n_x, mixed):
     zero_rows = [j for j in range(m) if j % 3 != 1] if mixed else []
     forcing = _random_forcing(geom, m, rng, zero_rows)
     for side in (SIDE_MINUS, SIDE_PLUS):
-        part = solve_particular(op.eigenvalues, geom, side, forcing, n_x=n_x)
+        _check_per_mode_bytes(op.eigenvalues, geom, side, forcing, n_x, zero_rows)
+        part = fd_particular(op.eigenvalues, geom, side, forcing, n_x=n_x)
         ref = _per_mode_particular(op.eigenvalues, geom, side, forcing, n_x)
         inactive = np.setdiff1d(np.arange(m), part.active)
         assert np.array_equal(inactive, zero_rows)
@@ -462,8 +536,10 @@ def test_particular_matches_per_mode_reference(m, n_x, mixed):
 
 
 @pytest.mark.parametrize("dense", [False, True], ids=["one-mode-sine", "dense-64-modes"])
-def test_particular_solve_makes_two_banded_calls_per_forced_side(monkeypatch, dense):
-    # One banded call per stage over both grids, one spline over [F; w].
+def test_particular_solve_makes_two_banded_calls_per_round(monkeypatch, dense):
+    # Each refinement round solves both stages of every pending mode in two
+    # stacked tridiagonal calls (the first also solves for e_0, a second
+    # column), each at most n_x unknowns per mode; no spline is built.
     m, n_x = 64, 129
     op = build_dirichlet_laplacian_1d(m, 1.0)
     geom = CylinderGeometry(-0.7, 0.0, 0.9)
@@ -472,20 +548,26 @@ def test_particular_solve_makes_two_banded_calls_per_forced_side(monkeypatch, de
     else:
         forcing, forced, rows = ModalForcing.sine(op, geom, SIDE_PLUS, 5), (SIDE_PLUS,), 1
     banded, splines = [], []
-    real_banded, real_spline = subproblem.solve_banded, subproblem.CubicSpline
+    real_banded, real_init = subproblem.solve_banded, spline.CubicSpline.__init__
     monkeypatch.setattr(subproblem, "solve_banded",
-                        lambda *args: banded.append(1) or real_banded(*args))
-    monkeypatch.setattr(subproblem, "CubicSpline",
-                        lambda x, y, **kw: splines.append(np.shape(y)) or real_spline(x, y, **kw))
+                        lambda bands, ab, b, **kw: banded.append((ab.shape, b.shape))
+                        or real_banded(bands, ab, b, **kw))
+    monkeypatch.setattr(spline.CubicSpline, "__init__",
+                        lambda self, *args, **kw: splines.append(1) or real_init(self, *args, **kw))
     for side in SIDES:
         banded.clear()
-        splines.clear()
         solve_particular(op.eigenvalues, geom, side, forcing, n_x=n_x)
-        if side in forced:
-            assert len(banded) == 2
-            assert splines == [(2 * rows, n_x)]
-        else:
-            assert not banded and not splines
+        if side not in forced:
+            assert not banded
+            continue
+        rounds = len(banded) // 2
+        assert 1 <= rounds <= 4 and len(banded) == 2 * rounds  # lengths 17, 33, 65, 129
+        for (ab_w, b_w), (ab_f, b_f) in zip(banded[::2], banded[1::2]):
+            assert ab_w == ab_f and ab_w[0] == 3 and b_w == (ab_w[1], 2) and b_f == (ab_w[1],)
+        assert banded[0][0][1] <= rows * n_x
+        if not dense:
+            assert rounds == 1  # a sine chops at its first length
+    assert not splines
 
 
 def _csv_forcing(geom, m, rng):
@@ -495,8 +577,11 @@ def _csv_forcing(geom, m, rng):
     return ModalForcing.from_csv_rows(geom, m, rows)
 
 
-@pytest.mark.parametrize("kind, calls", [("zero", 0), ("sine", 1), ("csv", 2)])
+@pytest.mark.parametrize("kind, calls", [("zero", 0), ("sine", 1), ("csv", 6)])
 def test_zero_sample_side_is_not_sampled(monkeypatch, kind, calls):
+    # A side is sampled once per Chebyshev length it uses: the sine chops at
+    # its first length on its one forced side, and the spline table refines
+    # through 17, 33 and 65 on both sides.
     m, n_x = 8, 65
     op = build_dirichlet_laplacian_1d(m, 1.0)
     geom = CylinderGeometry(-0.7, 0.0, 1.3)
@@ -506,10 +591,12 @@ def test_zero_sample_side_is_not_sampled(monkeypatch, kind, calls):
     sampled = []
     real = ModalForcing.sample_modes
     monkeypatch.setattr(ModalForcing, "sample_modes",
-                        lambda self, side, xs: sampled.append(side) or real(self, side, xs))
+                        lambda self, side, xs: sampled.append((side, len(xs)))
+                        or real(self, side, xs))
     for side in SIDES:
         solve_particular(op.eigenvalues, geom, side, forcing, n_x)
-    assert len(sampled) == calls
+    assert len(sampled) == len(set(sampled)) == calls
+    assert len({side for side, _ in sampled}) == min(calls, 1 if kind == "sine" else 2)
 
 
 def test_zero_sample_side_matches_the_sampled_solve():
@@ -527,7 +614,7 @@ def test_zero_sample_side_matches_the_sampled_solve():
     for side in SIDES:
         part = solve_particular(op.eigenvalues, geom, side, forcing, n_x)
         full = solve_particular(op.eigenvalues, geom, side, sampled_zero, n_x)
-        for name in ("grid", "f_modal", "w_modal", "fprime_left", "fprime_right",
+        for name in ("f_modal", "w_modal", "fprime_left", "fprime_right",
                      "f3_left", "f3_right", "active"):
             assert getattr(part, name).tobytes() == getattr(full, name).tobytes(), name
         assert part.error_estimate == full.error_estimate == 0.0
@@ -539,3 +626,134 @@ def test_zero_sample_side_matches_the_sampled_solve():
         for order in range(4):
             assert fast.field(side, xs, order).tobytes() == slow.field(side, xs, order).tobytes()
     assert fast.report.to_json() == slow.report.to_json()
+
+
+def _dense_stage(lam, g, scale):
+    """u'' - lam u = scale g, u(-1) = u(1) = 0, as one dense n x n solve in T coefficients.
+
+    Rows 0, 1: the boundary conditions; row j + 2: the C^(2) coefficient j
+    of D2 u - lam S1 S0 u = scale S1 S0 g, the operators built from their
+    definitions (T_k'' = 2k C^(2)_{k-2}; T_0 = C^(1)_0, T_k = (C^(1)_k -
+    C^(1)_{k-2}) / 2; C^(1)_k = (C^(2)_k - C^(2)_{k-2}) / (k + 1)).
+    """
+    n = g.size
+    d2, s0, s1 = np.zeros((n, n)), np.zeros((n, n)), np.zeros((n, n))
+    for k in range(n):
+        if k >= 2:
+            d2[k - 2, k] = 2.0 * k
+        s0[k, k] = 1.0 if k == 0 else 0.5
+        s1[k, k] = 1.0 / (k + 1)
+        if k >= 2:
+            s0[k - 2, k] = -0.5
+            s1[k - 2, k] = -1.0 / (k + 1)
+    conv = s1 @ s0
+    mat = np.vstack([(-1.0) ** np.arange(n), np.ones(n), (d2 - lam * conv)[:n - 2]])
+    rhs = np.concatenate([[0.0, 0.0], scale * (conv @ g)[:n - 2]])
+    return np.linalg.solve(mat, rhs)
+
+
+@pytest.mark.parametrize("n", [17, 64, 129, 256])
+def test_banded_stages_match_a_dense_solve(n):
+    # The stacked tridiagonal solve with its rank-one border against one dense
+    # solve per row and stage, from mu = -1 to the stiff end (lam = -mu half^2).
+    rng = np.random.default_rng(n)
+    lam = np.array([0.25, 30.0, 1835.0, 4350.0, 1.1e5])
+    fhat = rng.normal(size=(lam.size, n)) / (1.0 + np.arange(n)) ** 2
+    (fw,) = subproblem._solve_groups([lam], [fhat], 0.4)
+    for i, lam_i in enumerate(lam):
+        w = _dense_stage(lam_i, fhat[i], 0.4)
+        f = _dense_stage(lam_i, w, 0.4)
+        for got, want in ((fw[1, i], w), (fw[0, i], f)):
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (n, lam_i)
+
+
+def _mp_traces(mu, length, kappa):
+    """(F'(0), F'(L), F'''(0), F'''(L)) of (d^2 + mu)^2 F = Re e^{kappa x}, F = F'' = 0 at 0 and L.
+
+    F = Re e^{kappa x} / (kappa^2 + mu)^2 plus the four homogeneous terms
+    e^{s (x - L)}, x e^{s (x - L)}, e^{-s x}, x e^{-s x} (s = sqrt(-mu)),
+    their weights from the four end conditions, in 50-digit arithmetic.
+    """
+    with mpmath.workdps(50):
+        mu, length, kappa = mpmath.mpf(mu), mpmath.mpf(length), mpmath.mpc(kappa)
+        s = mpmath.sqrt(-mu)
+
+        def particular(x, d):
+            return mpmath.re(kappa**d * mpmath.exp(kappa * x) / (kappa**2 + mu) ** 2)
+
+        def basis(x, d):
+            grow, decay = mpmath.exp(s * (x - length)), mpmath.exp(-s * x)
+            return [s**d * grow, (s**d * x + d * s ** (d - 1)) * grow,
+                    (-s) ** d * decay, ((-s) ** d * x + d * (-s) ** (d - 1)) * decay]
+
+        ends = (mpmath.mpf(0), length)
+        weights = mpmath.lu_solve(mpmath.matrix([basis(x, d) for x in ends for d in (0, 2)]),
+                                  mpmath.matrix([-particular(x, d) for x in ends for d in (0, 2)]))
+        return [float(particular(x, d) + sum(c * b for c, b in zip(weights, basis(x, d))))
+                for d in (1, 3) for x in ends]
+
+
+def test_particular_traces_match_a_50_digit_solution():
+    # Plus interval [0, 1.3], m = 32, forcing Re e^{(1 + 5i) x} on modes 0
+    # (s = 65.9, the stiffest), 15 and 31. At the default cap the relative
+    # error of F' and F''' at both ends is at most 1e-10, and on each mode
+    # no worse than the finite-difference reference at n_x = 2049.
+    m, modes, kappa = 32, [0, 15, 31], 1.0 + 5.0j
+    op = build_dirichlet_laplacian_1d(m, 1.0)
+    geom = CylinderGeometry(-0.7, 0.0, 1.3)
+
+    def func(xs):
+        return np.tile(np.exp(kappa * np.asarray(xs)).real, (len(modes), 1))
+
+    forcing = ModalForcing.from_functions(geom, m, None, func, modes=modes)
+    part = solve_particular(op.eigenvalues, geom, SIDE_PLUS, forcing)
+    ref = fd_particular(op.eigenvalues, geom, SIDE_PLUS, forcing, n_x=2049)
+    names = ("fprime_left", "fprime_right", "f3_left", "f3_right")
+    for j in modes:
+        truth = np.array(_mp_traces(op.eigenvalues[j], geom.d, kappa))
+        errors = [np.max(np.abs([getattr(sol, name)[j] for name in names] - truth) / np.abs(truth))
+                  for sol in (part, ref)]
+        assert errors[0] <= 1e-10 and errors[0] <= errors[1], (j, errors)
+    assert part.error_estimate <= subproblem.CHOP_TOL
+
+
+@pytest.mark.parametrize("m", [256, 512])
+def test_a_mode_capped_below_its_layers_reports_its_error(m):
+    # At the default cap the stiffest mode of m = 256 or 512 needs more than
+    # 129 coefficients for its boundary layers (9.5 lam^(1/4) = 174, 245); its
+    # error_estimate, the tail of its last half, still covers the trace error.
+    op = build_dirichlet_laplacian_1d(m, 1.0)
+    geom = CylinderGeometry(-0.7, 0.0, 1.3)
+    kappa = 1.0 + 5.0j
+
+    def func(xs):
+        return np.exp(kappa * np.asarray(xs)).real[None, :]
+
+    forcing = ModalForcing.from_functions(geom, m, None, func, modes=[0])
+    part = solve_particular(op.eigenvalues, geom, SIDE_PLUS, forcing)
+    names = ("fprime_left", "fprime_right", "f3_left", "f3_right")
+    truth = np.array(_mp_traces(op.eigenvalues[0], geom.d, kappa))
+    error = np.max(np.abs([getattr(part, name)[0] for name in names] - truth) / np.abs(truth))
+    assert part.f_modal.shape == (1, 129)
+    assert error <= part.error_estimate
+
+
+def test_a_forcing_that_never_chops_runs_to_the_cap(monkeypatch):
+    # A spline table's forcing has coefficients that fall like k^-4, so it
+    # does not chop by n_x = 2049: each mode refines to the cap in O(n)
+    # banded work, and error_estimate reports the tail it stopped at.
+    m, n_x = 4, 2049
+    op = build_dirichlet_laplacian_1d(m, 1.0)
+    geom = CylinderGeometry(-0.7, 0.0, 1.3)
+    forcing = _csv_forcing(geom, m, np.random.default_rng(7))
+    sizes = []
+    real = subproblem.solve_banded
+    monkeypatch.setattr(subproblem, "solve_banded",
+                        lambda bands, ab, b, **kw: sizes.append(ab.shape[1])
+                        or real(bands, ab, b, **kw))
+    part = solve_particular(op.eigenvalues, geom, SIDE_PLUS, forcing, n_x)
+    assert part.active.size == m and part.f_modal.shape == (m, n_x)
+    assert part.error_estimate > subproblem.CHOP_TOL
+    assert max(sizes) <= m * n_x and len(sizes) <= 2 * 8  # lengths 17, 33, ..., 2049
+    chopped = solve_particular(op.eigenvalues, geom, SIDE_PLUS, forcing, 129)
+    assert chopped.error_estimate > part.error_estimate

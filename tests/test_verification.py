@@ -32,7 +32,7 @@ from bitrans import (
 )
 from bitrans.cli import main
 from bitrans.config import build_case, build_section, load_config
-from dense_reference import assemble_dense_operators, solve_block
+from dense_reference import assemble_dense_operators, fd_particular, solve_block
 
 GEOM = CylinderGeometry(-0.7, 0.0, 1.3)
 CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
@@ -216,13 +216,17 @@ def test_one_sided_forcing_route_gap(side):
     assert sol.route_gap <= 1e-13
 
 
-def test_two_sided_forcing_route_gap_and_exact_pair():
+@pytest.mark.parametrize("particular", ["chebyshev", "finite-difference"])
+def test_two_sided_forcing_route_gap_and_exact_pair(particular, monkeypatch):
     config = load_config(CONFIGS / "forced_convergence.yaml")
     op = build_section(config)
     forcing, boundary, case = build_case(config, op)
     assert not forcing.vanishes(SIDE_MINUS) and not forcing.vanishes(SIDE_PLUS)
-    # The pair differs from the exact one by the particular part's
-    # discretization error only: 6.8e-9 at n_x = 129, falling 16-fold per halving of h.
+    if particular == "finite-difference":
+        monkeypatch.setattr(transmission, "solve_particular", fd_particular)
+    # The pair differs from the exact one by the particular part's error
+    # only. Chebyshev: rounding at both caps. Finite differences: 6.8e-9 at
+    # n_x = 129, falling 16-fold per halving of h.
     errors = []
     for n_x in (config.solver.n_x, 2 * config.solver.n_x - 1):
         sol = solve_transmission(op, config.geometry, config.k_minus, config.k_plus, forcing,
@@ -230,7 +234,10 @@ def test_two_sided_forcing_route_gap_and_exact_pair():
         assert sol.route_gap <= 1e-13
         errors.append(max(np.max(np.abs(got - want)) for got, want in
                           zip((sol.interface.psi1, sol.interface.psi2), case.psi())))
-    assert errors[0] <= 1e-8 and errors[1] <= errors[0] / 10.0
+    if particular == "chebyshev":
+        assert max(errors) <= 1e-14
+    else:
+        assert errors[0] <= 1e-8 and errors[1] <= errors[0] / 10.0
 
 
 def _singular(tops):
