@@ -19,12 +19,14 @@ k = np.pi / geom.c
 xs = np.linspace(geom.a, geom.gamma, 33)
 print("particular solution (mode 0): F should be 0.7 sin(k (x - a))")
 print("  solved modes:", part.active)  # f_modal has one row per solved mode
-print("  Chebyshev coefficients used:", part.f_modal.shape[1], "of at most 129")
+print("  route:", "layer-free: series P plus closed-form end layers" if part.layers.any()
+      else "two Dirichlet stages")
+print("  series coefficients used:", part.f_modal.shape[1], "of at most 129")
 print("  max |F - exact| =", np.max(np.abs(
     part.terms(xs, op.eigenvalues)[0, 0] - 0.7 * np.sin(k * (xs - geom.a)))))
 print("  F'(a) =", part.fprime_left[0], " exact:", 0.7 * k)
 print("  F'''(a) =", part.f3_left[0], " exact:", -0.7 * k**3)
-print("  chopped coefficient tail (error estimate):", part.error_estimate)
+print("  error estimate (forcing tail or rounding):", part.error_estimate)
 
 # impose boundary and interface data and check the round trip
 rng = np.random.default_rng(1)

@@ -86,8 +86,10 @@ from .transmission import (
 )
 from .verification import (
     FundamentalSymbols,
+    FundamentalSystem,
     fundamental_solve,
     fundamental_symbols,
+    fundamental_system,
     spectral_mapping_gap,
 )
 

@@ -1,8 +1,9 @@
 """Deferred scipy entry point.
 
 bitrans uses ``scipy.linalg.solve_banded`` and no other scipy name:
-banded LU for the particular problem, the finite-difference oracle and
-the spline slopes. Importing scipy costs more than a small solve, so
+banded LU for the stage route of the particular problem (its layer-free
+route needs no scipy), the finite-difference oracle and the spline
+slopes. Importing scipy costs more than a small solve, so
 ``solve_banded`` here imports its scipy name on its first call and
 forwards the arguments; ``import bitrans`` loads no scipy module and a
 run that never calls it never loads scipy. The modules that use it bind

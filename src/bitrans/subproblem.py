@@ -11,11 +11,16 @@ The coefficients a1..a4 are sums of end contributions of one end map
 and the particular slopes give the boundary-source quadruple phi~, and
 the interface values (psi1, psi2) add their end at gamma. F is the
 particular solution with homogeneous value and second-derivative
-conditions at both interval ends, a chopped Chebyshev series per mode;
-it is sampled and solved on the forcing's declared modes only
-(``ModalForcing.modes``), all of them in one banded call per factor stage
-and refinement round, and every other mode's F is zero, as is every
-mode's on a side without a resampler.
+conditions at both interval ends, solved per mode on the forcing's
+declared modes only (``ModalForcing.modes``); every other mode's F is
+zero, as is every mode's on a side without a resampler. Each forced row
+takes one of two routes (``solve_particular``). Where its own data make
+it safe, F = P + H: P the polynomial particular solution of the row's
+chopped Chebyshev forcing, a series with no boundary layer, and H the
+four end-localized exponentials e^{g s1}, s1 e^{g s1}, e^{g s2},
+s2 e^{g s2} that the homogeneous part holds too, in closed form. Every
+other row solves its two Dirichlet stages as a chopped Chebyshev series,
+all such rows in one banded call per stage and refinement round.
 Everything here is linear in the data. All operators are functions of
 M, so the coefficient algebra runs per mode on eigenbasis coordinates
 (``SideSymbols``) and fields are evaluated there too, orders 0..3 in one
@@ -25,6 +30,7 @@ value is read.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
@@ -40,9 +46,11 @@ from .symbols import interval_symbols
 
 _ENDPOINT_TOL = 1e-10
 PARTICULAR_MIN_N_X = 17
-# A mode's Chebyshev series chops at the first length where the tails of
-# its forcing, w and F are all at most CHOP_TOL of their largest coefficient.
+# A Chebyshev series chops at the first length where its tail is at most
+# CHOP_TOL of its largest coefficient: the forcing's alone on the layer-free
+# route, the forcing's, w's and F's on the stages.
 CHOP_TOL = 1e-14
+_EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
 
 
@@ -91,18 +99,21 @@ def side_symbols(operator: SectionOperator, delta: float) -> SideSymbols:
 class ParticularSolution:
     """Particular solution F of one interval with F = F'' = 0 at both ends.
 
-    ``active`` lists the forced modes, and ``f_modal``, ``w_modal`` hold
-    the Chebyshev-T coefficients of their F and w = F'' + mu F on the
-    interval (mapped onto [-1, 1]), one row per entry of ``active``; a row
-    is as long as its mode needed and zero past that. Every other mode's F
-    is exactly zero. The endpoint first-derivative traces and the
-    third-derivative traces F''' = w' - mu F' (exact identity of the
-    factorized problem) are vectors over all m modes, summed from the
-    coefficients. ``error_estimate`` is the largest relative coefficient
-    tail of the active rows (``_tail``): rounding level where every row
-    chopped, the unresolved tail where a row reached the length cap, and
-    the tail of its last half where the cap is below the row's
-    ``_layer_length``.
+    ``active`` lists the forced modes, one row per entry in each table.
+    F = S + H per row: ``f_modal`` and ``w_modal`` hold the series part S,
+    the Chebyshev-T coefficients of S and w = S'' + mu S on the interval
+    (mapped onto [-1, 1]), as long as the row needed and zero past that;
+    ``layers`` holds the weights (A, B, C, D) of the end-layer part
+    H = E1 (A + s1 B) + E2 (C + s2 D), E1 = e^{g s1}, E2 = e^{g s2}
+    (``SubproblemSolution.modal_fields``' form), shape (4, len(active)).
+    On a layer-free row S is the polynomial P and H makes F = F'' = 0 at
+    the ends; on a stage row S is F itself and H = 0. Either way S is
+    nonzero exactly on the forced rows (``perfbench/spans.py`` counts a
+    solve as useful by it). Every other mode's F is exactly zero. The
+    endpoint traces F' and F''' are vectors over all m modes: S's
+    coefficient sums plus H's closed form, with S''' = w' - mu S' (exact
+    identity of the factorized problem). ``error_estimate`` is the
+    largest of the rows' estimates (``solve_particular``).
     """
 
     side: str
@@ -115,6 +126,7 @@ class ParticularSolution:
     f3_right: np.ndarray
     error_estimate: float
     active: np.ndarray
+    layers: np.ndarray
 
     @property
     def m(self) -> int:
@@ -129,16 +141,20 @@ class ParticularSolution:
     def f3_interface(self) -> np.ndarray:
         return self.f3_right if self.side == SIDE_MINUS else self.f3_left
 
-    def terms(self, xs: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    def terms(self, xs: np.ndarray, mu: np.ndarray, layers: bool = True) -> np.ndarray:
         """Modal F-terms of derivative orders 0..3 at the points ``xs``, shape (4, m, k).
 
-        Interior values are one product of the [F; w] coefficients with
+        Interior values are one product of the [S; w] coefficients with
         T_k and T_k' at the points (T_k(cos t) = cos kt, T_k'(cos t) =
-        k sin kt / sin t, from the powers of e^{it}): F and F' are orders
-        0 and 1, w - mu F and w' - mu F' orders 2 and 3. Points within
+        k sin kt / sin t, from the powers of e^{it}): S and S' are orders
+        0 and 1, w - mu S and w' - mu S' orders 2 and 3; the end layers H
+        add their closed form (``_exponential_table``). Points within
         ``_ENDPOINT_TOL`` of the interval length of an end take the end:
         odd orders the stored traces exactly, even orders the built-in
-        homogeneous conditions F = F'' = 0. Rows outside ``active`` are 0.
+        homogeneous conditions F = F'' = 0. With ``layers=False`` the
+        terms are the series part S's alone (H's closed form taken off at
+        the ends), the part whose equation residual can be nonzero. Rows
+        outside ``active`` are 0.
         """
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
         out = np.zeros((4, self.m, xs.size))
@@ -162,6 +178,13 @@ class ParticularSolution:
         part[2:, :, inner] = w - mu[rows, None] * f
         part[1::2, :, at_lo] = np.array([self.fprime_left[rows], self.f3_left[rows]])[..., None]
         part[1::2, :, at_hi] = np.array([self.fprime_right[rows], self.f3_right[rows]])[..., None]
+        pick = inner if layers else ~inner  # where H's closed form is added, or taken off
+        if self.layers.any() and pick.any():
+            g = -np.sqrt(-mu[rows, None])
+            s1, s2 = (xs[pick] - lo)[None, :], (hi - xs[pick])[None, :]
+            h = _exponential_table(g, s1, s2, np.exp(g * s1), np.exp(g * s2),
+                                   *self.layers[:, :, None])
+            part[:, :, pick] += h if layers else -h
         out[:, rows] = part
         return out
 
@@ -170,7 +193,26 @@ class ParticularSolution:
         # No active mode: empty coefficient tables and zero traces.
         zm = np.zeros(m)
         return cls(side, geometry, np.zeros((0, 0)), np.zeros((0, 0)), zm, zm.copy(),
-                   zm.copy(), zm.copy(), 0.0, np.zeros(0, dtype=int))
+                   zm.copy(), zm.copy(), 0.0, np.zeros(0, dtype=int), np.zeros((4, 0)))
+
+
+def _exponential_table(g, s1, s2, e1, e2, big_a, big_b, big_c, big_d) -> np.ndarray:
+    """Orders 0..3 of E1 (A + s1 B) + E2 (C + s2 D) in x, shape (4,) + the broadcast shape.
+
+    d/dx E1 = g E1 and d/dx E2 = -g E2 (E1 = e1 = e^{g s1}, E2 = e2 = e^{g s2}).
+    With b = E1 B, d = E2 D, p = E1 A + s1 b and n = E2 C + s2 d: u = p + n,
+    u' = g (p - n) + (b - d), u'' = g^2 (p + n) + 2g (b + d) and
+    u''' = g^2 [g (p - n) + 3 (b - d)].
+    """
+    b = e1 * big_b
+    d = e2 * big_d
+    p = e1 * big_a + s1 * b
+    n = e2 * big_c + s2 * d
+    odd = g * (p - n)
+    out = np.empty((4,) + p.shape)
+    out[0], out[1] = p + n, odd + (b - d)
+    out[2], out[3] = g**2 * out[0] + 2.0 * g * (b + d), g**2 * (odd + 3.0 * (b - d))
+    return out
 
 
 class _Layout(NamedTuple):
@@ -282,15 +324,105 @@ def _layer_length(lam: np.ndarray) -> np.ndarray:
     return 9.5 * lam**0.25
 
 
-def _start_length(lam: float, n_x: int) -> int:
-    """First Chebyshev length of a row: the fewest 16 * 2^k + 1 points that cover ``_layer_length``.
+def _neumann(f: list, lam: float) -> list:
+    """(I - D^2 / lam)^{-1} f for T coefficients f, a list, by one downward sweep.
 
-    Capped at ``n_x``.
+    With A_m the sum of 2i y_i over i >= m with i - m even, (D y)_j =
+    A_{j+1} and B_m the sum of 2j (D y)_j over j >= m with j - m even,
+    (D^2 y)_k = B_{k+1}, halved at k = 0: y_k = f_k + (D^2 y)_k / lam needs
+    only y_j for j >= k + 2, so the top coefficients come first. Each sum
+    is a running sum of its own parity, so this is the two-step
+    derivative recurrence and O(n). Scalar arithmetic: a short row costs
+    what its few coefficients cost.
     """
-    n = 17
-    while n < min(_layer_length(lam), n_x):
-        n = 2 * n - 1
-    return min(n, n_x)
+    n = len(f)
+    y, a, b = [0.0] * n, [0.0] * (n + 2), [0.0] * (n + 3)
+    for k in range(n - 1, -1, -1):
+        b[k + 1] = b[k + 3] + 2.0 * (k + 1) * a[k + 2]
+        y[k] = f[k] + (0.5 if k == 0 else 1.0) * b[k + 1] / lam
+        a[k] = a[k + 2] + 2.0 * k * y[k]
+    return y
+
+
+def _layer_free(coeffs: list, mu: float, half: float) -> Optional[tuple]:
+    """F = P + H for one row of forcing coefficients, or None where that is not safe.
+
+    In t on [-1, 1] the row solves (D^2 - lam)^2 P = half^4 f with
+    lam = -half^2 mu. D^2 is nilpotent on the chopped series (coefficients
+    past the last one above ``CHOP_TOL`` of the largest dropped), so
+    w = P'' + mu P = -half^2 lam^-1 y and P = half^4 lam^-2 z with
+    y = (I - D^2 / lam)^{-1} f and z the same of y (``_neumann``).
+
+    The rounding amplification is the same pair of sweeps run on |f|:
+    (I - D^2 / lam)^{-2} |f| = sum_j (j + 1) (D^2 / lam)^j |f| (D^2 has no
+    negative entry, so this bounds every term and every sum that forms
+    one), in the 1-norm, over the size of the largest F that a forcing of
+    this size can give, ||f||_1 (1 - sech r)^2 with r = sqrt(lam) (the
+    maximum principle of each Dirichlet stage: ||w|| <= ||g|| (1 - sech r)
+    / lam; 1 - sech r = tanh(r / 2) tanh r). It counts the cancellation
+    between P and the end layers as well as within P. The row is safe
+    when eps times its amplification is at most ``CHOP_TOL``.
+
+    H = E1 (A + s1 B) + E2 (C + s2 D) with E1 = e^{g s1}, E2 = e^{g s2},
+    g = -sqrt(-mu), s1 = x - lo, s2 = hi - x and e = e^{g L} on the
+    interval of length L = 2 half (``SubproblemSolution.modal_fields``'
+    form). H = -P and H'' - g^2 H = g^2 P - P'' at both ends, where
+    H'' - g^2 H = 2g (B + e D) at lo and 2g (e B + D) at hi, and
+    H = A + e (C + L D) at lo and e (A + L B) + C at hi: two 2 x 2
+    systems, solved exactly, so nothing assumes e below rounding. With
+    p - n = A - e (C + L D), -(C - e (A + L B)) and b - d = B - e D,
+    -(D - e B) at (lo, hi), H' = g (p - n) + (b - d) and
+    H''' = g^2 [g (p - n) + 3 (b - d)] add to P's end sums. Returns the
+    coefficients (P, w), the traces ((F', F''') at (lo, hi)), the weights
+    (A, B, C, D) and the amplification.
+    """
+    cut = CHOP_TOL * max(map(abs, coeffs))
+    end = len(coeffs)
+    while abs(coeffs[end - 1]) <= cut:
+        end -= 1
+    f = coeffs[:end]
+    size = [abs(c) for c in f]
+    lam = -half * half * mu
+    r = math.sqrt(lam)
+    scale = sum(size) * (math.tanh(0.5 * r) * math.tanh(r)) ** 2
+    amp = sum(_neumann(_neumann(size, lam), lam)) / scale if scale > 0.0 else math.inf
+    if not amp * _EPS <= CHOP_TOL:
+        return None
+    y = _neumann(f, lam)
+    p = [half**4 / lam**2 * v for v in _neumann(y, lam)]
+    w = [-half**2 / lam * v for v in y]
+    ends = []  # at (lo, hi): P, w, then P', w' (T_k(-1) = (-1)^k, T_k'(+-1) = (+-1)^(k+1) k^2)
+    for series in (p, w):
+        plus = sum(series)
+        minus = sum(series[0::2]) - sum(series[1::2])
+        slope = [k * k * c for k, c in enumerate(series)]
+        ends.append((minus, plus, (sum(slope[1::2]) - sum(slope[0::2])) / half, sum(slope) / half))
+    (p_lo, p_hi, dp_lo, dp_hi), (w_lo, w_hi, dw_lo, dw_hi) = ends
+    g, length = -math.sqrt(-mu), 2.0 * half
+    e = math.exp(g * length)
+
+    def pair(at_lo, at_hi):  # (X, Y) with X + e Y = at_lo and e X + Y = at_hi
+        return (at_lo - e * at_hi) / (1.0 - e * e), (at_hi - e * at_lo) / (1.0 - e * e)
+
+    big_b, big_d = pair((g * g * p_lo - (w_lo - mu * p_lo)) / (2.0 * g),
+                        (g * g * p_hi - (w_hi - mu * p_hi)) / (2.0 * g))
+    big_a, big_c = pair(-p_lo - e * length * big_d, -p_hi - e * length * big_b)
+    traces = []  # the hi end is the reflection: (A, B) and (C, D) swap, odd orders change sign
+    for sign, (near, slope_near, far, slope_far), dp, dw in (
+            (1.0, (big_a, big_b, big_c, big_d), dp_lo, dw_lo),
+            (-1.0, (big_c, big_d, big_a, big_b), dp_hi, dw_hi)):
+        odd = sign * g * (near - e * (far + length * slope_far))  # g (p - n)
+        slope = sign * (slope_near - e * slope_far)  # b - d
+        traces.append((dp + (odd + slope), (dw - mu * dp) + g * g * (odd + 3.0 * slope)))
+    return (p, w), tuple(zip(*traces)), (big_a, big_b, big_c, big_d), amp
+
+
+def _by_length(rows: list, lengths: list) -> list:
+    """The rows grouped by their Chebyshev length, shortest first: [(n, rows)]."""
+    groups = {}
+    for row in rows:
+        groups.setdefault(lengths[row], []).append(row)
+    return sorted(groups.items())
 
 
 def _stage_rhs(g: np.ndarray, lay: _Layout, scale: float) -> np.ndarray:
@@ -361,20 +493,40 @@ def solve_particular(
     """Solve the homogeneous-ends particular problem on one interval.
 
     The problem decouples by mode, and only the forcing's declared
-    ``modes`` are sampled, once per Chebyshev length used. Per mode mu the fourth-order equation factors
-    as (d^2/dx^2 + mu)^2, giving two Dirichlet stages, w'' + mu w = f and
-    F'' + mu F = w, each solved by the ultraspherical method (Olver and
-    Townsend) in Chebyshev-T coefficients: O(n) per mode, one banded call
-    per stage over all pending modes (``_solve_groups``). A mode starts at
-    ``_start_length`` and refines n -> 2n - 1 (the points nest) until the
-    coefficient tails of its forcing, w and F all chop (``_tail`` at most
-    ``CHOP_TOL``) or its length reaches the cap ``n_x``. A mode's lengths
-    depend on its own data alone, so its result does not depend on which
-    other modes are active. A declared mode whose samples are zero has
-    F = 0 exactly and is dropped. The traces F' and F''' = w' - mu F' are
-    summed from the coefficients. A side without a resampler is not even
-    sampled: it returns ``ParticularSolution.zero``. ``n_x``, the largest
-    Chebyshev length, passes ``check_grid`` at ``PARTICULAR_MIN_N_X``.
+    ``modes`` are sampled, once per Chebyshev length used. A row first
+    resolves its forcing alone: from 17 points it refines n -> 2n - 1 (the
+    points nest) until the forcing's coefficient tail chops (``_tail`` at
+    most ``CHOP_TOL``) or n reaches the cap ``n_x``. A declared mode whose
+    samples are zero has F = 0 exactly and is dropped. Per mode mu the
+    fourth-order equation factors as (d^2/dx^2 + mu)^2, and each row
+    takes one of two routes:
+
+    - layer-free, where eps times the row's rounding amplification is at
+      most ``CHOP_TOL`` (``_layer_free``): F = P + H, the polynomial
+      particular solution of the row's chopped forcing series plus four
+      closed-form end layers, so a stiff row costs what its forcing costs
+      and no boundary layer is resolved by coefficients. Its estimate is
+      the larger of the forcing's tail and the amplification times n eps:
+      the n-point transform and the end sums round at up to about n eps
+      of the largest coefficient. Its arithmetic is scalar and O(n) per
+      row, so it needs no banded call and no scipy.
+    - the stages, elsewhere: w'' + mu w = f and F'' + mu F = w, each
+      solved by the ultraspherical method (Olver and Townsend) in
+      Chebyshev-T coefficients, O(n) per mode, one banded call per stage
+      over all pending stage rows (``_solve_groups``). A row goes on from
+      its forcing's length and refines until the tails of its forcing, w
+      and F all chop or it reaches ``n_x``; its estimate is that tail.
+      A rough forcing takes the stages on a stiff row too, and can reach
+      the cap below the row's ``_layer_length``; its last eighth can then
+      sit at rounding level while its layers are unresolved, so it
+      reports the tail of its last half.
+
+    A mode's lengths and route depend on its own data alone, so its result
+    does not depend on which other modes are active. The traces F' and
+    F''' are the coefficient sums of the series part, plus H's closed
+    form. A side without a resampler is not even sampled: it returns
+    ``ParticularSolution.zero``. ``n_x``, the largest Chebyshev length,
+    passes ``check_grid`` at ``PARTICULAR_MIN_N_X``.
 
     Parameters
     ----------
@@ -392,20 +544,39 @@ def solve_particular(
     half = 0.5 * (hi - lo)
     modes = forcing.modes
     lam = -half**2 * mu[modes]
-    lengths = [_start_length(value, n_x) for value in lam.tolist()]
-    short = (_layer_length(lam) > n_x).tolist()
-    pending = list(range(modes.size))
-    done = {}  # declared row -> ((F, w), (F, w)' at (lo, hi), tail)
     samples = {}  # length -> every declared row at its points, sampled once
+
+    def coefficients(n: int, rows: list) -> np.ndarray:
+        if n not in samples:
+            samples[n] = forcing.sample_modes(side, lo + half * (1.0 + _layout(n).points))
+        return _coefficients(samples[n][rows], _layout(n))
+
+    lengths = [PARTICULAR_MIN_N_X] * modes.size
+    forced = {}  # declared row -> (forcing coefficients, tail) where they chop or reach n_x
+    pending = list(range(modes.size))
     while pending:
-        groups = {}
-        for row in pending:
-            groups.setdefault(lengths[row], []).append(row)
-        groups = sorted(groups.items())
-        for n, _ in groups:
-            if n not in samples:
-                samples[n] = forcing.sample_modes(side, lo + half * (1.0 + _layout(n).points))
-        fhats = [_coefficients(samples[n][rows], _layout(n)) for n, rows in groups]
+        rounds, pending = _by_length(pending, lengths), []
+        for n, rows in rounds:
+            fhat = coefficients(n, rows)
+            for i, (row, tail) in enumerate(zip(rows, _tail(fhat).tolist())):
+                if tail > CHOP_TOL and n < n_x:
+                    lengths[row] = min(2 * n - 1, n_x)
+                    pending.append(row)
+                elif fhat[i].any():
+                    forced[row] = fhat[i], tail
+    done = {}  # declared row -> ((F or P, w), (F', F''') at (lo, hi), layer weights, estimate)
+    pending = []
+    for row, (fhat, tail) in sorted(forced.items()):
+        free = _layer_free(fhat.tolist(), float(mu[modes[row]]), half)
+        if free is None:
+            pending.append(row)
+        else:
+            *solution, amp = free
+            done[row] = (*solution, max(tail, amp * lengths[row] * _EPS))
+    short = (_layer_length(lam) > n_x).tolist()
+    while pending:
+        groups = _by_length(pending, lengths)
+        fhats = [coefficients(n, rows) for n, rows in groups]
         solved = _solve_groups([lam[rows] for _, rows in groups], fhats, half**2)
         pending = []
         for (n, rows), fhat, fw in zip(groups, fhats, solved):
@@ -418,24 +589,24 @@ def solve_particular(
                 if tails[i] > CHOP_TOL and n < n_x:
                     lengths[row] = min(2 * n - 1, n_x)
                     pending.append(row)
-                elif fhat[i].any():
-                    # Capped below its layer length, a row's last eighth can sit at
-                    # rounding level while its layers are unresolved: it reports
-                    # the tail of its last half instead.
+                else:
                     tail = _tail(np.stack([fhat[i], *fw[:, i]]), 2).max() if short[row] else tails[i]
-                    done[row] = (fw[:, i], ends[:, i], float(tail))
+                    fprime, wprime = ends[:, i]
+                    done[row] = (fw[:, i], (fprime, wprime - mu[modes[row]] * fprime),
+                                 (0.0,) * 4, float(tail))
     keep = sorted(done)
-    tables = np.zeros((2, len(keep), max((lengths[row] for row in keep), default=0)))
-    traces = np.zeros((2, 2, mu.size))  # (F', w') at (lo, hi)
+    tables = np.zeros((2, len(keep), max((len(done[row][0][0]) for row in keep), default=0)))
+    traces = np.zeros((2, 2, mu.size))  # (F', F''') at (lo, hi)
+    layers = np.zeros((4, len(keep)))
     for i, row in enumerate(keep):
-        tables[:, i, :lengths[row]], traces[:, :, modes[row]] = done[row][:2]
-    (fp_l, fp_r), (wp_l, wp_r) = traces
+        series, traces[:, :, modes[row]], layers[:, i], _ = done[row]
+        tables[:, i, :len(series[0])] = series
+    (fp_l, fp_r), (f3_l, f3_r) = traces
     return ParticularSolution(
         side=side, geometry=geometry, f_modal=tables[0], w_modal=tables[1],
-        fprime_left=fp_l, fprime_right=fp_r,
-        f3_left=wp_l - mu * fp_l, f3_right=wp_r - mu * fp_r,
+        fprime_left=fp_l, fprime_right=fp_r, f3_left=f3_l, f3_right=f3_r,
         error_estimate=max((done[row][-1] for row in keep), default=0.0),
-        active=modes[keep],
+        active=modes[keep], layers=layers,
     )
 
 
@@ -571,12 +742,10 @@ class SubproblemSolution:
         """Eigenbasis values of the field and its x-derivatives of orders 0..3, shape (4, m, k).
 
         Per mode u = E1 (A + s1 B) + E2 (C + s2 D), A = a1 + a3, B = a2 + a4,
-        C = a3 - a1, D = a4 - a2, and d/dx E1 = g E1, d/dx E2 = -g E2. With
-        b = E1 B, d = E2 D, p = E1 A + s1 b and n = E2 C + s2 d: u = p + n,
-        u' = g (p - n) + (b - d), u'' = g^2 (p + n) + 2g (b + d) and
-        u''' = g^2 [g (p - n) + 3 (b - d)]. Points within ``_ENDPOINT_TOL``
-        of the interval length outside an end (an end for ``ParticularSolution.terms``
-        too) are moved onto it; points farther out raise ValueError.
+        C = a3 - a1, D = a4 - a2 (``_exponential_table``). Points within
+        ``_ENDPOINT_TOL`` of the interval length outside an end (an end for
+        ``ParticularSolution.terms`` too) are moved onto it; points farther
+        out raise ValueError.
         """
         xs = np.atleast_1d(np.asarray(x, dtype=float))
         lo, hi = self.geometry.interval(self.side)
@@ -586,16 +755,9 @@ class SubproblemSolution:
         xs = np.clip(xs, lo, hi)
         gm = self.operator.generator_eigenvalues[:, None]
         s1, s2 = (xs - lo)[None, :], (hi - xs)[None, :]
-        e1, e2 = np.exp(s1 * gm), np.exp(s2 * gm)
         a1, a2, a3, a4 = (a[:, None] for a in self.alphas)
-        b = e1 * (a2 + a4)
-        d = e2 * (a4 - a2)
-        p = e1 * (a1 + a3) + s1 * b
-        n = e2 * (a3 - a1) + s2 * d
-        odd = gm * (p - n)
-        out = np.empty((4,) + p.shape)
-        out[0], out[1] = p + n, odd + (b - d)
-        out[2], out[3] = gm**2 * out[0] + 2.0 * gm * (b + d), gm**2 * (odd + 3.0 * (b - d))
+        out = _exponential_table(gm, s1, s2, np.exp(s1 * gm), np.exp(s2 * gm),
+                                 a1 + a3, a2 + a4, a3 - a1, a4 - a2)
         part = self.particular
         if part is not None and part.active.size:
             out += part.terms(xs, self.operator.eigenvalues)

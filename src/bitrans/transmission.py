@@ -59,7 +59,13 @@ from .subproblem import (
     solve_particular,
 )
 from .symbols import determinant
-from .verification import FundamentalSymbols, fundamental_solve, fundamental_symbols
+from .verification import (
+    FundamentalSymbols,
+    FundamentalSystem,
+    fundamental_solve,
+    fundamental_symbols,
+    fundamental_system,
+)
 
 BLOCK_RESIDUAL_TOL = 1e-10
 DET_CROSSCHECK_TOL = 1e-10
@@ -252,14 +258,16 @@ class InterfaceData:
 
 
 def solve_interface_block(operators: TransmissionOperators, phi_hat: tuple,
-                          part_minus: ParticularSolution,
-                          part_plus: ParticularSolution) -> InterfaceData:
+                          part_minus: ParticularSolution, part_plus: ParticularSolution,
+                          system: Optional[FundamentalSystem] = None) -> InterfaceData:
     """Per-mode 8 x 8 fundamental-system solve of the whole problem (verification route).
 
-    ``phi_hat`` is the modal boundary data (phi1-, phi2-, phi1+, phi2+);
+    ``phi_hat`` is the modal boundary data (phi1-, phi2-, phi1+, phi2+) and
+    ``system`` the operators' ``fundamental_system``, formed when None;
     see ``verification.fundamental_solve``.
     """
-    psi1_hat, psi2_hat, residual = fundamental_solve(operators, phi_hat, part_minus, part_plus)
+    psi1_hat, psi2_hat, residual = fundamental_solve(operators, phi_hat, part_minus, part_plus,
+                                                     system)
     return InterfaceData(operators.operator, psi1_hat, psi2_hat, ROUTE_FUNDAMENTAL, residual)
 
 
@@ -438,15 +446,16 @@ def residual_report(solution: TransmissionSolution) -> ResidualReport:
 
     Per mode the homogeneous part is an exact combination of e^{g s1},
     s1 e^{g s1}, e^{g s2} and s2 e^{g s2}, so (d^2 - g_j^2)^2 u_j = 0 holds
-    identically and only the particular part F can leave an equation
-    residual. ``eq_*`` is therefore F's residual
-    F'''' + 2 A F'' + A^2 F - f on the interior of a grid of
-    ``solution.options.probe_points`` points per side, with F'''' the
-    central difference of F''' (``ParticularSolution.terms``); its only
-    nonzero rows are ``particular.active`` and, on a forced side, the
-    forcing's declared ``modes``, and only those rows are formed and
-    mapped (``SectionOperator.from_modes``). A side with neither reads
-    exactly 0. The four outer boundary conditions and the interface
+    identically, and so does each row's closed-form end-layer part of F
+    (``ParticularSolution.layers``): only F's series part S can leave an
+    equation residual. ``eq_*`` is therefore S's residual
+    S'''' + 2 A S'' + A^2 S - f on the interior of a grid of
+    ``solution.options.probe_points`` points per side, with S'''' the
+    central difference of S''' (``ParticularSolution.terms`` without the
+    layers); its only nonzero rows are ``particular.active`` and, on a
+    forced side, the forcing's declared ``modes``, and only those rows are
+    formed and mapped (``SectionOperator.from_modes``). A side with
+    neither reads exactly 0. The four outer boundary conditions and the interface
     continuity of u and u' read the closed-form end values of
     ``end_values``, and the flux transmission conditions the closed-form
     traces of ``interface_fluxes``. Every term is formed in the
@@ -493,8 +502,8 @@ def residual_report(solution: TransmissionSolution) -> ResidualReport:
     }
     phys_ends = op.from_modal(np.array(list(columns.values())).T).T  # one row per entry
 
-    # The particular part's terms F'''' (a central difference of F'''),
-    # A F'', A^2 F and f on the probe interior, on the rows that can be
+    # The series part's terms S'''' (a central difference of S'''),
+    # A S'', A^2 S and f on the probe interior, on the rows that can be
     # nonzero: the active rows and, on a forced side, the declared modes.
     # They reach the physical basis through those eigenvectors alone; a
     # side without such rows reads exactly 0.
@@ -516,7 +525,7 @@ def residual_report(solution: TransmissionSolution) -> ResidualReport:
             continue
         xs = prob.geometry.grid(side, n_probe)
         terms = (np.zeros((4, rows.size, xs.size)) if part is None
-                 else part.terms(xs, op.eigenvalues)[:, rows])
+                 else part.terms(xs, op.eigenvalues, layers=False)[:, rows])
         mu_rows = mu[rows]
         block = np.concatenate([(terms[3, :, 2:] - terms[3, :, :-2]) / (2.0 * h),
                                 mu_rows * terms[2, :, 1:-1], mu_rows**2 * terms[0, :, 1:-1],
@@ -574,11 +583,10 @@ class TransmissionSolver:
     Construction forms everything that depends on these inputs and the
     options alone: both intervals' symbols, the interface blocks, their
     conditions, determinant gap and gates (``assemble_transmission_operators``),
-    the fundamental-system symbols on the ``both`` route and the zero
-    forcing. ``solve`` runs what depends on the forcing and boundary
-    data, so a new right-hand side passes through fixed per-mode functions
-    of M; on ``both`` it also re-forms each mode's 8 x 8 fundamental-system
-    rows, which depend on the operators alone.
+    the fundamental-system symbols and each mode's equilibrated 8 x 8
+    fundamental-system matrix on the ``both`` route, and the zero forcing.
+    ``solve`` runs what depends on the forcing and boundary data, so a new
+    right-hand side passes through fixed per-mode functions of M.
     """
 
     def __init__(self, operator: SectionOperator, geometry: CylinderGeometry,
@@ -588,8 +596,9 @@ class TransmissionSolver:
         self.k_minus, self.k_plus = k_minus, k_plus
         self.options = options or SolveOptions()
         self.operators = assemble_transmission_operators(operator, geometry, k_minus, k_plus)
-        self.reference = (fundamental_symbols(self.operators)
-                          if self.options.route == ROUTE_BOTH else None)
+        both = self.options.route == ROUTE_BOTH
+        self.reference = fundamental_symbols(self.operators) if both else None
+        self.system = fundamental_system(self.operators) if both else None
         self.zero_forcing = ModalForcing.zero(operator.m, geometry)
 
     def matches(self, geometry: CylinderGeometry, k_minus: float, k_plus: float,
@@ -635,7 +644,7 @@ class TransmissionSolver:
         interface = solve_interface_calculus(tops, sources)
         route_gap = 0.0
         if options.route == ROUTE_BOTH:
-            check = solve_interface_block(tops, phi_hat, part_m, part_p)
+            check = solve_interface_block(tops, phi_hat, part_m, part_p, self.system)
             pair, ref = (np.stack([data.psi1, data.psi2]) for data in (interface, check))
             route_gap = float(np.max(np.abs(pair - ref)) / (1.0 + np.max(np.abs(pair))))
         al_m = alphas_minus(tops.minus, interface.psi1_hat, interface.psi2_hat, pt_m)

@@ -6,7 +6,8 @@ s1 E1, E2 = e^{g s2}, s2 E2 of an interval [lo, hi] (s1 = x - lo,
 s2 = hi - x; Coddington & Levinson 1955, ch. 3) it is one 8 x 8 system per
 mode, which uses none of the symbols, the end map or Lambda. Rows are
 equilibrated (Higham 2002, sec. 7.3) and all modes are one batched solve:
-O(m), on the ``both`` route and in ``verify`` only.
+O(m), on the ``both`` route and in ``verify`` only. The matrices depend on
+the operators alone (``fundamental_system``), so a solver forms them once.
 """
 
 from __future__ import annotations
@@ -34,11 +35,16 @@ def _end_rows(ops, at_lo: bool) -> np.ndarray:
         (zero, 2.0 * g**2 * e1, zero, -2.0 * g**2 * e2))], axis=1)
 
 
-def _solve(a: np.ndarray, b: np.ndarray, what: str):
-    """Row-equilibrated batched solve of a x = b; returns x and the scaled residual."""
+def _equilibrate(a: np.ndarray) -> tuple:
+    """Each row of the batched a over its largest entry: (scaled a, the (m, k, 1) scales)."""
     scale = np.max(np.abs(a), axis=2, keepdims=True)
     scale[scale == 0.0] = 1.0
-    a, b = a / scale, b / scale
+    return a / scale, scale
+
+
+def _solve(a: np.ndarray, scale: np.ndarray, b: np.ndarray, what: str):
+    """Batched solve of the equilibrated a x = b / scale; returns x and the scaled residual."""
+    b = b / scale
     try:
         x = np.linalg.solve(a, b)
     except np.linalg.LinAlgError as exc:
@@ -48,13 +54,21 @@ def _solve(a: np.ndarray, b: np.ndarray, what: str):
     return x, float(np.linalg.norm(a @ x - b) / (1.0 + np.linalg.norm(b)))
 
 
-def fundamental_solve(operators, phi_hat, part_minus, part_plus):
-    """Modal interface pair and scaled residual (psi1_hat, psi2_hat, residual) of the 8 x 8 solves.
+class FundamentalSystem(NamedTuple):
+    """The per-mode 8 x 8 interface matrices, equilibrated, with their row ``scale`` (m, 8, 1),
+    and the rows of u and u' at gamma on the minus side, (m, 2, 4), that map a solution to
+    the interface pair. They depend on the operators alone."""
+
+    matrix: np.ndarray
+    scale: np.ndarray
+    at_gamma: np.ndarray
+
+
+def fundamental_system(operators) -> FundamentalSystem:
+    """The 8 x 8 system of ``fundamental_solve`` for every mode, built once per operator set.
 
     Unknowns: four basis coefficients per side. Rows: u, u' at a and at b, and the jumps
-    of u, u', k t2 and k t3 at gamma. ``phi_hat`` is the modal boundary data (phi1-,
-    phi2-, phi1+, phi2+); the particular parts (F = F'' = 0 at every end) enter through
-    F'(a), F'(gamma+-), F'''(gamma+-) and F'(b), and psi2 = h-'(gamma) + F-'(gamma)."""
+    of u, u', k t2 and k t3 at gamma."""
     minus, plus, km, kp = operators.minus, operators.plus, operators.k_minus, operators.k_plus
     m_a, m_g = _end_rows(minus, True), _end_rows(minus, False)
     p_g, p_b = _end_rows(plus, True), _end_rows(plus, False)
@@ -62,6 +76,19 @@ def fundamental_solve(operators, phi_hat, part_minus, part_plus):
     a[:, 0:2, :4], a[:, 2:4, 4:] = m_a[:, :2], p_b[:, :2]
     a[:, 4:6, :4], a[:, 4:6, 4:] = m_g[:, :2], -p_g[:, :2]
     a[:, 6:8, :4], a[:, 6:8, 4:] = km * m_g[:, 2:], -kp * p_g[:, 2:]
+    return FundamentalSystem(*_equilibrate(a), m_g[:, :2])
+
+
+def fundamental_solve(operators, phi_hat, part_minus, part_plus, system=None):
+    """Modal interface pair and scaled residual (psi1_hat, psi2_hat, residual) of the 8 x 8 solves.
+
+    ``system`` is ``fundamental_system(operators)``, formed here when None. ``phi_hat`` is
+    the modal boundary data (phi1-, phi2-, phi1+, phi2+); the particular parts
+    (F = F'' = 0 at every end) enter through F'(a), F'(gamma+-), F'''(gamma+-) and F'(b),
+    and psi2 = h-'(gamma) + F-'(gamma)."""
+    if system is None:
+        system = fundamental_system(operators)
+    minus, km, kp = operators.minus, operators.k_minus, operators.k_plus
     g2, zero = minus.g**2, np.zeros(minus.m)
     phi1m, phi2m, phi1p, phi2p = phi_hat
     fpm, fpp = part_minus.fprime_right, part_plus.fprime_left
@@ -69,8 +96,8 @@ def fundamental_solve(operators, phi_hat, part_minus, part_plus):
                   zero, fpp - fpm, zero,
                   kp * (part_plus.f3_left - g2 * fpp) - km * (part_minus.f3_right - g2 * fpm)],
                  axis=1)
-    x, residual = _solve(a, b[..., None], "interface system")
-    psi = m_g[:, :2] @ x[:, :4]
+    x, residual = _solve(system.matrix, system.scale, b[..., None], "interface system")
+    psi = system.at_gamma @ x[:, :4]
     return psi[:, 0, 0], psi[:, 1, 0] + fpm, residual
 
 
@@ -93,7 +120,8 @@ def _one_sided(ops, side: str) -> np.ndarray:
     at_gamma, first = (hi, 2) if side == SIDE_MINUS else (lo, 0)
     unit = np.zeros((ops.m, 4, 2))
     unit[:, first, 0] = unit[:, first + 1, 1] = 1.0
-    t2, t3 = np.moveaxis(at_gamma[:, 2:] @ _solve(a, unit, "one-sided system")[0], 1, 0)
+    t2, t3 = np.moveaxis(at_gamma[:, 2:] @ _solve(*_equilibrate(a), unit, "one-sided system")[0],
+                         1, 0)
     g, sign = ops.g, (1.0 if side == SIDE_MINUS else -1.0)
     return np.stack([sign * t3[:, 0] / g**3, t3[:, 1] / g**2, -t2[:, 0] / g**2,
                      -sign * t2[:, 1] / g, np.linalg.det(a)])

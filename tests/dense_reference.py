@@ -250,9 +250,10 @@ class FDParticular:
     def f3_interface(self) -> np.ndarray:
         return self.f3_right if self.side == SIDE_MINUS else self.f3_left
 
-    def terms(self, xs, mu) -> np.ndarray:
+    def terms(self, xs, mu, layers: bool = True) -> np.ndarray:
         """Orders 0..3 at ``xs``, shape (4, m, k): two evaluations of the [F; w] spline inside,
-        the stored traces (odd orders) and F = F'' = 0 (even orders) at the ends."""
+        the stored traces (odd orders) and F = F'' = 0 (even orders) at the ends. F has no
+        end-layer part here, so ``layers`` changes nothing."""
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
         out = np.zeros((4, self.m, xs.size))
         rows = self.active

@@ -117,9 +117,14 @@ def _forced_solve_config(tmp_path: Path, kind: str) -> Path:
 
 @pytest.mark.parametrize("kind", ["sine", "csv"])
 def test_cold_forced_solve_loads_only_scipy_linalg(tmp_path, kind):
-    # The particular solve and the forcing spline need banded LU and
-    # nothing else: no scipy.interpolate, sparse, optimize, special or fft.
+    # The sine row (mode 1 of m = 8, lam about 121) takes the layer-free
+    # particular route, numpy only, and loads no scipy at all. The table's
+    # spline needs banded LU for its slopes and nothing else: no
+    # scipy.interpolate, sparse, optimize, special or fft.
     result = _cli("solve", _forced_solve_config(tmp_path, kind), tmp_path / "out")
     assert result["exit"] == 0
-    assert result["subpackages"] == ["linalg"]
+    if kind == "sine":
+        assert result["scipy"] == []
+    else:
+        assert result["subpackages"] == ["linalg"]
     assert (tmp_path / "out" / "solution.csv").is_file()

@@ -245,10 +245,11 @@ def test_side_without_resampler_is_not_sampled_solved_or_interpolated(monkeypatc
     assert part.active.size == 0 and not (sampled or banded)
     part = solve_particular(op.eigenvalues, GEOM, SIDE_PLUS, forcing, n_x=65)
     assert part.active.tolist() == modes
-    # Both modes start at 33 coefficients; mode 5 chops there and mode 1 at
-    # 65, in a second round. Each round samples once per length and makes
-    # one banded call per stage.
-    assert (len(sampled), len(banded)) == (2, 4)
+    # Both forcing rows start at 17 points and chop at 33, one sampling per
+    # length. Both rows are stiff enough for the layer-free route (lam = 121
+    # and 34), so no banded call runs.
+    assert (len(sampled), len(banded)) == (2, 0)
+    assert np.all(part.layers != 0.0)
     assert not table_splines
 
 

@@ -1,3 +1,5 @@
+from functools import lru_cache
+
 import mpmath
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from bitrans import (
     SIDE_MINUS,
     SIDE_PLUS,
     SIDES,
+    SolveOptions,
     SubproblemSolution,
     alphas_minus,
     alphas_plus,
@@ -115,15 +118,28 @@ def test_particular_endpoint_invariants():
     assert np.max(np.abs(ref.f_modal[:, -1])) == 0.0
     assert np.max(np.abs(ref.w_modal[:, 0])) == 0.0   # w = F'' at the ends
     assert np.max(np.abs(ref.w_modal[:, -1])) == 0.0
-    # Chebyshev: the terms hold F = F'' = 0 at the ends exactly, and the
-    # series of F and w vanish there to rounding (T_k(+-1) = (+-1)^k).
+    # Chebyshev: the terms hold F = F'' = 0 at the ends exactly. Every row
+    # here is layer-free: its series part S (T_k(+-1) = (+-1)^k) and its end
+    # layers H cancel at each end to rounding, S + H = 0 and S'' + H'' = 0
+    # with S'' = w - mu S, and H's closed form (H = A + e (C + L D) and
+    # H'' - g^2 H = 2g (B + e D) at lo, the reflection at hi).
     part = solve_particular(op.eigenvalues, geom, SIDE_MINUS, forcing, n_x=65)
     ends = part.terms(np.array(geom.interval(SIDE_MINUS)), op.eigenvalues)
     assert np.max(np.abs(ends[[0, 2]])) == 0.0
+    assert np.all(part.layers != 0.0)
+    mu = op.eigenvalues[part.active]
+    g, length = -np.sqrt(-mu), geom.c
+    e = np.exp(g * length)
+    a, b, c, d = part.layers
+    h_lo, h_hi = a + e * (c + length * d), e * (a + length * b) + c
+    layer = [(h_lo, g * g * h_lo + 2.0 * g * (b + e * d)),
+             (h_hi, g * g * h_hi + 2.0 * g * (e * b + d))]
     signs = (-1.0) ** np.arange(part.f_modal.shape[1])
-    for table in (part.f_modal, part.w_modal):
-        for end_values in (table.sum(axis=1), table @ signs):
-            assert np.max(np.abs(end_values)) <= 1e-15 * np.max(np.abs(table))
+    for (s_end, w_end), (h, h2) in zip(((part.f_modal @ signs, part.w_modal @ signs),
+                                        (part.f_modal.sum(axis=1), part.w_modal.sum(axis=1))),
+                                       layer):
+        assert np.max(np.abs(s_end + h)) <= 1e-15 * np.max(np.abs(part.f_modal))
+        assert np.max(np.abs(w_end - mu * s_end + h2)) <= 1e-15 * np.max(np.abs(part.w_modal))
 
 
 def test_resolution_error():
@@ -299,8 +315,9 @@ def test_zero_forcing_side_skips_the_banded_solves(monkeypatch):
                  "f3_left", "f3_right"):
         assert np.array_equal(getattr(part, name), getattr(zero, name))
     assert part.error_estimate == 0.0
+    # The sine row takes the layer-free route: solved, with no banded call either.
     forced = solve_particular(op.eigenvalues, geom, SIDE_PLUS, forcing, n_x=33)
-    assert calls and np.max(np.abs(forced.f_modal)) > 0.0
+    assert not calls and np.max(np.abs(forced.f_modal)) > 0.0 and forced.layers.any()
 
 
 def _per_mode_particular(mu, geom, side, forcing, n_x):
@@ -385,9 +402,11 @@ def _term_reference(part, xs, order, mu):
 def _chebyshev_term_reference(part, xs, order, mu):
     """F-term of one derivative order from numpy's Chebyshev series of the coefficient tables.
 
-    Interior: F^(order) for orders 0, 1 and w^(order-2) - mu F^(order-2)
-    for orders 2, 3 (d/dx = d/dt / half); at the ends the stored traces
-    (odd orders) or F = F'' = 0 (even orders).
+    Interior: S^(order) for orders 0, 1 and w^(order-2) - mu S^(order-2)
+    for orders 2, 3 (d/dx = d/dt / half), plus the end layers' term from
+    the per-term derivatives d^k E1 = g^k E1, d^k (s1 E1) =
+    (k g^{k-1} + s1 g^k) E1 and, with an extra (-1)^k, the E2 terms; at
+    the ends the stored traces (odd orders) or F = F'' = 0 (even orders).
     """
     out = np.zeros((part.m, xs.size))
     lo, hi = part.geometry.interval(part.side)
@@ -395,10 +414,17 @@ def _chebyshev_term_reference(part, xs, order, mu):
     t = (xs - lo) / half - 1.0
     inner = np.abs(np.abs(t) - 1.0) > 1e-10
     nu = order % 2
+    s1, s2 = xs[inner] - lo, hi - xs[inner]
     for i, row in enumerate(part.active):
         f_nu, w_nu = (chebyshev.chebval(t[inner], chebyshev.chebder(table[i], nu)) / half**nu
                       for table in (part.f_modal, part.w_modal))
         out[row, inner] = f_nu if order < 2 else w_nu - mu[row] * f_nu
+        g = -np.sqrt(-mu[row])
+        big_a, big_b, big_c, big_d = part.layers[:, i]
+        e1, e2, sign = np.exp(g * s1), np.exp(g * s2), (-1.0) ** order
+        gk, dgk = g**order, order * g ** max(order - 1, 0)
+        out[row, inner] += (gk * e1 * big_a + (dgk + s1 * gk) * e1 * big_b
+                            + sign * (gk * e2 * big_c + (dgk + s2 * gk) * e2 * big_d))
         if nu:
             left, right = ((part.fprime_left, part.fprime_right) if order == 1
                            else (part.f3_left, part.f3_right))
@@ -498,6 +524,7 @@ def _check_per_mode_bytes(mu, geom, side, forcing, n_x, zero_rows):
             assert not row[width:].any()
         for name in ("fprime_left", "fprime_right", "f3_left", "f3_right"):
             assert getattr(part, name)[j] == getattr(alone, name)[j], (j, name)
+        assert part.layers[:, i].tobytes() == alone.layers[:, 0].tobytes(), j
         assert alone.error_estimate <= part.error_estimate
 
 
@@ -537,9 +564,10 @@ def test_particular_matches_per_mode_reference(m, n_x, mixed):
 
 @pytest.mark.parametrize("dense", [False, True], ids=["one-mode-sine", "dense-64-modes"])
 def test_particular_solve_makes_two_banded_calls_per_round(monkeypatch, dense):
-    # Each refinement round solves both stages of every pending mode in two
-    # stacked tridiagonal calls (the first also solves for e_0, a second
-    # column), each at most n_x unknowns per mode; no spline is built.
+    # Each refinement round solves both stages of every pending stage row in
+    # two stacked tridiagonal calls (the first also solves for e_0, a second
+    # column), each at most n_x unknowns per mode; no spline is built. The
+    # sine's row takes the layer-free route and makes no banded call.
     m, n_x = 64, 129
     op = build_dirichlet_laplacian_1d(m, 1.0)
     geom = CylinderGeometry(-0.7, 0.0, 0.9)
@@ -556,17 +584,16 @@ def test_particular_solve_makes_two_banded_calls_per_round(monkeypatch, dense):
                         lambda self, *args, **kw: splines.append(1) or real_init(self, *args, **kw))
     for side in SIDES:
         banded.clear()
-        solve_particular(op.eigenvalues, geom, side, forcing, n_x=n_x)
-        if side not in forced:
+        part = solve_particular(op.eigenvalues, geom, side, forcing, n_x=n_x)
+        if side not in forced or not dense:
             assert not banded
             continue
         rounds = len(banded) // 2
         assert 1 <= rounds <= 4 and len(banded) == 2 * rounds  # lengths 17, 33, 65, 129
         for (ab_w, b_w), (ab_f, b_f) in zip(banded[::2], banded[1::2]):
             assert ab_w == ab_f and ab_w[0] == 3 and b_w == (ab_w[1], 2) and b_f == (ab_w[1],)
-        assert banded[0][0][1] <= rows * n_x
-        if not dense:
-            assert rounds == 1  # a sine chops at its first length
+        stage = np.flatnonzero(~part.layers.any(axis=0))
+        assert 0 < stage.size < rows and banded[0][0][1] <= stage.size * n_x
     assert not splines
 
 
@@ -717,25 +744,69 @@ def test_particular_traces_match_a_50_digit_solution():
     assert part.error_estimate <= subproblem.CHOP_TOL
 
 
-@pytest.mark.parametrize("m", [256, 512])
-def test_a_mode_capped_below_its_layers_reports_its_error(m):
-    # At the default cap the stiffest mode of m = 256 or 512 needs more than
-    # 129 coefficients for its boundary layers (9.5 lam^(1/4) = 174, 245); its
-    # error_estimate, the tail of its last half, still covers the trace error.
-    op = build_dirichlet_laplacian_1d(m, 1.0)
-    geom = CylinderGeometry(-0.7, 0.0, 1.3)
-    kappa = 1.0 + 5.0j
+@lru_cache(maxsize=None)
+def _laplacian(m):
+    return build_dirichlet_laplacian_1d(m, 1.0)
 
+
+def _stiff_forcing(geom, m, modes):
+    """Re e^{(1 + 5i) x} on the plus side, on each of ``modes``: the stiff forced case."""
     def func(xs):
-        return np.exp(kappa * np.asarray(xs)).real[None, :]
+        return np.tile(np.exp((1.0 + 5.0j) * np.asarray(xs)).real, (len(modes), 1))
 
-    forcing = ModalForcing.from_functions(geom, m, None, func, modes=[0])
-    part = solve_particular(op.eigenvalues, geom, SIDE_PLUS, forcing)
+    return ModalForcing.from_functions(geom, m, None, func, modes=modes)
+
+
+@pytest.mark.parametrize("m", [256, 512, 2048])
+def test_stiff_rows_match_a_50_digit_solution(m):
+    # Mode 0 (the stiffest) and the middle mode, each solved alone at the
+    # default cap. Their forcing chops at 33 points and they take the
+    # layer-free route, where the stages needed 9.5 lam^(1/4) = 174 to 489
+    # coefficients for the layers of mode 0. F' and F''' at both ends are
+    # within 1e-12 of the 50-digit traces, relative, and each row's
+    # error_estimate is at least its measured error.
+    op = _laplacian(m)
+    geom = CylinderGeometry(-0.7, 0.0, 1.3)
     names = ("fprime_left", "fprime_right", "f3_left", "f3_right")
-    truth = np.array(_mp_traces(op.eigenvalues[0], geom.d, kappa))
-    error = np.max(np.abs([getattr(part, name)[0] for name in names] - truth) / np.abs(truth))
-    assert part.f_modal.shape == (1, 129)
-    assert error <= part.error_estimate
+    for j in (0, m // 2):
+        part = solve_particular(op.eigenvalues, geom, SIDE_PLUS, _stiff_forcing(geom, m, [j]))
+        assert part.layers.any() and part.f_modal.shape[1] <= 33
+        truth = np.array(_mp_traces(op.eigenvalues[j], geom.d, 1.0 + 5.0j))
+        error = np.max(np.abs([getattr(part, name)[j] for name in names] - truth) / np.abs(truth))
+        assert error <= 1e-12 and error <= part.error_estimate, (j, error, part.error_estimate)
+
+
+@pytest.mark.parametrize("m", [512, 2048])
+def test_stiff_forced_solve_agrees_with_the_solve_at_n_x_1025(m):
+    # The stiff forced case on mode 0 with zero boundary data: the solve at
+    # the default cap against the one at n_x = 1025, on the probe grid.
+    # Stages capped below the layers of mode 0 are wrong here by 1.3e-5
+    # (m = 512) and 4.1e-3 (m = 2048), and their reports pass.
+    op = _laplacian(m)
+    geom = CylinderGeometry(-0.7, 0.0, 1.3)
+    forcing = _stiff_forcing(geom, m, [0])
+    sols = [solve_transmission(op, geom, 1.0, 3.0, forcing, None, SolveOptions(n_x=n_x))
+            for n_x in (129, 1025)]
+    assert all(sol.report.passed for sol in sols)
+    fields = [[sol.field(side, geom.grid(side, sol.options.probe_points)) for side in SIDES]
+              for sol in sols]
+    gap = max(np.max(np.abs(a - b)) for a, b in zip(*fields))
+    assert gap <= 1e-10 * max(np.max(np.abs(b)) for b in fields[1])
+
+
+def test_stiff_and_soft_rows_of_one_call_keep_their_bytes():
+    # m = 64 random forcing at the default cap: the stiff rows take the
+    # layer-free route and the softest the stages, in one call, and every
+    # row is the bytes of its solve alone (coefficients, layers, traces).
+    m = 64
+    op = _laplacian(m)
+    geom = CylinderGeometry(-0.7, 0.0, 0.9)
+    forcing = _random_forcing(geom, m, np.random.default_rng(64))
+    for side in SIDES:
+        part = solve_particular(op.eigenvalues, geom, side, forcing)
+        free = part.layers.any(axis=0)
+        assert free.any() and not free.all()
+        _check_per_mode_bytes(op.eigenvalues, geom, side, forcing, 129, [])
 
 
 def test_a_forcing_that_never_chops_runs_to_the_cap(monkeypatch):

@@ -49,7 +49,7 @@ def test_default_route_forms_no_dense_matrix(monkeypatch):
     rng = np.random.default_rng(1)
     bc = BoundaryData(*rng.standard_normal((4, 512)))
     for module in (transmission, verification):
-        for name in ("fundamental_solve", "fundamental_symbols"):
+        for name in ("fundamental_solve", "fundamental_symbols", "fundamental_system"):
             monkeypatch.setattr(module, name, _forbidden(name))
     monkeypatch.setattr(np.linalg, "cond", _forbidden("np.linalg.cond"))
     monkeypatch.setattr(np, "eye", _forbidden("np.eye"))
