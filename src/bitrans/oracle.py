@@ -16,12 +16,12 @@ Convergence studies and pairwise comparisons close the loop.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from ._scipy import solve_banded
 from ._spline import CubicSpline
 from .errors import AnomalyError, DimensionMismatchError, InvalidGeometryError
 from .problem import (
@@ -312,18 +312,135 @@ def _coupled_bands(geometry: CylinderGeometry, k_minus: float, k_plus: float, n:
     return ab, interior
 
 
-def _band_matvec(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """A @ x for A in the band storage of ``_coupled_bands``."""
+def _band_matvec(ab: np.ndarray, x: np.ndarray, main: Optional[np.ndarray] = None) -> np.ndarray:
+    """A @ x along the last axis, for A in the band storage of ``_coupled_bands``.
+
+    ``main``, shaped like ``x``, replaces the main diagonal of ``ab``: a
+    batch of modes whose matrices differ only there gets each mode's
+    product, bit for bit, from one call.
+    """
     lower, upper = _BANDS
-    out = np.zeros_like(x)
-    size = x.size
+    out = np.zeros(np.shape(x))
+    size = x.shape[-1]
     for k in range(-lower, upper + 1):  # k = column - row
-        diag = ab[upper - k]
+        diag = main if k == 0 and main is not None else ab[upper - k]
         if k >= 0:
-            out[:size - k] += diag[k:] * x[k:]
+            out[..., :size - k] += diag[..., k:] * x[..., k:]
         else:
-            out[-k:] += diag[:size + k] * x[:size + k]
+            out[..., -k:] += diag[..., :size + k] * x[..., :size + k]
     return out
+
+
+def _tridiagonal_lu(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray) -> tuple:
+    """Elimination without pivoting of tridiagonal systems along axis 0.
+
+    Row i reads sub[i] x[i-1] + diag[i] x[i] + sup[i] x[i+1]; sub[0]
+    and sup[-1] are not read. The bands broadcast to (n, 1, *batch), one
+    system per batch index. Returns (multipliers, pivots, superdiagonal)
+    in that shape, for ``_lu_solve``. Without pivoting the elimination is
+    stable only for strictly diagonally dominant rows (Golub & Van Loan,
+    sec. 4.3).
+    """
+    shape = np.broadcast_shapes(sub.shape, diag.shape, sup.shape)
+    sub, diag, sup = (np.array(np.broadcast_to(band, shape)) for band in (sub, diag, sup))
+    factor, pivot = np.empty(shape), np.empty(shape)
+    pivot[0] = diag[0]
+    for i, (f, p, below, center, above) in enumerate(zip(factor[1:], pivot[1:], sub[1:],
+                                                        diag[1:], sup)):
+        np.divide(below, pivot[i], out=f)
+        np.subtract(center, f * above, out=p)
+    return factor, pivot, sup
+
+
+def _lu_solve(lu: tuple, rhs: np.ndarray) -> np.ndarray:
+    """Solve with ``_tridiagonal_lu``'s factors for ``rhs`` (n, k, *batch), overwritten and returned."""
+    factor, pivot, sup = (list(band) for band in lu)
+    rows = list(rhs)
+    n = len(rows)
+    for i in range(1, n):
+        rows[i] -= factor[i] * rows[i - 1]
+    rows[n - 1] /= pivot[n - 1]
+    for i in range(n - 2, -1, -1):
+        rows[i] -= sup[i] * rows[i + 1]
+        rows[i] /= pivot[i]
+    return rhs
+
+
+def _solve_coupled(ab: np.ndarray, main: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Every mode's solution of its ``_coupled_bands`` system in one pass, shape (m, 4n).
+
+    Mode j's matrix is ``ab`` with ``main[j]`` as its main diagonal, and
+    ``rhs[j]`` is its right-hand side; ``main[j]`` differs from ``ab``'s
+    own diagonal only on the interior rows, where both kinds of row get
+    the mode's mu (``direct_solve`` builds it so). The interior rows go
+    first: per side, the w rows (w'' + mu w = f) and then the u rows
+    (u'' + mu u - w = 0) are tridiagonal and strictly diagonally dominant
+    for mu < 0, so one pivot-free sweep each, batched over (mode, side),
+    writes every interior value as an affine function of the side's four
+    end values (u and w at its two ends). Both kinds of row carry the
+    same second difference, so the sweeps share the w rows' factors. The
+    8 end and interface rows are then one 8 x 8 system per mode in those
+    values (the Schur complement), solved by one batched
+    ``np.linalg.solve`` with partial pivoting. The sweeps rely on the
+    coupling pattern that ``_coupled_bands`` documents; ``direct_solve``'s
+    backward-error gate measures the result against each mode's full
+    band matrix.
+    """
+    lower, upper = _BANDS
+    m, size = rhs.shape
+    n = size // 4
+    # Column c = 2n side + 2 node + kind (u = 0, w = 1) as axes (side, node, kind).
+    bands = ab.reshape(lower + upper + 1, 2, n, 2)
+    values = rhs.reshape(m, 2, n, 2)
+
+    def along(band, start, kind):  # entries of the n - 2 interior rows as (node, 1, 1, side)
+        return bands[band, :, start:start + n - 2, kind].T[:, None, None, :]
+
+    # Sweep arrays are (node, term, mode, side): term 0 is the value with
+    # zero end values, terms 1..4 the response to the side's u and w at
+    # its first node, then at its last.
+    diag = main.reshape(m, 2, n, 2)[:, :, 1:n - 1, 1].transpose(2, 0, 1)[:, None]
+    lu = _tridiagonal_lu(along(upper + 2, 0, 1), diag, along(upper - 2, 2, 1))
+
+    def sweep(kind, b):
+        # The entries of the rows' end columns move the end values into
+        # terms 1..4 of the right-hand side.
+        b[:, 0] += values[:, :, 1:n - 1, kind].transpose(2, 0, 1)
+        b[0, 1 + kind] -= along(upper + 2, 0, kind)[0, 0, 0]
+        b[-1, 3 + kind] -= along(upper - 2, 2, kind)[-1, 0, 0]
+        return _lu_solve(lu, b)
+
+    w = sweep(1, np.zeros((n - 2, 5, m, 2)))
+    u = sweep(0, -along(upper - 1, 1, 1) * w)  # the u rows' w term
+
+    # The end rows reach the four nodes nearest each end of a side.
+    near = np.r_[0:4, n - 4:n]
+    terms = np.zeros((2, m, near.size, 2, 5))  # (side, mode, node, kind, term)
+    terms[:, :, 1:-1] = np.stack([u[near[1:-1] - 1], w[near[1:-1] - 1]],
+                                 axis=1).transpose(4, 3, 0, 1, 2)
+    for node, kind, term in ((0, 0, 1), (0, 1, 2), (-1, 0, 3), (-1, 1, 4)):
+        terms[:, :, node, kind, term] = 1.0
+    ends = np.array([0, 1, 2 * n - 2, 2 * n - 1, 2 * n, 2 * n + 1, 4 * n - 2, 4 * n - 1])
+    schur = np.zeros((m, ends.size, 9))  # (mode, end row, term 0 then the 8 end values)
+    for side in range(2):
+        cols = (2 * n * side + 2 * near[:, None] + np.arange(2)).ravel()
+        offset = upper + ends[:, None] - cols
+        in_band = (offset >= 0) & (offset <= lower + upper)
+        coupling = np.where(in_band, ab[np.clip(offset, 0, lower + upper), cols], 0.0)
+        part = coupling @ terms[side].reshape(m, cols.size, 5)
+        schur[..., 0] += part[..., 0]
+        schur[..., 1 + 4 * side:5 + 4 * side] = part[..., 1:]
+    side_ends = np.linalg.solve(schur[..., 1:], (rhs[:, ends] - schur[..., 0])[..., None])
+    side_ends = side_ends.reshape(m, 2, 4)
+
+    sols = np.empty((m, 2, n, 2))
+    sols[:, :, [0, -1]] = side_ends.reshape(m, 2, 2, 2)
+    for kind, field in enumerate((u, w)):
+        inner = field[:, 0]
+        for term in range(4):
+            inner += field[:, 1 + term] * side_ends[..., term]
+        sols[:, :, 1:n - 1, kind] = inner.transpose(1, 2, 0)
+    return sols.reshape(m, size)
 
 
 @dataclass(frozen=True)
@@ -346,18 +463,22 @@ class OracleSolution:
         check_side(side)
         return self.grid_minus if side == SIDE_MINUS else self.grid_plus
 
+    @cached_property
+    def _u_splines(self) -> dict:
+        """Each side's spline of u, built once per solution."""
+        return {SIDE_MINUS: CubicSpline(self.grid_minus, self.u_minus),
+                SIDE_PLUS: CubicSpline(self.grid_plus, self.u_plus)}
+
     def modal_field(self, side: str, xs, order: int = 0) -> np.ndarray:
+        check_side(side)
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        grid = self.grid(side)
-        u = self.u_minus if side == SIDE_MINUS else self.u_plus
-        w = self.w_minus if side == SIDE_MINUS else self.w_plus
-        if order == 0:
-            return CubicSpline(grid, u)(xs)
-        if order == 1:
-            return CubicSpline(grid, u)(xs, 1)
+        if order in (0, 1):
+            return self._u_splines[side](xs, order)
         if order == 2:
+            u = self.u_minus if side == SIDE_MINUS else self.u_plus
+            w = self.w_minus if side == SIDE_MINUS else self.w_plus
             mu = self.operator.eigenvalues[:, None]
-            return CubicSpline(grid, w - mu * u)(xs)
+            return CubicSpline(self.grid(side), w - mu * u)(xs)
         raise ValueError(f"oracle fields support orders 0..2, got {order}")
 
     def field(self, side: str, xs, order: int = 0) -> np.ndarray:
@@ -373,11 +494,13 @@ def direct_solve(
     boundary: Optional[BoundaryData] = None,
     n_x: int = 129,
 ) -> OracleSolution:
-    """Coupled second-order finite-difference solve, one mode at a time.
+    """Coupled second-order finite-difference solve of all modes in one pass.
 
     Each mode's system is banded (see ``_coupled_bands``, assembled once
-    per call): a mode fills in its eigenvalue and gets its own banded LU
-    solve with partial pivoting and backward-error check.
+    per call) and differs from the others only by its eigenvalue on the
+    interior diagonal; ``_solve_coupled`` solves them together, and the
+    largest per-mode backward error, measured against each mode's full
+    band matrix, must stay at linear-solve level.
     Strictly independent of the representation route: it never touches
     semigroups, solvability operators, or interface-source algebra, only
     the spectrum of the section operator. Its inputs form a ``TransmissionProblem``;
@@ -403,23 +526,21 @@ def direct_solve(
     rhs[:, 3:2 * n_x - 2:2] = f_m[:, 1:-1]
     rhs[:, 2 * n_x + 3:size - 2:2] = f_p[:, 1:-1]
     rhs[:, [0, 1, size - 1, size - 2]] = bc_hat.T
-    sols = np.empty((m, size))
-    diag = ab[_BANDS[1], interior]
-    # Row sums of |A_j| (its infinity norm): modes differ only on the
-    # interior diagonal, so the other entries are summed once per call.
-    ab[_BANDS[1], interior] = 0.0
-    row_sums = _band_matvec(np.abs(ab), np.ones(size))
+    # Modes differ only on the interior diagonal, where each adds its mu.
+    main = np.tile(ab[_BANDS[1]], (m, 1))
+    main[:, interior] += operator.eigenvalues[:, None]
+    sols = _solve_coupled(ab, main, rhs)
+    # Row sums of |A_j| (its infinity norm): the entries off the interior
+    # diagonal are summed once per call.
+    fixed = np.abs(ab)
+    fixed[_BANDS[1], interior] = 0.0
+    row_sums = _band_matvec(fixed, np.ones(size))
     off_diag = row_sums[interior]
     row_sums[interior] = 0.0
-    fixed_max = np.max(row_sums)
-    backward = np.empty(m)
-    for j in range(m):
-        mode_diag = ab[_BANDS[1], interior] = diag + operator.eigenvalues[j]
-        sol = sols[j] = solve_banded(_BANDS, ab, rhs[j])
-        norm_a = max(fixed_max, np.max(off_diag + np.abs(mode_diag)))
-        backward[j] = (np.max(np.abs(_band_matvec(ab, sol) - rhs[j]))
-                       / (norm_a * max(np.max(np.abs(sol)), 1e-300)
-                          + np.max(np.abs(rhs[j])) + 1e-300))
+    norm_a = np.maximum(np.max(row_sums), np.max(off_diag + np.abs(main[:, interior]), axis=1))
+    backward = (np.max(np.abs(_band_matvec(ab, sols, main) - rhs), axis=1)
+                / (norm_a * np.maximum(np.max(np.abs(sols), axis=1), 1e-300)
+                   + np.max(np.abs(rhs), axis=1) + 1e-300))
     worst = float(np.max(backward))  # a NaN propagates and fails the gate
     if not worst <= 1e-12:
         raise AnomalyError(

@@ -176,3 +176,27 @@ def test_the_oracle_does_not_call_the_particular_solve():
     offenders = [f"oracle.py:{node.lineno}" for node in ast.walk(tree)
                  if _name(node) in {"solve_particular", "ParticularSolution"}]
     assert not offenders, f"the oracle reaches the particular solve: {offenders}"
+
+
+
+def _imported_modules(node) -> set:
+    """Dotted module names an import node names, relative ones without their dots."""
+    if isinstance(node, ast.Import):
+        return {alias.name for alias in node.names}
+    if isinstance(node, ast.ImportFrom):
+        base = node.module or ""
+        return {base} | {f"{base}.{alias.name}".lstrip(".") for alias in node.names}
+    return set()
+
+
+def test_only_the_particular_stages_reach_scipy():
+    # bitrans reaches scipy only through bitrans._scipy, and only the
+    # stage route of subproblem.py imports that; the oracle, the spline
+    # and every other module are numpy only.
+    imports = [(name, _imported_modules(node)) for name, node in _nodes()]
+    entry = sorted({name for name, modules in imports
+                    if any(module.split(".")[0] == "_scipy" for module in modules)})
+    scipy = sorted({name for name, modules in imports
+                    if any(module.split(".")[0] == "scipy" for module in modules)})
+    assert entry == ["subproblem.py"]
+    assert scipy == ["_scipy.py"]

@@ -86,11 +86,22 @@ def test_cold_verify_sine_forced_m64_passes(tmp_path):
     config.write_text("section: {kind: laplacian-1d, m: 64, length: 1.0}\n"
                       "forcing: {kind: sine, side: plus, mode: 1, k_multiple: 1, amplitude: 1.5}\n"
                       + _COMMON)
+    # The oracle's solve and splines are numpy only, and the sine row
+    # takes the layer-free particular route, so verify loads no scipy.
     result = _cli("verify", config, tmp_path / "out")
     assert result["exit"] == 0
-    assert result["subpackages"] == ["linalg"]
+    assert result["scipy"] == []
     verify = json.loads((tmp_path / "out" / "verify.json").read_text())
     assert verify["passed"] is True
+
+
+def test_cold_verify_of_the_random_demo_config_loads_no_scipy(tmp_path):
+    config = Path(__file__).resolve().parent.parent / "demos" / "configs" / "random_verify.yaml"
+    result = _cli("verify", config, tmp_path / "out")
+    assert result["exit"] == 0
+    assert result["scipy"] == []
+    verify = json.loads((tmp_path / "out" / "verify.json").read_text())
+    assert verify["passed"] is True and "route_gap" in verify["checks"]
 
 
 def _forcing_csv(path: Path, m: int) -> None:
@@ -119,8 +130,9 @@ def _forced_solve_config(tmp_path: Path, kind: str) -> Path:
 def test_cold_forced_solve_loads_only_scipy_linalg(tmp_path, kind):
     # The sine row (mode 1 of m = 8, lam about 121) takes the layer-free
     # particular route, numpy only, and loads no scipy at all. The table's
-    # spline needs banded LU for its slopes and nothing else: no
-    # scipy.interpolate, sparse, optimize, special or fft.
+    # spline is numpy only too, but the table forces every mode, and the
+    # stage route of its low modes loads scipy.linalg and nothing else:
+    # no scipy.interpolate, sparse, optimize, special or fft.
     result = _cli("solve", _forced_solve_config(tmp_path, kind), tmp_path / "out")
     assert result["exit"] == 0
     if kind == "sine":

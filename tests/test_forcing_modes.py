@@ -220,7 +220,8 @@ def test_nan_fails_every_gate(monkeypatch):
     blocks[1] = np.nan
     with pytest.raises(AnomalyError, match="cross-check"):
         replace(tops, det_modal_blocks=blocks)
-    monkeypatch.setattr(oracle, "solve_banded", lambda bands, ab, rhs: np.full(rhs.shape, np.nan))
+    monkeypatch.setattr(oracle, "_solve_coupled",
+                        lambda ab, main, rhs: np.full(rhs.shape, np.nan))
     with pytest.raises(AnomalyError, match="backward error"):
         direct_solve(op, GEOM, 1.0, 3.0, n_x=65)
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import spsolve
 
@@ -445,35 +446,91 @@ def test_wrong_interface_flux_sign_in_pattern_is_caught(monkeypatch):
 @pytest.mark.parametrize("n_x", [33, 129])
 @pytest.mark.parametrize("m", [1, 3, 64])
 def test_direct_solve_backward_error_matches_full_row_sums(monkeypatch, m, n_x, forced):
-    # The row sums of |A_j| are formed once per call plus the interior
-    # diagonal per mode; the backward error must be the one computed from
+    # All modes are solved in one _solve_coupled call. The row sums of
+    # |A_j| are formed once per call plus the interior diagonal per mode,
+    # and the backward error must be the largest of those computed from
     # each mode's full band matrix. The diagonal is added last rather than
     # in band order, so a row sum can round differently: at m = 64,
-    # n_x = 33 the norms of 15 of 64 modes differ by under 1 ulp. The
-    # worst backward error was observed equal bit for bit in every case.
+    # n_x = 33 the norms of 15 of 64 modes differ by under 1 ulp.
     op = build_dirichlet_laplacian_1d(m, 1.0)
     geom = CylinderGeometry(-0.7, 0.0, 1.3)
     boundary = BoundaryData(*np.random.default_rng(m).normal(size=(4, m)))
     forcing = (ModalForcing.sine(op, geom, SIDE_PLUS, min(1, m - 1), 1, 1.5) if forced
                else ModalForcing.zero(m, geom))
     seen = []
-    real = oracle.solve_banded
+    real = oracle._solve_coupled
 
-    def spy(bands, ab, rhs):
-        sol = real(bands, ab, rhs)
-        seen.append((ab.copy(), rhs.copy(), sol.copy()))
-        return sol
+    def spy(ab, main, rhs):
+        sols = real(ab, main, rhs)
+        seen.append((ab.copy(), main.copy(), rhs.copy(), sols.copy()))
+        return sols
 
-    monkeypatch.setattr(oracle, "solve_banded", spy)
+    monkeypatch.setattr(oracle, "_solve_coupled", spy)
     sol = direct_solve(op, geom, 1.0, 3.0, forcing, boundary, n_x=n_x)
-    assert len(seen) == m
-    ones = np.ones(seen[0][1].size)
-    backward = [np.max(np.abs(oracle._band_matvec(ab, x) - rhs))
-                / (np.max(oracle._band_matvec(np.abs(ab), ones)) * max(np.max(np.abs(x)), 1e-300)
-                   + np.max(np.abs(rhs)) + 1e-300)
-                for ab, rhs, x in seen]
+    assert len(seen) == 1
+    ab, main, rhs, sols = seen[0]
+    assert sols.shape == rhs.shape == main.shape == (m, 4 * n_x)
+    ones = np.ones(4 * n_x)
+    backward = []
+    upper = oracle._BANDS[1]
+    for mu, diagonal, b, x in zip(op.eigenvalues, main, rhs, sols):
+        # The solver's view of mode j (ab with main[j] on its diagonal) is
+        # the mode's full band matrix, entry for entry.
+        mode_ab = _mode_bands(geom, 1.0, 3.0, n_x, mu)
+        assert np.array_equal(mode_ab[upper], diagonal)
+        assert np.array_equal(np.delete(mode_ab, upper, 0), np.delete(ab, upper, 0))
+        backward.append(np.max(np.abs(oracle._band_matvec(mode_ab, x) - b))
+                        / (np.max(oracle._band_matvec(np.abs(mode_ab), ones))
+                           * max(np.max(np.abs(x)), 1e-300) + np.max(np.abs(b)) + 1e-300))
     eps = np.finfo(float).eps
     assert sol.solve_residual == pytest.approx(max(backward), rel=2.0 * eps, abs=0.0)
+
+
+# Largest gap max|x - x_ref| / max|x_ref| over a case's modes, measured on
+# the grid below between the one-pass solve and per-mode banded LU with
+# partial pivoting on the same matrices: 8.8e-8 on (-0.7, 0, 1.3) and
+# 4.4e-6 on (-1e-3, 0, 1), both at n_x = 1025, where the minus step of
+# about 1e-6 puts cond(A) near 1e12. Each tolerance is about ten times
+# its geometry's measured gap.
+_LU_GAP_TOL = {"standard": 1e-6, "short": 5e-5}
+
+
+@pytest.mark.parametrize("shape", ["standard", "short"])
+@pytest.mark.parametrize("ratio", [1e-4, 1.0, 1e4])
+@pytest.mark.parametrize("n_x", [33, 129, 1025])
+@pytest.mark.parametrize("m", [1, 3, 64, 256])
+def test_one_pass_solve_matches_per_mode_banded_lu(monkeypatch, m, n_x, ratio, shape):
+    op = build_dirichlet_laplacian_1d(m, 1.0)
+    geom = (CylinderGeometry(-0.7, 0.0, 1.3) if shape == "standard"
+            else CylinderGeometry(-1e-3, 0.0, 1.0))
+    boundary = BoundaryData(*np.random.default_rng(m).normal(size=(4, m)))
+    forcing = ModalForcing.sine(op, geom, SIDE_PLUS, min(1, m - 1), 1, 1.5)
+    seen = []
+    real = oracle._solve_coupled
+
+    def spy(*args):
+        seen.append((*args, real(*args)))
+        return seen[-1][-1]
+
+    monkeypatch.setattr(oracle, "_solve_coupled", spy)
+    sol = direct_solve(op, geom, 1.0, ratio, forcing, boundary, n_x=n_x)
+    (_, main, rhs, sols), = seen
+    assert sol.solve_residual <= 1e-12
+    bands, interior = oracle._coupled_bands(geom, 1.0, ratio, n_x)
+    upper = oracle._BANDS[1]
+    ones = np.ones(4 * n_x)
+    refs = []
+    for mu, diagonal, b, x in zip(op.eigenvalues, main, rhs, sols):
+        mode_ab = bands.copy()
+        mode_ab[upper, interior] += mu
+        assert np.array_equal(mode_ab[upper], diagonal)
+        refs.append(solve_banded(oracle._BANDS, mode_ab, b))
+        norm = np.max(oracle._band_matvec(np.abs(mode_ab), ones))
+        for y in (x, refs[-1]):
+            residual = np.max(np.abs(oracle._band_matvec(mode_ab, y) - b))
+            assert residual <= 1e-12 * (norm * np.max(np.abs(y)) + np.max(np.abs(b)))
+    refs = np.array(refs)
+    assert np.max(np.abs(sols - refs)) <= _LU_GAP_TOL[shape] * np.max(np.abs(refs))
 
 
 def test_direct_solve_checks_its_grid_size_up_front():
