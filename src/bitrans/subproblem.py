@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate
 from typing import NamedTuple, Optional
 
@@ -65,7 +65,8 @@ class SideSymbols:
     v_j = v_delta(delta, -mu_j); ``f`` holds f_{delta,1..3}(-mu_j) and the
     determinant remainder g_delta(-mu_j), ``g`` the generator eigenvalues.
     Every coefficient formula below is per-mode arithmetic on these
-    arrays, applied to eigenbasis coordinates.
+    arrays, applied to eigenbasis coordinates. The condition numbers are
+    formed on first read and kept, since the arrays do not change.
     """
 
     g: np.ndarray
@@ -79,12 +80,12 @@ class SideSymbols:
     def m(self) -> int:
         return self.g.size
 
-    @property
+    @cached_property
     def cond_u(self) -> float:
         """Exact 2-norm condition number of the symmetric positive U."""
         return float(np.max(self.u) / np.min(self.u))
 
-    @property
+    @cached_property
     def cond_v(self) -> float:
         return float(np.max(self.v) / np.min(self.v))
 
@@ -145,8 +146,7 @@ class ParticularSolution:
         """Modal F-terms of derivative orders 0..3 at the points ``xs``, shape (4, m, k).
 
         Interior values are one product of the [S; w] coefficients with
-        T_k and T_k' at the points (T_k(cos t) = cos kt, T_k'(cos t) =
-        k sin kt / sin t, from the powers of e^{it}): S and S' are orders
+        T_k and T_k' at the points (``_point_table``): S and S' are orders
         0 and 1, w - mu S and w' - mu S' orders 2 and 3; the end layers H
         add their closed form (``_exponential_table``). Points within
         ``_ENDPOINT_TOL`` of the interval length of an end take the end:
@@ -157,20 +157,26 @@ class ParticularSolution:
         outside ``active`` are 0.
         """
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        out = np.zeros((4, self.m, xs.size))
-        rows = self.active
-        if not rows.size:
-            return out
+        if not self.active.size:
+            return np.zeros((4, self.m, xs.size))
         lo, hi = self.geometry.interval(self.side)
-        half, tol = 0.5 * (hi - lo), _ENDPOINT_TOL * (hi - lo)
-        at_lo, at_hi = xs - lo <= tol, hi - xs <= tol
-        inner = ~(at_lo | at_hi)
-        z = np.exp(1j * np.arccos((xs[inner] - lo) / half - 1.0))
-        powers = np.empty((self.f_modal.shape[1], z.size), dtype=complex)
-        powers[0], powers[1:] = 1.0, z
-        powers = np.cumprod(powers, axis=0)  # e^{ik theta}: cos and sin of k theta
-        k = np.arange(powers.shape[0])[:, None]
-        basis = np.hstack([powers.real, k * powers.imag / (half * z.imag)])
+        return self._terms(_point_table(xs, lo, hi, self.f_modal.shape[1]), mu, layers)
+
+    def probe_terms(self, n: int, mu: np.ndarray, layers: bool = True) -> np.ndarray:
+        """``terms`` at the n points of ``CylinderGeometry.grid(side, n)``, with memoized tables.
+
+        The point tables come from ``_probe_table``, per (interval, n,
+        series length), so a run of solves on one geometry forms them once.
+        """
+        if not self.active.size:
+            return np.zeros((4, self.m, n))
+        lo, hi = self.geometry.interval(self.side)
+        return self._terms(_probe_table(lo, hi, n, self.f_modal.shape[1]), mu, layers)
+
+    def _terms(self, points: _Points, mu: np.ndarray, layers: bool) -> np.ndarray:
+        xs, at_lo, at_hi, inner, basis = points
+        rows = self.active
+        lo, hi = self.geometry.interval(self.side)
         vals = np.vstack([self.f_modal, self.w_modal]) @ basis  # [F, F'; w, w'] by rows
         f, w = vals.reshape(2, rows.size, 2, -1).transpose(0, 2, 1, 3)  # (value, slope) first
         part = np.zeros((4, rows.size, xs.size))
@@ -185,6 +191,7 @@ class ParticularSolution:
             h = _exponential_table(g, s1, s2, np.exp(g * s1), np.exp(g * s2),
                                    *self.layers[:, :, None])
             part[:, :, pick] += h if layers else -h
+        out = np.zeros((4, self.m, xs.size))
         out[:, rows] = part
         return out
 
@@ -194,6 +201,52 @@ class ParticularSolution:
         zm = np.zeros(m)
         return cls(side, geometry, np.zeros((0, 0)), np.zeros((0, 0)), zm, zm.copy(),
                    zm.copy(), zm.copy(), 0.0, np.zeros(0, dtype=int), np.zeros((4, 0)))
+
+
+class _Points(NamedTuple):
+    """The point tables of ``ParticularSolution.terms`` on one interval (``_point_table``).
+
+    ``at_lo`` and ``at_hi`` mark the points ``xs`` that take an end,
+    ``inner`` the rest; ``basis`` holds T_k and then T_k' at the inner
+    points, one row per k below the series length.
+    """
+
+    xs: np.ndarray
+    at_lo: np.ndarray
+    at_hi: np.ndarray
+    inner: np.ndarray
+    basis: np.ndarray
+
+
+def _point_table(xs: np.ndarray, lo: float, hi: float, length: int) -> _Points:
+    """The end masks of the points xs of [lo, hi], and T_k, T_k' (k < length) at the others.
+
+    T_k(cos t) = cos kt and T_k'(cos t) = k sin kt / sin t, from the
+    powers of e^{it}, on the interval mapped onto [-1, 1].
+    """
+    half, tol = 0.5 * (hi - lo), _ENDPOINT_TOL * (hi - lo)
+    at_lo, at_hi = xs - lo <= tol, hi - xs <= tol
+    inner = ~(at_lo | at_hi)
+    z = np.exp(1j * np.arccos((xs[inner] - lo) / half - 1.0))
+    powers = np.empty((length, z.size), dtype=complex)
+    powers[0], powers[1:] = 1.0, z
+    powers = np.cumprod(powers, axis=0)  # e^{ik theta}: cos and sin of k theta
+    k = np.arange(length)[:, None]
+    return _Points(xs, at_lo, at_hi, inner,
+                   np.hstack([powers.real, k * powers.imag / (half * z.imag)]))
+
+
+@lru_cache(maxsize=16)
+def _probe_table(lo: float, hi: float, n: int, length: int) -> _Points:
+    """``_point_table`` of the n uniform points of [lo, hi], read-only (``probe_terms``).
+
+    The points are those of ``CylinderGeometry.grid``. A table of a
+    length-2049 series at 33 points is about 1 MB, so 16 of them stay small.
+    """
+    table = _point_table(np.linspace(lo, hi, n), lo, hi, length)
+    for arr in table:
+        arr.flags.writeable = False
+    return table
 
 
 def _exponential_table(g, s1, s2, e1, e2, big_a, big_b, big_c, big_d) -> np.ndarray:
@@ -573,7 +626,7 @@ def solve_particular(
         else:
             *solution, amp = free
             done[row] = (*solution, max(tail, amp * lengths[row] * _EPS))
-    short = (_layer_length(lam) > n_x).tolist()
+    short = (_layer_length(lam) > n_x).tolist() if pending else []
     while pending:
         groups = _by_length(pending, lengths)
         fhats = [coefficients(n, rows) for n, rows in groups]

@@ -20,7 +20,8 @@ uses none of the symbols) and records the gap between the two.
 Everything that depends only on the operator, the geometry, the
 diffusivities and the options is built once, by ``TransmissionSolver``;
 ``solve_transmission`` keeps the last solver with its operator and reuses
-it while those inputs compare equal.
+it while those inputs compare equal; when only the diffusivities or the
+options change, the next solver keeps its interval symbols.
 """
 
 from __future__ import annotations
@@ -153,10 +154,16 @@ def assemble_transmission_operators(
     geometry: CylinderGeometry,
     k_minus: float,
     k_plus: float,
+    sides: Optional[tuple] = None,
 ) -> TransmissionOperators:
-    """Evaluate every interface block symbol on the spectrum, O(m)."""
-    minus = side_symbols(operator, geometry.c)
-    plus = side_symbols(operator, geometry.d)
+    """Evaluate every interface block symbol on the spectrum, O(m).
+
+    ``sides`` holds the (minus, plus) ``side_symbols`` of this operator and
+    geometry where they are at hand; they depend on neither diffusivity,
+    so then only the blocks, the determinant, cond(Lambda) and the gates
+    are formed here.
+    """
+    minus, plus = sides or (side_symbols(operator, geometry.c), side_symbols(operator, geometry.d))
     f_vals = determinant(k_minus, k_plus, minus.f, plus.f)
     g = operator.generator_eigenvalues
     p1s = k_plus * plus.f[0] + k_minus * minus.f[0]
@@ -451,10 +458,11 @@ def residual_report(solution: TransmissionSolution) -> ResidualReport:
     equation residual. ``eq_*`` is therefore S's residual
     S'''' + 2 A S'' + A^2 S - f on the interior of a grid of
     ``solution.options.probe_points`` points per side, with S'''' the
-    central difference of S''' (``ParticularSolution.terms`` without the
-    layers); its only nonzero rows are ``particular.active`` and, on a
-    forced side, the forcing's declared ``modes``, and only those rows are
-    formed and mapped (``SectionOperator.from_modes``). A side with
+    central difference of S''' (``ParticularSolution.probe_terms``
+    without the layers, on memoized point tables); its only nonzero rows
+    are ``particular.active`` and, on a forced side, the forcing's
+    declared ``modes``, and only those rows are formed and mapped
+    (``SectionOperator.from_modes``). A side with
     neither reads exactly 0. The four outer boundary conditions and the interface
     continuity of u and u' read the closed-form end values of
     ``end_values``, and the flux transmission conditions the closed-form
@@ -525,7 +533,7 @@ def residual_report(solution: TransmissionSolution) -> ResidualReport:
             continue
         xs = prob.geometry.grid(side, n_probe)
         terms = (np.zeros((4, rows.size, xs.size)) if part is None
-                 else part.terms(xs, op.eigenvalues, layers=False)[:, rows])
+                 else part.probe_terms(n_probe, op.eigenvalues, layers=False)[:, rows])
         mu_rows = mu[rows]
         block = np.concatenate([(terms[3, :, 2:] - terms[3, :, :-2]) / (2.0 * h),
                                 mu_rows * terms[2, :, 1:-1], mu_rows**2 * terms[0, :, 1:-1],
@@ -585,21 +593,31 @@ class TransmissionSolver:
     conditions, determinant gap and gates (``assemble_transmission_operators``),
     the fundamental-system symbols and each mode's equilibrated 8 x 8
     fundamental-system matrix on the ``both`` route, and the zero forcing.
-    ``solve`` runs what depends on the forcing and boundary data, so a new
-    right-hand side passes through fixed per-mode functions of M.
+    The interval symbols and the zero forcing depend on the operator and
+    the geometry alone: given a ``previous`` solver of the same operator
+    object and an equal geometry, the new one takes them from it and forms
+    only what the diffusivities and options change. ``solve`` runs what
+    depends on the forcing and boundary data, so a new right-hand side
+    passes through fixed per-mode functions of M.
     """
 
     def __init__(self, operator: SectionOperator, geometry: CylinderGeometry,
-                 k_minus: float, k_plus: float, options: Optional[SolveOptions] = None):
+                 k_minus: float, k_plus: float, options: Optional[SolveOptions] = None,
+                 previous: Optional["TransmissionSolver"] = None):
         check_diffusivities(k_minus, k_plus)
         self.operator, self.geometry = operator, geometry
         self.k_minus, self.k_plus = k_minus, k_plus
         self.options = options or SolveOptions()
-        self.operators = assemble_transmission_operators(operator, geometry, k_minus, k_plus)
+        reuse = (previous is not None and previous.operator is operator
+                 and previous.geometry == geometry)
+        self.operators = assemble_transmission_operators(
+            operator, geometry, k_minus, k_plus,
+            (previous.operators.minus, previous.operators.plus) if reuse else None)
         both = self.options.route == ROUTE_BOTH
         self.reference = fundamental_symbols(self.operators) if both else None
         self.system = fundamental_system(self.operators) if both else None
-        self.zero_forcing = ModalForcing.zero(operator.m, geometry)
+        self.zero_forcing = (previous.zero_forcing if reuse
+                             else ModalForcing.zero(operator.m, geometry))
 
     def matches(self, geometry: CylinderGeometry, k_minus: float, k_plus: float,
                 options: SolveOptions) -> bool:
@@ -672,12 +690,15 @@ def solve_transmission(
     ``TransmissionSolver.solve`` on the last solver built on this operator
     object when its geometry, diffusivities and options compare equal to
     these, else on a new one, which the operator then keeps (so it goes
-    with the operator). Two threads may each build one; either is kept,
-    and both give the same answers.
+    with the operator). The new one is built from the last one
+    (``previous``), so a change of k, ``n_x``, ``probe_points`` or route at
+    an equal geometry reuses both intervals' symbols and the zero forcing.
+    Two threads may each build one; either is kept, and both give the
+    same answers.
     """
     options = options or SolveOptions()
     solver = operator._solver
     if solver is None or not solver.matches(geometry, k_minus, k_plus, options):
-        solver = TransmissionSolver(operator, geometry, k_minus, k_plus, options)
+        solver = TransmissionSolver(operator, geometry, k_minus, k_plus, options, solver)
         object.__setattr__(operator, "_solver", solver)
     return solver.solve(forcing, boundary)

@@ -275,6 +275,10 @@ class FDParticular:
         out[:, rows] = part
         return out
 
+    def probe_terms(self, n: int, mu, layers: bool = True) -> np.ndarray:
+        """``terms`` at the n points of ``geometry.grid(side, n)``."""
+        return self.terms(self.geometry.grid(self.side, n), mu, layers)
+
 
 def _fd_factorized(mu: np.ndarray, grids: tuple, fhats: tuple) -> list:
     """Dirichlet solves of (d^2 + mu_j)^2 u = fhat_j as w'' + mu w = fhat, F'' + mu F = w, per grid.

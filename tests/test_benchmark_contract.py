@@ -39,6 +39,8 @@ def test_traced_sweep_point_fills_the_interface_layers():
         points, failures = run_sweep(tracer, seed=1, ms=(8,), nxs=(33,))
     assert failures == 0
     row = points[(8, 33)]
+    # assemble_s keeps the k-dependent assembly inside the traced
+    # assemble_transmission_operators span.
     for metric in ("transmission.interface_block_s", "transmission.report_s",
-                   "subproblem.coeffs_s"):
+                   "subproblem.coeffs_s", "transmission.assemble_s"):
         assert row[metric] > 0.0, metric

@@ -1,12 +1,14 @@
 """A TransmissionSolver is built once per operator, geometry, k pair and options.
 
 ``solve_transmission`` reuses the last solver kept on the operator object
-when the other inputs compare equal; a reused solve must give the bytes of
-a first solve.
+when the other inputs compare equal, and a new solver on that operator and
+an equal geometry keeps the last one's interval symbols; a reused solve
+must give the bytes of a first solve.
 """
 
 import gc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,10 +23,12 @@ from bitrans import (
     SubproblemSolution,
     TransmissionSolver,
     build_dirichlet_laplacian_1d,
+    convergence_study,
     manufactured_forced,
     solve_transmission,
 )
-from bitrans import transmission
+from bitrans import subproblem, transmission
+from bitrans.cli import main
 
 GEOM = CylinderGeometry(-0.7, 0.0, 1.3)
 
@@ -40,6 +44,15 @@ def _spy(monkeypatch, names):
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(transmission, name, spy)
+    return calls
+
+
+def _count_interval_symbols(monkeypatch):
+    """Record the evaluations of the interval symbols (``subproblem.interval_symbols``)."""
+    calls = []
+    real = subproblem.interval_symbols
+    monkeypatch.setattr(subproblem, "interval_symbols",
+                        lambda *args: calls.append(args) or real(*args))
     return calls
 
 
@@ -61,12 +74,15 @@ def test_repeated_solves_assemble_once_and_run_the_data_pipeline_each_time(monke
 @pytest.mark.parametrize("change", [
     "operator", "geometry", "k_minus", "k_plus", "route", "n_x", "probe_points"])
 def test_a_changed_input_rebuilds_the_solver(monkeypatch, change):
+    # A rebuild on the same operator object and an equal geometry keeps
+    # the interval symbols of the last solver: it evaluates none.
     calls = _spy(monkeypatch, ("assemble_transmission_operators",))
+    symbols = _count_interval_symbols(monkeypatch)
     args = {"operator": build_dirichlet_laplacian_1d(8, 1.0), "geometry": GEOM,
             "k_minus": 1.0, "k_plus": 3.0, "options": SolveOptions()}
     solve_transmission(**args)
     solve_transmission(**args)
-    assert calls["assemble_transmission_operators"] == 1
+    assert calls["assemble_transmission_operators"] == 1 and len(symbols) == 2
     if change == "operator":  # the same spectrum, but another object
         args["operator"] = build_dirichlet_laplacian_1d(8, 1.0)
     elif change == "geometry":
@@ -78,6 +94,7 @@ def test_a_changed_input_rebuilds_the_solver(monkeypatch, change):
         args["options"] = SolveOptions(**{change: value})
     solve_transmission(**args)
     assert calls["assemble_transmission_operators"] == 2
+    assert len(symbols) == (4 if change in ("operator", "geometry") else 2)
 
 
 def _forcing(kind, op, geom, km, kp, rng):
@@ -175,3 +192,55 @@ def test_a_failing_determinant_gap_refuses_the_solver_not_its_solve(monkeypatch)
     solver = TransmissionSolver(op, GEOM, 1.0, 3.0)
     object.__setattr__(solver.operators, "det_gap", np.inf)
     assert solver.solve().report.det_gap == np.inf
+
+
+def _outputs(sol):
+    """The interface pair, the sources, and each side's alphas and particular traces."""
+    parts = [sol.interface.psi1, sol.interface.psi2, sol.sources.s1, sol.sources.s2]
+    for side in SIDES:
+        sub = sol.side(side)
+        part = sub.particular
+        parts += [*sub.alphas, part.fprime_left, part.fprime_right, part.f3_left, part.f3_right]
+    return parts
+
+
+@pytest.mark.parametrize("m", [1, 32, 256])
+@pytest.mark.parametrize("geometry", [GEOM, CylinderGeometry(-1e-3, 0.0, 1.0)])
+@pytest.mark.parametrize("kind", ["zero", "manufactured"])
+def test_a_solver_on_kept_symbols_gives_the_bytes_of_a_cold_one(m, geometry, kind):
+    op = build_dirichlet_laplacian_1d(m, 1.0)
+    rng = np.random.default_rng(m)
+    previous = TransmissionSolver(op, geometry, 2.0, 0.5, SolveOptions(route="both", n_x=65))
+    for km, kp in ((1e-4, 1.0), (1.0, 1e4), (0.25, 4.0)):
+        if kind == "zero":
+            data = None, _boundary(rng, m)
+        else:
+            case = manufactured_forced(op, geometry, km, kp, int(rng.integers(min(m, 4))),
+                                       rng.normal(size=3), float(rng.normal()),
+                                       float(rng.normal()))
+            data = case.forcing(), case.boundary_data()
+        kept = TransmissionSolver(op, geometry, km, kp, previous=previous)
+        cold = TransmissionSolver(op, geometry, km, kp)
+        assert kept.operators.minus is previous.operators.minus
+        assert cold.operators.minus is not previous.operators.minus
+        reused, fresh = kept.solve(*data), cold.solve(*data)
+        for got, want in zip(_outputs(reused), _outputs(fresh), strict=True):
+            assert np.array_equal(got, want), (km, kp)
+        assert reused.report.to_dict() == fresh.report.to_dict()
+        previous = kept
+
+
+def test_a_convergence_study_evaluates_the_interval_symbols_once(monkeypatch):
+    # Each level changes only n_x, so the levels share one pair of interval symbols.
+    op = build_dirichlet_laplacian_1d(8, 1.0)
+    case = manufactured_forced(op, GEOM, 1.0, 2.0, 1, [0.3, -1.0, 0.5])
+    calls = _count_interval_symbols(monkeypatch)
+    convergence_study(case, "representation", (17, 33, 65, 129), 1.0, 2.0)
+    assert len(calls) == 2
+
+
+def test_verify_levels_reuse_the_symbols_of_the_verify_solve(monkeypatch, tmp_path):
+    calls = _count_interval_symbols(monkeypatch)
+    config = Path(__file__).resolve().parents[1] / "demos" / "configs" / "forced_convergence.yaml"
+    assert main(["verify", "--config", str(config), "--out", str(tmp_path)]) == 0
+    assert len(calls) == 2

@@ -828,3 +828,31 @@ def test_a_forcing_that_never_chops_runs_to_the_cap(monkeypatch):
     assert max(sizes) <= m * n_x and len(sizes) <= 2 * 8  # lengths 17, 33, ..., 2049
     chopped = solve_particular(op.eigenvalues, geom, SIDE_PLUS, forcing, 129)
     assert chopped.error_estimate > part.error_estimate
+
+
+@pytest.mark.parametrize("layers", [True, False])
+def test_memoized_probe_tables_are_read_only_and_keep_the_bytes(layers):
+    # The report reads the series part on its probe grid through point
+    # tables memoized per (interval, probe points, series length); a memo
+    # hit, a cold build and terms() at the same points give the same bytes.
+    assert subproblem._probe_table.cache_info().maxsize == 16
+    m = 64
+    op = _laplacian(m)
+    geom = CylinderGeometry(-0.7, 0.0, 0.9)
+    forcing = _random_forcing(geom, m, np.random.default_rng(64))
+    for side in SIDES:
+        part = solve_particular(op.eigenvalues, geom, side, forcing)
+        free = part.layers.any(axis=0)
+        assert free.any() and not free.all()
+        lo, hi = geom.interval(side)
+        for n in (5, 33):
+            part.probe_terms(n, op.eigenvalues, layers)
+            memo = part.probe_terms(n, op.eigenvalues, layers)
+            table = subproblem._probe_table(lo, hi, n, part.f_modal.shape[1])
+            for arr in table:
+                with pytest.raises(ValueError):
+                    arr[...] = arr
+            subproblem._probe_table.cache_clear()
+            cold = part.probe_terms(n, op.eigenvalues, layers)
+            points = part.terms(geom.grid(side, n), op.eigenvalues, layers)
+            assert memo.tobytes() == cold.tobytes() == points.tobytes()
