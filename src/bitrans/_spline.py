@@ -5,50 +5,14 @@ nodes the two end conditions coincide and the interpolant is the
 parabola through them, with two nodes it is the chord. The sums and
 products are the ones ``scipy.interpolate.CubicSpline`` forms, so values
 and first derivatives agree with it to rounding. The slopes come from
-``solve_tridiagonal``, numpy only.
+the package's one tridiagonal elimination (``_tridiagonal``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-
-def solve_tridiagonal(ab, b) -> np.ndarray:
-    """x with A x = b, for A in ``scipy.linalg.solve_banded((1, 1), ab, b)``'s storage.
-
-    Gaussian elimination with partial pivoting in LAPACK dgtsv's order of
-    operations, which is the routine behind that scipy call, so the two
-    give the same bits. ``b`` is (n,) or (n, columns); A must be
-    nonsingular. The elimination is a Python loop over the n rows,
-    vectorized across the columns.
-    """
-    dl, d, du = ab[2, :-1].tolist(), ab[1].tolist(), ab[0, 1:].tolist()
-    n = len(d)
-    fill = [0.0] * n  # second superdiagonal, nonzero after a row interchange
-    x = np.array(b, dtype=float).reshape(n, -1)
-    for i in range(n - 1):
-        if abs(d[i]) >= abs(dl[i]):
-            fact = dl[i] / d[i]
-            d[i + 1] -= fact * du[i]
-            x[i + 1] -= fact * x[i]
-        else:  # interchange rows i and i + 1
-            fact = d[i] / dl[i]
-            d[i], below = dl[i], d[i + 1]
-            d[i + 1] = du[i] - fact * below
-            if i < n - 2:
-                fill[i] = du[i + 1]
-                du[i + 1] = -fact * fill[i]
-            du[i] = below
-            row = x[i].copy()
-            x[i] = x[i + 1]
-            x[i + 1] = row - fact * x[i + 1]
-    x[n - 1] /= d[n - 1]
-    for i in range(n - 2, -1, -1):
-        rest = x[i] - du[i] * x[i + 1]
-        if fill[i]:
-            rest -= fill[i] * x[i + 2]
-        x[i] = rest / d[i]
-    return x.reshape(np.shape(b))
+from ._tridiagonal import factor_banded, solve_banded
 
 
 class CubicSpline:
@@ -80,7 +44,7 @@ class CubicSpline:
                 ab[1, -1], ab[2, -2] = dx[-2, 0], d1
                 b[0] = ((dx[0] + 2 * d0) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d0
                 b[-1] = (dx[-1] ** 2 * slope[-2] + (2 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1
-            s = solve_tridiagonal(ab, b)
+            s = solve_banded(factor_banded(ab), b)
         # Hermite cubic of each interval in powers of (xp - x_i), stored (4, rows, n-1).
         bend = (s[:-1] + s[1:] - 2 * slope) / dx
         self.x = x

@@ -23,6 +23,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from ._spline import CubicSpline
+from ._tridiagonal import factor_banded, solve_banded
 from .errors import AnomalyError, DimensionMismatchError, InvalidGeometryError
 from .problem import (
     SIDE_MINUS,
@@ -331,41 +332,6 @@ def _band_matvec(ab: np.ndarray, x: np.ndarray, main: Optional[np.ndarray] = Non
     return out
 
 
-def _tridiagonal_lu(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray) -> tuple:
-    """Elimination without pivoting of tridiagonal systems along axis 0.
-
-    Row i reads sub[i] x[i-1] + diag[i] x[i] + sup[i] x[i+1]; sub[0]
-    and sup[-1] are not read. The bands broadcast to (n, 1, *batch), one
-    system per batch index. Returns (multipliers, pivots, superdiagonal)
-    in that shape, for ``_lu_solve``. Without pivoting the elimination is
-    stable only for strictly diagonally dominant rows (Golub & Van Loan,
-    sec. 4.3).
-    """
-    shape = np.broadcast_shapes(sub.shape, diag.shape, sup.shape)
-    sub, diag, sup = (np.array(np.broadcast_to(band, shape)) for band in (sub, diag, sup))
-    factor, pivot = np.empty(shape), np.empty(shape)
-    pivot[0] = diag[0]
-    for i, (f, p, below, center, above) in enumerate(zip(factor[1:], pivot[1:], sub[1:],
-                                                        diag[1:], sup)):
-        np.divide(below, pivot[i], out=f)
-        np.subtract(center, f * above, out=p)
-    return factor, pivot, sup
-
-
-def _lu_solve(lu: tuple, rhs: np.ndarray) -> np.ndarray:
-    """Solve with ``_tridiagonal_lu``'s factors for ``rhs`` (n, k, *batch), overwritten and returned."""
-    factor, pivot, sup = (list(band) for band in lu)
-    rows = list(rhs)
-    n = len(rows)
-    for i in range(1, n):
-        rows[i] -= factor[i] * rows[i - 1]
-    rows[n - 1] /= pivot[n - 1]
-    for i in range(n - 2, -1, -1):
-        rows[i] -= sup[i] * rows[i + 1]
-        rows[i] /= pivot[i]
-    return rhs
-
-
 def _solve_coupled(ab: np.ndarray, main: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Every mode's solution of its ``_coupled_bands`` system in one pass, shape (m, 4n).
 
@@ -375,7 +341,8 @@ def _solve_coupled(ab: np.ndarray, main: np.ndarray, rhs: np.ndarray) -> np.ndar
     the mode's mu (``direct_solve`` builds it so). The interior rows go
     first: per side, the w rows (w'' + mu w = f) and then the u rows
     (u'' + mu u - w = 0) are tridiagonal and strictly diagonally dominant
-    for mu < 0, so one pivot-free sweep each, batched over (mode, side),
+    for mu < 0, so the package's tridiagonal elimination (``_tridiagonal``)
+    interchanges no rows, and one sweep each, batched over (mode, side),
     writes every interior value as an affine function of the side's four
     end values (u and w at its two ends). Both kinds of row carry the
     same second difference, so the sweeps share the w rows' factors. The
@@ -400,7 +367,9 @@ def _solve_coupled(ab: np.ndarray, main: np.ndarray, rhs: np.ndarray) -> np.ndar
     # zero end values, terms 1..4 the response to the side's u and w at
     # its first node, then at its last.
     diag = main.reshape(m, 2, n, 2)[:, :, 1:n - 1, 1].transpose(2, 0, 1)[:, None]
-    lu = _tridiagonal_lu(along(upper + 2, 0, 1), diag, along(upper - 2, 2, 1))
+    # The w rows' bands in band storage are the band rows at the w columns.
+    lu = factor_banded(np.stack(np.broadcast_arrays(along(upper - 2, 1, 1), diag,
+                                                    along(upper + 2, 1, 1))))
 
     def sweep(kind, b):
         # The entries of the rows' end columns move the end values into
@@ -408,7 +377,7 @@ def _solve_coupled(ab: np.ndarray, main: np.ndarray, rhs: np.ndarray) -> np.ndar
         b[:, 0] += values[:, :, 1:n - 1, kind].transpose(2, 0, 1)
         b[0, 1 + kind] -= along(upper + 2, 0, kind)[0, 0, 0]
         b[-1, 3 + kind] -= along(upper - 2, 2, kind)[-1, 0, 0]
-        return _lu_solve(lu, b)
+        return solve_banded(lu, b)
 
     w = sweep(1, np.zeros((n - 2, 5, m, 2)))
     u = sweep(0, -along(upper - 1, 1, 1) * w)  # the u rows' w term
@@ -565,11 +534,10 @@ class ErrorMetrics:
 
 
 def compare(sol_a, sol_b, probe_points: int = 65) -> ErrorMetrics:
-    """Distance between two solutions exposing ``field(side, xs)``."""
+    """Distance between two solutions exposing ``field(side, xs)``, of one geometry exactly."""
     geom_a, geom_b = sol_a.geometry, sol_b.geometry
-    if not np.allclose([geom_a.a, geom_a.gamma, geom_a.b],
-                       [geom_b.a, geom_b.gamma, geom_b.b]):
-        raise ValueError("incompatible cases: geometries differ")
+    if geom_a != geom_b:
+        raise ValueError(f"incompatible cases: geometries differ ({geom_a} vs {geom_b})")
     if sol_a.operator.m != sol_b.operator.m:
         raise ValueError("incompatible cases: section dimensions differ")
     sup = 0.0

@@ -20,12 +20,12 @@ chopped Chebyshev forcing, a series with no boundary layer, and H the
 four end-localized exponentials e^{g s1}, s1 e^{g s1}, e^{g s2},
 s2 e^{g s2} that the homogeneous part holds too, in closed form. Every
 other row solves its two Dirichlet stages as a chopped Chebyshev series,
-all such rows in one banded call per stage and refinement round.
-Everything here is linear in the data. All operators are functions of
-M, so the coefficient algebra runs per mode on eigenbasis coordinates
-(``SideSymbols``) and fields are evaluated there too, orders 0..3 in one
-table (``modal_fields``); ``evaluate`` maps them back where a physical
-value is read.
+all such rows in one batched tridiagonal solve per stage and
+refinement round. Everything here is linear in the data. All operators
+are functions of M, so the coefficient algebra runs per mode on
+eigenbasis coordinates (``SideSymbols``) and fields are evaluated there
+too, orders 0..3 in one table (``modal_fields``); ``evaluate`` maps them
+back where a physical value is read.
 """
 
 from __future__ import annotations
@@ -33,12 +33,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import accumulate
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from ._scipy import solve_banded
+from ._tridiagonal import factor_banded, solve_banded
 from .errors import DimensionMismatchError
 from .problem import SIDE_MINUS, CylinderGeometry, ModalForcing, check_grid, check_side
 from .section_operator import SectionOperator
@@ -311,8 +310,8 @@ def _layout(n: int) -> _Layout:
     for the even block, u(1) - u(-1) for the odd one: the sum of the
     block's coefficients) the system is tridiagonal. The boundary row
     keeps its first two ones here, and ``_bordered`` adds the rest. The
-    bands are in ``solve_banded((1, 1))`` layout with zero coupling into
-    the next block or row.
+    bands are in ``factor_banded``'s LAPACK band storage, with zero
+    coupling into the next block or past the row's end.
     """
     order = np.concatenate([np.arange(0, n, 2), np.arange(1, n, 2)])
     even = (n + 1) // 2
@@ -508,32 +507,36 @@ def _solve_groups(lams: list, fhats: list, scale: float) -> list:
     """Both Dirichlet stages, w from fhat and then F from w, for groups of rows of one length each.
 
     ``lams`` and ``fhats`` hold each group's (k,) lam and (k, n) forcing
-    coefficients. Every block of every row goes into one
-    ``solve_banded`` call per stage, with zero coupling between blocks, so
-    a row eliminates exactly as it would alone. The first call also
-    solves for the e_0 columns of ``_bordered``, which the second reuses.
-    The bands and right-hand sides are finite by construction (the
-    samples pass ``sample_modes``' check), so the solves skip scipy's
-    finiteness scan. Returns each group's natural-order (F, w)
-    coefficients, shape (2, k, n).
+    coefficients. Every row is one system of a batch, padded to the
+    longest length with identity rows; a row's bands couple nothing past
+    its length, so it eliminates exactly as it would alone. One
+    factorization serves both stages, and the first solve also takes the
+    e_0 columns of ``_bordered``, which the second reuses. Returns each
+    group's natural-order (F, w) coefficients, shape (2, k, n).
     """
     lays = [_layout(fhat.shape[1]) for fhat in fhats]
-    ends = list(accumulate(fhat.size for fhat in fhats))
-    spans = [slice(end - fhat.size, end) for end, fhat in zip(ends, fhats)]  # each group's unknowns
-    ab = np.concatenate([(lay.fixed[:, None] + lam[:, None] * lay.slope[:, None]).reshape(3, -1)
+    size = max(fhat.shape[1] for fhat in fhats)
+    cuts = np.cumsum([fhat.shape[0] for fhat in fhats])[:-1]
+
+    def padded(rows, pad=0.0):  # (..., n) -> (..., size), ``pad`` past n
+        out = np.full(rows.shape[:-1] + (size,), pad)
+        out[..., :rows.shape[-1]] = rows
+        return out
+
+    def solve(rhs):  # (..., K, size) right-hand sides -> each group's (..., k, n) solution
+        sol = np.moveaxis(solve_banded(lu, np.moveaxis(rhs, -1, 0)), 0, -1)
+        return [part[..., :g.shape[1]] for part, g in zip(np.split(sol, cuts, axis=-2), fhats)]
+
+    ab = np.concatenate([padded(lay.fixed, [[0.0], [1.0], [0.0]])[:, None]  # identity rows past n
+                         + lam[:, None] * padded(lay.slope)[:, None]
                          for lay, lam in zip(lays, lams)], axis=1)
-    rhs = np.empty((ends[-1], 2))
-    for span, g, lay in zip(spans, fhats, lays):
-        rhs[span, 0] = _stage_rhs(g, lay, scale).ravel()
-        rhs[span, 1] = np.tile(lay.unit, g.shape[0])
-    sol = solve_banded((1, 1), ab, rhs, check_finite=False)
-    zs = [sol[span, 1].reshape(g.shape) for span, g in zip(spans, fhats)]
-    ws = [_bordered(sol[span, 0].reshape(g.shape), z, lay)
-          for span, z, g, lay in zip(spans, zs, fhats, lays)]
-    rhs = np.concatenate([_stage_rhs(w, lay, scale).ravel() for w, lay in zip(ws, lays)])
-    sol = solve_banded((1, 1), ab, rhs, check_finite=False)
-    return [np.stack([_bordered(sol[span].reshape(w.shape), z, lay), w])
-            for span, z, w, lay in zip(spans, zs, ws, lays)]
+    lu = factor_banded(np.moveaxis(ab, -1, 1))
+    yzs = solve(np.concatenate([padded(np.stack([_stage_rhs(g, lay, scale),
+                                                 np.broadcast_to(lay.unit, g.shape)]))
+                                for g, lay in zip(fhats, lays)], axis=1))
+    ws = [_bordered(y, z, lay) for (y, z), lay in zip(yzs, lays)]
+    fs = solve(np.concatenate([padded(_stage_rhs(w, lay, scale)) for w, lay in zip(ws, lays)]))
+    return [np.stack([_bordered(f, z, lay), w]) for f, (_, z), w, lay in zip(fs, yzs, ws, lays)]
 
 
 def solve_particular(
@@ -562,10 +565,10 @@ def solve_particular(
       the larger of the forcing's tail and the amplification times n eps:
       the n-point transform and the end sums round at up to about n eps
       of the largest coefficient. Its arithmetic is scalar and O(n) per
-      row, so it needs no banded call and no scipy.
+      row, so it needs no banded call.
     - the stages, elsewhere: w'' + mu w = f and F'' + mu F = w, each
       solved by the ultraspherical method (Olver and Townsend) in
-      Chebyshev-T coefficients, O(n) per mode, one banded call per stage
+      Chebyshev-T coefficients, O(n) per mode, one batched solve per stage
       over all pending stage rows (``_solve_groups``). A row goes on from
       its forcing's length and refines until the tails of its forcing, w
       and F all chop or it reaches ``n_x``; its estimate is that tail.

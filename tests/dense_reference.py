@@ -14,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import solve_banded
 
 from bitrans import SIDE_MINUS, EvaluationError
-from bitrans._scipy import solve_banded
 from bitrans._spline import CubicSpline
 
 

@@ -189,14 +189,24 @@ def _imported_modules(node) -> set:
     return set()
 
 
-def test_only_the_particular_stages_reach_scipy():
-    # bitrans reaches scipy only through bitrans._scipy, and only the
-    # stage route of subproblem.py imports that; the oracle, the spline
-    # and every other module are numpy only.
-    imports = [(name, _imported_modules(node)) for name, node in _nodes()]
-    entry = sorted({name for name, modules in imports
-                    if any(module.split(".")[0] == "_scipy" for module in modules)})
-    scipy = sorted({name for name, modules in imports
-                    if any(module.split(".")[0] == "scipy" for module in modules)})
-    assert entry == ["subproblem.py"]
-    assert scipy == ["_scipy.py"]
+def test_no_module_imports_scipy():
+    # The package runs on numpy and pyyaml alone; scipy is a test-only
+    # reference.
+    offenders = sorted({name for name, node in _nodes()
+                        if any(module.split(".")[0] == "scipy"
+                               for module in _imported_modules(node))})
+    assert not offenders, f"scipy imported by {offenders}"
+
+
+def test_every_tridiagonal_solve_takes_the_one_elimination():
+    # The stages, the spline and the oracle import their elimination from
+    # _tridiagonal, and no other module defines a tridiagonal, banded or
+    # LU routine of its own.
+    users = sorted({name for name, node in _nodes()
+                    if isinstance(node, ast.ImportFrom) and node.module == "_tridiagonal"
+                    and {alias.name for alias in node.names} == {"factor_banded", "solve_banded"}})
+    assert users == ["_spline.py", "oracle.py", "subproblem.py"]
+    offenders = [f"{name}:{node.name}" for name, node in _nodes()
+                 if name != "_tridiagonal.py" and isinstance(node, ast.FunctionDef)
+                 and set(node.name.strip("_").split("_")) & {"tridiagonal", "banded", "lu"}]
+    assert not offenders, f"eliminations outside _tridiagonal.py: {offenders}"

@@ -23,18 +23,11 @@ boundary: {kind: random, scale: 1.0}
 solver: {n_x: 129, probe_points: 33}
 """
 
-# "subpackages" lists the public scipy subpackages loaded: scipy.<name>
-# modules that are packages and whose name has no leading underscore.
 _REPORT_SCIPY = """
 import json, sys
 {body}
 print(json.dumps({{"exit": code,
-                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
-                  "subpackages": sorted(
-                      name[len("scipy."):] for name, mod in sys.modules.items()
-                      if name.startswith("scipy.") and name.count(".") == 1
-                      and not name[len("scipy."):].startswith("_")
-                      and hasattr(mod, "__path__"))}}))
+                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}}))
 """
 
 
@@ -127,16 +120,11 @@ def _forced_solve_config(tmp_path: Path, kind: str) -> Path:
 
 
 @pytest.mark.parametrize("kind", ["sine", "csv"])
-def test_cold_forced_solve_loads_only_scipy_linalg(tmp_path, kind):
+def test_cold_forced_solve_loads_no_scipy(tmp_path, kind):
     # The sine row (mode 1 of m = 8, lam about 121) takes the layer-free
-    # particular route, numpy only, and loads no scipy at all. The table's
-    # spline is numpy only too, but the table forces every mode, and the
-    # stage route of its low modes loads scipy.linalg and nothing else:
-    # no scipy.interpolate, sparse, optimize, special or fft.
+    # particular route. The table forces every mode, and its low modes take
+    # the stage route; the spline and the stages are numpy only as well.
     result = _cli("solve", _forced_solve_config(tmp_path, kind), tmp_path / "out")
     assert result["exit"] == 0
-    if kind == "sine":
-        assert result["scipy"] == []
-    else:
-        assert result["subpackages"] == ["linalg"]
+    assert result["scipy"] == []
     assert (tmp_path / "out" / "solution.csv").is_file()

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.linalg import solve_banded
@@ -346,6 +348,22 @@ def test_compare_identity_and_incompatibility():
     other = manufactured_homogeneous(op, other_geom, 0, 1.0, 0.5)
     with pytest.raises(ValueError):
         compare(case, other)
+
+
+@pytest.mark.parametrize("end", ["a", "gamma", "b"])
+def test_compare_requires_the_same_geometry_exactly(end):
+    # Solutions of geometries 1e-7 apart solve different problems. A
+    # relative tolerance on the end points once let compare measure such a
+    # pair (a or b shifted) instead of refusing it. An equal geometry built
+    # anew still compares.
+    op = build_dirichlet_laplacian_1d(3, 1.0)
+    geom = CylinderGeometry(-0.7, 0.0, 0.9)
+    case = manufactured_homogeneous(op, geom, 0, 1.0, 0.5)
+    twin = manufactured_homogeneous(op, CylinderGeometry(-0.7, 0.0, 0.9), 0, 1.0, 0.5)
+    assert compare(case, twin).sup == 0.0
+    shifted = replace(geom, **{end: getattr(geom, end) + 1e-7})
+    with pytest.raises(ValueError, match="geometries differ"):
+        compare(case, manufactured_homogeneous(op, shifted, 0, 1.0, 0.5))
 
 
 def test_oracle_solution_field_orders():

@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline as ScipySpline
-from scipy.linalg import solve_banded
 
-from bitrans._spline import CubicSpline, solve_tridiagonal
+from bitrans._spline import CubicSpline
 
 
 def _grid(n: int, kind: str, rng) -> np.ndarray:
@@ -46,25 +45,3 @@ def test_spline_rejects_second_derivative():
     spline = CubicSpline(np.linspace(0.0, 1.0, 5), np.ones((1, 5)))
     with pytest.raises(ValueError):
         spline(np.array([0.5]), 2)
-
-
-@pytest.mark.parametrize("columns", [None, 1, 5], ids=["1-D", "one-column", "five-columns"])
-@pytest.mark.parametrize("n", [2, 3, 17, 2049])
-def test_tridiagonal_sweep_gives_scipy_gtsv_bits(n, columns):
-    # Random bands in which a third of the rows need an interchange
-    # (|dl| > |d|), plus a diagonally dominant system like the spline's.
-    rng = np.random.default_rng(n + (columns or 0))
-    ab = rng.normal(size=(3, n))
-    swap = rng.random(n) < 1 / 3
-    swap[0] = True  # the first elimination step interchanges for certain
-    ab[2, swap] *= 1e3
-    assert abs(ab[2, 0]) > abs(ab[1, 0])
-    dominant = ab.copy()
-    dominant[1] = np.abs(dominant).sum(axis=0) + 1.0
-    b = rng.normal(size=(n,) if columns is None else (n, columns))
-    for bands in (ab, dominant):
-        before = (bands.copy(), b.copy())
-        got = solve_tridiagonal(bands, b)
-        assert got.shape == b.shape
-        assert np.array_equal(got, solve_banded((1, 1), bands, b))
-        assert np.array_equal(bands, before[0]) and np.array_equal(b, before[1])

@@ -565,9 +565,10 @@ def test_particular_matches_per_mode_reference(m, n_x, mixed):
 @pytest.mark.parametrize("dense", [False, True], ids=["one-mode-sine", "dense-64-modes"])
 def test_particular_solve_makes_two_banded_calls_per_round(monkeypatch, dense):
     # Each refinement round solves both stages of every pending stage row in
-    # two stacked tridiagonal calls (the first also solves for e_0, a second
-    # column), each at most n_x unknowns per mode; no spline is built. The
-    # sine's row takes the layer-free route and makes no banded call.
+    # two tridiagonal calls on one factorization, a batch with a system of
+    # at most n_x unknowns per row (the first call also solves for e_0, a
+    # second column); no spline is built. The sine's row takes the
+    # layer-free route and makes no banded call.
     m, n_x = 64, 129
     op = build_dirichlet_laplacian_1d(m, 1.0)
     geom = CylinderGeometry(-0.7, 0.0, 0.9)
@@ -578,8 +579,7 @@ def test_particular_solve_makes_two_banded_calls_per_round(monkeypatch, dense):
     banded, splines = [], []
     real_banded, real_init = subproblem.solve_banded, spline.CubicSpline.__init__
     monkeypatch.setattr(subproblem, "solve_banded",
-                        lambda bands, ab, b, **kw: banded.append((ab.shape, b.shape))
-                        or real_banded(bands, ab, b, **kw))
+                        lambda lu, b: banded.append((lu, b.shape)) or real_banded(lu, b))
     monkeypatch.setattr(spline.CubicSpline, "__init__",
                         lambda self, *args, **kw: splines.append(1) or real_init(self, *args, **kw))
     for side in SIDES:
@@ -590,10 +590,12 @@ def test_particular_solve_makes_two_banded_calls_per_round(monkeypatch, dense):
             continue
         rounds = len(banded) // 2
         assert 1 <= rounds <= 4 and len(banded) == 2 * rounds  # lengths 17, 33, 65, 129
-        for (ab_w, b_w), (ab_f, b_f) in zip(banded[::2], banded[1::2]):
-            assert ab_w == ab_f and ab_w[0] == 3 and b_w == (ab_w[1], 2) and b_f == (ab_w[1],)
+        for (lu_w, b_w), (lu_f, b_f) in zip(banded[::2], banded[1::2]):
+            size, batch = lu_w[0].shape
+            assert lu_f is lu_w and b_w == (size, 2, batch) and b_f == (size, batch)
         stage = np.flatnonzero(~part.layers.any(axis=0))
-        assert 0 < stage.size < rows and banded[0][0][1] <= stage.size * n_x
+        size, batch = banded[0][0][0].shape
+        assert 0 < stage.size < rows and batch <= stage.size and size <= n_x
     assert not splines
 
 
@@ -602,6 +604,64 @@ def _csv_forcing(geom, m, rng):
             for x, column in zip(geom.grid(side, 17), rng.normal(size=(17, m)))
             for j, value in enumerate(column)]
     return ModalForcing.from_csv_rows(geom, m, rows)
+
+
+def _stacked_stages(lams, fhats, scale):
+    """``_solve_groups`` as one stacked LAPACK gtsv call per stage: every row's bands end to end."""
+    lays = [subproblem._layout(fhat.shape[1]) for fhat in fhats]
+    ends = np.cumsum([fhat.size for fhat in fhats])
+    spans = [slice(end - fhat.size, end) for end, fhat in zip(ends, fhats)]
+    ab = np.concatenate([(lay.fixed[:, None] + lam[:, None] * lay.slope[:, None]).reshape(3, -1)
+                         for lay, lam in zip(lays, lams)], axis=1)
+    rhs = np.empty((ends[-1], 2))
+    for span, g, lay in zip(spans, fhats, lays):
+        rhs[span, 0] = subproblem._stage_rhs(g, lay, scale).ravel()
+        rhs[span, 1] = np.tile(lay.unit, g.shape[0])
+    sol = solve_banded((1, 1), ab, rhs)
+    zs = [sol[span, 1].reshape(g.shape) for span, g in zip(spans, fhats)]
+    ws = [subproblem._bordered(sol[span, 0].reshape(g.shape), z, lay)
+          for span, z, g, lay in zip(spans, zs, fhats, lays)]
+    sol = solve_banded((1, 1), ab, np.concatenate([subproblem._stage_rhs(w, lay, scale).ravel()
+                                                   for w, lay in zip(ws, lays)]))
+    return [np.stack([subproblem._bordered(sol[span].reshape(w.shape), z, lay), w])
+            for span, z, w, lay in zip(spans, zs, ws, lays)]
+
+
+@pytest.mark.parametrize("n_x", [129, 2049])
+@pytest.mark.parametrize("table", ["random", "mixed"])
+def test_stage_route_gives_the_bits_of_a_stacked_gtsv_call(monkeypatch, table, n_x):
+    # Every row of a random CSV table takes the stages, and its forcing never
+    # chops. In the mixed table, on a wider section (smaller lam), the even
+    # modes are cubics that the spline reproduces: they chop at 17 points,
+    # so a round's batch pads them to the random rows' length. The padded
+    # batch gives the bits of one stacked scipy call per stage.
+    m = 8
+    op = build_dirichlet_laplacian_1d(m, 1.0 if table == "random" else 10.0)
+    geom = CylinderGeometry(-0.7, 0.0, 1.3)
+    rng = np.random.default_rng(11)
+    if table == "random":
+        forcing = _csv_forcing(geom, m, rng)
+    else:
+        rows = []
+        for side in SIDES:
+            lo, hi = geom.interval(side)
+            for x, column in zip(geom.grid(side, 17), rng.normal(size=(17, m))):
+                rows += [(x, j, value if j % 2 else (j + 1) * x * (x - lo) * (hi - x), side)
+                         for j, value in enumerate(column)]
+        forcing = ModalForcing.from_csv_rows(geom, m, rows)
+    lengths = []
+    real = subproblem._solve_groups
+    monkeypatch.setattr(subproblem, "_solve_groups", lambda lams, fhats, scale: lengths.append(
+        [fhat.shape[1] for fhat in fhats]) or real(lams, fhats, scale))
+    parts = [solve_particular(op.eigenvalues, geom, side, forcing, n_x) for side in SIDES]
+    assert any(len(groups) > 1 for groups in lengths) == (table == "mixed")
+    monkeypatch.setattr(subproblem, "_solve_groups", _stacked_stages)
+    for side, part in zip(SIDES, parts):
+        ref = solve_particular(op.eigenvalues, geom, side, forcing, n_x)
+        assert part.active.size == m and not part.layers.any()
+        for name in ("f_modal", "w_modal", "fprime_left", "fprime_right", "f3_left", "f3_right"):
+            assert np.array_equal(getattr(part, name), getattr(ref, name)), name
+        assert part.error_estimate == ref.error_estimate
 
 
 @pytest.mark.parametrize("kind, calls", [("zero", 0), ("sine", 1), ("csv", 6)])
@@ -820,8 +880,7 @@ def test_a_forcing_that_never_chops_runs_to_the_cap(monkeypatch):
     sizes = []
     real = subproblem.solve_banded
     monkeypatch.setattr(subproblem, "solve_banded",
-                        lambda bands, ab, b, **kw: sizes.append(ab.shape[1])
-                        or real(bands, ab, b, **kw))
+                        lambda lu, b: sizes.append(lu[0].size) or real(lu, b))
     part = solve_particular(op.eigenvalues, geom, SIDE_PLUS, forcing, n_x)
     assert part.active.size == m and part.f_modal.shape == (m, n_x)
     assert part.error_estimate > subproblem.CHOP_TOL
