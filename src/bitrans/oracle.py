@@ -8,7 +8,9 @@ representation-formula machinery:
 * manufactured forced solutions built by inverting the flux conditions
   on a polynomial profile,
 * a direct coupled finite-difference solve of the transmission boundary
-  value problem in mixed form (second-order accurate).
+  value problem in mixed form (second-order accurate): per-side
+  tridiagonal interiors, swept for all modes at once, and one table of
+  the 8 end and interface rows (``direct_solve``, ``_end_rows``).
 
 Convergence studies and pairwise comparisons close the loop.
 """
@@ -237,179 +239,29 @@ def manufactured_forced(
                       psi1, psi2, u_polys, exp_coeffs, f_polys)
 
 
-def _interface_stencil(h: float) -> np.ndarray:
-    """Second-order one-sided derivative weights toward the interior."""
-    return np.array([3.0, -4.0, 1.0]) / (2.0 * h)
+def _end_rows(hm: float, hp: float, k_minus: float, k_plus: float) -> np.ndarray:
+    """Weights of the 8 end and interface rows of every mode, shape (side, row, slot, kind).
 
-
-# (lower, upper) bandwidths of the coupled system in node-interleaved order;
-# the interface derivative rows reach five columns to each side.
-_BANDS = (5, 5)
-
-
-def _coupled_bands(geometry: CylinderGeometry, k_minus: float, k_plus: float, n: int):
-    """Banded storage of the coupled mixed discretization, shared by all modes.
-
-    Unknowns are interleaved per node along x: column 2i holds u_-(x_i)
-    and 2i+1 holds w_-(x_i), column 2n+2i holds u_+(x_i) and 2n+2i+1
-    holds w_+(x_i), for i = 0..n-1. An interior node i of a side owns the
-    rows of its columns: u'' + mu u = w in the u row and w'' + mu w = f
-    in the w row. The rows of the end nodes hold the conditions that
-    touch them: row 0 fixes u(a) and row 1 the one-sided u'(a); rows
-    2n-2..2n+1 impose continuity of u, continuity of u', proportionality
-    of w' and proportionality of w at the interface; row 4n-2 fixes
-    u'(b) and row 4n-1 u(b). Entry A[i, j] sits at ``ab[U + i - j, j]``
-    with (L, U) = ``_BANDS``. Only the interior diagonal depends on the
-    mode: it holds -2/h^2 here, and a mode adds its mu at the columns
-    ``interior``.
-
-    Returns (ab, interior). Raises InvalidGeometryError when 1/h^2 of
-    either side is not a finite positive number.
+    The rows, in order: u(a) and u'(a); continuity of u and of u',
+    proportionality of w' and of w at gamma; u'(b) and u(b). None
+    depends on the mode. They reach the four nodes nearest each end of a
+    side: slots 0..3 are nodes 0..3 and slots 4..7 nodes n-4..n-1; kind 0
+    is u and kind 1 is w. A derivative takes the second-order one-sided
+    stencil toward the interior.
     """
-    lower, upper = _BANDS
-    size = 4 * n
-    hm = geometry.c / (n - 1)
-    hp = geometry.d / (n - 1)
-    try:
-        finite = all(0.0 < 1.0 / h**2 < np.inf for h in (hm, hp))
-    except (OverflowError, ZeroDivisionError):
-        finite = False
-    if not finite:
-        raise InvalidGeometryError(
-            f"axial steps h = {hm:.3e}, {hp:.3e} leave 1/h^2 outside the float range"
-        )
-    dm = _interface_stencil(hm)
-    dp = _interface_stencil(hp)
-    ab = np.zeros((lower + upper + 1, size))
-
-    def put(row, col, val):
-        row, col = np.broadcast_arrays(row, col)
-        ab[upper + row - col, col] = val
-
-    i = np.arange(1, n - 1)
-    for base, h in ((0, hm), (2 * n, hp)):
-        u, w = base + 2 * i, base + 2 * i + 1
-        for row in (u, w):
-            put(row, row - 2, 1.0 / h**2)
-            put(row, row, -2.0 / h**2)
-            put(row, row + 2, 1.0 / h**2)
-        put(u, w, -1.0)
-    last_u, last_w = 2 * n - 2, 2 * n - 1  # minus side at the interface
-    first_u, first_w = 2 * n, 2 * n + 1    # plus side at the interface
-    back, ahead = -2 * np.arange(3), 2 * np.arange(3)
-    # Outer boundary: value and one-sided derivative of u at a and b.
-    put(0, 0, 1.0)
-    put(1, ahead, -dm)
-    put(size - 2, size - 2 + back, dp)
-    put(size - 1, size - 2, 1.0)
-    # Interface: continuity of u and u', proportionality of w' and w.
-    put(last_u, [last_u, first_u], [1.0, -1.0])
-    put(last_w, last_u + back, dm)
-    put(last_w, first_u + ahead, dp)
-    put(first_u, last_w + back, k_minus * dm)
-    put(first_u, first_w + ahead, k_plus * dp)
-    put(first_w, [last_w, first_w], [k_minus, -k_plus])
-    interior = np.concatenate([2 + np.arange(2 * n - 4), 2 * n + 2 + np.arange(2 * n - 4)])
-    return ab, interior
-
-
-def _band_matvec(ab: np.ndarray, x: np.ndarray, main: Optional[np.ndarray] = None) -> np.ndarray:
-    """A @ x along the last axis, for A in the band storage of ``_coupled_bands``.
-
-    ``main``, shaped like ``x``, replaces the main diagonal of ``ab``: a
-    batch of modes whose matrices differ only there gets each mode's
-    product, bit for bit, from one call.
-    """
-    lower, upper = _BANDS
-    out = np.zeros(np.shape(x))
-    size = x.shape[-1]
-    for k in range(-lower, upper + 1):  # k = column - row
-        diag = main if k == 0 and main is not None else ab[upper - k]
-        if k >= 0:
-            out[..., :size - k] += diag[..., k:] * x[..., k:]
-        else:
-            out[..., -k:] += diag[..., :size + k] * x[..., :size + k]
-    return out
-
-
-def _solve_coupled(ab: np.ndarray, main: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Every mode's solution of its ``_coupled_bands`` system in one pass, shape (m, 4n).
-
-    Mode j's matrix is ``ab`` with ``main[j]`` as its main diagonal, and
-    ``rhs[j]`` is its right-hand side; ``main[j]`` differs from ``ab``'s
-    own diagonal only on the interior rows, where both kinds of row get
-    the mode's mu (``direct_solve`` builds it so). The interior rows go
-    first: per side, the w rows (w'' + mu w = f) and then the u rows
-    (u'' + mu u - w = 0) are tridiagonal and strictly diagonally dominant
-    for mu < 0, so the package's tridiagonal elimination (``_tridiagonal``)
-    interchanges no rows, and one sweep each, batched over (mode, side),
-    writes every interior value as an affine function of the side's four
-    end values (u and w at its two ends). Both kinds of row carry the
-    same second difference, so the sweeps share the w rows' factors. The
-    8 end and interface rows are then one 8 x 8 system per mode in those
-    values (the Schur complement), solved by one batched
-    ``np.linalg.solve`` with partial pivoting. The sweeps rely on the
-    coupling pattern that ``_coupled_bands`` documents; ``direct_solve``'s
-    backward-error gate measures the result against each mode's full
-    band matrix.
-    """
-    lower, upper = _BANDS
-    m, size = rhs.shape
-    n = size // 4
-    # Column c = 2n side + 2 node + kind (u = 0, w = 1) as axes (side, node, kind).
-    bands = ab.reshape(lower + upper + 1, 2, n, 2)
-    values = rhs.reshape(m, 2, n, 2)
-
-    def along(band, start, kind):  # entries of the n - 2 interior rows as (node, 1, 1, side)
-        return bands[band, :, start:start + n - 2, kind].T[:, None, None, :]
-
-    # Sweep arrays are (node, term, mode, side): term 0 is the value with
-    # zero end values, terms 1..4 the response to the side's u and w at
-    # its first node, then at its last.
-    diag = main.reshape(m, 2, n, 2)[:, :, 1:n - 1, 1].transpose(2, 0, 1)[:, None]
-    # The w rows' bands in band storage are the band rows at the w columns.
-    lu = factor_banded(np.stack(np.broadcast_arrays(along(upper - 2, 1, 1), diag,
-                                                    along(upper + 2, 1, 1))))
-
-    def sweep(kind, b):
-        # The entries of the rows' end columns move the end values into
-        # terms 1..4 of the right-hand side.
-        b[:, 0] += values[:, :, 1:n - 1, kind].transpose(2, 0, 1)
-        b[0, 1 + kind] -= along(upper + 2, 0, kind)[0, 0, 0]
-        b[-1, 3 + kind] -= along(upper - 2, 2, kind)[-1, 0, 0]
-        return solve_banded(lu, b)
-
-    w = sweep(1, np.zeros((n - 2, 5, m, 2)))
-    u = sweep(0, -along(upper - 1, 1, 1) * w)  # the u rows' w term
-
-    # The end rows reach the four nodes nearest each end of a side.
-    near = np.r_[0:4, n - 4:n]
-    terms = np.zeros((2, m, near.size, 2, 5))  # (side, mode, node, kind, term)
-    terms[:, :, 1:-1] = np.stack([u[near[1:-1] - 1], w[near[1:-1] - 1]],
-                                 axis=1).transpose(4, 3, 0, 1, 2)
-    for node, kind, term in ((0, 0, 1), (0, 1, 2), (-1, 0, 3), (-1, 1, 4)):
-        terms[:, :, node, kind, term] = 1.0
-    ends = np.array([0, 1, 2 * n - 2, 2 * n - 1, 2 * n, 2 * n + 1, 4 * n - 2, 4 * n - 1])
-    schur = np.zeros((m, ends.size, 9))  # (mode, end row, term 0 then the 8 end values)
-    for side in range(2):
-        cols = (2 * n * side + 2 * near[:, None] + np.arange(2)).ravel()
-        offset = upper + ends[:, None] - cols
-        in_band = (offset >= 0) & (offset <= lower + upper)
-        coupling = np.where(in_band, ab[np.clip(offset, 0, lower + upper), cols], 0.0)
-        part = coupling @ terms[side].reshape(m, cols.size, 5)
-        schur[..., 0] += part[..., 0]
-        schur[..., 1 + 4 * side:5 + 4 * side] = part[..., 1:]
-    side_ends = np.linalg.solve(schur[..., 1:], (rhs[:, ends] - schur[..., 0])[..., None])
-    side_ends = side_ends.reshape(m, 2, 4)
-
-    sols = np.empty((m, 2, n, 2))
-    sols[:, :, [0, -1]] = side_ends.reshape(m, 2, 2, 2)
-    for kind, field in enumerate((u, w)):
-        inner = field[:, 0]
-        for term in range(4):
-            inner += field[:, 1 + term] * side_ends[..., term]
-        sols[:, :, 1:n - 1, kind] = inner.transpose(1, 2, 0)
-    return sols.reshape(m, size)
+    dm, dp = (np.array([3.0, -4.0, 1.0]) / (2.0 * h) for h in (hm, hp))
+    rows = np.zeros((2, 8, 8, 2))
+    minus, plus = rows
+    last = slice(7, 4, -1)  # nodes n-1, n-2, n-3
+    minus[0, 0, 0] = 1.0
+    minus[1, :3, 0] = -dm
+    minus[2, 7, 0], plus[2, 0, 0] = 1.0, -1.0
+    minus[3, last, 0], plus[3, :3, 0] = dm, dp
+    minus[4, last, 1], plus[4, :3, 1] = k_minus * dm, k_plus * dp
+    minus[5, 7, 1], plus[5, 0, 1] = k_minus, -k_plus
+    plus[6, last, 0] = dp
+    plus[7, 7, 0] = 1.0
+    return rows
 
 
 @dataclass(frozen=True)
@@ -439,8 +291,8 @@ class OracleSolution:
                 SIDE_PLUS: CubicSpline(self.grid_plus, self.u_plus)}
 
     def modal_field(self, side: str, xs, order: int = 0) -> np.ndarray:
-        check_side(side)
-        xs = np.atleast_1d(np.asarray(xs, dtype=float))
+        """Eigenbasis values of order 0..2 at the points ``xs`` of ``side`` (``clip_points``)."""
+        xs = self.geometry.clip_points(side, xs)
         if order in (0, 1):
             return self._u_splines[side](xs, order)
         if order == 2:
@@ -465,59 +317,106 @@ def direct_solve(
 ) -> OracleSolution:
     """Coupled second-order finite-difference solve of all modes in one pass.
 
-    Each mode's system is banded (see ``_coupled_bands``, assembled once
-    per call) and differs from the others only by its eigenvalue on the
-    interior diagonal; ``_solve_coupled`` solves them together, and the
-    largest per-mode backward error, measured against each mode's full
-    band matrix, must stay at linear-solve level.
+    Mode j's unknowns are u and w = u'' + mu_j u at the n_x nodes of each
+    side. An interior node carries u'' + mu_j u = w and w'' + mu_j w = f
+    by central differences: per side, tridiagonal rows with 1/h^2 off the
+    diagonal and -2/h^2 + mu_j on it, strictly diagonally dominant for
+    mu_j < 0. The 8 end and interface rows are ``_end_rows``. One
+    ``factor_banded`` of the interiors, batched over (mode, side), serves
+    two sweeps, first of the w rows and then of the u rows, which write
+    every interior value as an affine function of its side's four end
+    values (u and w at either end). The end rows are then one 8 x 8
+    system per mode in those values (the Schur complement), solved by one
+    batched ``np.linalg.solve`` with partial pivoting. The largest
+    per-mode backward error over every row, max|Ax - b| / (||A|| ||x|| +
+    ||b||) in the infinity norm, must stay at linear-solve level.
     Strictly independent of the representation route: it never touches
     semigroups, solvability operators, or interface-source algebra, only
     the spectrum of the section operator. Its inputs form a ``TransmissionProblem``;
     ``n_x`` is at least ``ORACLE_MIN_N_X`` (``check_grid``).
     """
     check_grid(n_x, ORACLE_MIN_N_X)
-    m = operator.m
+    m, n = operator.m, n_x
     problem = TransmissionProblem(operator, geometry, k_minus, k_plus,
                                   ModalForcing.zero(m, geometry) if forcing is None else forcing,
                                   BoundaryData.zeros(m) if boundary is None else boundary)
     forcing, boundary = problem.forcing, problem.boundary
-    ab, interior = _coupled_bands(geometry, k_minus, k_plus, n_x)
-    grid_m = geometry.grid(SIDE_MINUS, n_x)
-    grid_p = geometry.grid(SIDE_PLUS, n_x)
-    f_m = forcing.sample(SIDE_MINUS, grid_m)
-    f_p = forcing.sample(SIDE_PLUS, grid_p)
-    bc_hat = np.stack([operator.to_modal(phi) for phi in (
-        boundary.phi1_minus, boundary.phi2_minus, boundary.phi1_plus, boundary.phi2_plus)])
-    size = 4 * n_x
-    # Right-hand sides of all modes: f in the interior w rows, the boundary
-    # data in the four outer rows, zero in the interface rows.
-    rhs = np.zeros((m, size))
-    rhs[:, 3:2 * n_x - 2:2] = f_m[:, 1:-1]
-    rhs[:, 2 * n_x + 3:size - 2:2] = f_p[:, 1:-1]
-    rhs[:, [0, 1, size - 1, size - 2]] = bc_hat.T
-    # Modes differ only on the interior diagonal, where each adds its mu.
-    main = np.tile(ab[_BANDS[1]], (m, 1))
-    main[:, interior] += operator.eigenvalues[:, None]
-    sols = _solve_coupled(ab, main, rhs)
-    # Row sums of |A_j| (its infinity norm): the entries off the interior
-    # diagonal are summed once per call.
-    fixed = np.abs(ab)
-    fixed[_BANDS[1], interior] = 0.0
-    row_sums = _band_matvec(fixed, np.ones(size))
-    off_diag = row_sums[interior]
-    row_sums[interior] = 0.0
-    norm_a = np.maximum(np.max(row_sums), np.max(off_diag + np.abs(main[:, interior]), axis=1))
-    backward = (np.max(np.abs(_band_matvec(ab, sols, main) - rhs), axis=1)
-                / (norm_a * np.maximum(np.max(np.abs(sols), axis=1), 1e-300)
-                   + np.max(np.abs(rhs), axis=1) + 1e-300))
-    worst = float(np.max(backward))  # a NaN propagates and fails the gate
+    hm, hp = geometry.c / (n - 1), geometry.d / (n - 1)
+    try:
+        finite = all(0.0 < 1.0 / h**2 < np.inf for h in (hm, hp))
+    except (OverflowError, ZeroDivisionError):
+        finite = False
+    if not finite:
+        raise InvalidGeometryError(
+            f"axial steps h = {hm:.3e}, {hp:.3e} leave 1/h^2 outside the float range"
+        )
+    rows = _end_rows(hm, hp, k_minus, k_plus)
+    grid_m = geometry.grid(SIDE_MINUS, n)
+    grid_p = geometry.grid(SIDE_PLUS, n)
+    # Interior forcing as (node, mode, side); the end rows' right-hand
+    # sides are the boundary data, zero at the interface.
+    f = np.stack([forcing.sample(SIDE_MINUS, grid_m),
+                  forcing.sample(SIDE_PLUS, grid_p)], axis=-1)[:, 1:-1].transpose(1, 0, 2)
+    ends = np.zeros((m, 8))
+    ends[:, [0, 1, 7, 6]] = np.stack([operator.to_modal(phi) for phi in (
+        boundary.phi1_minus, boundary.phi2_minus, boundary.phi1_plus, boundary.phi2_plus)]).T
+    off = np.array([1.0 / hm**2, 1.0 / hp**2])
+    diag = np.array([-2.0 / hm**2, -2.0 / hp**2]) + operator.eigenvalues[:, None]  # (mode, side)
+    bands = np.stack(np.broadcast_arrays(off, diag, off))[:, None]
+    lu = factor_banded(np.broadcast_to(bands, (3, n - 2, m, 2)))
+
+    # Sweep arrays are (node, term, mode, side): term 0 is the value with
+    # zero end values, terms 1..4 the response to the side's u and w at
+    # its first node, then at its last; those end values move to the
+    # right-hand side with the 1/h^2 of the rows next to them.
+    def sweep(kind, b, rhs):
+        b[:, 0] += rhs
+        b[0, 1 + kind] -= off
+        b[-1, 3 + kind] -= off
+        return solve_banded(lu, b)
+
+    w = sweep(1, np.zeros((n - 2, 5, m, 2)), f)
+    u = sweep(0, w.copy(), 0.0)  # u'' + mu u - w = 0: w, term by term, moves to the right
+
+    near = np.r_[0:4, n - 4:n]
+    terms = np.zeros((2, m, near.size, 2, 5))  # (side, mode, slot, kind, term)
+    terms[:, :, 1:-1] = np.stack([u[near[1:-1] - 1], w[near[1:-1] - 1]],
+                                 axis=1).transpose(4, 3, 0, 1, 2)
+    for slot, kind, term in ((0, 0, 1), (0, 1, 2), (-1, 0, 3), (-1, 1, 4)):
+        terms[:, :, slot, kind, term] = 1.0
+    schur = np.zeros((m, 8, 9))  # (mode, end row, term 0 then the 8 end values)
+    for side in range(2):
+        part = rows[side].reshape(8, 16) @ terms[side].reshape(m, 16, 5)
+        schur[..., 0] += part[..., 0]
+        schur[..., 1 + 4 * side:5 + 4 * side] = part[..., 1:]
+    side_ends = np.linalg.solve(schur[..., 1:], (ends - schur[..., 0])[..., None])
+    side_ends = side_ends.reshape(m, 2, 4)
+
+    x = np.empty((2, m, 2, n))  # (kind, mode, side, node)
+    x[..., [0, -1]] = side_ends.reshape(m, 2, 2, 2).transpose(3, 0, 1, 2)
+    for kind, field in enumerate((u, w)):
+        inner = field[:, 0]
+        for term in range(4):
+            inner += field[:, 1 + term] * side_ends[..., term]
+        x[kind, ..., 1:-1] = inner.transpose(1, 2, 0)
+
+    # Backward error over every row. A u row, with 1/h^2, the diagonal,
+    # 1/h^2 and the -1 of w, has the largest interior row sum of |A_j|.
+    interior = (off[:, None] * (x[..., :-2] + x[..., 2:]) + diag[..., None] * x[..., 1:-1]
+                - np.stack([x[1, ..., 1:-1], f.transpose(1, 2, 0)]))
+    at_ends = np.einsum("srnk,kmsn->mr", rows, x[..., near]) - ends
+    norm_a = np.maximum(np.max(np.abs(rows).sum(axis=(0, 2, 3))),
+                        np.max(2.0 * off + np.abs(diag), axis=1) + 1.0)
+    norm_b = np.maximum(np.max(np.abs(f), axis=(0, 2)), np.max(np.abs(ends), axis=1))
+    residual = np.maximum(np.max(np.abs(interior), axis=(0, 2, 3)), np.max(np.abs(at_ends), axis=1))
+    scale = norm_a * np.maximum(np.max(np.abs(x), axis=(0, 2, 3)), 1e-300) + norm_b + 1e-300
+    worst = float(np.max(residual / scale))  # a NaN propagates and fails the gate
     if not worst <= 1e-12:
         raise AnomalyError(
             f"direct solve backward error {worst:.3e} above linear-solve level "
             "(the discrete system should be uniquely solvable)"
         )
-    u_m, w_m = sols[:, 0:2 * n_x:2], sols[:, 1:2 * n_x:2]
-    u_p, w_p = sols[:, 2 * n_x::2], sols[:, 2 * n_x + 1::2]
+    (u_m, u_p), (w_m, w_p) = x.transpose(0, 2, 1, 3)
     return OracleSolution(operator, geometry, k_minus, k_plus,
                           grid_m, grid_p, u_m, u_p, w_m, w_p, worst)
 
@@ -534,7 +433,11 @@ class ErrorMetrics:
 
 
 def compare(sol_a, sol_b, probe_points: int = 65) -> ErrorMetrics:
-    """Distance between two solutions exposing ``field(side, xs)``, of one geometry exactly."""
+    """Distance between two solutions exposing ``field(side, xs)``, of one geometry exactly.
+
+    ``probe_points`` (at least 2, ``check_grid``) is the per-side grid size.
+    """
+    check_grid(probe_points, 2, "probe_points")
     geom_a, geom_b = sol_a.geometry, sol_b.geometry
     if geom_a != geom_b:
         raise ValueError(f"incompatible cases: geometries differ ({geom_a} vs {geom_b})")
@@ -603,12 +506,15 @@ def convergence_study(case, method: str, refinements: Sequence[int],
 
     ``case`` is an ExactCase or ForcedCase; ``method`` selects the
     representation-formula solver or the direct finite-difference
-    oracle, and ``check_levels`` checks both it and the levels. Errors at
-    or below the linear-algebra floor are flagged instead of fitted.
+    oracle, and ``check_levels`` checks both it and the levels;
+    ``probe_points`` goes through ``check_grid`` as ``compare``'s does.
+    Errors at or below the linear-algebra floor are flagged instead of
+    fitted.
     """
     from .transmission import SolveOptions, solve_transmission
 
     ns = check_levels(refinements, method)
+    check_grid(probe_points, 2, "probe_points")
     km = getattr(case, "k_minus", k_minus)
     kp = getattr(case, "k_plus", k_plus)
     if km is None or kp is None:

@@ -27,6 +27,9 @@ FORCING_CSV_FIELDS = ("x", "mode_index", "value", "side")
 # Intervals shorter than this are rejected outright: the lengths act as
 # semigroup times, and near-zero lengths are a modeling error, not a regime.
 MIN_INTERVAL = 1e-8
+# Evaluation points within this fraction of an interval's length outside an
+# end are taken at the end (``CylinderGeometry.clip_points``).
+_ENDPOINT_TOL = 1e-10
 
 # A forcing side's values: an x-array to the (len(modes), len(x)) declared rows.
 Resampler = Callable[[np.ndarray], np.ndarray]
@@ -97,6 +100,19 @@ class CylinderGeometry:
     def grid(self, side: str, n: int) -> np.ndarray:
         lo, hi = self.interval(side)
         return np.linspace(lo, hi, n)
+
+    def clip_points(self, side: str, xs) -> np.ndarray:
+        """The evaluation points ``xs`` of ``side``'s interval as a float array.
+
+        Points within ``_ENDPOINT_TOL`` of the interval length outside an
+        end are moved onto it; points farther out raise ValueError.
+        """
+        xs = np.atleast_1d(np.asarray(xs, dtype=float))
+        lo, hi = self.interval(side)
+        tol = _ENDPOINT_TOL * (hi - lo)
+        if np.any(xs < lo - tol) or np.any(xs > hi + tol):
+            raise ValueError(f"evaluation points outside [{lo}, {hi}] on side {side!r}")
+        return np.clip(xs, lo, hi)
 
 
 @dataclass(frozen=True)

@@ -39,11 +39,17 @@ import numpy as np
 
 from ._tridiagonal import factor_banded, solve_banded
 from .errors import DimensionMismatchError
-from .problem import SIDE_MINUS, CylinderGeometry, ModalForcing, check_grid, check_side
+from .problem import (
+    _ENDPOINT_TOL,
+    SIDE_MINUS,
+    CylinderGeometry,
+    ModalForcing,
+    check_grid,
+    check_side,
+)
 from .section_operator import SectionOperator
 from .symbols import interval_symbols
 
-_ENDPOINT_TOL = 1e-10
 PARTICULAR_MIN_N_X = 17
 # A Chebyshev series chops at the first length where its tail is at most
 # CHOP_TOL of its largest coefficient: the forcing's alone on the layer-free
@@ -801,14 +807,10 @@ class SubproblemSolution:
         C = a3 - a1, D = a4 - a2 (``_exponential_table``). Points within
         ``_ENDPOINT_TOL`` of the interval length outside an end (an end for
         ``ParticularSolution.terms`` too) are moved onto it; points farther
-        out raise ValueError.
+        out raise ValueError (``CylinderGeometry.clip_points``).
         """
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
+        xs = self.geometry.clip_points(self.side, x)
         lo, hi = self.geometry.interval(self.side)
-        tol = _ENDPOINT_TOL * (hi - lo)
-        if np.any(xs < lo - tol) or np.any(xs > hi + tol):
-            raise ValueError(f"evaluation points outside [{lo}, {hi}] on side {self.side!r}")
-        xs = np.clip(xs, lo, hi)
         gm = self.operator.generator_eigenvalues[:, None]
         s1, s2 = (xs - lo)[None, :], (hi - xs)[None, :]
         a1, a2, a3, a4 = (a[:, None] for a in self.alphas)

@@ -201,12 +201,13 @@ def test_no_module_imports_scipy():
 def test_every_tridiagonal_solve_takes_the_one_elimination():
     # The stages, the spline and the oracle import their elimination from
     # _tridiagonal, and no other module defines a tridiagonal, banded or
-    # LU routine of its own.
+    # LU routine, or a band-storage helper, of its own.
     users = sorted({name for name, node in _nodes()
                     if isinstance(node, ast.ImportFrom) and node.module == "_tridiagonal"
                     and {alias.name for alias in node.names} == {"factor_banded", "solve_banded"}})
     assert users == ["_spline.py", "oracle.py", "subproblem.py"]
     offenders = [f"{name}:{node.name}" for name, node in _nodes()
                  if name != "_tridiagonal.py" and isinstance(node, ast.FunctionDef)
-                 and set(node.name.strip("_").split("_")) & {"tridiagonal", "banded", "lu"}]
+                 and set(node.name.strip("_").split("_"))
+                 & {"tridiagonal", "banded", "band", "bands", "lu"}]
     assert not offenders, f"eliminations outside _tridiagonal.py: {offenders}"

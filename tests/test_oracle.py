@@ -2,7 +2,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_banded
 from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import spsolve
 
@@ -37,6 +36,8 @@ def _assemble_mode(mu: float, geometry: CylinderGeometry, k_minus: float, k_plus
     impose u'' + mu u = w and w'' + mu w = f; outer boundary rows fix the
     value and the one-sided derivative of u; interface rows impose the
     two continuity and the two flux conditions with one-sided stencils.
+    ``f_minus``, ``f_plus`` (n, ...) and ``bc_hat`` (4, ...) may carry a
+    batch of modes' data after their first axis; the matrix is mu's alone.
     """
     def stencil(h):
         return np.array([3.0, -4.0, 1.0]) / (2.0 * h)
@@ -45,7 +46,7 @@ def _assemble_mode(mu: float, geometry: CylinderGeometry, k_minus: float, k_plus
     hp = geometry.d / (n - 1)
     um, wm, up, wp = 0, n, 2 * n, 3 * n
     rows, cols, vals = [], [], []
-    rhs = np.zeros(4 * n)
+    rhs = np.zeros((4 * n,) + np.shape(bc_hat)[1:])  # a batch of right-hand sides
     req = [0]
 
     def add(col, val):
@@ -100,72 +101,105 @@ def _assemble_mode(mu: float, geometry: CylinderGeometry, k_minus: float, k_plus
     return mat, rhs
 
 
-def _reference_direct_solve(op, geom, k_minus, k_plus, forcing, boundary, n):
-    """Per-mode list assembly and SuperLU solve.
+def _list_systems(op, geom, k_minus, k_plus, forcing, boundary, n):
+    """Every mode's list-assembled system: (sparse matrices, right-hand sides (m, 4n)).
 
-    Returns the fields, the per-mode backward errors, the per-mode
-    list-assembled systems (sparse matrix, right-hand side) and the
-    solutions in list order.
+    Two ``_assemble_mode`` calls give them all. mu enters only the entries
+    that differ between mu = 0 and mu = 1, the interior diagonal, and
+    -2/h^2 + 0 + mu rounds as -2/h^2 + mu does, so mode j's matrix is
+    ``_assemble_mode``'s at mu_j entry for entry. The right-hand sides are
+    linear in the data and assembled for all modes at once.
     """
     q = op.eigenvectors
     f_m = forcing.sample(SIDE_MINUS, geom.grid(SIDE_MINUS, n))
     f_p = forcing.sample(SIDE_PLUS, geom.grid(SIDE_PLUS, n))
     bc_hat = np.stack([q.T @ boundary.phi1_minus, q.T @ boundary.phi2_minus,
                        q.T @ boundary.phi1_plus, q.T @ boundary.phi2_plus])
-    sols, backward, systems = [], [], []
-    for j in range(op.m):
-        mat, rhs = _assemble_mode(float(op.eigenvalues[j]), geom, k_minus, k_plus,
-                                  f_m[j], f_p[j], bc_hat[:, j], n)
-        sol = spsolve(mat, rhs)
-        backward.append(np.max(np.abs(mat @ sol - rhs))
-                        / (np.max(np.abs(mat).sum(axis=1)) * max(np.max(np.abs(sol)), 1e-300)
-                           + np.max(np.abs(rhs)) + 1e-300))
-        sols.append(sol)
-        systems.append((mat, rhs))
-    sols = np.array(sols)
+    base, rhs = _assemble_mode(0.0, geom, k_minus, k_plus, f_m.T, f_p.T, bc_hat, n)
+    unit, _ = _assemble_mode(1.0, geom, k_minus, k_plus, f_m.T, f_p.T, bc_hat, n)
+    reach = unit.data != base.data
+    mats = []
+    for mu in op.eigenvalues:
+        mat = base.copy()
+        mat.data = base.data + mu * reach
+        mats.append(mat)
+    return mats, rhs.T
+
+
+def _reference_direct_solve(op, geom, k_minus, k_plus, forcing, boundary, n):
+    """Per-mode list assembly and SuperLU solve (partial pivoting).
+
+    Returns the fields, the per-mode backward errors, the per-mode
+    list-assembled systems (sparse matrix, right-hand side) and the
+    solutions in list order.
+    """
+    mats, rhss = _list_systems(op, geom, k_minus, k_plus, forcing, boundary, n)
+    sols = np.array([spsolve(mat, rhs) for mat, rhs in zip(mats, rhss)])
+    systems = list(zip(mats, rhss))
     fields = {"u_minus": sols[:, :n], "w_minus": sols[:, n:2 * n],
               "u_plus": sols[:, 2 * n:3 * n], "w_plus": sols[:, 3 * n:]}
-    return fields, np.array(backward), systems, sols
+    return fields, _backward_errors(systems, sols), systems, sols
 
 
-def _banded_in_list_order(ab: np.ndarray, n: int) -> np.ndarray:
-    """The oracle's banded system as a dense matrix in the list assembly's order.
+def _backward_errors(systems, sols) -> np.ndarray:
+    """Per mode max|Ax - b| / (||A|| ||x|| + ||b||) over every row of the list matrix."""
+    return np.array([
+        np.max(np.abs(mat @ x - rhs))
+        / (np.max(np.abs(mat).sum(axis=1)) * max(np.max(np.abs(x)), 1e-300)
+           + np.max(np.abs(rhs)) + 1e-300)
+        for (mat, rhs), x in zip(systems, sols)])
 
-    The oracle interleaves the unknowns per node, u_-(x_i), w_-(x_i) in
-    columns 2i, 2i+1 and u_+(x_i), w_+(x_i) in columns 2n+2i, 2n+2i+1; an
-    interior node's two equations take the rows of its columns; rows 0, 1
-    hold u(a), u'(a), rows 2n-2..2n+1 the u, u', w' and w interface
-    conditions, rows 4n-2, 4n-1 hold u'(b), u(b).
+
+def _list_order(sol) -> np.ndarray:
+    """An oracle solution's fields as the list assembly orders its unknowns, shape (m, 4n)."""
+    return np.concatenate([sol.u_minus, sol.w_minus, sol.u_plus, sol.w_plus], axis=1)
+
+
+def _spied_direct_solve(monkeypatch, *args, **kwargs):
+    """``direct_solve(*args, **kwargs)`` with the bands it factors and the end table it builds."""
+    seen = {}
+    factor, end_rows = oracle.factor_banded, oracle._end_rows
+
+    def factor_spy(ab):
+        seen["bands"] = np.array(ab)
+        return factor(ab)
+
+    def end_rows_spy(*end_args):
+        seen["rows"] = end_rows(*end_args)
+        return seen["rows"]
+
+    monkeypatch.setattr(oracle, "factor_banded", factor_spy)
+    monkeypatch.setattr(oracle, "_end_rows", end_rows_spy)
+    sol = direct_solve(*args, **kwargs)
+    return sol, seen["bands"], seen["rows"]
+
+
+def _dense_in_list_order(bands: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
+    """One mode's system as the oracle solves it, dense, in the list assembly's order.
+
+    ``bands`` (3, n - 2, side) are the mode's interior bands as factored
+    (superdiagonal, diagonal, subdiagonal) and ``rows`` the end table of
+    ``oracle._end_rows``. Interior node i of a side owns the list rows
+    2(i - 1) (u'' + mu u - w) and 2(i - 1) + 1 (w'' + mu w), the plus
+    side's after the minus side's; the 8 end rows follow as u(a), u'(a),
+    u(b), u'(b), continuity of u and u', proportionality of w and w'.
     """
-    lower, upper = oracle._BANDS
-    size = 4 * n
-    dense = np.zeros((size, size))
-    for k in range(-lower, upper + 1):  # k = column - row
-        col = np.arange(max(k, 0), size + min(k, 0))
-        dense[col - k, col] = ab[upper - k, col]
-    node = np.arange(n)
-    to_col = np.empty(size, dtype=int)
-    to_col[0:2 * n:2], to_col[1:2 * n:2] = node, n + node
-    to_col[2 * n::2], to_col[2 * n + 1::2] = 2 * n + node, 3 * n + node
+    dense = np.zeros((4 * n, 4 * n))
     inner = np.arange(1, n - 1)
-    b = 4 * (n - 2)
-    to_row = np.empty(size, dtype=int)
-    for first, offset in ((0, 0), (2 * n, 2 * (n - 2))):
-        to_row[first + 2 * inner] = offset + 2 * (inner - 1)
-        to_row[first + 2 * inner + 1] = offset + 2 * (inner - 1) + 1
-    to_row[[0, 1, size - 1, size - 2]] = b + np.arange(4)
-    to_row[[2 * n - 2, 2 * n - 1, 2 * n + 1, 2 * n]] = b + 4 + np.arange(4)
-    assert np.array_equal(np.sort(to_row), np.arange(size))
-    assert np.array_equal(np.sort(to_col), np.arange(size))
-    out = np.zeros_like(dense)
-    out[np.ix_(to_row, to_col)] = dense
-    return out
-
-
-def _mode_bands(geom, k_minus, k_plus, n, mu):
-    ab, interior = oracle._coupled_bands(geom, k_minus, k_plus, n)
-    ab[oracle._BANDS[1], interior] += mu
-    return ab
+    node = np.r_[0:4, n - 4:n]  # the table's slots
+    list_row = 4 * (n - 2) + np.array([0, 1, 4, 5, 7, 6, 3, 2])  # the table's rows
+    for side in range(2):
+        off = bands[0, 0, side]
+        # The sweeps move the end values with the same 1/h^2 as the bands hold.
+        assert np.all(bands[0, :, side] == off) and np.all(bands[2, :, side] == off)
+        row = 2 * (n - 2) * side + 2 * (inner - 1)  # the u rows; each w row follows its u row
+        for kind in range(2):
+            col = (2 * side + kind) * n + inner
+            dense[row + kind, col - 1] = dense[row + kind, col + 1] = off
+            dense[row + kind, col] = bands[1, :, side]
+            dense[np.ix_(list_row, (2 * side + kind) * n + node)] = rows[side, :, :, kind]
+        dense[row, (2 * side + 1) * n + inner] = -1.0  # the u rows' w
+    return dense
 
 
 @pytest.fixture
@@ -380,42 +414,78 @@ def test_oracle_solution_field_orders():
         sol.modal_field(SIDE_PLUS, xs, 3)
 
 
+def test_oracle_fields_refuse_points_off_their_interval():
+    # On (-0.7, 0, 1.3), x = 1.0 lies on the plus interval and x = 5 beyond
+    # b: the splines once extrapolated there (x = 5 gave -1342). Points
+    # within 1e-10 of the length outside an end take the end, as
+    # SubproblemSolution's do.
+    op, geom, forcing, boundary = _case(3)
+    sol = direct_solve(op, geom, 1.0, 3.0, forcing, boundary, n_x=65)
+    for side, x in ((SIDE_MINUS, 1.0), (SIDE_PLUS, 5.0), (SIDE_PLUS, -0.1)):
+        for order in (0, 1, 2):
+            with pytest.raises(ValueError, match=f"evaluation points outside .* side '{side}'"):
+                sol.field(side, [x], order)
+    nudged = sol.field(SIDE_MINUS, [geom.a - 1e-11, geom.gamma + 1e-11], 2)
+    assert np.array_equal(nudged, sol.field(SIDE_MINUS, [geom.a, geom.gamma], 2))
+
+
+@pytest.mark.parametrize("bad", [True, 0, 5.5])
+def test_compare_and_convergence_study_check_probe_points(bad):
+    # True was taken as 1 point, 0 ended in numpy's zero-size error and 5.5
+    # in a TypeError; the grid gate now refuses each up front.
+    op = build_dirichlet_laplacian_1d(3, 1.0)
+    case = manufactured_forced(op, CylinderGeometry(-0.7, 0.0, 1.3), 1.0, 3.0, 1, [1.0])
+    error = ResolutionError if bad == 0 else ValueError
+    with pytest.raises(error, match="probe_points"):
+        compare(case, case, bad)
+    for method in ("representation", "direct"):
+        with pytest.raises(error, match="probe_points"):
+            convergence_study(case, method, [33, 65, 129], probe_points=bad)
+
+
 # Modes whose gap is checked against the dense condition-number bound; only a
 # few of m = 64, since each needs a dense inverse.
 _COND_MODES = {1: (0,), 3: (0, 1, 2), 64: (0, 31, 63)}
 
 
-@pytest.mark.parametrize("forced", [False, True], ids=["zero", "sine"])
-@pytest.mark.parametrize("n_x", [33, 129, 257])
-@pytest.mark.parametrize("m", [1, 3, 64])
-def test_direct_solve_matches_per_mode_list_assembly(m, n_x, forced):
-    # The banded assembly gives every mode the very system the list
-    # assembly gives, entry for entry. Two backward-stable solves of one
-    # system then differ by at most 2 cond(A) (beta_1 + beta_2) ||x||:
-    # x^ - x = A^-1 r with ||r|| <= beta (||A|| ||x^|| + ||b||) and
-    # ||b|| <= ||A|| ||x||. Observed: both backward errors below 2e-16,
-    # cond(A) up to 2.3e10 (m = 64), the worst gap 1.2e-9 of ||x|| (m = 3,
-    # n_x = 257) and never above a tenth of the bound.
+def _case(m, geom=None, forced=True):
+    """Operator, geometry, seed-m boundary data and a plus-side sine (or zero) forcing."""
     op = build_dirichlet_laplacian_1d(m, 1.0)
-    geom = CylinderGeometry(-0.7, 0.0, 1.3)
+    geom = CylinderGeometry(-0.7, 0.0, 1.3) if geom is None else geom
     boundary = BoundaryData(*np.random.default_rng(m).normal(size=(4, m)))
     forcing = (ModalForcing.sine(op, geom, SIDE_PLUS, min(1, m - 1), 1, 1.5) if forced
                else ModalForcing.zero(m, geom))
-    sol = direct_solve(op, geom, 1.0, 3.0, forcing, boundary, n_x=n_x)
+    return op, geom, forcing, boundary
+
+
+@pytest.mark.parametrize("forced", [False, True], ids=["zero", "sine"])
+@pytest.mark.parametrize("n_x", [33, 129, 257])
+@pytest.mark.parametrize("m", [1, 3, 64])
+def test_direct_solve_matches_per_mode_list_assembly(monkeypatch, m, n_x, forced):
+    # The interior bands the oracle factors and its end table give every
+    # mode the very system the list assembly gives, entry for entry. Two
+    # backward-stable solves of one system then differ by at most
+    # 2 cond(A) (beta_1 + beta_2) ||x||: x^ - x = A^-1 r with
+    # ||r|| <= beta (||A|| ||x^|| + ||b||) and ||b|| <= ||A|| ||x||.
+    # Observed: both backward errors below 2e-16, cond(A) up to 2.3e10
+    # (m = 64), the worst gap 1.2e-9 of ||x|| (m = 3, n_x = 257) and never
+    # above a tenth of the bound.
+    op, geom, forcing, boundary = _case(m, forced=forced)
+    sol, bands, rows = _spied_direct_solve(monkeypatch, op, geom, 1.0, 3.0, forcing, boundary,
+                                           n_x=n_x)
     _, ref_backward, systems, ref_sols = _reference_direct_solve(op, geom, 1.0, 3.0,
                                                                  forcing, boundary, n_x)
-    new_sols = np.concatenate([sol.u_minus, sol.w_minus, sol.u_plus, sol.w_plus], axis=1)
-    new_backward = np.array([
-        np.max(np.abs(mat @ new - rhs))
-        / (np.max(np.abs(mat).sum(axis=1)) * np.max(np.abs(new)) + np.max(np.abs(rhs)) + 1e-300)
-        for (mat, rhs), new in zip(systems, new_sols)])
+    new_sols = _list_order(sol)
+    new_backward = _backward_errors(systems, new_sols)
     assert sol.solve_residual <= 1e-15
     assert np.max(new_backward) <= 1e-15
     assert np.max(ref_backward) <= 1e-15
+    assert bands.shape == (3, n_x - 2, m, 2) and rows.shape == (2, 8, 8, 2)
+    zero = np.zeros(n_x)
     for j, (mat, _) in enumerate(systems):
-        assert np.array_equal(
-            _banded_in_list_order(_mode_bands(geom, 1.0, 3.0, n_x, op.eigenvalues[j]), n_x),
-            mat.toarray()), j
+        listed, _ = _assemble_mode(op.eigenvalues[j], geom, 1.0, 3.0, zero, zero, np.zeros(4), n_x)
+        assert (mat != listed).nnz == 0, j
+        assert np.array_equal(_dense_in_list_order(bands[:, :, j], rows, n_x), listed.toarray()), j
     for j in _COND_MODES[m]:
         new, ref = new_sols[j], ref_sols[j]
         scale = max(np.max(np.abs(new)), np.max(np.abs(ref)))
@@ -426,8 +496,8 @@ def test_direct_solve_matches_per_mode_list_assembly(m, n_x, forced):
 
 def test_wrong_interface_flux_sign_in_pattern_is_caught(monkeypatch):
     # Flip the sign of k+ in the w-proportionality row (k- w- = k+ w+ at
-    # the interface). The equivalence with the list assembly breaks, and
-    # the oracle leaves the manufactured forced solution.
+    # the interface) of the end table. The equivalence with the list
+    # assembly breaks, and the oracle leaves the manufactured forced solution.
     op = build_dirichlet_laplacian_1d(3, 1.0)
     geom = CylinderGeometry(-0.7, 0.0, 0.9)
     km, kp, n = 1.0, 3.0, 129
@@ -440,22 +510,24 @@ def test_wrong_interface_flux_sign_in_pattern_is_caught(monkeypatch):
                                        - case.field(side, sol.grid(side)))))
                    for side in SIDES)
 
-    right = direct_solve(op, geom, km, kp, forcing, boundary, n_x=n)
-    real = oracle._coupled_bands
+    def dense(sol_args):
+        _, bands, rows = _spied_direct_solve(monkeypatch, *sol_args, n_x=n)
+        return _dense_in_list_order(bands[:, :, 0], rows, n)
 
-    def flipped(geometry, k_minus, k_plus, n_pts):
-        ab, interior = real(geometry, k_minus, k_plus, n_pts)
-        row = col = 2 * n_pts + 1  # w-proportionality row, column w_+ at gamma
-        ab[oracle._BANDS[1] + row - col, col] *= -1.0
-        return ab, interior
+    args = (op, geom, km, kp, forcing, boundary)
+    right = direct_solve(*args, n_x=n)
+    listed = _list_systems(*args, n)[0][0].toarray()
+    assert np.array_equal(dense(args), listed)
+    real = oracle._end_rows
 
-    _, _, systems, _ = _reference_direct_solve(op, geom, km, kp, forcing, boundary, n)
-    mu, listed = op.eigenvalues[0], systems[0][0].toarray()
-    assert np.array_equal(_banded_in_list_order(_mode_bands(geom, km, kp, n, mu), n), listed)
-    monkeypatch.setattr(oracle, "_coupled_bands", flipped)
-    assert not np.array_equal(_banded_in_list_order(_mode_bands(geom, km, kp, n, mu), n),
-                              listed)
-    wrong = direct_solve(op, geom, km, kp, forcing, boundary, n_x=n)
+    def flipped(*end_args):
+        rows = real(*end_args)
+        rows[SIDES.index(SIDE_PLUS), 5, 0, 1] *= -1.0  # w-proportionality row, w_+ at gamma
+        return rows
+
+    monkeypatch.setattr(oracle, "_end_rows", flipped)
+    assert not np.array_equal(dense(args), listed)
+    wrong = direct_solve(*args, n_x=n)
     assert gap(right) < 1e-3
     assert gap(wrong) > 1e-2
 
@@ -463,92 +535,80 @@ def test_wrong_interface_flux_sign_in_pattern_is_caught(monkeypatch):
 @pytest.mark.parametrize("forced", [False, True], ids=["zero", "sine"])
 @pytest.mark.parametrize("n_x", [33, 129])
 @pytest.mark.parametrize("m", [1, 3, 64])
-def test_direct_solve_backward_error_matches_full_row_sums(monkeypatch, m, n_x, forced):
-    # All modes are solved in one _solve_coupled call. The row sums of
-    # |A_j| are formed once per call plus the interior diagonal per mode,
-    # and the backward error must be the largest of those computed from
-    # each mode's full band matrix. The diagonal is added last rather than
-    # in band order, so a row sum can round differently: at m = 64,
-    # n_x = 33 the norms of 15 of 64 modes differ by under 1 ulp.
-    op = build_dirichlet_laplacian_1d(m, 1.0)
-    geom = CylinderGeometry(-0.7, 0.0, 1.3)
-    boundary = BoundaryData(*np.random.default_rng(m).normal(size=(4, m)))
-    forcing = (ModalForcing.sine(op, geom, SIDE_PLUS, min(1, m - 1), 1, 1.5) if forced
-               else ModalForcing.zero(m, geom))
-    seen = []
-    real = oracle._solve_coupled
-
-    def spy(ab, main, rhs):
-        sols = real(ab, main, rhs)
-        seen.append((ab.copy(), main.copy(), rhs.copy(), sols.copy()))
-        return sols
-
-    monkeypatch.setattr(oracle, "_solve_coupled", spy)
-    sol = direct_solve(op, geom, 1.0, 3.0, forcing, boundary, n_x=n_x)
-    assert len(seen) == 1
-    ab, main, rhs, sols = seen[0]
-    assert sols.shape == rhs.shape == main.shape == (m, 4 * n_x)
-    ones = np.ones(4 * n_x)
-    backward = []
-    upper = oracle._BANDS[1]
-    for mu, diagonal, b, x in zip(op.eigenvalues, main, rhs, sols):
-        # The solver's view of mode j (ab with main[j] on its diagonal) is
-        # the mode's full band matrix, entry for entry.
-        mode_ab = _mode_bands(geom, 1.0, 3.0, n_x, mu)
-        assert np.array_equal(mode_ab[upper], diagonal)
-        assert np.array_equal(np.delete(mode_ab, upper, 0), np.delete(ab, upper, 0))
-        backward.append(np.max(np.abs(oracle._band_matvec(mode_ab, x) - b))
-                        / (np.max(oracle._band_matvec(np.abs(mode_ab), ones))
-                           * max(np.max(np.abs(x)), 1e-300) + np.max(np.abs(b)) + 1e-300))
+def test_direct_solve_backward_error_matches_the_dense_list_matrix(monkeypatch, m, n_x, forced):
+    # The gate forms the row sums of |A_j| and the residual A_j x - b_j
+    # over every row from the interior constants and the end table; the
+    # reference forms them from each mode's dense list matrix. At rounding
+    # level the two residuals differ by rounding alone: each of a row's at
+    # most 8 terms is off by eps/2 of its size, so the two backward errors
+    # differ by at most 8 eps (observed: 0.32 eps). A solution perturbed by
+    # 1e-13 relative (every sweep output, so every kind of row) has a
+    # backward error of 6e-14 to 1.7e-13, far above that rounding and below
+    # the 1e-12 gate, and there the two must agree to 1e-2 relative
+    # (observed: 5.7e-4); a wrong row sum or a missing row shows as a factor.
+    op, geom, forcing, boundary = _case(m, forced=forced)
+    args = (op, geom, 1.0, 3.0, forcing, boundary)
+    systems = list(zip(*_list_systems(*args, n_x)))
     eps = np.finfo(float).eps
-    assert sol.solve_residual == pytest.approx(max(backward), rel=2.0 * eps, abs=0.0)
+    sol = direct_solve(*args, n_x=n_x)
+    assert abs(sol.solve_residual - np.max(_backward_errors(systems, _list_order(sol)))) <= 8 * eps
+    rng = np.random.default_rng(m)
+    real = oracle.solve_banded
+
+    def perturbed(lu, b):
+        x = real(lu, b)
+        return x * (1.0 + 1e-13 * rng.standard_normal(x.shape))
+
+    monkeypatch.setattr(oracle, "solve_banded", perturbed)
+    sol = direct_solve(*args, n_x=n_x)
+    dense = np.max(_backward_errors(systems, _list_order(sol)))
+    assert dense > 100 * eps
+    assert sol.solve_residual == pytest.approx(dense, rel=1e-2)
+
+
+@pytest.mark.parametrize("m", [1, 64])
+def test_direct_solve_is_one_pass_over_all_modes(monkeypatch, m):
+    # One factorization of every (mode, side) interior, one sweep of the w
+    # rows and one of the u rows, and one batched 8 x 8 solve for all modes.
+    op, geom, forcing, boundary = _case(m)
+    calls = {"factor_banded": [], "solve_banded": []}
+    for name, seen in calls.items():
+        real = getattr(oracle, name)
+        monkeypatch.setattr(oracle, name,
+                            lambda *a, real=real, seen=seen: seen.append(a) or real(*a))
+    solves, real_solve = [], np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solves.append(a) or real_solve(a, b))
+    direct_solve(op, geom, 1.0, 3.0, forcing, boundary, n_x=65)
+    (ab,), = calls["factor_banded"]
+    assert np.shape(ab) == (3, 63, m, 2)
+    assert len(calls["solve_banded"]) == 2
+    assert [np.shape(a) for a in solves] == [(m, 8, 8)]
 
 
 # Largest gap max|x - x_ref| / max|x_ref| over a case's modes, measured on
-# the grid below between the one-pass solve and per-mode banded LU with
-# partial pivoting on the same matrices: 8.8e-8 on (-0.7, 0, 1.3) and
-# 4.4e-6 on (-1e-3, 0, 1), both at n_x = 1025, where the minus step of
-# about 1e-6 puts cond(A) near 1e12. Each tolerance is about ten times
-# its geometry's measured gap.
-_LU_GAP_TOL = {"standard": 1e-6, "short": 5e-5}
+# the grid below between the one-pass solve and per-mode SuperLU solves of
+# the list matrices (backward errors below 3e-16 on both sides): 3.8e-6 on
+# (-0.7, 0, 1.3) and 4.3e-6 on (-1e-3, 0, 1), both at m = 256 and
+# n_x = 1025, where cond(A) is largest (the short minus step of about 1e-6
+# puts it near 1e12). The tolerance is about ten times the larger gap.
+_LU_GAP_TOL = 5e-5
 
 
 @pytest.mark.parametrize("shape", ["standard", "short"])
 @pytest.mark.parametrize("ratio", [1e-4, 1.0, 1e4])
 @pytest.mark.parametrize("n_x", [33, 129, 1025])
 @pytest.mark.parametrize("m", [1, 3, 64, 256])
-def test_one_pass_solve_matches_per_mode_banded_lu(monkeypatch, m, n_x, ratio, shape):
-    op = build_dirichlet_laplacian_1d(m, 1.0)
-    geom = (CylinderGeometry(-0.7, 0.0, 1.3) if shape == "standard"
-            else CylinderGeometry(-1e-3, 0.0, 1.0))
-    boundary = BoundaryData(*np.random.default_rng(m).normal(size=(4, m)))
-    forcing = ModalForcing.sine(op, geom, SIDE_PLUS, min(1, m - 1), 1, 1.5)
-    seen = []
-    real = oracle._solve_coupled
-
-    def spy(*args):
-        seen.append((*args, real(*args)))
-        return seen[-1][-1]
-
-    monkeypatch.setattr(oracle, "_solve_coupled", spy)
+def test_one_pass_solve_matches_per_mode_sparse_lu(m, n_x, ratio, shape):
+    geom = None if shape == "standard" else CylinderGeometry(-1e-3, 0.0, 1.0)
+    op, geom, forcing, boundary = _case(m, geom)
     sol = direct_solve(op, geom, 1.0, ratio, forcing, boundary, n_x=n_x)
-    (_, main, rhs, sols), = seen
     assert sol.solve_residual <= 1e-12
-    bands, interior = oracle._coupled_bands(geom, 1.0, ratio, n_x)
-    upper = oracle._BANDS[1]
-    ones = np.ones(4 * n_x)
-    refs = []
-    for mu, diagonal, b, x in zip(op.eigenvalues, main, rhs, sols):
-        mode_ab = bands.copy()
-        mode_ab[upper, interior] += mu
-        assert np.array_equal(mode_ab[upper], diagonal)
-        refs.append(solve_banded(oracle._BANDS, mode_ab, b))
-        norm = np.max(oracle._band_matvec(np.abs(mode_ab), ones))
-        for y in (x, refs[-1]):
-            residual = np.max(np.abs(oracle._band_matvec(mode_ab, y) - b))
-            assert residual <= 1e-12 * (norm * np.max(np.abs(y)) + np.max(np.abs(b)))
-    refs = np.array(refs)
-    assert np.max(np.abs(sols - refs)) <= _LU_GAP_TOL[shape] * np.max(np.abs(refs))
+    _, ref_backward, systems, refs = _reference_direct_solve(op, geom, 1.0, ratio,
+                                                             forcing, boundary, n_x)
+    sols = _list_order(sol)
+    assert np.max(_backward_errors(systems, sols)) <= 1e-12
+    assert np.max(ref_backward) <= 1e-12
+    assert np.max(np.abs(sols - refs)) <= _LU_GAP_TOL * np.max(np.abs(refs))
 
 
 def test_direct_solve_checks_its_grid_size_up_front():

@@ -264,6 +264,20 @@ def test_evaluate_rejects_bad_inputs():
         sol.evaluate(-0.5, 4)
 
 
+def test_modal_fields_take_the_end_within_the_tolerance_and_refuse_beyond():
+    # The check is CylinderGeometry.clip_points, which the oracle's fields
+    # share: 1e-10 of the interval length outside an end is the end.
+    op = build_dirichlet_laplacian_1d(3, 1.0)
+    geom = CylinderGeometry(-0.9, 0.0, 1.0)
+    al = tuple(np.random.default_rng(4).normal(size=3) for _ in range(4))
+    sol = SubproblemSolution(SIDE_PLUS, geom, op, al)
+    inside = sol.modal_fields([geom.gamma - 0.5e-10, geom.b + 0.5e-10])
+    assert np.array_equal(inside, sol.modal_fields([geom.gamma, geom.b]))
+    for x in (geom.gamma - 2e-10, geom.b + 2e-10, -0.5):
+        with pytest.raises(ValueError, match=r"outside \[0.0, 1.0\] on side 'plus'"):
+            sol.modal_fields([x])
+
+
 @pytest.mark.parametrize("order", [0, 1, 2])
 def test_derivative_formulas_consistent_with_differencing(order):
     # The analytic order-(k+1) field must match the numerical derivative
