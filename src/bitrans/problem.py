@@ -27,9 +27,11 @@ FORCING_CSV_FIELDS = ("x", "mode_index", "value", "side")
 # Intervals shorter than this are rejected outright: the lengths act as
 # semigroup times, and near-zero lengths are a modeling error, not a regime.
 MIN_INTERVAL = 1e-8
-# Evaluation points within this fraction of an interval's length outside an
-# end are taken at the end (``CylinderGeometry.clip_points``).
-_ENDPOINT_TOL = 1e-10
+# Evaluation points within this fraction of an interval's length of an end
+# are taken at the end: clipped onto it from outside
+# (``CylinderGeometry.clip_points``), and given the end's stored values from
+# inside (``subproblem._point_table``).
+ENDPOINT_TOL = 1e-10
 
 # A forcing side's values: an x-array to the (len(modes), len(x)) declared rows.
 Resampler = Callable[[np.ndarray], np.ndarray]
@@ -104,12 +106,12 @@ class CylinderGeometry:
     def clip_points(self, side: str, xs) -> np.ndarray:
         """The evaluation points ``xs`` of ``side``'s interval as a float array.
 
-        Points within ``_ENDPOINT_TOL`` of the interval length outside an
+        Points within ``ENDPOINT_TOL`` of the interval length outside an
         end are moved onto it; points farther out raise ValueError.
         """
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
         lo, hi = self.interval(side)
-        tol = _ENDPOINT_TOL * (hi - lo)
+        tol = ENDPOINT_TOL * (hi - lo)
         if np.any(xs < lo - tol) or np.any(xs > hi + tol):
             raise ValueError(f"evaluation points outside [{lo}, {hi}] on side {side!r}")
         return np.clip(xs, lo, hi)

@@ -40,7 +40,7 @@ import numpy as np
 from ._tridiagonal import factor_banded, solve_banded
 from .errors import DimensionMismatchError
 from .problem import (
-    _ENDPOINT_TOL,
+    ENDPOINT_TOL,
     SIDE_MINUS,
     CylinderGeometry,
     ModalForcing,
@@ -154,7 +154,7 @@ class ParticularSolution:
         T_k and T_k' at the points (``_point_table``): S and S' are orders
         0 and 1, w - mu S and w' - mu S' orders 2 and 3; the end layers H
         add their closed form (``_exponential_table``). Points within
-        ``_ENDPOINT_TOL`` of the interval length of an end take the end:
+        ``ENDPOINT_TOL`` of the interval length of an end take the end:
         odd orders the stored traces exactly, even orders the built-in
         homogeneous conditions F = F'' = 0. With ``layers=False`` the
         terms are the series part S's alone (H's closed form taken off at
@@ -229,7 +229,7 @@ def _point_table(xs: np.ndarray, lo: float, hi: float, length: int) -> _Points:
     T_k(cos t) = cos kt and T_k'(cos t) = k sin kt / sin t, from the
     powers of e^{it}, on the interval mapped onto [-1, 1].
     """
-    half, tol = 0.5 * (hi - lo), _ENDPOINT_TOL * (hi - lo)
+    half, tol = 0.5 * (hi - lo), ENDPOINT_TOL * (hi - lo)
     at_lo, at_hi = xs - lo <= tol, hi - xs <= tol
     inner = ~(at_lo | at_hi)
     z = np.exp(1j * np.arccos((xs[inner] - lo) / half - 1.0))
@@ -805,7 +805,7 @@ class SubproblemSolution:
 
         Per mode u = E1 (A + s1 B) + E2 (C + s2 D), A = a1 + a3, B = a2 + a4,
         C = a3 - a1, D = a4 - a2 (``_exponential_table``). Points within
-        ``_ENDPOINT_TOL`` of the interval length outside an end (an end for
+        ``ENDPOINT_TOL`` of the interval length outside an end (an end for
         ``ParticularSolution.terms`` too) are moved onto it; points farther
         out raise ValueError (``CylinderGeometry.clip_points``).
         """

@@ -2,8 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 from scipy.sparse import csr_matrix
-from scipy.sparse.linalg import spsolve
 
 from bitrans import (
     BoundaryData,
@@ -126,19 +126,58 @@ def _list_systems(op, geom, k_minus, k_plus, forcing, boundary, n):
     return mats, rhs.T
 
 
-def _reference_direct_solve(op, geom, k_minus, k_plus, forcing, boundary, n):
-    """Per-mode list assembly and SuperLU solve (partial pivoting).
+def _interleaved_order(n: int):
+    """Row and column orders that put a list matrix in node-interleaved order, bandwidth 5.
 
-    Returns the fields, the per-mode backward errors, the per-mode
-    list-assembled systems (sparse matrix, right-hand side) and the
-    solutions in list order.
+    Position c of the column order holds the list column of the unknown
+    there: u_-(x_i), w_-(x_i) at 2i, 2i+1 and u_+(x_i), w_+(x_i) at
+    2n+2i, 2n+2i+1. An interior node's two equations take the rows of its
+    columns; rows 0, 1 hold u(a), u'(a), rows 2n-2..2n+1 the u, u', w'
+    and w interface conditions, rows 4n-2, 4n-1 hold u'(b), u(b).
     """
-    mats, rhss = _list_systems(op, geom, k_minus, k_plus, forcing, boundary, n)
-    sols = np.array([spsolve(mat, rhs) for mat, rhs in zip(mats, rhss)])
-    systems = list(zip(mats, rhss))
-    fields = {"u_minus": sols[:, :n], "w_minus": sols[:, n:2 * n],
-              "u_plus": sols[:, 2 * n:3 * n], "w_plus": sols[:, 3 * n:]}
-    return fields, _backward_errors(systems, sols), systems, sols
+    size, b = 4 * n, 4 * (n - 2)
+    node, inner = np.arange(n), np.arange(1, n - 1)
+    to_col = np.empty(size, dtype=int)
+    to_col[0:2 * n:2], to_col[1:2 * n:2] = node, n + node
+    to_col[2 * n::2], to_col[2 * n + 1::2] = 2 * n + node, 3 * n + node
+    to_row = np.empty(size, dtype=int)
+    for first, offset in ((0, 0), (2 * n, 2 * (n - 2))):
+        to_row[first + 2 * inner] = offset + 2 * (inner - 1)
+        to_row[first + 2 * inner + 1] = offset + 2 * (inner - 1) + 1
+    to_row[[0, 1, size - 1, size - 2]] = b + np.arange(4)
+    to_row[[2 * n - 2, 2 * n - 1, 2 * n + 1, 2 * n]] = b + 4 + np.arange(4)
+    assert np.array_equal(np.sort(to_row), np.arange(size))
+    assert np.array_equal(np.sort(to_col), np.arange(size))
+    return to_row, to_col
+
+
+def _banded_lu_solve(mat, rhs, order) -> np.ndarray:
+    """LAPACK banded LU with partial pivoting of a list system in ``_interleaved_order``.
+
+    Every entry of the list matrix lies within 5 of the diagonal in that
+    order, so the factored matrix is the list matrix itself, permuted.
+    """
+    to_row, to_col = order
+    entries = mat.tocoo()
+    row, col = np.argsort(to_row)[entries.row], np.argsort(to_col)[entries.col]
+    assert np.max(np.abs(row - col)) <= 5
+    ab = np.zeros((11, to_col.size))
+    ab[5 + row - col, col] = entries.data
+    x = np.empty(to_col.size)
+    x[to_col] = solve_banded((5, 5), ab, rhs[to_row])
+    return x
+
+
+def _reference_direct_solve(op, geom, k_minus, k_plus, forcing, boundary, n):
+    """Per-mode list assembly and banded LU (``_banded_lu_solve``).
+
+    Returns the per-mode backward errors, the per-mode list-assembled
+    systems (sparse matrix, right-hand side) and the solutions in list order.
+    """
+    systems = list(zip(*_list_systems(op, geom, k_minus, k_plus, forcing, boundary, n)))
+    order = _interleaved_order(n)
+    sols = np.array([_banded_lu_solve(mat, rhs, order) for mat, rhs in systems])
+    return _backward_errors(systems, sols), systems, sols
 
 
 def _backward_errors(systems, sols) -> np.ndarray:
@@ -469,12 +508,12 @@ def test_direct_solve_matches_per_mode_list_assembly(monkeypatch, m, n_x, forced
     # ||r|| <= beta (||A|| ||x^|| + ||b||) and ||b|| <= ||A|| ||x||.
     # Observed: both backward errors below 2e-16, cond(A) up to 2.3e10
     # (m = 64), the worst gap 1.2e-9 of ||x|| (m = 3, n_x = 257) and never
-    # above a tenth of the bound.
+    # above 0.11 of the bound.
     op, geom, forcing, boundary = _case(m, forced=forced)
     sol, bands, rows = _spied_direct_solve(monkeypatch, op, geom, 1.0, 3.0, forcing, boundary,
                                            n_x=n_x)
-    _, ref_backward, systems, ref_sols = _reference_direct_solve(op, geom, 1.0, 3.0,
-                                                                 forcing, boundary, n_x)
+    ref_backward, systems, ref_sols = _reference_direct_solve(op, geom, 1.0, 3.0,
+                                                              forcing, boundary, n_x)
     new_sols = _list_order(sol)
     new_backward = _backward_errors(systems, new_sols)
     assert sol.solve_residual <= 1e-15
@@ -532,38 +571,60 @@ def test_wrong_interface_flux_sign_in_pattern_is_caught(monkeypatch):
     assert gap(wrong) > 1e-2
 
 
+@pytest.mark.parametrize("ratio", [3.0, 1e4])
 @pytest.mark.parametrize("forced", [False, True], ids=["zero", "sine"])
 @pytest.mark.parametrize("n_x", [33, 129])
 @pytest.mark.parametrize("m", [1, 3, 64])
-def test_direct_solve_backward_error_matches_the_dense_list_matrix(monkeypatch, m, n_x, forced):
+def test_direct_solve_backward_error_matches_the_dense_list_matrix(monkeypatch, m, n_x, forced,
+                                                                    ratio):
     # The gate forms the row sums of |A_j| and the residual A_j x - b_j
     # over every row from the interior constants and the end table; the
     # reference forms them from each mode's dense list matrix. At rounding
     # level the two residuals differ by rounding alone: each of a row's at
     # most 8 terms is off by eps/2 of its size, so the two backward errors
-    # differ by at most 8 eps (observed: 0.32 eps). A solution perturbed by
-    # 1e-13 relative (every sweep output, so every kind of row) has a
-    # backward error of 6e-14 to 1.7e-13, far above that rounding and below
-    # the 1e-12 gate, and there the two must agree to 1e-2 relative
-    # (observed: 5.7e-4); a wrong row sum or a missing row shows as a factor.
+    # differ by at most 8 eps (observed: equal). Two perturbations lift the
+    # backward error far above that rounding and below the 1e-12 gate, and
+    # there the two must agree to 1e-2 relative; a missing row or a wrong
+    # row sum shows as a factor. Every sweep output perturbed by 1e-13
+    # relative (scaled up by ||A|| over the interior rows' largest row
+    # sum) moves the interior rows: backward errors of 6.0e-14 to 1.7e-13,
+    # agreement to 5.7e-4. The end values of the 8 x 8 solve moved alone
+    # move only the 8 end rows, since the interior follows them through
+    # the sweeps' responses; each mode's move is scaled to an end-row
+    # backward error of 1e-13, agreement to 3.2e-6. At k+/k- = 1e4 the
+    # largest row sum of |A_j| is an end row's, so the end rows' share of
+    # ||A|| counts too.
     op, geom, forcing, boundary = _case(m, forced=forced)
-    args = (op, geom, 1.0, 3.0, forcing, boundary)
+    args = (op, geom, 1.0, ratio, forcing, boundary)
     systems = list(zip(*_list_systems(*args, n_x)))
+    row_sums = [np.abs(mat).sum(axis=1).A1 for mat, _ in systems]
+    assert all((np.argmax(sums) >= 4 * (n_x - 2)) == (ratio == 1e4) for sums in row_sums)
     eps = np.finfo(float).eps
     sol = direct_solve(*args, n_x=n_x)
     assert abs(sol.solve_residual - np.max(_backward_errors(systems, _list_order(sol)))) <= 8 * eps
+    scale = np.array([np.max(sums) * np.max(np.abs(x)) + np.max(np.abs(rhs))
+                      for sums, (_, rhs), x in zip(row_sums, systems, _list_order(sol))])
+    lift = max(np.max(sums) / np.max(sums[:4 * (n_x - 2)]) for sums in row_sums)
     rng = np.random.default_rng(m)
-    real = oracle.solve_banded
+    real_sweep, real_ends = oracle.solve_banded, np.linalg.solve
 
-    def perturbed(lu, b):
-        x = real(lu, b)
-        return x * (1.0 + 1e-13 * rng.standard_normal(x.shape))
+    def sweep(lu, b):
+        x = real_sweep(lu, b)
+        return x * (1.0 + 1e-13 * lift * rng.standard_normal(x.shape))
 
-    monkeypatch.setattr(oracle, "solve_banded", perturbed)
-    sol = direct_solve(*args, n_x=n_x)
-    dense = np.max(_backward_errors(systems, _list_order(sol)))
-    assert dense > 100 * eps
-    assert sol.solve_residual == pytest.approx(dense, rel=1e-2)
+    def ends(a, b):
+        x = real_ends(a, b)
+        move = rng.standard_normal(x.shape)
+        rows = np.max(np.abs(a @ move), axis=(1, 2))
+        return x + (1e-13 * scale / rows)[:, None, None] * move
+
+    for owner, name, perturbed in ((oracle, "solve_banded", sweep), (np.linalg, "solve", ends)):
+        with monkeypatch.context() as patch:
+            patch.setattr(owner, name, perturbed)
+            sol = direct_solve(*args, n_x=n_x)
+        dense = np.max(_backward_errors(systems, _list_order(sol)))
+        assert dense > 100 * eps
+        assert sol.solve_residual == pytest.approx(dense, rel=1e-2, abs=0.0)
 
 
 @pytest.mark.parametrize("m", [1, 64])
@@ -586,29 +647,30 @@ def test_direct_solve_is_one_pass_over_all_modes(monkeypatch, m):
 
 
 # Largest gap max|x - x_ref| / max|x_ref| over a case's modes, measured on
-# the grid below between the one-pass solve and per-mode SuperLU solves of
-# the list matrices (backward errors below 3e-16 on both sides): 3.8e-6 on
-# (-0.7, 0, 1.3) and 4.3e-6 on (-1e-3, 0, 1), both at m = 256 and
-# n_x = 1025, where cond(A) is largest (the short minus step of about 1e-6
-# puts it near 1e12). The tolerance is about ten times the larger gap.
-_LU_GAP_TOL = 5e-5
+# the grid below between the one-pass solve and per-mode banded LU with
+# partial pivoting of the list matrices (``_banded_lu_solve``; backward
+# errors below 3e-16 on both sides): 8.8e-8 on (-0.7, 0, 1.3) and 4.4e-6 on
+# (-1e-3, 0, 1), both at n_x = 1025, where the minus step of about 1e-6
+# puts cond(A) near 1e12. Each tolerance is about ten times its geometry's
+# measured gap.
+_LU_GAP_TOL = {"standard": 1e-6, "short": 5e-5}
 
 
 @pytest.mark.parametrize("shape", ["standard", "short"])
 @pytest.mark.parametrize("ratio", [1e-4, 1.0, 1e4])
 @pytest.mark.parametrize("n_x", [33, 129, 1025])
 @pytest.mark.parametrize("m", [1, 3, 64, 256])
-def test_one_pass_solve_matches_per_mode_sparse_lu(m, n_x, ratio, shape):
+def test_one_pass_solve_matches_per_mode_banded_lu(m, n_x, ratio, shape):
     geom = None if shape == "standard" else CylinderGeometry(-1e-3, 0.0, 1.0)
     op, geom, forcing, boundary = _case(m, geom)
     sol = direct_solve(op, geom, 1.0, ratio, forcing, boundary, n_x=n_x)
     assert sol.solve_residual <= 1e-12
-    _, ref_backward, systems, refs = _reference_direct_solve(op, geom, 1.0, ratio,
-                                                             forcing, boundary, n_x)
+    ref_backward, systems, refs = _reference_direct_solve(op, geom, 1.0, ratio,
+                                                          forcing, boundary, n_x)
     sols = _list_order(sol)
     assert np.max(_backward_errors(systems, sols)) <= 1e-12
     assert np.max(ref_backward) <= 1e-12
-    assert np.max(np.abs(sols - refs)) <= _LU_GAP_TOL * np.max(np.abs(refs))
+    assert np.max(np.abs(sols - refs)) <= _LU_GAP_TOL[shape] * np.max(np.abs(refs))
 
 
 def test_direct_solve_checks_its_grid_size_up_front():
