@@ -119,7 +119,9 @@ class ParticularSolution:
     endpoint traces F' and F''' are vectors over all m modes: S's
     coefficient sums plus H's closed form, with S''' = w' - mu S' (exact
     identity of the factorized problem). ``error_estimate`` is the
-    largest of the rows' estimates (``solve_particular``).
+    largest of the rows' estimates (``solve_particular``). ``terms``
+    evaluates F; the residual report reads S alone, through one
+    ``grid_table`` per side.
     """
 
     side: str
@@ -147,7 +149,7 @@ class ParticularSolution:
     def f3_interface(self) -> np.ndarray:
         return self.f3_right if self.side == SIDE_MINUS else self.f3_left
 
-    def terms(self, xs: np.ndarray, mu: np.ndarray, layers: bool = True) -> np.ndarray:
+    def terms(self, xs: np.ndarray, mu: np.ndarray) -> np.ndarray:
         """Modal F-terms of derivative orders 0..3 at the points ``xs``, shape (4, m, k).
 
         Interior values are one product of the [S; w] coefficients with
@@ -156,32 +158,14 @@ class ParticularSolution:
         add their closed form (``_exponential_table``). Points within
         ``ENDPOINT_TOL`` of the interval length of an end take the end:
         odd orders the stored traces exactly, even orders the built-in
-        homogeneous conditions F = F'' = 0. With ``layers=False`` the
-        terms are the series part S's alone (H's closed form taken off at
-        the ends), the part whose equation residual can be nonzero. Rows
-        outside ``active`` are 0.
+        homogeneous conditions F = F'' = 0. Rows outside ``active`` are 0.
         """
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
         if not self.active.size:
             return np.zeros((4, self.m, xs.size))
-        lo, hi = self.geometry.interval(self.side)
-        return self._terms(_point_table(xs, lo, hi, self.f_modal.shape[1]), mu, layers)
-
-    def probe_terms(self, n: int, mu: np.ndarray, layers: bool = True) -> np.ndarray:
-        """``terms`` at the n points of ``CylinderGeometry.grid(side, n)``, with memoized tables.
-
-        The point tables come from ``_probe_table``, per (interval, n,
-        series length), so a run of solves on one geometry forms them once.
-        """
-        if not self.active.size:
-            return np.zeros((4, self.m, n))
-        lo, hi = self.geometry.interval(self.side)
-        return self._terms(_probe_table(lo, hi, n, self.f_modal.shape[1]), mu, layers)
-
-    def _terms(self, points: _Points, mu: np.ndarray, layers: bool) -> np.ndarray:
-        xs, at_lo, at_hi, inner, basis = points
         rows = self.active
         lo, hi = self.geometry.interval(self.side)
+        at_lo, at_hi, inner, basis = _point_table(xs, lo, hi, self.f_modal.shape[1])
         vals = np.vstack([self.f_modal, self.w_modal]) @ basis  # [F, F'; w, w'] by rows
         f, w = vals.reshape(2, rows.size, 2, -1).transpose(0, 2, 1, 3)  # (value, slope) first
         part = np.zeros((4, rows.size, xs.size))
@@ -189,13 +173,11 @@ class ParticularSolution:
         part[2:, :, inner] = w - mu[rows, None] * f
         part[1::2, :, at_lo] = np.array([self.fprime_left[rows], self.f3_left[rows]])[..., None]
         part[1::2, :, at_hi] = np.array([self.fprime_right[rows], self.f3_right[rows]])[..., None]
-        pick = inner if layers else ~inner  # where H's closed form is added, or taken off
-        if self.layers.any() and pick.any():
+        if self.layers.any() and inner.any():
             g = -np.sqrt(-mu[rows, None])
-            s1, s2 = (xs[pick] - lo)[None, :], (hi - xs[pick])[None, :]
-            h = _exponential_table(g, s1, s2, np.exp(g * s1), np.exp(g * s2),
-                                   *self.layers[:, :, None])
-            part[:, :, pick] += h if layers else -h
+            s1, s2 = (xs[inner] - lo)[None, :], (hi - xs[inner])[None, :]
+            part[:, :, inner] += _exponential_table(g, s1, s2, np.exp(g * s1), np.exp(g * s2),
+                                                    *self.layers[:, :, None])
         out = np.zeros((4, self.m, xs.size))
         out[:, rows] = part
         return out
@@ -208,50 +190,52 @@ class ParticularSolution:
                    zm.copy(), zm.copy(), 0.0, np.zeros(0, dtype=int), np.zeros((4, 0)))
 
 
-class _Points(NamedTuple):
-    """The point tables of ``ParticularSolution.terms`` on one interval (``_point_table``).
-
-    ``at_lo`` and ``at_hi`` mark the points ``xs`` that take an end,
-    ``inner`` the rest; ``basis`` holds T_k and then T_k' at the inner
-    points, one row per k below the series length.
-    """
-
-    xs: np.ndarray
-    at_lo: np.ndarray
-    at_hi: np.ndarray
-    inner: np.ndarray
-    basis: np.ndarray
-
-
-def _point_table(xs: np.ndarray, lo: float, hi: float, length: int) -> _Points:
-    """The end masks of the points xs of [lo, hi], and T_k, T_k' (k < length) at the others.
+def _columns(xs: np.ndarray, lo: float, half: float, length: int) -> np.ndarray:
+    """T_k and then T_k' (k < length) at points xs inside [lo, lo + 2 half]: (length, 2 len(xs)).
 
     T_k(cos t) = cos kt and T_k'(cos t) = k sin kt / sin t, from the
-    powers of e^{it}, on the interval mapped onto [-1, 1].
+    powers of e^{it}, on the interval mapped onto [-1, 1]; T_k' is the
+    x-derivative (the 1 / half of the map included).
     """
-    half, tol = 0.5 * (hi - lo), ENDPOINT_TOL * (hi - lo)
-    at_lo, at_hi = xs - lo <= tol, hi - xs <= tol
-    inner = ~(at_lo | at_hi)
-    z = np.exp(1j * np.arccos((xs[inner] - lo) / half - 1.0))
+    z = np.exp(1j * np.arccos((xs - lo) / half - 1.0))
     powers = np.empty((length, z.size), dtype=complex)
     powers[0], powers[1:] = 1.0, z
     powers = np.cumprod(powers, axis=0)  # e^{ik theta}: cos and sin of k theta
     k = np.arange(length)[:, None]
-    return _Points(xs, at_lo, at_hi, inner,
-                   np.hstack([powers.real, k * powers.imag / (half * z.imag)]))
+    return np.hstack([powers.real, k * powers.imag / (half * z.imag)])
+
+
+def _point_table(xs: np.ndarray, lo: float, hi: float, length: int) -> tuple:
+    """The point tables of ``ParticularSolution.terms`` on [lo, hi]: (at_lo, at_hi, inner, basis).
+
+    ``at_lo`` and ``at_hi`` mark the points xs that take an end, ``inner``
+    the rest; ``basis`` holds T_k and then T_k' (k < length) at the inner
+    points (``_columns``).
+    """
+    half, tol = 0.5 * (hi - lo), ENDPOINT_TOL * (hi - lo)
+    at_lo, at_hi = xs - lo <= tol, hi - xs <= tol
+    inner = ~(at_lo | at_hi)
+    return at_lo, at_hi, inner, _columns(xs[inner], lo, half, length)
 
 
 @lru_cache(maxsize=16)
-def _probe_table(lo: float, hi: float, n: int, length: int) -> _Points:
-    """``_point_table`` of the n uniform points of [lo, hi], read-only (``probe_terms``).
+def grid_table(lo: float, hi: float, n: int, length: int) -> np.ndarray:
+    """T_k, then T_k' (k < length), at the n points of ``CylinderGeometry.grid``: (length, 2n).
 
-    The points are those of ``CylinderGeometry.grid``. A table of a
-    length-2049 series at 33 points is about 1 MB, so 16 of them stay small.
+    Read-only and memoized, so a run of solves on one geometry forms it
+    once per series length. The inner columns are ``_columns``'; at the
+    ends t = -1 and 1, T_k = (-1)^k and 1, and T_k' = (-1)^(k+1) k^2 / half
+    and k^2 / half, exactly. With it one product gives a series and its
+    slope at every grid point, the ends included (``residual_report``).
+    A length-2049 table at 33 points is about 1 MB, so 16 of them stay small.
     """
-    table = _point_table(np.linspace(lo, hi, n), lo, hi, length)
-    for arr in table:
-        arr.flags.writeable = False
-    return table
+    half, k = 0.5 * (hi - lo), np.arange(length)[:, None]
+    sign, slope = np.where(k % 2, -1.0, 1.0), k**2.0 / half
+    inner = _columns(np.linspace(lo, hi, n)[1:-1], lo, half, length).reshape(length, 2, n - 2)
+    table = np.concatenate([np.stack([sign, -sign * slope], axis=1), inner,  # lo, inner, hi
+                            np.stack([sign**2, slope], axis=1)], axis=2)
+    table.flags.writeable = False
+    return table.reshape(length, 2 * n)
 
 
 def _exponential_table(g, s1, s2, e1, e2, big_a, big_b, big_c, big_d) -> np.ndarray:

@@ -53,6 +53,7 @@ from .subproblem import (
     alphas_minus,
     alphas_plus,
     end_values,
+    grid_table,
     interface_fluxes,
     phi_tilde_minus,
     phi_tilde_plus,
@@ -368,10 +369,11 @@ class ResidualReport:
     The boundary and interface entries are read from closed-form per-mode
     end values and flux traces, exact in x, and budgeted at 1e-9. The
     homogeneous part satisfies the equation exactly per mode, so
-    ``eq_*`` is the particular part's residual: one numerical
-    differentiation of its interpolated third derivative on the probe
-    grid, budgeted from the probe spacing and the observed BVP error, and
-    exactly 0 on a side without forcing or particular part.
+    ``eq_*`` is the residual of the particular part's series part, read
+    off one memoized Chebyshev table per side on the probe grid, with one
+    central difference of its third derivative; it is budgeted from the
+    probe spacing and the observed BVP error, and exactly 0 on a side
+    without forcing or particular part.
     """
 
     eq_minus: float
@@ -457,13 +459,15 @@ def residual_report(solution: TransmissionSolution) -> ResidualReport:
     (``ParticularSolution.layers``): only F's series part S can leave an
     equation residual. ``eq_*`` is therefore S's residual
     S'''' + 2 A S'' + A^2 S - f on the interior of a grid of
-    ``solution.options.probe_points`` points per side, with S'''' the
-    central difference of S''' (``ParticularSolution.probe_terms``
-    without the layers, on memoized point tables); its only nonzero rows
+    ``solution.options.probe_points`` points per side. One product of
+    the active rows' [S; w] coefficients with the side's ``grid_table``
+    (T_k and T_k' at every probe point, the ends included) gives S, S',
+    w and w'; S''' = w' - mu S', A S'' = mu (w - mu S), A^2 S = mu^2 S,
+    and S'''' is the central difference of S'''. Its only nonzero rows
     are ``particular.active`` and, on a forced side, the forcing's
     declared ``modes``, and only those rows are formed and mapped
-    (``SectionOperator.from_modes``). A side with
-    neither reads exactly 0. The four outer boundary conditions and the interface
+    (``SectionOperator.from_modes``). A side with neither reads exactly
+    0 and allocates nothing. The four outer boundary conditions and the interface
     continuity of u and u' read the closed-form end values of
     ``end_values``, and the flux transmission conditions the closed-form
     traces of ``interface_fluxes``. Every term is formed in the
@@ -480,7 +484,6 @@ def residual_report(solution: TransmissionSolution) -> ResidualReport:
     prob = solution.problem
     op, forcing = prob.operator, prob.forcing
     tops = solution.operators
-    mu = op.eigenvalues[:, None]
     kp, km = prob.k_plus, prob.k_minus
     bc = prob.boundary
 
@@ -522,26 +525,31 @@ def residual_report(solution: TransmissionSolution) -> ResidualReport:
         h = prob.geometry.length(side) / (n_probe - 1)
         eq_budget = max(eq_budget, 5.0 * h**2 * max_g)
         part = sub.particular
+        active = part.active if part is not None else np.zeros(0, dtype=int)
         forced = not forcing.vanishes(side)
         nonzero = np.zeros(op.m, dtype=bool)
-        if part is not None:
-            nonzero[part.active] = True
+        nonzero[active] = True
         if forced:
             nonzero[forcing.modes] = True
         rows = np.flatnonzero(nonzero)
         if not rows.size:
             continue
-        xs = prob.geometry.grid(side, n_probe)
-        terms = (np.zeros((4, rows.size, xs.size)) if part is None
-                 else part.probe_terms(n_probe, op.eigenvalues, layers=False)[:, rows])
-        mu_rows = mu[rows]
-        block = np.concatenate([(terms[3, :, 2:] - terms[3, :, :-2]) / (2.0 * h),
-                                mu_rows * terms[2, :, 1:-1], mu_rows**2 * terms[0, :, 1:-1],
-                                forcing.sample(side, xs[1:-1])[rows] if forced
-                                else np.zeros((rows.size, xs.size - 2))], axis=1)
-        d4, au2, a2u0, fvals = op.from_modes(rows, block).reshape(op.m, 4, -1).transpose(1, 0, 2)
-        ref = max(np.max(np.abs(d4)), 2.0 * np.max(np.abs(au2)),
-                  np.max(np.abs(a2u0)), np.max(np.abs(fvals)))
+        block = np.zeros((rows.size, 4, n_probe - 2))  # S'''', A S'', A^2 S, f by rows
+        if active.size:
+            table = grid_table(*prob.geometry.interval(side), n_probe, part.f_modal.shape[1])
+            vals = np.vstack([part.f_modal, part.w_modal]) @ table
+            (s0, s1), (w0, w1) = vals.reshape(2, active.size, 2, n_probe).transpose(0, 2, 1, 3)
+            mu = op.eigenvalues[active, None]
+            s3 = w1 - mu * s1
+            at = np.searchsorted(rows, active)
+            block[at, 0] = (s3[:, 2:] - s3[:, :-2]) / (2.0 * h)
+            block[at, 1] = mu * (w0 - mu * s0)[:, 1:-1]
+            block[at, 2] = mu**2 * s0[:, 1:-1]
+        if forced:
+            block[:, 3] = forcing.sample(side, prob.geometry.grid(side, n_probe)[1:-1])[rows]
+        terms = op.from_modes(rows, block.reshape(rows.size, -1)).reshape(op.m, 4, -1)
+        ref = float(np.max(np.abs(terms).max(axis=(0, 2)) * (1.0, 2.0, 1.0, 1.0)))  # 2 A S''
+        d4, au2, a2u0, fvals = terms.transpose(1, 0, 2)
         entries["eq_" + side] = _scaled_sup(d4 + 2.0 * au2 + a2u0 - fvals, ref)
     eq_budget = max(eq_budget, 10.0 * bvp_est, 1e-11)
 
@@ -593,10 +601,12 @@ class TransmissionSolver:
     conditions, determinant gap and gates (``assemble_transmission_operators``),
     the fundamental-system symbols and each mode's equilibrated 8 x 8
     fundamental-system matrix on the ``both`` route, and the zero forcing.
-    The interval symbols and the zero forcing depend on the operator and
-    the geometry alone: given a ``previous`` solver of the same operator
-    object and an equal geometry, the new one takes them from it and forms
-    only what the diffusivities and options change. ``solve`` runs what
+    The interval symbols, the zero forcing and, on ``both``, the
+    fundamental system's one-sided read-offs and end rows depend on the
+    operator and the geometry alone: given a ``previous`` solver of the
+    same operator object and an equal geometry, the new one takes them
+    from it (the last two where it formed them) and forms only what the
+    diffusivities and options change. ``solve`` runs what
     depends on the forcing and boundary data, so a new right-hand side
     passes through fixed per-mode functions of M.
     """
@@ -614,8 +624,10 @@ class TransmissionSolver:
             operator, geometry, k_minus, k_plus,
             (previous.operators.minus, previous.operators.plus) if reuse else None)
         both = self.options.route == ROUTE_BOTH
-        self.reference = fundamental_symbols(self.operators) if both else None
-        self.system = fundamental_system(self.operators) if both else None
+        kept = previous if reuse else None
+        self.reference = (fundamental_symbols(self.operators, kept and kept.reference)
+                          if both else None)
+        self.system = fundamental_system(self.operators, kept and kept.system) if both else None
         self.zero_forcing = (previous.zero_forcing if reuse
                              else ModalForcing.zero(operator.m, geometry))
 

@@ -12,7 +12,7 @@ the operators alone (``fundamental_system``), so a solver forms them once.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -56,27 +56,32 @@ def _solve(a: np.ndarray, scale: np.ndarray, b: np.ndarray, what: str):
 
 class FundamentalSystem(NamedTuple):
     """The per-mode 8 x 8 interface matrices, equilibrated, with their row ``scale`` (m, 8, 1),
-    and the rows of u and u' at gamma on the minus side, (m, 2, 4), that map a solution to
-    the interface pair. They depend on the operators alone."""
+    the rows of u and u' at gamma on the minus side, (m, 2, 4), that map a solution to the
+    interface pair, and the four ``_end_rows`` tables (minus at a and gamma, plus at gamma and
+    b). They depend on the operators alone, the end rows on the interval symbols alone."""
 
     matrix: np.ndarray
     scale: np.ndarray
     at_gamma: np.ndarray
+    end_rows: tuple
 
 
-def fundamental_system(operators) -> FundamentalSystem:
+def fundamental_system(operators, kept: Optional[FundamentalSystem] = None) -> FundamentalSystem:
     """The 8 x 8 system of ``fundamental_solve`` for every mode, built once per operator set.
 
     Unknowns: four basis coefficients per side. Rows: u, u' at a and at b, and the jumps
-    of u, u', k t2 and k t3 at gamma."""
+    of u, u', k t2 and k t3 at gamma. ``kept``, a system of operators on the same interval
+    symbols, lends its end rows, which depend on no diffusivity."""
     minus, plus, km, kp = operators.minus, operators.plus, operators.k_minus, operators.k_plus
-    m_a, m_g = _end_rows(minus, True), _end_rows(minus, False)
-    p_g, p_b = _end_rows(plus, True), _end_rows(plus, False)
+    m_a, m_g, p_g, p_b = rows = kept.end_rows if kept is not None else tuple(
+        _end_rows(ops, at_lo) for ops in (minus, plus) for at_lo in (True, False))
+    for table in rows:
+        table.flags.writeable = False
     a = np.zeros((minus.m, 8, 8))
     a[:, 0:2, :4], a[:, 2:4, 4:] = m_a[:, :2], p_b[:, :2]
     a[:, 4:6, :4], a[:, 4:6, 4:] = m_g[:, :2], -p_g[:, :2]
     a[:, 6:8, :4], a[:, 6:8, 4:] = km * m_g[:, 2:], -kp * p_g[:, 2:]
-    return FundamentalSystem(*_equilibrate(a), m_g[:, :2])
+    return FundamentalSystem(*_equilibrate(a), m_g[:, :2], rows)
 
 
 def fundamental_solve(operators, phi_hat, part_minus, part_plus, system=None):
@@ -127,9 +132,14 @@ def _one_sided(ops, side: str) -> np.ndarray:
                      -sign * t2[:, 1] / g, np.linalg.det(a)])
 
 
-def fundamental_symbols(operators) -> FundamentalSymbols:
-    """Interface symbols of both intervals from the fundamental system, O(m)."""
-    minus, plus = _one_sided(operators.minus, SIDE_MINUS), _one_sided(operators.plus, SIDE_PLUS)
+def fundamental_symbols(operators, kept: Optional[FundamentalSymbols] = None) -> FundamentalSymbols:
+    """Interface symbols of both intervals from the fundamental system, O(m).
+
+    Each interval's read-offs (``_one_sided``) depend on its symbols alone: ``kept``,
+    symbols of operators on the same interval symbols, lends its ``minus`` and ``plus``."""
+    minus, plus = kept[:2] if kept is not None else (_one_sided(operators.minus, SIDE_MINUS),
+                                                     _one_sided(operators.plus, SIDE_PLUS))
+    minus.flags.writeable = plus.flags.writeable = False
     km, kp = operators.k_minus, operators.k_plus
     p1s, p3s = kp * plus[0] + km * minus[0], kp * plus[3] + km * minus[3]
     p2d = kp * plus[1] - km * minus[1]

@@ -6,7 +6,8 @@ inversion against an independent dense construction build them here, as
 m x m matrices from semigroup matrices and dense solves, without the
 scalar symbols: O(m^3), so only at small m. The finite-difference
 particular part (``fd_particular``) is the reference the Chebyshev
-particular part is compared with.
+particular part is compared with, and ``earlier_eq`` the earlier form of
+the report's ``eq_*`` estimator that the current one is compared with.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import solve_banded
 
-from bitrans import SIDE_MINUS, EvaluationError
+from bitrans import SIDE_MINUS, EvaluationError, subproblem
 from bitrans._spline import CubicSpline
 
 
@@ -202,6 +203,57 @@ def particular_eq(solution, side: str) -> float:
     return _equation_residual(op.matrix, u0, u2, u3, fvals, xs[1] - xs[0])
 
 
+def earlier_eq(solution, side: str) -> tuple:
+    """The report's ``eq_*`` as the earlier estimator formed it: (entry, 1 + ref, rows, block).
+
+    The series part S of the Chebyshev particular part on the
+    ``probe_points`` grid: its interior terms from ``_point_table``, and
+    S''' at the two ends the stored F''' trace minus H''' recomputed from
+    ``_exponential_table`` (the report now reads S''' there from the
+    series). Then the report's arithmetic: the (rows, 4, n - 2) modal block
+    S'''' (central difference of S'''), A S'', A^2 S and f on the sorted
+    rows of ``active`` and the forced side's declared modes, mapped by
+    ``from_modes`` and scaled by one plus the largest term, ``ref``.
+    """
+    op, geometry, forcing = solution.operator, solution.geometry, solution.problem.forcing
+    part = solution.side(side).particular
+    n = solution.options.probe_points
+    xs = geometry.grid(side, n)
+    lo, hi = geometry.interval(side)
+    h = geometry.length(side) / (n - 1)
+    forced = not forcing.vanishes(side)
+    active = part.active
+    rows = np.union1d(active, forcing.modes) if forced else np.sort(active)
+    if not rows.size:
+        return 0.0, 1.0, rows, np.zeros((0, 4, n - 2))
+    terms = np.zeros((4, op.m, n))
+    if active.size:
+        mu = op.eigenvalues[active, None]
+        _, _, inner, basis = subproblem._point_table(xs, lo, hi, part.f_modal.shape[1])
+        vals = np.vstack([part.f_modal, part.w_modal]) @ basis
+        f, w = vals.reshape(2, active.size, 2, -1).transpose(0, 2, 1, 3)
+        series = np.zeros((4, active.size, n))
+        series[:2, :, inner] = f
+        series[2:, :, inner] = w - mu * f
+        series[3, :, 0], series[3, :, -1] = part.f3_left[active], part.f3_right[active]
+        g = -np.sqrt(-mu)
+        s1, s2 = (xs[[0, -1]] - lo)[None, :], (hi - xs[[0, -1]])[None, :]
+        series[3][:, [0, -1]] -= subproblem._exponential_table(
+            g, s1, s2, np.exp(g * s1), np.exp(g * s2), *part.layers[:, :, None])[3]
+        terms[:, active] = series
+    mu, t = op.eigenvalues[rows, None], terms[:, rows]
+    block = np.stack([(t[3, :, 2:] - t[3, :, :-2]) / (2.0 * h), mu * t[2, :, 1:-1],
+                      mu**2 * t[0, :, 1:-1],
+                      forcing.sample(side, xs[1:-1])[rows] if forced
+                      else np.zeros((rows.size, n - 2))], axis=1)
+    d4, au2, a2u0, fvals = op.from_modes(rows, block.reshape(rows.size, -1)).reshape(
+        op.m, 4, -1).transpose(1, 0, 2)
+    ref = max(np.max(np.abs(d4)), 2.0 * np.max(np.abs(au2)),
+              np.max(np.abs(a2u0)), np.max(np.abs(fvals)))
+    entry = float(np.max(np.abs(d4 + 2.0 * au2 + a2u0 - fvals)) / (1.0 + ref))
+    return entry, 1.0 + ref, rows, block
+
+
 # -- The finite-difference particular part, kept as a reference --------------
 #
 # Two central-difference Dirichlet solves per mode on the h and h/2 grids,
@@ -218,7 +270,10 @@ class FDParticular:
 
     ``f_modal`` and ``w_modal`` hold F and w = F'' + mu F of the active
     rows on ``grid``; ``error_estimate`` is the relative size of the
-    Richardson correction.
+    Richardson correction. These are grid values, not the Chebyshev
+    coefficients that the report's ``eq_*`` reads, so a report formed with
+    this part in place of the solver's has no meaningful ``eq_*``; the
+    tests that put it there read the other entries and the traces.
     """
 
     side: str
@@ -250,10 +305,9 @@ class FDParticular:
     def f3_interface(self) -> np.ndarray:
         return self.f3_right if self.side == SIDE_MINUS else self.f3_left
 
-    def terms(self, xs, mu, layers: bool = True) -> np.ndarray:
+    def terms(self, xs, mu) -> np.ndarray:
         """Orders 0..3 at ``xs``, shape (4, m, k): two evaluations of the [F; w] spline inside,
-        the stored traces (odd orders) and F = F'' = 0 (even orders) at the ends. F has no
-        end-layer part here, so ``layers`` changes nothing."""
+        the stored traces (odd orders) and F = F'' = 0 (even orders) at the ends."""
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
         out = np.zeros((4, self.m, xs.size))
         rows = self.active
@@ -274,10 +328,6 @@ class FDParticular:
             part[order][:, at_hi] = right[rows, None]
         out[:, rows] = part
         return out
-
-    def probe_terms(self, n: int, mu, layers: bool = True) -> np.ndarray:
-        """``terms`` at the n points of ``geometry.grid(side, n)``."""
-        return self.terms(self.geometry.grid(self.side, n), mu, layers)
 
 
 def _fd_factorized(mu: np.ndarray, grids: tuple, fhats: tuple) -> list:

@@ -211,3 +211,15 @@ def test_every_tridiagonal_solve_takes_the_one_elimination():
                  and set(node.name.strip("_").split("_"))
                  & {"tridiagonal", "banded", "band", "bands", "lu"}]
     assert not offenders, f"eliminations outside _tridiagonal.py: {offenders}"
+
+
+def test_every_approx_in_the_tests_states_its_abs():
+    # pytest.approx adds abs=1e-12 unless told otherwise, which makes a
+    # relative check of a value near or below 1e-12 pass whatever it
+    # compares; every call states its abs (abs=0.0 for a relative check).
+    offenders = [f"{path.name}:{node.lineno}"
+                 for path in sorted(Path(__file__).parent.glob("*.py"))
+                 for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                 if isinstance(node, ast.Call) and _name(node.func) == "approx"
+                 and not any(keyword.arg == "abs" for keyword in node.keywords)]
+    assert not offenders, f"pytest.approx without abs=: {offenders}"

@@ -54,7 +54,7 @@ def test_load_config_basic(tmp_path):
     path = write_config(tmp_path, BASE.format(m=3, extra=HOMOG))
     config = load_config(path)
     assert config.solver.route == "both"
-    assert config.geometry.c == pytest.approx(0.7)
+    assert config.geometry.c == pytest.approx(0.7, rel=1e-6, abs=0.0)
     op = build_section(config)
     assert op.m == 3
     forcing, boundary, case = build_case(config, op)

@@ -73,7 +73,7 @@ def test_an_edit_to_the_callers_arrays_does_not_reach_the_operator():
 def test_laplacian_m1_single_mode():
     op = build_dirichlet_laplacian_1d(1, 1.0)
     assert op.eigenvalues.shape == (1,)
-    assert op.eigenvalues[0] == pytest.approx(-8.0, rel=1e-14)
+    assert op.eigenvalues[0] == pytest.approx(-8.0, rel=1e-14, abs=0.0)
 
 
 @pytest.mark.parametrize("m", [1, 3, 50])
@@ -177,7 +177,7 @@ def test_extreme_scales_raise_typed_errors(call, error):
 
 def test_from_matrix_scalar():
     op = from_matrix(np.array([[-1.0]]))
-    assert op.eigenvalues[0] == pytest.approx(-1.0)
+    assert op.eigenvalues[0] == pytest.approx(-1.0, rel=1e-6, abs=0.0)
 
 
 def test_from_matrix_positive_eigenvalue_rejected():
@@ -205,7 +205,7 @@ def test_orthonormality_gate_rejects_perturbed_q_and_accepts_large_laplacian():
     op = build_dirichlet_laplacian_1d(8, 1.0)
     q = op.eigenvectors.copy()
     q[:, 0] *= 1.0 + 5e-12
-    assert np.linalg.norm(q.T @ q - np.eye(8), 2) == pytest.approx(1e-11, rel=1e-3)
+    assert np.linalg.norm(q.T @ q - np.eye(8), 2) == pytest.approx(1e-11, rel=1e-3, abs=0.0)
     with pytest.raises(InvalidGeometryError, match="not orthonormal"):
         SectionOperator(op.eigenvalues, q)
     assert build_dirichlet_laplacian_1d(2048, 1.0).m == 2048
@@ -220,7 +220,7 @@ def test_apply_function_identity_reproduces_matrix():
 def test_apply_function_scalar_square_root():
     op = from_matrix(np.array([[-4.0]]))
     out = apply_function(op, lambda mu: -np.sqrt(-mu))
-    assert out[0, 0] == pytest.approx(-2.0, rel=1e-14)
+    assert out[0, 0] == pytest.approx(-2.0, rel=1e-14, abs=0.0)
 
 
 def test_apply_function_exponential_per_mode():
@@ -260,8 +260,8 @@ def test_generator_squares_to_minus_a(m):
 def test_generator_scalar_values():
     for mu, g in ((-1.0, -1.0), (-4.0, -2.0)):
         op = from_matrix(np.array([[mu]]))
-        assert op.generator_eigenvalues[0] == pytest.approx(g)
-        assert generator_matrix(op)[0, 0] == pytest.approx(g)
+        assert op.generator_eigenvalues[0] == pytest.approx(g, rel=1e-6, abs=0.0)
+        assert generator_matrix(op)[0, 0] == pytest.approx(g, rel=1e-6, abs=0.0)
 
 
 def test_generator_laplacian3_values():
@@ -279,7 +279,7 @@ def test_semigroup_identity_at_zero():
 
 def test_semigroup_scalar_exponential():
     op = from_matrix(np.array([[-1.0]]))
-    assert semigroup(op, 1.0)[0, 0] == pytest.approx(np.exp(-1.0), rel=1e-14)
+    assert semigroup(op, 1.0)[0, 0] == pytest.approx(np.exp(-1.0), rel=1e-14, abs=0.0)
 
 
 def test_semigroup_law():

@@ -2,7 +2,8 @@
 
 ``solve_transmission`` reuses the last solver kept on the operator object
 when the other inputs compare equal, and a new solver on that operator and
-an equal geometry keeps the last one's interval symbols; a reused solve
+an equal geometry keeps the last one's interval symbols (and, on "both", its
+fundamental-system read-offs and end rows); a reused solve
 must give the bytes of a first solve.
 """
 
@@ -27,7 +28,7 @@ from bitrans import (
     manufactured_forced,
     solve_transmission,
 )
-from bitrans import subproblem, transmission
+from bitrans import subproblem, transmission, verification
 from bitrans.cli import main
 
 GEOM = CylinderGeometry(-0.7, 0.0, 1.3)
@@ -226,6 +227,44 @@ def test_a_solver_on_kept_symbols_gives_the_bytes_of_a_cold_one(m, geometry, kin
         reused, fresh = kept.solve(*data), cold.solve(*data)
         for got, want in zip(_outputs(reused), _outputs(fresh), strict=True):
             assert np.array_equal(got, want), (km, kp)
+        assert reused.report.to_dict() == fresh.report.to_dict()
+        previous = kept
+
+
+@pytest.mark.parametrize("m", [1, 32, 256])
+def test_a_both_rebuild_keeps_the_fundamental_read_offs_and_end_rows(m, monkeypatch):
+    # The one-sided read-offs and the four end-row tables of the fundamental
+    # system depend on the interval symbols alone: a "both" solver rebuilt
+    # at an equal geometry forms neither, and gives a cold build's bytes.
+    op = build_dirichlet_laplacian_1d(m, 1.0)
+    rng = np.random.default_rng(m)
+    both = SolveOptions(route="both")
+    previous = TransmissionSolver(op, GEOM, 2.0, 0.5, both)
+    calls = dict.fromkeys(("_one_sided", "_end_rows"), 0)
+    for name in calls:
+        real = getattr(verification, name)
+
+        def spy(*args, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(verification, name, spy)
+    for km, kp in ((1e-4, 1.0), (1.0, 1e4)):
+        kept = TransmissionSolver(op, GEOM, km, kp, both, previous)
+        assert calls == {"_one_sided": 0, "_end_rows": 0}
+        cold = TransmissionSolver(op, GEOM, km, kp, both)
+        assert calls == {"_one_sided": 2, "_end_rows": 8}  # the spies see a cold build's
+        calls.update(dict.fromkeys(calls, 0))
+        assert kept.system.end_rows is previous.system.end_rows
+        for got, want in zip((*kept.reference, *kept.system[:3], *kept.system.end_rows),
+                             (*cold.reference, *cold.system[:3], *cold.system.end_rows),
+                             strict=True):
+            assert got.tobytes() == want.tobytes()
+        data = _forcing("sine", op, GEOM, km, kp, rng)
+        reused, fresh = kept.solve(*data), cold.solve(*data)
+        for got, want in zip(_outputs(reused), _outputs(fresh), strict=True):
+            assert got.tobytes() == want.tobytes(), (km, kp)
+        assert reused.route_gap == fresh.route_gap
         assert reused.report.to_dict() == fresh.report.to_dict()
         previous = kept
 

@@ -71,15 +71,15 @@ def test_sine_forcing_exact_particular(k_multiple):
         assert np.max(np.abs(terms[:, others])) == 0.0
         # Trace values: F'(a) = k, F'(gamma) = k cos(k c) = +-k.
         rel = 1e-7 * k_multiple**4
-        assert part.fprime_left[mode] == pytest.approx(k, rel=rel)
-        assert part.fprime_right[mode] == pytest.approx(k * np.cos(k * geom.c), rel=rel)
+        assert part.fprime_left[mode] == pytest.approx(k, rel=rel, abs=0.0)
+        assert part.fprime_right[mode] == pytest.approx(k * np.cos(k * geom.c), rel=rel, abs=0.0)
         # F''' = -k^2 F' for the sine.
-        assert part.f3_left[mode] == pytest.approx(-k**2 * k, rel=10 * rel)
+        assert part.f3_left[mode] == pytest.approx(-k**2 * k, rel=10 * rel, abs=0.0)
     assert errors[0] <= errors[1]
     # The Chebyshev traces are exact to rounding.
     part = solve_particular(op.eigenvalues, geom, SIDE_MINUS, forcing, n_x=129)
-    assert part.fprime_left[mode] == pytest.approx(k, rel=1e-14)
-    assert part.f3_right[mode] == pytest.approx(-k**3 * np.cos(k * geom.c), rel=1e-14)
+    assert part.fprime_left[mode] == pytest.approx(k, rel=1e-14, abs=0.0)
+    assert part.f3_right[mode] == pytest.approx(-k**3 * np.cos(k * geom.c), rel=1e-14, abs=0.0)
 
 
 def test_particular_fourth_order_convergence():
@@ -155,7 +155,7 @@ def test_phi_tilde_scalar_reference(scalar_setup):
     ops = side_symbols(op, geom.c)
     one, zero = np.array([1.0]), np.array([0.0])
     pt = phi_tilde_minus(ops, one, zero, zero, zero)
-    assert pt[0][0] == pytest.approx(0.5 / u_delta(1.0, 1.0), rel=1e-12)
+    assert pt[0][0] == pytest.approx(0.5 / u_delta(1.0, 1.0), rel=1e-12, abs=0.0)
     assert pt[0][0] == pytest.approx(3.8788, abs=1e-4)
     ptp = phi_tilde_plus(side_symbols(op, geom.d), one, zero, zero, zero)
     assert ptp[0][0] == pytest.approx(-3.8788, abs=1e-4)
@@ -189,7 +189,7 @@ def test_phi_tilde_plus_minus_antisymmetry(scalar_setup):
     phi1, phi2, ta, tb = rng.normal(size=(4, 1))
     pt_m = phi_tilde_minus(ops_m, phi1, phi2, ta, tb)
     pt_p = phi_tilde_plus(ops_p, phi1, -phi2, -tb, -ta)
-    assert pt_p[0][0] == pytest.approx(-pt_m[0][0], rel=1e-12)
+    assert pt_p[0][0] == pytest.approx(-pt_m[0][0], rel=1e-12, abs=0.0)
 
 
 def test_alphas_scalar_reference(scalar_setup):
@@ -198,7 +198,7 @@ def test_alphas_scalar_reference(scalar_setup):
     zero4 = tuple(np.zeros(1) for _ in range(4))
     al = alphas_minus(ops, np.array([1.0]), np.array([0.0]), zero4)
     expected = 0.5 / u_delta(1.0, 1.0) * (1.0 + np.exp(-1.0)) * (-1.0)
-    assert al[1][0] == pytest.approx(expected, rel=1e-12)
+    assert al[1][0] == pytest.approx(expected, rel=1e-12, abs=0.0)
     assert al[1][0] == pytest.approx(-5.3058, abs=1e-4)
 
 
@@ -209,9 +209,9 @@ def test_alphas_reduce_to_phi_tilde(scalar_setup):
     pt = tuple(rng.normal(size=1) for _ in range(4))
     zero = np.zeros(1)
     for a, p in zip(alphas_minus(ops, zero, zero, pt), pt):
-        assert a[0] == pytest.approx(p[0], rel=1e-14)
+        assert a[0] == pytest.approx(p[0], rel=1e-14, abs=0.0)
     for a, p in zip(alphas_plus(ops, zero, zero, pt), pt):
-        assert a[0] == pytest.approx(p[0], rel=1e-14)
+        assert a[0] == pytest.approx(p[0], rel=1e-14, abs=0.0)
 
 
 def _assemble_side(op, geom, side, forcing, bc_pair, psi_pair, n_x=65):
@@ -903,29 +903,27 @@ def test_a_forcing_that_never_chops_runs_to_the_cap(monkeypatch):
     assert chopped.error_estimate > part.error_estimate
 
 
-@pytest.mark.parametrize("layers", [True, False])
-def test_memoized_probe_tables_are_read_only_and_keep_the_bytes(layers):
-    # The report reads the series part on its probe grid through point
-    # tables memoized per (interval, probe points, series length); a memo
-    # hit, a cold build and terms() at the same points give the same bytes.
-    assert subproblem._probe_table.cache_info().maxsize == 16
-    m = 64
-    op = _laplacian(m)
+@pytest.mark.parametrize("n", [5, 33])
+def test_the_grid_table_is_memoized_read_only_and_exact_at_the_ends(n):
+    # The report reads a side's series part through one table of T_k and
+    # T_k' at all n probe points: inside, _point_table's basis bit for bit;
+    # at t = -1 and 1, (+-1)^k and (+-1)^(k+1) k^2 / half exactly.
+    assert subproblem.grid_table.cache_info().maxsize == 16
     geom = CylinderGeometry(-0.7, 0.0, 0.9)
-    forcing = _random_forcing(geom, m, np.random.default_rng(64))
     for side in SIDES:
-        part = solve_particular(op.eigenvalues, geom, side, forcing)
-        free = part.layers.any(axis=0)
-        assert free.any() and not free.all()
         lo, hi = geom.interval(side)
-        for n in (5, 33):
-            part.probe_terms(n, op.eigenvalues, layers)
-            memo = part.probe_terms(n, op.eigenvalues, layers)
-            table = subproblem._probe_table(lo, hi, n, part.f_modal.shape[1])
-            for arr in table:
-                with pytest.raises(ValueError):
-                    arr[...] = arr
-            subproblem._probe_table.cache_clear()
-            cold = part.probe_terms(n, op.eigenvalues, layers)
-            points = part.terms(geom.grid(side, n), op.eigenvalues, layers)
-            assert memo.tobytes() == cold.tobytes() == points.tobytes()
+        half = 0.5 * (hi - lo)
+        for length in (1, 17, 129):
+            table = subproblem.grid_table(lo, hi, n, length)
+            assert subproblem.grid_table(lo, hi, n, length) is table
+            assert table.shape == (length, 2 * n)
+            with pytest.raises(ValueError):
+                table[...] = table
+            values, slopes = table[:, :n], table[:, n:]
+            *_, inner, basis = subproblem._point_table(geom.grid(side, n), lo, hi, length)
+            assert np.array_equal(inner, np.arange(n) % (n - 1) != 0)
+            assert np.hstack([values[:, 1:-1], slopes[:, 1:-1]]).tobytes() == basis.tobytes()
+            k = np.arange(length)
+            for end, sign in ((0, -1.0), (-1, 1.0)):
+                assert values[:, end].tobytes() == (sign**k).tobytes()
+                assert slopes[:, end].tobytes() == (sign ** (k + 1) * k**2 / half).tobytes()

@@ -23,8 +23,8 @@ V11 = 1.0 - np.exp(-2.0) + 2.0 * np.exp(-1.0)   # v_1(1)
 def test_u_v_at_one():
     assert u_delta(1.0, 1.0) == pytest.approx(0.1289058, abs=1e-6)
     assert v_delta(1.0, 1.0) == pytest.approx(1.6004236, abs=1e-6)
-    assert u_delta(1.0, 1.0) == pytest.approx(U11, rel=1e-14)
-    assert v_delta(1.0, 1.0) == pytest.approx(V11, rel=1e-14)
+    assert u_delta(1.0, 1.0) == pytest.approx(U11, rel=1e-14, abs=0.0)
+    assert v_delta(1.0, 1.0) == pytest.approx(V11, rel=1e-14, abs=0.0)
 
 
 def test_u_vanishes_at_zero_limit():
@@ -52,8 +52,8 @@ def test_small_argument_asymptotics():
     # u_delta(x) ~ (delta sqrt(x))^3 / 3 and v_delta(x) ~ 4 delta sqrt(x).
     for delta, x in ((0.1, 1e-6), (1.0, 1e-8)):
         eps = delta * np.sqrt(x)
-        assert u_delta(delta, x) == pytest.approx(eps**3 / 3.0, rel=1e-3)
-        assert v_delta(delta, x) == pytest.approx(4.0 * eps, rel=1e-3)
+        assert u_delta(delta, x) == pytest.approx(eps**3 / 3.0, rel=1e-3, abs=0.0)
+        assert v_delta(delta, x) == pytest.approx(4.0 * eps, rel=1e-3, abs=0.0)
 
 
 @pytest.mark.parametrize("delta", [1.0, 0.3])
@@ -106,7 +106,7 @@ def test_f_components_reference_values():
     assert f3 == pytest.approx(4.2689, abs=2e-4)
     assert g == pytest.approx(10.4960, abs=2e-4)
     e = np.exp(-1.0)
-    assert f1 == pytest.approx((1 + e) ** 2 / U11 + (1 - e) ** 2 / V11, rel=1e-13)
+    assert f1 == pytest.approx((1 + e) ** 2 / U11 + (1 - e) ** 2 / V11, rel=1e-13, abs=0.0)
 
 
 def test_f_component_determinant_identity_random():
@@ -132,20 +132,20 @@ def test_f_total_reference_value():
     ctx = SymbolContext(1.0, 1.0, 1.0, 1.0)
     f1, f2, f3, g = f_components(1.0, 1.0)
     expected = 2.0 * g + 2.0 * f1 * f3 + 2.0 * f2**2
-    assert f_total(ctx, 1.0) == pytest.approx(expected, rel=1e-13)
+    assert f_total(ctx, 1.0) == pytest.approx(expected, rel=1e-13, abs=0.0)
     assert f_total(ctx, 1.0) == pytest.approx(252.12, abs=1e-2)
 
 
 def test_f_total_large_z_limit():
     for km, kp in ((1.0, 1.0), (0.3, 4.0)):
         ctx = SymbolContext(0.8, 1.7, km, kp)
-        assert f_total(ctx, 500.0) == pytest.approx(16.0 * km * kp, rel=1e-6)
+        assert f_total(ctx, 500.0) == pytest.approx(16.0 * km * kp, rel=1e-6, abs=0.0)
 
 
 def test_f_tilde_reference_and_quotient_identity():
     ctx = SymbolContext(1.0, 1.0, 1.0, 1.0)
     val = f_tilde(ctx, 1.0)
-    assert val == pytest.approx(f_total(ctx, 1.0) * (U11 * V11) ** 4 / 16.0, rel=1e-12)
+    assert val == pytest.approx(f_total(ctx, 1.0) * (U11 * V11) ** 4 / 16.0, rel=1e-12, abs=0.0)
     assert val == pytest.approx(2.854391e-2, abs=1e-6)
 
 

@@ -44,6 +44,7 @@ from bitrans import problem, symbols
 from bitrans.symbols import SymbolContext
 from dense_reference import (
     assemble_dense_operators,
+    earlier_eq,
     generator_matrix,
     particular_eq,
     solve_block,
@@ -135,7 +136,7 @@ def test_determinant_per_mode_values_m8():
 def test_determinant_scalar_sign_and_value():
     _, _, tops = scalar_tops()
     ctx = SymbolContext(1.0, 1.0, 1.0, 1.0)
-    assert tops.det_modal_symbols[0] == pytest.approx(f_total(ctx, 1.0), rel=1e-12)
+    assert tops.det_modal_symbols[0] == pytest.approx(f_total(ctx, 1.0), rel=1e-12, abs=0.0)
     assert tops.det_modal_symbols[0] == pytest.approx(252.12, abs=1e-2)
     assert tops.det_modal_symbols[0] > 0   # -M f(-A) with M = -1
 
@@ -180,7 +181,7 @@ def test_sources_scalar_flux_example():
     src = assemble_sources(tops, (zero,) * 4, (zero,) * 4,
                            fprime_gamma_minus=zero, f3_gamma_minus=zero,
                            fprime_gamma_plus=zero, f3_gamma_plus=np.array([1.0]))
-    assert src.s1[0] == pytest.approx(1.0, rel=1e-14)
+    assert src.s1[0] == pytest.approx(1.0, rel=1e-14, abs=0.0)
     assert src.s2[0] == pytest.approx(0.0, abs=1e-15)
 
 
@@ -231,7 +232,7 @@ def test_calculus_route_scalar_det():
     ctx = SymbolContext(1.0, 1.0, 1.0, 1.0)
     f1, f2, f3, _ = f_components(1.0, 1.0)
     expected = -2.0 * f3 * 252.1155 / f_total(ctx, 1.0)
-    assert data.psi1[0] == pytest.approx(expected, rel=1e-10)
+    assert data.psi1[0] == pytest.approx(expected, rel=1e-10, abs=0.0)
 
 
 def test_leading_order_zero_and_equal_k():
@@ -505,20 +506,139 @@ def test_an_unforced_sides_eq_is_exactly_zero_for_any_coefficients(m, forced):
         assert (report.eq_plus > 0.0) if forced else (report.eq_plus == 0.0)
 
 
-def test_eq_flags_a_forcing_its_particular_part_did_not_solve():
-    # Solved with one forcing and reported against another: the side whose
-    # particular part does not match its forcing fails eq, the other side
-    # (unforced in both) still reads exactly 0.
+def _mismatched_forcing_cases():
+    """The standard case at m = 8 reported against a forcing its particular parts did not solve.
+
+    Solved with the plus-side sine and reported against zero forcing or
+    against the sine on another mode, and solved unforced and reported
+    against the sine.
+    """
     sol = _standard_case(8)
     geom, op = sol.geometry, sol.operator
     unforced = solve_transmission(op, geom, 1.0, 3.0, None, sol.problem.boundary)
     others = (ModalForcing.zero(8, geom), ModalForcing.sine(op, geom, SIDE_PLUS, 2, 1, 1.5))
     cases = [(sol, other) for other in others] + [(unforced, sol.problem.forcing)]
-    for solved, forcing in cases:
-        report = residual_report(replace(solved, problem=replace(solved.problem,
-                                                                 forcing=forcing)))
+    return [replace(solved, problem=replace(solved.problem, forcing=forcing))
+            for solved, forcing in cases]
+
+
+def test_eq_flags_a_forcing_its_particular_part_did_not_solve():
+    # The side whose particular part does not match its forcing fails eq,
+    # the other side (unforced in both) still reads exactly 0.
+    for bad in _mismatched_forcing_cases():
+        report = residual_report(bad)
         assert _over_budget(report) == {"eq_plus"}
         assert report.eq_minus == 0.0
+
+
+def _regime(m, forcing_of):
+    """Geometry (-0.7, 0, 1.3), k = 1, 3, seed-0 boundary data and ``forcing_of(op, geom)``."""
+    op = build_dirichlet_laplacian_1d(m, 1.0)
+    geom = CylinderGeometry(-0.7, 0.0, 1.3)
+    rng = np.random.default_rng(0)
+    bc = BoundaryData(*(rng.standard_normal(m) for _ in range(4)))
+    return [solve_transmission(op, geom, 1.0, 3.0, forcing_of(op, geom), bc)]
+
+
+def _stiff_forcing(op, geom):
+    """Re e^{(1 + 5i) x} on mode 0 (the stiffest) of the plus side: a layer-free row."""
+    return ModalForcing.from_functions(
+        geom, op.m, None, lambda xs: np.exp((1.0 + 5.0j) * np.asarray(xs)).real[None, :],
+        modes=[0])
+
+
+def _csv_forcing(op, geom):
+    """Normal samples at 17 points per side and mode: a spline forcing, on stage rows."""
+    rng = np.random.default_rng(7)
+    rows = [(x, j, value, side) for side in SIDES
+            for x, column in zip(geom.grid(side, 17), rng.normal(size=(17, op.m)))
+            for j, value in enumerate(column)]
+    return ModalForcing.from_csv_rows(geom, op.m, rows)
+
+
+def _cosine_forcing(op, geom, modes=None):
+    """(j + 1) cos((j + 1) x) on each declared mode j (all by default), on both sides."""
+    rows = np.arange(op.m) if modes is None else np.asarray(modes)
+
+    def func(xs):
+        return np.cos(np.outer(1.0 + rows, xs)) * (1.0 + rows)[:, None]
+
+    return ModalForcing.from_functions(geom, op.m, func, func, modes=modes)
+
+
+EQ_REGIMES = {
+    "stiff-32": lambda: _regime(32, _stiff_forcing),
+    "stiff-256": lambda: _regime(256, _stiff_forcing),
+    "csv-8": lambda: _regime(8, _csv_forcing),
+    "both-sides": lambda: _regime(16, _cosine_forcing),
+    "unsorted-modes": lambda: _regime(12, lambda op, geom: _cosine_forcing(op, geom,
+                                                                           [9, 0, 4, 2])),
+    "mismatched-forcing": _mismatched_forcing_cases,
+}
+
+
+def _eq_gap_bound(solution, side, scale, rows, block):
+    """B: how far a physical residual of the report's eq_* and of the earlier one can lie apart.
+
+    Both form S, S'' = w - mu S and S''' = w' - mu S' on the same probe
+    grid from the same coefficients s_k, w_k (k < L, the table length);
+    they differ in rounding only: S''' at an end is read from the series
+    now, and was the stored F''' less a recomputed H''' before. A float
+    evaluation of S''' lies within (L + 10) eps (sum_k k^2 (|w_k| +
+    |mu| |s_k|) / half + g^2 (|g| (|A| + |C| + 2 half (|B| + |D|))
+    + 3 (|B| + |D|))) of the exact value: a length-L dot product with
+    |T_k'| <= k^2 / half, a product and a difference, and for the earlier
+    end value two closed forms of the layers' H''' of about ten operations
+    each. S'' lies within (L + 3) eps sum_k (|w_k| + |mu| |s_k|), S within
+    L eps sum_k |s_k|. Two evaluations differ by twice these, E3, E2 and
+    E0, so per row the modal S'''' + 2 A S'' + A^2 S differ by at most
+    E3 / h + 2 |mu| E2 + mu^2 E0 (S'''' is a difference over 2h). The same
+    eigenvectors Q map both blocks, so a physical residual differs by at
+    most sum_j |Q_ij| times that, plus the rounding of the two maps and
+    four-term sums, 2 (r + 3) eps sum_j |Q_ij| (|S''''_j| + 2 |A S''_j|
+    + |A^2 S_j| + |f_j|) over the r rows. First order in eps.
+    """
+    eps = np.finfo(float).eps
+    op, part = solution.operator, solution.side(side).particular
+    h = solution.geometry.length(side) / (solution.options.probe_points - 1)
+    per_row = np.zeros(rows.size)
+    if part.active.size:
+        length, half = part.f_modal.shape[1], 0.5 * solution.geometry.length(side)
+        mu = np.abs(op.eigenvalues[part.active])
+        s, w = np.abs(part.f_modal), np.abs(part.w_modal)
+        big_a, big_b, big_c, big_d = np.abs(part.layers)
+        slopes = ((w + mu[:, None] * s) @ np.arange(length) ** 2.0 / half
+                  + mu * (np.sqrt(mu) * (big_a + big_c + 2.0 * half * (big_b + big_d))
+                          + 3.0 * (big_b + big_d)))
+        per_row[np.searchsorted(rows, part.active)] = eps * (
+            (2 * length + 20) * slopes / h
+            + 2.0 * mu * (2 * length + 6) * (w + mu[:, None] * s).sum(axis=1)
+            + mu**2 * 2 * length * s.sum(axis=1))
+    q = np.abs(op.eigenvectors[:, rows])
+    sizes = np.tensordot([1.0, 2.0, 1.0, 1.0], np.abs(block), axes=([0], [1]))
+    return np.max(q @ per_row) + 2 * (rows.size + 3) * eps * np.max(q @ sizes)
+
+
+@pytest.mark.parametrize("regime", sorted(EQ_REGIMES))
+def test_eq_agrees_with_the_earlier_estimator_to_rounding(regime):
+    # The earlier estimator (dense_reference.earlier_eq) took S''' at the
+    # two ends as the stored F''' trace less H'''. With B from
+    # _eq_gap_bound, the largest residual R and the scale 1 + ref each move
+    # by at most B, so the entries R / (1 + ref) differ by at most
+    # B (1 + eq) / (1 + ref - B), and the verdict under the report's budget
+    # is the same. Observed: at most 3.4e-16 apart, against bounds of
+    # 3.6e-15 to 2.7e-12.
+    for sol in EQ_REGIMES[regime]():
+        report = residual_report(sol)
+        for side in SIDES:
+            old, scale, rows, block = earlier_eq(sol, side)
+            new, budget = getattr(report, "eq_" + side), report.budgets["eq_" + side]
+            if not rows.size:
+                assert new == old == 0.0
+                continue
+            gap = _eq_gap_bound(sol, side, scale, rows, block)
+            assert abs(new - old) <= gap * (1.0 + old) / (scale - gap), (side, new, old)
+            assert (new <= budget) == (old <= budget)
 
 
 def test_report_matches_physical_recomputation_at_m64():

@@ -81,8 +81,10 @@ def test_modal_and_dense_agree(m):
     assert gap <= 1e-10 * scale
     for side, key in ((dense.minus, "minus"), (dense.plus, "plus")):
         for name, mat in (("U", side.U), ("V", side.V)):
-            assert tops.conditions[name + key] == pytest.approx(np.linalg.cond(mat), rel=1e-8)
-    assert tops.conditions["Lambda"] == pytest.approx(np.linalg.cond(dense.Lambda), rel=1e-8)
+            assert tops.conditions[name + key] == pytest.approx(np.linalg.cond(mat),
+                                                                rel=1e-8, abs=0.0)
+    assert tops.conditions["Lambda"] == pytest.approx(np.linalg.cond(dense.Lambda),
+                                                       rel=1e-8, abs=0.0)
 
 
 def test_both_route_keeps_modal_solution_and_records_gap():
