@@ -85,10 +85,8 @@ from .transmission import (
     solve_transmission,
 )
 from .verification import (
-    FundamentalSymbols,
     FundamentalSystem,
     fundamental_solve,
-    fundamental_symbols,
     fundamental_system,
     spectral_mapping_gap,
 )

@@ -435,14 +435,18 @@ class ErrorMetrics:
 def compare(sol_a, sol_b, probe_points: int = 65) -> ErrorMetrics:
     """Distance between two solutions exposing ``field(side, xs)``, of one geometry exactly.
 
-    ``probe_points`` (at least 2, ``check_grid``) is the per-side grid size.
+    The two must share the geometry and the section operator (equal spectral
+    data, ``SectionOperator.__eq__``), else ValueError. ``probe_points``
+    (at least 2, ``check_grid``) is the per-side grid size.
     """
     check_grid(probe_points, 2, "probe_points")
     geom_a, geom_b = sol_a.geometry, sol_b.geometry
     if geom_a != geom_b:
         raise ValueError(f"incompatible cases: geometries differ ({geom_a} vs {geom_b})")
-    if sol_a.operator.m != sol_b.operator.m:
-        raise ValueError("incompatible cases: section dimensions differ")
+    op_a, op_b = sol_a.operator, sol_b.operator
+    if op_a != op_b:
+        raise ValueError(f"incompatible cases: section operators differ ({op_a.label!r} vs "
+                         f"{op_b.label!r})")
     sup = 0.0
     sq_sum = 0.0
     count = 0

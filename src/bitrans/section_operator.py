@@ -42,7 +42,7 @@ def _fix_eigenvector_signs(vectors: np.ndarray) -> np.ndarray:
     return vectors * np.where(lead < 0, -1.0, 1.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SectionOperator:
     """Symmetric negative-definite section operator, stored spectrally.
 
@@ -63,7 +63,9 @@ class SectionOperator:
     would leave ``generator_eigenvalues`` stale and poison every solve
     that reuses them. ``_solver`` holds the last
     ``transmission.TransmissionSolver`` built on this operator, so it lives
-    exactly as long as the operator.
+    exactly as long as the operator. Two operators compare equal when their
+    eigenvalues and eigenvectors are equal, whatever their labels; an
+    operator is not hashable.
     """
 
     eigenvalues: np.ndarray
@@ -101,6 +103,14 @@ class SectionOperator:
         for name, arr in (("eigenvalues", mu), ("eigenvectors", q), ("generator_eigenvalues", g)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+
+    __hash__ = None
+
+    def __eq__(self, other):
+        if not isinstance(other, SectionOperator):
+            return NotImplemented
+        return (np.array_equal(self.eigenvalues, other.eigenvalues)
+                and np.array_equal(self.eigenvectors, other.eigenvectors))
 
     @property
     def m(self) -> int:

@@ -61,13 +61,7 @@ from .subproblem import (
     solve_particular,
 )
 from .symbols import determinant
-from .verification import (
-    FundamentalSymbols,
-    FundamentalSystem,
-    fundamental_solve,
-    fundamental_symbols,
-    fundamental_system,
-)
+from .verification import FundamentalSystem, fundamental_solve, fundamental_system
 
 BLOCK_RESIDUAL_TOL = 1e-10
 DET_CROSSCHECK_TOL = 1e-10
@@ -411,8 +405,9 @@ class ResidualReport:
 class TransmissionSolution:
     """Full transmission solution: one-sided solutions plus diagnostics.
 
-    ``reference`` holds the fundamental-system interface symbols on the
-    ``both`` route, else None.
+    ``reference`` holds the solver's ``FundamentalSystem`` on the ``both``
+    route (its read-offs and ``det_modal`` feed ``det_gap`` and
+    ``spectral_mapping_gap``), else None.
     """
 
     problem: TransmissionProblem
@@ -423,7 +418,7 @@ class TransmissionSolution:
     plus: SubproblemSolution
     options: SolveOptions
     route_gap: float = 0.0
-    reference: Optional[FundamentalSymbols] = None
+    reference: Optional[FundamentalSystem] = None
     report: Optional[ResidualReport] = None
 
     @property
@@ -478,7 +473,8 @@ def residual_report(solution: TransmissionSolution) -> ResidualReport:
 
     ``det_gap`` compares the per-mode determinant from the block symbols
     with the determinant symbol; on ``both`` it is the larger of that and
-    the gap to the determinant formed from the fundamental-system symbols.
+    the gap to the reference's ``det_modal``, formed from the
+    fundamental-system read-offs.
     The conditions are the exact per-mode ones of the operators.
     """
     prob = solution.problem
@@ -599,14 +595,15 @@ class TransmissionSolver:
     Construction forms everything that depends on these inputs and the
     options alone: both intervals' symbols, the interface blocks, their
     conditions, determinant gap and gates (``assemble_transmission_operators``),
-    the fundamental-system symbols and each mode's equilibrated 8 x 8
-    fundamental-system matrix on the ``both`` route, and the zero forcing.
+    on the ``both`` route the one ``FundamentalSystem`` (``system``: each
+    mode's equilibrated 8 x 8 matrix, the symbol read-offs and the
+    determinant formed from them), and the zero forcing.
     The interval symbols, the zero forcing and, on ``both``, the
-    fundamental system's one-sided read-offs and end rows depend on the
-    operator and the geometry alone: given a ``previous`` solver of the
-    same operator object and an equal geometry, the new one takes them
-    from it (the last two where it formed them) and forms only what the
-    diffusivities and options change. ``solve`` runs what
+    fundamental system's end rows and read-offs depend on the operator and
+    the geometry alone: given a ``previous`` solver of the same operator
+    object and an equal geometry, the new one takes them from it (the last
+    two where it formed them) and forms only what the diffusivities and
+    options change. ``solve`` runs what
     depends on the forcing and boundary data, so a new right-hand side
     passes through fixed per-mode functions of M.
     """
@@ -623,11 +620,8 @@ class TransmissionSolver:
         self.operators = assemble_transmission_operators(
             operator, geometry, k_minus, k_plus,
             (previous.operators.minus, previous.operators.plus) if reuse else None)
-        both = self.options.route == ROUTE_BOTH
-        kept = previous if reuse else None
-        self.reference = (fundamental_symbols(self.operators, kept and kept.reference)
-                          if both else None)
-        self.system = fundamental_system(self.operators, kept and kept.system) if both else None
+        self.system = (fundamental_system(self.operators, previous.system if reuse else None)
+                       if self.options.route == ROUTE_BOTH else None)
         self.zero_forcing = (previous.zero_forcing if reuse
                              else ModalForcing.zero(operator.m, geometry))
 
@@ -683,7 +677,7 @@ class TransmissionSolver:
             problem=prob, operators=tops, sources=sources, interface=interface,
             minus=SubproblemSolution(SIDE_MINUS, geometry, op, al_m, part_m),
             plus=SubproblemSolution(SIDE_PLUS, geometry, op, al_p, part_p),
-            options=options, route_gap=route_gap, reference=self.reference,
+            options=options, route_gap=route_gap, reference=self.system,
         )
         return replace(sol, report=residual_report(sol))
 

@@ -6,8 +6,11 @@ s1 E1, E2 = e^{g s2}, s2 E2 of an interval [lo, hi] (s1 = x - lo,
 s2 = hi - x; Coddington & Levinson 1955, ch. 3) it is one 8 x 8 system per
 mode, which uses none of the symbols, the end map or Lambda. Rows are
 equilibrated (Higham 2002, sec. 7.3) and all modes are one batched solve:
-O(m), on the ``both`` route and in ``verify`` only. The matrices depend on
-the operators alone (``fundamental_system``), so a solver forms them once.
+O(m), on the ``both`` route and in ``verify`` only. The same four end-row
+tables also give each interval's interface symbols and one-sided
+determinant, and from them the determinant. All of it depends on the
+operators alone, so ``fundamental_system`` builds it once per solver, as
+one ``FundamentalSystem``.
 """
 
 from __future__ import annotations
@@ -54,34 +57,66 @@ def _solve(a: np.ndarray, scale: np.ndarray, b: np.ndarray, what: str):
     return x, float(np.linalg.norm(a @ x - b) / (1.0 + np.linalg.norm(b)))
 
 
+def _one_sided(ops, lo: np.ndarray, hi: np.ndarray, side: str) -> np.ndarray:
+    """f1, f2, f2, f3 and det (= -u_delta v_delta) of the 4 x 4 system u, u' at both ends.
+
+    ``lo`` and ``hi`` are the interval's two ``_end_rows`` tables. Unit interface data
+    (psi1, psi2) gives, plus side, t3(1, 0) = -g^3 f1, t3(0, 1) = g^2 f2,
+    t2(1, 0) = -g^2 f2, t2(0, 1) = g f3; the minus side flips f1 and f3."""
+    a = np.concatenate([lo[:, :2], hi[:, :2]], axis=1)
+    at_gamma, first = (hi, 2) if side == SIDE_MINUS else (lo, 0)
+    unit = np.zeros((ops.m, 4, 2))
+    unit[:, first, 0] = unit[:, first + 1, 1] = 1.0
+    t2, t3 = np.moveaxis(at_gamma[:, 2:] @ _solve(*_equilibrate(a), unit, "one-sided system")[0],
+                         1, 0)
+    g, sign = ops.g, (1.0 if side == SIDE_MINUS else -1.0)
+    return np.stack([sign * t3[:, 0] / g**3, t3[:, 1] / g**2, -t2[:, 0] / g**2,
+                     -sign * t2[:, 1] / g, np.linalg.det(a)])
+
+
 class FundamentalSystem(NamedTuple):
-    """The per-mode 8 x 8 interface matrices, equilibrated, with their row ``scale`` (m, 8, 1),
-    the rows of u and u' at gamma on the minus side, (m, 2, 4), that map a solution to the
-    interface pair, and the four ``_end_rows`` tables (minus at a and gamma, plus at gamma and
-    b). They depend on the operators alone, the end rows on the interval symbols alone."""
+    """The fundamental-system reference of one operator set, per mode.
+
+    ``matrix`` holds the equilibrated 8 x 8 interface matrices and ``scale`` their row
+    scales, (m, 8, 1); ``end_rows`` the four ``_end_rows`` tables (minus at a and gamma,
+    plus at gamma and b); ``minus``/``plus`` each interval's read-offs f1, f2 (from t3),
+    f2 (from t2), f3 and det = -u v (``_one_sided``); ``det_modal`` is -g (p1s p3s - p2d^2)
+    formed from them. The end rows and read-offs depend on the interval symbols alone."""
 
     matrix: np.ndarray
     scale: np.ndarray
-    at_gamma: np.ndarray
     end_rows: tuple
+    minus: np.ndarray
+    plus: np.ndarray
+    det_modal: np.ndarray
 
 
 def fundamental_system(operators, kept: Optional[FundamentalSystem] = None) -> FundamentalSystem:
-    """The 8 x 8 system of ``fundamental_solve`` for every mode, built once per operator set.
+    """The fundamental-system reference of every mode, built once per operator set, O(m).
 
-    Unknowns: four basis coefficients per side. Rows: u, u' at a and at b, and the jumps
-    of u, u', k t2 and k t3 at gamma. ``kept``, a system of operators on the same interval
-    symbols, lends its end rows, which depend on no diffusivity."""
+    The 8 x 8 system of ``fundamental_solve`` has four basis coefficients per side as
+    unknowns, and as rows u, u' at a and at b and the jumps of u, u', k t2 and k t3 at
+    gamma. Each interval's read-offs come from its own two end-row tables. ``kept``, a
+    system of operators on the same interval symbols, lends its end rows and read-offs,
+    which depend on no diffusivity."""
     minus, plus, km, kp = operators.minus, operators.plus, operators.k_minus, operators.k_plus
-    m_a, m_g, p_g, p_b = rows = kept.end_rows if kept is not None else tuple(
-        _end_rows(ops, at_lo) for ops in (minus, plus) for at_lo in (True, False))
-    for table in rows:
+    if kept is not None:
+        rows, read_m, read_p = kept.end_rows, kept.minus, kept.plus
+    else:
+        rows = tuple(_end_rows(ops, at_lo) for ops in (minus, plus) for at_lo in (True, False))
+        read_m = _one_sided(minus, *rows[:2], SIDE_MINUS)
+        read_p = _one_sided(plus, *rows[2:], SIDE_PLUS)
+    for table in (*rows, read_m, read_p):
         table.flags.writeable = False
+    m_a, m_g, p_g, p_b = rows
     a = np.zeros((minus.m, 8, 8))
     a[:, 0:2, :4], a[:, 2:4, 4:] = m_a[:, :2], p_b[:, :2]
     a[:, 4:6, :4], a[:, 4:6, 4:] = m_g[:, :2], -p_g[:, :2]
     a[:, 6:8, :4], a[:, 6:8, 4:] = km * m_g[:, 2:], -kp * p_g[:, 2:]
-    return FundamentalSystem(*_equilibrate(a), m_g[:, :2], rows)
+    p1s, p3s = kp * read_p[0] + km * read_m[0], kp * read_p[3] + km * read_m[3]
+    p2d = kp * read_p[1] - km * read_m[1]
+    return FundamentalSystem(*_equilibrate(a), rows, read_m, read_p,
+                             -minus.g * (p1s * p3s - p2d**2))
 
 
 def fundamental_solve(operators, phi_hat, part_minus, part_plus, system=None):
@@ -102,52 +137,15 @@ def fundamental_solve(operators, phi_hat, part_minus, part_plus, system=None):
                   kp * (part_plus.f3_left - g2 * fpp) - km * (part_minus.f3_right - g2 * fpm)],
                  axis=1)
     x, residual = _solve(system.matrix, system.scale, b[..., None], "interface system")
-    psi = system.at_gamma @ x[:, :4]
+    psi = system.end_rows[1][:, :2] @ x[:, :4]  # u, u' at gamma, minus side
     return psi[:, 0, 0], psi[:, 1, 0] + fpm, residual
 
 
-class FundamentalSymbols(NamedTuple):
-    """Symbols read off the fundamental system, per mode: ``minus``/``plus`` hold f1, f2 (from
-    t3), f2 (from t2), f3 and det = -u v; ``det_modal`` is -g (p1s p3s - p2d^2) from them."""
+def spectral_mapping_gap(operators, reference: FundamentalSystem) -> float:
+    """Worst max_j |read - symbol| / max_j |symbol| over f_delta,1..3 and -u_delta v_delta.
 
-    minus: np.ndarray
-    plus: np.ndarray
-    det_modal: np.ndarray
-
-
-def _one_sided(ops, side: str) -> np.ndarray:
-    """f1, f2, f2, f3 and det (= -u_delta v_delta) of the 4 x 4 system u, u' at both ends.
-
-    Unit interface data (psi1, psi2) gives, plus side, t3(1, 0) = -g^3 f1, t3(0, 1) = g^2 f2,
-    t2(1, 0) = -g^2 f2, t2(0, 1) = g f3; the minus side flips f1 and f3."""
-    lo, hi = _end_rows(ops, True), _end_rows(ops, False)
-    a = np.concatenate([lo[:, :2], hi[:, :2]], axis=1)
-    at_gamma, first = (hi, 2) if side == SIDE_MINUS else (lo, 0)
-    unit = np.zeros((ops.m, 4, 2))
-    unit[:, first, 0] = unit[:, first + 1, 1] = 1.0
-    t2, t3 = np.moveaxis(at_gamma[:, 2:] @ _solve(*_equilibrate(a), unit, "one-sided system")[0],
-                         1, 0)
-    g, sign = ops.g, (1.0 if side == SIDE_MINUS else -1.0)
-    return np.stack([sign * t3[:, 0] / g**3, t3[:, 1] / g**2, -t2[:, 0] / g**2,
-                     -sign * t2[:, 1] / g, np.linalg.det(a)])
-
-
-def fundamental_symbols(operators, kept: Optional[FundamentalSymbols] = None) -> FundamentalSymbols:
-    """Interface symbols of both intervals from the fundamental system, O(m).
-
-    Each interval's read-offs (``_one_sided``) depend on its symbols alone: ``kept``,
-    symbols of operators on the same interval symbols, lends its ``minus`` and ``plus``."""
-    minus, plus = kept[:2] if kept is not None else (_one_sided(operators.minus, SIDE_MINUS),
-                                                     _one_sided(operators.plus, SIDE_PLUS))
-    minus.flags.writeable = plus.flags.writeable = False
-    km, kp = operators.k_minus, operators.k_plus
-    p1s, p3s = kp * plus[0] + km * minus[0], kp * plus[3] + km * minus[3]
-    p2d = kp * plus[1] - km * minus[1]
-    return FundamentalSymbols(minus, plus, -operators.minus.g * (p1s * p3s - p2d**2))
-
-
-def spectral_mapping_gap(operators, reference: FundamentalSymbols) -> float:
-    """Worst max_j |read - symbol| / max_j |symbol| over f_delta,1..3 and -u_delta v_delta."""
+    ``reference`` is the operators' ``fundamental_system``; its ``minus`` and ``plus``
+    read-offs are compared with each interval's symbols."""
     worst = 0.0
     for ops, read in ((operators.minus, reference.minus), (operators.plus, reference.plus)):
         for got, want in zip(read, (ops.f[0], ops.f[1], ops.f[1], ops.f[2], -ops.u * ops.v)):

@@ -26,7 +26,7 @@ from bitrans import (
     direct_solve,
     f_components,
     f_total,
-    fundamental_symbols,
+    fundamental_system,
     leading_order_interface,
     manufactured_forced,
     manufactured_homogeneous,
@@ -124,7 +124,7 @@ def test_criterion_3_spectral_mapping_consistency():
                     / np.linalg.norm(target, 2))
     # The same symbols read off the per-mode fundamental system.
     tops = assemble_transmission_operators(op, geom, km, kp)
-    per_mode = spectral_mapping_gap(tops, fundamental_symbols(tops))
+    per_mode = spectral_mapping_gap(tops, fundamental_system(tops))
     _report("criterion 3: spectral-mapping consistency (m=8)",
             worst <= 1e-11 and per_mode <= 1e-11,
             f"worst relative gap {worst:.2e}, per mode {per_mode:.2e}")

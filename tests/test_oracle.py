@@ -441,6 +441,31 @@ def test_compare_requires_the_same_geometry_exactly(end):
         compare(case, manufactured_homogeneous(op, shifted, 0, 1.0, 0.5))
 
 
+def test_compare_requires_the_same_section_operator():
+    # Solves on two Laplacians of one size once compared by their sizes
+    # alone and gave sup 0.365 on a pair of different problems. An
+    # operator rebuilt from the same arguments still compares.
+    geom = CylinderGeometry(-0.7, 0.0, 1.3)
+    short, long_ = build_dirichlet_laplacian_1d(8, 1.0), build_dirichlet_laplacian_1d(8, 2.0)
+    bc = BoundaryData(*np.random.default_rng(0).standard_normal((4, 8)))
+    sol = solve_transmission(short, geom, 1.0, 3.0, None, bc)
+    with pytest.raises(ValueError, match=r"section operators differ .*L=1\.0.*L=2\.0"):
+        compare(sol, solve_transmission(long_, geom, 1.0, 3.0, None, bc))
+    twin = solve_transmission(build_dirichlet_laplacian_1d(8, 1.0), geom, 1.0, 3.0, None, bc)
+    assert compare(sol, twin).sup == 0.0
+
+
+def test_section_operators_compare_by_their_spectral_data():
+    op = build_dirichlet_laplacian_1d(8, 1.0)
+    assert op == build_dirichlet_laplacian_1d(8, 1.0)
+    assert op == replace(op, label="renamed")  # the label is provenance only
+    assert (op == build_dirichlet_laplacian_1d(8, 2.0)) is False
+    assert (op == build_dirichlet_laplacian_1d(9, 1.0)) is False
+    assert op.__eq__("op") is NotImplemented
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(op)
+
+
 def test_oracle_solution_field_orders():
     op = build_dirichlet_laplacian_1d(2, 1.0)
     geom = CylinderGeometry(-0.7, 0.0, 0.9)

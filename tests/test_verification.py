@@ -16,7 +16,7 @@ from bitrans import (
     AnomalyError,
     BoundaryData,
     CylinderGeometry,
-    FundamentalSymbols,
+    FundamentalSystem,
     InterfaceSources,
     ModalForcing,
     SIDE_MINUS,
@@ -49,7 +49,7 @@ def test_default_route_forms_no_dense_matrix(monkeypatch):
     rng = np.random.default_rng(1)
     bc = BoundaryData(*rng.standard_normal((4, 512)))
     for module in (transmission, verification):
-        for name in ("fundamental_solve", "fundamental_symbols", "fundamental_system"):
+        for name in ("fundamental_solve", "fundamental_system"):
             monkeypatch.setattr(module, name, _forbidden(name))
     monkeypatch.setattr(np.linalg, "cond", _forbidden("np.linalg.cond"))
     monkeypatch.setattr(np, "eye", _forbidden("np.eye"))
@@ -97,7 +97,7 @@ def test_both_route_keeps_modal_solution_and_records_gap():
     assert np.array_equal(both.interface.psi1, modal.interface.psi1)
     assert np.array_equal(both.interface.psi2, modal.interface.psi2)
     assert 0.0 < both.route_gap <= 1e-10
-    assert isinstance(both.reference, FundamentalSymbols)
+    assert isinstance(both.reference, FundamentalSystem)
     assert spectral_mapping_gap(both.operators, both.reference) <= 1e-11
     assert all(getattr(both.report, key) <= budget for key, budget in both.report.budgets.items())
     assert both.report.eq_minus == both.report.eq_plus == 0.0  # unforced: nothing to measure
@@ -124,7 +124,7 @@ def test_det_gap_takes_the_dense_gap_when_built():
 def test_one_sided_determinant_is_minus_u_v():
     op = build_dirichlet_laplacian_1d(64, 1.0)
     tops = assemble_transmission_operators(op, GEOM, 1.0, 3.0)
-    ref = verification.fundamental_symbols(tops)
+    ref = verification.fundamental_system(tops)
     for side, read in ((tops.minus, ref.minus), (tops.plus, ref.plus)):
         np.testing.assert_allclose(read[4], -side.u * side.v, rtol=1e-13)
         for got, want in zip(read[:4], (side.f[0], side.f[1], side.f[1], side.f[2])):
