@@ -20,7 +20,6 @@ from .errors import (
 from .oracle import (
     ErrorMetrics,
     ExactCase,
-    ForcedCase,
     OracleSolution,
     RateTable,
     compare,

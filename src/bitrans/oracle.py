@@ -3,10 +3,12 @@
 Three sources of truth live here, none of which touches the
 representation-formula machinery:
 
-* closed-form homogeneous solutions (per-mode exponential pairs, which
-  satisfy both flux transmission conditions for any diffusivities),
-* manufactured forced solutions built by inverting the flux conditions
-  on a polynomial profile,
+* one closed-form case, ``ExactCase``: per declared mode and side a
+  polynomial plus an exponential pair, with two builders. Homogeneous
+  cases (``manufactured_homogeneous``) are pure exponential pairs, which
+  satisfy both flux transmission conditions for any diffusivities;
+  forced cases (``manufactured_forced``) invert the flux conditions on a
+  polynomial profile for one pair of diffusivities,
 * a direct coupled finite-difference solve of the transmission boundary
   value problem in mixed form (second-order accurate): per-side
   tridiagonal interiors, swept for all modes at once, and one table of
@@ -47,91 +49,110 @@ ORACLE_MIN_N_X = 33
 CONVERGENCE_MIN_N_X = {"representation": PARTICULAR_MIN_N_X, "direct": ORACLE_MIN_N_X}
 
 
-class _ClosedFormCase:
-    """Outer boundary data read off a closed-form ``field(side, xs, order)``."""
-
-    def boundary_data(self) -> BoundaryData:
-        geom = self.geometry
-        return BoundaryData(
-            self.field(SIDE_MINUS, geom.a, 0)[:, 0],
-            self.field(SIDE_MINUS, geom.a, 1)[:, 0],
-            self.field(SIDE_PLUS, geom.b, 0)[:, 0],
-            self.field(SIDE_PLUS, geom.b, 1)[:, 0],
-        )
-
-
 @dataclass(frozen=True)
-class ExactCase(_ClosedFormCase):
-    """Closed-form homogeneous solution from per-mode exponential pairs.
+class ExactCase:
+    """Closed-form solution of the transmission problem on its declared modes.
 
-    u_j(x) = a1_j e^{s_j (x - gamma)} + a2_j e^{-s_j (x - gamma)} with
-    s_j = sqrt(-mu_j), the same expression on both intervals. Since
-    u_j'' + mu_j u_j = 0 pointwise, both flux transmission conditions
-    hold identically for arbitrary diffusivities, and the interface data
-    is psi1 = a1 + a2, psi2 = s (a1 - a2) (modally).
+    Row i holds mode j = ``modes[i]``, per side, as
+    u_j(x) = p(x - gamma) + a e^{s_j (x - gamma)} + b e^{-s_j (x - gamma)}
+    with s_j = sqrt(-mu_j): ``polys`` holds p, shape (side, power, row), and
+    ``coeffs`` holds a and b, shape (side, 2, row); every other mode is
+    zero. ``interface`` is the modal pair (psi1, psi2), shape (2, m).
+    ``forcing_polys`` holds each side's forcing f = w'' + mu w, with
+    w = u'' + mu u, in the layout of ``polys``; ``diffusivities`` is the
+    (k_minus, k_plus) a forced case was built for. Both are None for a
+    homogeneous case, whose fields satisfy the flux conditions for any
+    diffusivities. Built by ``manufactured_homogeneous`` and
+    ``manufactured_forced``.
     """
 
     operator: SectionOperator
     geometry: CylinderGeometry
-    a1: np.ndarray
-    a2: np.ndarray
+    modes: np.ndarray
+    polys: np.ndarray
+    coeffs: np.ndarray
+    interface: np.ndarray
+    forcing_polys: Optional[np.ndarray] = None
+    diffusivities: Optional[tuple] = None
 
-    def __post_init__(self):
-        a1 = np.atleast_1d(np.asarray(self.a1, dtype=float))
-        a2 = np.atleast_1d(np.asarray(self.a2, dtype=float))
-        if a1.shape != (self.operator.m,) or a2.shape != (self.operator.m,):
-            raise DimensionMismatchError("coefficient arrays must have one entry per mode")
-        if np.max(np.abs(a1)) == 0.0 and np.max(np.abs(a2)) == 0.0:
-            raise ValueError("coefficients must not all vanish")
-        object.__setattr__(self, "a1", a1)
-        object.__setattr__(self, "a2", a2)
+    def modal_field(self, side: str, xs, order: int = 0) -> np.ndarray:
+        """Eigenbasis values of the ``order``-th x-derivative at ``xs``, shape (m, len(xs)).
 
-    @property
-    def s(self) -> np.ndarray:
-        return np.sqrt(-self.operator.eigenvalues)
-
-    def modal_field(self, xs, order: int = 0) -> np.ndarray:
-        """Per-mode values; only modes with a nonzero coefficient are evaluated."""
-        xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        xi = xs - self.geometry.gamma
-        out = np.zeros((self.operator.m, xs.size))
-        active = (self.a1 != 0.0) | (self.a2 != 0.0)
-        s = self.s[active][:, None]
-        sign = (-1.0) ** order
-        out[active] = s**order * (self.a1[active][:, None] * np.exp(s * xi)
-                                  + sign * self.a2[active][:, None] * np.exp(-s * xi))
+        A zero exponential coefficient contributes exactly 0: its
+        exponential is not evaluated, so it cannot overflow into a NaN.
+        """
+        k = SIDES.index(check_side(side))
+        xi = np.atleast_1d(np.asarray(xs, dtype=float)) - self.geometry.gamma
+        s = np.sqrt(-self.operator.eigenvalues[self.modes])[:, None]
+        a, b = self.coeffs[k][..., None]
+        shape = (s.size, xi.size)
+        grow = np.exp(s * xi, out=np.zeros(shape), where=a != 0.0)
+        decay = np.exp(-s * xi, out=np.zeros(shape), where=b != 0.0)
+        out = np.zeros((self.operator.m, xi.size))
+        out[self.modes] = (npoly.polyval(xi, npoly.polyder(self.polys[k], order))
+                           + s**order * (a * grow + (-1.0) ** order * b * decay))
         return out
 
     def field(self, side: str, xs, order: int = 0) -> np.ndarray:
-        check_side(side)
-        return self.operator.from_modal(self.modal_field(xs, order))
+        return self.operator.from_modal(self.modal_field(side, xs, order))
+
+    def boundary_data(self) -> BoundaryData:
+        ends = ((SIDE_MINUS, self.geometry.a), (SIDE_PLUS, self.geometry.b))
+        return BoundaryData(*(self.field(side, x, order)[:, 0] for side, x in ends for order in (0, 1)))
 
     def psi(self):
         """Exact interface data (psi1, psi2) in the physical basis."""
-        op = self.operator
-        return op.from_modal(self.a1 + self.a2), op.from_modal(self.s * (self.a1 - self.a2))
+        return tuple(self.operator.from_modal(row) for row in self.interface)
 
     def forcing(self) -> ModalForcing:
-        return ModalForcing.zero(self.operator.m, self.geometry)
+        """Zero for a homogeneous case, else one polynomial resampler per side on ``modes``."""
+        if self.forcing_polys is None:
+            return ModalForcing.zero(self.operator.m, self.geometry)
+        gamma = self.geometry.gamma
+        funcs = [lambda xs, f=f: npoly.polyval(np.asarray(xs) - gamma, f) for f in self.forcing_polys]
+        return ModalForcing.from_functions(self.geometry, self.operator.m, *funcs, modes=self.modes)
+
+
+def _finite(case: ExactCase) -> ExactCase:
+    """``case``, once its value and slope at both outer ends are finite floats.
+
+    Else ValueError naming the first mode and side that are not: there
+    the closed form itself overflows, so no solve can be checked against it.
+    """
+    geom = case.geometry
+    for side, end in ((SIDE_MINUS, geom.a), (SIDE_PLUS, geom.b)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = np.stack([case.modal_field(side, end, order)[case.modes, 0] for order in (0, 1)])
+        bad = case.modes[~np.all(np.isfinite(vals), axis=0)]
+        if bad.size:
+            raise ValueError(f"mode {bad[0]}, {side} side: the closed form's value or slope at "
+                             f"x = {end:g} is not finite in floating point")
+    return case
 
 
 def manufactured_homogeneous(operator: SectionOperator, geometry: CylinderGeometry,
                              mode, a1, a2) -> ExactCase:
-    """Exact homogeneous case on one mode or a collection of modes.
+    """Exact homogeneous case: per mode u = a1 e^{s (x - gamma)} + a2 e^{-s (x - gamma)}.
 
+    The same expression on both intervals. Since u'' + mu u = 0
+    pointwise, both flux transmission conditions hold for any
+    diffusivities, and psi1 = a1 + a2, psi2 = s (a1 - a2) modally.
     ``mode`` may be an index with scalar coefficients, or a sequence of
-    distinct indices (``check_modes``) with matching coefficient sequences.
+    distinct indices (``check_modes``) with matching coefficient
+    sequences. ValueError if every coefficient vanishes, or if the closed
+    form is not finite at an outer end (``_finite``).
     """
     modes = check_modes("modes", [mode] if np.ndim(mode) == 0 else mode, operator.m)
     c1 = np.atleast_1d(np.asarray(a1, dtype=float))
     c2 = np.atleast_1d(np.asarray(a2, dtype=float))
     if not (modes.size == c1.size == c2.size):
         raise DimensionMismatchError("mode and coefficient lists must match in length")
-    full1 = np.zeros(operator.m)
-    full2 = np.zeros(operator.m)
-    full1[modes] = c1
-    full2[modes] = c2
-    return ExactCase(operator, geometry, full1, full2)
+    if np.max(np.abs(c1)) == 0.0 and np.max(np.abs(c2)) == 0.0:
+        raise ValueError("coefficients must not all vanish")
+    interface = np.zeros((2, operator.m))
+    interface[:, modes] = c1 + c2, np.sqrt(-operator.eigenvalues[modes]) * (c1 - c2)
+    return _finite(ExactCase(operator, geometry, modes, np.zeros((2, 1, modes.size)),
+                             np.array([[c1, c2]] * 2), interface))
 
 
 def _poly_particular(w: np.ndarray, mu: float) -> np.ndarray:
@@ -143,66 +164,6 @@ def _poly_particular(w: np.ndarray, mu: float) -> np.ndarray:
     return p
 
 
-@dataclass(frozen=True)
-class ForcedCase(_ClosedFormCase):
-    """Manufactured forced solution exercising diffusivity asymmetry.
-
-    Built from a polynomial profile r by prescribing the flux fields
-    w_- = k+ r and w_+ = k- r (so k- w_- = k+ w_+ identically, satisfying
-    both flux conditions), integrating u'' + mu u = w outward from
-    prescribed interface values, and reading the forcing off the
-    equation. The two one-sided fields genuinely differ when k+ != k-.
-    """
-
-    operator: SectionOperator
-    geometry: CylinderGeometry
-    k_minus: float
-    k_plus: float
-    mode: int
-    profile: np.ndarray
-    psi1_value: float
-    psi2_value: float
-    u_polys: dict
-    exp_coeffs: dict
-    f_polys: dict
-
-    def _mode_values(self, side: str, xs, order: int) -> np.ndarray:
-        xi = np.atleast_1d(np.asarray(xs, dtype=float)) - self.geometry.gamma
-        s = np.sqrt(-self.operator.eigenvalues[self.mode])
-        a_c, b_c = self.exp_coeffs[side]
-        poly = npoly.polyder(self.u_polys[side], order) if order else self.u_polys[side]
-        vals = npoly.polyval(xi, poly)
-        vals = vals + s**order * (a_c * np.exp(s * xi)
-                                  + (-1.0) ** order * b_c * np.exp(-s * xi))
-        return vals
-
-    def field(self, side: str, xs, order: int = 0) -> np.ndarray:
-        check_side(side)
-        xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        out = np.zeros((self.operator.m, xs.size))
-        out[self.mode] = self._mode_values(side, xs, order)
-        return self.operator.from_modal(out)
-
-    def psi(self):
-        op = self.operator
-        e = np.zeros(op.m)
-        e[self.mode] = 1.0
-        return op.from_modal(self.psi1_value * e), op.from_modal(self.psi2_value * e)
-
-    def forcing(self) -> ModalForcing:
-        gamma = self.geometry.gamma
-
-        def make(side):
-            fpoly = self.f_polys[side]
-
-            def func(xs: np.ndarray) -> np.ndarray:
-                return npoly.polyval(np.asarray(xs) - gamma, fpoly)[None, :]
-            return func
-
-        return ModalForcing.from_functions(self.geometry, self.operator.m, make(SIDE_MINUS),
-                                           make(SIDE_PLUS), modes=(self.mode,))
-
-
 def manufactured_forced(
     operator: SectionOperator,
     geometry: CylinderGeometry,
@@ -212,31 +173,37 @@ def manufactured_forced(
     profile: Sequence[float],
     psi1: float = 0.0,
     psi2: float = 0.0,
-) -> ForcedCase:
-    """Build the polynomial-profile forced case on one mode.
+) -> ExactCase:
+    """Manufactured forced case on one mode, exercising diffusivity asymmetry.
 
+    Built from a polynomial profile r by prescribing the flux fields
+    w_- = k+ r and w_+ = k- r (so k- w_- = k+ w_+ identically, satisfying
+    both flux conditions), integrating u'' + mu u = w outward from the
+    interface values (psi1, psi2), and reading the forcing off the
+    equation. The two one-sided fields genuinely differ when k+ != k-.
     ``profile`` holds ascending coefficients of r in powers of
     (x - gamma); degree at most 6. ``mode`` goes through ``check_modes``.
+    ValueError if the closed form is not finite at an outer end
+    (``_finite``).
     """
-    check_modes("mode", (mode,), operator.m)
+    modes = check_modes("mode", (mode,), operator.m)
     r = np.atleast_1d(np.asarray(profile, dtype=float))
     if r.ndim != 1 or r.size == 0 or r.size > 7 or not np.all(np.isfinite(r)):
         raise ValueError(f"profile must list 1 to 7 finite coefficients, got {r.tolist()}")
     mu = float(operator.eigenvalues[mode])
     s = np.sqrt(-mu)
-    u_polys, exp_coeffs, f_polys = {}, {}, {}
-    for side, k_target in ((SIDE_MINUS, k_plus), (SIDE_PLUS, k_minus)):
+    polys, coeffs, f_polys = [], [], []
+    for k_target in (k_plus, k_minus):  # w_- = k+ r, then w_+ = k- r
         w = k_target * r
         p = _poly_particular(w, mu)
         c1 = psi1 - p[0]
         c2 = psi2 - (p[1] if p.size > 1 else 0.0)
-        a_c = 0.5 * (c1 + c2 / s)
-        b_c = 0.5 * (c1 - c2 / s)
-        u_polys[side] = p
-        exp_coeffs[side] = (a_c, b_c)
-        f_polys[side] = npoly.polyadd(npoly.polyder(w, 2), mu * w)
-    return ForcedCase(operator, geometry, k_minus, k_plus, mode, r,
-                      psi1, psi2, u_polys, exp_coeffs, f_polys)
+        polys.append(p[:, None])
+        coeffs.append([[0.5 * (c1 + c2 / s)], [0.5 * (c1 - c2 / s)]])
+        f_polys.append(npoly.polyadd(npoly.polyder(w, 2), mu * w)[:, None])
+    return _finite(ExactCase(operator, geometry, modes, np.array(polys), np.array(coeffs),
+                             np.outer((psi1, psi2), np.eye(1, operator.m, mode)),
+                             np.array(f_polys), (k_minus, k_plus)))
 
 
 def _end_rows(hm: float, hp: float, k_minus: float, k_plus: float) -> np.ndarray:
@@ -508,21 +475,26 @@ def convergence_study(case, method: str, refinements: Sequence[int],
                       probe_points: int = 65) -> RateTable:
     """Refinement study of a solver against a closed-form case.
 
-    ``case`` is an ExactCase or ForcedCase; ``method`` selects the
-    representation-formula solver or the direct finite-difference
-    oracle, and ``check_levels`` checks both it and the levels;
-    ``probe_points`` goes through ``check_grid`` as ``compare``'s does.
-    Errors at or below the linear-algebra floor are flagged instead of
-    fitted.
+    ``case`` is an ``ExactCase``. A forced case holds for its own
+    ``diffusivities`` only: they are used, and ValueError is raised when
+    ``k_minus`` or ``k_plus`` is given and differs from them. A
+    homogeneous case holds for any, so both must be given. ``method``
+    selects the representation-formula solver or the direct
+    finite-difference oracle, and ``check_levels`` checks both it and the
+    levels; ``probe_points`` goes through ``check_grid`` as ``compare``'s
+    does. Errors at or below the linear-algebra floor are flagged instead
+    of fitted.
     """
     from .transmission import SolveOptions, solve_transmission
 
     ns = check_levels(refinements, method)
     check_grid(probe_points, 2, "probe_points")
-    km = getattr(case, "k_minus", k_minus)
-    kp = getattr(case, "k_plus", k_plus)
+    given = (k_minus, k_plus)
+    km, kp = case.diffusivities or given
     if km is None or kp is None:
         raise ValueError("diffusivities required for a case that does not carry them")
+    if any(k is not None and k != own for k, own in zip(given, (km, kp))):
+        raise ValueError(f"diffusivities {given} differ from the forced case's own {(km, kp)}")
     op, geom = case.operator, case.geometry
     forcing = case.forcing()
     bc = case.boundary_data()

@@ -341,6 +341,20 @@ def test_cli_gate_rejects_bad_input_exit_2_without_traceback(tmp_path, capsys, a
     assert err.startswith("config error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("forcing", [
+    "{kind: manufactured, case: homogeneous, modes: [0], a1: [1], a2: [1]}",
+    "{kind: manufactured, case: forced, mode: 0, profile: [1, 0.5]}",
+], ids=["homogeneous", "forced"])
+def test_cli_overflowing_closed_form_exit_2_without_traceback(tmp_path, capsys, forcing):
+    # At m = 512, mode 0's closed form overflows at a: a config error, not a later
+    # non-finite BoundaryData.
+    extra = f"forcing: {forcing}\nboundary: {{kind: from-exact-case}}\n"
+    path = write_config(tmp_path, BASE.format(m=512, extra=extra))
+    assert main(["solve", "--config", path, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: bad forcing: mode 0, minus side") and "Traceback" not in err
+
+
 DEMO_CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
 REPORT_KEYS = ("bc_1", "bc_2", "bc_3", "bc_4", "tc1_u", "tc1_du", "tc2_flux2", "tc2_flux3")
 # The boundary and interface entries of each demo config's solve as the

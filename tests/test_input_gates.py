@@ -87,8 +87,9 @@ def test_declared_modes_keep_the_order_of_the_resampler_rows():
 
 def test_homogeneous_modes_keep_their_coefficients():
     case = manufactured_homogeneous(OP, GEOM, (3, 0), [1.0, 2.0], [0.0, 0.5])
-    assert case.a1.tolist() == [2.0, 0.0, 0.0, 1.0]
-    assert case.a2.tolist() == [0.5, 0.0, 0.0, 0.0]
+    assert case.modes.tolist() == [3, 0]
+    assert case.coeffs.tolist() == [[[1.0, 2.0], [0.0, 0.5]]] * 2
+    assert case.modal_field(SIDE_PLUS, GEOM.gamma)[:, 0].tolist() == [2.5, 0.0, 0.0, 1.0]
 
 
 FORCING = ModalForcing.sine(OP, GEOM, SIDE_PLUS, 1)

@@ -312,8 +312,8 @@ def test_forced_flux_identity():
     case = manufactured_forced(op, geom, km, kp, 1, [0.4, -0.8, 0.2, 0.5], psi1=0.1, psi2=0.3)
     mu = op.eigenvalues[1]
     xs = np.array([geom.gamma, geom.gamma + 1e-3, geom.gamma - 1e-3])
-    wm = case._mode_values(SIDE_MINUS, xs, 2) + mu * case._mode_values(SIDE_MINUS, xs, 0)
-    wp = case._mode_values(SIDE_PLUS, xs, 2) + mu * case._mode_values(SIDE_PLUS, xs, 0)
+    wm = case.modal_field(SIDE_MINUS, xs, 2)[1] + mu * case.modal_field(SIDE_MINUS, xs, 0)[1]
+    wp = case.modal_field(SIDE_PLUS, xs, 2)[1] + mu * case.modal_field(SIDE_PLUS, xs, 0)[1]
     assert np.max(np.abs(km * wm - kp * wp)) < 1e-10
 
 
@@ -322,6 +322,8 @@ def test_forced_profile_degree_cap():
     geom = CylinderGeometry(-1.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         manufactured_forced(op, geom, 1.0, 1.0, 0, np.ones(8))
+    case = manufactured_forced(op, geom, 1.0, 1.0, 0, np.ones(7))  # degree 6 is the cap
+    assert case.polys.shape == (2, 7, 1)
 
 
 def test_direct_solve_zero_case():
@@ -371,10 +373,10 @@ def test_exact_case_discrete_residual_truncation_order():
                                             bc.phi1_plus[0], bc.phi2_plus[0]]), n)
         gm = geom.grid(SIDE_MINUS, n)
         gp = geom.grid(SIDE_PLUS, n)
-        u_m = case.modal_field(gm, 0)[0]
-        u_p = case.modal_field(gp, 0)[0]
-        w_m = case.modal_field(gm, 2)[0] + mu * u_m
-        w_p = case.modal_field(gp, 2)[0] + mu * u_p
+        u_m = case.modal_field(SIDE_MINUS, gm, 0)[0]
+        u_p = case.modal_field(SIDE_PLUS, gp, 0)[0]
+        w_m = case.modal_field(SIDE_MINUS, gm, 2)[0] + mu * u_m
+        w_p = case.modal_field(SIDE_PLUS, gp, 2)[0] + mu * u_p
         exact = np.concatenate([u_m, w_m, u_p, w_p])
         sups.append(np.max(np.abs(mat @ exact - rhs)))
     assert np.log2(sups[0] / sups[1]) > 1.7
@@ -388,6 +390,58 @@ def test_convergence_study_validation():
         convergence_study(case, "direct", [65, 129], 1.0, 1.0)
     with pytest.raises(ValueError):
         convergence_study(case, "finite-element", [65, 129, 257], 1.0, 1.0)
+    with pytest.raises(ValueError, match="diffusivities required"):
+        convergence_study(case, "direct", [65, 129, 257], 1.0)
+
+
+def test_convergence_study_refuses_other_diffusivities_than_the_forced_cases():
+    # A forced case holds only for its own k: given k = (5, 5) once studied (1, 2) silently.
+    op = build_dirichlet_laplacian_1d(3, 1.0)
+    geom = CylinderGeometry(-0.7, 0.0, 0.9)
+    case = manufactured_forced(op, geom, 1.0, 2.0, 1, [0.5, -0.3])
+    levels = [33, 65, 129]
+    for given in ((5.0, 5.0), (1.0, 5.0), (None, 5.0), (5.0, None)):
+        with pytest.raises(ValueError, match="differ from the forced case's own"):
+            convergence_study(case, "representation", levels, *given)
+    errors = convergence_study(case, "representation", levels).errors
+    for given in ((1.0, 2.0), (1.0, None), (None, 2.0)):
+        assert convergence_study(case, "representation", levels, *given).errors == errors
+
+
+@pytest.fixture(scope="module")
+def op_512():
+    return build_dirichlet_laplacian_1d(512, 1.0)
+
+
+def test_a_zero_coefficient_contributes_exactly_zero(op_512):
+    # Mode 267 (s = 699.5) on (-1.3, 0, 0.7) with a2 = 0: the absent branch
+    # once read 0 * e^{909} = NaN at a, and boundary_data raised on a finite
+    # closed form (value e^{-909}, 0 in floating point, at a; 4.49e212 at b).
+    geom = CylinderGeometry(-1.3, 0.0, 0.7)
+    case = manufactured_homogeneous(op_512, geom, 267, 1.0, 0.0)
+    s = np.sqrt(-op_512.eigenvalues[267])
+    bc = case.boundary_data()
+    for (value, slope), x in (((bc.phi1_minus, bc.phi2_minus), geom.a),
+                              ((bc.phi1_plus, bc.phi2_plus), geom.b)):
+        modal = np.zeros((2, 512))
+        modal[:, 267] = np.exp(s * (x - geom.gamma)), s * np.exp(s * (x - geom.gamma))
+        assert np.array_equal(value, op_512.from_modal(modal[0]))
+        assert np.array_equal(slope, op_512.from_modal(modal[1]))
+    values = [case.modal_field(side, x)[267, 0] for side, x in ((SIDE_MINUS, geom.a),
+                                                                (SIDE_PLUS, geom.b))]
+    assert values[0] == 0.0 and 4.48e212 < values[1] < 4.50e212
+
+
+@pytest.mark.parametrize("build", [
+    lambda op, geom: manufactured_homogeneous(op, geom, 0, 1.0, 1.0),
+    lambda op, geom: manufactured_forced(op, geom, 1.0, 3.0, 0, [1.0, 0.5]),
+], ids=["homogeneous", "forced"])
+def test_a_closed_form_that_overflows_is_refused_at_build(op_512, build):
+    # Mode 0 at m = 512 (s near 1026) overflows at a on (-0.7, 0, 1.3). It
+    # once built, warned four times and failed later in BoundaryData. Any
+    # warning is an error here (filterwarnings), so the build must emit none.
+    with pytest.raises(ValueError, match="mode 0, minus side: .* not finite"):
+        build(op_512, CylinderGeometry(-0.7, 0.0, 1.3))
 
 
 def test_representation_floor_flag_on_exact_case():
@@ -400,6 +454,13 @@ def test_representation_floor_flag_on_exact_case():
     rows = table.to_csv_rows()
     assert rows[0] == ("n_x", "error", "rate")
     assert all(row[2] == "floor" for row in rows[1:])
+
+
+def test_rate_table_rows_of_a_fitted_study():
+    table = oracle.RateTable("direct", (65, 129, 257), (1e-3, 2.5e-4, 6.25e-5), (2.0, 2.0), 2.0,
+                             False)
+    assert table.to_csv_rows() == [("n_x", "error", "rate"), ("65", "0.001", ""),
+                                   ("129", "0.00025", "2.0"), ("257", "6.25e-05", "2.0")]
 
 
 def test_forced_case_convergence_both_methods():
@@ -467,15 +528,19 @@ def test_section_operators_compare_by_their_spectral_data():
 
 
 def test_oracle_solution_field_orders():
+    # A forced case too: its w = u'' + mu u differs between the sides (k+ r
+    # against k- r), where a homogeneous case's is zero on both.
     op = build_dirichlet_laplacian_1d(2, 1.0)
     geom = CylinderGeometry(-0.7, 0.0, 0.9)
-    case = manufactured_homogeneous(op, geom, 0, 0.5, 0.1)
-    sol = direct_solve(op, geom, 1.0, 2.0, case.forcing(), case.boundary_data(), n_x=129)
-    xs = np.linspace(geom.gamma, geom.b, 9)
-    for order in (0, 1, 2):
-        approx = sol.modal_field(SIDE_PLUS, xs, order)[0]
-        exact = case.modal_field(xs, order)[0]
-        assert np.max(np.abs(approx - exact)) < 5e-3 * (1 + np.max(np.abs(exact)))
+    for case in (manufactured_homogeneous(op, geom, 0, 0.5, 0.1),
+                 manufactured_forced(op, geom, 1.0, 2.0, 0, [0.5, -0.4, 0.3], psi1=0.2)):
+        sol = direct_solve(op, geom, 1.0, 2.0, case.forcing(), case.boundary_data(), n_x=129)
+        for side in SIDES:
+            xs = geom.grid(side, 9)
+            for order in (0, 1, 2):
+                approx = sol.modal_field(side, xs, order)[0]
+                exact = case.modal_field(side, xs, order)[0]
+                assert np.max(np.abs(approx - exact)) < 5e-3 * (1 + np.max(np.abs(exact)))
     with pytest.raises(ValueError):
         sol.modal_field(SIDE_PLUS, xs, 3)
 

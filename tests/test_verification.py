@@ -174,15 +174,23 @@ def _mp_interface(g, c, d, km, kp, phi, traces):
         return float(psi1), float(psi2)
 
 
+SHORT_FORCED = pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="fundamental_solve is no truth for forcing whose traces grow like 1/c: mode 1's "
+           "psi1 comes out of coefficients that cancel to 1e-14 of their size (ROADMAP item 5)")
+
+
 @pytest.mark.parametrize("m, c, forced", [
     (8, 0.7, False), (64, 0.7, False), (8, 1e-3, False), (8, 1e-5, False), (8, 1e-7, False),
-    (8, 0.7, True), (64, 0.7, True)])
+    (8, 0.7, True), (64, 0.7, True),
+    *(pytest.param(8, c, True, marks=SHORT_FORCED) for c in (1e-3, 1e-5, 1e-7))])
 def test_fundamental_solve_matches_60_digit_solve(m, c, forced):
     # The standard case (c = 0.7, d = 1.3) and short intervals (-c, 0, 1);
     # "forced" adds a sine forcing on both sides, so every particular trace
-    # enters. Short forced intervals are left out: there a mode-1 sine makes
-    # |psi2| ~ 1e8 |psi1| at c = 1e-7, and psi1 comes out of coefficients that
-    # cancel to 1e-14 of their size in this basis.
+    # enters. The short forced intervals are pinned as strict xfails: there a
+    # mode-1 sine makes |psi2| ~ 1e8 |psi1| at c = 1e-7, and mode 1's psi1 reads
+    # 1.3e-11 relative off the 60-digit solve at c = 1e-3, 5.0e-5 at c = 1e-5
+    # and -159.74 against 10.659 at c = 1e-7.
     geom = GEOM if c == 0.7 else CylinderGeometry(-c, 0.0, 1.0)
     op = build_dirichlet_laplacian_1d(m, 1.0)
     tops = assemble_transmission_operators(op, geom, 1.0, 3.0)
