@@ -9,7 +9,12 @@ with E1 = e^{s1 M}, E2 = e^{s2 M}, s1 = x - left end, s2 = right end - x.
 The coefficients a1..a4 are sums of end contributions of one end map
 (``_end_coefficients``; the other end is its reflection): the outer data
 and the particular slopes give the boundary-source quadruple phi~, and
-the interface values (psi1, psi2) add their end at gamma. F is the
+the interface values (psi1, psi2) add their end at gamma. Every closed
+form here is per-mode arithmetic, so it takes data stacked along a
+leading axis and evaluates them in one pass, each row with the bits of
+its own evaluation: phi~ reads both ends of its interval in one call,
+and on both intervals' symbols stacked (one row each) the interface
+sources and the residual report read both sides at once. F is the
 particular solution with homogeneous value and second-derivative
 conditions at both interval ends, solved per mode on the forcing's
 declared modes only (``ModalForcing.modes``); every other mode's F is
@@ -70,8 +75,9 @@ class SideSymbols:
     v_j = v_delta(delta, -mu_j); ``f`` holds f_{delta,1..3}(-mu_j) and the
     determinant remainder g_delta(-mu_j), ``g`` the generator eigenvalues.
     Every coefficient formula below is per-mode arithmetic on these
-    arrays, applied to eigenbasis coordinates. The condition numbers are
-    formed on first read and kept, since the arrays do not change.
+    arrays, applied to eigenbasis coordinates. The condition numbers and
+    ``ends`` are formed on first read and kept, since the arrays do not
+    change.
     """
 
     g: np.ndarray
@@ -93,6 +99,11 @@ class SideSymbols:
     @cached_property
     def cond_v(self) -> float:
         return float(np.max(self.v) / np.min(self.v))
+
+    @cached_property
+    def ends(self) -> "SideSymbols":
+        """These symbols twice, one row per interval end (``stack_symbols``), formed on first read."""
+        return stack_symbols(self, self)
 
 
 def side_symbols(operator: SectionOperator, delta: float) -> SideSymbols:
@@ -659,95 +670,65 @@ def solve_particular(
 def _check_vectors(m: int, *vectors: np.ndarray) -> list[np.ndarray]:
     out = []
     for vec in vectors:
-        arr = np.atleast_1d(np.asarray(vec, dtype=float))
+        arr = np.asarray(vec, dtype=float)
+        if arr.ndim == 0:
+            arr = arr.reshape(1)
         if arr.shape != (m,):
             raise DimensionMismatchError(f"expected vector of length {m}, got {arr.shape}")
         out.append(arr)
     return out
 
 
-def _end_coefficients(ops: SideSymbols, value, slope, right: bool) -> tuple:
-    """Coefficients (a1..a4) that a value phi and a slope sigma at one interval end contribute.
+def stack_symbols(*rows: SideSymbols) -> SideSymbols:
+    """One ``SideSymbols`` holding the given intervals' symbols row by row.
 
-    At the left end (s1 = 0), with n = e (phi + delta (g phi + sigma)):
+    ``g``, ``e``, ``u`` and ``v`` are (rows, m), ``delta`` a (rows, 1)
+    column, and ``f`` is empty: the closed forms below read no f. They
+    are per-mode arithmetic, so on these symbols and on data stacked the
+    same way they evaluate every row in one pass, each row with the bits
+    of its own evaluation. ``g`` is repeated to the full shape: at small
+    m, broadcasting costs numpy more than the arithmetic. Read-only, as
+    the rows' own arrays are.
+    """
+    arrays = {name: np.array([getattr(r, name) for r in rows]) for name in ("g", "e", "u", "v")}
+    arrays["delta"] = np.array([[r.delta] for r in rows])
+    for arr in arrays.values():
+        arr.flags.writeable = False
+    return SideSymbols(f=(), **arrays)
+
+
+def _end_coefficients(ops: SideSymbols, value, sigma) -> tuple:
+    """Coefficients (a1..a4) that a value phi and a slope sigma at the left end of an interval contribute.
+
+    With n = e (phi + delta (g phi + sigma)):
     a1 = (phi + n) / 2u, a2 = -[(g phi - sigma) + e (g phi + sigma)] / 2u,
     a3 = (phi - n) / 2v and a4 = -[(g phi - sigma) - e (g phi + sigma)] / 2v.
-    The right end is the reflection that swaps s1 and s2: the slope
-    changes sign, and so do a1 and a2.
+    The right end is the reflection that swaps s1 and s2: its slope enters
+    with the opposite sign, and its a1 and a2 change sign, which the
+    callers apply by subtracting them. e scales the sums g phi + sigma,
+    which can cancel, only after they are formed, and 1/2u, 1/2v scale each
+    numerator only after it is summed. On stacked symbols and data
+    (``stack_symbols``) every row rounds as it would alone.
     """
-    sigma = -slope if right else slope
     gphi = ops.g * value
-    n = ops.e * (value + ops.delta * (gphi + sigma))
-    odd, even = gphi - sigma, ops.e * (gphi + sigma)
-    half = -0.5 if right else 0.5
-    return (half * (value + n) / ops.u, -half * (odd + even) / ops.u,
+    gsum = gphi + sigma
+    n = ops.e * (value + ops.delta * gsum)
+    odd, even = gphi - sigma, ops.e * gsum
+    return (0.5 * (value + n) / ops.u, -0.5 * (odd + even) / ops.u,
             0.5 * (value - n) / ops.v, -0.5 * (odd - even) / ops.v)
 
 
-def _add(first: tuple, second: tuple) -> tuple:
-    return tuple(p + q for p, q in zip(first, second))
-
-
-def phi_tilde_minus(ops: SideSymbols, phi1, phi2, fprime_a, fprime_gamma):
-    """Boundary-source quadruple of the minus interval: (phi1, phi2 - F'(a)) at a, -F' at gamma."""
-    phi1, phi2, fpa, fpg = _check_vectors(ops.m, phi1, phi2, fprime_a, fprime_gamma)
-    return _add(_end_coefficients(ops, phi1, phi2 - fpa, right=False),
-                _end_coefficients(ops, 0.0, -fpg, right=True))
-
-
-def phi_tilde_plus(ops: SideSymbols, phi1, phi2, fprime_gamma, fprime_b):
-    """Boundary-source quadruple of the plus interval: (phi1, phi2 - F'(b)) at b, -F' at gamma."""
-    phi1, phi2, fpg, fpb = _check_vectors(ops.m, phi1, phi2, fprime_gamma, fprime_b)
-    return _add(_end_coefficients(ops, phi1, phi2 - fpb, right=True),
-                _end_coefficients(ops, 0.0, -fpg, right=False))
-
-
-def alphas_minus(ops: SideSymbols, psi1, psi2, phi_tilde):
-    """Representation coefficients of the minus interval: phi~ plus (psi1, psi2) at gamma."""
-    psi1, psi2 = _check_vectors(ops.m, psi1, psi2)
-    return _add(phi_tilde, _end_coefficients(ops, psi1, psi2, right=True))
-
-
-def alphas_plus(ops: SideSymbols, psi1, psi2, phi_tilde):
-    """Representation coefficients of the plus interval: phi~ plus (psi1, psi2) at gamma."""
-    psi1, psi2 = _check_vectors(ops.m, psi1, psi2)
-    return _add(phi_tilde, _end_coefficients(ops, psi1, psi2, right=False))
-
-
-def interface_fluxes(ops: SideSymbols, side: str, alphas: tuple, fprime=None, f3=None):
-    """Closed-form flux traces t2 = u'' - M^2 u and t3 = u''' - M^2 u' at gamma, per mode.
-
-    d^2 E = g^2 E, so the a1, a3 terms cancel exactly, and F = F'' = 0 at
-    gamma; with (E1, E2) = (e, 1) on the minus side and (1, e) on the plus
-    side, t2 = 2g [(E1 - E2) a2 + (E1 + E2) a4] and
-    t3 = 2g^2 [(E1 + E2) a2 + (E1 - E2) a4] + F''' - g^2 F', with the
-    particular traces F', F''' at gamma when given (else F = 0).
-    Subtracting differentiated fields instead rounds at eps g^3 |u|.
-    """
-    e1, e2 = (ops.e, 1.0) if check_side(side) == SIDE_MINUS else (1.0, ops.e)
-    g, a2, a4 = ops.g, alphas[1], alphas[3]
-    odd, even = e1 - e2, e1 + e2
-    two_g = 2.0 * g
-    t2 = two_g * (odd * a2 + even * a4)
-    t3 = two_g * g * (even * a2 + odd * a4)
-    if fprime is not None:
-        t3 = t3 + (f3 - g * g * fprime)
-    return t2, t3
-
-
-def end_values(ops: SideSymbols, side: str, alphas: tuple,
-               particular: Optional[ParticularSolution] = None) -> tuple:
-    """Closed-form u and u' at both ends of one interval, per mode: ((u, u') left, (u, u') right).
+def end_values(ops: SideSymbols, alphas) -> tuple:
+    """Closed-form u and u' at both ends of one interval, per mode, with F = 0: ((u, u') left, (u, u') right).
 
     ``SubproblemSolution.modal_fields``' formulas with its grouping A = a1 + a3,
     B = a2 + a4, C = a3 - a1, D = a4 - a2, at (E1, E2, s1, s2) = (1, e, 0, delta)
     on the left end and (e, 1, delta, 0) on the right; the unit factors and
     zero terms are dropped, which changes no bit, so the values match
-    ``modal_fields`` at the ends exactly, without an exponential. F = F'' = 0
-    at every end, so a particular part with active modes adds only its F'
-    traces.
+    ``modal_fields`` of the homogeneous part at the ends exactly, without
+    an exponential. On stacked symbols and coefficients it reads every
+    row's interval at once, with the same bits.
     """
-    check_side(side)
     g, e, delta = ops.g, ops.e, ops.delta
     a1, a2, a3, a4 = alphas
     big_a, big_b, big_c, big_d = a1 + a3, a2 + a4, a3 - a1, a4 - a2
@@ -756,9 +737,72 @@ def end_values(ops: SideSymbols, side: str, alphas: tuple,
     b = e * big_b  # right: d = D, n = C
     p = e * big_a + delta * b
     du_left, du_right = g * (big_a - n) + (big_b - d), g * (p - big_c) + (b - big_d)
-    if particular is not None and particular.active.size:
-        du_left, du_right = du_left + particular.fprime_left, du_right + particular.fprime_right
     return (big_a + n, du_left), (p + big_c, du_right)
+
+
+# The sign of E1 - E2 at gamma per interval row: (E1, E2) = (e, 1) at the
+# minus interval's right end and (1, e) at the plus interval's left end.
+_GAMMA_ODD = np.array([[1.0], [-1.0]])
+
+
+def interface_fluxes(both: SideSymbols, a2, a4, fprime, f3) -> tuple:
+    """Closed-form flux traces t2 = u'' - M^2 u and t3 = u''' - M^2 u' at gamma, (2, m) each.
+
+    Every input has one row per interval (minus, plus): the symbols
+    ``both`` (``stack_symbols`` of the two), the coefficients a2, a4 and
+    the particular traces F', F''' at gamma. d^2 E = g^2 E, so the
+    a1, a3 terms cancel exactly, and F = F'' = 0 at gamma; with (E1, E2)
+    = (e, 1) on the minus side and (1, e) on the plus side,
+    t2 = 2g [(E1 - E2) a2 + (E1 + E2) a4] and
+    t3 = 2g^2 [(E1 + E2) a2 + (E1 - E2) a4] + F''' - g^2 F'.
+    Subtracting differentiated fields instead rounds at eps g^3 |u|.
+    """
+    g = both.g
+    odd, even = _GAMMA_ODD * (both.e - 1.0), both.e + 1.0
+    two_g = 2.0 * g
+    t2 = two_g * (odd * a2 + even * a4)
+    t3 = two_g * g * (even * a2 + odd * a4) + (f3 - g * g * fprime)
+    return t2, t3
+
+
+def phi_tilde_minus(ops: SideSymbols, phi1, phi2, fprime_a, fprime_gamma) -> tuple:
+    """Boundary-source quadruple of the minus interval: (phi1, phi2 - F'(a)) at a, -F' at gamma.
+
+    Both ends in one pass, one row each: a (left) and gamma (right, so the
+    slope -F' enters as F' and its a1, a2 are subtracted).
+    """
+    phi1, phi2, fpa, fpg = _check_vectors(ops.m, phi1, phi2, fprime_a, fprime_gamma)
+    a1, a2, a3, a4 = _end_coefficients(ops.ends, np.array([phi1, np.zeros(ops.m)]),
+                                       np.array([phi2 - fpa, fpg]))
+    return a1[0] - a1[1], a2[0] - a2[1], a3[0] + a3[1], a4[0] + a4[1]
+
+
+def phi_tilde_plus(ops: SideSymbols, phi1, phi2, fprime_gamma, fprime_b) -> tuple:
+    """Boundary-source quadruple of the plus interval: (phi1, phi2 - F'(b)) at b, -F' at gamma.
+
+    Both ends in one pass, one row each: gamma (left) and b (right, so
+    its slope enters as F'(b) - phi2 and its a1, a2 are subtracted).
+    """
+    phi1, phi2, fpg, fpb = _check_vectors(ops.m, phi1, phi2, fprime_gamma, fprime_b)
+    a1, a2, a3, a4 = _end_coefficients(ops.ends, np.array([np.zeros(ops.m), phi1]),
+                                       np.array([-fpg, fpb - phi2]))
+    return a1[0] - a1[1], a2[0] - a2[1], a3[0] + a3[1], a4[0] + a4[1]
+
+
+def alphas_minus(ops: SideSymbols, psi1, psi2, phi_tilde) -> tuple:
+    """Representation coefficients of the minus interval: phi~ plus (psi1, psi2) at gamma, its right end."""
+    psi1, psi2 = _check_vectors(ops.m, psi1, psi2)
+    a1, a2, a3, a4 = _end_coefficients(ops, psi1, -psi2)
+    pt1, pt2, pt3, pt4 = phi_tilde
+    return pt1 - a1, pt2 - a2, pt3 + a3, pt4 + a4
+
+
+def alphas_plus(ops: SideSymbols, psi1, psi2, phi_tilde) -> tuple:
+    """Representation coefficients of the plus interval: phi~ plus (psi1, psi2) at gamma, its left end."""
+    psi1, psi2 = _check_vectors(ops.m, psi1, psi2)
+    a1, a2, a3, a4 = _end_coefficients(ops, psi1, psi2)
+    pt1, pt2, pt3, pt4 = phi_tilde
+    return pt1 + a1, pt2 + a2, pt3 + a3, pt4 + a4
 
 
 @dataclass(frozen=True)

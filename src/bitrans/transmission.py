@@ -10,8 +10,11 @@ whose blocks are all functions of the same generator M. In the
 eigenbasis of M every block is the scalar symbol of the ``symbols``
 module, so the default solve is one modal pipeline: the boundary data
 enters the eigenbasis once, sources, interface pair and representation
-coefficients are O(m) per-mode arithmetic (the sources are flux jumps at
-gamma, ``interface_fluxes``), and the fields map back once.
+coefficients are O(m) per-mode arithmetic, and the fields map back once.
+The closed forms take their data stacked: phi~ reads both ends of an
+interval in one pass, and on both intervals' symbols stacked
+(``TransmissionOperators.both``) the sources (flux jumps at gamma,
+``interface_fluxes``) and the residual report read both sides at once.
 The system matrix splits into 2x2 blocks per mode, inverted by the
 cofactor formula with determinant -m_j * f(-mu_j); that is the answer on
 every route. The ``both`` route also solves each mode's 8 x 8 system in
@@ -21,7 +24,8 @@ Everything that depends only on the operator, the geometry, the
 diffusivities and the options is built once, by ``TransmissionSolver``;
 ``solve_transmission`` keeps the last solver with its operator and reuses
 it while those inputs compare equal; when only the diffusivities or the
-options change, the next solver keeps its interval symbols.
+options change, the next solver keeps its interval symbols and their
+stacks.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from .errors import AnomalyError, DimensionMismatchError
 from .problem import (
     SIDE_MINUS,
     SIDE_PLUS,
+    SIDES,
     BoundaryData,
     CylinderGeometry,
     ModalForcing,
@@ -59,6 +64,7 @@ from .subproblem import (
     phi_tilde_plus,
     side_symbols,
     solve_particular,
+    stack_symbols,
 )
 from .symbols import determinant
 from .verification import FundamentalSystem, fundamental_solve, fundamental_system
@@ -90,7 +96,9 @@ class TransmissionOperators:
     """Per-mode symbols of every interface block.
 
     ``minus``/``plus`` hold E, U, V, f_{delta,1..3} and g_delta of each
-    interval, so the blocks are P_i = k f_{delta,i} per side. The system matrix is
+    interval, so the blocks are P_i = k f_{delta,i} per side, and ``both``
+    the two stacked (``stack_symbols``, one row each), on which the closed
+    forms read both intervals in one pass. The system matrix is
     Lambda_j = [[g_j p1s_j, -p2d_j], [g_j p2d_j, -p3s_j]] per mode, with
     g_j the generator eigenvalues and p1s = P1+ + P1-, p2d = P2+ - P2-,
     p3s = P3+ + P3-. ``det_modal_symbols`` holds det Lambda_j =
@@ -111,6 +119,7 @@ class TransmissionOperators:
     k_plus: float
     minus: SideSymbols
     plus: SideSymbols
+    both: SideSymbols
     p1_sum: np.ndarray
     p2_diff: np.ndarray
     p3_sum: np.ndarray
@@ -153,12 +162,16 @@ def assemble_transmission_operators(
 ) -> TransmissionOperators:
     """Evaluate every interface block symbol on the spectrum, O(m).
 
-    ``sides`` holds the (minus, plus) ``side_symbols`` of this operator and
-    geometry where they are at hand; they depend on neither diffusivity,
-    so then only the blocks, the determinant, cond(Lambda) and the gates
-    are formed here.
+    ``sides`` holds (minus, plus, both), the ``side_symbols`` of this
+    operator and geometry and their stack (``TransmissionOperators.both``),
+    where they are at hand; they depend on neither diffusivity, so then
+    only the blocks, the determinant, cond(Lambda) and the gates are
+    formed here.
     """
-    minus, plus = sides or (side_symbols(operator, geometry.c), side_symbols(operator, geometry.d))
+    if sides is None:
+        minus, plus = side_symbols(operator, geometry.c), side_symbols(operator, geometry.d)
+        sides = (minus, plus, stack_symbols(minus, plus))
+    minus, plus, both = sides
     f_vals = determinant(k_minus, k_plus, minus.f, plus.f)
     g = operator.generator_eigenvalues
     p1s = k_plus * plus.f[0] + k_minus * minus.f[0]
@@ -174,7 +187,7 @@ def assemble_transmission_operators(
     }
     return TransmissionOperators(
         operator=operator, geometry=geometry, k_minus=k_minus, k_plus=k_plus,
-        minus=minus, plus=plus, p1_sum=p1s, p2_diff=p2d, p3_sum=p3s,
+        minus=minus, plus=plus, both=both, p1_sum=p1s, p2_diff=p2d, p3_sum=p3s,
         f_values=f_vals, det_modal_symbols=det_sym,
         det_modal_blocks=-g * (p1s * p3s - p2d * p2d), conditions=conditions,
     )
@@ -213,19 +226,20 @@ def assemble_sources(
     """Assemble S1 and S2, per mode.
 
     S1 = (k+ t3+ - k- t3-) / M^2 and S2 = (k+ t2+ - k- t2-) / M are the
-    flux jumps at gamma (``interface_fluxes``) of phi~ with the particular
-    traces. The F''' - M^2 F' term of t3 puts the particular-flux source
+    flux jumps at gamma (``interface_fluxes``, the residual report's flux
+    terms too) of the quadruples phi~ with the particular traces.
+    The F''' - M^2 F' term of t3 puts the particular-flux source
     -M^{-2} (-k+ F+''' + k+ M^2 F+' + k- F-''' - k- M^2 F-') (gamma) into S1
     (the opposite sign breaks the second transmission condition, and the
     tests demonstrate that). Every input is in eigenbasis coordinates.
     """
     kp, km = operators.k_plus, operators.k_minus
     g = operators.operator.generator_eigenvalues
-    t2m, t3m = interface_fluxes(operators.minus, SIDE_MINUS, phi_tilde_m,
-                                fprime_gamma_minus, f3_gamma_minus)
-    t2p, t3p = interface_fluxes(operators.plus, SIDE_PLUS, phi_tilde_p,
-                                fprime_gamma_plus, f3_gamma_plus)
-    return InterfaceSources(s1=(kp * t3p - km * t3m) / g**2, s2=(kp * t2p - km * t2m) / g)
+    t2, t3 = interface_fluxes(
+        operators.both, np.array([phi_tilde_m[1], phi_tilde_p[1]]),
+        np.array([phi_tilde_m[3], phi_tilde_p[3]]),
+        np.array([fprime_gamma_minus, fprime_gamma_plus]), np.array([f3_gamma_minus, f3_gamma_plus]))
+    return InterfaceSources(s1=(kp * t3[1] - km * t3[0]) / g**2, s2=(kp * t2[1] - km * t2[0]) / g)
 
 
 @dataclass(frozen=True)
@@ -441,8 +455,25 @@ class TransmissionSolution:
         return self.side(side).evaluate(np.atleast_1d(xs), order)
 
 
-def _scaled_sup(residual: np.ndarray, reference: float) -> float:
-    return float(np.max(np.abs(residual)) / (1.0 + reference))
+def _end_traces(solution: TransmissionSolution) -> tuple:
+    """The report's end terms, (2, m) each with rows (minus, plus).
+
+    u and u' at the left ends, u and u' at the right ends (``end_values``)
+    and t2, t3 at gamma (``interface_fluxes``) of the final coefficients,
+    on the stacked symbols. F = F'' = 0 at every end, so a particular part
+    adds F' to u' and F''' - g^2 F' to t3 alone.
+    """
+    subs = (solution.minus, solution.plus)
+    traces = np.zeros((4, 2, solution.problem.operator.m))  # F' left, right, gamma; F''' gamma
+    for row, part in enumerate(sub.particular for sub in subs):
+        if part is not None and part.active.size:
+            traces[:, row] = (part.fprime_left, part.fprime_right,
+                              part.fprime_interface, part.f3_interface)
+    alphas = [np.array(pair) for pair in zip(*(sub.alphas for sub in subs))]
+    both = solution.operators.both
+    (u_left, du_left), (u_right, du_right) = end_values(both, alphas)
+    return (u_left, du_left + traces[0], u_right, du_right + traces[1],
+            *interface_fluxes(both, alphas[1], alphas[3], traces[2], traces[3]))
 
 
 def residual_report(solution: TransmissionSolution) -> ResidualReport:
@@ -459,17 +490,24 @@ def residual_report(solution: TransmissionSolution) -> ResidualReport:
     (T_k and T_k' at every probe point, the ends included) gives S, S',
     w and w'; S''' = w' - mu S', A S'' = mu (w - mu S), A^2 S = mu^2 S,
     and S'''' is the central difference of S'''. Its only nonzero rows
-    are ``particular.active`` and, on a forced side, the forcing's
-    declared ``modes``, and only those rows are formed and mapped
-    (``SectionOperator.from_modes``). A side with neither reads exactly
-    0 and allocates nothing. The four outer boundary conditions and the interface
-    continuity of u and u' read the closed-form end values of
-    ``end_values``, and the flux transmission conditions the closed-form
-    traces of ``interface_fluxes``. Every term is formed in the
+    are the forcing's declared ``modes`` (``particular.active`` is a
+    subset of them for a particular part of this forcing, and any active
+    row outside them joins them), and only those rows are formed, with
+    the forcing's samples from ``ModalForcing.sample_modes``, and mapped,
+    both sides in one ``SectionOperator.from_modes`` product. Maxima run
+    over the mode axis first, and max is exact, so the order changes no
+    bit. A side with no such row reads exactly 0, and with no row on
+    either side nothing is allocated. The four outer boundary conditions
+    and the interface continuity of u and u' read the closed-form end
+    values (``end_values``, ``modal_fields``' values at the ends bit for
+    bit), and the flux transmission conditions the closed-form traces at
+    gamma (``interface_fluxes``, the sources' own), both intervals in one
+    pass on the stacked symbols, with the particular traces: F' in u' and
+    F''' - g^2 F' in t3 (``_end_traces``). Every term is formed in the
     eigenbasis, where A acts as the per-mode factor mu_j; the end values
-    reach the physical basis through one product, and each side's
-    equation terms through one more. Each entry is the scaled sup norm of
-    its physical residual.
+    reach the physical basis through one product, and the equation terms
+    through one more. Each entry is the scaled sup norm of its physical
+    residual.
 
     ``det_gap`` compares the per-mode determinant from the block symbols
     with the determinant symbol; on ``both`` it is the larger of that and
@@ -489,17 +527,8 @@ def residual_report(solution: TransmissionSolution) -> ResidualReport:
         if sub.particular is not None:
             bvp_est = max(bvp_est, sub.particular.error_estimate)
 
-    # u and u' at both ends of each interval, and the closed-form flux
-    # terms t2 = u'' - M^2 u and t3 = u''' - M^2 u' at gamma.
-    ends, fluxes = [], []
-    for sub, side_ops in ((solution.minus, tops.minus), (solution.plus, tops.plus)):
-        part = sub.particular
-        active = part is not None and part.active.size
-        traces = (part.fprime_interface, part.f3_interface) if active else ()
-        ends.append(end_values(side_ops, sub.side, sub.alphas, part))
-        fluxes.append(interface_fluxes(side_ops, sub.side, sub.alphas, *traces))
-    ((u_a, du_a), (u0m, u1m)), ((u0p, u1p), (u_b, du_b)) = ends
-    (t2m, t3m), (t2p, t3p) = fluxes
+    (u_a, u0p), (du_a, u1p), (u0m, u_b), (u1m, du_b), (t2m, t2p), (t3m, t3p) = (
+        _end_traces(solution))
     columns = {
         "bc_1": u_a, "bc_2": du_a, "bc_3": u_b, "bc_4": du_b,
         "u0m": u0m, "u0p": u0p, "tc1_u": u0m - u0p,
@@ -509,45 +538,45 @@ def residual_report(solution: TransmissionSolution) -> ResidualReport:
     }
     phys_ends = op.from_modal(np.array(list(columns.values())).T).T  # one row per entry
 
-    # The series part's terms S'''' (a central difference of S'''),
-    # A S'', A^2 S and f on the probe interior, on the rows that can be
-    # nonzero: the active rows and, on a forced side, the declared modes.
-    # They reach the physical basis through those eigenvectors alone; a
-    # side without such rows reads exactly 0.
-    eq_budget = 0.0
+    # The series part's terms S'''' (a central difference of S'''), A S'',
+    # A^2 S and f on the probe interior of both sides in one block, on the
+    # rows that can be nonzero: the forcing's declared modes, with any
+    # active row they lack (a particular part of another forcing). They
+    # reach the physical basis through those eigenvectors alone, in one
+    # product; a side whose block rows are all zero reads exactly 0.
     max_g = -op.generator_eigenvalues[0]  # the eigenvalues ascend
     n_probe = solution.options.probe_points
-    for side, sub in ((SIDE_MINUS, solution.minus), (SIDE_PLUS, solution.plus)):
-        h = prob.geometry.length(side) / (n_probe - 1)
-        eq_budget = max(eq_budget, 5.0 * h**2 * max_g)
-        part = sub.particular
-        active = part.active if part is not None else np.zeros(0, dtype=int)
-        forced = not forcing.vanishes(side)
-        nonzero = np.zeros(op.m, dtype=bool)
-        nonzero[active] = True
-        if forced:
-            nonzero[forcing.modes] = True
-        rows = np.flatnonzero(nonzero)
-        if not rows.size:
-            continue
-        block = np.zeros((rows.size, 4, n_probe - 2))  # S'''', A S'', A^2 S, f by rows
-        if active.size:
-            table = grid_table(*prob.geometry.interval(side), n_probe, part.f_modal.shape[1])
-            vals = np.vstack([part.f_modal, part.w_modal]) @ table
-            (s0, s1), (w0, w1) = vals.reshape(2, active.size, 2, n_probe).transpose(0, 2, 1, 3)
-            mu = op.eigenvalues[active, None]
-            s3 = w1 - mu * s1
-            at = np.searchsorted(rows, active)
-            block[at, 0] = (s3[:, 2:] - s3[:, :-2]) / (2.0 * h)
-            block[at, 1] = mu * (w0 - mu * s0)[:, 1:-1]
-            block[at, 2] = mu**2 * s0[:, 1:-1]
-        if forced:
-            block[:, 3] = forcing.sample(side, prob.geometry.grid(side, n_probe)[1:-1])[rows]
-        terms = op.from_modes(rows, block.reshape(rows.size, -1)).reshape(op.m, 4, -1)
-        ref = float(np.max(np.abs(terms).max(axis=(0, 2)) * (1.0, 2.0, 1.0, 1.0)))  # 2 A S''
-        d4, au2, a2u0, fvals = terms.transpose(1, 0, 2)
-        entries["eq_" + side] = _scaled_sup(d4 + 2.0 * au2 + a2u0 - fvals, ref)
-    eq_budget = max(eq_budget, 10.0 * bvp_est, 1e-11)
+    steps = [prob.geometry.length(side) / (n_probe - 1) for side in SIDES]
+    eq_budget = max(5.0 * max(steps) ** 2 * max_g, 10.0 * bvp_est, 1e-11)
+    parts = [sub.particular for sub in (solution.minus, solution.plus)]
+    nonzero = set(forcing.modes.tolist())
+    for part in parts:
+        if part is not None:
+            nonzero.update(part.active.tolist())
+    if nonzero:
+        rows = np.array(sorted(nonzero), dtype=np.intp)
+        block = np.zeros((rows.size, 2, 4, n_probe - 2))  # S'''', A S'', A^2 S, f by rows and sides
+        for i, (side, part, h) in enumerate(zip(SIDES, parts, steps)):
+            if part is not None and part.active.size:
+                active = part.active
+                table = grid_table(*prob.geometry.interval(side), n_probe, part.f_modal.shape[1])
+                vals = np.vstack([part.f_modal, part.w_modal]) @ table
+                (s0, s1), (w0, w1) = vals.reshape(2, active.size, 2, n_probe).transpose(0, 2, 1, 3)
+                mu = op.eigenvalues[active, None]
+                s3 = w1 - mu * s1
+                at = np.searchsorted(rows, active)
+                block[at, i, 0] = (s3[:, 2:] - s3[:, :-2]) / (2.0 * h)
+                block[at, i, 1] = mu * (w0 - mu * s0)[:, 1:-1]
+                block[at, i, 2] = mu**2 * s0[:, 1:-1]
+            if not forcing.vanishes(side):
+                block[np.searchsorted(rows, forcing.modes), i, 3] = forcing.sample_modes(
+                    side, prob.geometry.grid(side, n_probe)[1:-1])
+        terms = op.from_modes(rows, block.reshape(rows.size, -1)).reshape(op.m, 2, 4, -1)
+        # Maxima over the mode axis first; max is exact, so the order changes no bit.
+        ref = (np.abs(terms).max(axis=0).max(axis=2) * (1.0, 2.0, 1.0, 1.0)).max(axis=1)  # 2 A S''
+        d4, au2, a2u0, fvals = terms.transpose(2, 0, 1, 3)
+        worst = np.abs(d4 + 2.0 * au2 + a2u0 - fvals).max(axis=0).max(axis=1)
+        entries["eq_minus"], entries["eq_plus"] = (worst / (1.0 + ref)).tolist()
 
     # One reduction for the boundary residuals, the data's scale and every end column.
     data = np.array([bc.phi1_minus, bc.phi2_minus, bc.phi1_plus, bc.phi2_plus])
@@ -619,7 +648,8 @@ class TransmissionSolver:
                  and previous.geometry == geometry)
         self.operators = assemble_transmission_operators(
             operator, geometry, k_minus, k_plus,
-            (previous.operators.minus, previous.operators.plus) if reuse else None)
+            (previous.operators.minus, previous.operators.plus, previous.operators.both)
+            if reuse else None)
         self.system = (fundamental_system(self.operators, previous.system if reuse else None)
                        if self.options.route == ROUTE_BOTH else None)
         self.zero_forcing = (previous.zero_forcing if reuse

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from scipy.linalg import solve_banded
 from scipy.sparse import csr_matrix
 
 from bitrans import (
+    AnomalyError,
     BoundaryData,
     CylinderGeometry,
     DimensionMismatchError,
@@ -332,6 +334,40 @@ def test_direct_solve_zero_case():
     sol = direct_solve(op, geom, 1.0, 2.0, n_x=33)
     assert np.max(np.abs(sol.u_minus)) == 0.0
     assert np.max(np.abs(sol.u_plus)) == 0.0
+
+
+@pytest.mark.parametrize("worst, passes", [(1e-12, True), (np.nextafter(1e-12, 1.0), False)])
+def test_the_backward_error_gate_admits_exactly_its_threshold(monkeypatch, worst, passes):
+    # direct_solve reads its backward error through float() alone; pinned
+    # on the 1e-12 gate it passes, one ulp above it refuses.
+    op = build_dirichlet_laplacian_1d(3, 1.0)
+    monkeypatch.setattr(oracle, "float", lambda value: worst, raising=False)
+    if passes:
+        direct_solve(op, CylinderGeometry(-0.7, 0.0, 0.9), 1.0, 2.0, n_x=33)
+    else:
+        with pytest.raises(AnomalyError, match="backward error"):
+            direct_solve(op, CylinderGeometry(-0.7, 0.0, 0.9), 1.0, 2.0, n_x=33)
+
+
+def test_a_step_whose_square_overflows_to_inf_is_refused():
+    # A numpy-float length above about 1e154 overflows h^2 to inf without
+    # raising, so 1 / h^2 is 0, the lower side of the step gate.
+    op = build_dirichlet_laplacian_1d(2, 1.0)
+    geom = CylinderGeometry(np.float64(-1e160), 0.0, 1.0)
+    with np.errstate(over="ignore"), pytest.raises(InvalidGeometryError, match="axial steps"):
+        direct_solve(op, geom, 1.0, 2.0, n_x=33)
+
+
+@pytest.mark.parametrize("err, floor", [(oracle.FLOOR, True),
+                                        (np.nextafter(oracle.FLOOR, 1.0), False)])
+def test_the_convergence_floor_includes_its_threshold(monkeypatch, err, floor):
+    # Errors exactly at FLOOR are flagged, not fitted; one ulp above, fitted.
+    op = build_dirichlet_laplacian_1d(3, 1.0)
+    case = manufactured_homogeneous(op, CylinderGeometry(-0.7, 0.0, 0.9), 0, 0.6, 0.1)
+    monkeypatch.setattr(oracle, "compare", lambda *args: SimpleNamespace(sup=err))
+    table = convergence_study(case, "representation", [33, 65, 129], 1.0, 2.0)
+    assert table.floor is floor
+    assert bool(np.isnan(table.fitted_rate)) is floor
 
 
 def test_direct_solve_convergence_on_exact_case():

@@ -57,6 +57,24 @@ def _count_interval_symbols(monkeypatch):
     return calls
 
 
+def _count_stacks(monkeypatch):
+    """Record the formations of stacked symbols (``stack_symbols``), by the ids of their rows.
+
+    A solver's operators form ``both`` (minus, plus) and each interval its
+    ``ends`` (its symbols twice) on first read.
+    """
+    calls = []
+    real = subproblem.stack_symbols
+
+    def spy(*rows):
+        calls.append(tuple(map(id, rows)))
+        return real(*rows)
+
+    monkeypatch.setattr(subproblem, "stack_symbols", spy)
+    monkeypatch.setattr(transmission, "stack_symbols", spy)
+    return calls
+
+
 def _boundary(rng, m):
     return BoundaryData(*rng.standard_normal((4, m)))
 
@@ -76,14 +94,19 @@ def test_repeated_solves_assemble_once_and_run_the_data_pipeline_each_time(monke
     "operator", "geometry", "k_minus", "k_plus", "route", "n_x", "probe_points"])
 def test_a_changed_input_rebuilds_the_solver(monkeypatch, change):
     # A rebuild on the same operator object and an equal geometry keeps
-    # the interval symbols of the last solver: it evaluates none.
+    # the interval symbols of the last solver and their stacks: it
+    # evaluates and forms none of them.
     calls = _spy(monkeypatch, ("assemble_transmission_operators",))
     symbols = _count_interval_symbols(monkeypatch)
+    stacks = _count_stacks(monkeypatch)
     args = {"operator": build_dirichlet_laplacian_1d(8, 1.0), "geometry": GEOM,
             "k_minus": 1.0, "k_plus": 3.0, "options": SolveOptions()}
     solve_transmission(**args)
     solve_transmission(**args)
     assert calls["assemble_transmission_operators"] == 1 and len(symbols) == 2
+    tops = args["operator"]._solver.operators
+    minus, plus = id(tops.minus), id(tops.plus)
+    assert stacks == [(minus, plus), (minus, minus), (plus, plus)]
     if change == "operator":  # the same spectrum, but another object
         args["operator"] = build_dirichlet_laplacian_1d(8, 1.0)
     elif change == "geometry":
@@ -94,8 +117,14 @@ def test_a_changed_input_rebuilds_the_solver(monkeypatch, change):
         value = {"route": "both", "n_x": 65, "probe_points": 17}[change]
         args["options"] = SolveOptions(**{change: value})
     solve_transmission(**args)
+    solve_transmission(**args)
     assert calls["assemble_transmission_operators"] == 2
     assert len(symbols) == (4 if change in ("operator", "geometry") else 2)
+    kept = change not in ("operator", "geometry")
+    new = args["operator"]._solver.operators
+    assert (new.minus is tops.minus and new.plus is tops.plus and new.both is tops.both) == kept
+    minus, plus = id(new.minus), id(new.plus)
+    assert stacks[3:] == ([] if kept else [(minus, plus), (minus, minus), (plus, plus)])
 
 
 def _forcing(kind, op, geom, km, kp, rng):

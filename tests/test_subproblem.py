@@ -503,8 +503,10 @@ def test_modal_fields_match_the_per_order_closed_form(side, forced):
 @pytest.mark.parametrize("forced", [False, True], ids=["unforced", "forced"])
 @pytest.mark.parametrize("side", [SIDE_MINUS, SIDE_PLUS])
 def test_end_values_match_modal_fields_at_both_ends_bit_for_bit(side, forced):
-    # The report reads u and u' at the interval ends from end_values; they
-    # must be modal_fields' values there, bit for bit, at every size.
+    # The report reads u and u' at the interval ends from end_values (both
+    # intervals at once, ``transmission._end_traces``), with a particular
+    # part's F' traces added (F = 0 at the ends); they must be
+    # modal_fields' values there, bit for bit, at every size.
     geom = CylinderGeometry(-0.7, 0.0, 1.3)
     rng = np.random.default_rng(31)
     for m in range(1, 65):
@@ -517,7 +519,9 @@ def test_end_values_match_modal_fields_at_both_ends_bit_for_bit(side, forced):
             part = solve_particular(op.eigenvalues, geom, side, forcing, n_x=33)
         table = SubproblemSolution(side, geom, op, alphas, part).modal_fields(
             np.array(geom.interval(side)))
-        for end, (u, du) in enumerate(subproblem.end_values(ops, side, alphas, part)):
+        for end, (u, du) in enumerate(subproblem.end_values(ops, alphas)):
+            if part is not None and part.active.size:
+                du = du + (part.fprime_left, part.fprime_right)[end]
             assert np.array_equal(u, table[0, :, end]), (m, end)
             assert np.array_equal(du, table[1, :, end]), (m, end)
 

@@ -12,6 +12,7 @@ from bitrans import (
     BoundaryData,
     CylinderGeometry,
     EvaluationError,
+    InterfaceData,
     InterfaceSources,
     InvalidGeometryError,
     ModalForcing,
@@ -43,6 +44,8 @@ from bitrans import (
 )
 from bitrans import problem, symbols
 from bitrans.symbols import SymbolContext
+from bitrans.subproblem import interface_fluxes
+from bitrans.transmission import BLOCK_RESIDUAL_TOL, DET_CROSSCHECK_TOL, _end_traces, _norm
 from dense_reference import (
     assemble_dense_operators,
     earlier_eq,
@@ -916,3 +919,85 @@ def test_exact_homogeneous_case_property(m, c, d, k_minus, k_plus, seed):
     gap = max(np.max(np.abs(sol.field(side, xs) - case.field(side, xs)))
               for side, xs in grids.items())
     assert gap <= 1e-12 * scale, gap / scale
+
+
+# --- gate thresholds -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("gap, admitted", [(DET_CROSSCHECK_TOL, True),
+                                           (np.nextafter(DET_CROSSCHECK_TOL, 1.0), False)])
+def test_the_determinant_gap_gate_admits_exactly_its_tolerance(gap, admitted):
+    # With det = 0 the scaled gap is the blocks' determinant itself.
+    _, _, tops = scalar_tops()
+    fields = {"det_modal_symbols": np.zeros(1), "det_modal_blocks": np.array([gap])}
+    if admitted:
+        assert replace(tops, **fields).det_gap == gap
+    else:
+        with pytest.raises(AnomalyError, match="cross-check"):
+            replace(tops, **fields)
+
+
+@pytest.mark.parametrize("residual, admitted", [(BLOCK_RESIDUAL_TOL, True),
+                                                (np.nextafter(BLOCK_RESIDUAL_TOL, 1.0), False)])
+def test_the_interface_residual_gate_admits_exactly_its_tolerance(residual, admitted):
+    args = (from_matrix(np.array([[-1.0]])), np.zeros(1), np.zeros(1), "calculus", residual)
+    if admitted:
+        assert InterfaceData(*args).residual == residual
+    else:
+        with pytest.raises(AnomalyError, match="residual"):
+            InterfaceData(*args)
+
+
+def test_a_norm_that_is_not_finite_is_returned_as_it_stands():
+    # No inf / inf: a warning is an error in this suite.
+    assert _norm(np.array([np.inf, 1.0]), np.zeros(2)) == np.inf
+    assert np.isnan(_norm(np.array([np.nan, 1.0])))
+    assert _norm(np.zeros(3)) == 0.0
+    assert _norm(np.array([3.0]), np.array([-4.0])) == 5.0
+
+
+def test_an_entry_on_its_budget_passes():
+    sol = solve_transmission(build_dirichlet_laplacian_1d(4, 1.0),
+                             CylinderGeometry(-0.7, 0.0, 1.3), 1.0, 3.0)
+    on = residual_report(replace(sol, route_gap=BLOCK_RESIDUAL_TOL))
+    assert on.route_gap == on.budgets["route_gap"] and on.passed
+    assert not residual_report(replace(sol, route_gap=np.nextafter(BLOCK_RESIDUAL_TOL, 1.0))).passed
+
+
+def test_the_eq_budget_is_ten_times_the_particular_estimate_where_that_is_larger():
+    # Eight sine periods on mode 0 of m = 1, cut at n_x = 17, estimate 0.15:
+    # 10 times that exceeds 5 h^2 max|g| = 0.023 at 33 probe points.
+    op = build_dirichlet_laplacian_1d(1, 1.0)
+    geom = CylinderGeometry(-0.7, 0.0, 1.3)
+    forcing = ModalForcing.sine(op, geom, SIDE_PLUS, 0, 8, 1.0)
+    sol = solve_transmission(op, geom, 1.0, 3.0, forcing, None, SolveOptions(n_x=17))
+    estimate = sol.plus.particular.error_estimate
+    assert estimate > 0.1
+    assert sol.report.budgets["eq_minus"] == sol.report.budgets["eq_plus"] == 10.0 * estimate
+
+
+@pytest.mark.parametrize("forced", [False, True], ids=["unforced", "forced"])
+def test_the_report_reads_modal_fields_end_values_bit_for_bit(forced):
+    # The report's u and u' at every interval end (``_end_traces``, both
+    # intervals in one pass) are the solution's own modal_fields there,
+    # particular part included, bit for bit; its t2 and t3 at gamma are
+    # the sources' closed form of the final coefficients.
+    op = build_dirichlet_laplacian_1d(16, 1.0)
+    geom = CylinderGeometry(-0.7, 0.0, 1.3)
+    rng = np.random.default_rng(8)
+    forcing = ModalForcing.sine(op, geom, SIDE_PLUS, 3, 2, 1.0) if forced else None
+    sol = solve_transmission(op, geom, 1.0, 3.0, forcing, BoundaryData(*rng.normal(size=(4, 16))))
+    u_left, du_left, u_right, du_right, t2, t3 = _end_traces(sol)
+    for row, sub in enumerate((sol.minus, sol.plus)):
+        table = sub.modal_fields(np.array(geom.interval(sub.side)))
+        assert np.array_equal(u_left[row], table[0, :, 0])
+        assert np.array_equal(du_left[row], table[1, :, 0])
+        assert np.array_equal(u_right[row], table[0, :, 1])
+        assert np.array_equal(du_right[row], table[1, :, 1])
+    parts = (sol.minus.particular, sol.plus.particular)
+    a2, a4 = (np.array([sol.minus.alphas[i], sol.plus.alphas[i]]) for i in (1, 3))
+    fprime = np.array([parts[0].fprime_right, parts[1].fprime_left])
+    f3 = np.array([parts[0].f3_right, parts[1].f3_left])
+    assert parts[1].active.size == forced
+    want2, want3 = interface_fluxes(sol.operators.both, a2, a4, fprime, f3)
+    assert np.array_equal(t2, want2) and np.array_equal(t3, want3)

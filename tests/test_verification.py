@@ -25,6 +25,7 @@ from bitrans import (
     assemble_transmission_operators,
     build_dirichlet_laplacian_1d,
     fundamental_solve,
+    manufactured_forced,
     solve_interface_calculus,
     solve_particular,
     solve_transmission,
@@ -212,6 +213,57 @@ def test_fundamental_solve_matches_60_digit_solve(m, c, forced):
         want1, want2 = _mp_interface(g, geom.c, geom.d, 1.0, 3.0, phi[:, j], traces)
         assert abs(psi1[j] - want1) <= 1e-13 * abs(want1), (j, psi1[j], want1)
         assert abs(psi2[j] - want2) <= 1e-13 * abs(want2), (j, psi2[j], want2)
+
+
+def _forced_pair(route, km, kp, mode, profile, psi1, psi2, n_x):
+    """Whether the solver's interface pair of a manufactured forced mode is right, and its report's verdict.
+
+    The truth is the 60-digit solve of the solver's own modal data and
+    particular traces of the forced mode; right is within 1e-8 of it.
+    """
+    op = build_dirichlet_laplacian_1d(32, 1.0)
+    case = manufactured_forced(op, GEOM, km, kp, mode, profile, psi1, psi2)
+    bc = case.boundary_data()
+    sol = solve_transmission(op, GEOM, km, kp, case.forcing(), bc,
+                             SolveOptions(route=route, n_x=n_x))
+    pm, pp = sol.minus.particular, sol.plus.particular
+    j = mode
+    phi = op.to_modal(np.stack([bc.phi1_minus, bc.phi2_minus, bc.phi1_plus, bc.phi2_plus]).T)[j]
+    traces = (pm.fprime_left[j], pm.fprime_right[j], pm.f3_right[j],
+              pp.fprime_left[j], pp.f3_left[j], pp.fprime_right[j])
+    want1, want2 = _mp_interface(op.generator_eigenvalues[j], GEOM.c, GEOM.d, km, kp, phi,
+                                 traces)
+    got1, got2 = sol.interface.psi1_hat[j], sol.interface.psi2_hat[j]
+    right = abs(got1 - want1) <= 1e-8 * abs(want1) and abs(got2 - want2) <= 1e-8 * abs(want2)
+    return right, sol.report.passed, ((got1, got2), (want1, want2))
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the report passes a wrong interface pair on a stiff forced mode: its "
+                          "outer data are about 1e38 and the pair, about 1, is lost in rounding "
+                          "(ROADMAP items 1 and 5)")
+@pytest.mark.parametrize("route", ["calculus", "both"])
+def test_a_passing_report_has_the_right_interface_pair_of_a_stiff_forced_mode(route):
+    # manufactured_forced on mode 2 of m = 32: the 60-digit solve of the
+    # solver's own modal data and traces gives the case's pair (1, 0.5);
+    # the solver reads (0.4961, -32.42), both routes alike, and the report
+    # passes. A passing report must carry the right pair.
+    right, passed, pairs = _forced_pair(route, 1.0, 3.0, 2, [1.0], 1.0, 0.5, n_x=129)
+    assert right or not passed, pairs
+
+
+@pytest.mark.parametrize("route", ["calculus", "both"])
+def test_a_stiff_forced_mode_that_keeps_its_pair_keeps_it(route):
+    # Draw 221 of the axial-forced workload (seed 31; m = 32, n_x = 2049),
+    # forced on the same mode 2 as the case above: its pair
+    # (-0.2047, -0.6089) comes out within 3.8e-15, and so it must stay
+    # while the case above is wrong (24 % of the workload's draws are right).
+    profile = [0.6281017060174257, -1.5510893134046753, -1.0333486988489922,
+               0.49007220848690913, 0.18129578876055583]
+    right, passed, pairs = _forced_pair(route, 0.6883222115491304, 0.6399722594426728, 2,
+                                        profile, -0.20465540184518485, -0.608925482174789,
+                                        n_x=2049)
+    assert right and passed, pairs
 
 
 # --- forcing, singular systems, properties -----------------------------------
