@@ -6,8 +6,11 @@ inversion against an independent dense construction build them here, as
 m x m matrices from semigroup matrices and dense solves, without the
 scalar symbols: O(m^3), so only at small m. The finite-difference
 particular part (``fd_particular``) is the reference the Chebyshev
-particular part is compared with, and ``earlier_eq`` the earlier form of
-the report's ``eq_*`` estimator that the current one is compared with.
+particular part is compared with, ``earlier_eq`` the earlier form of
+the report's ``eq_*`` estimator that the current one is compared with,
+and ``field_table_entries`` the report's end entries as the earlier
+report formed them. ``groups`` and ``stored`` state what a solution's
+coefficients mean, so the tests read and build them in those terms.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import solve_banded
 
-from bitrans import SIDE_MINUS, EvaluationError, subproblem
+from bitrans import SIDE_MINUS, EvaluationError, subproblem, transmission
 from bitrans._spline import CubicSpline
 
 
@@ -201,6 +204,63 @@ def particular_eq(solution, side: str) -> float:
     u0, u2, u3 = (op.eigenvectors @ terms[order] for order in (0, 2, 3))
     fvals = op.eigenvectors @ solution.problem.forcing.sample(side, xs[1:-1])
     return _equation_residual(op.matrix, u0, u2, u3, fvals, xs[1] - xs[0])
+
+
+def groups(coeffs) -> tuple:
+    """The weights (A, B, C, D) of u = E1 (A + s1 B) + E2 (C + s2 D) that coefficients hold.
+
+    E1 = e^{g s1} and E2 = e^{g s2} are the end-localized exponentials of
+    ``SubproblemSolution.modal_fields``; A and B weight the left end, C
+    and D the right. The coefficients are those of E1 - E2, s1 E1 - s2 E2,
+    E1 + E2 and s1 E1 + s2 E2.
+    """
+    a1, a2, a3, a4 = coeffs
+    return a1 + a3, a2 + a4, a3 - a1, a4 - a2
+
+
+def stored(big_a, big_b, big_c, big_d) -> tuple:
+    """The coefficients whose weights are (A, B, C, D), ``groups``' inverse."""
+    return (0.5 * (big_a - big_c), 0.5 * (big_b - big_d),
+            0.5 * (big_a + big_c), 0.5 * (big_b + big_d))
+
+
+def field_table_entries(solution) -> dict:
+    """The report's boundary and interface entries as the earlier report formed them.
+
+    u and u' at every end are the end columns of an order-0..3 field table
+    per side on the ``probe_points`` grid (``modal_fields``), and t2, t3
+    at gamma the report's closed-form flux traces (``_end_traces``). Both
+    tables, the interface differences and the flux columns reach the
+    physical basis in one product (about 270 columns at 33 probe
+    points), and the entries are scaled as the report scales them.
+    """
+    op, prob = solution.operator, solution.problem
+    n = solution.options.probe_points
+    tables = [sub.modal_fields(prob.geometry.grid(sub.side, n)) for sub in (solution.minus,
+                                                                          solution.plus)]
+    (u0m, u1m), (u0p, u1p) = tables[0][:2, :, -1], tables[1][:2, :, 0]
+    *_, (t2m, t2p), (t3m, t3p) = transmission._end_traces(solution)
+    km, kp = prob.k_minus, prob.k_plus
+    columns = {"u0m": u0m, "u0p": u0p, "tc1_u": u0m - u0p, "u1m": u1m, "u1p": u1p,
+               "tc1_du": u1m - u1p, "t2m": t2m, "t2p": t2p, "tc2_flux2": km * t2m - kp * t2p,
+               "t3m": t3m, "t3p": t3p, "tc2_flux3": km * t3m - kp * t3p}
+    phys = op.from_modal(np.hstack([table.transpose(1, 0, 2).reshape(op.m, -1)
+                                    for table in tables] + [np.array(list(columns.values())).T]))
+    minus, plus = (phys[:, i * 4 * n:(i + 1) * 4 * n].reshape(op.m, 4, n) for i in (0, 1))
+    sup = dict(zip(columns, np.abs(phys[:, 8 * n:]).max(axis=0)))
+    bc = prob.boundary
+    entries = {}
+    for key, end, data in (("bc_1", minus[:, 0, 0], bc.phi1_minus),
+                           ("bc_2", minus[:, 1, 0], bc.phi2_minus),
+                           ("bc_3", plus[:, 0, -1], bc.phi1_plus),
+                           ("bc_4", plus[:, 1, -1], bc.phi2_plus)):
+        entries[key] = np.max(np.abs(end - data)) / (1.0 + np.max(np.abs(data)))
+    for key, ref in (("tc1_u", max(sup["u0m"], sup["u0p"])),
+                     ("tc1_du", max(sup["u1m"], sup["u1p"])),
+                     ("tc2_flux2", max(km * sup["t2m"], kp * sup["t2p"])),
+                     ("tc2_flux3", max(km * sup["t3m"], kp * sup["t3p"]))):
+        entries[key] = sup[key] / (1.0 + ref)
+    return entries
 
 
 def earlier_eq(solution, side: str) -> tuple:

@@ -5,12 +5,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import bitrans.transmission as transmission
 from bitrans import ConfigError, SolveOptions, solve_transmission
 from bitrans.cli import main
 from bitrans.config import build_case, build_section, load_config
 from bitrans.oracle import FLOOR
-from dense_reference import fd_particular
+from dense_reference import field_table_entries
 
 BASE = """
 section: {{kind: laplacian-1d, m: {m}, length: 1.0}}
@@ -357,40 +356,22 @@ def test_cli_overflowing_closed_form_exit_2_without_traceback(tmp_path, capsys, 
 
 DEMO_CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
 REPORT_KEYS = ("bc_1", "bc_2", "bc_3", "bc_4", "tc1_u", "tc1_du", "tc2_flux2", "tc2_flux3")
-# The boundary and interface entries of each demo config's solve as the
-# earlier report formed them, from the end columns of an order-0..3 field
-# table per side on the probe grid, mapped back with about 200 columns,
-# with the finite-difference particular part (dense_reference.fd_particular).
-FIELD_TABLE_ENTRIES = {
-    "forced_convergence": (2.469200703907507e-16, 5.185460939851216e-16,
-                           1.8039326106481326e-16, 8.171779264423112e-17,
-                           6.47657356148721e-17, 7.909464401103373e-16,
-                           1.9048416085846547e-15, 1.0627928865928693e-15),
-    "homogeneous_exact": (2.4634661098160533e-16, 1.474996336763635e-16,
-                          2.609572331895845e-16, 2.8174478607913953e-16,
-                          1.7397167199188476e-14, 1.550411448664099e-14,
-                          3.628252504376829e-14, 2.2126020296091186e-13),
-    "random_verify": (1.5048590798154503e-16, 8.35051913051318e-16,
-                      1.4985858827096325e-16, 7.067775674888204e-16,
-                      9.343366279779586e-17, 1.313564460492108e-15,
-                      2.5842427806146487e-15, 7.292473848340385e-16),
-}
 
 
-@pytest.mark.parametrize("name", sorted(FIELD_TABLE_ENTRIES))
-def test_demo_entries_match_the_field_table_report_to_rounding(name, monkeypatch):
-    # The closed-form end values equal the table's end columns bit for bit;
-    # only the basis change's column count differs, which moves an entry by
-    # rounding at most (scaled entries: a few eps). The table was formed
-    # with the finite-difference particular part, so that part stands in.
-    monkeypatch.setattr(transmission, "solve_particular", fd_particular)
+@pytest.mark.parametrize("name", ["forced_convergence", "homogeneous_exact", "random_verify"])
+def test_demo_entries_match_the_field_table_report_to_rounding(name):
+    # The closed-form end values equal the end columns of the same
+    # solution's order-0..3 field table bit for bit; only the basis
+    # change's column count differs (dense_reference.field_table_entries),
+    # which moves an entry by rounding at most (scaled entries: a few eps).
     config = load_config(DEMO_CONFIGS / f"{name}.yaml")
     op = build_section(config)
     forcing, boundary, _ = build_case(config, op)
-    report = solve_transmission(op, config.geometry, config.k_minus, config.k_plus,
-                                forcing, boundary, config.solver).report
-    for key, expected in zip(REPORT_KEYS, FIELD_TABLE_ENTRIES[name]):
-        assert abs(getattr(report, key) - expected) <= 4 * np.finfo(float).eps, key
+    solution = solve_transmission(op, config.geometry, config.k_minus, config.k_plus,
+                                  forcing, boundary, config.solver)
+    expected = field_table_entries(solution)
+    for key in REPORT_KEYS:
+        assert abs(getattr(solution.report, key) - expected[key]) <= 4 * np.finfo(float).eps, key
 
 
 def test_config_without_a_solver_section_gives_the_default_options(tmp_path):

@@ -8,7 +8,11 @@ references below are the hand-written per-side formulas of phi~, the
 coefficients and S1, S2, S-check, and the closed forms of the end values
 and flux traces, kept verbatim so the two forms are compared on random
 data with nonzero particular traces over the whole range
-1e-2 <= delta |g| <= 1e2.
+1e-2 <= delta |g| <= 1e2. They are compared by what the coefficients
+mean: the weights (A, B, C, D) of u = E1 (A + s1 B) + E2 (C + s2 D)
+(``dense_reference.groups``); the per-side formulas give the
+coefficients of E1 - E2, s1 E1 - s2 E2, E1 + E2 and s1 E1 + s2 E2, which
+``_weights`` turns into them.
 """
 
 import numpy as np
@@ -30,6 +34,12 @@ from bitrans import (
 )
 from bitrans.problem import SIDE_MINUS, SIDE_PLUS
 from bitrans.subproblem import end_values, interface_fluxes
+from dense_reference import groups
+
+
+def _weights(a1, a2, a3, a4):
+    """(A, B, C, D) of the coefficients of E1 - E2, s1 E1 - s2 E2, E1 + E2, s1 E1 + s2 E2."""
+    return a1 + a3, a2 + a4, a3 - a1, a4 - a2
 
 
 def ref_phi_tilde_minus(ops, phi1, phi2, fpa, fpg):
@@ -76,26 +86,29 @@ def ref_alphas_plus(ops, psi1, psi2, phi_tilde):
     return a1, a2, a3, a4
 
 
-def ref_sources(tops, phi_tilde_m, phi_tilde_p, fpg_m, f3g_m, fpg_p, f3g_p):
+def ref_sources(tops, weights_m, weights_p, fpg_m, f3g_m, fpg_p, f3g_p):
+    """S1, S2 and S-check of the weights (A, B, C, D) of phi~ on each side.
+
+    The per-side formulas in the coefficients pt2, pt4 of s1 E1 - s2 E2 and
+    s1 E1 + s2 E2, with pt2 + pt4 = B and pt2 - pt4 = -D.
+    """
     kp, km = tops.k_plus, tops.k_minus
     ed, ec = tops.plus.e, tops.minus.e
-    _, pt2m, _, pt4m = phi_tilde_m
-    _, pt2p, _, pt4p = phi_tilde_p
+    (_, big_bm, _, big_dm), (_, big_bp, _, big_dp) = weights_m, weights_p
     msq = tops.operator.generator_eigenvalues**2
     s_check = -kp * f3g_p + kp * msq * fpg_p + km * f3g_m - km * msq * fpg_m
-    s1 = (2.0 * kp * ((pt2p + pt4p) + ed * (pt2p - pt4p))
-          - 2.0 * km * ((pt2m - pt4m) + ec * (pt2m + pt4m))
+    s1 = (2.0 * kp * (big_bp - ed * big_dp)
+          - 2.0 * km * (-big_dm + ec * big_bm)
           - s_check / msq)
-    s2 = (2.0 * kp * ((pt2p + pt4p) - ed * (pt2p - pt4p))
-          + 2.0 * km * ((pt2m - pt4m) - ec * (pt2m + pt4m)))
+    s2 = (2.0 * kp * (big_bp + ed * big_dp)
+          + 2.0 * km * (-big_dm - ec * big_bm))
     return s1, s2, s_check
 
 
-def ref_end_values(ops, alphas):
-    """u and u' at (left, right) from modal_fields' grouping, with (E1, E2, s1, s2) at each end."""
+def ref_end_values(ops, weights):
+    """u and u' at (left, right) of the weights (A, B, C, D), with (E1, E2, s1, s2) at each end."""
     g, e, delta = ops.g, ops.e, ops.delta
-    a1, a2, a3, a4 = alphas
-    big_a, big_b, big_c, big_d = a1 + a3, a2 + a4, a3 - a1, a4 - a2
+    big_a, big_b, big_c, big_d = weights
     ends = []
     for e1, e2, s1, s2 in ((1.0, e, 0.0, delta), (e, 1.0, delta, 0.0)):
         b, d = e1 * big_b, e2 * big_d
@@ -104,12 +117,11 @@ def ref_end_values(ops, alphas):
     return ends
 
 
-def ref_fluxes(ops, side, alphas):
-    """t2 and t3 at gamma, F = 0: 2g [(E1 - E2) a2 + (E1 + E2) a4] and 2g^2 [(E1 + E2) a2 + ...]."""
+def ref_fluxes(ops, side, weights):
+    """t2 and t3 at gamma of the weights (A, B, C, D), F = 0: 2g (E1 B + E2 D) and 2g^2 (E1 B - E2 D)."""
     e1, e2 = (ops.e, 1.0) if side == SIDE_MINUS else (1.0, ops.e)
-    g, a2, a4 = ops.g, alphas[1], alphas[3]
-    return (2.0 * g * ((e1 - e2) * a2 + (e1 + e2) * a4),
-            2.0 * g * g * ((e1 + e2) * a2 + (e1 - e2) * a4))
+    g, big_b, big_d = ops.g, weights[1], weights[3]
+    return 2.0 * g * (e1 * big_b + e2 * big_d), 2.0 * g * g * (e1 * big_b - e2 * big_d)
 
 
 def _spread_operator(m, delta, rng):
@@ -120,7 +132,8 @@ def _spread_operator(m, delta, rng):
 
 def _largest_term(ops, *data):
     """Per mode, a bound on every term of the per-side formulas: each term is
-    1/2 e^i (1, delta) (1, g) x / (u or v) for an input x, with e <= 1."""
+    1/2 e^i (1, delta) (1, g) x / (u or v) for an input x, with e <= 1.
+    A weight is a sum of two such terms."""
     reach = (1.0 + ops.delta) * (1.0 + np.abs(ops.g))
     return reach * np.max(np.abs(data), axis=0) / np.minimum(ops.u, ops.v)
 
@@ -147,20 +160,25 @@ def test_end_map_reproduces_the_per_side_formulas(m, spread_side):
     pts, als = [], []
     for ops, phi_tilde, ref_phi_tilde, alphas, ref_alphas, data in cases:
         pt = phi_tilde(ops, *data)
+        pt_w = groups(pt)
         scale = _largest_term(ops, *data)
-        for new, ref in zip(pt, ref_phi_tilde(ops, *data)):
+        for new, ref in zip(pt_w, _weights(*ref_phi_tilde(ops, *data))):
             assert np.all(np.abs(new - ref) <= 1e-13 * scale)
         scale_a = scale + _largest_term(ops, psi1, psi2)
         al = alphas(ops, psi1, psi2, pt)
-        for new, ref in zip(al, ref_alphas(ops, psi1, psi2, pt)):
-            assert np.all(np.abs(new - ref) <= 1e-13 * scale_a)
+        al_w = groups(al)
+        psi_w = _weights(*ref_alphas(ops, psi1, psi2, (0.0,) * 4))  # the interface end's share
+        for new, ref, p in zip(al_w, psi_w, pt_w):
+            assert np.all(np.abs(new - (ref + p)) <= 1e-13 * scale_a)
         pts.append(pt)
         als.append(al)
         # u, u' at both ends, t2 / 2|g| and t3 / 2g^2 at gamma are sums of
-        # terms at most 2 (1 + delta)(1 + |g|) |a_i|, within a factor 2 of
-        # ``_largest_term`` of the coefficients.
-        terms = _largest_term(ops, *al)
-        for new, ref in zip(end_values(ops, al), ref_end_values(ops, al)):
+        # terms at most (1 + delta)(1 + |g|) times a weight. A weight is a
+        # sum of two coefficients of the per-side basis, so half of
+        # ``_largest_term`` of the weights is at most that of those
+        # coefficients, the bound these sums were held to.
+        terms = 0.5 * _largest_term(ops, *al_w)
+        for new, ref in zip(end_values(ops, al), ref_end_values(ops, al_w)):
             for new_x, ref_x in zip(new, ref):
                 assert np.all(np.abs(new_x - ref_x) <= 1e-13 * terms)
 
@@ -168,17 +186,19 @@ def test_end_map_reproduces_the_per_side_formulas(m, spread_side):
     t2, t3 = interface_fluxes(tops.both, np.array([als[0][1], als[1][1]]),
                               np.array([als[0][3], als[1][3]]), zero, zero)
     for row, (side, ops, al) in enumerate(zip(SIDES, (tops.minus, tops.plus), als)):
-        ref_t2, ref_t3 = ref_fluxes(ops, side, al)
-        g, terms = np.abs(ops.g), _largest_term(ops, *al)
+        ref_t2, ref_t3 = ref_fluxes(ops, side, groups(al))
+        g, terms = np.abs(ops.g), 0.5 * _largest_term(ops, *groups(al))
         assert np.all(np.abs(t2[row] - ref_t2) <= 1e-13 * 2.0 * g * terms)
         assert np.all(np.abs(t3[row] - ref_t3) <= 1e-13 * 2.0 * g * g * terms)
 
     traces = (fpg_m, f3g_m, fpg_p, f3g_p)
     src = assemble_sources(tops, *pts, *traces)
-    s1, s2, _ = ref_sources(tops, *pts, *traces)
+    pt_ws = [groups(pt) for pt in pts]
+    s1, s2, _ = ref_sources(tops, *pt_ws, *traces)
     g = op.generator_eigenvalues
     k = max(tops.k_minus, tops.k_plus)
-    pt_scale = 2.0 * k * np.max(np.abs([pts[0][1], pts[0][3], pts[1][1], pts[1][3]]), axis=0)
+    # k max(|B|, |D|) is at most the per-side terms' 2k max(|pt2|, |pt4|).
+    pt_scale = k * np.max(np.abs([pt_ws[0][1], pt_ws[0][3], pt_ws[1][1], pt_ws[1][3]]), axis=0)
     f_scale = k * (np.abs(f3g_m) + np.abs(f3g_p) + g**2 * (np.abs(fpg_m) + np.abs(fpg_p)))
     assert np.all(np.abs(src.s1 - s1) <= 1e-13 * (pt_scale + f_scale / g**2))
     assert np.all(np.abs(src.s2 - s2) <= 1e-13 * pt_scale)
@@ -241,5 +261,5 @@ def test_the_flux_closed_form_keeps_t3_at_gamma_at_rounding(m):
         data, u3 = _scaled_exponentials(op, geom, np.random.default_rng(seed))
         sol = solve_transmission(op, geom, 1.0, 3.0, None, data)
         for side, ops in zip(SIDES, (sol.operators.minus, sol.operators.plus)):
-            _, t3 = ref_fluxes(ops, side, sol.side(side).alphas)
+            _, t3 = ref_fluxes(ops, side, groups(sol.side(side).alphas))
             assert np.max(np.abs(op.from_modal(t3))) <= 1e-11 * np.max(np.abs(u3)), (seed, side)

@@ -30,7 +30,7 @@ from bitrans import (
     solve_transmission,
     u_delta,
 )
-from dense_reference import fd_particular
+from dense_reference import fd_particular, groups
 
 
 @pytest.fixture
@@ -154,11 +154,14 @@ def test_phi_tilde_scalar_reference(scalar_setup):
     op, geom = scalar_setup
     ops = side_symbols(op, geom.c)
     one, zero = np.array([1.0]), np.array([0.0])
-    pt = phi_tilde_minus(ops, one, zero, zero, zero)
-    assert pt[0][0] == pytest.approx(0.5 / u_delta(1.0, 1.0), rel=1e-12, abs=0.0)
-    assert pt[0][0] == pytest.approx(3.8788, abs=1e-4)
-    ptp = phi_tilde_plus(side_symbols(op, geom.d), one, zero, zero, zero)
-    assert ptp[0][0] == pytest.approx(-3.8788, abs=1e-4)
+    # The weight of E1 - E2 is (A - C) / 2, half the gap of the value
+    # weights at the two ends.
+    big_a, _, big_c, _ = groups(phi_tilde_minus(ops, one, zero, zero, zero))
+    odd = 0.5 * (big_a - big_c)[0]
+    assert odd == pytest.approx(0.5 / u_delta(1.0, 1.0), rel=1e-12, abs=0.0)
+    assert odd == pytest.approx(3.8788, abs=1e-4)
+    big_a, _, big_c, _ = groups(phi_tilde_plus(side_symbols(op, geom.d), one, zero, zero, zero))
+    assert 0.5 * (big_a - big_c)[0] == pytest.approx(-3.8788, abs=1e-4)
 
 
 def test_phi_tilde_zero_data(scalar_setup):
@@ -181,25 +184,34 @@ def test_phi_tilde_linearity():
 
 
 def test_phi_tilde_plus_minus_antisymmetry(scalar_setup):
-    # Mirrored data with c = d: phi~1+ = -phi~1-.
+    # Mirrored data with c = d: the plus field is the minus field reflected
+    # about gamma, so its weights are the minus weights with the ends
+    # swapped, (A, B, C, D)+ = (C, D, A, B)-, and the weight (A - C) / 2
+    # of E1 - E2 changes sign.
     op, geom = scalar_setup
     ops_m = side_symbols(op, geom.c)
     ops_p = side_symbols(op, geom.d)
     rng = np.random.default_rng(8)
     phi1, phi2, ta, tb = rng.normal(size=(4, 1))
-    pt_m = phi_tilde_minus(ops_m, phi1, phi2, ta, tb)
-    pt_p = phi_tilde_plus(ops_p, phi1, -phi2, -tb, -ta)
-    assert pt_p[0][0] == pytest.approx(-pt_m[0][0], rel=1e-12, abs=0.0)
+    a_m, b_m, c_m, d_m = groups(phi_tilde_minus(ops_m, phi1, phi2, ta, tb))
+    weights_p = groups(phi_tilde_plus(ops_p, phi1, -phi2, -tb, -ta))
+    for plus, minus in zip(weights_p, (c_m, d_m, a_m, b_m)):
+        assert plus[0] == pytest.approx(minus[0], rel=1e-12, abs=0.0)
+    assert 0.5 * (weights_p[0] - weights_p[2])[0] == pytest.approx(-0.5 * (a_m - c_m)[0],
+                                                                   rel=1e-12, abs=0.0)
 
 
 def test_alphas_scalar_reference(scalar_setup):
     op, geom = scalar_setup
     ops = side_symbols(op, geom.c)
     zero4 = tuple(np.zeros(1) for _ in range(4))
-    al = alphas_minus(ops, np.array([1.0]), np.array([0.0]), zero4)
+    # The weight of s1 E1 - s2 E2 is (B - D) / 2, half the gap of the
+    # slope weights at the two ends.
+    _, big_b, _, big_d = groups(alphas_minus(ops, np.array([1.0]), np.array([0.0]), zero4))
+    odd = 0.5 * (big_b - big_d)[0]
     expected = 0.5 / u_delta(1.0, 1.0) * (1.0 + np.exp(-1.0)) * (-1.0)
-    assert al[1][0] == pytest.approx(expected, rel=1e-12, abs=0.0)
-    assert al[1][0] == pytest.approx(-5.3058, abs=1e-4)
+    assert odd == pytest.approx(expected, rel=1e-12, abs=0.0)
+    assert odd == pytest.approx(-5.3058, abs=1e-4)
 
 
 def test_alphas_reduce_to_phi_tilde(scalar_setup):
@@ -449,7 +461,8 @@ def _chebyshev_term_reference(part, xs, order, mu):
 def _per_order_field(sol, xs, order):
     """Homogeneous field of one derivative order from the per-term derivatives.
 
-    With E1 = e^{s1 g}, E2 = e^{s2 g} and d/dx s1 = -d/dx s2 = 1:
+    u = E1 (A + s1 B) + E2 (C + s2 D) with the weights of the solution's
+    coefficients. With E1 = e^{s1 g}, E2 = e^{s2 g} and d/dx s1 = -d/dx s2 = 1:
     d^k E1 = g^k E1, d^k (s1 E1) = (k g^{k-1} + s1 g^k) E1, and the E2
     terms carry an extra factor (-1)^k.
     """
@@ -462,16 +475,15 @@ def _per_order_field(sol, xs, order):
     e1, e2 = np.exp(s1 * gm), np.exp(s2 * gm)
     de1, de2 = gk * e1, sign * gk * e2
     dse1, dse2 = (dgk + s1 * gk) * e1, sign * (dgk + s2 * gk) * e2
-    a1, a2, a3, a4 = (a[:, None] for a in sol.alphas)
-    return ((de1 - de2) * a1 + (dse1 - dse2) * a2
-            + (de1 + de2) * a3 + (dse1 + dse2) * a4)
+    big_a, big_b, big_c, big_d = (w[:, None] for w in groups(sol.alphas))
+    return de1 * big_a + dse1 * big_b + de2 * big_c + dse2 * big_d
 
 
 @pytest.mark.parametrize("forced", [False, True], ids=["unforced", "forced"])
 @pytest.mark.parametrize("side", [SIDE_MINUS, SIDE_PLUS])
 def test_modal_fields_match_the_per_order_closed_form(side, forced):
-    # Random a1..a4 (a2, a4 != 0 exercise the s E terms that pure
-    # exponentials leave out), interior points and both ends exactly.
+    # Random coefficients (nonzero slope weights B, D exercise the s E terms
+    # that pure exponentials leave out), interior points and both ends exactly.
     m = 12
     op = build_dirichlet_laplacian_1d(m, 1.0)
     geom = CylinderGeometry(-0.7, 0.0, 0.9)

@@ -50,8 +50,10 @@ from dense_reference import (
     assemble_dense_operators,
     earlier_eq,
     generator_matrix,
+    groups,
     particular_eq,
     solve_block,
+    stored,
     whole_field_eq,
 )
 
@@ -190,13 +192,16 @@ def test_sources_scalar_flux_example():
 
 
 def test_sources_mirrored_cancellation():
-    # k+ = k-, c = d, mirrored quadruples: S1 = 0 by term-by-term cancellation.
+    # k+ = k-, c = d, and phi~+ is the odd mirror image of phi~- about gamma:
+    # its weights are the minus weights with the ends swapped and negated,
+    # (A, B, C, D)+ = -(C, D, A, B)-, so u''' - M^2 u' agrees across gamma
+    # and S1 = 0 by term-by-term cancellation.
     _, geom, tops = scalar_tops(km=1.3, kp=1.3)
     rng = np.random.default_rng(6)
-    pt2, pt4 = rng.normal(size=2)
+    big_b, big_d = rng.normal(size=(2, 1))
     zero = np.zeros(1)
-    ptm = (zero, np.array([pt2]), zero, np.array([pt4]))
-    ptp = (zero, np.array([pt2]), zero, np.array([-pt4]))
+    ptm = stored(zero, big_b, zero, big_d)
+    ptp = stored(zero, -big_d, zero, -big_b)
     src = assemble_sources(tops, ptm, ptp, zero, zero, zero, zero)
     assert abs(src.s1[0]) < 1e-13
 
@@ -481,8 +486,9 @@ def test_report_flags_perturbed_forcing():
 def test_report_flags_perturbed_plus_coefficients():
     sol = _standard_case(8)
     assert sol.report.passed
-    a1, a2, a3, a4 = sol.plus.alphas
-    wrong = replace(sol.plus, alphas=(a1, a2 + 1e-6, a3, a4))
+    # Adds 1e-6 (s1 E1 - s2 E2) to the plus field: B + 1e-6 and D - 1e-6.
+    big_a, big_b, big_c, big_d = groups(sol.plus.alphas)
+    wrong = replace(sol.plus, alphas=stored(big_a, big_b + 1e-6, big_c, big_d - 1e-6))
     bad = replace(sol, plus=wrong)
     report = residual_report(bad)
     failed = _over_budget(report)
@@ -695,7 +701,8 @@ def test_report_matches_physical_recomputation_at_m64():
 @pytest.mark.parametrize("m", [8, 64])
 def test_closed_form_flux_traces_match_dense_derivatives(m, forced):
     # The report forms t2 = u'' - M^2 u and t3 = u''' - M^2 u' at gamma in
-    # closed form from (a2, a4) and the particular traces. Mapped to the
+    # closed form from the slope weights (B, D) and the particular traces:
+    # 2g (E1 B + E2 D) and 2g^2 (E1 B - E2 D) + F''' - g^2 F'. Mapped to the
     # physical basis they must match u'' + A u and u''' + A u' of the
     # differentiated fields with the dense A, within the 1e-9 scaled budget.
     op = build_dirichlet_laplacian_1d(m, 1.0)
@@ -706,14 +713,14 @@ def test_closed_form_flux_traces_match_dense_derivatives(m, forced):
     sol = solve_transmission(op, geom, 1.0, 3.0, forcing, bc)
     a, q = op.matrix, op.eigenvectors
     g = op.generator_eigenvalues
-    for side, e, sign in ((SIDE_MINUS, sol.operators.minus.e, 1.0),
-                          (SIDE_PLUS, sol.operators.plus.e, -1.0)):
+    for side, (e1, e2) in ((SIDE_MINUS, (sol.operators.minus.e, 1.0)),
+                           (SIDE_PLUS, (1.0, sol.operators.plus.e))):
         sub = sol.side(side)
         u = [sol.field(side, geom.gamma, order)[:, 0] for order in range(4)]
-        _, a2, _, a4 = sub.alphas
+        _, big_b, _, big_d = groups(sub.alphas)
         part = sub.particular
-        t2 = q @ (2.0 * g * (-sign * (1.0 - e) * a2 + (1.0 + e) * a4))
-        t3 = q @ (2.0 * g**2 * ((1.0 + e) * a2 - sign * (1.0 - e) * a4)
+        t2 = q @ (2.0 * g * (e1 * big_b + e2 * big_d))
+        t3 = q @ (2.0 * g**2 * (e1 * big_b - e2 * big_d)
                   + part.f3_interface - g**2 * part.fprime_interface)
         for closed, dense in ((t2, u[2] + a @ u[0]), (t3, u[3] + a @ u[1])):
             assert np.max(np.abs(closed - dense)) / (1.0 + np.max(np.abs(dense))) <= 1e-9, side
