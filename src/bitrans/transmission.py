@@ -236,8 +236,7 @@ def assemble_sources(
     kp, km = operators.k_plus, operators.k_minus
     g = operators.operator.generator_eigenvalues
     t2, t3 = interface_fluxes(
-        operators.both, np.array([phi_tilde_m[1], phi_tilde_p[1]]),
-        np.array([phi_tilde_m[3], phi_tilde_p[3]]),
+        operators.both, np.array(list(zip(phi_tilde_m, phi_tilde_p))),  # rows (minus, plus)
         np.array([fprime_gamma_minus, fprime_gamma_plus]), np.array([f3_gamma_minus, f3_gamma_plus]))
     return InterfaceSources(s1=(kp * t3[1] - km * t3[0]) / g**2, s2=(kp * t2[1] - km * t2[0]) / g)
 
@@ -469,11 +468,11 @@ def _end_traces(solution: TransmissionSolution) -> tuple:
         if part is not None and part.active.size:
             traces[:, row] = (part.fprime_left, part.fprime_right,
                               part.fprime_interface, part.f3_interface)
-    alphas = [np.array(pair) for pair in zip(*(sub.alphas for sub in subs))]
+    alphas = np.array(list(zip(*(sub.alphas for sub in subs))))  # (4, 2, m)
     both = solution.operators.both
     (u_left, du_left), (u_right, du_right) = end_values(both, alphas)
     return (u_left, du_left + traces[0], u_right, du_right + traces[1],
-            *interface_fluxes(both, alphas[1], alphas[3], traces[2], traces[3]))
+            *interface_fluxes(both, alphas, traces[2], traces[3]))
 
 
 def residual_report(solution: TransmissionSolution) -> ResidualReport:

@@ -9,8 +9,7 @@ particular part (``fd_particular``) is the reference the Chebyshev
 particular part is compared with, ``earlier_eq`` the earlier form of
 the report's ``eq_*`` estimator that the current one is compared with,
 and ``field_table_entries`` the report's end entries as the earlier
-report formed them. ``groups`` and ``stored`` state what a solution's
-coefficients mean, so the tests read and build them in those terms.
+report formed them.
 """
 
 from __future__ import annotations
@@ -204,24 +203,6 @@ def particular_eq(solution, side: str) -> float:
     u0, u2, u3 = (op.eigenvectors @ terms[order] for order in (0, 2, 3))
     fvals = op.eigenvectors @ solution.problem.forcing.sample(side, xs[1:-1])
     return _equation_residual(op.matrix, u0, u2, u3, fvals, xs[1] - xs[0])
-
-
-def groups(coeffs) -> tuple:
-    """The weights (A, B, C, D) of u = E1 (A + s1 B) + E2 (C + s2 D) that coefficients hold.
-
-    E1 = e^{g s1} and E2 = e^{g s2} are the end-localized exponentials of
-    ``SubproblemSolution.modal_fields``; A and B weight the left end, C
-    and D the right. The coefficients are those of E1 - E2, s1 E1 - s2 E2,
-    E1 + E2 and s1 E1 + s2 E2.
-    """
-    a1, a2, a3, a4 = coeffs
-    return a1 + a3, a2 + a4, a3 - a1, a4 - a2
-
-
-def stored(big_a, big_b, big_c, big_d) -> tuple:
-    """The coefficients whose weights are (A, B, C, D), ``groups``' inverse."""
-    return (0.5 * (big_a - big_c), 0.5 * (big_b - big_d),
-            0.5 * (big_a + big_c), 0.5 * (big_b + big_d))
 
 
 def field_table_entries(solution) -> dict:

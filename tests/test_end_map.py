@@ -9,12 +9,13 @@ coefficients and S1, S2, S-check, and the closed forms of the end values
 and flux traces, kept verbatim so the two forms are compared on random
 data with nonzero particular traces over the whole range
 1e-2 <= delta |g| <= 1e2. They are compared by what the coefficients
-mean: the weights (A, B, C, D) of u = E1 (A + s1 B) + E2 (C + s2 D)
-(``dense_reference.groups``); the per-side formulas give the
-coefficients of E1 - E2, s1 E1 - s2 E2, E1 + E2 and s1 E1 + s2 E2, which
-``_weights`` turns into them.
+mean: the weights (A, B, C, D) of u = E1 (A + s1 B) + E2 (C + s2 D) that
+the package stores; the per-side formulas give the coefficients of
+E1 - E2, s1 E1 - s2 E2, E1 + E2 and s1 E1 + s2 E2, which ``_weights``
+turns into them.
 """
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -30,11 +31,12 @@ from bitrans import (
     build_dirichlet_laplacian_1d,
     phi_tilde_minus,
     phi_tilde_plus,
+    side_symbols,
     solve_transmission,
 )
 from bitrans.problem import SIDE_MINUS, SIDE_PLUS
 from bitrans.subproblem import end_values, interface_fluxes
-from dense_reference import groups
+from test_verification import _mp_interface
 
 
 def _weights(a1, a2, a3, a4):
@@ -160,15 +162,13 @@ def test_end_map_reproduces_the_per_side_formulas(m, spread_side):
     pts, als = [], []
     for ops, phi_tilde, ref_phi_tilde, alphas, ref_alphas, data in cases:
         pt = phi_tilde(ops, *data)
-        pt_w = groups(pt)
         scale = _largest_term(ops, *data)
-        for new, ref in zip(pt_w, _weights(*ref_phi_tilde(ops, *data))):
+        for new, ref in zip(pt, _weights(*ref_phi_tilde(ops, *data))):
             assert np.all(np.abs(new - ref) <= 1e-13 * scale)
         scale_a = scale + _largest_term(ops, psi1, psi2)
         al = alphas(ops, psi1, psi2, pt)
-        al_w = groups(al)
         psi_w = _weights(*ref_alphas(ops, psi1, psi2, (0.0,) * 4))  # the interface end's share
-        for new, ref, p in zip(al_w, psi_w, pt_w):
+        for new, ref, p in zip(al, psi_w, pt):
             assert np.all(np.abs(new - (ref + p)) <= 1e-13 * scale_a)
         pts.append(pt)
         als.append(al)
@@ -177,28 +177,26 @@ def test_end_map_reproduces_the_per_side_formulas(m, spread_side):
         # sum of two coefficients of the per-side basis, so half of
         # ``_largest_term`` of the weights is at most that of those
         # coefficients, the bound these sums were held to.
-        terms = 0.5 * _largest_term(ops, *al_w)
-        for new, ref in zip(end_values(ops, al), ref_end_values(ops, al_w)):
+        terms = 0.5 * _largest_term(ops, *al)
+        for new, ref in zip(end_values(ops, al), ref_end_values(ops, al)):
             for new_x, ref_x in zip(new, ref):
                 assert np.all(np.abs(new_x - ref_x) <= 1e-13 * terms)
 
     zero = np.zeros((2, m))
-    t2, t3 = interface_fluxes(tops.both, np.array([als[0][1], als[1][1]]),
-                              np.array([als[0][3], als[1][3]]), zero, zero)
+    t2, t3 = interface_fluxes(tops.both, np.array(als).swapaxes(0, 1), zero, zero)
     for row, (side, ops, al) in enumerate(zip(SIDES, (tops.minus, tops.plus), als)):
-        ref_t2, ref_t3 = ref_fluxes(ops, side, groups(al))
-        g, terms = np.abs(ops.g), 0.5 * _largest_term(ops, *groups(al))
+        ref_t2, ref_t3 = ref_fluxes(ops, side, al)
+        g, terms = np.abs(ops.g), 0.5 * _largest_term(ops, *al)
         assert np.all(np.abs(t2[row] - ref_t2) <= 1e-13 * 2.0 * g * terms)
         assert np.all(np.abs(t3[row] - ref_t3) <= 1e-13 * 2.0 * g * g * terms)
 
     traces = (fpg_m, f3g_m, fpg_p, f3g_p)
     src = assemble_sources(tops, *pts, *traces)
-    pt_ws = [groups(pt) for pt in pts]
-    s1, s2, _ = ref_sources(tops, *pt_ws, *traces)
+    s1, s2, _ = ref_sources(tops, *pts, *traces)
     g = op.generator_eigenvalues
     k = max(tops.k_minus, tops.k_plus)
     # k max(|B|, |D|) is at most the per-side terms' 2k max(|pt2|, |pt4|).
-    pt_scale = k * np.max(np.abs([pt_ws[0][1], pt_ws[0][3], pt_ws[1][1], pt_ws[1][3]]), axis=0)
+    pt_scale = k * np.max(np.abs([pts[0][1], pts[0][3], pts[1][1], pts[1][3]]), axis=0)
     f_scale = k * (np.abs(f3g_m) + np.abs(f3g_p) + g**2 * (np.abs(fpg_m) + np.abs(fpg_p)))
     assert np.all(np.abs(src.s1 - s1) <= 1e-13 * (pt_scale + f_scale / g**2))
     assert np.all(np.abs(src.s2 - s2) <= 1e-13 * pt_scale)
@@ -218,8 +216,7 @@ def test_interface_blocks_are_the_flux_jumps_of_the_interface_end_map(m, ks):
     q_m = alphas_minus(tops.minus, psi1, psi2, (0.0,) * 4)
     q_p = alphas_plus(tops.plus, psi1, psi2, (0.0,) * 4)
     zero = np.zeros((2, m))
-    t2, t3 = interface_fluxes(tops.both, np.array([q_m[1], q_p[1]]),
-                              np.array([q_m[3], q_p[3]]), zero, zero)
+    t2, t3 = interface_fluxes(tops.both, np.array([q_m, q_p]).swapaxes(0, 1), zero, zero)
     km, kp = ks
     jump2 = kp * t2[1] - km * t2[0]
     jump3 = kp * t3[1] - km * t3[0]
@@ -261,5 +258,51 @@ def test_the_flux_closed_form_keeps_t3_at_gamma_at_rounding(m):
         data, u3 = _scaled_exponentials(op, geom, np.random.default_rng(seed))
         sol = solve_transmission(op, geom, 1.0, 3.0, None, data)
         for side, ops in zip(SIDES, (sol.operators.minus, sol.operators.plus)):
-            _, t3 = ref_fluxes(ops, side, groups(sol.side(side).alphas))
+            _, t3 = ref_fluxes(ops, side, sol.side(side).alphas)
             assert np.max(np.abs(op.from_modal(t3))) <= 1e-11 * np.max(np.abs(u3)), (seed, side)
+
+
+def test_the_far_end_weights_keep_their_accuracy_at_large_eps():
+    # m = 2048 and delta = 0.15 put eps = delta |g| from 0.47 up to 615
+    # (s_0 ~ 4098), where e = e^-eps is 1e-267, still a normal number. A
+    # left-end datum (phi, sigma) gives the far end e-small weights
+    #   C = [k phi - n w] / uv and D = [-k (g phi - sigma) + e (g phi + sigma) w] / uv
+    # (n = e (phi + delta (g phi + sigma)), w = 1 - e^2, k = 2 delta g e).
+    # Each matches these forms evaluated at 50 digits on the symbols' own
+    # values within 1e-14 of the sum of its terms' sizes. Formed by
+    # cancellation (C = a3 - a1, D = a4 - a2) they were off by up to that
+    # whole sum.
+    op = build_dirichlet_laplacian_1d(2048, 1.0)
+    delta = 0.15
+    ops = side_symbols(op, delta)
+    phi, sigma = np.random.default_rng(0).standard_normal((2, op.m))
+    _, _, big_c, big_d = alphas_plus(ops, phi, sigma, (0.0,) * 4)
+    assert -delta * ops.g[0] > 600.0 and ops.e[0] > np.finfo(float).tiny
+    with mpmath.workdps(50):
+        for j in range(op.m):
+            g, e, u, v, ph, sg, dl = (mpmath.mpf(float(x)) for x in (
+                ops.g[j], ops.e[j], ops.u[j], ops.v[j], phi[j], sigma[j], delta))
+            k, w, n = 2 * dl * g * e, 1 - e * e, e * (ph + dl * (g * ph + sg))
+            for got, terms in ((big_c[j], (k * ph, -n * w)),
+                               (big_d[j], (-k * (g * ph - sg), e * (g * ph + sg) * w))):
+                want, size = sum(terms) / (u * v), sum(abs(t) for t in terms) / (u * v)
+                assert abs(got - want) <= 1e-14 * size, (j, got, float(want))
+
+
+@pytest.mark.parametrize("c, bound", [(1e-3, 1e-9), (1e-5, 1e-5)])
+def test_a_short_interval_keeps_its_interface_pair(c, bound):
+    # m = 8, geometry (-c, 0, 1), k = (1, 3) and normal data: every mode has
+    # eps = c |g| < 1 on the minus side, where the end map forms the weights
+    # from their shares over 2u and 2v. Each mode's pair comes within 3.0e-10
+    # (c = 1e-3) and 3.7e-6 (c = 1e-5) of the 60-digit solve; the closed
+    # forms there, with 1 - e^2 formed as it stands, gave 8.3e-9 and 1.5e-2.
+    op = build_dirichlet_laplacian_1d(8, 1.0)
+    geom = CylinderGeometry(-c, 0.0, 1.0)
+    bc = BoundaryData(*np.random.default_rng(0).normal(size=(4, op.m)))
+    sol = solve_transmission(op, geom, 1.0, 3.0, None, bc)
+    phi = op.to_modal(np.stack([bc.phi1_minus, bc.phi2_minus, bc.phi1_plus, bc.phi2_plus]).T)
+    for j, g in enumerate(op.generator_eigenvalues):
+        want = _mp_interface(g, c, 1.0, 1.0, 3.0, phi[j], (0.0,) * 6)
+        got = (sol.interface.psi1_hat[j], sol.interface.psi2_hat[j])
+        for x, y in zip(got, want):
+            assert abs(x - y) <= bound * abs(y), (j, got, want)

@@ -30,7 +30,8 @@ from bitrans import (
     solve_transmission,
     u_delta,
 )
-from dense_reference import fd_particular, groups
+from bitrans.problem import ENDPOINT_TOL
+from dense_reference import fd_particular
 
 
 @pytest.fixture
@@ -156,11 +157,11 @@ def test_phi_tilde_scalar_reference(scalar_setup):
     one, zero = np.array([1.0]), np.array([0.0])
     # The weight of E1 - E2 is (A - C) / 2, half the gap of the value
     # weights at the two ends.
-    big_a, _, big_c, _ = groups(phi_tilde_minus(ops, one, zero, zero, zero))
+    big_a, _, big_c, _ = phi_tilde_minus(ops, one, zero, zero, zero)
     odd = 0.5 * (big_a - big_c)[0]
     assert odd == pytest.approx(0.5 / u_delta(1.0, 1.0), rel=1e-12, abs=0.0)
     assert odd == pytest.approx(3.8788, abs=1e-4)
-    big_a, _, big_c, _ = groups(phi_tilde_plus(side_symbols(op, geom.d), one, zero, zero, zero))
+    big_a, _, big_c, _ = phi_tilde_plus(side_symbols(op, geom.d), one, zero, zero, zero)
     assert 0.5 * (big_a - big_c)[0] == pytest.approx(-3.8788, abs=1e-4)
 
 
@@ -193,8 +194,8 @@ def test_phi_tilde_plus_minus_antisymmetry(scalar_setup):
     ops_p = side_symbols(op, geom.d)
     rng = np.random.default_rng(8)
     phi1, phi2, ta, tb = rng.normal(size=(4, 1))
-    a_m, b_m, c_m, d_m = groups(phi_tilde_minus(ops_m, phi1, phi2, ta, tb))
-    weights_p = groups(phi_tilde_plus(ops_p, phi1, -phi2, -tb, -ta))
+    a_m, b_m, c_m, d_m = phi_tilde_minus(ops_m, phi1, phi2, ta, tb)
+    weights_p = phi_tilde_plus(ops_p, phi1, -phi2, -tb, -ta)
     for plus, minus in zip(weights_p, (c_m, d_m, a_m, b_m)):
         assert plus[0] == pytest.approx(minus[0], rel=1e-12, abs=0.0)
     assert 0.5 * (weights_p[0] - weights_p[2])[0] == pytest.approx(-0.5 * (a_m - c_m)[0],
@@ -207,7 +208,7 @@ def test_alphas_scalar_reference(scalar_setup):
     zero4 = tuple(np.zeros(1) for _ in range(4))
     # The weight of s1 E1 - s2 E2 is (B - D) / 2, half the gap of the
     # slope weights at the two ends.
-    _, big_b, _, big_d = groups(alphas_minus(ops, np.array([1.0]), np.array([0.0]), zero4))
+    _, big_b, _, big_d = alphas_minus(ops, np.array([1.0]), np.array([0.0]), zero4)
     odd = 0.5 * (big_b - big_d)[0]
     expected = 0.5 / u_delta(1.0, 1.0) * (1.0 + np.exp(-1.0)) * (-1.0)
     assert odd == pytest.approx(expected, rel=1e-12, abs=0.0)
@@ -475,7 +476,7 @@ def _per_order_field(sol, xs, order):
     e1, e2 = np.exp(s1 * gm), np.exp(s2 * gm)
     de1, de2 = gk * e1, sign * gk * e2
     dse1, dse2 = (dgk + s1 * gk) * e1, sign * (dgk + s2 * gk) * e2
-    big_a, big_b, big_c, big_d = (w[:, None] for w in groups(sol.alphas))
+    big_a, big_b, big_c, big_d = (w[:, None] for w in sol.alphas)
     return de1 * big_a + dse1 * big_b + de2 * big_c + dse2 * big_d
 
 
@@ -943,3 +944,53 @@ def test_the_grid_table_is_memoized_read_only_and_exact_at_the_ends(n):
             for end, sign in ((0, -1.0), (-1, 1.0)):
                 assert values[:, end].tobytes() == (sign**k).tobytes()
                 assert slopes[:, end].tobytes() == (sign ** (k + 1) * k**2 / half).tobytes()
+
+
+@pytest.mark.parametrize("side", [SIDE_MINUS, SIDE_PLUS])
+def test_particular_terms_take_the_end_at_exactly_the_tolerance(side):
+    # A point exactly ENDPOINT_TOL of the interval length inside the end at
+    # gamma = 0 is that end: F = F'' = 0 and the stored F', F''' traces,
+    # exactly; a point twice as far in is interior.
+    op = build_dirichlet_laplacian_1d(3, 1.0)
+    geom = CylinderGeometry(-1.0, 0.0, 1.0)  # both lengths 1: the tolerance is ENDPOINT_TOL
+    part = solve_particular(op.eigenvalues, geom, side, ModalForcing.sine(op, geom, side, 1),
+                            n_x=65)
+    inward = 1.0 if side == SIDE_PLUS else -1.0
+    fprime, f3 = ((part.fprime_left, part.f3_left) if side == SIDE_PLUS
+                  else (part.fprime_right, part.f3_right))
+    terms = part.terms(inward * np.array([ENDPOINT_TOL, 2.0 * ENDPOINT_TOL]), op.eigenvalues)
+    end, inner = np.moveaxis(terms, -1, 0)  # (4, m) at each point
+    assert np.all(end[0::2] == 0.0)
+    assert np.array_equal(end[1], fprime) and np.array_equal(end[3], f3)
+    assert np.all(inner[0, part.active] != 0.0)
+
+
+def test_the_layer_free_route_chops_a_coefficient_at_exactly_its_cut():
+    # The forcing series chops past the last coefficient above CHOP_TOL of
+    # the largest: one at exactly that size goes, with the zero before it.
+    for last, length in ((subproblem.CHOP_TOL, 1), (1.0000001 * subproblem.CHOP_TOL, 3)):
+        (p, w), *_ = subproblem._layer_free([1.0, 0.0, last], -400.0, 0.5)
+        assert len(p) == len(w) == length
+
+
+def test_the_layer_free_route_refuses_a_row_whose_scale_underflows():
+    # ||f||_1 (1 - sech r)^2 underflows to 0 for a forcing of 1e-312 at
+    # r = 1e-3: the amplification is then infinite, and the row takes the
+    # stages.
+    assert subproblem._layer_free([1e-312], -4e-6, 0.5) is None
+
+
+def test_a_stage_row_at_exactly_its_layer_length_reports_its_last_eighth():
+    # mu = -64 on an interval of length 1 gives lam = 16 and a layer length
+    # 9.5 lam^(1/4) = 19 = n_x: the layers are resolved at the cap, so the
+    # estimate of a rough forcing that reaches it is the tail of its last
+    # eighth, not of its last half.
+    geom = CylinderGeometry(-1.0, 0.0, 1.0)
+    kink = lambda xs: np.abs(np.asarray(xs) - 0.3)[None, :]  # noqa: E731
+    part = solve_particular(np.array([-64.0]), geom, SIDE_PLUS,
+                            ModalForcing.from_functions(geom, 1, kink, kink), n_x=19)
+    assert not part.layers.any() and part.f_modal.shape == (1, 19)  # a stage row at the cap
+    lay = subproblem._layout(19)
+    fhat = subproblem._coefficients(kink(0.5 * (1.0 + lay.points)), lay)[0]
+    rows = np.stack([fhat, part.f_modal[0], part.w_modal[0]])
+    assert part.error_estimate == subproblem._tail(rows).max() < subproblem._tail(rows, 2).max()

@@ -50,10 +50,8 @@ from dense_reference import (
     assemble_dense_operators,
     earlier_eq,
     generator_matrix,
-    groups,
     particular_eq,
     solve_block,
-    stored,
     whole_field_eq,
 )
 
@@ -200,8 +198,8 @@ def test_sources_mirrored_cancellation():
     rng = np.random.default_rng(6)
     big_b, big_d = rng.normal(size=(2, 1))
     zero = np.zeros(1)
-    ptm = stored(zero, big_b, zero, big_d)
-    ptp = stored(zero, -big_d, zero, -big_b)
+    ptm = (zero, big_b, zero, big_d)
+    ptp = (zero, -big_d, zero, -big_b)
     src = assemble_sources(tops, ptm, ptp, zero, zero, zero, zero)
     assert abs(src.s1[0]) < 1e-13
 
@@ -487,8 +485,8 @@ def test_report_flags_perturbed_plus_coefficients():
     sol = _standard_case(8)
     assert sol.report.passed
     # Adds 1e-6 (s1 E1 - s2 E2) to the plus field: B + 1e-6 and D - 1e-6.
-    big_a, big_b, big_c, big_d = groups(sol.plus.alphas)
-    wrong = replace(sol.plus, alphas=stored(big_a, big_b + 1e-6, big_c, big_d - 1e-6))
+    big_a, big_b, big_c, big_d = sol.plus.alphas
+    wrong = replace(sol.plus, alphas=(big_a, big_b + 1e-6, big_c, big_d - 1e-6))
     bad = replace(sol, plus=wrong)
     report = residual_report(bad)
     failed = _over_budget(report)
@@ -717,7 +715,7 @@ def test_closed_form_flux_traces_match_dense_derivatives(m, forced):
                            (SIDE_PLUS, (1.0, sol.operators.plus.e))):
         sub = sol.side(side)
         u = [sol.field(side, geom.gamma, order)[:, 0] for order in range(4)]
-        _, big_b, _, big_d = groups(sub.alphas)
+        _, big_b, _, big_d = sub.alphas
         part = sub.particular
         t2 = q @ (2.0 * g * (e1 * big_b + e2 * big_d))
         t3 = q @ (2.0 * g**2 * (e1 * big_b - e2 * big_d)
@@ -1002,9 +1000,9 @@ def test_the_report_reads_modal_fields_end_values_bit_for_bit(forced):
         assert np.array_equal(u_right[row], table[0, :, 1])
         assert np.array_equal(du_right[row], table[1, :, 1])
     parts = (sol.minus.particular, sol.plus.particular)
-    a2, a4 = (np.array([sol.minus.alphas[i], sol.plus.alphas[i]]) for i in (1, 3))
+    alphas = np.array([sol.minus.alphas, sol.plus.alphas]).swapaxes(0, 1)
     fprime = np.array([parts[0].fprime_right, parts[1].fprime_left])
     f3 = np.array([parts[0].f3_right, parts[1].f3_left])
     assert parts[1].active.size == forced
-    want2, want3 = interface_fluxes(sol.operators.both, a2, a4, fprime, f3)
+    want2, want3 = interface_fluxes(sol.operators.both, alphas, fprime, f3)
     assert np.array_equal(t2, want2) and np.array_equal(t3, want3)

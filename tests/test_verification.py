@@ -238,31 +238,47 @@ def _forced_pair(route, km, kp, mode, profile, psi1, psi2, n_x):
     return right, sol.report.passed, ((got1, got2), (want1, want2))
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="the report passes a wrong interface pair on a stiff forced mode: its "
-                          "outer data are about 1e38 and the pair, about 1, is lost in rounding "
-                          "(ROADMAP items 1 and 5)")
 @pytest.mark.parametrize("route", ["calculus", "both"])
 def test_a_passing_report_has_the_right_interface_pair_of_a_stiff_forced_mode(route):
     # manufactured_forced on mode 2 of m = 32: the 60-digit solve of the
-    # solver's own modal data and traces gives the case's pair (1, 0.5);
-    # the solver reads (0.4961, -32.42), both routes alike, and the report
-    # passes. A passing report must carry the right pair.
+    # solver's own modal data and traces gives the case's pair (1, 0.5).
+    # With the far end's weights formed by cancellation (a3 - a1, a4 - a2)
+    # the solver read (0.4961, -32.42), both routes alike, and the report
+    # passed. A passing report must carry the right pair.
     right, passed, pairs = _forced_pair(route, 1.0, 3.0, 2, [1.0], 1.0, 0.5, n_x=129)
     assert right or not passed, pairs
 
 
+# Draws of the axial-forced workload (seed 31; m = 32, n_x = 2049) as
+# (k_minus, k_plus, mode, profile, psi1, psi2). Draw 221 was right with the
+# far end's weights formed by cancellation too (within 3.8e-15); draws 1,
+# 2, 5 and 9, one per forced mode, were off by 33, 13, 2.6 and 33 times
+# their largest pair entry, and each report passed.
+STIFF_FORCED_DRAWS = {
+    221: (0.6883222115491304, 0.6399722594426728, 2,
+          [0.6281017060174257, -1.5510893134046753, -1.0333486988489922, 0.49007220848690913,
+           0.18129578876055583], -0.20465540184518485, -0.608925482174789),
+    1: (1.2844155943931392, 3.8246346392416672, 2,
+        [-0.5999578484570015, 0.6601663130603562, 0.44476738448754977, -1.7457635656172505,
+         0.5952162456256633], -0.5853991209052885, -0.25001353358513434),
+    2: (2.5844851110732368, 3.005540086204326, 3,
+        [0.09671912405619901, -1.5591518413922796, -0.26870603364939344, -1.3448111474077982,
+         -1.2707778590591046], -0.346953600730839, 0.85530027587691),
+    5: (0.4630050267125831, 0.6835938323572561, 0,
+        [-0.713252712154986, 0.18111936994597383, -0.6475708354871698, 0.020059810497343504,
+         -1.1142963805907677], -0.04655434751901477, -0.735753934980961),
+    9: (0.7930471575555627, 2.7988411247190887, 1,
+        [0.4046503807009621, -1.6497062609235813, -1.0422629538107075, -0.723476319045549,
+         0.6555863140819842], 0.3020801614586051, 0.2829882917455624),
+}
+
+
 @pytest.mark.parametrize("route", ["calculus", "both"])
-def test_a_stiff_forced_mode_that_keeps_its_pair_keeps_it(route):
-    # Draw 221 of the axial-forced workload (seed 31; m = 32, n_x = 2049),
-    # forced on the same mode 2 as the case above: its pair
-    # (-0.2047, -0.6089) comes out within 3.8e-15, and so it must stay
-    # while the case above is wrong (24 % of the workload's draws are right).
-    profile = [0.6281017060174257, -1.5510893134046753, -1.0333486988489922,
-               0.49007220848690913, 0.18129578876055583]
-    right, passed, pairs = _forced_pair(route, 0.6883222115491304, 0.6399722594426728, 2,
-                                        profile, -0.20465540184518485, -0.608925482174789,
-                                        n_x=2049)
+@pytest.mark.parametrize("draw", sorted(STIFF_FORCED_DRAWS))
+def test_a_stiff_forced_mode_that_keeps_its_pair_keeps_it(draw, route):
+    # Each draw's pair comes out within 1e-8 of the 60-digit solve, and
+    # its report passes.
+    right, passed, pairs = _forced_pair(route, *STIFF_FORCED_DRAWS[draw], n_x=2049)
     assert right and passed, pairs
 
 
