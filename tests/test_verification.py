@@ -240,20 +240,20 @@ def _forced_pair(route, km, kp, mode, profile, psi1, psi2, n_x):
 
 @pytest.mark.parametrize("route", ["calculus", "both"])
 def test_a_passing_report_has_the_right_interface_pair_of_a_stiff_forced_mode(route):
-    # manufactured_forced on mode 2 of m = 32: the 60-digit solve of the
-    # solver's own modal data and traces gives the case's pair (1, 0.5).
-    # With the far end's weights formed by cancellation (a3 - a1, a4 - a2)
-    # the solver read (0.4961, -32.42), both routes alike, and the report
-    # passed. A passing report must carry the right pair.
+    # manufactured_forced on mode 2 of m = 32, whose outer data reach
+    # 2.5e38: the 60-digit solve of the solver's own modal data and traces
+    # gives the case's pair (1, 0.5). Unless the far end's e-small weights
+    # keep their relative accuracy, the data's rounding swamps the pair
+    # while the report passes. A passing report must carry the right pair.
     right, passed, pairs = _forced_pair(route, 1.0, 3.0, 2, [1.0], 1.0, 0.5, n_x=129)
     assert right or not passed, pairs
 
 
 # Draws of the axial-forced workload (seed 31; m = 32, n_x = 2049) as
-# (k_minus, k_plus, mode, profile, psi1, psi2). Draw 221 was right with the
-# far end's weights formed by cancellation too (within 3.8e-15); draws 1,
-# 2, 5 and 9, one per forced mode, were off by 33, 13, 2.6 and 33 times
-# their largest pair entry, and each report passed.
+# (k_minus, k_plus, mode, profile, psi1, psi2): draw 221, which far-end
+# weights formed by cancellation (a3 - a1, a4 - a2) kept right, and draws
+# 1, 2, 5 and 9, one per forced mode, which they put off by 33, 13, 2.6
+# and 33 times the largest pair entry under a passing report.
 STIFF_FORCED_DRAWS = {
     221: (0.6883222115491304, 0.6399722594426728, 2,
           [0.6281017060174257, -1.5510893134046753, -1.0333486988489922, 0.49007220848690913,
