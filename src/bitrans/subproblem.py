@@ -2,13 +2,19 @@
 
 Each interval problem is solved by the exact representation
 
-    u(x) = E1 (A + s1 B) + E2 (C + s2 D) + F(x),
+    u(x) = E_o (A + s_o B) + E_g (C + s_g D) + F(x),
 
-with E1 = e^{s1 M}, E2 = e^{s2 M}, s1 = x - left end, s2 = right end - x:
-per mode, the weights (A, B, C, D) of the exponentials localized at the
-left end (A, B) and at the right end (C, D) are the coefficients that
-are stored and read. They are sums of end contributions of one end map
-(``_end_coefficients``; a right end is its reflection, which swaps
+with E_o = e^{s_o M}, E_g = e^{s_g M}, s_o the distance from the
+interval's outer end (a or b) and s_g the distance from gamma: per mode,
+the weights (A, B, C, D) of the exponentials localized at the outer end
+(A, B) and at gamma (C, D) are the coefficients that are stored and
+read. The plus interval is the minus interval's mirror image about
+gamma, so both store the same quantities in the same slots. In the
+left-to-right coordinates s1 = x - left end, s2 = right end - x of the
+rest of this module, (s_o, s_g) is (s1, s2) on the minus interval and
+(s2, s1) on the plus, so there (C, D, A, B) weight E1, s1 E1, E2 and
+s2 E2 (``by_end``). The weights are sums of end contributions of one end map
+(``_end_coefficients``; a datum at gamma is its reflection, which swaps
 (A, B) with (C, D)): the outer data and the particular slopes give the
 boundary-source quadruple phi~, and the interface values (psi1, psi2)
 add their end at gamma. Every closed form here is per-mode arithmetic,
@@ -77,9 +83,9 @@ class SideSymbols:
     v_j = v_delta(delta, -mu_j); ``f`` holds f_{delta,1..3}(-mu_j) and the
     determinant remainder g_delta(-mu_j), ``g`` the generator eigenvalues.
     Every coefficient formula below is per-mode arithmetic on these
-    arrays, applied to eigenbasis coordinates. The condition numbers,
-    ``ends`` and ``end_factors`` are formed on first read and kept, since
-    the arrays do not change.
+    arrays, applied to eigenbasis coordinates. The condition numbers and
+    ``ends`` are formed on first read and kept, since the arrays do not
+    change.
     """
 
     g: np.ndarray
@@ -107,17 +113,6 @@ class SideSymbols:
         """These symbols twice, one row per interval end (``stack_symbols``), formed on first read."""
         return stack_symbols(self, self)
 
-    @cached_property
-    def end_factors(self) -> tuple:
-        """The per-mode factors (1 - e^2) / uv, 2 delta g e / uv, 1 / 2u and 1 / 2v of the end map.
-
-        Then the modes where eps = delta |g| < 1, or None where there is
-        none (``_end_coefficients``).
-        """
-        uv, short = self.u * self.v, -self.delta * self.g < 1.0
-        return ((1.0 - self.e * self.e) / uv, 2.0 * self.delta * self.g * self.e / uv,
-                0.5 / self.u, 0.5 / self.v, short if short.any() else None)
-
 
 def side_symbols(operator: SectionOperator, delta: float) -> SideSymbols:
     """Evaluate the one-sided symbols on the spectrum in one pass, O(m)."""
@@ -134,8 +129,8 @@ class ParticularSolution:
     the Chebyshev-T coefficients of S and w = S'' + mu S on the interval
     (mapped onto [-1, 1]), as long as the row needed and zero past that;
     ``layers`` holds the weights (A, B, C, D) of the end-layer part
-    H = E1 (A + s1 B) + E2 (C + s2 D), E1 = e^{g s1}, E2 = e^{g s2}
-    (``SubproblemSolution.modal_fields``' form), shape (4, len(active)).
+    H = E1 (A + s1 B) + E2 (C + s2 D), E1 = e^{g s1}, E2 = e^{g s2}, left
+    end first (``by_end``' order), shape (4, len(active)).
     On a layer-free row S is the polynomial P and H makes F = F'' = 0 at
     the ends; on a stage row S is F itself and H = 0. Either way S is
     nonzero exactly on the forced rows (``perfbench/spans.py`` counts a
@@ -711,50 +706,50 @@ def stack_symbols(*rows: SideSymbols) -> SideSymbols:
 
 
 def _end_coefficients(ops: SideSymbols, value, sigma) -> tuple:
-    """Weights (A, B, C, D) that a value phi and a slope sigma at the left end of an interval contribute.
+    """Weights (A, B, C, D) that a value phi and a slope sigma at the end s_o = 0 of an interval contribute.
 
-    With n = e (phi + delta (g phi + sigma)), w = 1 - e^2 and k = 2 delta g e
+    sigma is the derivative along s_o, into the interval. With
+    n = e (phi + delta (g phi + sigma)), w = 1 - e^2 and k = 2 delta g e
     (u + v = 2w, u - v = 2k, g < 0):
     A = [phi w - k n] / uv, B = [-(g phi - sigma) w + k e (g phi + sigma)] / uv,
     C = [k phi - n w] / uv and D = [-k (g phi - sigma) + e (g phi + sigma) w] / uv,
-    with w / uv and k / uv per-mode factors (``SideSymbols.end_factors``).
-    Nothing cancels in these, so the far end's e-small C and D keep their
-    relative accuracy however large the data. Where eps = delta |g| < 1 the
-    weights are formed from their shares over 2u and 2v instead:
-    A, C = (phi - n) / 2v +- (phi + n) / 2u and, with s = sigma - g phi and
-    d = e (g phi + sigma), B, D = (s + d) / 2v +- (s - d) / 2u. There
-    u ~ eps^3 is far below v ~ 2 eps, and each one rounded share over 2u
-    keeps the large parts of A and C, and of B and D, equal and opposite.
-    ``np.where`` on eps picks per mode; with no eps < 1 it would pick the
-    closed forms everywhere, and they are all that is formed. A right end
-    is the reflection that swaps s1 and s2: its slope enters with the
-    opposite sign, and (A, B) swap with (C, D), ``weights[2:] +
-    weights[:2]`` of the returned tuple. On stacked symbols and data
-    (``stack_symbols``) every row rounds as it would alone.
+    with w formed as (u + v) / 2, which keeps its relative accuracy where
+    eps = delta |g| is small and 1 - e^2 would cancel. Nothing cancels in
+    these, so the far end's e-small C and D keep their relative accuracy
+    however large the data. A datum at gamma is the reflection that swaps
+    s_o and s_g: its slope is taken along s_g, and (A, B) swap with
+    (C, D), ``weights[2:] + weights[:2]`` of the returned tuple. On
+    stacked symbols and data (``stack_symbols``) every row rounds as it
+    would alone.
     """
     gphi = ops.g * value
     gsum = gphi + sigma
     n, slope, even = ops.e * (value + ops.delta * gsum), sigma - gphi, ops.e * gsum
-    p, q, by_u, by_v, short = ops.end_factors
-    weights = (value * p - n * q, slope * p + even * q, value * q - n * p, slope * q + even * p)
-    if short is not None:
-        value_u, slope_u = (value + n) * by_u, (slope - even) * by_u
-        value_v, slope_v = (value - n) * by_v, (slope + even) * by_v
-        weights = tuple(np.where(short, share, w) for share, w in zip(
-            (value_v + value_u, slope_v + slope_u, value_v - value_u, slope_v - slope_u), weights))
-    return weights
+    uv = ops.u * ops.v
+    p, q = 0.5 * (ops.u + ops.v) / uv, 2.0 * ops.delta * ops.g * ops.e / uv  # w / uv, k / uv
+    return value * p - n * q, slope * p + even * q, value * q - n * p, slope * q + even * p
+
+
+def by_end(minus, plus) -> np.ndarray:
+    """Both intervals' stored weights as one (4, 2, m) stack, rows (minus, plus), left end first.
+
+    The minus interval's (A, B, C, D) and the plus interval's (C, D, A, B):
+    the weights of E1, s1 E1, E2 and s2 E2 that ``end_values`` and
+    ``interface_fluxes`` read.
+    """
+    return np.array(list(zip(minus, (*plus[2:], *plus[:2]))))
 
 
 def end_values(ops: SideSymbols, alphas) -> tuple:
     """Closed-form u and u' at both ends of one interval, per mode, with F = 0: ((u, u') left, (u, u') right).
 
     ``SubproblemSolution.modal_fields``' formulas on the weights (A, B, C, D)
-    at (E1, E2, s1, s2) = (1, e, 0, delta) on the left end and
-    (e, 1, delta, 0) on the right; the unit factors and zero terms are
-    dropped, which changes no bit, so the values match ``modal_fields`` of
-    the homogeneous part at the ends exactly, without an exponential. On
-    stacked symbols and coefficients it reads every row's interval at
-    once, with the same bits.
+    of E1, s1 E1, E2 and s2 E2 (``by_end``' order) at (E1, E2, s1, s2) =
+    (1, e, 0, delta) on the left end and (e, 1, delta, 0) on the right;
+    the unit factors and zero terms are dropped, which changes no bit, so
+    the values match ``modal_fields`` of the homogeneous part at the ends
+    exactly, without an exponential. On stacked symbols and coefficients
+    it reads every row's interval at once, with the same bits.
     """
     g, e, delta = ops.g, ops.e, ops.delta
     big_a, big_b, big_c, big_d = alphas
@@ -762,42 +757,47 @@ def end_values(ops: SideSymbols, alphas) -> tuple:
     n = e * big_c + delta * d
     b = e * big_b  # right: d = D, n = C
     p = e * big_a + delta * b
-    return (big_a + n, g * (big_a - n) + (big_b - d)), (p + big_c, g * (p - big_c) + (b - big_d))
+    du_left, du_right = g * (big_a - n) + (big_b - d), g * (p - big_c) + (b - big_d)
+    return (big_a + n, du_left), (p + big_c, du_right)
 
 
 def interface_fluxes(both: SideSymbols, alphas, fprime, f3) -> tuple:
     """Closed-form flux traces t2 = u'' - M^2 u and t3 = u''' - M^2 u' at gamma, (2, m) each.
 
     Every input has one row per interval (minus, plus): the symbols
-    ``both`` (``stack_symbols`` of the two), the weights (A, B, C, D) and
-    the particular traces F', F''' at gamma. d^2 E = g^2 E, so the A, C
-    terms cancel exactly, and F = F'' = 0 at gamma; with (E1, E2) = (e, 1)
-    at the minus interval's right end and (1, e) at the plus interval's
-    left end, t2 = 2g (E1 B + E2 D) and t3 = 2g^2 (E1 B - E2 D) + F''' - g^2 F'.
+    ``both`` (``stack_symbols`` of the two), the weights (A, B, C, D) of
+    E1, s1 E1, E2 and s2 E2 (``by_end``) and the particular traces F',
+    F''' at gamma. d^2 E = g^2 E, so the A, C terms cancel exactly, and
+    F = F'' = 0 at gamma; with (E1, E2) = (e, 1) at the minus interval's
+    right end and (1, e) at the plus interval's left end,
+    t2 = 2g (E1 B + E2 D) and t3 = 2g^2 (E1 B - E2 D) + F''' - g^2 F'.
     Subtracting differentiated fields instead rounds at eps g^3 |u|.
     """
     g, (e_minus, e_plus) = both.g, both.e
     _, big_b, _, big_d = alphas
     b = np.array([e_minus * big_b[0], big_b[1]])  # E1 B
     d = np.array([big_d[0], e_plus * big_d[1]])  # E2 D
-    return 2.0 * g * (b + d), 2.0 * g * g * (b - d) + (f3 - g * g * fprime)
+    two_g = 2.0 * g
+    t2 = two_g * (b + d)
+    t3 = two_g * g * (b - d) + (f3 - g * g * fprime)
+    return t2, t3
 
 
 def _both_ends(ops: SideSymbols, values: list, slopes: list) -> tuple:
     """The summed weights of data at both ends of an interval, in one pass.
 
-    ``values`` and ``slopes`` hold the left end's row and then the right
-    end's, whose slope is negated (the reflection); its weights swap ends.
+    ``values`` and ``slopes`` hold the outer end's row and then gamma's,
+    whose slope is taken along s_g (the reflection); its weights swap ends.
     """
     weights = _end_coefficients(ops.ends, np.array(values), np.array(slopes))
-    return tuple(left[0] + right[1] for left, right in zip(weights, weights[2:] + weights[:2]))
+    return tuple(outer[0] + gamma[1] for outer, gamma in zip(weights, weights[2:] + weights[:2]))
 
 
 def phi_tilde_minus(ops: SideSymbols, phi1, phi2, fprime_a, fprime_gamma) -> tuple:
     """Boundary-source quadruple of the minus interval: (phi1, phi2 - F'(a)) at a, -F' at gamma.
 
-    Both ends in one pass, one row each: a (left) and gamma (right, so the
-    slope -F' enters as F' and its weights swap ends).
+    Both ends in one pass, one row each: a, where s_o = x - a, and gamma,
+    where s_g = gamma - x, so the slope -F' enters as F'.
     """
     phi1, phi2, fpa, fpg = _check_vectors(ops.m, phi1, phi2, fprime_a, fprime_gamma)
     return _both_ends(ops, [phi1, np.zeros(ops.m)], [phi2 - fpa, fpg])
@@ -806,24 +806,25 @@ def phi_tilde_minus(ops: SideSymbols, phi1, phi2, fprime_a, fprime_gamma) -> tup
 def phi_tilde_plus(ops: SideSymbols, phi1, phi2, fprime_gamma, fprime_b) -> tuple:
     """Boundary-source quadruple of the plus interval: (phi1, phi2 - F'(b)) at b, -F' at gamma.
 
-    Both ends in one pass, one row each: gamma (left) and b (right, so
-    its slope enters as F'(b) - phi2 and its weights swap ends).
+    Both ends in one pass, one row each: b, where s_o = b - x, so its
+    slope enters as F'(b) - phi2, and gamma, where s_g = x - gamma.
     """
     phi1, phi2, fpg, fpb = _check_vectors(ops.m, phi1, phi2, fprime_gamma, fprime_b)
-    return _both_ends(ops, [np.zeros(ops.m), phi1], [-fpg, fpb - phi2])
+    return _both_ends(ops, [phi1, np.zeros(ops.m)], [fpb - phi2, -fpg])
 
 
 def alphas_minus(ops: SideSymbols, psi1, psi2, phi_tilde) -> tuple:
-    """Weights of the minus interval: phi~ plus (psi1, psi2) at gamma, its right end (ends swapped)."""
+    """Weights of the minus interval: phi~ plus (psi1, psi2) at gamma, where s_g = gamma - x (ends swapped)."""
     psi1, psi2 = _check_vectors(ops.m, psi1, psi2)
     weights = _end_coefficients(ops, psi1, -psi2)
     return tuple(pt + w for pt, w in zip(phi_tilde, weights[2:] + weights[:2]))
 
 
 def alphas_plus(ops: SideSymbols, psi1, psi2, phi_tilde) -> tuple:
-    """Weights of the plus interval: phi~ plus (psi1, psi2) at gamma, its left end."""
+    """Weights of the plus interval: phi~ plus (psi1, psi2) at gamma, where s_g = x - gamma (ends swapped)."""
     psi1, psi2 = _check_vectors(ops.m, psi1, psi2)
-    return tuple(pt + w for pt, w in zip(phi_tilde, _end_coefficients(ops, psi1, psi2)))
+    weights = _end_coefficients(ops, psi1, psi2)
+    return tuple(pt + w for pt, w in zip(phi_tilde, weights[2:] + weights[:2]))
 
 
 @dataclass(frozen=True)
@@ -831,12 +832,12 @@ class SubproblemSolution:
     """Assembled one-sided solution: coefficients plus particular part.
 
     ``alphas`` are the per-mode weights (A, B, C, D) of
-    u = E1 (A + s1 B) + E2 (C + s2 D) + F, in eigenbasis coordinates: A and
-    B weight the exponentials localized at the left end, C and D those at
-    the right end. ``modal_fields`` evaluates the field and its first three
-    x-derivatives in the eigenbasis (the semigroup factors are diagonal
-    there), exactly in x for the homogeneous part, and ``evaluate`` maps
-    one order back.
+    u = E_o (A + s_o B) + E_g (C + s_g D) + F, in eigenbasis coordinates:
+    A and B weight the exponentials localized at the interval's outer end
+    (a or b), C and D those at gamma. ``modal_fields`` evaluates the field
+    and its first three x-derivatives in the eigenbasis (the semigroup
+    factors are diagonal there), exactly in x for the homogeneous part,
+    and ``evaluate`` maps one order back.
     """
 
     side: str
@@ -855,7 +856,8 @@ class SubproblemSolution:
         """Eigenbasis values of the field and its x-derivatives of orders 0..3, shape (4, m, k).
 
         Per mode u = E1 (A + s1 B) + E2 (C + s2 D) (``_exponential_table``
-        on the weights ``alphas``). Points within
+        on the weights ``alphas``, whose ends swap on the plus interval:
+        ``by_end``). Points within
         ``ENDPOINT_TOL`` of the interval length outside an end (an end for
         ``ParticularSolution.terms`` too) are moved onto it; points farther
         out raise ValueError (``CylinderGeometry.clip_points``).
@@ -864,8 +866,9 @@ class SubproblemSolution:
         lo, hi = self.geometry.interval(self.side)
         gm = self.operator.generator_eigenvalues[:, None]
         s1, s2 = (xs - lo)[None, :], (hi - xs)[None, :]
+        weights = self.alphas if self.side == SIDE_MINUS else (*self.alphas[2:], *self.alphas[:2])
         out = _exponential_table(gm, s1, s2, np.exp(s1 * gm), np.exp(s2 * gm),
-                                 *(w[:, None] for w in self.alphas))
+                                 *(w[:, None] for w in weights))
         part = self.particular
         if part is not None and part.active.size:
             out += part.terms(xs, self.operator.eigenvalues)

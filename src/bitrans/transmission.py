@@ -57,6 +57,7 @@ from .subproblem import (
     SubproblemSolution,
     alphas_minus,
     alphas_plus,
+    by_end,
     end_values,
     grid_table,
     interface_fluxes,
@@ -236,7 +237,7 @@ def assemble_sources(
     kp, km = operators.k_plus, operators.k_minus
     g = operators.operator.generator_eigenvalues
     t2, t3 = interface_fluxes(
-        operators.both, np.array(list(zip(phi_tilde_m, phi_tilde_p))),  # rows (minus, plus)
+        operators.both, by_end(phi_tilde_m, phi_tilde_p),
         np.array([fprime_gamma_minus, fprime_gamma_plus]), np.array([f3_gamma_minus, f3_gamma_plus]))
     return InterfaceSources(s1=(kp * t3[1] - km * t3[0]) / g**2, s2=(kp * t2[1] - km * t2[0]) / g)
 
@@ -468,7 +469,7 @@ def _end_traces(solution: TransmissionSolution) -> tuple:
         if part is not None and part.active.size:
             traces[:, row] = (part.fprime_left, part.fprime_right,
                               part.fprime_interface, part.f3_interface)
-    alphas = np.array(list(zip(*(sub.alphas for sub in subs))))  # (4, 2, m)
+    alphas = by_end(*(sub.alphas for sub in subs))
     both = solution.operators.both
     (u_left, du_left), (u_right, du_right) = end_values(both, alphas)
     return (u_left, du_left + traces[0], u_right, du_right + traces[1],

@@ -155,14 +155,15 @@ def test_phi_tilde_scalar_reference(scalar_setup):
     op, geom = scalar_setup
     ops = side_symbols(op, geom.c)
     one, zero = np.array([1.0]), np.array([0.0])
-    # The weight of E1 - E2 is (A - C) / 2, half the gap of the value
-    # weights at the two ends.
+    # The weight of E_o - E_g is (A - C) / 2, half the gap of the value
+    # weights at the outer end and at gamma; the plus interval is the
+    # minus interval's mirror image.
     big_a, _, big_c, _ = phi_tilde_minus(ops, one, zero, zero, zero)
     odd = 0.5 * (big_a - big_c)[0]
     assert odd == pytest.approx(0.5 / u_delta(1.0, 1.0), rel=1e-12, abs=0.0)
     assert odd == pytest.approx(3.8788, abs=1e-4)
     big_a, _, big_c, _ = phi_tilde_plus(side_symbols(op, geom.d), one, zero, zero, zero)
-    assert 0.5 * (big_a - big_c)[0] == pytest.approx(-3.8788, abs=1e-4)
+    assert 0.5 * (big_a - big_c)[0] == pytest.approx(3.8788, abs=1e-4)
 
 
 def test_phi_tilde_zero_data(scalar_setup):
@@ -186,9 +187,9 @@ def test_phi_tilde_linearity():
 
 def test_phi_tilde_plus_minus_antisymmetry(scalar_setup):
     # Mirrored data with c = d: the plus field is the minus field reflected
-    # about gamma, so its weights are the minus weights with the ends
-    # swapped, (A, B, C, D)+ = (C, D, A, B)-, and the weight (A - C) / 2
-    # of E1 - E2 changes sign.
+    # about gamma. Each interval stores its outer end first, so the weights
+    # agree; in left-to-right terms the ends swap, and the weight of E1 - E2
+    # changes sign: (A - C) / 2 on the minus interval, (C - A) / 2 on the plus.
     op, geom = scalar_setup
     ops_m = side_symbols(op, geom.c)
     ops_p = side_symbols(op, geom.d)
@@ -196,9 +197,9 @@ def test_phi_tilde_plus_minus_antisymmetry(scalar_setup):
     phi1, phi2, ta, tb = rng.normal(size=(4, 1))
     a_m, b_m, c_m, d_m = phi_tilde_minus(ops_m, phi1, phi2, ta, tb)
     weights_p = phi_tilde_plus(ops_p, phi1, -phi2, -tb, -ta)
-    for plus, minus in zip(weights_p, (c_m, d_m, a_m, b_m)):
+    for plus, minus in zip(weights_p, (a_m, b_m, c_m, d_m)):
         assert plus[0] == pytest.approx(minus[0], rel=1e-12, abs=0.0)
-    assert 0.5 * (weights_p[0] - weights_p[2])[0] == pytest.approx(-0.5 * (a_m - c_m)[0],
+    assert 0.5 * (weights_p[2] - weights_p[0])[0] == pytest.approx(-0.5 * (a_m - c_m)[0],
                                                                    rel=1e-12, abs=0.0)
 
 
@@ -462,8 +463,9 @@ def _chebyshev_term_reference(part, xs, order, mu):
 def _per_order_field(sol, xs, order):
     """Homogeneous field of one derivative order from the per-term derivatives.
 
-    u = E1 (A + s1 B) + E2 (C + s2 D) with the weights of the solution's
-    coefficients. With E1 = e^{s1 g}, E2 = e^{s2 g} and d/dx s1 = -d/dx s2 = 1:
+    u = E1 (A + s1 B) + E2 (C + s2 D) with the solution's weights left end
+    first: the plus interval stores gamma's, (C, D), second. With
+    E1 = e^{s1 g}, E2 = e^{s2 g} and d/dx s1 = -d/dx s2 = 1:
     d^k E1 = g^k E1, d^k (s1 E1) = (k g^{k-1} + s1 g^k) E1, and the E2
     terms carry an extra factor (-1)^k.
     """
@@ -476,7 +478,8 @@ def _per_order_field(sol, xs, order):
     e1, e2 = np.exp(s1 * gm), np.exp(s2 * gm)
     de1, de2 = gk * e1, sign * gk * e2
     dse1, dse2 = (dgk + s1 * gk) * e1, sign * (dgk + s2 * gk) * e2
-    big_a, big_b, big_c, big_d = (w[:, None] for w in sol.alphas)
+    weights = sol.alphas if sol.side == SIDE_MINUS else (*sol.alphas[2:], *sol.alphas[:2])
+    big_a, big_b, big_c, big_d = (w[:, None] for w in weights)
     return de1 * big_a + dse1 * big_b + de2 * big_c + dse2 * big_d
 
 
@@ -532,7 +535,8 @@ def test_end_values_match_modal_fields_at_both_ends_bit_for_bit(side, forced):
             part = solve_particular(op.eigenvalues, geom, side, forcing, n_x=33)
         table = SubproblemSolution(side, geom, op, alphas, part).modal_fields(
             np.array(geom.interval(side)))
-        for end, (u, du) in enumerate(subproblem.end_values(ops, alphas)):
+        left_first = alphas if side == SIDE_MINUS else alphas[2:] + alphas[:2]
+        for end, (u, du) in enumerate(subproblem.end_values(ops, left_first)):
             if part is not None and part.active.size:
                 du = du + (part.fprime_left, part.fprime_right)[end]
             assert np.array_equal(u, table[0, :, end]), (m, end)

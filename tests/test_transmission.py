@@ -44,7 +44,7 @@ from bitrans import (
 )
 from bitrans import problem, symbols
 from bitrans.symbols import SymbolContext
-from bitrans.subproblem import interface_fluxes
+from bitrans.subproblem import by_end, interface_fluxes
 from bitrans.transmission import BLOCK_RESIDUAL_TOL, DET_CROSSCHECK_TOL, _end_traces, _norm
 from dense_reference import (
     assemble_dense_operators,
@@ -191,15 +191,15 @@ def test_sources_scalar_flux_example():
 
 def test_sources_mirrored_cancellation():
     # k+ = k-, c = d, and phi~+ is the odd mirror image of phi~- about gamma:
-    # its weights are the minus weights with the ends swapped and negated,
-    # (A, B, C, D)+ = -(C, D, A, B)-, so u''' - M^2 u' agrees across gamma
-    # and S1 = 0 by term-by-term cancellation.
+    # each interval stores its outer end first, so its weights are the minus
+    # weights negated, (A, B, C, D)+ = -(A, B, C, D)-, u''' - M^2 u' agrees
+    # across gamma and S1 = 0 by term-by-term cancellation.
     _, geom, tops = scalar_tops(km=1.3, kp=1.3)
     rng = np.random.default_rng(6)
     big_b, big_d = rng.normal(size=(2, 1))
     zero = np.zeros(1)
     ptm = (zero, big_b, zero, big_d)
-    ptp = (zero, -big_d, zero, -big_b)
+    ptp = (zero, -big_b, zero, -big_d)
     src = assemble_sources(tops, ptm, ptp, zero, zero, zero, zero)
     assert abs(src.s1[0]) < 1e-13
 
@@ -484,9 +484,10 @@ def test_report_flags_perturbed_forcing():
 def test_report_flags_perturbed_plus_coefficients():
     sol = _standard_case(8)
     assert sol.report.passed
-    # Adds 1e-6 (s1 E1 - s2 E2) to the plus field: B + 1e-6 and D - 1e-6.
+    # Adds 1e-6 (s1 E1 - s2 E2) to the plus field, where s1 = x - gamma is
+    # s_g and s2 = b - x is s_o: B - 1e-6 and D + 1e-6.
     big_a, big_b, big_c, big_d = sol.plus.alphas
-    wrong = replace(sol.plus, alphas=(big_a, big_b + 1e-6, big_c, big_d - 1e-6))
+    wrong = replace(sol.plus, alphas=(big_a, big_b - 1e-6, big_c, big_d + 1e-6))
     bad = replace(sol, plus=wrong)
     report = residual_report(bad)
     failed = _over_budget(report)
@@ -700,9 +701,11 @@ def test_report_matches_physical_recomputation_at_m64():
 def test_closed_form_flux_traces_match_dense_derivatives(m, forced):
     # The report forms t2 = u'' - M^2 u and t3 = u''' - M^2 u' at gamma in
     # closed form from the slope weights (B, D) and the particular traces:
-    # 2g (E1 B + E2 D) and 2g^2 (E1 B - E2 D) + F''' - g^2 F'. Mapped to the
-    # physical basis they must match u'' + A u and u''' + A u' of the
-    # differentiated fields with the dense A, within the 1e-9 scaled budget.
+    # with (E_o, E_g) = (e, 1) at gamma on both intervals, 2g (e B + D) and
+    # +-2g^2 (e B - D) + F''' - g^2 F', the sign that of d s_o / dx (+1 on
+    # the minus interval, -1 on the plus). Mapped to the physical basis they
+    # must match u'' + A u and u''' + A u' of the differentiated fields with
+    # the dense A, within the 1e-9 scaled budget.
     op = build_dirichlet_laplacian_1d(m, 1.0)
     geom = CylinderGeometry(-0.7, 0.0, 1.3)
     rng = np.random.default_rng(0)
@@ -711,14 +714,14 @@ def test_closed_form_flux_traces_match_dense_derivatives(m, forced):
     sol = solve_transmission(op, geom, 1.0, 3.0, forcing, bc)
     a, q = op.matrix, op.eigenvectors
     g = op.generator_eigenvalues
-    for side, (e1, e2) in ((SIDE_MINUS, (sol.operators.minus.e, 1.0)),
-                           (SIDE_PLUS, (1.0, sol.operators.plus.e))):
+    for side, e, sign in ((SIDE_MINUS, sol.operators.minus.e, 1.0),
+                          (SIDE_PLUS, sol.operators.plus.e, -1.0)):
         sub = sol.side(side)
         u = [sol.field(side, geom.gamma, order)[:, 0] for order in range(4)]
         _, big_b, _, big_d = sub.alphas
         part = sub.particular
-        t2 = q @ (2.0 * g * (e1 * big_b + e2 * big_d))
-        t3 = q @ (2.0 * g**2 * (e1 * big_b - e2 * big_d)
+        t2 = q @ (2.0 * g * (e * big_b + big_d))
+        t3 = q @ (sign * 2.0 * g**2 * (e * big_b - big_d)
                   + part.f3_interface - g**2 * part.fprime_interface)
         for closed, dense in ((t2, u[2] + a @ u[0]), (t3, u[3] + a @ u[1])):
             assert np.max(np.abs(closed - dense)) / (1.0 + np.max(np.abs(dense))) <= 1e-9, side
@@ -1000,7 +1003,7 @@ def test_the_report_reads_modal_fields_end_values_bit_for_bit(forced):
         assert np.array_equal(u_right[row], table[0, :, 1])
         assert np.array_equal(du_right[row], table[1, :, 1])
     parts = (sol.minus.particular, sol.plus.particular)
-    alphas = np.array([sol.minus.alphas, sol.plus.alphas]).swapaxes(0, 1)
+    alphas = by_end(sol.minus.alphas, sol.plus.alphas)
     fprime = np.array([parts[0].fprime_right, parts[1].fprime_left])
     f3 = np.array([parts[0].f3_right, parts[1].f3_left])
     assert parts[1].active.size == forced
