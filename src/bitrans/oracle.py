@@ -109,8 +109,20 @@ class ExactCase:
         if self.forcing_polys is None:
             return ModalForcing.zero(self.operator.m, self.geometry)
         gamma = self.geometry.gamma
-        funcs = [lambda xs, f=f: npoly.polyval(np.asarray(xs) - gamma, f) for f in self.forcing_polys]
+        funcs = [lambda xs, f=f[..., None]: _horner(np.asarray(xs) - gamma, f)
+                 for f in self.forcing_polys]
         return ModalForcing.from_functions(self.geometry, self.operator.m, *funcs, modes=self.modes)
+
+
+def _horner(x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """``npoly.polyval(x, c)`` for the (power, rows, 1) ``coeffs`` of a (power, rows) c: (rows, len(x)).
+
+    polyval's own Horner recurrence, so the same bits, without its per-call set-up.
+    """
+    out = coeffs[-1] + x * 0
+    for row in coeffs[-2::-1]:
+        out = row + out * x
+    return out
 
 
 def _finite(case: ExactCase) -> ExactCase:

@@ -21,8 +21,12 @@ add their end at gamma. Every closed form here is per-mode arithmetic,
 so it takes data stacked along a leading axis and evaluates them in one
 pass, each row with the bits of its own evaluation: phi~ reads both
 ends of its interval in one call, and on both intervals' symbols
-stacked (one row each) the interface sources and the residual report
-read both sides at once. F is the
+stacked (one row each) the interface sources (``interface_fluxes``, on
+the stored weights) and the end terms (``end_terms``) read both sides
+at once. Only this module reads how a solved interval is stored: the
+residual report takes its end values and flux traces from
+``end_terms`` and its equation terms from
+``ParticularSolution.series_terms``. F is the
 particular solution with homogeneous value and second-derivative
 conditions at both interval ends, solved per mode on the forcing's
 declared modes only (``ModalForcing.modes``); every other mode's F is
@@ -83,9 +87,9 @@ class SideSymbols:
     v_j = v_delta(delta, -mu_j); ``f`` holds f_{delta,1..3}(-mu_j) and the
     determinant remainder g_delta(-mu_j), ``g`` the generator eigenvalues.
     Every coefficient formula below is per-mode arithmetic on these
-    arrays, applied to eigenbasis coordinates. The condition numbers and
-    ``ends`` are formed on first read and kept, since the arrays do not
-    change.
+    arrays, applied to eigenbasis coordinates. The condition numbers,
+    ``ends`` and ``end_factors`` are formed on first read and kept, since
+    the arrays do not change.
     """
 
     g: np.ndarray
@@ -113,6 +117,12 @@ class SideSymbols:
         """These symbols twice, one row per interval end (``stack_symbols``), formed on first read."""
         return stack_symbols(self, self)
 
+    @cached_property
+    def end_factors(self) -> tuple:
+        """w / uv and k / uv of the end map (``_end_coefficients``), formed on first read."""
+        uv = self.u * self.v
+        return 0.5 * (self.u + self.v) / uv, 2.0 * self.delta * self.g * self.e / uv
+
 
 def side_symbols(operator: SectionOperator, delta: float) -> SideSymbols:
     """Evaluate the one-sided symbols on the spectrum in one pass, O(m)."""
@@ -139,8 +149,8 @@ class ParticularSolution:
     coefficient sums plus H's closed form, with S''' = w' - mu S' (exact
     identity of the factorized problem). ``error_estimate`` is the
     largest of the rows' estimates (``solve_particular``). ``terms``
-    evaluates F; the residual report reads S alone, through one
-    ``grid_table`` per side.
+    evaluates F at any points, ``series_terms`` S alone on a probe grid
+    (the residual report's equation terms).
     """
 
     side: str
@@ -158,15 +168,6 @@ class ParticularSolution:
     @property
     def m(self) -> int:
         return self.fprime_left.size
-
-    @property
-    def fprime_interface(self) -> np.ndarray:
-        """F' at the interface end (right of minus, left of plus)."""
-        return self.fprime_right if self.side == SIDE_MINUS else self.fprime_left
-
-    @property
-    def f3_interface(self) -> np.ndarray:
-        return self.f3_right if self.side == SIDE_MINUS else self.f3_left
 
     def terms(self, xs: np.ndarray, mu: np.ndarray) -> np.ndarray:
         """Modal F-terms of derivative orders 0..3 at the points ``xs``, shape (4, m, k).
@@ -200,6 +201,21 @@ class ParticularSolution:
         out = np.zeros((4, self.m, xs.size))
         out[:, rows] = part
         return out
+
+    def series_terms(self, n: int, mu: np.ndarray) -> np.ndarray:
+        """Orders 0..3 of the series part S at the n points of ``CylinderGeometry.grid``, (4, len(active), n).
+
+        One product of the [S; w] coefficients with the side's memoized
+        ``grid_table`` (T_k and T_k' at every point, the ends included)
+        gives S, S', w and w'; S'' = w - mu S and S''' = w' - mu S'.
+        """
+        if not self.active.size:
+            return np.zeros((4, 0, n))
+        table = grid_table(*self.geometry.interval(self.side), n, self.f_modal.shape[1])
+        vals = np.vstack([self.f_modal, self.w_modal]) @ table
+        (s0, s1), (w0, w1) = vals.reshape(2, self.active.size, 2, n).transpose(0, 2, 1, 3)
+        mu = mu[self.active, None]
+        return np.array([s0, s1, w0 - mu * s0, w1 - mu * s1])
 
     @classmethod
     def zero(cls, side: str, geometry: CylinderGeometry, m: int):
@@ -245,7 +261,7 @@ def grid_table(lo: float, hi: float, n: int, length: int) -> np.ndarray:
     once per series length. The inner columns are ``_columns``'; at the
     ends t = -1 and 1, T_k = (-1)^k and 1, and T_k' = (-1)^(k+1) k^2 / half
     and k^2 / half, exactly. With it one product gives a series and its
-    slope at every grid point, the ends included (``residual_report``).
+    slope at every grid point, the ends included (``ParticularSolution.series_terms``).
     A length-2049 table at 33 points is about 1 MB, so 16 of them stay small.
     """
     half, k = 0.5 * (hi - lo), np.arange(length)[:, None]
@@ -618,17 +634,16 @@ def solve_particular(
 
     lengths = [PARTICULAR_MIN_N_X] * modes.size
     forced = {}  # declared row -> (forcing coefficients, tail) where they chop or reach n_x
-    pending = list(range(modes.size))
-    while pending:
-        rounds, pending = _by_length(pending, lengths), []
-        for n, rows in rounds:
-            fhat = coefficients(n, rows)
-            for i, (row, tail) in enumerate(zip(rows, _tail(fhat).tolist())):
-                if tail > CHOP_TOL and n < n_x:
-                    lengths[row] = min(2 * n - 1, n_x)
-                    pending.append(row)
-                elif fhat[i].any():
-                    forced[row] = fhat[i], tail
+    n, pending = PARTICULAR_MIN_N_X, list(range(modes.size))
+    while pending:  # every pending row has length n: all start at 17 and refine together
+        rows, pending = pending, []
+        fhat = coefficients(n, rows)
+        for i, (row, tail) in enumerate(zip(rows, _tail(fhat).tolist())):
+            if tail > CHOP_TOL and n < n_x:
+                pending.append(row)
+            elif fhat[i].any():
+                forced[row], lengths[row] = (fhat[i], tail), n
+        n = min(2 * n - 1, n_x)
     done = {}  # declared row -> ((F or P, w), (F', F''') at (lo, hi), layer weights, estimate)
     pending = []
     for row, (fhat, tail) in sorted(forced.items()):
@@ -725,8 +740,7 @@ def _end_coefficients(ops: SideSymbols, value, sigma) -> tuple:
     gphi = ops.g * value
     gsum = gphi + sigma
     n, slope, even = ops.e * (value + ops.delta * gsum), sigma - gphi, ops.e * gsum
-    uv = ops.u * ops.v
-    p, q = 0.5 * (ops.u + ops.v) / uv, 2.0 * ops.delta * ops.g * ops.e / uv  # w / uv, k / uv
+    p, q = ops.end_factors  # w / uv, k / uv
     return value * p - n * q, slope * p + even * q, value * q - n * p, slope * q + even * p
 
 
@@ -734,8 +748,7 @@ def by_end(minus, plus) -> np.ndarray:
     """Both intervals' stored weights as one (4, 2, m) stack, rows (minus, plus), left end first.
 
     The minus interval's (A, B, C, D) and the plus interval's (C, D, A, B):
-    the weights of E1, s1 E1, E2 and s2 E2 that ``end_values`` and
-    ``interface_fluxes`` read.
+    the weights of E1, s1 E1, E2 and s2 E2 that ``end_values`` reads.
     """
     return np.array(list(zip(minus, (*plus[2:], *plus[:2]))))
 
@@ -765,21 +778,21 @@ def interface_fluxes(both: SideSymbols, alphas, fprime, f3) -> tuple:
     """Closed-form flux traces t2 = u'' - M^2 u and t3 = u''' - M^2 u' at gamma, (2, m) each.
 
     Every input has one row per interval (minus, plus): the symbols
-    ``both`` (``stack_symbols`` of the two), the weights (A, B, C, D) of
-    E1, s1 E1, E2 and s2 E2 (``by_end``) and the particular traces F',
-    F''' at gamma. d^2 E = g^2 E, so the A, C terms cancel exactly, and
-    F = F'' = 0 at gamma; with (E1, E2) = (e, 1) at the minus interval's
-    right end and (1, e) at the plus interval's left end,
-    t2 = 2g (E1 B + E2 D) and t3 = 2g^2 (E1 B - E2 D) + F''' - g^2 F'.
+    ``both`` (``stack_symbols`` of the two), the stored weights
+    (A, B, C, D) of each and the particular traces F', F''' at gamma.
+    d^2 E = g^2 E, so the A, C terms cancel exactly, and F = F'' = 0 at
+    gamma; with (E_o, E_g) = (e, 1) there on both intervals,
+    t2 = 2g (E_o B + E_g D) and t3 = +-2g^2 (E_o B - E_g D) + F''' - g^2 F',
+    the sign that of d s_o / dx (+1 on the minus interval, -1 on the plus).
     Subtracting differentiated fields instead rounds at eps g^3 |u|.
     """
-    g, (e_minus, e_plus) = both.g, both.e
-    _, big_b, _, big_d = alphas
-    b = np.array([e_minus * big_b[0], big_b[1]])  # E1 B
-    d = np.array([big_d[0], e_plus * big_d[1]])  # E2 D
+    g = both.g
+    (_, b_minus, _, d_minus), (_, b_plus, _, d_plus) = alphas
+    far = both.e * np.array([b_minus, b_plus])  # E_o B
+    near = np.array([d_minus, d_plus])  # E_g D
     two_g = 2.0 * g
-    t2 = two_g * (b + d)
-    t3 = two_g * g * (b - d) + (f3 - g * g * fprime)
+    t2 = two_g * (far + near)
+    t3 = two_g * g * np.array([far[0] - near[0], near[1] - far[1]]) + (f3 - g * g * fprime)
     return t2, t3
 
 
@@ -837,7 +850,8 @@ class SubproblemSolution:
     (a or b), C and D those at gamma. ``modal_fields`` evaluates the field
     and its first three x-derivatives in the eigenbasis (the semigroup
     factors are diagonal there), exactly in x for the homogeneous part,
-    and ``evaluate`` maps one order back.
+    and ``evaluate`` maps one order back. A ``particular`` of None is
+    replaced by ``ParticularSolution.zero``, so every side has one.
     """
 
     side: str
@@ -851,6 +865,9 @@ class SubproblemSolution:
         if len(self.alphas) != 4:
             raise DimensionMismatchError("need exactly four coefficient vectors")
         check_side(self.side)
+        if self.particular is None:
+            object.__setattr__(self, "particular",
+                               ParticularSolution.zero(self.side, self.geometry, self.operator.m))
 
     def modal_fields(self, x) -> np.ndarray:
         """Eigenbasis values of the field and its x-derivatives of orders 0..3, shape (4, m, k).
@@ -869,9 +886,8 @@ class SubproblemSolution:
         weights = self.alphas if self.side == SIDE_MINUS else (*self.alphas[2:], *self.alphas[:2])
         out = _exponential_table(gm, s1, s2, np.exp(s1 * gm), np.exp(s2 * gm),
                                  *(w[:, None] for w in weights))
-        part = self.particular
-        if part is not None and part.active.size:
-            out += part.terms(xs, self.operator.eigenvalues)
+        if self.particular.active.size:
+            out += self.particular.terms(xs, self.operator.eigenvalues)
         return out
 
     def evaluate(self, x, order: int = 0) -> np.ndarray:
@@ -880,3 +896,22 @@ class SubproblemSolution:
             raise ValueError(f"derivative order must be 0..3, got {order}")
         out = self.operator.from_modal(self.modal_fields(x)[order])
         return out[:, 0] if np.ndim(x) == 0 else out
+
+
+def end_terms(both: SideSymbols, minus: SubproblemSolution, plus: SubproblemSolution) -> tuple:
+    """Both intervals' modal end terms, (2, m) each with rows (minus, plus).
+
+    u and u' at the left ends, u and u' at the right ends (``end_values``
+    on the weights left end first, ``by_end``) and t2, t3 at gamma
+    (``interface_fluxes``), on ``both``, the two intervals' symbols
+    stacked. F = F'' = 0 at every end, so the particular parts add F' to
+    u' and F''' - g^2 F' to t3 alone. The values are ``modal_fields``' at
+    the ends, bit for bit.
+    """
+    pm, pp = minus.particular, plus.particular
+    (u_left, du_left), (u_right, du_right) = end_values(both, by_end(minus.alphas, plus.alphas))
+    t2, t3 = interface_fluxes(both, (minus.alphas, plus.alphas),
+                              np.array([pm.fprime_right, pp.fprime_left]),
+                              np.array([pm.f3_right, pp.f3_left]))
+    return (u_left, du_left + np.array([pm.fprime_left, pp.fprime_left]),
+            u_right, du_right + np.array([pm.fprime_right, pp.fprime_right]), t2, t3)

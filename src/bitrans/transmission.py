@@ -15,6 +15,10 @@ The closed forms take their data stacked: phi~ reads both ends of an
 interval in one pass, and on both intervals' symbols stacked
 (``TransmissionOperators.both``) the sources (flux jumps at gamma,
 ``interface_fluxes``) and the residual report read both sides at once.
+The report reads each solved interval through ``subproblem`` alone: its
+end terms from ``end_terms`` and its equation terms from
+``ParticularSolution.series_terms``, never the stored weights' order or
+the particular part's tables.
 The system matrix splits into 2x2 blocks per mode, inverted by the
 cofactor formula with determinant -m_j * f(-mu_j); that is the answer on
 every route. The ``both`` route also solves each mode's 8 x 8 system in
@@ -57,9 +61,7 @@ from .subproblem import (
     SubproblemSolution,
     alphas_minus,
     alphas_plus,
-    by_end,
-    end_values,
-    grid_table,
+    end_terms,
     interface_fluxes,
     phi_tilde_minus,
     phi_tilde_plus,
@@ -237,7 +239,7 @@ def assemble_sources(
     kp, km = operators.k_plus, operators.k_minus
     g = operators.operator.generator_eigenvalues
     t2, t3 = interface_fluxes(
-        operators.both, by_end(phi_tilde_m, phi_tilde_p),
+        operators.both, (phi_tilde_m, phi_tilde_p),
         np.array([fprime_gamma_minus, fprime_gamma_plus]), np.array([f3_gamma_minus, f3_gamma_plus]))
     return InterfaceSources(s1=(kp * t3[1] - km * t3[0]) / g**2, s2=(kp * t2[1] - km * t2[0]) / g)
 
@@ -455,56 +457,33 @@ class TransmissionSolution:
         return self.side(side).evaluate(np.atleast_1d(xs), order)
 
 
-def _end_traces(solution: TransmissionSolution) -> tuple:
-    """The report's end terms, (2, m) each with rows (minus, plus).
-
-    u and u' at the left ends, u and u' at the right ends (``end_values``)
-    and t2, t3 at gamma (``interface_fluxes``) of the final coefficients,
-    on the stacked symbols. F = F'' = 0 at every end, so a particular part
-    adds F' to u' and F''' - g^2 F' to t3 alone.
-    """
-    subs = (solution.minus, solution.plus)
-    traces = np.zeros((4, 2, solution.problem.operator.m))  # F' left, right, gamma; F''' gamma
-    for row, part in enumerate(sub.particular for sub in subs):
-        if part is not None and part.active.size:
-            traces[:, row] = (part.fprime_left, part.fprime_right,
-                              part.fprime_interface, part.f3_interface)
-    alphas = by_end(*(sub.alphas for sub in subs))
-    both = solution.operators.both
-    (u_left, du_left), (u_right, du_right) = end_values(both, alphas)
-    return (u_left, du_left + traces[0], u_right, du_right + traces[1],
-            *interface_fluxes(both, alphas, traces[2], traces[3]))
-
-
 def residual_report(solution: TransmissionSolution) -> ResidualReport:
     """Quantitative verification of every equation of the problem.
 
     Per mode the homogeneous part is an exact combination of e^{g s1},
     s1 e^{g s1}, e^{g s2} and s2 e^{g s2}, so (d^2 - g_j^2)^2 u_j = 0 holds
-    identically, and so does each row's closed-form end-layer part of F
-    (``ParticularSolution.layers``): only F's series part S can leave an
-    equation residual. ``eq_*`` is therefore S's residual
-    S'''' + 2 A S'' + A^2 S - f on the interior of a grid of
-    ``solution.options.probe_points`` points per side. One product of
-    the active rows' [S; w] coefficients with the side's ``grid_table``
-    (T_k and T_k' at every probe point, the ends included) gives S, S',
-    w and w'; S''' = w' - mu S', A S'' = mu (w - mu S), A^2 S = mu^2 S,
-    and S'''' is the central difference of S'''. Its only nonzero rows
-    are the forcing's declared ``modes`` (``particular.active`` is a
-    subset of them for a particular part of this forcing, and any active
-    row outside them joins them), and only those rows are formed, with
-    the forcing's samples from ``ModalForcing.sample_modes``, and mapped,
-    both sides in one ``SectionOperator.from_modes`` product. Maxima run
-    over the mode axis first, and max is exact, so the order changes no
-    bit. A side with no such row reads exactly 0, and with no row on
-    either side nothing is allocated. The four outer boundary conditions
-    and the interface continuity of u and u' read the closed-form end
-    values (``end_values``, ``modal_fields``' values at the ends bit for
-    bit), and the flux transmission conditions the closed-form traces at
-    gamma (``interface_fluxes``, the sources' own), both intervals in one
-    pass on the stacked symbols, with the particular traces: F' in u' and
-    F''' - g^2 F' in t3 (``_end_traces``). Every term is formed in the
-    eigenbasis, where A acts as the per-mode factor mu_j; the end values
+    identically, and so does each row's closed-form end-layer part of F:
+    only F's series part S can leave an equation residual. ``eq_*`` is
+    therefore S's residual S'''' + 2 A S'' + A^2 S - f on the interior of
+    a grid of ``solution.options.probe_points`` points per side. S, S''
+    and S''' at every probe point, the ends included, are the active
+    rows' ``ParticularSolution.series_terms``; A S'' = mu S'',
+    A^2 S = mu^2 S, and S'''' is the central difference of S'''. Its
+    only nonzero rows are the forcing's declared ``modes``
+    (``particular.active`` is a subset of them for a particular part of
+    this forcing, and any active row outside them joins them), and only
+    those rows are formed, with the forcing's samples from
+    ``ModalForcing.sample_modes``, and mapped, both sides in one
+    ``SectionOperator.from_modes`` product. Maxima run over the mode axis
+    first, and max is exact, so the order changes no bit. A side with no
+    such row reads exactly 0, and with no row on either side nothing is
+    allocated. The four outer boundary conditions and the interface
+    continuity of u and u' read the closed-form end values
+    (``modal_fields``' values at the ends bit for bit), and the flux
+    transmission conditions the closed-form traces at gamma (the sources'
+    own), both intervals in one pass on the stacked symbols, with the
+    particular traces (``subproblem.end_terms``). Every term is formed in
+    the eigenbasis, where A acts as the per-mode factor mu_j; the end values
     reach the physical basis through one product, and the equation terms
     through one more. Each entry is the scaled sup norm of its physical
     residual.
@@ -522,13 +501,11 @@ def residual_report(solution: TransmissionSolution) -> ResidualReport:
     bc = prob.boundary
 
     entries = {"eq_minus": 0.0, "eq_plus": 0.0}
-    bvp_est = 0.0
-    for sub in (solution.minus, solution.plus):
-        if sub.particular is not None:
-            bvp_est = max(bvp_est, sub.particular.error_estimate)
+    parts = [sub.particular for sub in (solution.minus, solution.plus)]
+    bvp_est = max(part.error_estimate for part in parts)
 
-    (u_a, u0p), (du_a, u1p), (u0m, u_b), (u1m, du_b), (t2m, t2p), (t3m, t3p) = (
-        _end_traces(solution))
+    (u_a, u0p), (du_a, u1p), (u0m, u_b), (u1m, du_b), (t2m, t2p), (t3m, t3p) = end_terms(
+        tops.both, solution.minus, solution.plus)
     columns = {
         "bc_1": u_a, "bc_2": du_a, "bc_3": u_b, "bc_4": du_b,
         "u0m": u0m, "u0p": u0p, "tc1_u": u0m - u0p,
@@ -548,26 +525,17 @@ def residual_report(solution: TransmissionSolution) -> ResidualReport:
     n_probe = solution.options.probe_points
     steps = [prob.geometry.length(side) / (n_probe - 1) for side in SIDES]
     eq_budget = max(5.0 * max(steps) ** 2 * max_g, 10.0 * bvp_est, 1e-11)
-    parts = [sub.particular for sub in (solution.minus, solution.plus)]
-    nonzero = set(forcing.modes.tolist())
-    for part in parts:
-        if part is not None:
-            nonzero.update(part.active.tolist())
+    nonzero = set(forcing.modes.tolist()).union(*(part.active.tolist() for part in parts))
     if nonzero:
         rows = np.array(sorted(nonzero), dtype=np.intp)
         block = np.zeros((rows.size, 2, 4, n_probe - 2))  # S'''', A S'', A^2 S, f by rows and sides
         for i, (side, part, h) in enumerate(zip(SIDES, parts, steps)):
-            if part is not None and part.active.size:
-                active = part.active
-                table = grid_table(*prob.geometry.interval(side), n_probe, part.f_modal.shape[1])
-                vals = np.vstack([part.f_modal, part.w_modal]) @ table
-                (s0, s1), (w0, w1) = vals.reshape(2, active.size, 2, n_probe).transpose(0, 2, 1, 3)
-                mu = op.eigenvalues[active, None]
-                s3 = w1 - mu * s1
-                at = np.searchsorted(rows, active)
-                block[at, i, 0] = (s3[:, 2:] - s3[:, :-2]) / (2.0 * h)
-                block[at, i, 1] = mu * (w0 - mu * s0)[:, 1:-1]
-                block[at, i, 2] = mu**2 * s0[:, 1:-1]
+            s0, _, s2, s3 = part.series_terms(n_probe, op.eigenvalues)
+            mu = op.eigenvalues[part.active, None]
+            at = np.searchsorted(rows, part.active)
+            block[at, i, 0] = (s3[:, 2:] - s3[:, :-2]) / (2.0 * h)
+            block[at, i, 1] = mu * s2[:, 1:-1]
+            block[at, i, 2] = mu**2 * s0[:, 1:-1]
             if not forcing.vanishes(side):
                 block[np.searchsorted(rows, forcing.modes), i, 3] = forcing.sample_modes(
                     side, prob.geometry.grid(side, n_probe)[1:-1])
@@ -627,12 +595,10 @@ class TransmissionSolver:
     on the ``both`` route the one ``FundamentalSystem`` (``system``: each
     mode's equilibrated 8 x 8 matrix, the symbol read-offs and the
     determinant formed from them), and the zero forcing.
-    The interval symbols, the zero forcing and, on ``both``, the
-    fundamental system's end rows and read-offs depend on the operator and
-    the geometry alone: given a ``previous`` solver of the same operator
-    object and an equal geometry, the new one takes them from it (the last
-    two where it formed them) and forms only what the diffusivities and
-    options change. ``solve`` runs what
+    The interval symbols and their stack depend on the operator and the
+    geometry alone: given a ``previous`` solver of the same operator
+    object and an equal geometry, the new one takes them from it and
+    forms the rest. ``solve`` runs what
     depends on the forcing and boundary data, so a new right-hand side
     passes through fixed per-mode functions of M.
     """
@@ -650,10 +616,9 @@ class TransmissionSolver:
             operator, geometry, k_minus, k_plus,
             (previous.operators.minus, previous.operators.plus, previous.operators.both)
             if reuse else None)
-        self.system = (fundamental_system(self.operators, previous.system if reuse else None)
+        self.system = (fundamental_system(self.operators)
                        if self.options.route == ROUTE_BOTH else None)
-        self.zero_forcing = (previous.zero_forcing if reuse
-                             else ModalForcing.zero(operator.m, geometry))
+        self.zero_forcing = ModalForcing.zero(operator.m, geometry)
 
     def matches(self, geometry: CylinderGeometry, k_minus: float, k_plus: float,
                 options: SolveOptions) -> bool:
@@ -728,7 +693,7 @@ def solve_transmission(
     these, else on a new one, which the operator then keeps (so it goes
     with the operator). The new one is built from the last one
     (``previous``), so a change of k, ``n_x``, ``probe_points`` or route at
-    an equal geometry reuses both intervals' symbols and the zero forcing.
+    an equal geometry reuses both intervals' symbols and their stack.
     Two threads may each build one; either is kept, and both give the
     same answers.
     """

@@ -15,7 +15,7 @@ one ``FundamentalSystem``.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -91,21 +91,16 @@ class FundamentalSystem(NamedTuple):
     det_modal: np.ndarray
 
 
-def fundamental_system(operators, kept: Optional[FundamentalSystem] = None) -> FundamentalSystem:
+def fundamental_system(operators) -> FundamentalSystem:
     """The fundamental-system reference of every mode, built once per operator set, O(m).
 
     The 8 x 8 system of ``fundamental_solve`` has four basis coefficients per side as
     unknowns, and as rows u, u' at a and at b and the jumps of u, u', k t2 and k t3 at
-    gamma. Each interval's read-offs come from its own two end-row tables. ``kept``, a
-    system of operators on the same interval symbols, lends its end rows and read-offs,
-    which depend on no diffusivity."""
+    gamma. Each interval's read-offs come from its own two end-row tables."""
     minus, plus, km, kp = operators.minus, operators.plus, operators.k_minus, operators.k_plus
-    if kept is not None:
-        rows, read_m, read_p = kept.end_rows, kept.minus, kept.plus
-    else:
-        rows = tuple(_end_rows(ops, at_lo) for ops in (minus, plus) for at_lo in (True, False))
-        read_m = _one_sided(minus, *rows[:2], SIDE_MINUS)
-        read_p = _one_sided(plus, *rows[2:], SIDE_PLUS)
+    rows = tuple(_end_rows(ops, at_lo) for ops in (minus, plus) for at_lo in (True, False))
+    read_m = _one_sided(minus, *rows[:2], SIDE_MINUS)
+    read_p = _one_sided(plus, *rows[2:], SIDE_PLUS)
     for table in (*rows, read_m, read_p):
         table.flags.writeable = False
     m_a, m_g, p_g, p_b = rows

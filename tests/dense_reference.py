@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import solve_banded
 
-from bitrans import SIDE_MINUS, EvaluationError, subproblem, transmission
+from bitrans import EvaluationError, subproblem
 from bitrans._spline import CubicSpline
 
 
@@ -210,7 +210,7 @@ def field_table_entries(solution) -> dict:
 
     u and u' at every end are the end columns of an order-0..3 field table
     per side on the ``probe_points`` grid (``modal_fields``), and t2, t3
-    at gamma the report's closed-form flux traces (``_end_traces``). Both
+    at gamma the report's closed-form flux traces (``subproblem.end_terms``). Both
     tables, the interface differences and the flux columns reach the
     physical basis in one product (about 270 columns at 33 probe
     points), and the entries are scaled as the report scales them.
@@ -220,7 +220,8 @@ def field_table_entries(solution) -> dict:
     tables = [sub.modal_fields(prob.geometry.grid(sub.side, n)) for sub in (solution.minus,
                                                                           solution.plus)]
     (u0m, u1m), (u0p, u1p) = tables[0][:2, :, -1], tables[1][:2, :, 0]
-    *_, (t2m, t2p), (t3m, t3p) = transmission._end_traces(solution)
+    *_, (t2m, t2p), (t3m, t3p) = subproblem.end_terms(solution.operators.both, solution.minus,
+                                                      solution.plus)
     km, kp = prob.k_minus, prob.k_plus
     columns = {"u0m": u0m, "u0p": u0p, "tc1_u": u0m - u0p, "u1m": u1m, "u1p": u1p,
                "tc1_du": u1m - u1p, "t2m": t2m, "t2p": t2p, "tc2_flux2": km * t2m - kp * t2p,
@@ -311,10 +312,12 @@ class FDParticular:
 
     ``f_modal`` and ``w_modal`` hold F and w = F'' + mu F of the active
     rows on ``grid``; ``error_estimate`` is the relative size of the
-    Richardson correction. These are grid values, not the Chebyshev
-    coefficients that the report's ``eq_*`` reads, so a report formed with
-    this part in place of the solver's has no meaningful ``eq_*``; the
-    tests that put it there read the other entries and the traces.
+    Richardson correction. F has no end-layer part, so ``series_terms``
+    is F's ``terms`` on a probe grid: the spline's derivatives, not the
+    Chebyshev series that the report's ``eq_*`` is budgeted for, so a
+    report formed with this part in place of the solver's has no
+    meaningful ``eq_*``; the tests that put it there read the other
+    entries and the traces.
     """
 
     side: str
@@ -338,13 +341,9 @@ class FDParticular:
     def m(self) -> int:
         return self.fprime_left.size
 
-    @property
-    def fprime_interface(self) -> np.ndarray:
-        return self.fprime_right if self.side == SIDE_MINUS else self.fprime_left
-
-    @property
-    def f3_interface(self) -> np.ndarray:
-        return self.f3_right if self.side == SIDE_MINUS else self.f3_left
+    def series_terms(self, n: int, mu) -> np.ndarray:
+        """Orders 0..3 of F at the n points of ``geometry.grid``, shape (4, len(active), n)."""
+        return self.terms(self.geometry.grid(self.side, n), mu)[:, self.active]
 
     def terms(self, xs, mu) -> np.ndarray:
         """Orders 0..3 at ``xs``, shape (4, m, k): two evaluations of the [F; w] spline inside,

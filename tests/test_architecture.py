@@ -94,6 +94,22 @@ def test_only_the_solver_assembles_the_interface_blocks():
     assert not offenders, f"interface blocks assembled outside TransmissionSolver: {offenders}"
 
 
+def test_only_subproblem_reads_how_an_interval_stores_its_solution():
+    # subproblem.py alone knows each interval's stored weights and the
+    # particular part's series tables: the report reads its end terms from
+    # end_terms and its series terms from ParticularSolution.series_terms,
+    # so neither the stored order nor the tables are named elsewhere.
+    offenders = [f"{name}:{node.lineno}" for name, node in _nodes()
+                 if name != "subproblem.py"
+                 and isinstance(node, (ast.Name, ast.Attribute, ast.alias))
+                 and _name(node) in {"grid_table", "by_end", "end_values"}]
+    offenders += [f"{name}:{node.lineno}" for name, node in _nodes()
+                  if name == "transmission.py" and isinstance(node, ast.Attribute)
+                  and node.attr in {"f_modal", "w_modal", "layers", "fprime_interface",
+                                    "f3_interface"}]
+    assert not offenders, f"an interval's storage read outside subproblem.py: {offenders}"
+
+
 def test_config_leaves_the_solver_settings_and_the_csv_format_to_their_types():
     # SolveOptions alone decides the route, n_x and probe_points, and
     # problem.py alone reads the forcing-CSV format; config.py maps their

@@ -3,11 +3,11 @@
 Every representation coefficient is a sum of end contributions
 (``_end_coefficients``, both ends of an interval in one pass), and the
 interface sources are flux jumps (``interface_fluxes``, both intervals in
-one pass), read by the same closed form as the report's flux terms. The
-references below are the hand-written per-side formulas of phi~, the
-coefficients and S1, S2, S-check, and the closed forms of the end values
-and flux traces, kept verbatim so the two forms are compared on random
-data with nonzero particular traces over the whole range
+one pass), read by the same closed form as the report's flux terms
+(``end_terms``). The references below are the hand-written per-side
+formulas of phi~, the coefficients and S1, S2, S-check, and the closed
+forms of the end values and flux traces, kept verbatim so the two forms
+are compared on random data with nonzero particular traces over the whole range
 1e-2 <= delta |g| <= 1e2. They are compared by what the coefficients
 mean: the weights of E1, s1 E1, E2 and s2 E2 in
 u = E1 (A + s1 B) + E2 (C + s2 D), s1 and s2 the distances from the
@@ -26,6 +26,7 @@ from bitrans import (
     BoundaryData,
     CylinderGeometry,
     SectionOperator,
+    SubproblemSolution,
     alphas_minus,
     alphas_plus,
     assemble_sources,
@@ -37,7 +38,7 @@ from bitrans import (
     solve_transmission,
 )
 from bitrans.problem import SIDE_MINUS, SIDE_PLUS
-from bitrans.subproblem import by_end, end_values, interface_fluxes
+from bitrans.subproblem import end_terms, interface_fluxes
 from test_verification import _mp_interface
 
 
@@ -179,21 +180,24 @@ def test_end_map_reproduces_the_per_side_formulas(m, spread_side):
             assert np.all(np.abs(new - (ref + p)) <= 1e-13 * scale_a)
         pts.append(pt)
         als.append(al)
-        # u, u' at both ends, t2 / 2|g| and t3 / 2g^2 at gamma are sums of
-        # terms at most (1 + delta)(1 + |g|) times a weight. A weight is a
-        # sum of two coefficients of the per-side basis, so half of
-        # ``_largest_term`` of the weights is at most that of those
-        # coefficients, the bound these sums were held to.
+
+    # The end terms of both intervals' solutions with these weights and no
+    # particular part. u, u' at both ends, t2 / 2|g| and t3 / 2g^2 at gamma
+    # are sums of terms at most (1 + delta)(1 + |g|) times a weight. A
+    # weight is a sum of two coefficients of the per-side basis, so half of
+    # ``_largest_term`` of the weights is at most that of those
+    # coefficients, the bound these sums were held to.
+    subs = [SubproblemSolution(side, tops.geometry, op, _left_first(side, al))
+            for side, al in zip(SIDES, als)]
+    u_left, du_left, u_right, du_right, t2, t3 = end_terms(tops.both, *subs)
+    for row, (side, ops, al) in enumerate(zip(SIDES, (tops.minus, tops.plus), als)):
         terms = 0.5 * _largest_term(ops, *al)
-        for new, ref in zip(end_values(ops, al), ref_end_values(ops, al)):
+        ends = ((u_left[row], du_left[row]), (u_right[row], du_right[row]))
+        for new, ref in zip(ends, ref_end_values(ops, al)):
             for new_x, ref_x in zip(new, ref):
                 assert np.all(np.abs(new_x - ref_x) <= 1e-13 * terms)
-
-    zero = np.zeros((2, m))
-    t2, t3 = interface_fluxes(tops.both, np.array(als).swapaxes(0, 1), zero, zero)
-    for row, (side, ops, al) in enumerate(zip(SIDES, (tops.minus, tops.plus), als)):
         ref_t2, ref_t3 = ref_fluxes(ops, side, al)
-        g, terms = np.abs(ops.g), 0.5 * _largest_term(ops, *al)
+        g = np.abs(ops.g)
         assert np.all(np.abs(t2[row] - ref_t2) <= 1e-13 * 2.0 * g * terms)
         assert np.all(np.abs(t3[row] - ref_t3) <= 1e-13 * 2.0 * g * g * terms)
 
@@ -223,7 +227,7 @@ def test_interface_blocks_are_the_flux_jumps_of_the_interface_end_map(m, ks):
     q_m = alphas_minus(tops.minus, psi1, psi2, (0.0,) * 4)
     q_p = alphas_plus(tops.plus, psi1, psi2, (0.0,) * 4)
     zero = np.zeros((2, m))
-    t2, t3 = interface_fluxes(tops.both, by_end(q_m, q_p), zero, zero)
+    t2, t3 = interface_fluxes(tops.both, (q_m, q_p), zero, zero)
     km, kp = ks
     jump2 = kp * t2[1] - km * t2[0]
     jump3 = kp * t3[1] - km * t3[0]

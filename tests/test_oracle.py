@@ -328,6 +328,20 @@ def test_forced_profile_degree_cap():
     assert case.polys.shape == (2, 7, 1)
 
 
+@pytest.mark.parametrize("powers", [1, 2, 5, 7])
+def test_the_forcing_resampler_gives_polyval_bits(powers):
+    # ExactCase.forcing evaluates each side's rows by polyval's own Horner
+    # recurrence: every row at every point has polyval's bits.
+    from numpy.polynomial import polynomial as npoly
+
+    rng = np.random.default_rng(powers)
+    coeffs = rng.normal(size=(powers, 3)) * 10.0 ** rng.integers(-8, 8, size=(powers, 3))
+    xs = np.concatenate([rng.uniform(-2.0, 2.0, 31), [0.0, -0.0, 1.0, -1.0]])
+    got = oracle._horner(xs, coeffs[..., None])
+    assert got.shape == (3, xs.size)
+    assert got.tobytes() == npoly.polyval(xs, coeffs).tobytes()
+
+
 def test_direct_solve_zero_case():
     op = build_dirichlet_laplacian_1d(3, 1.0)
     geom = CylinderGeometry(-0.7, 0.0, 0.9)

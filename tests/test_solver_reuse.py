@@ -2,9 +2,8 @@
 
 ``solve_transmission`` reuses the last solver kept on the operator object
 when the other inputs compare equal, and a new solver on that operator and
-an equal geometry keeps the last one's interval symbols (and, on "both", its
-fundamental system's end rows and read-offs); a reused solve
-must give the bytes of a first solve.
+an equal geometry keeps the last one's interval symbols and their stack; a
+reused solve must give the bytes of a first solve.
 """
 
 import gc
@@ -28,7 +27,7 @@ from bitrans import (
     manufactured_forced,
     solve_transmission,
 )
-from bitrans import subproblem, transmission, verification
+from bitrans import subproblem, transmission
 from bitrans.cli import main
 
 GEOM = CylinderGeometry(-0.7, 0.0, 1.3)
@@ -261,32 +260,21 @@ def test_a_solver_on_kept_symbols_gives_the_bytes_of_a_cold_one(m, geometry, kin
 
 
 @pytest.mark.parametrize("m", [1, 32, 256])
-def test_a_both_rebuild_keeps_the_fundamental_read_offs_and_end_rows(m, monkeypatch):
-    # The one-sided read-offs and the four end-row tables of the fundamental
-    # system depend on the interval symbols alone: a "both" solver rebuilt
-    # at an equal geometry forms neither, and gives a cold build's bytes.
+def test_a_both_rebuild_forms_its_own_fundamental_system_with_a_cold_builds_bytes(m):
+    # A "both" solver rebuilt at an equal geometry takes the interval symbols
+    # from the previous one and forms its fundamental system from them, as a
+    # cold build does: same bytes, no table shared with the previous system.
     op = build_dirichlet_laplacian_1d(m, 1.0)
     rng = np.random.default_rng(m)
     both = SolveOptions(route="both")
     previous = TransmissionSolver(op, GEOM, 2.0, 0.5, both)
-    calls = dict.fromkeys(("_one_sided", "_end_rows"), 0)
-    for name in calls:
-        real = getattr(verification, name)
-
-        def spy(*args, _name=name, _real=real):
-            calls[_name] += 1
-            return _real(*args)
-
-        monkeypatch.setattr(verification, name, spy)
     for km, kp in ((1e-4, 1.0), (1.0, 1e4)):
         kept = TransmissionSolver(op, GEOM, km, kp, both, previous)
-        assert calls == {"_one_sided": 0, "_end_rows": 0}
         cold = TransmissionSolver(op, GEOM, km, kp, both)
-        assert calls == {"_one_sided": 2, "_end_rows": 4}  # the spies see a cold build's
-        calls.update(dict.fromkeys(calls, 0))
-        assert kept.system.end_rows is previous.system.end_rows
-        assert kept.system.minus is previous.system.minus
-        assert kept.system.plus is previous.system.plus
+        assert kept.operators.minus is previous.operators.minus
+        assert kept.operators.plus is previous.operators.plus
+        for name in ("end_rows", "minus", "plus"):
+            assert getattr(kept.system, name) is not getattr(previous.system, name)
         for got, want in zip((*kept.system[:2], *kept.system[2], *kept.system[3:]),
                              (*cold.system[:2], *cold.system[2], *cold.system[3:]),
                              strict=True):

@@ -519,28 +519,30 @@ def test_modal_fields_match_the_per_order_closed_form(side, forced):
 @pytest.mark.parametrize("forced", [False, True], ids=["unforced", "forced"])
 @pytest.mark.parametrize("side", [SIDE_MINUS, SIDE_PLUS])
 def test_end_values_match_modal_fields_at_both_ends_bit_for_bit(side, forced):
-    # The report reads u and u' at the interval ends from end_values (both
-    # intervals at once, ``transmission._end_traces``), with a particular
+    # The report reads u and u' at the interval ends from ``end_terms``
+    # (both intervals at once, on their stacked symbols), with a particular
     # part's F' traces added (F = 0 at the ends); they must be
-    # modal_fields' values there, bit for bit, at every size.
+    # modal_fields' values there, bit for bit, at every size. The other
+    # interval holds zero weights.
     geom = CylinderGeometry(-0.7, 0.0, 1.3)
     rng = np.random.default_rng(31)
+    row = SIDES.index(side)
     for m in range(1, 65):
         op = build_dirichlet_laplacian_1d(m, 1.0)
-        ops = side_symbols(op, geom.length(side))
+        both = subproblem.stack_symbols(*(side_symbols(op, geom.length(s)) for s in SIDES))
         alphas = tuple(rng.normal(size=m) * 10.0 ** rng.uniform(-3, 3, m) for _ in range(4))
         part = None
         if forced:
             forcing = _random_forcing(geom, m, rng, [j for j in range(m) if j % 3 == 1])
             part = solve_particular(op.eigenvalues, geom, side, forcing, n_x=33)
-        table = SubproblemSolution(side, geom, op, alphas, part).modal_fields(
-            np.array(geom.interval(side)))
-        left_first = alphas if side == SIDE_MINUS else alphas[2:] + alphas[:2]
-        for end, (u, du) in enumerate(subproblem.end_values(ops, left_first)):
-            if part is not None and part.active.size:
-                du = du + (part.fprime_left, part.fprime_right)[end]
-            assert np.array_equal(u, table[0, :, end]), (m, end)
-            assert np.array_equal(du, table[1, :, end]), (m, end)
+        sub = SubproblemSolution(side, geom, op, alphas, part)
+        table = sub.modal_fields(np.array(geom.interval(side)))
+        subs = [sub if s == side else SubproblemSolution(s, geom, op, (np.zeros(m),) * 4)
+                for s in SIDES]
+        u_left, du_left, u_right, du_right, *_ = subproblem.end_terms(both, *subs)
+        for end, (u, du) in enumerate(((u_left, du_left), (u_right, du_right))):
+            assert np.array_equal(u[row], table[0, :, end]), (m, end)
+            assert np.array_equal(du[row], table[1, :, end]), (m, end)
 
 
 def _check_per_mode_bytes(mu, geom, side, forcing, n_x, zero_rows):
@@ -922,6 +924,23 @@ def test_a_forcing_that_never_chops_runs_to_the_cap(monkeypatch):
     assert max(sizes) <= m * n_x and len(sizes) <= 2 * 8  # lengths 17, 33, ..., 2049
     chopped = solve_particular(op.eigenvalues, geom, SIDE_PLUS, forcing, 129)
     assert chopped.error_estimate > part.error_estimate
+
+
+@pytest.mark.parametrize("delta", [1e-3, 0.7, 40.0])
+def test_the_end_factors_are_formed_once_with_the_symbols(delta):
+    # w / uv and k / uv depend on the symbols alone: formed on first read,
+    # kept, and the end map on warm symbols has a fresh evaluation's bits.
+    op = build_dirichlet_laplacian_1d(64, 1.0)
+    ops = side_symbols(op, delta)
+    p, q = ops.end_factors
+    assert ops.end_factors[0] is p and ops.end_factors[1] is q
+    uv = ops.u * ops.v
+    assert p.tobytes() == (0.5 * (ops.u + ops.v) / uv).tobytes()
+    assert q.tobytes() == (2.0 * delta * ops.g * ops.e / uv).tobytes()
+    data = np.random.default_rng(64).normal(size=(4, op.m))
+    warm = phi_tilde_minus(ops, *data)
+    for got, want in zip(warm, phi_tilde_minus(side_symbols(op, delta), *data), strict=True):
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("n", [5, 33])

@@ -44,8 +44,8 @@ from bitrans import (
 )
 from bitrans import problem, symbols
 from bitrans.symbols import SymbolContext
-from bitrans.subproblem import by_end, interface_fluxes
-from bitrans.transmission import BLOCK_RESIDUAL_TOL, DET_CROSSCHECK_TOL, _end_traces, _norm
+from bitrans.subproblem import end_terms, interface_fluxes
+from bitrans.transmission import BLOCK_RESIDUAL_TOL, DET_CROSSCHECK_TOL, _norm
 from dense_reference import (
     assemble_dense_operators,
     earlier_eq,
@@ -714,15 +714,15 @@ def test_closed_form_flux_traces_match_dense_derivatives(m, forced):
     sol = solve_transmission(op, geom, 1.0, 3.0, forcing, bc)
     a, q = op.matrix, op.eigenvectors
     g = op.generator_eigenvalues
-    for side, e, sign in ((SIDE_MINUS, sol.operators.minus.e, 1.0),
-                          (SIDE_PLUS, sol.operators.plus.e, -1.0)):
+    for side, e, sign, end in ((SIDE_MINUS, sol.operators.minus.e, 1.0, "right"),
+                               (SIDE_PLUS, sol.operators.plus.e, -1.0, "left")):
         sub = sol.side(side)
         u = [sol.field(side, geom.gamma, order)[:, 0] for order in range(4)]
         _, big_b, _, big_d = sub.alphas
         part = sub.particular
         t2 = q @ (2.0 * g * (e * big_b + big_d))
         t3 = q @ (sign * 2.0 * g**2 * (e * big_b - big_d)
-                  + part.f3_interface - g**2 * part.fprime_interface)
+                  + getattr(part, f"f3_{end}") - g**2 * getattr(part, f"fprime_{end}"))
         for closed, dense in ((t2, u[2] + a @ u[0]), (t3, u[3] + a @ u[1])):
             assert np.max(np.abs(closed - dense)) / (1.0 + np.max(np.abs(dense))) <= 1e-9, side
 
@@ -986,7 +986,7 @@ def test_the_eq_budget_is_ten_times_the_particular_estimate_where_that_is_larger
 
 @pytest.mark.parametrize("forced", [False, True], ids=["unforced", "forced"])
 def test_the_report_reads_modal_fields_end_values_bit_for_bit(forced):
-    # The report's u and u' at every interval end (``_end_traces``, both
+    # The report's u and u' at every interval end (``end_terms``, both
     # intervals in one pass) are the solution's own modal_fields there,
     # particular part included, bit for bit; its t2 and t3 at gamma are
     # the sources' closed form of the final coefficients.
@@ -995,7 +995,8 @@ def test_the_report_reads_modal_fields_end_values_bit_for_bit(forced):
     rng = np.random.default_rng(8)
     forcing = ModalForcing.sine(op, geom, SIDE_PLUS, 3, 2, 1.0) if forced else None
     sol = solve_transmission(op, geom, 1.0, 3.0, forcing, BoundaryData(*rng.normal(size=(4, 16))))
-    u_left, du_left, u_right, du_right, t2, t3 = _end_traces(sol)
+    u_left, du_left, u_right, du_right, t2, t3 = end_terms(sol.operators.both, sol.minus,
+                                                           sol.plus)
     for row, sub in enumerate((sol.minus, sol.plus)):
         table = sub.modal_fields(np.array(geom.interval(sub.side)))
         assert np.array_equal(u_left[row], table[0, :, 0])
@@ -1003,7 +1004,7 @@ def test_the_report_reads_modal_fields_end_values_bit_for_bit(forced):
         assert np.array_equal(u_right[row], table[0, :, 1])
         assert np.array_equal(du_right[row], table[1, :, 1])
     parts = (sol.minus.particular, sol.plus.particular)
-    alphas = by_end(sol.minus.alphas, sol.plus.alphas)
+    alphas = (sol.minus.alphas, sol.plus.alphas)
     fprime = np.array([parts[0].fprime_right, parts[1].fprime_left])
     f3 = np.array([parts[0].f3_right, parts[1].f3_left])
     assert parts[1].active.size == forced
